@@ -157,11 +157,10 @@ def corner_sources(field: Field2D, spec: BoundarySpec2D, dirichlet_values=None):
     for ax_spec in (spec.x, spec.y):
         if ax_spec.periodic != field.grid.periodic:
             raise ValueError("boundary spec and grid disagree about periodicity")
-    vx = None if dirichlet_values is None else dirichlet_values
     a = _gather_axis(field.values, 0, "x", field.parity, field.grid.periodic,
-                     spec.x, vx)  # (ntx, 2, ny, kx+1, ky+1)
+                     spec.x, dirichlet_values)  # (ntx, 2, ny, kx+1, ky+1)
     b = _gather_axis(a, 2, "y", field.parity, field.grid.periodic,
-                     spec.y, vx)  # (ntx, 2, nty, 2, kx+1, ky+1)
+                     spec.y, dirichlet_values)  # (ntx, 2, nty, 2, kx+1, ky+1)
     data = np.moveaxis(b, 1, 2)
     cx = field.grid.axis(0).nodes(flip(field.parity))
     cy = field.grid.axis(1).nodes(flip(field.parity))

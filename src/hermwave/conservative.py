@@ -17,7 +17,9 @@ summed while 2l+k stays within degree 2m+1 (which captures every term of
 the identity for the polynomial interpolant, so resolved polynomial data
 is evolved exactly). In 2D the Delta^p binomial expansion produces a
 scaled Pascal's triangle over the pair of half-CFL ratios c*dt/(2h_x),
-c*dt/(2h_y).
+c*dt/(2h_y). Interpolation and update are linear in the gathered current
+level, so a step multiplies it by one cached matrix (`fold`) and
+subtracts the previous level.
 
 The first half step is bootstrapped with the dissipative module's Taylor
 recursion applied to full-order interpolants of the initial displacement
@@ -28,53 +30,32 @@ comfortably exceeds the O(h^(2m+1)) the two-level scheme needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
-from .dissipative import SchemeConfig, eval_series, expand_taylor, expand_taylor_2d
+from .dissipative import (SchemeConfig, eval_series, expand_taylor_2d, flat_rows, fold,
+                          taylor_half_step_1d)
 from .grid import Field1D, Field2D, TwoLevelState, flip
 from .interp import apply_interp, apply_interp_2d
 
 
-@dataclass(frozen=True)
-class PascalTable:
-    """Base and scaled Pascal coefficients for the 2D update.
+def pascal_table(m: int) -> np.ndarray:
+    """Pascal coefficients for the 2D update.
 
-    base[i, j] = C(i+j, i) (the Pascal recurrence P_{i,j} = P_{i-1,j} +
-    P_{i,j-1}) for i+j <= 2m, zero beyond. scaled[i, j] multiplies in
-    rho_x**(2i) rho_y**(2j) / (2i+2j)! with rho = c*dt/(2h) per axis.
+    P[i, j] = C(i+j, i) (the Pascal recurrence P_{i,j} = P_{i-1,j} +
+    P_{i,j-1}) for i+j <= 2m, zero beyond.
     """
-
-    m: int
-    rho_x: float
-    rho_y: float
-    base: np.ndarray
-    scaled: np.ndarray
-
-
-def pascal_table(m: int, rho_x: float, rho_y: float) -> PascalTable:
     n = 2 * m + 1
     base = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
             if i + j <= 2 * m:
                 base[i, j] = math.comb(i + j, i)
-    scaled = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i + j <= 2 * m:
-                scaled[i, j] = (
-                    base[i, j] * rho_x ** (2 * i) * rho_y ** (2 * j)
-                    / math.factorial(2 * i + 2 * j)
-                )
-    return PascalTable(m, rho_x, rho_y, base, scaled)
+    return base
 
 
-@lru_cache(maxsize=None)
 def _update_matrix_1d(m: int, rho: float) -> np.ndarray:
     """W[k, j] with c_k^{new} = -c_k^{prev} + 2 (W @ coeffs)_k."""
     w = np.zeros((m + 1, 2 * m + 2))
@@ -84,7 +65,6 @@ def _update_matrix_1d(m: int, rho: float) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
 def _update_tensor_2d(m: int, rho_x: float, rho_y: float) -> np.ndarray:
     """WT[k, l, a, b] acting on interpolant coefficients c_{a,b}.
 
@@ -92,7 +72,7 @@ def _update_tensor_2d(m: int, rho_x: float, rho_y: float) -> np.ndarray:
     / (2i+2j)! times the rho powers; the integer part is build exactly.
     """
     kk = 2 * m + 2
-    table = pascal_table(m, rho_x, rho_y)
+    table = pascal_table(m)
     wt = np.zeros((m + 1, m + 1, kk, kk))
     for k in range(m + 1):
         for l in range(m + 1):
@@ -105,7 +85,7 @@ def _update_tensor_2d(m: int, rho_x: float, rho_y: float) -> np.ndarray:
                     if b > 2 * m + 1:
                         break
                     frac = Fraction(
-                        math.comb(a, k) * math.comb(b, l) * int(table.base[i, j]),
+                        math.comb(a, k) * math.comb(b, l) * int(table[i, j]),
                         math.comb(2 * i + 2 * j, 2 * i),
                     )
                     wt[k, l, a, b] = float(frac) * rho_x ** (2 * i) * rho_y ** (2 * j)
@@ -136,31 +116,35 @@ def conservative_update_2d(interp, prev, cfg: SchemeConfig, hx: float, hy: float
     return 2.0 * np.einsum("klab,...ab->...kl", wt, coeffs, optimize=True) - prev
 
 
+def _update_1d(data, cfg, h):
+    """The update of gathered current data with prev = 0, the map `fold` builds."""
+    return (conservative_update_1d(apply_interp(data), 0.0, cfg, h),)
+
+
+def _update_2d(data, cfg, hx, hy):
+    return (conservative_update_2d(apply_interp_2d(data), 0.0, cfg, hx, hy),)
+
+
 def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLevelState:
-    """One update: interpolate the current level, combine with the previous.
+    """One update: fold the gathered current level, subtract the previous.
 
     Returns the new state (advanced dt/2, parity flipped); the old current
     level becomes the new previous level.
     """
     cur = state.current
-    t_new = cur.time + 0.5 * cfg.dt(_min_h(cur))
+    prev = state.previous.values
     if isinstance(cur, Field1D):
+        dt = cfg.dt(cur.grid.h)
         data, _ = pair_sources(cur, bc)
-        coeffs = apply_interp(data)
-        new_vals = conservative_update_1d(coeffs, state.previous.values, cfg, cur.grid.h)
+        a = fold(_update_1d, (data.shape[1:],), cfg, cur.grid.h)
     else:
+        hx, hy = cur.grid.hx, cur.grid.hy
+        dt = cfg.dt(min(hx, hy))
         data, _, _ = corner_sources(cur, bc)
-        coeffs = apply_interp_2d(data)
-        new_vals = conservative_update_2d(coeffs, state.previous.values, cfg,
-                                          cur.grid.hx, cur.grid.hy)
-    new = state.previous.with_values(new_vals, time=t_new)
+        a = fold(_update_2d, (data.shape[2:],), cfg, hx, hy)
+    new_vals = (flat_rows(cur.values.ndim // 2, data) @ a).reshape(prev.shape) - prev
+    new = state.previous.with_values(new_vals, time=cur.time + 0.5 * dt)
     return TwoLevelState(current=new, previous=cur)
-
-
-def _min_h(field) -> float:
-    if isinstance(field, Field1D):
-        return field.grid.h
-    return min(field.grid.hx, field.grid.hy)
 
 
 def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
@@ -180,9 +164,7 @@ def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
         dt = cfg.dt(h)
         du, _ = pair_sources(g0, bc)
         dv, _ = pair_sources(g1, bc, dirichlet_values=(0.0, 0.0))
-        ctab, _ = expand_taylor(apply_interp(du), apply_interp(dv), dt, h,
-                                cfg.speed, 2 * cfg.m + 3)
-        u_half = eval_series(ctab, 0.5)[:, : cfg.m + 1]
+        u_half, _ = taylor_half_step_1d(du, dv, dt, h, cfg.speed, 2 * cfg.m + 3)
     else:
         hx, hy = g0.grid.hx, g0.grid.hy
         dt = cfg.dt(min(hx, hy))

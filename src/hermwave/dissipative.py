@@ -4,14 +4,13 @@ Writing u and its velocity v = u_t on a cell as space-time series
 
     u = sum_{l,s} c_{l,s} xi**l theta**s,   xi = (x - x_c)/h, theta = (t - t_n)/dt,
 
-the first-order system u_t = v, v_t = c^2 u_xx + f turns into the
-recursion
+the first-order system u_t = v, v_t = c^2 u_xx turns into the recursion
 
     c_{l,s} = (dt/s) d_{l,s-1},
-    d_{l,s} = c^2 (l+2)(l+1) (dt/h^2) / s * c_{l+2,s-1} + forcing term,
+    d_{l,s} = c^2 (l+2)(l+1) (dt/h^2) / s * c_{l+2,s-1},
 
 seeded at s = 0 by the Hermite interpolants of degree 2m+1 (u) and 2m-1
-(v). For f = 0 the series terminate: every coefficient beyond
+(v). The series terminate: every coefficient beyond
 kappa_v(l) = 2m-1-2*floor(l/2) (v) and kappa_u = kappa_v+1 (u) vanishes,
 so running 2m stages evolves polynomial data exactly for c*dt <= h. One
 half step evaluates the truncated series at theta = 1/2 on the staggered
@@ -24,11 +23,18 @@ instead differentiates the mixed-order interpolants I_{m,m-1} u (for
 x-derivatives) and I_{m-1,m} u (for y), after which the plain recursion
 takes over. The price is that 2D evolution is no longer exact on
 polynomial data.
+
+Interpolation, recursion and evaluation are all linear in the gathered
+flanking data, so for fixed (m, dt, h, c, stages) a half step is one
+matrix. `fold` builds it once by pushing the identity through the
+pipeline (`taylor_half_step_1d/2d`); the steppers only gather, multiply
+and reshape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,14 +80,12 @@ class SchemeConfig:
         return 4 * self.m + 4 if self.stage_cap is None else self.stage_cap
 
 
-def expand_taylor(cu, cv, dt, h, speed, smax, forcing=None, centers=None, t=0.0):
+def expand_taylor(cu, cv, dt, h, speed, smax):
     """Run the 1D recursion on batched cell coefficients.
 
     Args:
         cu: (..., Lu) scaled u coefficients at s=0.
         cv: (..., Lv) scaled v coefficients at s=0, Lv <= Lu.
-        forcing: optional callable f(l, s, x, t) returning the mixed
-            derivative d_x^l d_t^s f at the cell centers `x`, time `t`.
 
     Returns:
         (CU, CV) with trailing stage axis of length smax+1.
@@ -99,18 +103,7 @@ def expand_taylor(cu, cv, dt, h, speed, smax, forcing=None, centers=None, t=0.0)
     for s in range(1, smax + 1):
         cu_tab[..., :lv, s] = (dt / s) * cv_tab[..., :, s - 1]
         cv_tab[..., :nsrc, s] = (r / s) * mul * cu_tab[..., 2 : nsrc + 2, s - 1]
-        if forcing is not None:
-            for l in range(lv):
-                fac = h**l * dt**s / (_fact(l) * _fact(s))
-                cv_tab[..., l, s] += fac * forcing(l, s - 1, centers, t)
     return cu_tab, cv_tab
-
-
-def _fact(n: int) -> float:
-    out = 1.0
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
@@ -121,63 +114,59 @@ def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SpaceTimeTensor:
-    """Single-cell space-time coefficients c_{l,s} (u) and d_{l,s} (v)."""
+def flat_rows(ndim: int, *blocks) -> np.ndarray:
+    """One row per target: its blocks flattened and concatenated.
 
-    c: np.ndarray
-    d: np.ndarray
-    dt: float
-    h: float
-    speed: float
-
-
-def time_expand_1d(p, q, cfg: SchemeConfig, h: float, forcing=None,
-                   center=0.0, t=0.0) -> SpaceTimeTensor:
-    """Expand one cell's (u, v) interpolants in time.
-
-    Args:
-        p: u coefficients (degree 2m+1) or a CellPolynomial.
-        q: v coefficients (degree 2m-1) or a CellPolynomial.
+    The first `ndim` axes of every block index the targets (1 in 1D, 2 in 2D).
     """
-    cu = np.asarray(getattr(p, "coeffs", p), dtype=float)
-    cv = np.asarray(getattr(q, "coeffs", q), dtype=float)
-    dt = cfg.dt(h)
-    ctab, dtab = expand_taylor(cu[None], cv[None], dt, h, cfg.speed,
-                               cfg.stages_1d(), forcing, np.asarray([center]), t)
-    return SpaceTimeTensor(ctab[0], dtab[0], dt, h, cfg.speed)
+    return np.concatenate([b.reshape(b.shape[:ndim] + (-1,)) for b in blocks], axis=-1)
 
 
-def eval_center(st: SpaceTimeTensor, tau: float):
-    """Scaled center derivatives (orders 0..m of u, 0..m-1 of v) at t_n+tau."""
-    theta = tau / st.dt
-    mu = st.c.shape[-2] // 2  # degree 2m+1 storage
-    u = eval_series(st.c, theta)[..., :mu]
-    v = eval_series(st.d, theta)[..., : st.d.shape[-2] // 2]
-    return u, v
+@lru_cache(maxsize=64)
+def fold(fn, shapes, *args) -> np.ndarray:
+    """Matrix of the linear per-target map blocks -> fn(*blocks, *args), cached.
+
+    fn takes one batched block (k, *shape) per entry of `shapes`, then
+    `args`, and returns a tuple of batched blocks. The read-only result A
+    satisfies flat_rows(1, *fn(*blocks, *args)) == flat_rows(1, *blocks) @ A;
+    it is found by applying fn to the identity.
+    """
+    sizes = [int(np.prod(s)) for s in shapes]
+    eye = np.eye(sum(sizes))
+    cols = np.split(eye, np.cumsum(sizes)[:-1], axis=1)
+    a = flat_rows(1, *fn(*(c.reshape((-1,) + s) for c, s in zip(cols, shapes)), *args))
+    a.setflags(write=False)
+    return a
 
 
-def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec,
-                 forcing=None) -> FieldPair:
+def taylor_half_step_1d(du, dv, dt, h, speed, stages):
+    """Interpolate, expand in time and evaluate at dt/2, per target node.
+
+    du (..., 2, mu_u+1) and dv (..., 2, mu_v+1) are flanking u and v data;
+    returns the target (u, v) data of the same orders.
+    """
+    ctab, dtab = expand_taylor(apply_interp(du), apply_interp(dv), dt, h, speed, stages)
+    return (eval_series(ctab, 0.5)[..., : du.shape[-1]],
+            eval_series(dtab, 0.5)[..., : dv.shape[-1]])
+
+
+def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec) -> FieldPair:
     """Advance (u, v) by dt/2 onto the opposite grid."""
     m = cfg.m
     grid = state.u.grid
     if state.u.order != m:
         raise ValueError(f"state carries order {state.u.order}, config wants {m}")
     dt = cfg.dt(grid.h)
-    du, centers = pair_sources(state.u, bc)
+    du, _ = pair_sources(state.u, bc)
     dv, _ = pair_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    cu = apply_interp(du)
-    cv = apply_interp(dv)
-    ctab, dtab = expand_taylor(cu, cv, dt, grid.h, cfg.speed, cfg.stages_1d(),
-                               forcing, centers, state.time)
-    u_new = eval_series(ctab, 0.5)[:, : m + 1]
-    v_new = eval_series(dtab, 0.5)[:, :m]
+    a = fold(taylor_half_step_1d, (du.shape[1:], dv.shape[1:]), dt, grid.h, cfg.speed,
+             cfg.stages_1d())
+    new = flat_rows(1, du, dv) @ a
     t_new = state.time + 0.5 * dt
     parity = flip(state.parity)
     return FieldPair(
-        Field1D(grid, parity, t_new, u_new),
-        Field1D(grid, parity, t_new, v_new),
+        Field1D(grid, parity, t_new, new[:, : m + 1]),
+        Field1D(grid, parity, t_new, new[:, m + 1 :]),
     )
 
 
@@ -212,36 +201,45 @@ def expand_taylor_2d(c0, d0, dt, hx, hy, speed, smax, d1=None):
     return ctab, dtab
 
 
-def half_step_2d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec2D) -> FieldPair:
-    """Advance 2D (u, v) by dt/2 onto the opposite grid.
+def taylor_half_step_2d(du, dv, dt, hx, hy, speed, stages):
+    """2D counterpart of taylor_half_step_1d on corner data.
 
-    Four interpolants per cell: I_{m,m-1} u and I_{m-1,m} u feed the
-    stabilized first stage, I_{m,m} u seeds the u series, I_{m-1,m-1} v
-    seeds the v series.
+    du is (..., 2, 2, m+1, m+1) and dv (..., 2, 2, m, m). Four interpolants
+    per cell: I_{m,m-1} u and I_{m-1,m} u feed the stabilized first stage,
+    I_{m,m} u seeds the u series, I_{m-1,m-1} v seeds the v series.
     """
+    m = dv.shape[-1]
+    cmm = apply_interp_2d(du)                  # (..., 2m+2, 2m+2)
+    c_x = apply_interp_2d(du[..., :, :m])      # I_{m,m-1}: (..., 2m+2, 2m)
+    c_y = apply_interp_2d(du[..., :m, :])      # I_{m-1,m}: (..., 2m, 2m+2)
+    d0 = apply_interp_2d(dv)                   # (..., 2m, 2m)
+    rx = speed**2 * dt / (hx * hx)
+    ry = speed**2 * dt / (hy * hy)
+    mul = np.arange(2, 2 * m + 2) * np.arange(1, 2 * m + 1)
+    d1 = rx * mul[:, None] * c_x[..., 2:, :] + ry * mul[None, :] * c_y[..., :, 2:]
+    ctab, dtab = expand_taylor_2d(cmm, d0, dt, hx, hy, speed, stages, d1=d1)
+    return (eval_series(ctab, 0.5)[..., : m + 1, : m + 1],
+            eval_series(dtab, 0.5)[..., :m, :m])
+
+
+def half_step_2d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec2D) -> FieldPair:
+    """Advance 2D (u, v) by dt/2 onto the opposite grid."""
     m = cfg.m
     grid = state.u.grid
     if state.u.orders != (m, m):
         raise ValueError(f"state carries orders {state.u.orders}, config wants ({m}, {m})")
     hx, hy = grid.hx, grid.hy
     dt = cfg.dt(min(hx, hy))
-    du, cx, cy = corner_sources(state.u, bc)
+    du, _, _ = corner_sources(state.u, bc)
     dv, _, _ = corner_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    cmm = apply_interp_2d(du)                  # (..., 2m+2, 2m+2)
-    c_x = apply_interp_2d(du[..., :, :m])      # I_{m,m-1}: (..., 2m+2, 2m)
-    c_y = apply_interp_2d(du[..., :m, :])      # I_{m-1,m}: (..., 2m, 2m+2)
-    d0 = apply_interp_2d(dv)                   # (..., 2m, 2m)
-    rx = cfg.speed**2 * dt / (hx * hx)
-    ry = cfg.speed**2 * dt / (hy * hy)
-    mul = np.arange(2, 2 * m + 2) * np.arange(1, 2 * m + 1)
-    d1 = rx * mul[:, None] * c_x[..., 2:, :] + ry * mul[None, :] * c_y[..., :, 2:]
-    ctab, dtab = expand_taylor_2d(cmm, d0, dt, hx, hy, cfg.speed,
-                                  cfg.stages_2d(), d1=d1)
-    u_new = eval_series(ctab, 0.5)[..., : m + 1, : m + 1]
-    v_new = eval_series(dtab, 0.5)[..., :m, :m]
+    a = fold(taylor_half_step_2d, (du.shape[2:], dv.shape[2:]), dt, hx, hy, cfg.speed,
+             cfg.stages_2d())
+    new = flat_rows(2, du, dv) @ a
+    lead = new.shape[:2]
+    k = (m + 1) ** 2
     t_new = state.time + 0.5 * dt
     parity = flip(state.parity)
     return FieldPair(
-        Field2D(grid, parity, t_new, u_new),
-        Field2D(grid, parity, t_new, v_new),
+        Field2D(grid, parity, t_new, new[..., :k].reshape(lead + (m + 1, m + 1))),
+        Field2D(grid, parity, t_new, new[..., k:].reshape(lead + (m, m))),
     )

@@ -37,6 +37,7 @@ from .diagnostics import (
 )
 from .dissipative import SchemeConfig, half_step_1d, half_step_2d
 from .grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, TwoLevelState
+from .interp import MAX_ORDER
 
 
 class ConfigError(ValueError):
@@ -77,8 +78,8 @@ class RunConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
+        if not 1 <= self.m <= MAX_ORDER:
+            raise ConfigError(f"m must be in [1, {MAX_ORDER}], got {self.m}")
         if not 0.0 < self.lam <= 1.0:
             raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
         if self.levels < 1:

@@ -136,7 +136,3 @@ def interpolate_2d(corners, orders, center, widths) -> CellPolynomial2D:
         )
     return CellPolynomial2D(tuple(center), tuple(widths), apply_interp_2d(corners))
 
-
-def node_data(p: CellPolynomial, x: float, mu: int) -> np.ndarray:
-    """Extract order-mu node data (scaled by the piece's own width) at x."""
-    return p.scaled_derivs(x, mu)

@@ -61,7 +61,7 @@ from hermwave.grid import (
     Grid2D,
     TwoLevelState,
 )
-from hermwave.interp import apply_interp, interpolate_1d, node_data
+from hermwave.interp import apply_interp, interpolate_1d
 from hermwave.poly import CellPolynomial, PiecewisePolynomial
 
 
@@ -341,7 +341,7 @@ def test_criterion6_interpolation_exactness(m):
     c, h = 0.4, 0.65
     a = rng.standard_normal(2 * m + 2)
     p = CellPolynomial(c, h, a)
-    q = interpolate_1d(node_data(p, c - h / 2, m), node_data(p, c + h / 2, m), c, h)
+    q = interpolate_1d(p.scaled_derivs(c - h / 2, m), p.scaled_derivs(c + h / 2, m), c, h)
     worst = np.abs(q.coeffs - a).max() / np.abs(a).max()
     _bound_check(f"interpolation exactness m={m}", worst, 1e-12)
 
@@ -352,7 +352,7 @@ def test_criterion6_seminorm_pythagoras(m):
     c, h = 0.0, 1.0
     a = rng.standard_normal(2 * m + 5)
     p = CellPolynomial(c, h, a)
-    q = interpolate_1d(node_data(p, c - h / 2, m), node_data(p, c + h / 2, m), c, h)
+    q = interpolate_1d(p.scaled_derivs(c - h / 2, m), p.scaled_derivs(c + h / 2, m), c, h)
     dom = [c - h / 2, c + h / 2]
     full = seminorm_sq(PiecewisePolynomial(dom, [p]), m + 1)
     kept = seminorm_sq(PiecewisePolynomial(dom, [q]), m + 1)

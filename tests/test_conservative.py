@@ -67,17 +67,10 @@ def test_update_matches_even_shift_average(m, lam):
 
 
 def test_pascal_base_entries():
-    t = pascal_table(2, 0.4, 0.3)
-    assert t.base[1, 1] == 2.0
-    assert t.base[2, 2] == 6.0
-    assert t.base[0, 0] == 1.0
-
-
-def test_pascal_scaled_entry():
-    rx, ry = 0.4, 0.3
-    t = pascal_table(1, rx, ry)
-    assert t.scaled[0, 0] == pytest.approx(1.0)
-    assert t.scaled[1, 1] == pytest.approx(2.0 * rx**2 * ry**2 / math.factorial(4))
+    t = pascal_table(2)
+    assert t[1, 1] == 2.0
+    assert t[2, 2] == 6.0
+    assert t[0, 0] == 1.0
 
 
 def _sine_field(grid, m, parity, t=0.0, omega=1.0):

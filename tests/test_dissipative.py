@@ -10,12 +10,10 @@ from hermwave.boundary import BoundarySpec, BoundarySpec2D, pair_sources
 from hermwave.diagnostics import dissipative_energy
 from hermwave.dissipative import (
     SchemeConfig,
-    eval_center,
     eval_series,
     expand_taylor,
     half_step_1d,
     half_step_2d,
-    time_expand_1d,
 )
 from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, flip
 
@@ -228,23 +226,6 @@ def test_energy_never_increases():
         e_new = dissipative_energy(pair, cfg.speed, bc)
         assert e_new <= e * (1.0 + 1e-12)
         e = e_new
-
-
-def test_forcing_term_enters_velocity_stage():
-    # with f(x, t) = 1: v gains dt * 1 at stage 1, u is touched at stage 2
-    cu = np.zeros((1, 4))
-    cv = np.zeros((1, 2))
-
-    def forcing(l, s, x, t):
-        if l == 0 and s == 0:
-            return np.ones_like(x)
-        return np.zeros_like(x)
-
-    CU, CV = expand_taylor(
-        cu, cv, 0.25, 1.0, 1.0, 3, forcing=forcing, centers=np.zeros(1), t=0.0
-    )
-    assert CV[0, 0, 1] == pytest.approx(0.25)
-    assert CU[0, 0, 2] == pytest.approx(0.25**2 / 2)
 
 
 def test_2d_constant_is_steady():

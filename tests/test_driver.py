@@ -329,6 +329,14 @@ def test_cli_rejects_bad_lambda(capsys):
     assert "lambda" in err
 
 
+def test_cli_rejects_order_above_interpolation_limit(capsys):
+    rc = cli.main(["gaussian1d", "--m", "13"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error:" in err
+    assert "m must be" in err
+
+
 def test_cli_missing_config_file(capsys):
     rc = cli.main(["gaussian1d", "--config", "/nonexistent/run.cfg"])
     err = capsys.readouterr().err

@@ -12,7 +12,6 @@ from hermwave.interp import (
     interp_matrix,
     interpolate_1d,
     interpolate_2d,
-    node_data,
 )
 from hermwave.poly import CellPolynomial
 
@@ -37,8 +36,8 @@ def test_exactness_on_full_degree(mu):
     c, h = 0.3, 0.8
     a = rng.standard_normal(2 * mu + 2)
     p = CellPolynomial(c, h, a)
-    left = node_data(p, c - h / 2, mu)
-    right = node_data(p, c + h / 2, mu)
+    left = p.scaled_derivs(c - h / 2, mu)
+    right = p.scaled_derivs(c + h / 2, mu)
     q = interpolate_1d(left, right, c, h)
     np.testing.assert_allclose(q.coeffs, a, rtol=1e-12, atol=1e-12)
 
@@ -79,7 +78,7 @@ def test_interpolation_is_a_projection():
         [[math.sin(x + l * math.pi / 2) * h**l / math.factorial(l) for l in range(mu + 1)] for x in xs]
     )
     p1 = interpolate_1d(data[0], data[1], c, h)
-    p2 = interpolate_1d(node_data(p1, xs[0], mu), node_data(p1, xs[1], mu), c, h)
+    p2 = interpolate_1d(p1.scaled_derivs(xs[0], mu), p1.scaled_derivs(xs[1], mu), c, h)
     np.testing.assert_allclose(p2.coeffs, p1.coeffs, rtol=1e-13, atol=1e-14)
 
 
@@ -118,7 +117,8 @@ def test_seminorm_pythagoras():
         c, h = 0.1, 0.7
         a = rng.standard_normal(2 * mu + 4)  # above interpolant degree
         p = CellPolynomial(c, h, a)
-        q = interpolate_1d(node_data(p, c - h / 2, mu), node_data(p, c + h / 2, mu), c, h)
+        q = interpolate_1d(p.scaled_derivs(c - h / 2, mu), p.scaled_derivs(c + h / 2, mu),
+                           c, h)
         xq, wq = np.polynomial.legendre.leggauss(mu + 4)
         xs = c + 0.5 * h * xq
         dp = p.derivative(mu + 1)(xs)
