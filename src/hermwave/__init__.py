@@ -11,7 +11,6 @@ from .conservative import (
 from .diagnostics import (
     ErrorReport,
     conservative_energy,
-    conserved_pair,
     dissipative_energy,
     field_interpolant,
     fit_rate,
@@ -50,7 +49,7 @@ from .grid import (
     TwoLevelState,
 )
 from .interp import apply_interp, apply_interp_2d, interp_matrix, interpolate_1d, interpolate_2d
-from .poly import CellPolynomial, CellPolynomial2D, PiecewisePolynomial, shift
+from .poly import CellPolynomial, CellPolynomial2D, PiecewisePolynomial
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,7 @@ __all__ = [
     "BoundarySpec", "BoundarySpec2D", "ghost_data", "ghost_data_2d",
     "bootstrap_first_half", "conservative_update_1d", "conservative_update_2d",
     "full_step_conservative", "pascal_table",
-    "ErrorReport", "conservative_energy", "conserved_pair", "dissipative_energy",
+    "ErrorReport", "conservative_energy", "dissipative_energy",
     "field_interpolant", "fit_rate", "l2_error_field", "l2_error_field_2d",
     "l2_errors_pair", "seminorm_sq",
     "SchemeConfig", "eval_series", "expand_taylor", "expand_taylor_2d",
@@ -69,5 +68,5 @@ __all__ = [
     "TwoLevelState",
     "apply_interp", "apply_interp_2d", "interp_matrix", "interpolate_1d",
     "interpolate_2d",
-    "CellPolynomial", "CellPolynomial2D", "PiecewisePolynomial", "shift",
+    "CellPolynomial", "CellPolynomial2D", "PiecewisePolynomial",
 ]

@@ -9,15 +9,17 @@ then has no even (resp. odd) powers. A constant Dirichlet value g only
 changes the leading ghost coefficient: c_0 -> 2g - c_0, which makes the
 interpolant g plus an odd polynomial.
 
-Periodic edges are not reflections; the gather routines below wrap
-indices instead. They assemble, for every target node of the opposite
-parity, the flanking source-node data (2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the steppers need.
+Periodic edges are not reflections; the gather routines below take
+source nodes through a cached wrapped index array instead. They assemble,
+for every target node of the opposite parity, the flanking source-node
+data (2 in 1D, 2x2 corners in 2D) including any ghosts, which is all the
+steppers need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,6 +100,20 @@ def ghost_data_2d(interior: np.ndarray, kind: str, normal_axis: int,
     return out
 
 
+@lru_cache(maxsize=None)
+def periodic_index(n: int, offsets: tuple) -> np.ndarray:
+    """Read-only (n, len(offsets)) array of (j + offset) mod n, row j per target."""
+    idx = (np.arange(n)[:, None] + np.asarray(offsets)[None, :]) % n
+    idx.setflags(write=False)
+    return idx
+
+
+# offsets of the (left, right) source nodes of target j on a periodic axis:
+# dual target j sits between primal j and j+1, primal target j between
+# dual j-1 and j
+FLANK_OFFSETS = {PRIMAL: (0, 1), DUAL: (-1, 0)}
+
+
 def _gather_axis(values, node_axis, coeff_axis, parity, periodic, spec,
                  values_override=None):
     """Replace `node_axis` (source nodes) by (targets, 2) flanking data.
@@ -107,6 +123,9 @@ def _gather_axis(values, node_axis, coeff_axis, parity, periodic, spec,
     spec's Dirichlet constants (the velocity field of a constant-in-time
     Dirichlet problem reflects around zero).
     """
+    if periodic:
+        idx = periodic_index(values.shape[node_axis], FLANK_OFFSETS[parity])
+        return np.take(values, idx, axis=node_axis)
     v = np.moveaxis(values, node_axis, 0)
     ndim2d = v.ndim > 2  # 2D blocks carry two coefficient axes
     vl, vr = (spec.left_value, spec.right_value) if values_override is None else values_override
@@ -116,12 +135,7 @@ def _gather_axis(values, node_axis, coeff_axis, parity, periodic, spec,
             return ghost_data_2d(block, kind, 0 if coeff_axis == "x" else 1, value)
         return ghost_data(block, kind, value)
 
-    if periodic:
-        if parity == PRIMAL:
-            left, right = v, np.roll(v, -1, axis=0)
-        else:
-            left, right = np.roll(v, 1, axis=0), v
-    elif parity == PRIMAL:
+    if parity == PRIMAL:
         left, right = v[:-1], v[1:]
     else:
         pad_l = ghost(v[:1], spec.left, vl)

@@ -6,12 +6,25 @@ The conservative scheme preserves the seminorm energy
     P_± = p^n - S_± p^{n-1/2},   S_± w(x) = w(x ± c dt/2),
 
 where p^n, p^{n-1/2} are the global piecewise interpolants of the two
-levels and |f|_r^2 integrates the squared r-th derivative. Both members
-are piecewise polynomial on the union of the cell edges of p^n with the
-shifted edges of p^{n-1/2} (for dt = h/2 that slices each cell into four
-h/4 pieces), so the integral is computed exactly: per union piece, a
-Gauss rule with enough points for the degree-2m square of the degree-m
-derivative. No quadrature error enters the drift measurement.
+levels and |f|_r^2 integrates the squared r-th derivative. On a cell of
+p^n, in its scaled variable xi in [-1/2, 1/2], S_± p^{n-1/2} is the
+previous level's left cell evaluated at xi + 1/2 ± r for xi below ∓r and
+its right cell at xi - 1/2 ± r above, with r = c dt/(2h) <= 1/2. The
+(m+1)-th derivative keeps only the coefficients of degree m+1 to 2m+1,
+so both members are linear in a fixed window y_i of 3(m+1) values per
+cell: those coefficients of the cell and of the two previous-level cells
+the shifts reach. Hence E = sum_i y_i^T G y_i with one Gram matrix G per
+(m, r, h). `energy_factor` builds it as G = L^T L from binomial shifts
+and, on each of the four sub-pieces, the derivative at Gauss points
+exact for its square, so no quadrature error enters the drift
+measurement.
+
+Two choices keep the rounding relative to E for smooth data, where the
+top coefficients and P_± are small against the nodal data: the window
+holds interpolated coefficients rather than nodal values (a matrix
+folded through the interpolation cancels the large low-order data only
+to its own rounding), and E sums the squares of L y_i rather than
+evaluating y_i^T G y_i.
 
 The dissipative analogue c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 is what
 the (u, v) scheme dissipates at every interpolation.
@@ -21,13 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
+from .boundary import (FLANK_OFFSETS, BoundarySpec, BoundarySpec2D, corner_sources,
+                       pair_sources, periodic_index)
 from .grid import Field1D, Field2D, FieldPair, flip
-from .interp import apply_interp, apply_interp_2d
-from .poly import CellPolynomial, PiecewisePolynomial, shift
+from .interp import apply_interp, apply_interp_2d, interp_matrix
+from .poly import CellPolynomial, PiecewisePolynomial
 
 
 def gauss_rule(npts: int):
@@ -136,66 +151,7 @@ def l2_error_field_2d(field: Field2D, exact, bc: BoundarySpec2D,
 
 
 # ---------------------------------------------------------------------------
-# conserved variables and seminorm energies
-
-
-@dataclass(frozen=True)
-class ConservedPair:
-    p_plus: PiecewisePolynomial
-    p_minus: PiecewisePolynomial
-
-
-def pp_subtract(a: PiecewisePolynomial, b: PiecewisePolynomial) -> PiecewisePolynomial:
-    """a - b on the union breakpoint set; both periodic with equal period.
-
-    b is looked up through its own periodic window, so the two fields may
-    live on windows offset by half a cell.
-    """
-    lo, hi = a.domain
-    span = hi - lo
-    blo = b.domain[0]
-    tol = 1e-12 * span
-    edges = list(a.breakpoints)
-    for e in b.breakpoints[:-1]:
-        w = lo + (e - lo) % span
-        edges.append(w)
-    edges = sorted(edges)
-    merged = [lo]
-    for e in edges:
-        if e - merged[-1] > tol:
-            merged.append(e)
-    if hi - merged[-1] <= tol:
-        merged[-1] = hi
-    else:
-        merged.append(hi)
-    pieces = []
-    for i in range(len(merged) - 1):
-        xm = 0.5 * (merged[i] + merged[i + 1])
-        ia = int(np.searchsorted(a.breakpoints, xm, side="right") - 1)
-        pa = a.pieces[min(ia, len(a.pieces) - 1)]
-        xw = blo + (xm - blo) % (b.domain[1] - blo)
-        ib = int(np.searchsorted(b.breakpoints, xw, side="right") - 1)
-        pb = b.pieces[min(ib, len(b.pieces) - 1)]
-        pb = CellPolynomial(pb.center + (xm - xw), pb.width, pb.coeffs)
-        ca = pa.recentered(xm, pa.width)
-        cb = pb.recentered(xm, pa.width)
-        n = max(len(ca.coeffs), len(cb.coeffs))
-        cc = np.zeros(n)
-        cc[: len(ca.coeffs)] = ca.coeffs
-        cc[: len(cb.coeffs)] -= cb.coeffs
-        pieces.append(CellPolynomial(xm, pa.width, cc))
-    return PiecewisePolynomial(np.asarray(merged), pieces, periodic=True)
-
-
-def conserved_pair(current: PiecewisePolynomial, previous: PiecewisePolynomial,
-                   delta: float) -> ConservedPair:
-    """P_± = current - S_± previous with shift distance delta = c*dt/2."""
-    if not (current.periodic and previous.periodic):
-        raise ValueError("conserved variables need a periodic domain")
-    return ConservedPair(
-        p_plus=pp_subtract(current, shift(previous, delta)),
-        p_minus=pp_subtract(current, shift(previous, -delta)),
-    )
+# seminorm energies
 
 
 def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
@@ -212,18 +168,62 @@ def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
     return total
 
 
-def seminorm_energy(pair: ConservedPair, order: int) -> float:
-    """E = |P_+|_order^2 + |P_-|_order^2 (order = m+1 for the scheme)."""
-    return seminorm_sq(pair.p_plus, order) + seminorm_sq(pair.p_minus, order)
+@lru_cache(maxsize=64)
+def energy_factor(m: int, r: float, h: float) -> np.ndarray:
+    """Read-only L with E = sum_i |L y_i|^2, built once per (m, r, h).
+
+    y_i holds, in blocks of m+1, the scaled coefficients of degree m+1 to
+    2m+1 (the only ones the (m+1)-th derivative keeps) of current cell i,
+    then of the previous level's cells centred on its left and right
+    nodes. Row block p of L is the (m+1)-th derivative of P_± on
+    sub-piece p at its m+1 Gauss points, weighted so that the squares sum
+    to the exact integral; G = L^T L is the energy's Gram matrix.
+    r = c dt/(2h) must lie in [0, 1/2].
+    """
+    mu = m + 1
+    # d^(m+1)/dxi^(m+1) takes xi^(i+mu) to (i+mu)!/i! xi^i
+    deriv = np.diag([math.factorial(i + mu) / math.factorial(i) for i in range(mu)])
+    xg, wg = gauss_rule(mu)  # exact for the degree-2m squared derivative
+    rows = []
+    for sign in (1.0, -1.0):
+        cut = -sign * r  # where xi ± r crosses the previous level's node i
+        for lo, hi, block, s in ((-0.5, cut, 1, 0.5 + sign * r),
+                                 (cut, 0.5, 2, -0.5 + sign * r)):
+            if hi <= lo:  # lam = 1: the shifted node sits on a cell edge
+                continue
+            # the previous cell read at xi + s, sum_l b_l (xi + s)^l, top degrees only
+            shift = np.array([[math.comb(l + mu, i + mu) * s ** (l - i) if l >= i else 0.0
+                               for l in range(mu)] for i in range(mu)])
+            q = np.zeros((mu, 3 * mu))
+            q[:, :mu] = deriv
+            q[:, block * mu : (block + 1) * mu] = -deriv @ shift
+            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+            rows.append(np.sqrt(0.5 * (hi - lo) * wg)[:, None]
+                        * (np.vander(x, mu, increasing=True) @ q))
+    out = np.concatenate(rows) * h ** (0.5 - mu)
+    out.setflags(write=False)
+    return out
 
 
 def conservative_energy(current: Field1D, previous: Field1D, speed: float,
                         dt: float, bc: BoundarySpec) -> float:
-    """E(t_n) from a two-level nodal state."""
-    cur = field_interpolant(current, bc)
-    prev = field_interpolant(previous, bc)
-    pair = conserved_pair(cur, prev, 0.5 * speed * dt)
-    return seminorm_energy(pair, current.order + 1)
+    """E(t_n) from a two-level nodal state on a periodic grid."""
+    grid = current.grid
+    if not (grid.periodic and bc.periodic):
+        raise ValueError("conserved variables need a periodic domain")
+    if previous.parity != flip(current.parity):
+        raise ValueError("the two levels must sit on opposite parities")
+    r = abs(0.5 * speed * dt / grid.h)
+    if r > 0.5 * (1.0 + 1e-12):
+        raise ValueError(f"the energy window needs c*dt <= h, got c*dt/h = {2 * r:g}")
+    r = min(r, 0.5)  # lam = 1 can round to just above 1/2
+    m, n = current.order, grid.n
+    top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
+    cur = pair_sources(current, bc)[0].reshape(n, -1) @ top
+    prev = pair_sources(previous, bc)[0].reshape(n, -1) @ top  # cells at current nodes
+    flanks = prev[periodic_index(n, FLANK_OFFSETS[current.parity])].reshape(n, -1)
+    y = np.concatenate([cur, flanks], axis=1) @ energy_factor(m, r, grid.h).T
+    return float(np.vdot(y, y))
 
 
 def dissipative_energy(state: FieldPair, speed: float, bc: BoundarySpec) -> float:

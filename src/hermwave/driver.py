@@ -257,10 +257,29 @@ def planewave_data(xnodes, ynodes, t: float, kx: int, ky: int, kappa: int,
     return out
 
 
-def _require_finite(*arrays):
+# half steps between finiteness checks inside a run
+FINITE_STRIDE = 64
+
+
+def _require_finite(*arrays, where: str = ""):
     for a in arrays:
         if not np.all(np.isfinite(a)):
-            raise NumericalError("non-finite field data detected")
+            raise NumericalError(f"non-finite field data detected{where}")
+
+
+def _at(step: int, time: float, n: int) -> str:
+    return f" at half step {step} (t={time:.6g}, n={n})"
+
+
+def _march(state, advance, count: int, fields, n: int, done: int = 0):
+    """Apply `advance` count times, checking fields(state) every FINITE_STRIDE
+    half steps and after the last; `done` half steps precede the first."""
+    for step in range(done + 1, done + count + 1):
+        state = advance(state)
+        if step % FINITE_STRIDE == 0 or step == done + count:
+            arrays = fields(state)
+            _require_finite(*(f.values for f in arrays), where=_at(step, arrays[0].time, n))
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +324,8 @@ def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
             v0 = np.zeros((len(x), m))
             pair = FieldPair(Field1D(grid, PRIMAL, 0.0, u0),
                              Field1D(grid, PRIMAL, 0.0, v0))
-            for _ in range(nhalf):
-                pair = half_step_1d(pair, scfg, bc)
-            _require_finite(pair.u.values, pair.v.values)
+            pair = _march(pair, lambda p: half_step_1d(p, scfg, bc), nhalf,
+                          lambda p: (p.u, p.v), n)
             eu, edux, ev = l2_errors_pair(pair, exact_u, exact_dux, exact_v, bc)
             eduxs.append(edux)
             evs.append(ev)
@@ -319,15 +337,14 @@ def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
                 prev = Field1D(grid, DUAL, -0.5 * dt,
                                _scale_cols(gaussian_box_u(xd, -0.5 * dt, m), h))
                 state = TwoLevelState(current=g0, previous=prev)
-                nextra = nhalf
+                done = 0
             else:
                 g1 = Field1D(grid, PRIMAL, 0.0,
                              _scale_cols(gaussian_box_v(x, 0.0, m), h))
                 state = bootstrap_first_half(g0, g1, scfg, bc)
-                nextra = nhalf - 1
-            for _ in range(nextra):
-                state = full_step_conservative(state, scfg, bc)
-            _require_finite(state.current.values)
+                done = 1
+            state = _march(state, lambda s: full_step_conservative(s, scfg, bc),
+                           nhalf - done, lambda s: (s.current,), n, done)
             eu = l2_error_field(state.current, exact_u, bc)
         ns.append(n)
         hs.append(h)
@@ -363,8 +380,11 @@ def run_conservation_1d(cfg: RunConfig):
     steps, times, deltas = [0], [0.0], [0.0]
     for step in range(1, cfg.steps + 1):
         state = full_step_conservative(state, scfg, bc)
-        if step % cfg.sample_every == 0 or step == cfg.steps:
-            _require_finite(state.current.values)
+        sample = step % cfg.sample_every == 0 or step == cfg.steps
+        if sample or step % FINITE_STRIDE == 0:
+            _require_finite(state.current.values,
+                            where=_at(step, state.current.time, cfg.n0))
+        if sample:
             e = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
             steps.append(step)
             times.append(state.current.time)
@@ -398,9 +418,8 @@ def run_planewave_2d(cfg: RunConfig) -> ErrorReport:
             v0 = planewave_data(xp, yp, 0.0, m - 1, m - 1, kappa, h, h, tder=1)
             pair = FieldPair(Field2D(grid, PRIMAL, 0.0, u0),
                              Field2D(grid, PRIMAL, 0.0, v0))
-            for _ in range(nhalf):
-                pair = half_step_2d(pair, scfg, bc)
-            _require_finite(pair.u.values)
+            pair = _march(pair, lambda p: half_step_2d(p, scfg, bc), nhalf,
+                          lambda p: (p.u, p.v), n)
             err = l2_error_field_2d(pair.u, exact, bc)
         else:
             cur = Field2D(grid, PRIMAL, 0.0, planewave_data(xp, yp, 0.0, m, m, kappa, h, h))
@@ -410,15 +429,14 @@ def run_planewave_2d(cfg: RunConfig) -> ErrorReport:
                 prev = Field2D(grid, DUAL, -0.5 * dt,
                                planewave_data(xd, yd, -0.5 * dt, m, m, kappa, h, h))
                 state = TwoLevelState(current=cur, previous=prev)
-                todo = nhalf
+                done = 0
             else:
                 g1 = Field2D(grid, PRIMAL, 0.0,
                              planewave_data(xp, yp, 0.0, m, m, kappa, h, h, tder=1))
                 state = bootstrap_first_half(cur, g1, scfg, bc)
-                todo = nhalf - 1
-            for _ in range(todo):
-                state = full_step_conservative(state, scfg, bc)
-            _require_finite(state.current.values)
+                done = 1
+            state = _march(state, lambda s: full_step_conservative(s, scfg, bc),
+                           nhalf - done, lambda s: (s.current,), n, done)
             err = l2_error_field_2d(state.current, exact, bc)
         ns.append(n)
         hs.append(h)

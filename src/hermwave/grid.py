@@ -12,7 +12,8 @@ A field stores, per node, the scaled derivative coefficients
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,9 +51,13 @@ class Grid1D:
             return self.n
         return self.n + 1 if parity == PRIMAL else self.n
 
+    @lru_cache(maxsize=256)
     def nodes(self, parity: str) -> np.ndarray:
+        """Node coordinates of one parity; cached per (grid, parity), read-only."""
         off = 0.0 if parity == PRIMAL else 0.5
-        return self.x_left + self.h * (np.arange(self.n_nodes(parity)) + off)
+        x = self.x_left + self.h * (np.arange(self.n_nodes(parity)) + off)
+        x.setflags(write=False)
+        return x
 
 
 @dataclass(frozen=True)

@@ -204,37 +204,3 @@ class PiecewisePolynomial:
         return PiecewisePolynomial(
             self.breakpoints, [p.derivative(order) for p in self.pieces], self.periodic
         )
-
-
-def shift(f: PiecewisePolynomial, delta: float) -> PiecewisePolynomial:
-    """Translate a periodic field: eval(shift(f, d), x) == eval(f, x + d).
-
-    Breakpoints and piece centers move by -delta and are wrapped back into
-    the fundamental domain; coefficients are untouched (a translated
-    polynomial keeps its scaled coefficients). At most one piece straddles
-    the domain edge and is split in two.
-    """
-    if not f.periodic:
-        raise ValueError("shift is only defined for periodic piecewise polynomials")
-    lo, hi = f.domain
-    span = hi - lo
-    if abs(delta) >= np.min(np.diff(f.breakpoints)):
-        raise ValueError("shift distance must be smaller than the smallest cell")
-    tol = 1e-12 * span
-    segs = []
-    for i, p in enumerate(f.pieces):
-        a = f.breakpoints[i] - delta
-        b = f.breakpoints[i + 1] - delta
-        c = p.center - delta
-        k = math.floor((a - lo) / span + tol)
-        a, b, c = a - k * span, b - k * span, c - k * span
-        if b <= hi + tol:
-            segs.append((a, min(b, hi), CellPolynomial(c, p.width, p.coeffs)))
-        else:
-            segs.append((a, hi, CellPolynomial(c, p.width, p.coeffs)))
-            segs.append((lo, b - span, CellPolynomial(c - span, p.width, p.coeffs)))
-    segs = [s for s in segs if s[1] - s[0] > tol]
-    segs.sort(key=lambda s: s[0])
-    bp = [lo] + [s[1] for s in segs]
-    bp[-1] = hi
-    return PiecewisePolynomial(np.array(bp), [s[2] for s in segs], periodic=True)

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermwave.boundary import BoundarySpec
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import (
     ErrorReport,
     conservative_energy,
-    conserved_pair,
     default_npts,
     dissipative_energy,
     field_interpolant,
@@ -19,13 +20,13 @@ from hermwave.diagnostics import (
     l2_error,
     l2_error_field,
     l2_errors_pair,
-    pp_subtract,
-    seminorm_energy,
     seminorm_sq,
 )
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Field1D, FieldPair, Grid1D, TwoLevelState
-from hermwave.poly import CellPolynomial, PiecewisePolynomial, shift
+from hermwave.poly import CellPolynomial, PiecewisePolynomial
+
+from energy_oracle import conserved_pair, oracle_energy, pp_subtract, seminorm_energy, shift
 
 
 def _sine_data(xs, h, count, fn=np.sin):
@@ -261,6 +262,38 @@ def test_conservative_energy_matches_manual_assembly():
         field_interpolant(cur, bc), field_interpolant(prev, bc), 0.5 * speed * dt
     )
     assert e == pytest.approx(seminorm_energy(pair, 2), rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    lam=st.floats(0.0, 1.0, exclude_min=True),
+    speed=st.floats(0.5, 2.0),
+    n=st.integers(4, 40),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, lam=1.0, speed=1.3, n=7, parity=DUAL, seed=0)
+def test_conservative_energy_matches_oracle(m, lam, speed, n, parity, seed):
+    """The cached quadratic form against the piecewise assembly."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-1.0, 1.5, n, periodic=True)
+    dt = lam * grid.h / speed
+    other = DUAL if parity == PRIMAL else PRIMAL
+    cur = Field1D(grid, parity, 0.0, rng.standard_normal((n, m + 1)))
+    prev = Field1D(grid, other, -0.5 * dt, rng.standard_normal((n, m + 1)))
+    bc = BoundarySpec()
+    got = conservative_energy(cur, prev, speed, dt, bc)
+    want = oracle_energy(cur, prev, speed, dt, bc)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_conservative_energy_needs_periodic():
+    grid = Grid1D(0.0, 1.0, 6, periodic=False)
+    cur = Field1D(grid, PRIMAL, 0.0, np.ones((7, 3)))
+    prev = Field1D(grid, DUAL, 0.0, np.ones((6, 3)))
+    with pytest.raises(ValueError):
+        conservative_energy(cur, prev, 1.0, 0.1, BoundarySpec("dirichlet0", "dirichlet0"))
 
 
 def test_fit_rate_exact_power_law():

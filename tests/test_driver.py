@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hermwave import cli
+from hermwave import cli, driver
 from hermwave.diagnostics import ErrorReport
 from hermwave.driver import (
+    FINITE_STRIDE,
     ConfigError,
     NumericalError,
     RunConfig,
@@ -369,3 +370,30 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "numerical failure:" in err
+
+
+@pytest.mark.parametrize("argv, stepper", [
+    (["gaussian1d", "--levels", "1", "--n0", "20"], "half_step_1d"),
+    (["planewave2d", "--scheme", "conservative", "--levels", "1", "--n0", "20"],
+     "full_step_conservative"),
+])
+def test_cli_stops_at_first_check_after_nan(monkeypatch, capsys, argv, stepper):
+    """A NaN injected at half step 70 of about 200 ends the run at the next check."""
+    real = getattr(driver, stepper)
+    calls = []
+
+    def poisoned(state, *args):
+        out = real(state, *args)
+        calls.append(1)
+        if len(calls) == 70:
+            field = out.u if hasattr(out, "u") else out.current
+            field.values[0] = np.nan
+        return out
+
+    monkeypatch.setattr(driver, stepper, poisoned)
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    first_check = -(-70 // FINITE_STRIDE) * FINITE_STRIDE
+    assert rc == 3
+    assert len(calls) == first_check
+    assert f"at half step {first_check} (t=" in err

@@ -8,8 +8,9 @@ from hermwave.poly import (
     CellPolynomial,
     CellPolynomial2D,
     PiecewisePolynomial,
-    shift,
 )
+
+from energy_oracle import shift
 
 
 def test_eval_matches_monomial_sum():
