@@ -9,11 +9,14 @@ then has no even (resp. odd) powers. A constant Dirichlet value g only
 changes the leading ghost coefficient: c_0 -> 2g - c_0, which makes the
 interpolant g plus an odd polynomial.
 
-Periodic edges are not reflections; the gather routines below take
-source nodes through a cached wrapped index array instead. They assemble,
-for every target node of the opposite parity, the flanking source-node
-data (2 in 1D, 2x2 corners in 2D) including any ghosts, which is all the
-steppers need.
+The gather routines below assemble, for every target node of the
+opposite parity, the flanking source-node data (2 in 1D, 2x2 corners in
+2D) including any ghosts, which is all the steppers need. Each axis is
+one take through a cached index array: wrapped on a periodic axis (which
+has no reflections), clipped at walls. A dual level at walls then gets
+its two edge ghosts from one multiply-add with cached scale and shift
+arrays built by the reflection routines, so the gathered data equals the
+explicit [ghost, interior..., ghost] construction exactly.
 """
 
 from __future__ import annotations
@@ -114,36 +117,68 @@ def periodic_index(n: int, offsets: tuple) -> np.ndarray:
 FLANK_OFFSETS = {PRIMAL: (0, 1), DUAL: (-1, 0)}
 
 
+@lru_cache(maxsize=256)
+def wall_plan(n: int, parity: str, kinds: tuple, values: tuple,
+              coeff_shape: tuple, normal_axis: int, n_middle: int):
+    """Read-only (index, scale, shift) gathering `n` source nodes at walls.
+
+    index is (targets, 2): (j, j+1) from a primal level, which needs no
+    ghosts, and clip((j-1, j), 0, n-1) from a dual one. For a dual level
+    the two edge slots [0, 0] and [-1, 1] hold the first and last interior
+    node, which `out * scale + shift` turns into their ghosts; scale and
+    shift, shaped (targets, 2, 1 per middle node axis, *coeff_shape), are
+    1 and 0 elsewhere, so the other slots pass through unchanged. The
+    ghost slots come from `ghost_data`/`ghost_data_2d` applied to ones
+    (scale, with value 0) and to zeros (shift, with the wall value), so
+    the reflection rule lives only there; scale and shift are None for a
+    primal level.
+    """
+    if parity == PRIMAL:
+        index = np.arange(n - 1)[:, None] + np.array([0, 1])
+        scale = shift = None
+    else:
+        index = np.clip(np.arange(n + 1)[:, None] + np.array([-1, 0]), 0, n - 1)
+        shape = (n + 1, 2) + (1,) * n_middle + coeff_shape
+        scale, shift = np.ones(shape), np.zeros(shape)
+        for slot, kind, value in (((0, 0), kinds[0], values[0]),
+                                  ((-1, 1), kinds[1], values[1])):
+            if len(coeff_shape) == 2:
+                scale[slot] = ghost_data_2d(np.ones(coeff_shape), kind, normal_axis)
+                shift[slot] = ghost_data_2d(np.zeros(coeff_shape), kind, normal_axis, value)
+            else:
+                scale[slot] = ghost_data(np.ones(coeff_shape), kind)
+                shift[slot] = ghost_data(np.zeros(coeff_shape), kind, value)
+        scale.setflags(write=False)
+        shift.setflags(write=False)
+    index.setflags(write=False)
+    return index, scale, shift
+
+
 def _gather_axis(values, node_axis, coeff_axis, parity, periodic, spec,
                  values_override=None):
     """Replace `node_axis` (source nodes) by (targets, 2) flanking data.
 
-    Ghost construction happens here for wall grids when the dual-to-primal
-    direction needs data beyond the ends. `values_override` replaces the
-    spec's Dirichlet constants (the velocity field of a constant-in-time
-    Dirichlet problem reflects around zero).
+    Every gather is one take through a cached index array; a dual level
+    on a wall grid then gets its edge ghosts from one multiply-add.
+    `values_override` replaces the spec's Dirichlet constants (the
+    velocity field of a constant-in-time Dirichlet problem reflects
+    around zero). The trailing axes are coefficients: one in 1D, two in 2D.
     """
+    n = values.shape[node_axis]
     if periodic:
-        idx = periodic_index(values.shape[node_axis], FLANK_OFFSETS[parity])
-        return np.take(values, idx, axis=node_axis)
-    v = np.moveaxis(values, node_axis, 0)
-    ndim2d = v.ndim > 2  # 2D blocks carry two coefficient axes
-    vl, vr = (spec.left_value, spec.right_value) if values_override is None else values_override
-
-    def ghost(block, kind, value):
-        if ndim2d:
-            return ghost_data_2d(block, kind, 0 if coeff_axis == "x" else 1, value)
-        return ghost_data(block, kind, value)
-
-    if parity == PRIMAL:
-        left, right = v[:-1], v[1:]
-    else:
-        pad_l = ghost(v[:1], spec.left, vl)
-        pad_r = ghost(v[-1:], spec.right, vr)
-        vp = np.concatenate([pad_l, v, pad_r], axis=0)
-        left, right = vp[:-1], vp[1:]
-    out = np.stack([left, right], axis=1)  # (targets, 2, ...)
-    return np.moveaxis(out, (0, 1), (node_axis, node_axis + 1))
+        return values.take(periodic_index(n, FLANK_OFFSETS[parity]), axis=node_axis)
+    n_coeff = 1 if values.ndim == 2 else 2
+    index, scale, shift = wall_plan(
+        n, parity, (spec.left, spec.right),
+        (spec.left_value, spec.right_value) if values_override is None
+        else tuple(values_override),
+        values.shape[values.ndim - n_coeff:], 0 if coeff_axis == "x" else 1,
+        values.ndim - node_axis - 1 - n_coeff)
+    out = values.take(index, axis=node_axis)
+    if scale is not None:
+        out *= scale
+        out += shift
+    return out
 
 
 def pair_sources(field: Field1D, spec: BoundarySpec, dirichlet_values=None):

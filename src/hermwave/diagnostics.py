@@ -45,9 +45,13 @@ from .interp import apply_interp, apply_interp_2d, interp_matrix
 from .poly import CellPolynomial, PiecewisePolynomial
 
 
+@lru_cache(maxsize=64)
 def gauss_rule(npts: int):
-    """Gauss-Legendre nodes/weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(npts)
+    """Gauss-Legendre nodes/weights on [-1, 1]; cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def default_npts(m: int) -> int:
@@ -78,55 +82,63 @@ def field_interpolant(field: Field1D, bc: BoundarySpec) -> PiecewisePolynomial:
 # L2 errors
 
 
-def l2_error(pp: PiecewisePolynomial, exact, npts: int,
-             clip: tuple[float, float] | None = None) -> float:
-    """sqrt(integral (pp - exact)^2), per-piece Gauss quadrature.
+def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int):
+    """Interpolant coefficients and Gauss points on every cell of a 1D field.
 
-    Args:
-        clip: optional (lo, hi) restricting the integral (ghost-backed
-            edge pieces of wall problems stick out of the domain).
+    Cells are centred on the target nodes of the gather. On wall grids
+    they are clipped to the domain (a dual field's ghost-backed edge cells
+    stick out by h/2) and empty ones are dropped; periodic cells cover one
+    period as they are, on a window shifted by up to h/2.
+
+    Returns:
+        coeffs: (cells, 2mu+2) scaled coefficients of the interpolant.
+        quad: (x, xi, wg, half) with x the (cells, npts) Gauss points, xi
+            their scaled variable, wg the rule's weights and half the
+            (cells,) half-lengths of the integration intervals.
     """
+    data, centers = pair_sources(field, bc)
+    coeffs = apply_interp(data)
+    grid = field.grid
+    h = grid.h
+    a, b = centers - 0.5 * h, centers + 0.5 * h
+    if not grid.periodic:
+        a, b = np.maximum(a, grid.x_left), np.minimum(b, grid.x_right)
+        keep = b > a
+        coeffs, centers, a, b = coeffs[keep], centers[keep], a[keep], b[keep]
     xg, wg = gauss_rule(npts)
-    total = 0.0
-    for i, p in enumerate(pp.pieces):
-        a, b = pp.breakpoints[i], pp.breakpoints[i + 1]
-        if clip is not None:
-            a, b = max(a, clip[0]), min(b, clip[1])
-            if b <= a:
-                continue
-        x = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        d = p(x) - exact(x)
-        total += 0.5 * (b - a) * np.dot(wg, d * d)
-    return math.sqrt(total)
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b)[:, None] + half[:, None] * xg
+    xi = (x - centers[:, None]) / h
+    return coeffs, (x, xi, wg, half)
 
 
-def _domain_clip(field):
-    # periodic interpolants live on a window shifted by up to h/2; one full
-    # period is integrated either way, so only walls need clipping
-    if field.grid.periodic:
-        return None
-    return field.grid.x_left, field.grid.x_right
+def _cell_l2(coeffs, quad, exact) -> float:
+    """sqrt(integral (p - exact)^2) with p evaluated by Horner's rule per cell."""
+    x, xi, wg, half = quad
+    p = np.broadcast_to(coeffs[:, -1:], xi.shape)
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        p = p * xi + coeffs[:, k : k + 1]
+    d = p - exact(x)
+    return math.sqrt(np.dot((d * d) @ wg, half))
 
 
 def l2_error_field(field: Field1D, exact, bc: BoundarySpec,
                    npts: int | None = None) -> float:
-    m = field.order
-    pp = field_interpolant(field, bc)
-    return l2_error(pp, exact, npts or default_npts(m), clip=_domain_clip(field))
+    """L2 error of the global interpolant against exact(x), all cells at once."""
+    return _cell_l2(*_cell_quadrature(field, bc, npts or default_npts(field.order)), exact)
 
 
 def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v,
                    bc: BoundarySpec, npts: int | None = None):
     """(u, u_x, v) errors of a dissipative state in one sweep."""
-    m = pair.u.order
-    npts = npts or default_npts(m)
-    ppu = field_interpolant(pair.u, bc)
-    ppv = field_interpolant(pair.v, bc)
-    clip = _domain_clip(pair.u)
+    npts = npts or default_npts(pair.u.order)
+    cu, quad = _cell_quadrature(pair.u, bc, npts)
+    # d/dx takes a_j xi^j to j a_j xi^(j-1) / h
+    dcu = cu[:, 1:] * np.arange(1, cu.shape[1]) / pair.u.grid.h
     return (
-        l2_error(ppu, exact_u, npts, clip),
-        l2_error(ppu.derivative(1), exact_dux, npts, clip),
-        l2_error(ppv, exact_v, npts, clip),
+        _cell_l2(cu, quad, exact_u),
+        _cell_l2(dcu, quad, exact_dux),
+        _cell_l2(*_cell_quadrature(pair.v, bc, npts), exact_v),
     )
 
 

@@ -78,7 +78,9 @@ class Grid2D:
     def hy(self) -> float:
         return (self.y_right - self.y_left) / self.ny
 
+    @lru_cache(maxsize=256)
     def axis(self, which: int) -> Grid1D:
+        """The 1D grid of axis `which` (0 for x); cached per (grid, which)."""
         if which == 0:
             return Grid1D(self.x_left, self.x_right, self.nx, self.periodic)
         return Grid1D(self.y_left, self.y_right, self.ny, self.periodic)

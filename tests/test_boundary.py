@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermwave.boundary import (
     BoundarySpec,
@@ -202,3 +204,56 @@ def test_corner_sources_wall_edges_reflect():
         data[0, 0, 0, 0],
         ghost_data_2d(ghost_data_2d(f.values[0, 0], "dirichlet0", 0), "neumann0", 1),
     )
+
+
+def _ghost_gather(values, node_axis, normal_axis, parity, spec, override):
+    """Oracle: stack (left, right) flanks of [ghost, interior..., ghost].
+
+    Mirrors the wall gather one axis at a time; 2D coefficient blocks are
+    reflected across `normal_axis`.
+    """
+    v = np.moveaxis(values, node_axis, 0)
+    vl, vr = (spec.left_value, spec.right_value) if override is None else override
+
+    def ghost(block, kind, value):
+        if v.ndim > 2:
+            return ghost_data_2d(block, kind, normal_axis, value)
+        return ghost_data(block, kind, value)
+
+    if parity == DUAL:
+        v = np.concatenate([ghost(v[:1], spec.left, vl), v, ghost(v[-1:], spec.right, vr)])
+    out = np.stack([v[:-1], v[1:]], axis=1)
+    return np.moveaxis(out, (0, 1), (node_axis, node_axis + 1))
+
+
+_wall_kinds = st.sampled_from(("dirichlet0", "neumann0"))
+_wall_spec = st.builds(BoundarySpec, _wall_kinds, _wall_kinds,
+                       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    sx=_wall_spec,
+    sy=_wall_spec,
+    override=st.sampled_from((None, (0.0, 0.0))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wall_gathers_match_ghost_construction(m, nx, ny, parity, sx, sy, override, seed):
+    """Cached take-and-reflect gathers equal the explicit ghost construction."""
+    rng = np.random.default_rng(seed)
+    g1 = Grid1D(-0.5, 1.0, nx, periodic=False)
+    f1 = _field_1d(parity, g1, m, rng)
+    data, _ = pair_sources(f1, sx, dirichlet_values=override)
+    assert np.array_equal(data, _ghost_gather(f1.values, 0, 0, parity, sx, override))
+
+    g2 = Grid2D(-0.5, 1.0, 0.0, 2.0, nx, ny, periodic=False)
+    shape = (g2.axis(0).n_nodes(parity), g2.axis(1).n_nodes(parity), m + 1, m)
+    f2 = Field2D(g2, parity, 0.0, rng.standard_normal(shape))
+    data, _, _ = corner_sources(f2, BoundarySpec2D(sx, sy), dirichlet_values=override)
+    a = _ghost_gather(f2.values, 0, 0, parity, sx, override)
+    want = np.moveaxis(_ghost_gather(a, 2, 1, parity, sy, override), 1, 2)
+    assert np.array_equal(data, want)

@@ -17,7 +17,6 @@ from hermwave.diagnostics import (
     field_interpolant,
     fit_rate,
     gauss_rule,
-    l2_error,
     l2_error_field,
     l2_errors_pair,
     seminorm_sq,
@@ -34,6 +33,28 @@ def _sine_data(xs, h, count, fn=np.sin):
     for l in range(count):
         out[:, l] = fn(xs + l * math.pi / 2) * h**l / math.factorial(l)
     return out
+
+
+def l2_error(pp: PiecewisePolynomial, exact, npts: int,
+             clip: tuple[float, float] | None = None) -> float:
+    """Oracle: sqrt(integral (pp - exact)^2), one piece at a time.
+
+    Args:
+        clip: optional (lo, hi) restricting the integral (ghost-backed
+            edge pieces of wall problems stick out of the domain).
+    """
+    xg, wg = gauss_rule(npts)
+    total = 0.0
+    for i, p in enumerate(pp.pieces):
+        a, b = pp.breakpoints[i], pp.breakpoints[i + 1]
+        if clip is not None:
+            a, b = max(a, clip[0]), min(b, clip[1])
+            if b <= a:
+                continue
+        x = 0.5 * (a + b) + 0.5 * (b - a) * xg
+        d = p(x) - exact(x)
+        total += 0.5 * (b - a) * np.dot(wg, d * d)
+    return math.sqrt(total)
 
 
 def test_gauss_rule_integrates_polynomials():
@@ -95,6 +116,39 @@ def test_pair_errors_match_single_field_calls():
     assert edux == pytest.approx(
         l2_error(ppdu, np.cos, default_npts(m)), rel=1e-13
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 12),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    kinds=st.sampled_from((None, ("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann0"),
+                           ("neumann0", "dirichlet0"), ("neumann0", "neumann0"))),
+    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, values, extra, seed):
+    """The batched 1D errors against the per-piece quadrature of the interpolant."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-0.7, 1.3, n, periodic=kinds is None)
+    bc = BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values)
+    nodes = grid.n_nodes(parity)
+    u = Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m + 1)))
+    v = Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m)))
+    npts = default_npts(m) + extra
+    clip = None if grid.periodic else (grid.x_left, grid.x_right)
+    ppu = field_interpolant(u, bc)
+    got = l2_errors_pair(FieldPair(u, v), np.sin, np.cos, np.exp, bc, npts)
+    want = (
+        l2_error(ppu, np.sin, npts, clip),
+        l2_error(ppu.derivative(1), np.cos, npts, clip),
+        l2_error(field_interpolant(v, bc), np.exp, npts, clip),
+    )
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+    assert l2_error_field(u, np.sin, bc, npts) == got[0]
 
 
 def _two_level_fields(n, m, rng, span=3.0):
