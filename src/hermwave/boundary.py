@@ -9,20 +9,20 @@ then has no even (resp. odd) powers. A constant Dirichlet value g only
 changes the leading ghost coefficient: c_0 -> 2g - c_0, which makes the
 interpolant g plus an odd polynomial.
 
-The gather routines below assemble, for every target node of the
-opposite parity, the flanking source-node data (2 in 1D, 2x2 corners in
-2D) including any ghosts, which is all the steppers need. Each axis is
-one take through a cached index array: wrapped on a periodic axis (which
-has no reflections), clipped at walls. A dual level at walls then gets
-its two edge ghosts from one multiply-add with cached scale and shift
-arrays built by the reflection routines, so the gathered data equals the
-explicit [ghost, interior..., ghost] construction exactly.
+The gathers below assemble, for every target node of the opposite
+parity, the flanking source-node data (2 in 1D, 2x2 corners in 2D)
+including any ghosts, which is all the steppers need. 1D and 2D share one
+path: one take through a cached flat index into the level's nodes, which
+wraps on a periodic axis (no reflections) and is clipped at walls. A dual
+level at walls then turns its clipped edge slots into ghosts in place,
+with cached scale and shift arrays built by the reflection routines, so
+the result equals the explicit [ghost, interior..., ghost] construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -103,81 +103,74 @@ def ghost_data_2d(interior: np.ndarray, kind: str, normal_axis: int,
     return out
 
 
-@lru_cache(maxsize=None)
-def periodic_index(n: int, offsets: tuple) -> np.ndarray:
-    """Read-only (n, len(offsets)) array of (j + offset) mod n, row j per target."""
-    idx = (np.arange(n)[:, None] + np.asarray(offsets)[None, :]) % n
-    idx.setflags(write=False)
-    return idx
+@lru_cache(maxsize=256)
+def gather_index(counts: tuple, parity: str, periodic: bool) -> np.ndarray:
+    """Read-only index of every target's flanking nodes in a level's nodes.
 
-
-# offsets of the (left, right) source nodes of target j on a periodic axis:
-# dual target j sits between primal j and j+1, primal target j between
-# dual j-1 and j
-FLANK_OFFSETS = {PRIMAL: (0, 1), DUAL: (-1, 0)}
+    Per axis of `counts` node counts, a dual target j sits between primal
+    nodes j and j+1 and a primal target j between dual nodes j-1 and j.
+    The index is into the nodes flattened in C order, shaped (targets per
+    axis..., 2 per axis...): (targets, 2) in 1D, (ntx, nty, 2, 2) in 2D.
+    """
+    offsets = np.array((0, 1) if parity == PRIMAL else (-1, 0))
+    flanks = []
+    for n in counts:
+        flank = np.arange(n if periodic else n - 1 if parity == PRIMAL else n + 1)
+        flank = flank[:, None] + offsets
+        flanks.append(flank % n if periodic else np.clip(flank, 0, n - 1))
+    if len(flanks) == 1:
+        index = flanks[0]
+    else:
+        ix, iy = flanks
+        index = ix[:, None, :, None] * counts[1] + iy[None, :, None, :]
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=256)
-def wall_plan(n: int, parity: str, kinds: tuple, values: tuple,
-              coeff_shape: tuple, normal_axis: int, n_middle: int):
-    """Read-only (index, scale, shift) gathering `n` source nodes at walls.
+def ghost_fixups(specs: tuple, values_override, coeff_shape: tuple) -> tuple:
+    """Read-only (edge, scale, shift) per wall of a dual level, x walls first.
 
-    index is (targets, 2): (j, j+1) from a primal level, which needs no
-    ghosts, and clip((j-1, j), 0, n-1) from a dual one. For a dual level
-    the two edge slots [0, 0] and [-1, 1] hold the first and last interior
-    node, which `out * scale + shift` turns into their ghosts; scale and
-    shift, shaped (targets, 2, 1 per middle node axis, *coeff_shape), are
-    1 and 0 elsewhere, so the other slots pass through unchanged. The
-    ghost slots come from `ghost_data`/`ghost_data_2d` applied to ones
-    (scale, with value 0) and to zeros (shift, with the wall value), so
-    the reflection rule lives only there; scale and shift are None for a
-    primal level.
+    `edge` selects the gathered slots next to the wall that hold the first
+    interior node; `edge * scale + shift` is its ghost, as scale and shift
+    reflect ones with value 0 and zeros with the wall value. A corner slot
+    lies on an x and a y edge and so reflects in both axes.
     """
-    if parity == PRIMAL:
-        index = np.arange(n - 1)[:, None] + np.array([0, 1])
-        scale = shift = None
-    else:
-        index = np.clip(np.arange(n + 1)[:, None] + np.array([-1, 0]), 0, n - 1)
-        shape = (n + 1, 2) + (1,) * n_middle + coeff_shape
-        scale, shift = np.ones(shape), np.zeros(shape)
-        for slot, kind, value in (((0, 0), kinds[0], values[0]),
-                                  ((-1, 1), kinds[1], values[1])):
-            if len(coeff_shape) == 2:
-                scale[slot] = ghost_data_2d(np.ones(coeff_shape), kind, normal_axis)
-                shift[slot] = ghost_data_2d(np.zeros(coeff_shape), kind, normal_axis, value)
-            else:
-                scale[slot] = ghost_data(np.ones(coeff_shape), kind)
-                shift[slot] = ghost_data(np.zeros(coeff_shape), kind, value)
-        scale.setflags(write=False)
-        shift.setflags(write=False)
-    index.setflags(write=False)
-    return index, scale, shift
+    ndim = len(specs)
+    fixups = []
+    for axis, spec in enumerate(specs):
+        values = values_override or (spec.left_value, spec.right_value)
+        reflect = ghost_data if ndim == 1 else partial(ghost_data_2d, normal_axis=axis)
+        for side, kind, value in ((0, spec.left, values[0]), (1, spec.right, values[1])):
+            scale = reflect(np.ones(coeff_shape), kind)
+            shift = reflect(np.zeros(coeff_shape), kind, value=value)
+            scale.setflags(write=False)
+            shift.setflags(write=False)
+            edge = [slice(None)] * (2 * ndim)
+            edge[axis], edge[ndim + axis] = -side, side
+            fixups.append((tuple(edge), scale, shift))
+    return tuple(fixups)
 
 
-def _gather_axis(values, node_axis, coeff_axis, parity, periodic, spec,
-                 values_override=None):
-    """Replace `node_axis` (source nodes) by (targets, 2) flanking data.
+def _gather(field, specs: tuple, values_override):
+    """One take through the level's cached index, then any ghosts in place.
 
-    Every gather is one take through a cached index array; a dual level
-    on a wall grid then gets its edge ghosts from one multiply-add.
-    `values_override` replaces the spec's Dirichlet constants (the
-    velocity field of a constant-in-time Dirichlet problem reflects
-    around zero). The trailing axes are coefficients: one in 1D, two in 2D.
+    `values_override`, a (left, right) pair, replaces the specs' Dirichlet
+    constants (the velocity of a constant-in-time Dirichlet problem
+    reflects around zero).
     """
-    n = values.shape[node_axis]
-    if periodic:
-        return values.take(periodic_index(n, FLANK_OFFSETS[parity]), axis=node_axis)
-    n_coeff = 1 if values.ndim == 2 else 2
-    index, scale, shift = wall_plan(
-        n, parity, (spec.left, spec.right),
-        (spec.left_value, spec.right_value) if values_override is None
-        else tuple(values_override),
-        values.shape[values.ndim - n_coeff:], 0 if coeff_axis == "x" else 1,
-        values.ndim - node_axis - 1 - n_coeff)
-    out = values.take(index, axis=node_axis)
-    if scale is not None:
-        out *= scale
-        out += shift
+    periodic = field.grid.periodic
+    if any(spec.periodic != periodic for spec in specs):
+        raise ValueError("boundary spec and grid disagree about periodicity")
+    values, ndim = field.values, len(specs)
+    coeffs = values.shape[ndim:]
+    out = values.reshape((-1,) + coeffs).take(
+        gather_index(values.shape[:ndim], field.parity, periodic), axis=0)
+    if not periodic and field.parity == DUAL:
+        for edge, scale, shift in ghost_fixups(specs, values_override, coeffs):
+            slab = out[edge]
+            slab *= scale
+            slab += shift
     return out
 
 
@@ -188,12 +181,7 @@ def pair_sources(field: Field1D, spec: BoundarySpec, dirichlet_values=None):
         data: (n_targets, 2, mu+1), axis 1 being (left, right).
         centers: target node coordinates (the cell midpoints).
     """
-    if spec.periodic != field.grid.periodic:
-        raise ValueError("boundary spec and grid disagree about periodicity")
-    data = _gather_axis(field.values, 0, "x", field.parity, field.grid.periodic,
-                        spec, dirichlet_values)
-    centers = field.grid.nodes(flip(field.parity))
-    return data, centers
+    return _gather(field, (spec,), dirichlet_values), field.grid.nodes(flip(field.parity))
 
 
 def corner_sources(field: Field2D, spec: BoundarySpec2D, dirichlet_values=None):
@@ -203,14 +191,6 @@ def corner_sources(field: Field2D, spec: BoundarySpec2D, dirichlet_values=None):
         data: (ntx, nty, 2, 2, kx+1, ky+1); axes 2/3 are the x/y side.
         cx, cy: target node coordinates per axis.
     """
-    for ax_spec in (spec.x, spec.y):
-        if ax_spec.periodic != field.grid.periodic:
-            raise ValueError("boundary spec and grid disagree about periodicity")
-    a = _gather_axis(field.values, 0, "x", field.parity, field.grid.periodic,
-                     spec.x, dirichlet_values)  # (ntx, 2, ny, kx+1, ky+1)
-    b = _gather_axis(a, 2, "y", field.parity, field.grid.periodic,
-                     spec.y, dirichlet_values)  # (ntx, 2, nty, 2, kx+1, ky+1)
-    data = np.moveaxis(b, 1, 2)
-    cx = field.grid.axis(0).nodes(flip(field.parity))
-    cy = field.grid.axis(1).nodes(flip(field.parity))
-    return data, cx, cy
+    target = flip(field.parity)
+    return (_gather(field, (spec.x, spec.y), dirichlet_values),
+            field.grid.axis(0).nodes(target), field.grid.axis(1).nodes(target))

@@ -48,8 +48,6 @@ _CUSTOM_FLAGS = (
     ("--refine", dict(type=float, help="grid growth factor between levels")),
     ("--sample-every", dict(type=int, dest="sample_every",
                             help="energy sampling stride (conserve1d)")),
-    ("--stage-cap", dict(type=int, dest="stage_cap",
-                         help="truncate Taylor stages (debugging aid)")),
 )
 
 
@@ -79,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _FLAG_KEYS = ("scheme", "m", "lam", "levels", "n0", "steps", "seed", "out",
-              "init", "boundary", "mode", "refine", "sample_every", "stage_cap")
+              "init", "boundary", "mode", "refine", "sample_every")
 
 
 def _assemble(args: argparse.Namespace) -> RunConfig:

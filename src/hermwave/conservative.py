@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
-from .dissipative import (SchemeConfig, eval_series, expand_taylor_2d, flat_rows, fold,
+from .dissipative import (SchemeConfig, eval_series, expand_taylor_2d, fold, rows,
                           taylor_half_step_1d)
 from .grid import Field1D, Field2D, TwoLevelState, flip
 from .interp import apply_interp, apply_interp_2d
@@ -96,11 +96,11 @@ def conservative_update_1d(interp, prev, cfg: SchemeConfig, h: float) -> np.ndar
     """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
 
     Args:
-        interp: CellPolynomial centered at the target node, or its (...,
-            2m+2) coefficient array (batched).
+        interp: (..., 2m+2) coefficients of the interpolant centered at
+            the target node (batched).
         prev: (..., m+1) node data at t-dt/2.
     """
-    coeffs = np.asarray(getattr(interp, "coeffs", interp), dtype=float)
+    coeffs = np.asarray(interp, dtype=float)
     prev = np.asarray(prev, dtype=float)
     rho = 0.5 * cfg.lam  # c*dt/(2h)
     w = _update_matrix_1d(cfg.m, rho)
@@ -109,7 +109,7 @@ def conservative_update_1d(interp, prev, cfg: SchemeConfig, h: float) -> np.ndar
 
 def conservative_update_2d(interp, prev, cfg: SchemeConfig, hx: float, hy: float) -> np.ndarray:
     """Tensor version; reads the (..., 2m+2, 2m+2) interpolant coefficients."""
-    coeffs = np.asarray(getattr(interp, "coeffs", interp), dtype=float)
+    coeffs = np.asarray(interp, dtype=float)
     prev = np.asarray(prev, dtype=float)
     dt = cfg.dt(min(hx, hy))
     wt = _update_tensor_2d(cfg.m, 0.5 * cfg.speed * dt / hx, 0.5 * cfg.speed * dt / hy)
@@ -136,13 +136,13 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLe
     if isinstance(cur, Field1D):
         dt = cfg.dt(cur.grid.h)
         data, _ = pair_sources(cur, bc)
-        a = fold(_update_1d, (data.shape[1:],), cfg, cur.grid.h)
+        (a,) = fold(_update_1d, (data.shape[1:],), cfg, cur.grid.h)
     else:
         hx, hy = cur.grid.hx, cur.grid.hy
         dt = cfg.dt(min(hx, hy))
         data, _, _ = corner_sources(cur, bc)
-        a = fold(_update_2d, (data.shape[2:],), cfg, hx, hy)
-    new_vals = (flat_rows(cur.values.ndim // 2, data) @ a).reshape(prev.shape) - prev
+        (a,) = fold(_update_2d, (data.shape[2:],), cfg, hx, hy)
+    new_vals = (rows(data, cur.values.ndim // 2) @ a).reshape(prev.shape) - prev
     new = state.previous.with_values(new_vals, time=cur.time + 0.5 * dt)
     return TwoLevelState(current=new, previous=cur)
 

@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import (FLANK_OFFSETS, BoundarySpec, BoundarySpec2D, corner_sources,
-                       pair_sources, periodic_index)
+from .boundary import (BoundarySpec, BoundarySpec2D, corner_sources, gather_index,
+                       pair_sources)
 from .grid import Field1D, Field2D, FieldPair, flip
 from .interp import apply_interp, apply_interp_2d, interp_matrix
 from .poly import CellPolynomial, PiecewisePolynomial
@@ -233,7 +233,7 @@ def conservative_energy(current: Field1D, previous: Field1D, speed: float,
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
     cur = pair_sources(current, bc)[0].reshape(n, -1) @ top
     prev = pair_sources(previous, bc)[0].reshape(n, -1) @ top  # cells at current nodes
-    flanks = prev[periodic_index(n, FLANK_OFFSETS[current.parity])].reshape(n, -1)
+    flanks = prev[gather_index((n,), current.parity, True)].reshape(n, -1)
     y = np.concatenate([cur, flanks], axis=1) @ energy_factor(m, r, grid.h).T
     return float(np.vdot(y, y))
 

@@ -26,13 +26,14 @@ polynomial data.
 
 Interpolation, recursion and evaluation are all linear in the gathered
 flanking data, so for fixed (m, dt, h, c, stages) a half step is one
-matrix. `fold` builds it once by pushing the identity through the
-pipeline (`taylor_half_step_1d/2d`); the steppers only gather, multiply
-and reshape.
+matrix. `fold` builds it once, one row block per gathered field, by
+pushing the identity through the pipeline (`taylor_half_step_1d/2d`); the
+steppers only gather, multiply, add and reshape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,29 +115,28 @@ def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def flat_rows(ndim: int, *blocks) -> np.ndarray:
-    """One row per target: its blocks flattened and concatenated.
-
-    The first `ndim` axes of every block index the targets (1 in 1D, 2 in 2D).
-    """
-    return np.concatenate([b.reshape(b.shape[:ndim] + (-1,)) for b in blocks], axis=-1)
+def rows(block: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """The block as one row per target; its first `ndim` axes index the targets."""
+    return block.reshape(math.prod(block.shape[:ndim]), -1)
 
 
 @lru_cache(maxsize=64)
-def fold(fn, shapes, *args) -> np.ndarray:
-    """Matrix of the linear per-target map blocks -> fn(*blocks, *args), cached.
+def fold(fn, shapes, *args) -> tuple:
+    """Row blocks of the linear per-target map blocks -> fn(*blocks, *args), cached.
 
     fn takes one batched block (k, *shape) per entry of `shapes`, then
-    `args`, and returns a tuple of batched blocks. The read-only result A
-    satisfies flat_rows(1, *fn(*blocks, *args)) == flat_rows(1, *blocks) @ A;
-    it is found by applying fn to the identity.
+    `args`, and returns a tuple of batched blocks. The result holds one
+    read-only A_i per input block: sum_i rows(block_i) @ A_i is fn's outputs
+    as rows, concatenated. It is found by applying fn to the identity.
     """
-    sizes = [int(np.prod(s)) for s in shapes]
+    sizes = [math.prod(s) for s in shapes]
     eye = np.eye(sum(sizes))
-    cols = np.split(eye, np.cumsum(sizes)[:-1], axis=1)
-    a = flat_rows(1, *fn(*(c.reshape((-1,) + s) for c, s in zip(cols, shapes)), *args))
+    splits = np.cumsum(sizes)[:-1]
+    cols = np.split(eye, splits, axis=1)
+    outs = fn(*(c.reshape((-1,) + s) for c, s in zip(cols, shapes)), *args)
+    a = np.concatenate([rows(o) for o in outs], axis=1)
     a.setflags(write=False)
-    return a
+    return tuple(np.split(a, splits))
 
 
 def taylor_half_step_1d(du, dv, dt, h, speed, stages):
@@ -159,9 +159,9 @@ def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec) -> Field
     dt = cfg.dt(grid.h)
     du, _ = pair_sources(state.u, bc)
     dv, _ = pair_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    a = fold(taylor_half_step_1d, (du.shape[1:], dv.shape[1:]), dt, grid.h, cfg.speed,
-             cfg.stages_1d())
-    new = flat_rows(1, du, dv) @ a
+    a_u, a_v = fold(taylor_half_step_1d, (du.shape[1:], dv.shape[1:]), dt, grid.h,
+                    cfg.speed, cfg.stages_1d())
+    new = rows(du) @ a_u + rows(dv) @ a_v
     t_new = state.time + 0.5 * dt
     parity = flip(state.parity)
     return FieldPair(
@@ -232,10 +232,10 @@ def half_step_2d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec2D) -> Fie
     dt = cfg.dt(min(hx, hy))
     du, _, _ = corner_sources(state.u, bc)
     dv, _, _ = corner_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    a = fold(taylor_half_step_2d, (du.shape[2:], dv.shape[2:]), dt, hx, hy, cfg.speed,
-             cfg.stages_2d())
-    new = flat_rows(2, du, dv) @ a
-    lead = new.shape[:2]
+    a_u, a_v = fold(taylor_half_step_2d, (du.shape[2:], dv.shape[2:]), dt, hx, hy,
+                    cfg.speed, cfg.stages_2d())
+    new = rows(du, 2) @ a_u + rows(dv, 2) @ a_v
+    lead = du.shape[:2]
     k = (m + 1) ** 2
     t_new = state.time + 0.5 * dt
     parity = flip(state.parity)

@@ -70,7 +70,6 @@ class RunConfig:
     mode: str = "smooth"
     init: str = "exact"
     boundary: str = "periodic"
-    stage_cap: int | None = None
     out: str | None = None
 
     def validate(self) -> "RunConfig":
@@ -98,8 +97,6 @@ class RunConfig:
             raise ConfigError(f"init must be one of {INITS}, got {self.init!r}")
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.stage_cap is not None and self.stage_cap < 1:
-            raise ConfigError(f"stage_cap must be >= 1, got {self.stage_cap}")
         if self.experiment != "gaussian1d" and self.boundary != "periodic":
             raise ConfigError(f"{self.experiment} runs on a periodic domain; boundary "
                               f"overrides only apply to gaussian1d")
@@ -115,7 +112,7 @@ class RunConfig:
         return sizes
 
     def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(m=self.m, speed=1.0, lam=self.lam, stage_cap=self.stage_cap)
+        return SchemeConfig(m=self.m, speed=1.0, lam=self.lam)
 
 
 _DEFAULTS = {
@@ -145,7 +142,6 @@ _KEY_TYPES = {
     "mode": str,
     "init": str,
     "boundary": str,
-    "stage_cap": int,
     "out": str,
 }
 _KEY_FIELDS = {"lambda": "lam"}

@@ -103,12 +103,10 @@ def apply_interp_2d(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     mux = data.shape[-2] - 1
     muy = data.shape[-1] - 1
-    mx = interp_matrix(mux)
-    my = interp_matrix(muy)
-    # stack (side, order) per axis: I = sx*(mux+1)+k, J = sy*(muy+1)+l
-    d = np.moveaxis(data, -3, -2)  # (..., sx, k, sy, l)
-    d = d.reshape(d.shape[:-4] + (2 * mux + 2, 2 * muy + 2))
-    return np.einsum("ai,...ij,bj->...ab", mx, d, my, optimize=True)
+    # split each matrix's columns I = s*(mu+1)+k into (side s, order k)
+    mx = interp_matrix(mux).reshape(-1, 2, mux + 1)
+    my = interp_matrix(muy).reshape(-1, 2, muy + 1)
+    return np.einsum("ask,...stkl,btl->...ab", mx, data, my, optimize=True)
 
 
 def interpolate_1d(left, right, center: float, width: float) -> CellPolynomial:

@@ -397,3 +397,62 @@ def test_cli_stops_at_first_check_after_nan(monkeypatch, capsys, argv, stepper):
     assert rc == 3
     assert len(calls) == first_check
     assert f"at half step {first_check} (t=" in err
+
+
+def test_cli_rejects_stage_cap_flag(capsys):
+    """Truncating the Taylor stages can make a run unstable; the CLI has no such knob."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["custom", "--experiment", "gaussian1d", "--stage-cap", "1"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+def test_cli_rejects_stage_cap_config_key(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("stage_cap = 1\n")
+    rc = cli.main(["gaussian1d", "--config", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown key" in err
+
+
+STEPPERS = ("half_step_1d", "half_step_2d", "full_step_conservative", "bootstrap_first_half")
+
+
+@pytest.mark.parametrize("argv, stepper, nhalf", [
+    # gaussian1d runs to the half step nearest t = 12.25: h = 3/n, dt = lam*h
+    (["gaussian1d", "--n0", "6"], "half_step_1d", round(24.5 / (0.8 * 3 / 6))),
+    (["gaussian1d", "--n0", "6", "--scheme", "conservative"], "full_step_conservative",
+     round(24.5 / (0.8 * 3 / 6))),
+    (["gaussian1d", "--n0", "6", "--scheme", "conservative", "--init", "bootstrap"],
+     "full_step_conservative", round(24.5 / (0.8 * 3 / 6))),
+    (["conserve1d", "--steps", "50"], "full_step_conservative", 50),
+    # planewave2d runs to the half step nearest t = 4.18: h = 1/n
+    (["planewave2d", "--n0", "4"], "half_step_2d", round(8.36 / (0.8 / 4))),
+    (["planewave2d", "--n0", "4", "--scheme", "conservative"], "full_step_conservative",
+     round(8.36 / (0.8 / 4))),
+    (["planewave2d", "--n0", "4", "--scheme", "conservative", "--init", "bootstrap"],
+     "full_step_conservative", round(8.36 / (0.8 / 4))),
+], ids=["gaussian1d-dissipative", "gaussian1d-conservative", "gaussian1d-bootstrap",
+        "conserve1d", "planewave2d-dissipative", "planewave2d-conservative",
+        "planewave2d-bootstrap"])
+def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, stepper, nhalf):
+    """The driver calls a stepper from `hermwave.driver` once per half step.
+
+    The benchmark counts node updates by wrapping these four names there,
+    so a march that bypasses them, or steps twice per call, would miscount.
+    """
+    calls = dict.fromkeys(STEPPERS, 0)
+    for name in STEPPERS:
+        def counted(*args, _real=getattr(driver, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(driver, name, counted)
+    rc = cli.main(["custom", "--experiment", argv[0], "--levels", "1"] + argv[1:])
+    capsys.readouterr()
+    assert rc == 0
+    boot = int("bootstrap" in argv)
+    want = dict.fromkeys(STEPPERS, 0)
+    want.update({stepper: nhalf - boot, "bootstrap_first_half": boot})
+    assert calls == want
