@@ -48,8 +48,8 @@ from .grid import (
     Grid2D,
     TwoLevelState,
 )
-from .interp import apply_interp, apply_interp_2d, interp_matrix, interpolate_1d, interpolate_2d
-from .poly import CellPolynomial, CellPolynomial2D, PiecewisePolynomial
+from .interp import apply_interp, apply_interp_2d, interp_matrix, interpolate_1d
+from .poly import CellPolynomial, PiecewisePolynomial
 
 __version__ = "0.1.0"
 
@@ -67,6 +67,5 @@ __all__ = [
     "DUAL", "PRIMAL", "Field1D", "Field2D", "FieldPair", "Grid1D", "Grid2D",
     "TwoLevelState",
     "apply_interp", "apply_interp_2d", "interp_matrix", "interpolate_1d",
-    "interpolate_2d",
-    "CellPolynomial", "CellPolynomial2D", "PiecewisePolynomial",
+    "CellPolynomial", "PiecewisePolynomial",
 ]

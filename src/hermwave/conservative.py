@@ -34,10 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
+from .boundary import corner_sources, pair_sources
 from .dissipative import (SchemeConfig, eval_series, expand_taylor_2d, fold, rows,
                           taylor_half_step_1d)
-from .grid import Field1D, Field2D, TwoLevelState, flip
+from .grid import Field1D, TwoLevelState, flip
 from .interp import apply_interp, apply_interp_2d
 
 
@@ -92,7 +92,7 @@ def _update_tensor_2d(m: int, rho_x: float, rho_y: float) -> np.ndarray:
     return wt
 
 
-def conservative_update_1d(interp, prev, cfg: SchemeConfig, h: float) -> np.ndarray:
+def conservative_update_1d(interp, prev, cfg: SchemeConfig) -> np.ndarray:
     """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
 
     Args:
@@ -116,9 +116,9 @@ def conservative_update_2d(interp, prev, cfg: SchemeConfig, hx: float, hy: float
     return 2.0 * np.einsum("klab,...ab->...kl", wt, coeffs, optimize=True) - prev
 
 
-def _update_1d(data, cfg, h):
+def _update_1d(data, cfg):
     """The update of gathered current data with prev = 0, the map `fold` builds."""
-    return (conservative_update_1d(apply_interp(data), 0.0, cfg, h),)
+    return (conservative_update_1d(apply_interp(data), 0.0, cfg),)
 
 
 def _update_2d(data, cfg, hx, hy):
@@ -136,7 +136,7 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLe
     if isinstance(cur, Field1D):
         dt = cfg.dt(cur.grid.h)
         data, _ = pair_sources(cur, bc)
-        (a,) = fold(_update_1d, (data.shape[1:],), cfg, cur.grid.h)
+        (a,) = fold(_update_1d, (data.shape[1:],), cfg)
     else:
         hx, hy = cur.grid.hx, cur.grid.hy
         dt = cfg.dt(min(hx, hy))

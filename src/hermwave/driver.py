@@ -267,15 +267,60 @@ def _at(step: int, time: float, n: int) -> str:
     return f" at half step {step} (t={time:.6g}, n={n})"
 
 
-def _march(state, advance, count: int, fields, n: int, done: int = 0):
-    """Apply `advance` count times, checking fields(state) every FINITE_STRIDE
-    half steps and after the last; `done` half steps precede the first."""
-    for step in range(done + 1, done + count + 1):
-        state = advance(state)
-        if step % FINITE_STRIDE == 0 or step == done + count:
-            arrays = fields(state)
-            _require_finite(*(f.values for f in arrays), where=_at(step, arrays[0].time, n))
+def _march(state, step, args, count: int, n: int, done: int = 0):
+    """Apply step(state, *args) count times, checking the fields every
+    FINITE_STRIDE half steps and after the last; `done` half steps precede
+    the first."""
+    last = done + count
+    for k in range(done + 1, last + 1):
+        state = step(state, *args)
+        if k % FINITE_STRIDE == 0 or k == last:
+            fields = (state.u, state.v) if isinstance(state, FieldPair) else (state.current,)
+            _require_finite(*(f.values for f in fields), where=_at(k, fields[0].time, n))
     return state
+
+
+def _evolve(cfg: RunConfig, grid, bc, data, nhalf: int):
+    """Start one level from closed-form data and march it nhalf half steps.
+
+    data(parity, t, order, tder) gives the scaled nodal blocks of u
+    (tder 0) or u_t (tder 1) on one parity's nodes at time t. The grid's
+    type picks 1D or 2D. Returns the final FieldPair (dissipative) or
+    TwoLevelState (conservative).
+    """
+    scfg = cfg.scheme_config()
+    flat = isinstance(grid, Grid1D)
+    n, h = (grid.n, grid.h) if flat else (grid.nx, min(grid.hx, grid.hy))
+    field = Field1D if flat else Field2D
+
+    def start(parity, t, order, tder=0):
+        return field(grid, parity, t, data(parity, t, order, tder))
+
+    u0 = start(PRIMAL, 0.0, cfg.m)
+    done = 0
+    if cfg.scheme == "dissipative":
+        state = FieldPair(u0, start(PRIMAL, 0.0, cfg.m - 1, tder=1))
+        step = half_step_1d if flat else half_step_2d
+    else:
+        step = full_step_conservative
+        if cfg.init == "exact":
+            state = TwoLevelState(u0, start(DUAL, -0.5 * scfg.dt(h), cfg.m))
+        else:
+            state = bootstrap_first_half(u0, start(PRIMAL, 0.0, cfg.m, tder=1), scfg, bc)
+            done = 1
+    return _march(state, step, (scfg, bc), nhalf - done, n, done)
+
+
+def _study(cfg: RunConfig, level) -> ErrorReport:
+    """Refinement study over cfg's levels.
+
+    level(n) returns (h, dt, errors) with errors (err_u,) or
+    (err_u, err_dux, err_v).
+    """
+    ns = cfg.level_sizes()
+    hs, dts, errs = zip(*map(level, ns))
+    return ErrorReport(np.array(ns), np.array(hs), np.array(dts),
+                       *(np.array(e) for e in zip(*errs)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,70 +333,43 @@ def _boundary_1d(cfg: RunConfig) -> BoundarySpec:
     return BoundarySpec(cfg.boundary, cfg.boundary)
 
 
+def _gaussian_level(cfg: RunConfig, n: int):
+    """One gaussian1d level on n cells, run to the half step nearest t = 12.25."""
+    bc = _boundary_1d(cfg)
+    grid = Grid1D(-1.5, 1.5, n, periodic=(cfg.boundary == "periodic"))
+    h = grid.h
+    dt = cfg.scheme_config().dt(h)
+    nhalf = round(24.5 / dt)
+    tau = nhalf * (0.5 * dt) - 12.0
+
+    def data(parity, t, order, tder):
+        x = grid.nodes(parity)
+        if tder:  # the pulse starts at rest
+            return np.zeros((len(x), order + 1))
+        # at t = 0 the two half pulses coincide
+        vals = gaussian_derivs(x, order) if t == 0.0 else gaussian_box_u(x, t, order)
+        return _scale_cols(vals, h)
+
+    def exact_u(x):
+        return 0.5 * (np.exp(-20.0 * (x + tau) ** 2) + np.exp(-20.0 * (x - tau) ** 2))
+
+    def exact_dux(x):
+        return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
+                      - 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
+
+    def exact_v(x):
+        return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
+                      + 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
+
+    state = _evolve(cfg, grid, bc, data, nhalf)
+    if cfg.scheme == "dissipative":
+        return h, dt, l2_errors_pair(state, exact_u, exact_dux, exact_v, bc)
+    return h, dt, (l2_error_field(state.current, exact_u, bc),)
+
+
 def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
     """Refinement study against the reflected two-pulse solution."""
-    scfg = cfg.scheme_config()
-    bc = _boundary_1d(cfg)
-    m = cfg.m
-    ns, hs, dts = [], [], []
-    eus, eduxs, evs = [], [], []
-    for n in cfg.level_sizes():
-        grid = Grid1D(-1.5, 1.5, n, periodic=(cfg.boundary == "periodic"))
-        h = grid.h
-        dt = scfg.dt(h)
-        # nearest integer number of half steps to the t=12.25 target
-        nhalf = round(24.5 / dt)
-        tau = nhalf * (0.5 * dt) - 12.0
-
-        def exact_u(x, tau=tau):
-            return 0.5 * (np.exp(-20.0 * (x + tau) ** 2) + np.exp(-20.0 * (x - tau) ** 2))
-
-        def exact_dux(x, tau=tau):
-            return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
-                          - 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
-
-        def exact_v(x, tau=tau):
-            return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
-                          + 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
-
-        if cfg.scheme == "dissipative":
-            x = grid.nodes(PRIMAL)
-            u0 = _scale_cols(gaussian_derivs(x, m), h)
-            v0 = np.zeros((len(x), m))
-            pair = FieldPair(Field1D(grid, PRIMAL, 0.0, u0),
-                             Field1D(grid, PRIMAL, 0.0, v0))
-            pair = _march(pair, lambda p: half_step_1d(p, scfg, bc), nhalf,
-                          lambda p: (p.u, p.v), n)
-            eu, edux, ev = l2_errors_pair(pair, exact_u, exact_dux, exact_v, bc)
-            eduxs.append(edux)
-            evs.append(ev)
-        else:
-            x = grid.nodes(PRIMAL)
-            g0 = Field1D(grid, PRIMAL, 0.0, _scale_cols(gaussian_box_u(x, 0.0, m), h))
-            if cfg.init == "exact":
-                xd = grid.nodes(DUAL)
-                prev = Field1D(grid, DUAL, -0.5 * dt,
-                               _scale_cols(gaussian_box_u(xd, -0.5 * dt, m), h))
-                state = TwoLevelState(current=g0, previous=prev)
-                done = 0
-            else:
-                g1 = Field1D(grid, PRIMAL, 0.0,
-                             _scale_cols(gaussian_box_v(x, 0.0, m), h))
-                state = bootstrap_first_half(g0, g1, scfg, bc)
-                done = 1
-            state = _march(state, lambda s: full_step_conservative(s, scfg, bc),
-                           nhalf - done, lambda s: (s.current,), n, done)
-            eu = l2_error_field(state.current, exact_u, bc)
-        ns.append(n)
-        hs.append(h)
-        dts.append(dt)
-        eus.append(eu)
-    report = ErrorReport(
-        ns=np.array(ns), hs=np.array(hs), dts=np.array(dts), err_u=np.array(eus),
-        err_dux=np.array(eduxs) if eduxs else None,
-        err_v=np.array(evs) if evs else None,
-    )
-    return report
+    return _study(cfg, lambda n: _gaussian_level(cfg, n))
 
 
 def run_conservation_1d(cfg: RunConfig):
@@ -374,72 +392,42 @@ def run_conservation_1d(cfg: RunConfig):
     state = TwoLevelState(current=cur, previous=prev)
     e0 = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
     steps, times, deltas = [0], [0.0], [0.0]
-    for step in range(1, cfg.steps + 1):
-        state = full_step_conservative(state, scfg, bc)
-        sample = step % cfg.sample_every == 0 or step == cfg.steps
-        if sample or step % FINITE_STRIDE == 0:
-            _require_finite(state.current.values,
-                            where=_at(step, state.current.time, cfg.n0))
-        if sample:
-            e = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
-            steps.append(step)
-            times.append(state.current.time)
-            deltas.append(e - e0)
+    for done in range(0, cfg.steps, cfg.sample_every):
+        count = min(cfg.sample_every, cfg.steps - done)
+        state = _march(state, full_step_conservative, (scfg, bc), count, cfg.n0, done)
+        e = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
+        steps.append(done + count)
+        times.append(state.current.time)
+        deltas.append(e - e0)
     return np.array(steps), np.array(times), np.array(deltas), e0
+
+
+def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
+    """One level of sin(2 pi kappa (x + y + sqrt(2) t)) on n x n cells, run
+    to the half step nearest t_target."""
+    bc = BoundarySpec2D()
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, n, n, periodic=True)
+    h = grid.hx
+    dt = cfg.scheme_config().dt(h)
+    nhalf = round(2 * t_target / dt)
+    t_end = nhalf * 0.5 * dt
+    w = 2.0 * np.pi * kappa
+
+    def data(parity, t, order, tder):
+        xs, ys = grid.axis(0).nodes(parity), grid.axis(1).nodes(parity)
+        return planewave_data(xs, ys, t, order, order, kappa, h, h, tder=tder)
+
+    def exact(x, y):
+        return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
+
+    state = _evolve(cfg, grid, bc, data, nhalf)
+    u = state.u if isinstance(state, FieldPair) else state.current
+    return h, dt, (l2_error_field_2d(u, exact, bc),)
 
 
 def run_planewave_2d(cfg: RunConfig) -> ErrorReport:
     """Refinement study for the periodic plane wave on the unit square."""
-    scfg = cfg.scheme_config()
-    bc = BoundarySpec2D()
-    m = cfg.m
-    kappa = m + 1
-    w = 2.0 * np.pi * kappa
-    ns, hs, dts, eus = [], [], [], []
-    for n in cfg.level_sizes():
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, n, n, periodic=True)
-        h = grid.hx
-        dt = scfg.dt(h)
-        # nearest integer number of half steps to the t=4.18 target
-        nhalf = round(8.36 / dt)
-        t_end = nhalf * 0.5 * dt
-
-        def exact(x, y, t_end=t_end):
-            return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
-
-        xp = grid.axis(0).nodes(PRIMAL)
-        yp = grid.axis(1).nodes(PRIMAL)
-        if cfg.scheme == "dissipative":
-            u0 = planewave_data(xp, yp, 0.0, m, m, kappa, h, h)
-            v0 = planewave_data(xp, yp, 0.0, m - 1, m - 1, kappa, h, h, tder=1)
-            pair = FieldPair(Field2D(grid, PRIMAL, 0.0, u0),
-                             Field2D(grid, PRIMAL, 0.0, v0))
-            pair = _march(pair, lambda p: half_step_2d(p, scfg, bc), nhalf,
-                          lambda p: (p.u, p.v), n)
-            err = l2_error_field_2d(pair.u, exact, bc)
-        else:
-            cur = Field2D(grid, PRIMAL, 0.0, planewave_data(xp, yp, 0.0, m, m, kappa, h, h))
-            if cfg.init == "exact":
-                xd = grid.axis(0).nodes(DUAL)
-                yd = grid.axis(1).nodes(DUAL)
-                prev = Field2D(grid, DUAL, -0.5 * dt,
-                               planewave_data(xd, yd, -0.5 * dt, m, m, kappa, h, h))
-                state = TwoLevelState(current=cur, previous=prev)
-                done = 0
-            else:
-                g1 = Field2D(grid, PRIMAL, 0.0,
-                             planewave_data(xp, yp, 0.0, m, m, kappa, h, h, tder=1))
-                state = bootstrap_first_half(cur, g1, scfg, bc)
-                done = 1
-            state = _march(state, lambda s: full_step_conservative(s, scfg, bc),
-                           nhalf - done, lambda s: (s.current,), n, done)
-            err = l2_error_field_2d(state.current, exact, bc)
-        ns.append(n)
-        hs.append(h)
-        dts.append(dt)
-        eus.append(err)
-    return ErrorReport(ns=np.array(ns), hs=np.array(hs), dts=np.array(dts),
-                       err_u=np.array(eus))
+    return _study(cfg, lambda n: _planewave_level(cfg, n, cfg.m + 1, 4.18))
 
 
 def run_experiment(cfg: RunConfig):

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import CellPolynomial, CellPolynomial2D
+from .poly import CellPolynomial
 
 MAX_ORDER = 12
 
@@ -117,20 +117,3 @@ def interpolate_1d(left, right, center: float, width: float) -> CellPolynomial:
         raise ValueError(f"node orders differ: {left.shape[-1]-1} vs {right.shape[-1]-1}")
     coeffs = apply_interp(np.stack([left, right], axis=-2))
     return CellPolynomial(center, width, coeffs)
-
-
-def interpolate_2d(corners, orders, center, widths) -> CellPolynomial2D:
-    """Tensor interpolant from the four corner nodes of a cell.
-
-    Args:
-        corners: array-like (2, 2, mux+1, muy+1) indexed (x side, y side).
-        orders: (mux, muy); must match the corner blocks.
-        center, widths: cell midpoint and widths (h_x, h_y).
-    """
-    corners = np.asarray(corners, dtype=float)
-    if corners.shape != (2, 2, orders[0] + 1, orders[1] + 1):
-        raise ValueError(
-            f"corner data shape {corners.shape} does not match orders {orders}"
-        )
-    return CellPolynomial2D(tuple(center), tuple(widths), apply_interp_2d(corners))
-

@@ -10,15 +10,12 @@ the h-scaling inside the coefficients makes every entry O(1) for smooth
 data regardless of the polynomial degree, which is what the interpolation
 and time-stepping modules rely on. Physical derivatives only appear at
 API boundaries.
-
-The 2D variant is a tensor product: coeffs[k, l] multiplies
-((x-x_c)/h_x)**k * ((y-y_c)/h_y)**l.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,46 +109,6 @@ class CellPolynomial:
             out = new
             deg += 1
         return CellPolynomial(center, w, out)
-
-
-@dataclass(frozen=True)
-class CellPolynomial2D:
-    """Tensor-product piece; coeffs[k, l] goes with xi**k * eta**l."""
-
-    center: tuple[float, float]
-    widths: tuple[float, float]
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.coeffs.ndim != 2:
-            raise ValueError("2D cell polynomial needs a 2D coefficient array")
-
-    def __call__(self, x, y):
-        xi = (np.asarray(x, dtype=float) - self.center[0]) / self.widths[0]
-        eta = (np.asarray(y, dtype=float) - self.center[1]) / self.widths[1]
-        # Horner in xi of Horner-in-eta row evaluations
-        rows = np.zeros(np.broadcast(xi, eta).shape + (self.coeffs.shape[0],))
-        for k in range(self.coeffs.shape[0]):
-            acc = np.zeros_like(eta) + self.coeffs[k, -1]
-            for a in self.coeffs[k, -2::-1]:
-                acc = acc * eta + a
-            rows[..., k] = acc
-        out = rows[..., -1]
-        for k in range(self.coeffs.shape[0] - 2, -1, -1):
-            out = out * xi + rows[..., k]
-        return out
-
-    def derivative(self, orders: tuple[int, int]) -> "CellPolynomial2D":
-        ox, oy = orders
-        kx, ly = self.coeffs.shape
-        if ox >= kx or oy >= ly:
-            return CellPolynomial2D(self.center, self.widths, np.zeros((1, 1)))
-        fx = np.array([math.factorial(j + ox) // math.factorial(j) for j in range(kx - ox)])
-        fy = np.array([math.factorial(j + oy) // math.factorial(j) for j in range(ly - oy)])
-        c = self.coeffs[ox:, oy:] * fx[:, None] * fy[None, :]
-        c = c / (self.widths[0] ** ox * self.widths[1] ** oy)
-        return CellPolynomial2D(self.center, self.widths, c)
 
 
 @dataclass(frozen=True)

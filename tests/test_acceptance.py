@@ -33,34 +33,21 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial as P
 
-from hermwave.boundary import BoundarySpec, BoundarySpec2D, ghost_data, pair_sources
+from hermwave.boundary import BoundarySpec, ghost_data, pair_sources
 from hermwave.conservative import full_step_conservative
-from hermwave.diagnostics import (
-    ErrorReport,
-    l2_error_field,
-    l2_error_field_2d,
-    seminorm_sq,
-)
-from hermwave.dissipative import SchemeConfig, half_step_1d, half_step_2d
+from hermwave.diagnostics import l2_error_field, seminorm_sq
+from hermwave.dissipative import SchemeConfig, half_step_1d
 from hermwave.driver import (
     default_config,
-    planewave_data,
     run_conservation_1d,
     run_gaussian_1d,
     run_planewave_2d,
     sine_derivs,
+    _planewave_level,
     _scale_cols,
+    _study,
 )
-from hermwave.grid import (
-    DUAL,
-    PRIMAL,
-    Field1D,
-    Field2D,
-    FieldPair,
-    Grid1D,
-    Grid2D,
-    TwoLevelState,
-)
+from hermwave.grid import DUAL, PRIMAL, Field1D, FieldPair, Grid1D, TwoLevelState
 from hermwave.interp import apply_interp, interpolate_1d
 from hermwave.poly import CellPolynomial, PiecewisePolynomial
 
@@ -158,49 +145,8 @@ _RESOLVED_2D = {
 
 
 def _resolved_planewave_2d(cfg):
-    """Refinement study of sin(2 pi (x + y + sqrt(2) t)) to t ~ 1, n = 15..33.
-
-    The same steppers, data and error norm as run_planewave_2d, on the
-    kappa = 1 wave that these grids resolve.
-    """
-    scfg = cfg.scheme_config()
-    bc = BoundarySpec2D()
-    m = cfg.m
-    w = 2.0 * math.pi
-    ns, hs, dts, errs = [], [], [], []
-    for n in replace(cfg, n0=15, levels=5).level_sizes():
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, n, n, periodic=True)
-        h = grid.hx
-        dt = scfg.dt(h)
-        nhalf = round(2.0 / dt)
-        t_end = nhalf * 0.5 * dt
-        xp = grid.axis(0).nodes(PRIMAL)
-        yp = grid.axis(1).nodes(PRIMAL)
-        u0 = Field2D(grid, PRIMAL, 0.0, planewave_data(xp, yp, 0.0, m, m, 1, h, h))
-        if cfg.scheme == "dissipative":
-            v0 = planewave_data(xp, yp, 0.0, m - 1, m - 1, 1, h, h, tder=1)
-            pair = FieldPair(u0, Field2D(grid, PRIMAL, 0.0, v0))
-            for _ in range(nhalf):
-                pair = half_step_2d(pair, scfg, bc)
-            u = pair.u
-        else:
-            xd = grid.axis(0).nodes(DUAL)
-            yd = grid.axis(1).nodes(DUAL)
-            prev = planewave_data(xd, yd, -0.5 * dt, m, m, 1, h, h)
-            state = TwoLevelState(u0, Field2D(grid, DUAL, -0.5 * dt, prev))
-            for _ in range(nhalf):
-                state = full_step_conservative(state, scfg, bc)
-            u = state.current
-
-        def exact(x, y, t_end=t_end):
-            return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
-
-        ns.append(n)
-        hs.append(h)
-        dts.append(dt)
-        errs.append(l2_error_field_2d(u, exact, bc))
-    return ErrorReport(ns=np.array(ns), hs=np.array(hs), dts=np.array(dts),
-                       err_u=np.array(errs))
+    """Refinement study of sin(2 pi (x + y + sqrt(2) t)) to t ~ 1, n = 15..33."""
+    return _study(replace(cfg, n0=15, levels=5), lambda n: _planewave_level(cfg, n, 1, 1.0))
 
 
 def _check_planewave_2d(scheme, m, lam, target):

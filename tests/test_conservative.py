@@ -21,7 +21,7 @@ from hermwave.interp import apply_interp
 
 def test_zero_update_is_zero():
     cfg = SchemeConfig(m=2, lam=0.7)
-    out = conservative_update_1d(np.zeros((4, 6)), np.zeros((4, 3)), cfg, 0.1)
+    out = conservative_update_1d(np.zeros((4, 6)), np.zeros((4, 3)), cfg)
     assert np.all(out == 0.0)
 
 
@@ -33,14 +33,14 @@ def test_linear_profile_is_steady():
     a[:, 0] = rng.standard_normal(3)
     a[:, 1] = rng.standard_normal(3)
     prev = a[:, :3].copy()
-    out = conservative_update_1d(a, prev, cfg, 0.25)
+    out = conservative_update_1d(a, prev, cfg)
     np.testing.assert_allclose(out, prev, atol=1e-15)
 
 
 def test_first_order_quadratic_update():
     # m=1, lam=1: xi**2 interpolant over zero previous data
     cfg = SchemeConfig(m=1, lam=1.0)
-    out = conservative_update_1d(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), cfg, 1.0)
+    out = conservative_update_1d(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), cfg)
     np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
 
 
@@ -53,10 +53,9 @@ def test_update_matches_even_shift_average(m, lam):
     """
     rng = np.random.default_rng(70 + m)
     cfg = SchemeConfig(m=m, lam=lam, speed=1.7)
-    h = 0.31
     a = rng.standard_normal((5, 2 * m + 2))
     prev = rng.standard_normal((5, m + 1))
-    out = conservative_update_1d(a, prev, cfg, h)
+    out = conservative_update_1d(a, prev, cfg)
     rho = 0.5 * lam
     for i in range(5):
         p = P(a[i])

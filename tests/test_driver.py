@@ -376,6 +376,9 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     (["gaussian1d", "--levels", "1", "--n0", "20"], "half_step_1d"),
     (["planewave2d", "--scheme", "conservative", "--levels", "1", "--n0", "20"],
      "full_step_conservative"),
+    (["custom", "--experiment", "conserve1d", "--steps", "200", "--sample-every", "1000"],
+     "full_step_conservative"),
+    (["planewave2d", "--levels", "1", "--n0", "20"], "half_step_2d"),
 ])
 def test_cli_stops_at_first_check_after_nan(monkeypatch, capsys, argv, stepper):
     """A NaN injected at half step 70 of about 200 ends the run at the next check."""

@@ -78,7 +78,7 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field1D(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
-                  conservative_update_1d(apply_interp(du), prev, cfg, grid.h))
+                  conservative_update_1d(apply_interp(du), prev, cfg))
 
     grid = Grid2D(-1.0, 0.7, 0.0, 1.3, 4, 3, periodic)
     bc = BoundarySpec2D(data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))

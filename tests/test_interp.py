@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from hermwave.interp import (
     MAX_ORDER,
@@ -11,7 +12,6 @@ from hermwave.interp import (
     apply_interp_2d,
     interp_matrix,
     interpolate_1d,
-    interpolate_2d,
 )
 from hermwave.poly import CellPolynomial
 
@@ -155,46 +155,32 @@ def test_2d_product_function_exact():
             corners[i, j, 1, 0] = hx * y
             corners[i, j, 0, 1] = hy * x
             corners[i, j, 1, 1] = hx * hy
-    q = interpolate_2d(corners, (mux, muy), (cx, cy), (hx, hy))
-    pts = np.linspace(-0.2, 0.5, 5)
-    for x in pts:
-        for y in pts:
-            assert q(x, y) == pytest.approx(x * y, abs=1e-13)
+    coeffs = apply_interp_2d(corners)
+    x, y = np.meshgrid(np.linspace(-0.2, 0.5, 5), np.linspace(-0.2, 0.5, 5), indexing="ij")
+    got = polyval2d((x - cx) / hx, (y - cy) / hy, coeffs)
+    np.testing.assert_allclose(got, x * y, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (2, 1), (2, 3)])
 def test_2d_tensor_exactness_random(orders):
+    """Corner data of a random degree-(2mux+1, 2muy+1) polynomial gives it back.
+
+    The scaled corner coefficient c_{k,l} is d_xi^k d_eta^l p / (k! l!) at
+    the corner, in the variables scaled by the cell widths.
+    """
     mux, muy = orders
     rng = np.random.default_rng(300 + 10 * mux + muy)
     hx, hy = 0.6, 0.9
-    cx, cy = 0.0, 0.4
     a = rng.standard_normal((2 * mux + 2, 2 * muy + 2))
-
-    def scaled_corner(x, y):
-        xi0 = (x - cx) / hx
-        eta0 = (y - cy) / hy
-        out = np.zeros((mux + 1, muy + 1))
-        for k in range(mux + 1):
-            for l in range(muy + 1):
-                s = 0.0
-                for p in range(k, 2 * mux + 2):
-                    for q in range(l, 2 * muy + 2):
-                        s += (
-                            math.comb(p, k)
-                            * math.comb(q, l)
-                            * a[p, q]
-                            * xi0 ** (p - k)
-                            * eta0 ** (q - l)
-                        )
-                out[k, l] = s
-        return out
-
     corners = np.zeros((2, 2, mux + 1, muy + 1))
-    for i, x in enumerate((cx - hx / 2, cx + hx / 2)):
-        for j, y in enumerate((cy - hy / 2, cy + hy / 2)):
-            corners[i, j] = scaled_corner(x, y)
-    q = interpolate_2d(corners, (mux, muy), (cx, cy), (hx, hy))
-    np.testing.assert_allclose(q.coeffs, a, rtol=1e-11, atol=1e-11)
+    for k in range(mux + 1):
+        for l in range(muy + 1):
+            d = polyder(polyder(a, k, axis=0), l, axis=1)
+            for i, xi in enumerate((-0.5, 0.5)):
+                for j, eta in enumerate((-0.5, 0.5)):
+                    corners[i, j, k, l] = polyval2d(xi, eta, d) / (math.factorial(k)
+                                                                   * math.factorial(l))
+    np.testing.assert_allclose(apply_interp_2d(corners), a, rtol=1e-11, atol=1e-11)
 
 
 def test_2d_axis_order_is_immaterial():
@@ -211,8 +197,3 @@ def test_2d_axis_order_is_immaterial():
     got = apply_interp_2d(data)
     np.testing.assert_allclose(x_then_y, got, atol=1e-13)
     np.testing.assert_allclose(y_then_x, got, atol=1e-13)
-
-
-def test_2d_corner_shape_validation():
-    with pytest.raises(ValueError):
-        interpolate_2d(np.zeros((2, 2, 3)), (1, 1), (0.0, 0.0), (1.0, 1.0))

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hermwave.poly import (
-    CellPolynomial,
-    CellPolynomial2D,
-    PiecewisePolynomial,
-)
+from hermwave.poly import CellPolynomial, PiecewisePolynomial
 
 from energy_oracle import shift
 
@@ -87,30 +83,6 @@ def test_recentered_represents_same_function():
     pts = np.linspace(0.7, 1.3, 13)
     np.testing.assert_allclose(q(pts), p(pts), rtol=1e-12, atol=1e-12)
     assert q.center == 1.1 and q.width == 0.7
-
-
-def test_2d_eval_matches_tensor_sum():
-    rng = np.random.default_rng(9)
-    c = rng.standard_normal((4, 3))
-    p = CellPolynomial2D((0.2, -0.1), (0.5, 0.25), c)
-    x = rng.uniform(-0.1, 0.5, size=6)
-    y = rng.uniform(-0.3, 0.1, size=6)
-    xi = (x - 0.2) / 0.5
-    eta = (y + 0.1) / 0.25
-    want = sum(
-        c[k, l] * xi**k * eta**l for k in range(4) for l in range(3)
-    )
-    np.testing.assert_allclose(p(x, y), want, rtol=1e-12, atol=1e-13)
-
-
-def test_2d_derivative_mixed():
-    # d^2/(dx dy) on xi^2 eta: 2 xi / (hx hy) scaling folded in
-    p = CellPolynomial2D((0.0, 0.0), (2.0, 0.5), [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    q = p.derivative((1, 1))
-    # d/dx d/dy xi^2 eta = 2 xi / (hx * hy)
-    assert q(1.0, 0.0) == pytest.approx(2 * 0.5 / (2.0 * 0.5))
-    z = p.derivative((3, 0))
-    assert z(0.7, 0.2) == 0.0
 
 
 def _uniform_pp(n, lo, hi, degs, rng, periodic=True):
