@@ -12,12 +12,10 @@ from .diagnostics import (
     ErrorReport,
     conservative_energy,
     dissipative_energy,
-    field_interpolant,
     fit_rate,
     l2_error_field,
     l2_error_field_2d,
     l2_errors_pair,
-    seminorm_sq,
 )
 from .dissipative import (
     SchemeConfig,
@@ -48,8 +46,7 @@ from .grid import (
     Grid2D,
     TwoLevelState,
 )
-from .interp import apply_interp, apply_interp_2d, interp_matrix, interpolate_1d
-from .poly import CellPolynomial, PiecewisePolynomial
+from .interp import apply_interp, apply_interp_2d, interp_matrix
 
 __version__ = "0.1.0"
 
@@ -58,14 +55,12 @@ __all__ = [
     "bootstrap_first_half", "conservative_update_1d", "conservative_update_2d",
     "full_step_conservative", "pascal_table",
     "ErrorReport", "conservative_energy", "dissipative_energy",
-    "field_interpolant", "fit_rate", "l2_error_field", "l2_error_field_2d",
-    "l2_errors_pair", "seminorm_sq",
+    "fit_rate", "l2_error_field", "l2_error_field_2d", "l2_errors_pair",
     "SchemeConfig", "eval_series", "expand_taylor", "expand_taylor_2d",
     "half_step_1d", "half_step_2d",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",
     "run_experiment", "run_gaussian_1d", "run_conservation_1d", "run_planewave_2d",
     "DUAL", "PRIMAL", "Field1D", "Field2D", "FieldPair", "Grid1D", "Grid2D",
     "TwoLevelState",
-    "apply_interp", "apply_interp_2d", "interp_matrix", "interpolate_1d",
-    "CellPolynomial", "PiecewisePolynomial",
+    "apply_interp", "apply_interp_2d", "interp_matrix",
 ]

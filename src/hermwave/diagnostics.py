@@ -26,8 +26,12 @@ folded through the interpolation cancels the large low-order data only
 to its own rounding), and E sums the squares of L y_i rather than
 evaluating y_i^T G y_i.
 
-The dissipative analogue c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 is what
-the (u, v) scheme dissipates at every interpolation.
+The dissipative analogue c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, what
+the (u, v) scheme dissipates at every interpolation, needs no shifts:
+each cell's term reads only that cell's u coefficients of degree m+1 to
+2m+1 and v coefficients of degree m to 2m-1. So it is c^2 sum_i |L_u a_i|^2
++ sum_i |L_v b_i|^2, with the two `seminorm_factor`s built from the same
+Gauss-point derivative rows as `energy_factor`, on the whole cell.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .boundary import (BoundarySpec, BoundarySpec2D, corner_sources, gather_inde
                        pair_sources)
 from .grid import Field1D, Field2D, FieldPair, flip
 from .interp import apply_interp, apply_interp_2d, interp_matrix
-from .poly import CellPolynomial, PiecewisePolynomial
 
 
 @lru_cache(maxsize=64)
@@ -60,29 +63,10 @@ def default_npts(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# global interpolants of nodal fields
-
-
-def field_interpolant(field: Field1D, bc: BoundarySpec) -> PiecewisePolynomial:
-    """Piecewise Hermite interpolant on the field's cells.
-
-    Cells sit between consecutive nodes of the field's own parity; with
-    walls, a dual field contributes ghost-backed half cells at the edges
-    (their pieces extend past the domain; integration clips).
-    """
-    data, centers = pair_sources(field, bc)
-    coeffs = apply_interp(data)
-    h = field.grid.h
-    pieces = [CellPolynomial(c, h, coeffs[i]) for i, c in enumerate(centers)]
-    bp = np.concatenate([centers - 0.5 * h, centers[-1:] + 0.5 * h])
-    return PiecewisePolynomial(bp, pieces, periodic=field.grid.periodic)
-
-
-# ---------------------------------------------------------------------------
 # L2 errors
 
 
-def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int):
+def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int, dirichlet_values=None):
     """Interpolant coefficients and Gauss points on every cell of a 1D field.
 
     Cells are centred on the target nodes of the gather. On wall grids
@@ -96,7 +80,7 @@ def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int):
             their scaled variable, wg the rule's weights and half the
             (cells,) half-lengths of the integration intervals.
     """
-    data, centers = pair_sources(field, bc)
+    data, centers = pair_sources(field, bc, dirichlet_values)
     coeffs = apply_interp(data)
     grid = field.grid
     h = grid.h
@@ -130,7 +114,10 @@ def l2_error_field(field: Field1D, exact, bc: BoundarySpec,
 
 def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v,
                    bc: BoundarySpec, npts: int | None = None):
-    """(u, u_x, v) errors of a dissipative state in one sweep."""
+    """(u, u_x, v) errors of a dissipative state in one sweep.
+
+    v reflects about 0 at walls, as in the stepper.
+    """
     npts = npts or default_npts(pair.u.order)
     cu, quad = _cell_quadrature(pair.u, bc, npts)
     # d/dx takes a_j xi^j to j a_j xi^(j-1) / h
@@ -138,7 +125,7 @@ def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v,
     return (
         _cell_l2(cu, quad, exact_u),
         _cell_l2(dcu, quad, exact_dux),
-        _cell_l2(*_cell_quadrature(pair.v, bc, npts), exact_v),
+        _cell_l2(*_cell_quadrature(pair.v, bc, npts, (0.0, 0.0)), exact_v),
     )
 
 
@@ -166,18 +153,18 @@ def l2_error_field_2d(field: Field2D, exact, bc: BoundarySpec2D,
 # seminorm energies
 
 
-def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
-    """|pp|_order^2 = integral of the squared order-th derivative, exact."""
-    total = 0.0
-    for i, p in enumerate(pp.pieces):
-        q = p.derivative(order)
-        deg = len(q.coeffs) - 1
-        xg, wg = gauss_rule(deg + 1)
-        a, b = pp.breakpoints[i], pp.breakpoints[i + 1]
-        x = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        vals = q(x)
-        total += 0.5 * (b - a) * np.dot(wg, vals * vals)
-    return total
+def _derivative_rows(lo: float, hi: float, order: int, k: int) -> np.ndarray:
+    """(k, k) rows whose squares sum to the integral over [lo, hi] of |p^(order)|^2.
+
+    p is given by its scaled coefficients of degree order to order+k-1;
+    its order-th derivative has degree k-1, so the k Gauss points the rows
+    evaluate it at integrate the square exactly.
+    """
+    xg, wg = gauss_rule(k)
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+    # d^order/dxi^order takes xi^(i+order) to (i+order)!/i! xi^i
+    fall = [math.factorial(i + order) / math.factorial(i) for i in range(k)]
+    return np.sqrt(0.5 * (hi - lo) * wg)[:, None] * (np.vander(x, k, increasing=True) * fall)
 
 
 @lru_cache(maxsize=64)
@@ -193,9 +180,6 @@ def energy_factor(m: int, r: float, h: float) -> np.ndarray:
     r = c dt/(2h) must lie in [0, 1/2].
     """
     mu = m + 1
-    # d^(m+1)/dxi^(m+1) takes xi^(i+mu) to (i+mu)!/i! xi^i
-    deriv = np.diag([math.factorial(i + mu) / math.factorial(i) for i in range(mu)])
-    xg, wg = gauss_rule(mu)  # exact for the degree-2m squared derivative
     rows = []
     for sign in (1.0, -1.0):
         cut = -sign * r  # where xi ± r crosses the previous level's node i
@@ -206,13 +190,25 @@ def energy_factor(m: int, r: float, h: float) -> np.ndarray:
             # the previous cell read at xi + s, sum_l b_l (xi + s)^l, top degrees only
             shift = np.array([[math.comb(l + mu, i + mu) * s ** (l - i) if l >= i else 0.0
                                for l in range(mu)] for i in range(mu)])
-            q = np.zeros((mu, 3 * mu))
-            q[:, :mu] = deriv
-            q[:, block * mu : (block + 1) * mu] = -deriv @ shift
-            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
-            rows.append(np.sqrt(0.5 * (hi - lo) * wg)[:, None]
-                        * (np.vander(x, mu, increasing=True) @ q))
+            d = _derivative_rows(lo, hi, mu, mu)
+            piece = np.zeros((mu, 3 * mu))
+            piece[:, :mu] = d
+            piece[:, block * mu : (block + 1) * mu] = -d @ shift
+            rows.append(piece)
     out = np.concatenate(rows) * h ** (0.5 - mu)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def seminorm_factor(mu: int, order: int, h: float) -> np.ndarray:
+    """Read-only L with |p|_order^2 = |L a|^2 on one cell of width h.
+
+    a holds the scaled coefficients of degree order to 2mu+1 of the cell
+    interpolant of order-mu node data; the factor h^(1/2-order) turns the
+    integral over xi in [-1/2, 1/2] into the physical one.
+    """
+    out = _derivative_rows(-0.5, 0.5, order, 2 * mu + 2 - order) * h ** (0.5 - order)
     out.setflags(write=False)
     return out
 
@@ -238,12 +234,25 @@ def conservative_energy(current: Field1D, previous: Field1D, speed: float,
     return float(np.vdot(y, y))
 
 
+def _interp_seminorm(field: Field1D, order: int, bc: BoundarySpec,
+                     dirichlet_values=None) -> float:
+    """|I field|_order^2 summed over the cells of the field's gather."""
+    mu = field.order
+    data = pair_sources(field, bc, dirichlet_values)[0]
+    top = data.reshape(len(data), -1) @ interp_matrix(mu)[order:].T
+    y = top @ seminorm_factor(mu, order, field.grid.h).T
+    return float(np.vdot(y, y))
+
+
 def dissipative_energy(state: FieldPair, speed: float, bc: BoundarySpec) -> float:
-    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 on a periodic domain."""
+    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the gathers.
+
+    v reflects about 0 at walls, as in the stepper. A dual level's
+    ghost-backed edge cells reach h/2 past each wall and are not clipped.
+    """
     m = state.u.order
-    ppu = field_interpolant(state.u, bc)
-    ppv = field_interpolant(state.v, bc)
-    return speed * speed * seminorm_sq(ppu, m + 1) + seminorm_sq(ppv, m)
+    return (speed * speed * _interp_seminorm(state.u, m + 1, bc)
+            + _interp_seminorm(state.v, m, bc, (0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

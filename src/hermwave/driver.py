@@ -221,13 +221,6 @@ def gaussian_box_u(x, t: float, kmax: int) -> np.ndarray:
     return 0.5 * (gaussian_derivs(x + t, kmax) + gaussian_derivs(x - t, kmax))
 
 
-def gaussian_box_v(x, t: float, kmax: int) -> np.ndarray:
-    """x-derivative columns of u_t = (G'(x+t) - G'(x-t))/2."""
-    gp = gaussian_derivs(x + t, kmax + 1)
-    gm = gaussian_derivs(x - t, kmax + 1)
-    return 0.5 * (gp[..., 1:] - gm[..., 1:])
-
-
 def sine_derivs(x, kmax: int, t: float) -> np.ndarray:
     """x-derivative columns of sin(x) cos(t)."""
     x = np.asarray(x, dtype=float)

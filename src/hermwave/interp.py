@@ -12,6 +12,12 @@ independent of h. It is assembled and inverted in exact rational
 arithmetic and rounded to float once; interpolation afterwards is a single
 matmul per cell.
 
+The cell coefficients are h-scaled too: the interpolant is
+sum_j a_j ((x - x_c)/h)**j, so a_j = (h**j/j!) d^j p/dx^j at the center.
+Keeping the h-scaling inside the coefficients makes every entry O(1) for
+smooth data regardless of the polynomial degree, which the time-stepping
+modules rely on. Physical derivatives only appear at API boundaries.
+
 2D tensor-product interpolants, including the mixed orders (m, m-1) used
 by the two-dimensional stepper, apply the 1D matrices dimension by
 dimension.
@@ -24,8 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .poly import CellPolynomial
 
 MAX_ORDER = 12
 
@@ -107,13 +111,3 @@ def apply_interp_2d(data: np.ndarray) -> np.ndarray:
     mx = interp_matrix(mux).reshape(-1, 2, mux + 1)
     my = interp_matrix(muy).reshape(-1, 2, muy + 1)
     return np.einsum("ask,...stkl,btl->...ab", mx, data, my, optimize=True)
-
-
-def interpolate_1d(left, right, center: float, width: float) -> CellPolynomial:
-    """Cell interpolant from two flanking nodes, centered at their midpoint."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    if left.shape != right.shape:
-        raise ValueError(f"node orders differ: {left.shape[-1]-1} vs {right.shape[-1]-1}")
-    coeffs = apply_interp(np.stack([left, right], axis=-2))
-    return CellPolynomial(center, width, coeffs)

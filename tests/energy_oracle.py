@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hermwave.diagnostics import field_interpolant, seminorm_sq
-from hermwave.poly import CellPolynomial, PiecewisePolynomial
+from piecewise import CellPolynomial, PiecewisePolynomial, field_interpolant, seminorm_sq
 
 
 def shift(f: PiecewisePolynomial, delta: float) -> PiecewisePolynomial:

@@ -1,15 +1,16 @@
-"""Scaled-basis polynomial arithmetic on grid cells.
+"""Piecewise polynomials built cell by cell, the oracles for the cached forms.
 
 A cell polynomial of width h centered at x_c is stored through the
 coefficients a_l of
 
     p(x) = sum_l a_l ((x - x_c) / h)**l,
 
-so that a_l = (h**l / l!) * d^l p / dx^l evaluated at the center. Keeping
-the h-scaling inside the coefficients makes every entry O(1) for smooth
-data regardless of the polynomial degree, which is what the interpolation
-and time-stepping modules rely on. Physical derivatives only appear at
-API boundaries.
+the scaled basis of `hermwave.interp`. `field_interpolant` assembles a
+level's global Hermite interpolant from these pieces and `seminorm_sq`
+integrates a squared derivative piece by piece with a Gauss rule exact for
+its degree. This is independent of the cached matrices in
+`hermwave.diagnostics` (`seminorm_factor`, `energy_factor`), which fold the
+same integrals into one matrix per cell, so the two check each other.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from hermwave.boundary import BoundarySpec, pair_sources
+from hermwave.diagnostics import gauss_rule
+from hermwave.grid import Field1D, FieldPair
+from hermwave.interp import apply_interp
 
 
 @dataclass(frozen=True)
@@ -161,3 +167,55 @@ class PiecewisePolynomial:
         return PiecewisePolynomial(
             self.breakpoints, [p.derivative(order) for p in self.pieces], self.periodic
         )
+
+
+def interpolate_1d(left, right, center: float, width: float) -> CellPolynomial:
+    """Cell interpolant from two flanking nodes, centered at their midpoint."""
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    if left.shape != right.shape:
+        raise ValueError(f"node orders differ: {left.shape[-1]-1} vs {right.shape[-1]-1}")
+    coeffs = apply_interp(np.stack([left, right], axis=-2))
+    return CellPolynomial(center, width, coeffs)
+
+
+def field_interpolant(field: Field1D, bc: BoundarySpec,
+                      dirichlet_values=None) -> PiecewisePolynomial:
+    """Piecewise Hermite interpolant on the field's cells.
+
+    Cells sit between consecutive nodes of the field's own parity; with
+    walls, a dual field contributes ghost-backed half cells at the edges
+    (their pieces extend past the domain; integration clips).
+    `dirichlet_values` overrides the wall values, as in `pair_sources`.
+    """
+    data, centers = pair_sources(field, bc, dirichlet_values)
+    coeffs = apply_interp(data)
+    h = field.grid.h
+    pieces = [CellPolynomial(c, h, coeffs[i]) for i, c in enumerate(centers)]
+    bp = np.concatenate([centers - 0.5 * h, centers[-1:] + 0.5 * h])
+    return PiecewisePolynomial(bp, pieces, periodic=field.grid.periodic)
+
+
+def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
+    """|pp|_order^2 = integral of the squared order-th derivative, exact."""
+    total = 0.0
+    for i, p in enumerate(pp.pieces):
+        q = p.derivative(order)
+        deg = len(q.coeffs) - 1
+        xg, wg = gauss_rule(deg + 1)
+        a, b = pp.breakpoints[i], pp.breakpoints[i + 1]
+        x = 0.5 * (a + b) + 0.5 * (b - a) * xg
+        vals = q(x)
+        total += 0.5 * (b - a) * np.dot(wg, vals * vals)
+    return total
+
+
+def oracle_dissipative_energy(state: FieldPair, speed: float, bc: BoundarySpec) -> float:
+    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, integrated piece by piece.
+
+    v reflects about 0 at walls, as in the stepper.
+    """
+    m = state.u.order
+    ppu = field_interpolant(state.u, bc)
+    ppv = field_interpolant(state.v, bc, (0.0, 0.0))
+    return speed * speed * seminorm_sq(ppu, m + 1) + seminorm_sq(ppv, m)

@@ -31,11 +31,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
 from hermwave.boundary import BoundarySpec, ghost_data, pair_sources
 from hermwave.conservative import full_step_conservative
-from hermwave.diagnostics import l2_error_field, seminorm_sq
+from hermwave.diagnostics import l2_error_field
 from hermwave.dissipative import SchemeConfig, half_step_1d
 from hermwave.driver import (
     default_config,
@@ -48,8 +50,9 @@ from hermwave.driver import (
     _study,
 )
 from hermwave.grid import DUAL, PRIMAL, Field1D, FieldPair, Grid1D, TwoLevelState
-from hermwave.interp import apply_interp, interpolate_1d
-from hermwave.poly import CellPolynomial, PiecewisePolynomial
+from hermwave.interp import apply_interp
+
+from piecewise import CellPolynomial, PiecewisePolynomial, interpolate_1d, seminorm_sq
 
 
 def _rate_check(tag, rate, target, tol, ladder=None, stock=None):
@@ -224,44 +227,70 @@ def _dissipative_center_oracle(udata, vdata, lam, speed, h):
     return u, v
 
 
+def _exactness_level(kinds, values):
+    """The six-cell grid of criterion 5, periodic or with the given walls."""
+    grid = Grid1D(0.0, 3.0, 6, periodic=kinds is None)
+    return grid, BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values)
+
+
+# Each (lam, m) cell also draws lam' = lam - back in (lam - 1/2, lam], so
+# the two lam cells together cover (0, 1]; back = 0 is always run.
+_EXACTNESS_DRAWS = dict(
+    back=st.floats(0.0, 0.5, exclude_max=True),
+    kinds=st.sampled_from((None, ("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann0"),
+                           ("neumann0", "dirichlet0"), ("neumann0", "neumann0"))),
+    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.5, 1.0])
-def test_criterion5_dissipative_polynomial_exactness(m, lam):
-    rng = np.random.default_rng(500 + m)
-    n = 6
-    grid = Grid1D(0.0, 3.0, n, periodic=True)
+@settings(max_examples=20, deadline=None)
+@given(**_EXACTNESS_DRAWS)
+@example(back=0.0, kinds=None, values=(0.0, 0.0), parity=PRIMAL, seed=0)
+def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, values, parity, seed):
+    rng = np.random.default_rng(seed)
+    lam = lam - back
+    grid, bc = _exactness_level(kinds, values)
     cfg = SchemeConfig(m=m, lam=lam)
-    bc = BoundarySpec()
+    nodes = grid.n_nodes(parity)
     pair = FieldPair(
-        Field1D(grid, PRIMAL, 0.0, rng.standard_normal((n, m + 1))),
-        Field1D(grid, PRIMAL, 0.0, rng.standard_normal((n, m))),
+        Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m + 1))),
+        Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m))),
     )
     out = half_step_1d(pair, cfg, bc)
+    # the flank data the stepper reads: v reflects about 0 at walls
     udata, _ = pair_sources(pair.u, bc)
-    vdata, _ = pair_sources(pair.v, bc)
+    vdata, _ = pair_sources(pair.v, bc, dirichlet_values=(0.0, 0.0))
     scale = np.abs(udata).max()
     worst = 0.0
-    for i in range(n):
+    for i in range(len(udata)):
         uref, vref = _dissipative_center_oracle(udata[i], vdata[i], lam, 1.0, grid.h)
         worst = max(
             worst,
             abs(out.u.values[i, 0] - uref) / scale,
             abs(out.v.values[i, 0] - vref) / scale,
         )
-    _bound_check(f"one-step exactness dissipative m={m} lam={lam}", worst, 1e-12)
+    _bound_check(f"one-step exactness dissipative m={m} lam={lam:.4g} "
+                 f"{kinds or 'periodic'} {parity}", worst, 1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.5, 1.0])
-def test_criterion5_conservative_polynomial_exactness(m, lam):
-    rng = np.random.default_rng(520 + m)
-    n = 6
-    grid = Grid1D(0.0, 3.0, n, periodic=True)
+@settings(max_examples=20, deadline=None)
+@given(**_EXACTNESS_DRAWS)
+@example(back=0.0, kinds=None, values=(0.0, 0.0), parity=PRIMAL, seed=0)
+def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, values, parity, seed):
+    rng = np.random.default_rng(seed)
+    lam = lam - back
+    grid, bc = _exactness_level(kinds, values)
     cfg = SchemeConfig(m=m, lam=lam)
-    bc = BoundarySpec()
+    other = DUAL if parity == PRIMAL else PRIMAL
     state = TwoLevelState(
-        Field1D(grid, PRIMAL, 0.0, rng.standard_normal((n, m + 1))),
-        Field1D(grid, DUAL, -0.1, rng.standard_normal((n, m + 1))),
+        Field1D(grid, parity, 0.0, rng.standard_normal((grid.n_nodes(parity), m + 1))),
+        Field1D(grid, other, -0.1, rng.standard_normal((grid.n_nodes(other), m + 1))),
     )
     out = full_step_conservative(state, cfg, bc)
     data, centers = pair_sources(state.current, bc)
@@ -269,12 +298,13 @@ def test_criterion5_conservative_polynomial_exactness(m, lam):
     scale = np.abs(coeffs).max()
     rho = 0.5 * lam
     worst = 0.0
-    for i in range(n):
+    for i in range(len(data)):
         p = CellPolynomial(centers[i], grid.h, coeffs[i])
         avg = 0.5 * (p(centers[i] + rho * grid.h) + p(centers[i] - rho * grid.h))
         ref = 2.0 * avg - state.previous.values[i, 0]
         worst = max(worst, abs(out.current.values[i, 0] - ref) / scale)
-    _bound_check(f"one-step exactness conservative m={m} lam={lam}", worst, 1e-12)
+    _bound_check(f"one-step exactness conservative m={m} lam={lam:.4g} "
+                 f"{kinds or 'periodic'} {parity}", worst, 1e-12)
 
 
 # ---------------------------------------------------------------------------

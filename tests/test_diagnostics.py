@@ -14,18 +14,22 @@ from hermwave.diagnostics import (
     conservative_energy,
     default_npts,
     dissipative_energy,
-    field_interpolant,
     fit_rate,
     gauss_rule,
     l2_error_field,
     l2_errors_pair,
-    seminorm_sq,
 )
-from hermwave.dissipative import SchemeConfig
+from hermwave.dissipative import SchemeConfig, half_step_1d
 from hermwave.grid import DUAL, PRIMAL, Field1D, FieldPair, Grid1D, TwoLevelState
-from hermwave.poly import CellPolynomial, PiecewisePolynomial
 
 from energy_oracle import conserved_pair, oracle_energy, pp_subtract, seminorm_energy, shift
+from piecewise import (
+    CellPolynomial,
+    PiecewisePolynomial,
+    field_interpolant,
+    oracle_dissipative_energy,
+    seminorm_sq,
+)
 
 
 def _sine_data(xs, h, count, fn=np.sin):
@@ -144,7 +148,7 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, values, extra, seed)
     want = (
         l2_error(ppu, np.sin, npts, clip),
         l2_error(ppu.derivative(1), np.cos, npts, clip),
-        l2_error(field_interpolant(v, bc), np.exp, npts, clip),
+        l2_error(field_interpolant(v, bc, (0.0, 0.0)), np.exp, npts, clip),
     )
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
@@ -282,6 +286,51 @@ def test_dissipative_energy_constant_curvature(m):
     K = math.factorial(m + 1)
     want = speed * speed * K * K * L
     assert dissipative_energy(pair, speed, bc) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 30),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    kinds=st.sampled_from((None, ("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann0"),
+                           ("neumann0", "dirichlet0"), ("neumann0", "neumann0"))),
+    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    speed=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dissipative_energy_matches_oracle(m, n, parity, kinds, values, speed, seed):
+    """The cached per-cell forms against the piecewise assembly."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-0.7, 1.3, n, periodic=kinds is None)
+    bc = BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values)
+    nodes = grid.n_nodes(parity)
+    pair = FieldPair(Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m + 1))),
+                     Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m))))
+    got = dissipative_energy(pair, speed, bc)
+    want = oracle_dissipative_energy(pair, speed, bc)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_wall_diagnostics_reflect_velocity_about_zero():
+    """u at its constant Dirichlet value and v = 0 is steady; the diagnostics agree.
+
+    The stepper reflects v about 0 at walls (u_t = 0 there for a wall value
+    constant in time), so the diagnostics must gather v the same way.
+    """
+    m, value = 2, 0.7
+    grid = Grid1D(0.0, 1.0, 6, periodic=False)
+    bc = BoundarySpec("dirichlet0", "dirichlet0", value, value)
+    nodes = grid.n_nodes(DUAL)
+    u = np.zeros((nodes, m + 1))
+    u[:, 0] = value
+    pair = FieldPair(Field1D(grid, DUAL, 0.0, u), Field1D(grid, DUAL, 0.0, np.zeros((nodes, m))))
+    stepped = half_step_1d(pair, SchemeConfig(m=m, lam=0.8), bc)
+    assert np.abs(stepped.v.values).max() <= 1e-13
+    # rounding in u's top interpolant coefficients leaves about 1e-24
+    assert dissipative_energy(pair, 1.0, bc) <= 1e-20
+    zero = np.zeros_like
+    assert l2_errors_pair(pair, lambda x: value + zero(x), zero, zero, bc)[2] <= 1e-13
 
 
 def test_conservative_energy_invariant_under_step():

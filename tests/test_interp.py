@@ -11,9 +11,9 @@ from hermwave.interp import (
     apply_interp,
     apply_interp_2d,
     interp_matrix,
-    interpolate_1d,
 )
-from hermwave.poly import CellPolynomial
+
+from piecewise import CellPolynomial, interpolate_1d
 
 
 def test_order_zero_matrix():

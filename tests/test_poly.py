@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hermwave.poly import CellPolynomial, PiecewisePolynomial
-
 from energy_oracle import shift
+from piecewise import CellPolynomial, PiecewisePolynomial
 
 
 def test_eval_matches_monomial_sum():
