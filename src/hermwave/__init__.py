@@ -3,10 +3,9 @@
 from .boundary import BoundarySpec, BoundarySpec2D, ghost_data, ghost_data_2d
 from .conservative import (
     bootstrap_first_half,
-    conservative_update_1d,
-    conservative_update_2d,
+    conservative_update,
     full_step_conservative,
-    pascal_table,
+    two_level_tensor,
 )
 from .diagnostics import (
     ErrorReport,
@@ -52,8 +51,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySpec", "BoundarySpec2D", "ghost_data", "ghost_data_2d",
-    "bootstrap_first_half", "conservative_update_1d", "conservative_update_2d",
-    "full_step_conservative", "pascal_table",
+    "bootstrap_first_half", "conservative_update", "full_step_conservative",
+    "two_level_tensor",
     "ErrorReport", "conservative_energy", "dissipative_energy",
     "fit_rate", "l2_error_field", "l2_error_field_2d", "l2_errors_pair",
     "SchemeConfig", "eval_series", "expand_taylor", "expand_taylor_2d",

@@ -45,7 +45,6 @@ _CUSTOM_FLAGS = (
     ("--init", dict(choices=INITS, help="conservative start-up data")),
     ("--boundary", dict(choices=BOUNDARIES, help="wall treatment (gaussian1d)")),
     ("--mode", dict(choices=MODES, help="conserve1d data: smooth or random")),
-    ("--refine", dict(type=float, help="grid growth factor between levels")),
     ("--sample-every", dict(type=int, dest="sample_every",
                             help="energy sampling stride (conserve1d)")),
 )
@@ -77,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _FLAG_KEYS = ("scheme", "m", "lam", "levels", "n0", "steps", "seed", "out",
-              "init", "boundary", "mode", "refine", "sample_every")
+              "init", "boundary", "mode", "sample_every")
 
 
 def _assemble(args: argparse.Namespace) -> RunConfig:

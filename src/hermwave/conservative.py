@@ -7,19 +7,20 @@ Any solution of u_tt = c^2 Delta u satisfies the two-level identity
 whose right-hand side involves only even space derivatives at time t.
 Applying it at a target node, with u(., t) replaced by the Hermite
 interpolant centered there, gives an explicit update for the node data at
-t+dt/2 from the interpolant and the data at t-dt/2 on the same grid. In
-scaled coefficients the 1D update reads
+t+dt/2 from the interpolant and the data at t-dt/2 on the same grid. In d
+dimensions Delta^p expands multinomially, Delta^p = sum_{|i|=p} p!/prod(i_q!)
+prod(d_q^(2 i_q)), so in scaled coefficients, with rho_q = c dt/(2h_q),
 
-    c_k^{n+1/2} = -c_k^{n-1/2}
-                  + 2 sum_l (c dt/(2h))**(2l) C(2l+k, k) c_{2l+k, 0},
+    c_k^{n+1/2} = -c_k^{n-1/2} + 2 sum_i p!/prod(i_q!) prod((2i_q)!)/(2p)!
+                  prod(C(k_q+2i_q, k_q) rho_q**(2i_q)) c_{k+2i},
 
-summed while 2l+k stays within degree 2m+1 (which captures every term of
-the identity for the polynomial interpolant, so resolved polynomial data
-is evolved exactly). In 2D the Delta^p binomial expansion produces a
-scaled Pascal's triangle over the pair of half-CFL ratios c*dt/(2h_x),
-c*dt/(2h_y). Interpolation and update are linear in the gathered current
-level, so a step multiplies it by one cached matrix (`fold`) and
-subtracts the previous level.
+summed while every k_q+2i_q stays within degree 2m+1 (which captures every
+term of the identity for the polynomial interpolant, so resolved
+polynomial data is evolved exactly). In 1D the weight is C(k+2i, k)
+rho**(2i). One cached tensor (`two_level_tensor`) serves every dimension.
+Interpolation and update are linear in the gathered current level, so a
+step multiplies it by one cached matrix (`fold`) and subtracts the
+previous level.
 
 The first half step is bootstrapped with the dissipative module's Taylor
 recursion applied to full-order interpolants of the initial displacement
@@ -30,7 +31,7 @@ comfortably exceeds the O(h^(2m+1)) the two-level scheme needs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,88 +42,64 @@ from .grid import Field1D, TwoLevelState, flip
 from .interp import apply_interp, apply_interp_2d
 
 
-def pascal_table(m: int) -> np.ndarray:
-    """Pascal coefficients for the 2D update.
+@lru_cache(maxsize=64)
+def two_level_tensor(m: int, rhos: tuple) -> np.ndarray:
+    """Read-only W[k..., a...] with new data -prev + 2 W c for interpolant c.
 
-    P[i, j] = C(i+j, i) (the Pascal recurrence P_{i,j} = P_{i-1,j} +
-    P_{i,j-1}) for i+j <= 2m, zero beyond.
+    One axis per entry of `rhos` = c dt/(2h) per axis. The entry at
+    a = k + 2i is p!/prod(i_q!) * prod((2i_q)!)/(2p)! * prod(C(a_q, k_q)
+    rho_q**(2i_q)) with p = sum(i_q); its integer part is one correctly
+    rounded ratio of Python integers.
     """
-    n = 2 * m + 1
-    base = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i + j <= 2 * m:
-                base[i, j] = math.comb(i + j, i)
-    return base
-
-
-def _update_matrix_1d(m: int, rho: float) -> np.ndarray:
-    """W[k, j] with c_k^{new} = -c_k^{prev} + 2 (W @ coeffs)_k."""
-    w = np.zeros((m + 1, 2 * m + 2))
-    for k in range(m + 1):
-        for j in range(k, 2 * m + 2, 2):
-            w[k, j] = math.comb(j, k) * rho ** (j - k)
+    d = len(rhos)
+    w = np.zeros((m + 1,) * d + (2 * m + 2,) * d)
+    for k in np.ndindex(w.shape[:d]):
+        for i in np.ndindex(w.shape[:d]):
+            a = tuple(kq + 2 * iq for kq, iq in zip(k, i))
+            if max(a) > 2 * m + 1:
+                continue
+            p = sum(i)
+            num = math.factorial(p) * math.prod(
+                math.factorial(2 * iq) * math.comb(aq, kq) for aq, kq, iq in zip(a, k, i))
+            den = math.factorial(2 * p) * math.prod(math.factorial(iq) for iq in i)
+            val = num / den
+            for rho, iq in zip(rhos, i):
+                val *= rho ** (2 * iq)
+            w[k + a] = val
+    w.setflags(write=False)
     return w
 
 
-def _update_tensor_2d(m: int, rho_x: float, rho_y: float) -> np.ndarray:
-    """WT[k, l, a, b] acting on interpolant coefficients c_{a,b}.
-
-    Entry at a = k+2i, b = l+2j is C(k+2i,k) C(l+2j,l) P_{i,j} (2i)!(2j)!
-    / (2i+2j)! times the rho powers; the integer part is build exactly.
-    """
-    kk = 2 * m + 2
-    table = pascal_table(m)
-    wt = np.zeros((m + 1, m + 1, kk, kk))
-    for k in range(m + 1):
-        for l in range(m + 1):
-            for i in range(m + 1):
-                a = k + 2 * i
-                if a > 2 * m + 1:
-                    break
-                for j in range(m + 1):
-                    b = l + 2 * j
-                    if b > 2 * m + 1:
-                        break
-                    frac = Fraction(
-                        math.comb(a, k) * math.comb(b, l) * int(table[i, j]),
-                        math.comb(2 * i + 2 * j, 2 * i),
-                    )
-                    wt[k, l, a, b] = float(frac) * rho_x ** (2 * i) * rho_y ** (2 * j)
-    return wt
-
-
-def conservative_update_1d(interp, prev, cfg: SchemeConfig) -> np.ndarray:
+def conservative_update(interp, prev, m: int, rhos) -> np.ndarray:
     """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
 
     Args:
-        interp: (..., 2m+2) coefficients of the interpolant centered at
-            the target node (batched).
-        prev: (..., m+1) node data at t-dt/2.
+        interp: (..., 2m+2 per axis) coefficients of the interpolant
+            centered at the target node (batched).
+        prev: (..., m+1 per axis) node data at t-dt/2.
+        rhos: c dt/(2h) per axis.
     """
+    w = two_level_tensor(m, tuple(rhos))
+    d = len(rhos)
     coeffs = np.asarray(interp, dtype=float)
-    prev = np.asarray(prev, dtype=float)
-    rho = 0.5 * cfg.lam  # c*dt/(2h)
-    w = _update_matrix_1d(cfg.m, rho)
-    return 2.0 * (coeffs @ w.T) - prev
+    batch = coeffs.shape[: coeffs.ndim - d]
+    out = coeffs.reshape(batch + (-1,)) @ w.reshape((m + 1) ** d, -1).T
+    return 2.0 * out.reshape(batch + w.shape[:d]) - np.asarray(prev, dtype=float)
 
 
-def conservative_update_2d(interp, prev, cfg: SchemeConfig, hx: float, hy: float) -> np.ndarray:
-    """Tensor version; reads the (..., 2m+2, 2m+2) interpolant coefficients."""
-    coeffs = np.asarray(interp, dtype=float)
-    prev = np.asarray(prev, dtype=float)
-    dt = cfg.dt(min(hx, hy))
-    wt = _update_tensor_2d(cfg.m, 0.5 * cfg.speed * dt / hx, 0.5 * cfg.speed * dt / hy)
-    return 2.0 * np.einsum("klab,...ab->...kl", wt, coeffs, optimize=True) - prev
-
-
-def _update_1d(data, cfg):
+def _update(data, m, rhos):
     """The update of gathered current data with prev = 0, the map `fold` builds."""
-    return (conservative_update_1d(apply_interp(data), 0.0, cfg),)
+    interp = apply_interp(data) if len(rhos) == 1 else apply_interp_2d(data)
+    return (conservative_update(interp, 0.0, m, rhos),)
 
 
-def _update_2d(data, cfg, hx, hy):
-    return (conservative_update_2d(apply_interp_2d(data), 0.0, cfg, hx, hy),)
+@lru_cache(maxsize=64)
+def _rhos(lam: float, hs: tuple) -> tuple:
+    """c dt/(2h) per axis; dt is set by the smallest spacing, so only h ratios enter.
+
+    Cached because it runs on every step.
+    """
+    return tuple(0.5 * lam * (min(hs) / h) for h in hs)
 
 
 def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLevelState:
@@ -134,15 +111,14 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLe
     cur = state.current
     prev = state.previous.values
     if isinstance(cur, Field1D):
-        dt = cfg.dt(cur.grid.h)
+        hs = (cur.grid.h,)
         data, _ = pair_sources(cur, bc)
-        (a,) = fold(_update_1d, (data.shape[1:],), cfg)
     else:
-        hx, hy = cur.grid.hx, cur.grid.hy
-        dt = cfg.dt(min(hx, hy))
+        hs = (cur.grid.hx, cur.grid.hy)
         data, _, _ = corner_sources(cur, bc)
-        (a,) = fold(_update_2d, (data.shape[2:],), cfg, hx, hy)
-    new_vals = (rows(data, cur.values.ndim // 2) @ a).reshape(prev.shape) - prev
+    (a,) = fold(_update, (data.shape[len(hs):],), cfg.m, _rhos(cfg.lam, hs))
+    new_vals = (rows(data, len(hs)) @ a).reshape(prev.shape) - prev
+    dt = cfg.dt(min(hs))
     new = state.previous.with_values(new_vals, time=cur.time + 0.5 * dt)
     return TwoLevelState(current=new, previous=cur)
 

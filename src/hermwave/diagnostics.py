@@ -44,7 +44,7 @@ import numpy as np
 
 from .boundary import (BoundarySpec, BoundarySpec2D, corner_sources, gather_index,
                        pair_sources)
-from .grid import Field1D, Field2D, FieldPair, flip
+from .grid import Field1D, Field2D, FieldPair, Grid1D, flip
 from .interp import apply_interp, apply_interp_2d, interp_matrix
 
 
@@ -66,34 +66,39 @@ def default_npts(m: int) -> int:
 # L2 errors
 
 
-def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int, dirichlet_values=None):
-    """Interpolant coefficients and Gauss points on every cell of a 1D field.
+def _axis_rule(grid: Grid1D, centers: np.ndarray, npts: int):
+    """Gauss rule on each cell of one axis, cells centred on the gather's targets.
 
-    Cells are centred on the target nodes of the gather. On wall grids
-    they are clipped to the domain (a dual field's ghost-backed edge cells
-    stick out by h/2) and empty ones are dropped; periodic cells cover one
-    period as they are, on a window shifted by up to h/2.
+    On wall grids the cells are clipped to the domain (a dual field's
+    ghost-backed edge cells stick out by h/2) and empty ones are dropped;
+    periodic cells cover one period as they are, on a window shifted by up
+    to h/2.
 
     Returns:
-        coeffs: (cells, 2mu+2) scaled coefficients of the interpolant.
+        keep: index of the kept cells.
         quad: (x, xi, wg, half) with x the (cells, npts) Gauss points, xi
             their scaled variable, wg the rule's weights and half the
             (cells,) half-lengths of the integration intervals.
     """
-    data, centers = pair_sources(field, bc, dirichlet_values)
-    coeffs = apply_interp(data)
-    grid = field.grid
     h = grid.h
     a, b = centers - 0.5 * h, centers + 0.5 * h
+    keep = slice(None)
     if not grid.periodic:
         a, b = np.maximum(a, grid.x_left), np.minimum(b, grid.x_right)
         keep = b > a
-        coeffs, centers, a, b = coeffs[keep], centers[keep], a[keep], b[keep]
+        centers, a, b = centers[keep], a[keep], b[keep]
     xg, wg = gauss_rule(npts)
     half = 0.5 * (b - a)
     x = 0.5 * (a + b)[:, None] + half[:, None] * xg
     xi = (x - centers[:, None]) / h
-    return coeffs, (x, xi, wg, half)
+    return keep, (x, xi, wg, half)
+
+
+def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int, dirichlet_values=None):
+    """Interpolant coefficients (cells, 2mu+2) and `_axis_rule` of a 1D field."""
+    data, centers = pair_sources(field, bc, dirichlet_values)
+    keep, quad = _axis_rule(field.grid, centers, npts)
+    return apply_interp(data)[keep], quad
 
 
 def _cell_l2(coeffs, quad, exact) -> float:
@@ -131,21 +136,21 @@ def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v,
 
 def l2_error_field_2d(field: Field2D, exact, bc: BoundarySpec2D,
                       npts: int | None = None) -> float:
-    """L2 error of the global tensor interpolant against exact(X, Y)."""
+    """L2 error of the global tensor interpolant against exact(X, Y).
+
+    Each axis's cells are clipped to the domain as in the 1D errors.
+    """
     mx, my = field.orders
     npts = npts or default_npts(max(mx, my))
     data, cx, cy = corner_sources(field, bc)
-    coeffs = apply_interp_2d(data)  # (ncx, ncy, 2mx+2, 2my+2)
-    hx, hy = field.grid.hx, field.grid.hy
-    xg, wg = gauss_rule(npts)
-    vx = np.vander(0.5 * xg, coeffs.shape[-2], increasing=True)  # (p, a)
-    vy = np.vander(0.5 * xg, coeffs.shape[-1], increasing=True)
-    vals = np.einsum("ijab,pa,qb->ijpq", coeffs, vx, vy, optimize=True)
-    x = cx[:, None] + 0.5 * hx * xg[None, :]  # (ncx, p)
-    y = cy[:, None] + 0.5 * hy * xg[None, :]
+    kx, (x, xix, wg, halfx) = _axis_rule(field.grid.axis(0), cx, npts)
+    ky, (y, xiy, _, halfy) = _axis_rule(field.grid.axis(1), cy, npts)
+    coeffs = apply_interp_2d(data[kx][:, ky])  # (cells x, cells y, 2mx+2, 2my+2)
+    vx = xix[..., None] ** np.arange(coeffs.shape[-2])  # (cells x, p, a)
+    vy = xiy[..., None] ** np.arange(coeffs.shape[-1])
+    vals = vx[:, None] @ coeffs @ vy.transpose(0, 2, 1)[None]  # (cells x, cells y, p, q)
     diff = vals - exact(x[:, None, :, None], y[None, :, None, :])
-    w2 = wg[:, None] * wg[None, :]
-    total = np.sum(diff * diff * w2) * (0.25 * hx * hy)
+    total = np.einsum("ijpq,ip,jq->", diff * diff, halfx[:, None] * wg, halfy[:, None] * wg)
     return math.sqrt(total)
 
 

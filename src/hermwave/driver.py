@@ -53,6 +53,7 @@ EXPERIMENTS = ("gaussian1d", "conserve1d", "planewave2d")
 BOUNDARIES = ("dirichlet0", "neumann0", "periodic")
 MODES = ("smooth", "random")
 INITS = ("exact", "bootstrap")
+REFINE = 1.2  # grid growth factor between the levels of a refinement study
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class RunConfig:
     lam: float = 0.8
     levels: int = 6
     n0: int = 10
-    refine: float = 1.2
     steps: int = 10000
     sample_every: int = 100
     seed: int | None = None
@@ -85,8 +85,6 @@ class RunConfig:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if self.n0 < 4:
             raise ConfigError(f"n0 must be >= 4, got {self.n0}")
-        if self.refine <= 1.0:
-            raise ConfigError(f"refine must exceed 1, got {self.refine}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.sample_every < 1:
@@ -108,7 +106,7 @@ class RunConfig:
     def level_sizes(self) -> list[int]:
         sizes = [self.n0]
         for _ in range(self.levels - 1):
-            sizes.append(math.ceil(round(self.refine * sizes[-1], 9)))
+            sizes.append(math.ceil(round(REFINE * sizes[-1], 9)))
         return sizes
 
     def scheme_config(self) -> SchemeConfig:
@@ -135,7 +133,6 @@ _KEY_TYPES = {
     "lambda": float,
     "levels": int,
     "n0": int,
-    "refine": float,
     "steps": int,
     "sample_every": int,
     "seed": int,

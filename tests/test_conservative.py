@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
+from numpy.polynomial import polynomial as npoly
 
 from hermwave.boundary import BoundarySpec, BoundarySpec2D, pair_sources
 from hermwave.conservative import (
     bootstrap_first_half,
-    conservative_update_1d,
-    conservative_update_2d,
+    conservative_update,
     full_step_conservative,
-    pascal_table,
 )
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, Grid1D, Grid2D, TwoLevelState
@@ -20,27 +21,24 @@ from hermwave.interp import apply_interp
 
 
 def test_zero_update_is_zero():
-    cfg = SchemeConfig(m=2, lam=0.7)
-    out = conservative_update_1d(np.zeros((4, 6)), np.zeros((4, 3)), cfg)
+    out = conservative_update(np.zeros((4, 6)), np.zeros((4, 3)), 2, (0.35,))
     assert np.all(out == 0.0)
 
 
 def test_linear_profile_is_steady():
     # 2*(projection of a linear interpolant) - same data = same data
     rng = np.random.default_rng(30)
-    cfg = SchemeConfig(m=2, lam=1.0)
     a = np.zeros((3, 6))
     a[:, 0] = rng.standard_normal(3)
     a[:, 1] = rng.standard_normal(3)
     prev = a[:, :3].copy()
-    out = conservative_update_1d(a, prev, cfg)
+    out = conservative_update(a, prev, 2, (0.5,))
     np.testing.assert_allclose(out, prev, atol=1e-15)
 
 
 def test_first_order_quadratic_update():
     # m=1, lam=1: xi**2 interpolant over zero previous data
-    cfg = SchemeConfig(m=1, lam=1.0)
-    out = conservative_update_1d(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), cfg)
+    out = conservative_update(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), 1, (0.5,))
     np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
 
 
@@ -52,11 +50,10 @@ def test_update_matches_even_shift_average(m, lam):
     its Taylor coefficients at the target are exactly the update's output.
     """
     rng = np.random.default_rng(70 + m)
-    cfg = SchemeConfig(m=m, lam=lam, speed=1.7)
     a = rng.standard_normal((5, 2 * m + 2))
     prev = rng.standard_normal((5, m + 1))
-    out = conservative_update_1d(a, prev, cfg)
     rho = 0.5 * lam
+    out = conservative_update(a, prev, m, (rho,))
     for i in range(5):
         p = P(a[i])
         avg = 0.5 * (p(P([rho, 1.0])) + p(P([-rho, 1.0])))
@@ -65,11 +62,44 @@ def test_update_matches_even_shift_average(m, lam):
         np.testing.assert_allclose(out[i], 2.0 * coef - prev[i], rtol=1e-12, atol=1e-13)
 
 
-def test_pascal_base_entries():
-    t = pascal_table(2)
-    assert t[1, 1] == 2.0
-    assert t[2, 2] == 6.0
-    assert t[0, 0] == 1.0
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    lam=st.floats(0.0, 1.0, exclude_min=True),
+    speed=st.floats(0.5, 2.0),
+    hx=st.floats(0.05, 0.5),
+    aspect=st.floats(0.3, 3.0).filter(lambda r: abs(r - 1.0) > 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, seed):
+    """The 2D update against 2 sum_p (c dt/2)^(2p)/(2p)! Delta^p q, minus prev.
+
+    q is the interpolant in the scaled variables (x/hx, y/hy), so Delta is
+    the second polyder along each axis over hx^2 and hy^2; its mixed terms
+    come from the repeated application, not from any weight table.
+    """
+    hy = aspect * hx
+    dt = lam * min(hx, hy) / speed
+    rng = np.random.default_rng(seed)
+    kk = 2 * m + 2
+    q = rng.standard_normal((kk, kk))
+    prev = rng.standard_normal((m + 1, m + 1))
+
+    def laplacian(c):
+        out = np.zeros_like(c)
+        out[:-2, :] += npoly.polyder(c, 2, axis=0) / hx**2
+        out[:, :-2] += npoly.polyder(c, 2, axis=1) / hy**2
+        return out
+
+    want, term = np.zeros_like(q), q
+    for p in range(2 * m + 2):
+        want += 2.0 * (0.5 * speed * dt) ** (2 * p) / math.factorial(2 * p) * term
+        term = laplacian(term)
+    assert not term.any()
+    want = want[: m + 1, : m + 1] - prev
+    rhos = (0.5 * speed * dt / hx, 0.5 * speed * dt / hy)
+    got = conservative_update(q[None], prev[None], m, rhos)[0]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _sine_field(grid, m, parity, t=0.0, omega=1.0):
@@ -231,6 +261,5 @@ def test_2d_reduces_to_1d_on_y_independent_data():
 
 
 def test_2d_update_zero():
-    cfg = SchemeConfig(m=1, lam=0.6)
-    out = conservative_update_2d(np.zeros((3, 3, 4, 4)), np.zeros((3, 3, 2, 2)), cfg, 0.2, 0.2)
+    out = conservative_update(np.zeros((3, 3, 4, 4)), np.zeros((3, 3, 2, 2)), 1, (0.3, 0.3))
     assert np.all(out == 0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermwave.boundary import BoundarySpec
+from hermwave.boundary import BoundarySpec, BoundarySpec2D
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import (
     ErrorReport,
@@ -17,10 +17,12 @@ from hermwave.diagnostics import (
     fit_rate,
     gauss_rule,
     l2_error_field,
+    l2_error_field_2d,
     l2_errors_pair,
 )
 from hermwave.dissipative import SchemeConfig, half_step_1d
-from hermwave.grid import DUAL, PRIMAL, Field1D, FieldPair, Grid1D, TwoLevelState
+from hermwave.grid import (DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D,
+                           TwoLevelState)
 
 from energy_oracle import conserved_pair, oracle_energy, pp_subtract, seminorm_energy, shift
 from piecewise import (
@@ -441,3 +443,24 @@ def test_error_report_validation():
             dts=np.array([0.2, 0.1]),
             err_u=np.array([1.0, 0.0]),  # nonpositive error
         )
+
+
+@pytest.mark.parametrize("parity", [PRIMAL, DUAL])
+def test_l2_error_2d_clips_wall_cells(parity):
+    """A constant 1 on the unit square has L2 norm 1 on either parity.
+
+    The walls of both kinds (Dirichlet value 1) reproduce the constant in
+    the ghost-backed edge cells of a dual level, which reach h/2 past each
+    wall; counted unclipped they would read 1.25 on a 4x4 level.
+    """
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4, periodic=False)
+    bc = BoundarySpec2D(BoundarySpec("dirichlet0", "neumann0", left_value=1.0),
+                        BoundarySpec("neumann0", "dirichlet0", right_value=1.0))
+    m = 2
+    nodes = (grid.axis(0).n_nodes(parity), grid.axis(1).n_nodes(parity))
+    vals = np.zeros(nodes + (m + 1, m + 1))
+    vals[..., 0, 0] = 1.0
+    field = Field2D(grid, parity, 0.0, vals)
+    zero = lambda x, y: 0.0 * x * y
+    assert abs(l2_error_field_2d(field, zero, bc) - 1.0) <= 1e-14
+    assert l2_error_field_2d(field, lambda x, y: 1.0 + zero(x, y), bc) < 1e-14

@@ -414,6 +414,23 @@ def test_cli_rejects_stage_cap_config_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_cli_rejects_refine_flag(capsys):
+    """Every study grows its ladder by the same factor; the CLI has no knob for it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["custom", "--experiment", "gaussian1d", "--refine", "1.5"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+def test_cli_rejects_refine_config_key(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("refine = 1.5\n")
+    rc = cli.main(["gaussian1d", "--config", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown key" in err
+
+
 STEPPERS = ("half_step_1d", "half_step_2d", "full_step_conservative", "bootstrap_first_half")
 
 

@@ -10,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermwave.boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
-from hermwave.conservative import (
-    conservative_update_1d,
-    conservative_update_2d,
-    full_step_conservative,
-)
+from hermwave.conservative import conservative_update, full_step_conservative
 from hermwave.dissipative import (
     SchemeConfig,
     half_step_1d,
@@ -78,7 +74,7 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field1D(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
-                  conservative_update_1d(apply_interp(du), prev, cfg))
+                  conservative_update(apply_interp(du), prev, m, (0.5 * lam,)))
 
     grid = Grid2D(-1.0, 0.7, 0.0, 1.3, 4, 3, periodic)
     bc = BoundarySpec2D(data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
@@ -90,13 +86,15 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     du, _, _ = corner_sources(u, bc)
     dv, _, _ = corner_sources(v, bc, dirichlet_values=(0.0, 0.0))
     hx, hy = grid.hx, grid.hy
+    dt = cfg.dt(min(hx, hy))
     got = half_step_2d(FieldPair(u, v), cfg, bc)
-    want = taylor_half_step_2d(du, dv, cfg.dt(min(hx, hy)), hx, hy, speed, cfg.stages_2d())
+    want = taylor_half_step_2d(du, dv, dt, hx, hy, speed, cfg.stages_2d())
     _assert_close(got.u.values, want[0])
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field2D(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
-                  conservative_update_2d(apply_interp_2d(du), prev, cfg, hx, hy))
+                  conservative_update(apply_interp_2d(du), prev, m,
+                                      (0.5 * speed * dt / hx, 0.5 * speed * dt / hy)))
 
 
 @settings(max_examples=60, deadline=None)
