@@ -20,7 +20,6 @@ from .dissipative import (
     SchemeConfig,
     eval_series,
     expand_taylor,
-    expand_taylor_2d,
     half_step_1d,
     half_step_2d,
 )
@@ -45,7 +44,7 @@ from .grid import (
     Grid2D,
     TwoLevelState,
 )
-from .interp import apply_interp, apply_interp_2d, interp_matrix
+from .interp import apply_interp, interp_matrix
 
 __version__ = "0.1.0"
 
@@ -55,11 +54,11 @@ __all__ = [
     "two_level_tensor",
     "ErrorReport", "conservative_energy", "dissipative_energy",
     "fit_rate", "l2_error_field", "l2_error_field_2d", "l2_errors_pair",
-    "SchemeConfig", "eval_series", "expand_taylor", "expand_taylor_2d",
+    "SchemeConfig", "eval_series", "expand_taylor",
     "half_step_1d", "half_step_2d",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",
     "run_experiment", "run_gaussian_1d", "run_conservation_1d", "run_planewave_2d",
     "DUAL", "PRIMAL", "Field1D", "Field2D", "FieldPair", "Grid1D", "Grid2D",
     "TwoLevelState",
-    "apply_interp", "apply_interp_2d", "interp_matrix",
+    "apply_interp", "interp_matrix",
 ]

@@ -36,10 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import corner_sources, pair_sources
-from .dissipative import (SchemeConfig, eval_series, expand_taylor_2d, fold, rows,
-                          taylor_half_step_1d)
+from .dissipative import SchemeConfig, eval_series, expand_taylor, fold, rows
 from .grid import Field1D, TwoLevelState, flip
-from .interp import apply_interp, apply_interp_2d
+from .interp import apply_interp
 
 
 @lru_cache(maxsize=64)
@@ -89,8 +88,7 @@ def conservative_update(interp, prev, m: int, rhos) -> np.ndarray:
 
 def _update(data, m, rhos):
     """The update of gathered current data with prev = 0, the map `fold` builds."""
-    interp = apply_interp(data) if len(rhos) == 1 else apply_interp_2d(data)
-    return (conservative_update(interp, 0.0, m, rhos),)
+    return (conservative_update(apply_interp(data, len(rhos)), 0.0, m, rhos),)
 
 
 @lru_cache(maxsize=64)
@@ -110,11 +108,10 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLe
     """
     cur = state.current
     prev = state.previous.values
+    hs = cur.grid.spacings
     if isinstance(cur, Field1D):
-        hs = (cur.grid.h,)
         data, _ = pair_sources(cur, bc)
     else:
-        hs = (cur.grid.hx, cur.grid.hy)
         data, _, _ = corner_sources(cur, bc)
     (a,) = fold(_update, (data.shape[len(hs):],), cfg.m, _rhos(cfg.lam, hs))
     new_vals = (rows(data, len(hs)) @ a).reshape(prev.shape) - prev
@@ -135,19 +132,15 @@ def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
         TwoLevelState with `current` at t = dt/2 on the opposite parity
         and `previous` = g0.
     """
-    if isinstance(g0, Field1D):
-        h = g0.grid.h
-        dt = cfg.dt(h)
-        du, _ = pair_sources(g0, bc)
-        dv, _ = pair_sources(g1, bc, dirichlet_values=(0.0, 0.0))
-        u_half, _ = taylor_half_step_1d(du, dv, dt, h, cfg.speed, 2 * cfg.m + 3)
-    else:
-        hx, hy = g0.grid.hx, g0.grid.hy
-        dt = cfg.dt(min(hx, hy))
-        du, _, _ = corner_sources(g0, bc)
-        dv, _, _ = corner_sources(g1, bc, dirichlet_values=(0.0, 0.0))
-        ctab, _ = expand_taylor_2d(apply_interp_2d(du), apply_interp_2d(dv),
-                                   dt, hx, hy, cfg.speed, 4 * cfg.m + 4)
-        u_half = eval_series(ctab, 0.5)[..., : cfg.m + 1, : cfg.m + 1]
+    hs = g0.grid.spacings
+    ndim = len(hs)
+    dt = cfg.dt(min(hs))
+    gather = pair_sources if ndim == 1 else corner_sources
+    du = gather(g0, bc)[0]
+    dv = gather(g1, bc, dirichlet_values=(0.0, 0.0))[0]
+    # with full-order v seeds every stage past d(2m+2) is exactly zero
+    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
+                            cfg.speed, ndim * (2 * cfg.m + 2))
+    u_half = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(cfg.m + 1),) * ndim]
     current = g0.with_values(u_half, parity=flip(g0.parity), time=g0.time + 0.5 * dt)
     return TwoLevelState(current=current, previous=g0)

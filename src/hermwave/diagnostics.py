@@ -45,7 +45,7 @@ import numpy as np
 from .boundary import (BoundarySpec, BoundarySpec2D, corner_sources, gather_index,
                        pair_sources)
 from .grid import Field1D, Field2D, FieldPair, Grid1D, flip
-from .interp import apply_interp, apply_interp_2d, interp_matrix
+from .interp import apply_interp, interp_matrix
 
 
 @lru_cache(maxsize=64)
@@ -145,7 +145,7 @@ def l2_error_field_2d(field: Field2D, exact, bc: BoundarySpec2D,
     data, cx, cy = corner_sources(field, bc)
     kx, (x, xix, wg, halfx) = _axis_rule(field.grid.axis(0), cx, npts)
     ky, (y, xiy, _, halfy) = _axis_rule(field.grid.axis(1), cy, npts)
-    coeffs = apply_interp_2d(data[kx][:, ky])  # (cells x, cells y, 2mx+2, 2my+2)
+    coeffs = apply_interp(data[kx][:, ky], 2)  # (cells x, cells y, 2mx+2, 2my+2)
     vx = xix[..., None] ** np.arange(coeffs.shape[-2])  # (cells x, p, a)
     vy = xiy[..., None] ** np.arange(coeffs.shape[-1])
     vals = vx[:, None] @ coeffs @ vy.transpose(0, 2, 1)[None]  # (cells x, cells y, p, q)

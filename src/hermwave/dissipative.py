@@ -16,18 +16,22 @@ so running 2m stages evolves polynomial data exactly for c*dt <= h. One
 half step evaluates the truncated series at theta = 1/2 on the staggered
 node at the cell center and hands the data to the opposite grid.
 
-In 2D the same recursion runs on tensor coefficients with the two
-second-derivative terms summed. Seeding every series from I_{m,m} u alone
-is unstable at the full CFL number; the first stage of the v-recursion
-instead differentiates the mixed-order interpolants I_{m,m-1} u (for
-x-derivatives) and I_{m-1,m} u (for y), after which the plain recursion
-takes over. The price is that 2D evolution is no longer exact on
-polynomial data.
+In d axes the same recursion runs on tensor coefficients, one axis per
+spacing h_q, with the d second-derivative terms summed; one builder
+(`expand_taylor`, `taylor_half_step`) serves every d. Seeding every series
+from the full-order interpolant of u alone is unstable at the full CFL
+number in 2D; the first stage of the v-recursion instead sums, over the
+axes q, the second q-derivative of the interpolant of order m along q and
+m-1 along the others (I_{m,m-1} u for x and I_{m-1,m} u for y in 2D),
+after which the plain recursion takes over. In 1D that sum is the plain
+stage 1. The price is that 2D evolution is no longer exact on polynomial
+data. Past d(2m+2)-2 stages every coefficient is exactly zero (2m in 1D,
+4m+2 in 2D), so a half step runs that many (`SchemeConfig.stages`).
 
 Interpolation, recursion and evaluation are all linear in the gathered
-flanking data, so for fixed (m, dt, h, c, stages) a half step is one
-matrix. `fold` builds it once, one row block per gathered field, by
-pushing the identity through the pipeline (`taylor_half_step_1d/2d`); the
+flanking data, so for fixed (m, dt, h per axis, c, stages) a half step is
+one matrix. `fold` builds it once, one row block per gathered field, by
+pushing the identity through the pipeline (`taylor_half_step`); the
 steppers only gather, multiply, add and reshape.
 """
 
@@ -41,7 +45,7 @@ import numpy as np
 
 from .boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
 from .grid import Field1D, Field2D, FieldPair, flip
-from .interp import apply_interp, apply_interp_2d
+from .interp import apply_interp
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class SchemeConfig:
         speed: wave speed c > 0.
         lam: CFL number c*dt/h (smallest h in 2D), in (0, 1].
         stage_cap: optional cap on the number of Taylor stages; default is
-            the full truncation depth (2m in 1D, 4m+4 in 2D).
+            the full truncation depth d(2m+2)-2 in d axes (2m in 1D, 4m+2
+            in 2D), past which every stage is exactly zero.
     """
 
     m: int
@@ -74,37 +79,65 @@ class SchemeConfig:
     def dt(self, h: float) -> float:
         return self.lam * h / self.speed
 
-    def stages_1d(self) -> int:
-        return 2 * self.m if self.stage_cap is None else self.stage_cap
-
-    def stages_2d(self) -> int:
-        return 4 * self.m + 4 if self.stage_cap is None else self.stage_cap
+    def stages(self, ndim: int) -> int:
+        """Taylor stages of a half step in `ndim` axes: d(2m+2)-2 unless capped."""
+        return ndim * (2 * self.m + 2) - 2 if self.stage_cap is None else self.stage_cap
 
 
-def expand_taylor(cu, cv, dt, h, speed, smax):
-    """Run the 1D recursion on batched cell coefficients.
+def _axis_slice(ndim: int, q: int, sl: slice) -> tuple:
+    """Index that applies `sl` to coefficient axis q of ndim trailing axes."""
+    return (Ellipsis,) + (slice(None),) * q + (sl,) + (slice(None),) * (ndim - 1 - q)
+
+
+def _d2_terms(dt, hs, speed, k: int) -> list:
+    """The v recursion's second-derivative term per axis q, on k coefficients per axis.
+
+    Each is (r_q, w_q, src_q, dst_q) with r_q = c^2 dt/h_q^2 and w_q =
+    (j+2)(j+1), j < k-2, shaped along axis q: stage s adds
+    r_q/s * w_q * c[src_q] at [dst_q].
+    """
+    ndim = len(hs)
+    w = np.arange(2, k) * np.arange(1, k - 1)
+    return [(speed * speed * dt / (h * h), w.reshape((-1,) + (1,) * (ndim - 1 - q)),
+             _axis_slice(ndim, q, slice(2, None)), _axis_slice(ndim, q, slice(k - 2)))
+            for q, h in enumerate(hs)]
+
+
+def expand_taylor(c0, d0, dt, hs, speed, smax, d1=None):
+    """Run the recursion on batched cell coefficients, one axis per spacing.
 
     Args:
-        cu: (..., Lu) scaled u coefficients at s=0.
-        cv: (..., Lv) scaled v coefficients at s=0, Lv <= Lu.
+        c0: (..., K per axis) scaled u coefficients at s=0.
+        d0: (..., Lv per axis) scaled v coefficients at s=0, Lv <= K.
+        hs: cell spacing per axis.
+        d1: optional (..., K-2 per axis) first v stage; if absent the plain
+            recursion supplies stage 1 as well.
 
     Returns:
-        (CU, CV) with trailing stage axis of length smax+1.
+        (C, D), both padded to c0's footprint, with a trailing stage axis of
+        length smax+1.
     """
-    cu = np.asarray(cu, dtype=float)
-    cv = np.asarray(cv, dtype=float)
-    lu, lv = cu.shape[-1], cv.shape[-1]
-    cu_tab = np.zeros(cu.shape + (smax + 1,))
-    cv_tab = np.zeros(cv.shape + (smax + 1,))
-    cu_tab[..., 0] = cu
-    cv_tab[..., 0] = cv
-    r = speed * speed * dt / (h * h)
-    nsrc = min(lv, lu - 2)  # d_{l,s} reads c_{l+2,s-1}
-    mul = np.arange(2, nsrc + 2) * np.arange(1, nsrc + 1)  # (l+2)(l+1)
+    ndim = len(hs)
+    c0 = np.asarray(c0, dtype=float)
+    k, lv = c0.shape[-1], np.shape(d0)[-1]
+    ctab = np.zeros(c0.shape + (smax + 1,))
+    dtab = np.zeros_like(ctab)
+    ctab[..., 0] = c0
+    dtab[(Ellipsis,) + (slice(lv),) * ndim + (0,)] = d0
+    terms = _d2_terms(dt, hs, speed, k)
     for s in range(1, smax + 1):
-        cu_tab[..., :lv, s] = (dt / s) * cv_tab[..., :, s - 1]
-        cv_tab[..., :nsrc, s] = (r / s) * mul * cu_tab[..., 2 : nsrc + 2, s - 1]
-    return cu_tab, cv_tab
+        ctab[..., s] = (dt / s) * dtab[..., s - 1]
+        if s == 1 and d1 is not None:
+            dtab[(Ellipsis,) + (slice(k - 2),) * ndim + (1,)] = d1
+            continue
+        prev = ctab[..., s - 1]
+        for q, (r, w, src, dst) in enumerate(terms):
+            term = (r / s) * w * prev[src]
+            if q == 0:
+                dtab[dst + (s,)] = term
+            else:
+                dtab[dst + (s,)] += term
+    return ctab, dtab
 
 
 def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
@@ -139,15 +172,26 @@ def fold(fn, shapes, *args) -> tuple:
     return tuple(np.split(a, splits))
 
 
-def taylor_half_step_1d(du, dv, dt, h, speed, stages):
+def taylor_half_step(du, dv, dt, hs, speed, stages):
     """Interpolate, expand in time and evaluate at dt/2, per target node.
 
-    du (..., 2, mu_u+1) and dv (..., 2, mu_v+1) are flanking u and v data;
-    returns the target (u, v) data of the same orders.
+    du (..., 2 per axis, m+1 per axis) and dv (..., 2 per axis, m per axis)
+    are flanking u and v data, one axis per entry of `hs`; returns the
+    target (u, v) data of the same orders. The first v stage sums, over the
+    axes q, the second q-derivative of the u interpolant of order m along q
+    and m-1 along the others; in 1D that is the plain recursion's stage 1.
     """
-    ctab, dtab = expand_taylor(apply_interp(du), apply_interp(dv), dt, h, speed, stages)
-    return (eval_series(ctab, 0.5)[..., : du.shape[-1]],
-            eval_series(dtab, 0.5)[..., : dv.shape[-1]])
+    ndim = len(hs)
+    m = dv.shape[-1]
+    terms = []
+    for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, speed, 2 * m + 2)):
+        keep = tuple(slice(None) if p == q else slice(m) for p in range(ndim))
+        terms.append(r * w * apply_interp(du[(Ellipsis,) + keep], ndim)[src])
+    d1 = sum(terms[1:], terms[0])
+    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
+                               speed, stages, d1=d1)
+    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
+            eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
 def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec) -> FieldPair:
@@ -156,11 +200,12 @@ def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec) -> Field
     grid = state.u.grid
     if state.u.order != m:
         raise ValueError(f"state carries order {state.u.order}, config wants {m}")
-    dt = cfg.dt(grid.h)
+    hs = grid.spacings
+    dt = cfg.dt(hs[0])
     du, _ = pair_sources(state.u, bc)
     dv, _ = pair_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    a_u, a_v = fold(taylor_half_step_1d, (du.shape[1:], dv.shape[1:]), dt, grid.h,
-                    cfg.speed, cfg.stages_1d())
+    a_u, a_v = fold(taylor_half_step, (du.shape[1:], dv.shape[1:]), dt, hs,
+                    cfg.speed, cfg.stages(1))
     new = rows(du) @ a_u + rows(dv) @ a_v
     t_new = state.time + 0.5 * dt
     parity = flip(state.parity)
@@ -170,70 +215,18 @@ def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec) -> Field
     )
 
 
-def expand_taylor_2d(c0, d0, dt, hx, hy, speed, smax, d1=None):
-    """Tensor-coefficient recursion; all tables padded to c0's footprint.
-
-    Args:
-        c0: (..., K, K) u coefficients at s=0.
-        d0: (..., Lv, Lv) v coefficients at s=0, Lv <= K.
-        d1: optional (..., K-2, K-2) stabilized first v stage; if absent
-            the plain recursion supplies stage 1 as well.
-
-    Returns:
-        (C, D) of shape (..., K, K, smax+1).
-    """
-    k = c0.shape[-1]
-    lv = d0.shape[-1]
-    ctab = np.zeros(c0.shape[:-2] + (k, k, smax + 1))
-    dtab = np.zeros_like(ctab)
-    ctab[..., 0] = c0
-    dtab[..., :lv, :lv, 0] = d0
-    rx = speed * speed * dt / (hx * hx)
-    ry = speed * speed * dt / (hy * hy)
-    mul = np.arange(2, k) * np.arange(1, k - 1)  # (j+2)(j+1), j = 0..K-3
-    for s in range(1, smax + 1):
-        ctab[..., s] = (dt / s) * dtab[..., s - 1]
-        if s == 1 and d1 is not None:
-            dtab[..., : k - 2, : k - 2, 1] = d1
-            continue
-        dtab[..., : k - 2, :, s] = (rx / s) * mul[:, None] * ctab[..., 2:, :, s - 1]
-        dtab[..., :, : k - 2, s] += (ry / s) * mul[None, :] * ctab[..., :, 2:, s - 1]
-    return ctab, dtab
-
-
-def taylor_half_step_2d(du, dv, dt, hx, hy, speed, stages):
-    """2D counterpart of taylor_half_step_1d on corner data.
-
-    du is (..., 2, 2, m+1, m+1) and dv (..., 2, 2, m, m). Four interpolants
-    per cell: I_{m,m-1} u and I_{m-1,m} u feed the stabilized first stage,
-    I_{m,m} u seeds the u series, I_{m-1,m-1} v seeds the v series.
-    """
-    m = dv.shape[-1]
-    cmm = apply_interp_2d(du)                  # (..., 2m+2, 2m+2)
-    c_x = apply_interp_2d(du[..., :, :m])      # I_{m,m-1}: (..., 2m+2, 2m)
-    c_y = apply_interp_2d(du[..., :m, :])      # I_{m-1,m}: (..., 2m, 2m+2)
-    d0 = apply_interp_2d(dv)                   # (..., 2m, 2m)
-    rx = speed**2 * dt / (hx * hx)
-    ry = speed**2 * dt / (hy * hy)
-    mul = np.arange(2, 2 * m + 2) * np.arange(1, 2 * m + 1)
-    d1 = rx * mul[:, None] * c_x[..., 2:, :] + ry * mul[None, :] * c_y[..., :, 2:]
-    ctab, dtab = expand_taylor_2d(cmm, d0, dt, hx, hy, speed, stages, d1=d1)
-    return (eval_series(ctab, 0.5)[..., : m + 1, : m + 1],
-            eval_series(dtab, 0.5)[..., :m, :m])
-
-
 def half_step_2d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec2D) -> FieldPair:
     """Advance 2D (u, v) by dt/2 onto the opposite grid."""
     m = cfg.m
     grid = state.u.grid
     if state.u.orders != (m, m):
         raise ValueError(f"state carries orders {state.u.orders}, config wants ({m}, {m})")
-    hx, hy = grid.hx, grid.hy
-    dt = cfg.dt(min(hx, hy))
+    hs = grid.spacings
+    dt = cfg.dt(min(hs))
     du, _, _ = corner_sources(state.u, bc)
     dv, _, _ = corner_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    a_u, a_v = fold(taylor_half_step_2d, (du.shape[2:], dv.shape[2:]), dt, hx, hy,
-                    cfg.speed, cfg.stages_2d())
+    a_u, a_v = fold(taylor_half_step, (du.shape[2:], dv.shape[2:]), dt, hs,
+                    cfg.speed, cfg.stages(2))
     new = rows(du, 2) @ a_u + rows(dv, 2) @ a_v
     lead = du.shape[:2]
     k = (m + 1) ** 2

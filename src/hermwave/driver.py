@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.init not in INITS:
@@ -280,7 +282,7 @@ def _evolve(cfg: RunConfig, grid, bc, data, nhalf: int):
     """
     scfg = cfg.scheme_config()
     flat = isinstance(grid, Grid1D)
-    n, h = (grid.n, grid.h) if flat else (grid.nx, min(grid.hx, grid.hy))
+    n, h = (grid.n if flat else grid.nx), min(grid.spacings)
     field = Field1D if flat else Field2D
 
     def start(parity, t, order, tder=0):

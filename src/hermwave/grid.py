@@ -31,6 +31,8 @@ def flip(parity: str) -> str:
 
 @dataclass(frozen=True)
 class Grid1D:
+    """n cells on [x_left, x_right]; `spacings` is (h,)."""
+
     x_left: float
     x_right: float
     n: int
@@ -41,6 +43,10 @@ class Grid1D:
             raise ValueError("need at least one cell")
         if self.x_right <= self.x_left:
             raise ValueError("empty domain")
+        # a plain attribute, not a field; set here it is stored with the
+        # fields, where a cached_property would give the grid a separate
+        # instance dict and make every attribute read on it about 4x slower
+        object.__setattr__(self, "spacings", (self.h,))
 
     @property
     def h(self) -> float:
@@ -62,6 +68,8 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
+    """nx x ny cells on [x_left, x_right] x [y_left, y_right]; `spacings` is (hx, hy)."""
+
     x_left: float
     x_right: float
     y_left: float
@@ -69,6 +77,11 @@ class Grid2D:
     nx: int
     ny: int
     periodic: bool
+
+    def __post_init__(self):
+        for which in (0, 1):
+            self.axis(which)  # each axis checks its cell count and domain
+        object.__setattr__(self, "spacings", (self.hx, self.hy))  # as in Grid1D
 
     @property
     def hx(self) -> float:

@@ -18,9 +18,10 @@ Keeping the h-scaling inside the coefficients makes every entry O(1) for
 smooth data regardless of the polynomial degree, which the time-stepping
 modules rely on. Physical derivatives only appear at API boundaries.
 
-2D tensor-product interpolants, including the mixed orders (m, m-1) used
-by the two-dimensional stepper, apply the 1D matrices dimension by
-dimension.
+Tensor-product interpolants in any number of axes, including the mixed
+orders (m along one axis, m-1 along the others) of the dissipative
+stepper's first stage, contract each axis's (side, order) pair with its 1D
+matrix in turn (`apply_interp(data, ndim)`).
 """
 
 from __future__ import annotations
@@ -79,35 +80,24 @@ def interp_matrix(mu: int) -> np.ndarray:
     return m
 
 
-def apply_interp(data: np.ndarray) -> np.ndarray:
-    """Batched 1D interpolation.
+def apply_interp(data: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Batched tensor-product interpolation over `ndim` axes.
 
     Args:
-        data: (..., 2, mu+1) node coefficients, axis -2 being (left, right).
+        data: (..., 2 per axis, mu_q+1 per axis) node coefficients: axis
+            -2*ndim+q is the side of axis q (0 = low side), axis -ndim+q its
+            derivative order. In 1D that is (..., 2, mu+1).
 
     Returns:
-        (..., 2mu+2) cell coefficients centered at the node midpoint.
+        (..., 2mu_q+2 per axis) coefficients centered at the cell midpoint.
     """
-    data = np.asarray(data, dtype=float)
-    mu = data.shape[-1] - 1
-    m = interp_matrix(mu)
-    return data.reshape(data.shape[:-2] + (2 * mu + 2,)) @ m.T
-
-
-def apply_interp_2d(data: np.ndarray) -> np.ndarray:
-    """Batched tensor-product interpolation.
-
-    Args:
-        data: (..., 2, 2, mux+1, muy+1) corner coefficients; axes -4/-3 are
-            the x/y side (0 = low side), axes -2/-1 the derivative orders.
-
-    Returns:
-        (..., 2mux+2, 2muy+2) coefficients centered at the cell midpoint.
-    """
-    data = np.asarray(data, dtype=float)
-    mux = data.shape[-2] - 1
-    muy = data.shape[-1] - 1
-    # split each matrix's columns I = s*(mu+1)+k into (side s, order k)
-    mx = interp_matrix(mux).reshape(-1, 2, mux + 1)
-    my = interp_matrix(muy).reshape(-1, 2, muy + 1)
-    return np.einsum("ask,...stkl,btl->...ab", mx, data, my, optimize=True)
+    out = np.asarray(data, dtype=float)
+    for q in range(ndim):
+        # bring axis q's (side, order) pair last; the cell axes already
+        # built follow the remaining orders, so they end up in axis order
+        pair_axes = (out.ndim + q - 2 * ndim, out.ndim - ndim)
+        pair = out.transpose([a for a in range(out.ndim) if a not in pair_axes]
+                             + list(pair_axes))
+        mu = pair.shape[-1] - 1
+        out = pair.reshape(pair.shape[:-2] + (2 * mu + 2,)) @ interp_matrix(mu).T
+    return out

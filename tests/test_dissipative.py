@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
 from hermwave.boundary import BoundarySpec, BoundarySpec2D, pair_sources
@@ -12,10 +14,17 @@ from hermwave.dissipative import (
     SchemeConfig,
     eval_series,
     expand_taylor,
+    fold,
     half_step_1d,
     half_step_2d,
+    taylor_half_step,
 )
 from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, flip
+from hermwave.interp import apply_interp
+
+WALLS = ("dirichlet0", "neumann0")
+# periodic, then every pair of x walls
+X_EDGES = [("periodic", "periodic")] + [(a, b) for a in WALLS for b in WALLS]
 
 
 def test_config_validation():
@@ -28,15 +37,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(m=2, speed=-1.0)
     cfg = SchemeConfig(m=3, lam=1.0)
-    assert cfg.stages_1d() == 6
-    assert cfg.stages_2d() == 16
+    assert cfg.stages(1) == 6
+    assert cfg.stages(2) == 14
     assert cfg.dt(0.25) == pytest.approx(0.25)
 
 
 def test_constant_state_is_steady():
     cu = np.array([[4.0, 0.0, 0.0, 0.0]])
     cv = np.array([[0.0, 0.0]])
-    CU, CV = expand_taylor(cu, cv, 0.3, 0.5, 1.0, 4)
+    CU, CV = expand_taylor(cu, cv, 0.3, (0.5,), 1.0, 4)
     assert np.all(CU[..., 1:] == 0.0)
     assert np.all(CV[..., 1:] == 0.0)
 
@@ -45,7 +54,7 @@ def test_constant_velocity_advances_value():
     # u_t = v: only c_{0,1} = dt * d0 appears
     cu = np.zeros((1, 4))
     cv = np.array([[2.5, 0.0]])
-    CU, CV = expand_taylor(cu, cv, 0.3, 0.5, 1.0, 4)
+    CU, CV = expand_taylor(cu, cv, 0.3, (0.5,), 1.0, 4)
     want = np.zeros((1, 4, 5))
     want[0, 0, 1] = 0.3 * 2.5
     np.testing.assert_allclose(CU, want, atol=1e-15)
@@ -58,7 +67,7 @@ def test_quadratic_space_time_table():
     cu = np.zeros((1, 4))
     cu[0, 2] = 1.0
     cv = np.zeros((1, 2))
-    CU, CV = expand_taylor(cu, cv, dt, 1.0, 1.0, 4)
+    CU, CV = expand_taylor(cu, cv, dt, (1.0,), 1.0, 4)
     assert CV[0, 0, 1] == pytest.approx(2 * dt)
     assert CU[0, 0, 2] == pytest.approx(dt * dt)
     # center value after a half step matches u = x**2 + t**2
@@ -80,18 +89,33 @@ def test_eval_at_zero_returns_initial_column():
     assert np.array_equal(eval_series(table, 0.0), table[..., 0])
 
 
+def _bootstrap_u(du, dv, dt, hs, speed, stages):
+    """The bootstrap's u map: full-order seeds through the plain recursion."""
+    ndim = len(hs)
+    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, speed,
+                            stages)
+    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(du.shape[-1]),) * ndim],)
+
+
 def test_stage_count_is_sufficient():
-    """Extra stages beyond 2m contribute nothing for cell-degree data."""
-    rng = np.random.default_rng(16)
-    for m in (1, 2, 3):
-        cu = rng.standard_normal((4, 2 * m + 2))
-        cv = rng.standard_normal((4, 2 * m))
-        a = expand_taylor(cu, cv, 0.08, 0.1, 1.0, 2 * m)
-        b = expand_taylor(cu, cv, 0.08, 0.1, 1.0, 2 * m + 6)
-        for lo, hi in zip(a, b):
-            lo_v = eval_series(lo, 0.5)
-            hi_v = eval_series(hi, 0.5)
-            np.testing.assert_allclose(lo_v, hi_v, rtol=1e-13, atol=1e-14)
+    """Stages past stages(ndim) (half step) and d(2m+2) (bootstrap) are exact zeros.
+
+    So six more stages leave every folded matrix unchanged to the bit.
+    """
+    for ndim in (1, 2):
+        for m in range(1, 7):
+            cfg = SchemeConfig(m=m, lam=1.0, speed=1.3)
+            hs = (0.2, 0.3)[:ndim]
+            dt = cfg.dt(min(hs))
+            side = (2,) * ndim
+            u_shape, v_shape = side + (m + 1,) * ndim, side + (m,) * ndim
+            for fn, shapes, depth in (
+                (taylor_half_step, (u_shape, v_shape), cfg.stages(ndim)),
+                (_bootstrap_u, (u_shape, u_shape), ndim * (2 * m + 2)),
+            ):
+                short = fold(fn, shapes, dt, hs, cfg.speed, depth)
+                deep = fold(fn, shapes, dt, hs, cfg.speed, depth + 6)
+                assert all(np.array_equal(a, b) for a, b in zip(short, deep)), (ndim, m, fn)
 
 
 def _random_pair(grid, m, rng, parity=PRIMAL):
@@ -244,43 +268,48 @@ def test_2d_constant_is_steady():
     np.testing.assert_allclose(out.v.values, 0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_2d_reduces_to_1d_on_y_independent_data(m):
-    rng = np.random.default_rng(60 + m)
-    n = 5
-    grid1 = Grid1D(0.0, 1.0, n, periodic=True)
-    grid2 = Grid2D(0.0, 1.0, 0.0, 1.0, n, n, periodic=True)
-    cfg = SchemeConfig(m=m, lam=0.85)
-    u1 = rng.standard_normal((n, m + 1))
-    v1 = rng.standard_normal((n, m))
-    u2 = np.zeros((n, n, m + 1, m + 1))
-    v2 = np.zeros((n, n, m, m))
-    u2[:, :, :, 0] = u1[:, None, :]
-    v2[:, :, :, 0] = v1[:, None, :]
-    out1 = half_step_1d(
-        FieldPair(Field1D(grid1, PRIMAL, 0.0, u1), Field1D(grid1, PRIMAL, 0.0, v1)),
-        cfg,
-        BoundarySpec(),
-    )
-    out2 = half_step_2d(
-        FieldPair(Field2D(grid2, PRIMAL, 0.0, u2), Field2D(grid2, PRIMAL, 0.0, v2)),
-        cfg,
-        BoundarySpec2D(),
-    )
-    scale = np.abs(u1).max()
-    np.testing.assert_allclose(
-        out2.u.values[:, :, :, 0],
-        np.broadcast_to(out1.u.values[:, None, :], (n, n, m + 1)),
-        atol=1e-12 * scale,
-    )
-    np.testing.assert_allclose(
-        out2.u.values[:, :, :, 1:], 0.0, atol=1e-12 * scale
-    )
-    np.testing.assert_allclose(
-        out2.v.values[:, :, :, 0],
-        np.broadcast_to(out1.v.values[:, None, :], (n, n, m)),
-        atol=1e-12 * scale,
-    )
+def _y_independent(vals, ny):
+    """2D node data equal to 1D node data on every y row, with no y-derivatives."""
+    out = np.zeros((vals.shape[0], ny) + (vals.shape[1],) * 2)
+    out[:, :, :, 0] = vals[:, None, :]
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.0, exclude_min=True),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_2d_reduces_to_1d_on_y_independent_data(m, lam, parity, values, seed):
+    """A 2D half step of y-independent data is the 1D half step on every row.
+
+    Periodic, then every pair of x walls with the drawn Dirichlet values. y
+    walls are neumann0, whose even reflection keeps the data y-independent;
+    hy > hx, so the 1D and 2D time steps agree.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = SchemeConfig(m=m, lam=lam)
+    for edges in X_EDGES:
+        periodic = edges[0] == "periodic"
+        bc1 = BoundarySpec() if periodic else BoundarySpec(*edges, *values)
+        bc2 = BoundarySpec2D(bc1, BoundarySpec() if periodic else
+                             BoundarySpec("neumann0", "neumann0"))
+        grid1 = Grid1D(-1.0, 0.7, 5, periodic)
+        grid2 = Grid2D(-1.0, 0.7, 0.0, 1.3, 5, 3, periodic)
+        pair = _random_pair(grid1, m, rng, parity)
+        out1 = half_step_1d(pair, cfg, bc1)
+        ny = grid2.axis(1).n_nodes(parity)
+        out2 = half_step_2d(FieldPair(
+            Field2D(grid2, parity, 0.0, _y_independent(pair.u.values, ny)),
+            Field2D(grid2, parity, 0.0, _y_independent(pair.v.values, ny))), cfg, bc2)
+        nty = grid2.axis(1).n_nodes(flip(parity))
+        for got, want in ((out2.u, out1.u), (out2.v, out1.v)):
+            assert got.time == want.time
+            bound = 1e-12 * np.abs(want.values).max()
+            assert np.abs(got.values - _y_independent(want.values, nty)).max() <= bound, edges
 
 
 def test_stage_cap_truncates_expansion():

@@ -431,6 +431,22 @@ def test_cli_rejects_refine_config_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_cli_rejects_negative_seed_flag(capsys):
+    rc = cli.main(["custom", "--experiment", "conserve1d", "--mode", "random", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "seed" in err
+
+
+def test_cli_rejects_negative_seed_config_key(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("mode = random\nseed = -2\n")
+    rc = cli.main(["conserve1d", "--config", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "seed" in err
+
+
 STEPPERS = ("half_step_1d", "half_step_2d", "full_step_conservative", "bootstrap_first_half")
 
 

@@ -15,11 +15,10 @@ from hermwave.dissipative import (
     SchemeConfig,
     half_step_1d,
     half_step_2d,
-    taylor_half_step_1d,
-    taylor_half_step_2d,
+    taylor_half_step,
 )
 from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, TwoLevelState, flip
-from hermwave.interp import apply_interp, apply_interp_2d
+from hermwave.interp import apply_interp
 
 WALLS = ("dirichlet0", "neumann0")
 
@@ -69,7 +68,7 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     du, _ = pair_sources(u, bc)
     dv, _ = pair_sources(v, bc, dirichlet_values=(0.0, 0.0))
     got = half_step_1d(FieldPair(u, v), cfg, bc)
-    want = taylor_half_step_1d(du, dv, cfg.dt(grid.h), grid.h, speed, cfg.stages_1d())
+    want = taylor_half_step(du, dv, cfg.dt(grid.h), (grid.h,), speed, cfg.stages(1))
     _assert_close(got.u.values, want[0])
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field1D(grid, target, 0.0, prev)), cfg, bc)
@@ -88,12 +87,12 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     hx, hy = grid.hx, grid.hy
     dt = cfg.dt(min(hx, hy))
     got = half_step_2d(FieldPair(u, v), cfg, bc)
-    want = taylor_half_step_2d(du, dv, dt, hx, hy, speed, cfg.stages_2d())
+    want = taylor_half_step(du, dv, dt, (hx, hy), speed, cfg.stages(2))
     _assert_close(got.u.values, want[0])
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field2D(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
-                  conservative_update(apply_interp_2d(du), prev, m,
+                  conservative_update(apply_interp(du, 2), prev, m,
                                       (0.5 * speed * dt / hx, 0.5 * speed * dt / hy)))
 
 

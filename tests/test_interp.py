@@ -9,7 +9,6 @@ from numpy.polynomial.polynomial import polyder, polyval2d
 from hermwave.interp import (
     MAX_ORDER,
     apply_interp,
-    apply_interp_2d,
     interp_matrix,
 )
 
@@ -155,7 +154,7 @@ def test_2d_product_function_exact():
             corners[i, j, 1, 0] = hx * y
             corners[i, j, 0, 1] = hy * x
             corners[i, j, 1, 1] = hx * hy
-    coeffs = apply_interp_2d(corners)
+    coeffs = apply_interp(corners, 2)
     x, y = np.meshgrid(np.linspace(-0.2, 0.5, 5), np.linspace(-0.2, 0.5, 5), indexing="ij")
     got = polyval2d((x - cx) / hx, (y - cy) / hy, coeffs)
     np.testing.assert_allclose(got, x * y, rtol=0, atol=1e-13)
@@ -180,7 +179,7 @@ def test_2d_tensor_exactness_random(orders):
                 for j, eta in enumerate((-0.5, 0.5)):
                     corners[i, j, k, l] = polyval2d(xi, eta, d) / (math.factorial(k)
                                                                    * math.factorial(l))
-    np.testing.assert_allclose(apply_interp_2d(corners), a, rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(apply_interp(corners, 2), a, rtol=1e-11, atol=1e-11)
 
 
 def test_2d_axis_order_is_immaterial():
@@ -194,6 +193,20 @@ def test_2d_axis_order_is_immaterial():
     # opposite order
     s = apply_interp(np.transpose(data, (0, 2, 1, 3)))  # (sx, k, 2muy+2)
     y_then_x = apply_interp(np.moveaxis(s, 2, 0)).T
-    got = apply_interp_2d(data)
+    got = apply_interp(data, 2)
     np.testing.assert_allclose(x_then_y, got, atol=1e-13)
     np.testing.assert_allclose(y_then_x, got, atol=1e-13)
+
+
+def test_three_axes_separable_data():
+    """Separable corner data interpolate to the outer product of the 1D interpolants.
+
+    Distinct orders per axis pin which side and order axis each pass contracts.
+    """
+    rng = np.random.default_rng(22)
+    factors = [rng.standard_normal((2, mu + 1)) for mu in (1, 2, 3)]
+    data = np.einsum("ak,bl,cm->abcklm", *factors)
+    want = np.einsum("i,j,k->ijk", *(apply_interp(f) for f in factors))
+    got = apply_interp(data[None], 3)[0]
+    assert got.shape == (4, 6, 8)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
