@@ -11,16 +11,19 @@ interpolant g plus an odd polynomial.
 
 The gathers below assemble, for every target node of the opposite
 parity, the flanking source-node data (2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the steppers need. 1D and 2D share one
-path: one take through a cached flat index into the level's nodes, which
-wraps on a periodic axis (no reflections) and is clipped at walls. A dual
-level at walls then turns its clipped edge slots into ghosts in place,
-with cached scale and shift arrays built by the reflection routines, so
-the result equals the explicit [ghost, interior..., ghost] construction.
+including any ghosts, which is all the steppers need. Every gather runs
+one path, `take` through a `GatherPlan` cached on the level's grid: one
+take through a flat index into the node rows (u | v packed per node for
+the steppers), which wraps on a periodic axis and is clipped at walls. A
+dual level at walls then turns the clipped edge slots into ghosts with one
+multiply-add per wall axis at their flat positions, with scale and shift
+built by the reflection routines, so the result equals the explicit
+[ghost, interior..., ghost] construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -127,51 +130,76 @@ def gather_index(counts: tuple, parity: str, periodic: bool) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=256)
-def ghost_fixups(specs: tuple, values_override, coeff_shape: tuple) -> tuple:
-    """Read-only (edge, scale, shift) per wall of a dual level, x walls first.
+class GatherPlan:
+    """One level's gather: `nodes` source rows to `targets` rows via `index`.
 
-    `edge` selects the gathered slots next to the wall that hold the first
-    interior node; `edge * scale + shift` is its ghost, as scale and shift
-    reflect ones with value 0 and zeros with the wall value. A corner slot
-    lies on an x and a y edge and so reflects in both axes.
+    `fixups` holds per wall axis of a dual level, x first, the flat edge
+    positions with the scale and shift that reflect them; a corner slot is
+    reflected by both in turn, as one combined shift would round differently.
     """
+
+    __slots__ = ("nodes", "targets", "index", "fixups")
+
+    def __init__(self, nodes: int, targets: int, index: np.ndarray, fixups: tuple):
+        self.nodes, self.targets, self.index, self.fixups = nodes, targets, index, fixups
+
+
+def gather_plan(grid, parity: str, bc, blocks: tuple) -> GatherPlan:
+    """Build the `GatherPlan` of one level's `parity` nodes under `bc`.
+
+    `blocks` is ((coefficient shape, Dirichlet values or None), ...), one per
+    field packed along the node rows; values replace the specs' Dirichlet
+    constants (the velocity of a constant-in-time Dirichlet problem reflects
+    around zero). Raises ValueError when bc and grid disagree about periodicity.
+    """
+    specs = (bc,) if isinstance(bc, BoundarySpec) else (bc.x, bc.y)
+    if any(spec.periodic != grid.periodic for spec in specs):
+        raise ValueError("boundary spec and grid disagree about periodicity")
     ndim = len(specs)
+    counts = tuple(axis.n_nodes(parity) for axis in ((grid,) if ndim == 1 else grid.axes))
+    index = gather_index(counts, parity, grid.periodic)
     fixups = []
-    for axis, spec in enumerate(specs):
-        values = values_override or (spec.left_value, spec.right_value)
+    shape = index.shape + (sum(math.prod(coeffs) for coeffs, _ in blocks),)
+    for axis, spec in enumerate(specs if parity == DUAL and not grid.periodic else ()):
+        # the clipped slots next to this axis's walls hold the first interior node
         reflect = ghost_data if ndim == 1 else partial(ghost_data_2d, normal_axis=axis)
-        for side, kind, value in ((0, spec.left, values[0]), (1, spec.right, values[1])):
-            scale = reflect(np.ones(coeff_shape), kind)
-            shift = reflect(np.zeros(coeff_shape), kind, value=value)
-            scale.setflags(write=False)
-            shift.setflags(write=False)
+        scale, shift, mask = np.ones(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+        for side, kind in ((0, spec.left), (1, spec.right)):
             edge = [slice(None)] * (2 * ndim)
             edge[axis], edge[ndim + axis] = -side, side
-            fixups.append((tuple(edge), scale, shift))
-    return tuple(fixups)
+            edge = tuple(edge)
+            mask[edge] = True
+            scale[edge] = np.concatenate([reflect(np.ones(c), kind).ravel() for c, _ in blocks])
+            shift[edge] = np.concatenate([
+                reflect(np.zeros(c), kind, value=(v or (spec.left_value, spec.right_value))[side])
+                .ravel() for c, v in blocks])
+        fixups.append((np.flatnonzero(mask), scale[mask], shift[mask]))
+    return GatherPlan(math.prod(counts), math.prod(index.shape[:ndim]), index, tuple(fixups))
 
 
-def _gather(field, specs: tuple, values_override):
-    """One take through the level's cached index, then any ghosts in place.
+def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
+    """Gather (nodes, K) node rows into (targets, 2**d * K) flanking-data rows.
 
-    `values_override`, a (left, right) pair, replaces the specs' Dirichlet
-    constants (the velocity of a constant-in-time Dirichlet problem
-    reflects around zero).
+    One take, then per wall stage one read, multiply-add and write; reshaped
+    to the index's shape + (K,) the result has `gather_index`'s layout.
     """
-    periodic = field.grid.periodic
-    if any(spec.periodic != periodic for spec in specs):
-        raise ValueError("boundary spec and grid disagree about periodicity")
-    values, ndim = field.values, len(specs)
-    coeffs = values.shape[ndim:]
-    out = values.reshape((-1,) + coeffs).take(
-        gather_index(values.shape[:ndim], field.parity, periodic), axis=0)
-    if not periodic and field.parity == DUAL:
-        for edge, scale, shift in ghost_fixups(specs, values_override, coeffs):
-            slab = out[edge]
-            slab *= scale
-            slab += shift
-    return out
+    out = rows.take(plan.index, axis=0)
+    if plan.fixups:
+        flat = out.reshape(-1)
+        for pos, scale, shift in plan.fixups:
+            flat[pos] = flat[pos] * scale + shift
+    return out.reshape(plan.targets, -1)
+
+
+def _gather(field, bc, values_override):
+    """Gather one field through the plan cached on its grid."""
+    grid, parity, values = field.grid, field.parity, field.values
+    coeffs = values.shape[len(grid.spacings):]
+    key = ("gather", parity, bc, values_override, coeffs)
+    plan = grid.plans.get(key)
+    if plan is None:
+        plan = grid.plans[key] = gather_plan(grid, parity, bc, ((coeffs, values_override),))
+    return take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
 
 
 def pair_sources(field: Field1D, spec: BoundarySpec, dirichlet_values=None):
@@ -181,7 +209,7 @@ def pair_sources(field: Field1D, spec: BoundarySpec, dirichlet_values=None):
         data: (n_targets, 2, mu+1), axis 1 being (left, right).
         centers: target node coordinates (the cell midpoints).
     """
-    return _gather(field, (spec,), dirichlet_values), field.grid.nodes(flip(field.parity))
+    return _gather(field, spec, dirichlet_values), field.grid.nodes(flip(field.parity))
 
 
 def corner_sources(field: Field2D, spec: BoundarySpec2D, dirichlet_values=None):
@@ -192,5 +220,5 @@ def corner_sources(field: Field2D, spec: BoundarySpec2D, dirichlet_values=None):
         cx, cy: target node coordinates per axis.
     """
     target = flip(field.parity)
-    return (_gather(field, (spec.x, spec.y), dirichlet_values),
+    return (_gather(field, spec, dirichlet_values),
             field.grid.axis(0).nodes(target), field.grid.axis(1).nodes(target))

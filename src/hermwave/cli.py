@@ -85,7 +85,11 @@ def _assemble(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
-        file_overrides = parse_config(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        file_overrides = parse_config(text)
     experiment = args.command
     if experiment == "custom":
         experiment = getattr(args, "experiment", None) or file_overrides.get("experiment")

@@ -19,8 +19,8 @@ term of the identity for the polynomial interpolant, so resolved
 polynomial data is evolved exactly). In 1D the weight is C(k+2i, k)
 rho**(2i). One cached tensor (`two_level_tensor`) serves every dimension.
 Interpolation and update are linear in the gathered current level, so a
-step multiplies it by one cached matrix (`fold`) and subtracts the
-previous level.
+step gathers it through a plan cached on its grid, multiplies it by one
+cached matrix (`fold`) and subtracts the previous level.
 
 The first half step is bootstrapped with the dissipative module's Taylor
 recursion applied to full-order interpolants of the initial displacement
@@ -35,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import corner_sources, pair_sources
-from .dissipative import SchemeConfig, eval_series, expand_taylor, fold, rows
-from .grid import Field1D, TwoLevelState, flip
+from .boundary import corner_sources, gather_plan, pair_sources, take
+from .dissipative import SchemeConfig, eval_series, expand_taylor, fold
+from .grid import TwoLevelState, flip
 from .interp import apply_interp
 
 
@@ -91,32 +91,37 @@ def _update(data, m, rhos):
     return (conservative_update(apply_interp(data, len(rhos)), 0.0, m, rhos),)
 
 
-@lru_cache(maxsize=64)
-def _rhos(lam: float, hs: tuple) -> tuple:
-    """c dt/(2h) per axis; dt is set by the smallest spacing, so only h ratios enter.
+def _plan(field, cfg: SchemeConfig, bc) -> tuple:
+    """The update plan of field's level, cached on its grid: gather, matrix, dt/2.
 
-    Cached because it runs on every step.
+    dt is set by the smallest spacing, so only h ratios enter rho = c dt/(2h).
     """
-    return tuple(0.5 * lam * (min(hs) / h) for h in hs)
+    grid = field.grid
+    key = ("conservative", field.parity, bc, cfg)
+    plan = grid.plans.get(key)
+    if plan is not None:
+        return plan
+    m, hs = cfg.m, grid.spacings
+    ndim = len(hs)
+    gather = gather_plan(grid, field.parity, bc, (((m + 1,) * ndim, None),))
+    rhos = tuple(0.5 * cfg.lam * (min(hs) / h) for h in hs)
+    (a,) = fold(_update, ((2,) * ndim + (m + 1,) * ndim,), m, rhos)
+    plan = grid.plans[key] = (gather, a, 0.5 * cfg.dt(min(hs)))
+    return plan
 
 
 def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLevelState:
-    """One update: fold the gathered current level, subtract the previous.
+    """One update: gather the current level, multiply, subtract the previous.
 
     Returns the new state (advanced dt/2, parity flipped); the old current
     level becomes the new previous level.
     """
     cur = state.current
     prev = state.previous.values
-    hs = cur.grid.spacings
-    if isinstance(cur, Field1D):
-        data, _ = pair_sources(cur, bc)
-    else:
-        data, _, _ = corner_sources(cur, bc)
-    (a,) = fold(_update, (data.shape[len(hs):],), cfg.m, _rhos(cfg.lam, hs))
-    new_vals = (rows(data, len(hs)) @ a).reshape(prev.shape) - prev
-    dt = cfg.dt(min(hs))
-    new = state.previous.with_values(new_vals, time=cur.time + 0.5 * dt)
+    gather, a, half_dt = _plan(cur, cfg, bc)
+    new_vals = take(cur.values.reshape(gather.nodes, -1), gather) @ a
+    new_vals = new_vals.reshape(prev.shape) - prev
+    new = state.previous.with_values(new_vals, time=cur.time + half_dt)
     return TwoLevelState(current=new, previous=cur)
 
 

@@ -31,8 +31,9 @@ data. Past d(2m+2)-2 stages every coefficient is exactly zero (2m in 1D,
 Interpolation, recursion and evaluation are all linear in the gathered
 flanking data, so for fixed (m, dt, h per axis, c, stages) a half step is
 one matrix. `fold` builds it once, one row block per gathered field, by
-pushing the identity through the pipeline (`taylor_half_step`); the
-steppers only gather, multiply, add and reshape.
+pushing the identity through the pipeline (`taylor_half_step`). A level's
+plan stacks the blocks in the rows of u | v packed per node, so a half
+step is one take, at most one edge fix-up per wall axis and one matmul.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
+from .boundary import BoundarySpec, BoundarySpec2D, gather_plan, take
 from .grid import Field1D, Field2D, FieldPair, flip
 from .interp import apply_interp
 
@@ -194,45 +195,64 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
+def _plan(field, cfg: SchemeConfig, bc) -> tuple:
+    """The half-step plan of field's level, cached on its grid.
+
+    It gathers u | v packed per node (v reflects about 0 at walls) and holds
+    the `fold` blocks stacked and permuted into the packed rows, dt/2 and
+    the target parity.
+    """
+    grid = field.grid
+    key = ("dissipative", field.parity, bc, cfg)
+    plan = grid.plans.get(key)
+    if plan is not None:
+        return plan
+    m, hs = cfg.m, grid.spacings
+    ndim = len(hs)
+    dt = cfg.dt(min(hs))
+    gather = gather_plan(grid, field.parity, bc,
+                         (((m + 1,) * ndim, None), ((m,) * ndim, (0.0, 0.0))))
+    sides = (2,) * ndim
+    a_u, a_v = fold(taylor_half_step, (sides + (m + 1,) * ndim, sides + (m,) * ndim), dt,
+                    hs, cfg.speed, cfg.stages(ndim))
+    # row r of a_u (a_v) reads entry r of the flattened (sides, coefficients) block
+    packed = np.concatenate((np.arange(len(a_u)).reshape(sides + (-1,)),
+                             len(a_u) + np.arange(len(a_v)).reshape(sides + (-1,))), axis=-1)
+    a = np.concatenate((a_u, a_v))[packed.ravel()]
+    a.setflags(write=False)
+    plan = grid.plans[key] = (gather, a, 0.5 * dt, flip(field.parity))
+    return plan
+
+
 def half_step_1d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec) -> FieldPair:
     """Advance (u, v) by dt/2 onto the opposite grid."""
     m = cfg.m
-    grid = state.u.grid
-    if state.u.order != m:
-        raise ValueError(f"state carries order {state.u.order}, config wants {m}")
-    hs = grid.spacings
-    dt = cfg.dt(hs[0])
-    du, _ = pair_sources(state.u, bc)
-    dv, _ = pair_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    a_u, a_v = fold(taylor_half_step, (du.shape[1:], dv.shape[1:]), dt, hs,
-                    cfg.speed, cfg.stages(1))
-    new = rows(du) @ a_u + rows(dv) @ a_v
-    t_new = state.time + 0.5 * dt
-    parity = flip(state.parity)
+    u = state.u
+    if u.order != m:
+        raise ValueError(f"state carries order {u.order}, config wants {m}")
+    gather, a, half_dt, parity = _plan(u, cfg, bc)
+    new = take(np.concatenate((u.values, state.v.values), axis=1), gather) @ a
+    t_new = u.time + half_dt
     return FieldPair(
-        Field1D(grid, parity, t_new, new[:, : m + 1]),
-        Field1D(grid, parity, t_new, new[:, m + 1 :]),
+        Field1D(u.grid, parity, t_new, new[:, : m + 1]),
+        Field1D(u.grid, parity, t_new, new[:, m + 1 :]),
     )
 
 
 def half_step_2d(state: FieldPair, cfg: SchemeConfig, bc: BoundarySpec2D) -> FieldPair:
     """Advance 2D (u, v) by dt/2 onto the opposite grid."""
     m = cfg.m
-    grid = state.u.grid
-    if state.u.orders != (m, m):
-        raise ValueError(f"state carries orders {state.u.orders}, config wants ({m}, {m})")
-    hs = grid.spacings
-    dt = cfg.dt(min(hs))
-    du, _, _ = corner_sources(state.u, bc)
-    dv, _, _ = corner_sources(state.v, bc, dirichlet_values=(0.0, 0.0))
-    a_u, a_v = fold(taylor_half_step, (du.shape[2:], dv.shape[2:]), dt, hs,
-                    cfg.speed, cfg.stages(2))
-    new = rows(du, 2) @ a_u + rows(dv, 2) @ a_v
-    lead = du.shape[:2]
+    u = state.u
+    if u.orders != (m, m):
+        raise ValueError(f"state carries orders {u.orders}, config wants ({m}, {m})")
+    gather, a, half_dt, parity = _plan(u, cfg, bc)
+    n = gather.nodes
+    new = take(np.concatenate((u.values.reshape(n, -1), state.v.values.reshape(n, -1)),
+                              axis=1), gather) @ a
+    lead = gather.index.shape[:2]
     k = (m + 1) ** 2
-    t_new = state.time + 0.5 * dt
-    parity = flip(state.parity)
+    t_new = u.time + half_dt
     return FieldPair(
-        Field2D(grid, parity, t_new, new[..., :k].reshape(lead + (m + 1, m + 1))),
-        Field2D(grid, parity, t_new, new[..., k:].reshape(lead + (m, m))),
+        Field2D(u.grid, parity, t_new, new[:, :k].reshape(lead + (m + 1, m + 1))),
+        Field2D(u.grid, parity, t_new, new[:, k:].reshape(lead + (m, m))),
     )

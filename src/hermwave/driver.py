@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -103,6 +104,8 @@ class RunConfig:
         if self.experiment == "conserve1d" and self.scheme != "conservative":
             raise ConfigError("conserve1d tracks the conservative scheme's invariant; "
                               "set scheme=conservative")
+        if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
+            raise ConfigError(f"out {self.out!r} is a directory or its directory is missing")
         return self
 
     def level_sizes(self) -> list[int]:

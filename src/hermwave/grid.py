@@ -8,12 +8,14 @@ nodes for n cells; with walls the primal set includes both boundary points
 
 A field stores, per node, the scaled derivative coefficients
 (h**l/l!) d^l u/dx^l up to its order, as one dense array.
+
+Every grid carries a `plans` dict where the gathers and steppers cache what
+they build once per level, so no cache outlives the grid its key names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +33,7 @@ def flip(parity: str) -> str:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """n cells on [x_left, x_right]; `spacings` is (h,)."""
+    """n cells on [x_left, x_right]; `spacings` is (h,), `plans` the level's plans."""
 
     x_left: float
     x_right: float
@@ -43,10 +45,16 @@ class Grid1D:
             raise ValueError("need at least one cell")
         if self.x_right <= self.x_left:
             raise ValueError("empty domain")
-        # a plain attribute, not a field; set here it is stored with the
+        # plain attributes, not fields; set here they are stored with the
         # fields, where a cached_property would give the grid a separate
         # instance dict and make every attribute read on it about 4x slower
         object.__setattr__(self, "spacings", (self.h,))
+        object.__setattr__(self, "plans", {})
+        object.__setattr__(self, "_nodes", {
+            parity: self.x_left + self.h * (np.arange(self.n_nodes(parity)) + off)
+            for parity, off in ((PRIMAL, 0.0), (DUAL, 0.5))})
+        for x in self._nodes.values():
+            x.setflags(write=False)
 
     @property
     def h(self) -> float:
@@ -57,18 +65,14 @@ class Grid1D:
             return self.n
         return self.n + 1 if parity == PRIMAL else self.n
 
-    @lru_cache(maxsize=256)
     def nodes(self, parity: str) -> np.ndarray:
-        """Node coordinates of one parity; cached per (grid, parity), read-only."""
-        off = 0.0 if parity == PRIMAL else 0.5
-        x = self.x_left + self.h * (np.arange(self.n_nodes(parity)) + off)
-        x.setflags(write=False)
-        return x
+        """Node coordinates of one parity, built with the grid; read-only."""
+        return self._nodes[parity]
 
 
 @dataclass(frozen=True)
 class Grid2D:
-    """nx x ny cells on [x_left, x_right] x [y_left, y_right]; `spacings` is (hx, hy)."""
+    """nx x ny cells on [x_left, x_right] x [y_left, y_right]; `axes`, `spacings`, `plans`."""
 
     x_left: float
     x_right: float
@@ -79,9 +83,13 @@ class Grid2D:
     periodic: bool
 
     def __post_init__(self):
-        for which in (0, 1):
-            self.axis(which)  # each axis checks its cell count and domain
-        object.__setattr__(self, "spacings", (self.hx, self.hy))  # as in Grid1D
+        # each axis checks its cell count and domain; plain attributes as in Grid1D
+        object.__setattr__(self, "axes", (
+            Grid1D(self.x_left, self.x_right, self.nx, self.periodic),
+            Grid1D(self.y_left, self.y_right, self.ny, self.periodic),
+        ))
+        object.__setattr__(self, "spacings", (self.hx, self.hy))
+        object.__setattr__(self, "plans", {})
 
     @property
     def hx(self) -> float:
@@ -91,12 +99,9 @@ class Grid2D:
     def hy(self) -> float:
         return (self.y_right - self.y_left) / self.ny
 
-    @lru_cache(maxsize=256)
     def axis(self, which: int) -> Grid1D:
-        """The 1D grid of axis `which` (0 for x); cached per (grid, which)."""
-        if which == 0:
-            return Grid1D(self.x_left, self.x_right, self.nx, self.periodic)
-        return Grid1D(self.y_left, self.y_right, self.ny, self.periodic)
+        """The 1D grid of axis `which` (0 for x), built with the grid."""
+        return self.axes[which]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from hermwave.boundary import (
     BoundarySpec,
     BoundarySpec2D,
     corner_sources,
+    gather_plan,
     ghost_data,
     ghost_data_2d,
     pair_sources,
+    take,
 )
 from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, Grid1D, Grid2D
 from hermwave.interp import apply_interp
@@ -218,6 +220,57 @@ def test_corner_sources_wall_edges_reflect():
         data[0, 0, 0, 0],
         ghost_data_2d(ghost_data_2d(f.values[0, 0], "dirichlet0", 0), "neumann0", 1),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 6),
+    kinds=st.tuples(*[st.sampled_from(("dirichlet0", "neumann0"))] * 4),
+    values=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_2d_dual_gathers_build_ghosts_with_wall_values(m, nx, ny, kinds, values, seed):
+    """A 2D dual wall level gathers from [ghost, interior..., ghost] along each axis.
+
+    Each field is padded explicitly: a ghost row per x wall, a ghost column
+    per y wall, and each corner ghost reflected in x, then in y. Target
+    (i, j) then reads padded node (i + sx, j + sy) at corner (sx, sy). The
+    steppers' packed gather takes u | v per node in one take; u reflects
+    about the wall values and v about 0.
+    """
+    rng = np.random.default_rng(seed)
+    spec = BoundarySpec2D(BoundarySpec(kinds[0], kinds[1], values[0], values[1]),
+                          BoundarySpec(kinds[2], kinds[3], values[2], values[3]))
+    grid = Grid2D(-0.5, 1.0, 0.0, 2.0, nx, ny, periodic=False)
+    u = rng.standard_normal((nx, ny, m + 1, m + 1))
+    v = rng.standard_normal((nx, ny, m, m))
+
+    def padded(block, vals):
+        out = np.zeros((nx + 2, ny + 2) + block.shape[2:])
+        out[1:-1, 1:-1] = block
+        for side, (src, dst) in enumerate(((0, 0), (-1, -1))):
+            out[dst, 1:-1] = ghost_data_2d(block[src], kinds[side], 0, vals[side])
+        for side, (src, dst) in enumerate(((1, 0), (-2, -1))):
+            out[:, dst] = ghost_data_2d(out[:, src], kinds[2 + side], 1, vals[2 + side])
+        return out
+
+    def assert_gathered(data, block, vals):
+        want = padded(block, vals)
+        assert data.shape == (nx + 1, ny + 1, 2, 2) + block.shape[2:]
+        for sx in (0, 1):
+            for sy in (0, 1):
+                assert np.array_equal(data[:, :, sx, sy], want[sx:sx + nx + 1, sy:sy + ny + 1])
+
+    data, _, _ = corner_sources(Field2D(grid, DUAL, 0.0, u), spec)
+    assert_gathered(data, u, values)
+    plan = gather_plan(grid, DUAL, spec, (((m + 1, m + 1), None), ((m, m), (0.0, 0.0))))
+    rows = np.concatenate((u.reshape(nx * ny, -1), v.reshape(nx * ny, -1)), axis=1)
+    data = take(rows, plan).reshape(plan.index.shape + (-1,))
+    k = (m + 1) ** 2
+    assert_gathered(data[..., :k].reshape(data.shape[:4] + (m + 1, m + 1)), u, values)
+    assert_gathered(data[..., k:].reshape(data.shape[:4] + (m, m)), v, (0.0,) * 4)
 
 
 def _ghost_gather(values, node_axis, normal_axis, parity, spec, override):

@@ -447,6 +447,76 @@ def test_cli_rejects_negative_seed_config_key(tmp_path, capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_rejects_unwritable_out_before_the_run(tmp_path, monkeypatch, capsys, where, via):
+    """An --out path that cannot be written fails as a config error, before any step."""
+    dest = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("the run started"))
+    argv = ["gaussian1d", "--levels", "1", "--n0", "4"]
+    if via == "flag":
+        argv += ["--out", str(dest)]
+    else:
+        f = tmp_path / "run.cfg"
+        f.write_text(f"out = {dest}\n")
+        argv += ["--config", str(f)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error:" in err and "out" in err
+
+
+def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_bytes(b"\xff\xfe=1\n")
+    rc = cli.main(["gaussian1d", "--config", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cannot read config file" in err
+
+
+def _dataclass_eq_calls(monkeypatch, argv) -> int:
+    """Dataclass __eq__ calls of hermwave's classes during a warm repeat of argv."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import hermwave
+
+    classes = {obj for info in pkgutil.iter_modules(hermwave.__path__)
+               for obj in vars(importlib.import_module(f"hermwave.{info.name}")).values()
+               if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+               and obj.__module__.startswith("hermwave")}
+    calls = [0]
+    for cls in classes:
+        def counted(self, other, _eq=cls.__eq__):
+            calls[0] += 1
+            return _eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    assert cli.main(argv) == 0
+    calls[0] = 0
+    assert cli.main(argv) == 0
+    return calls[0]
+
+
+@pytest.mark.parametrize("argv, knob, small, large", [
+    (["gaussian1d", "--levels", "1"], "--n0", "6", "12"),
+    (["custom", "--experiment", "conserve1d", "--sample-every", "1000"], "--steps", "50", "500"),
+], ids=["gaussian1d", "conserve1d"])
+def test_warm_run_dataclass_comparisons_do_not_grow_with_steps(monkeypatch, capsys, argv,
+                                                               knob, small, large):
+    """Per-level plans live on the grid, so no cache lookup compares a stale key.
+
+    Caches keyed on a grid or spec that outlives its run compare each new,
+    equal one with the dataclass __eq__ on every hit, once per half step.
+    """
+    few = _dataclass_eq_calls(monkeypatch, argv + [knob, small])
+    many = _dataclass_eq_calls(monkeypatch, argv + [knob, large])
+    capsys.readouterr()
+    assert many <= few
+
+
 STEPPERS = ("half_step_1d", "half_step_2d", "full_step_conservative", "bootstrap_first_half")
 
 

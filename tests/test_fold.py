@@ -6,6 +6,7 @@ gathered data and the two must agree to rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,10 @@ from hermwave.boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair
 from hermwave.conservative import conservative_update, full_step_conservative
 from hermwave.dissipative import (
     SchemeConfig,
+    fold,
     half_step_1d,
     half_step_2d,
+    rows,
     taylor_half_step,
 )
 from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, TwoLevelState, flip
@@ -141,3 +144,61 @@ def test_steps_keep_inputs_and_conservative_step_reverses(m, lam, two_d, periodi
     back = full_step_conservative(TwoLevelState(current=s1.previous, previous=s1.current),
                                   cfg, bc)
     assert np.abs(back.current.values - prev.values).max() <= 1e-12 * np.abs(prev.values).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    lam=st.floats(0.0, 1.0, exclude_min=True),
+    periodic=st.booleans(),
+    parity=st.sampled_from((PRIMAL, DUAL)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data):
+    """A half step through a level's packed u | v plan equals the per-field blocks.
+
+    The plan gathers u and v with one take and multiplies by the `fold`
+    blocks stacked in packed row order; only the summation order differs
+    from rows(du) @ a_u + rows(dv) @ a_v. A conservative plan on the same
+    grid, parity, bc and config must not be handed to the dissipative
+    stepper or back, and a periodicity mismatch raises on every call
+    without leaving a plan behind.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = SchemeConfig(m=m, lam=lam)
+    mismatch = BoundarySpec() if not periodic else BoundarySpec("dirichlet0", "dirichlet0")
+    for ndim in (1, 2):
+        if ndim == 1:
+            grid = Grid1D(-1.0, 0.7, 5, periodic)
+            bc, bad = data.draw(_axis_spec(periodic)), mismatch
+            gather, half_step = pair_sources, half_step_1d
+        else:
+            grid = Grid2D(-1.0, 0.7, 0.0, 1.3, 4, 3, periodic)
+            bc = BoundarySpec2D(data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
+            bad = BoundarySpec2D(mismatch, mismatch)
+            gather, half_step = corner_sources, half_step_2d
+        u = _random_field(grid, parity, m + 1, rng)
+        v = _random_field(grid, parity, m, rng)
+        prev = _random_field(grid, flip(parity), m + 1, rng)
+        du, dv = gather(u, bc)[0], gather(v, bc, dirichlet_values=(0.0, 0.0))[0]
+        hs = grid.spacings
+        dt = cfg.dt(min(hs))
+        a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), dt, hs,
+                        cfg.speed, cfg.stages(ndim))
+        want = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
+        rhos = tuple(0.5 * cfg.speed * dt / h for h in hs)
+        want_c = conservative_update(apply_interp(du, ndim), prev.values, m, rhos)
+        for _ in range(2):
+            got = half_step(FieldPair(u, v), cfg, bc)
+            new = np.concatenate([rows(f.values, ndim) for f in (got.u, got.v)], axis=1)
+            assert np.abs(new - want).max() <= 1e-14 * np.abs(want).max()
+            got_c = full_step_conservative(TwoLevelState(u, prev), cfg, bc)
+            _assert_close(got_c.current.values, want_c)
+        plans = dict(grid.plans)
+        for _ in range(2):
+            for step, state in ((half_step, FieldPair(u, v)),
+                                (full_step_conservative, TwoLevelState(u, prev))):
+                with pytest.raises(ValueError, match="periodicity"):
+                    step(state, cfg, bad)
+        assert grid.plans == plans
