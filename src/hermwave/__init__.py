@@ -1,6 +1,6 @@
 """Hermite solvers for the scalar wave equation on staggered grids."""
 
-from .boundary import BoundarySpec, BoundarySpec2D, ghost_data, ghost_data_2d
+from .boundary import BoundarySpec, ghost_data, pair_sources
 from .conservative import (
     bootstrap_first_half,
     conservative_update,
@@ -13,13 +13,13 @@ from .diagnostics import (
     dissipative_energy,
     fit_rate,
     l2_error_field,
-    l2_error_field_2d,
     l2_errors_pair,
 )
 from .dissipative import (
     SchemeConfig,
     eval_series,
     expand_taylor,
+    half_step,
     half_step_1d,
     half_step_2d,
 )
@@ -37,11 +37,10 @@ from .driver import (
 from .grid import (
     DUAL,
     PRIMAL,
-    Field1D,
-    Field2D,
+    Axis,
+    Field,
     FieldPair,
-    Grid1D,
-    Grid2D,
+    Grid,
     TwoLevelState,
 )
 from .interp import apply_interp, interp_matrix
@@ -49,16 +48,15 @@ from .interp import apply_interp, interp_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "BoundarySpec2D", "ghost_data", "ghost_data_2d",
+    "BoundarySpec", "ghost_data", "pair_sources",
     "bootstrap_first_half", "conservative_update", "full_step_conservative",
     "two_level_tensor",
     "ErrorReport", "conservative_energy", "dissipative_energy",
-    "fit_rate", "l2_error_field", "l2_error_field_2d", "l2_errors_pair",
+    "fit_rate", "l2_error_field", "l2_errors_pair",
     "SchemeConfig", "eval_series", "expand_taylor",
-    "half_step_1d", "half_step_2d",
+    "half_step", "half_step_1d", "half_step_2d",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",
     "run_experiment", "run_gaussian_1d", "run_conservation_1d", "run_planewave_2d",
-    "DUAL", "PRIMAL", "Field1D", "Field2D", "FieldPair", "Grid1D", "Grid2D",
-    "TwoLevelState",
+    "DUAL", "PRIMAL", "Axis", "Field", "FieldPair", "Grid", "TwoLevelState",
     "apply_interp", "interp_matrix",
 ]

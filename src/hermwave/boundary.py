@@ -7,11 +7,14 @@ normal derivative (Neumann). The sign convention is arbitrated by the
 property that the boundary-centered interpolant of (ghost, interior) data
 then has no even (resp. odd) powers. A constant Dirichlet value g only
 changes the leading ghost coefficient: c_0 -> 2g - c_0, which makes the
-interpolant g plus an odd polynomial.
+interpolant g plus an odd polynomial. In d axes one reflection
+(`ghost_data`) acts along the wall's normal order axis alike on every
+tangential column.
 
-The gathers below assemble, for every target node of the opposite
-parity, the flanking source-node data (2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the steppers need. Every gather runs
+A level's boundary is a tuple of one `BoundarySpec` per axis, in axis
+order. The gathers below assemble, for every target node of the opposite
+parity, the flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in
+2D) including any ghosts, which is all the steppers need. Every gather runs
 one path, `take` through a `GatherPlan` cached on the level's grid: one
 take through a flat index into the node rows (u | v packed per node for
 the steppers), which wraps on a periodic axis and is clipped at walls. A
@@ -25,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import DUAL, PRIMAL, Field1D, Field2D, flip
+from .grid import DUAL, PRIMAL, flip
 
 KINDS = ("periodic", "dirichlet0", "neumann0")
 
@@ -55,12 +58,6 @@ class BoundarySpec:
         return self.left == "periodic"
 
 
-@dataclass(frozen=True)
-class BoundarySpec2D:
-    x: BoundarySpec = BoundarySpec()
-    y: BoundarySpec = BoundarySpec()
-
-
 def _signs(kind: str, n: int) -> np.ndarray:
     l = np.arange(n)
     if kind == "dirichlet0":
@@ -70,39 +67,23 @@ def _signs(kind: str, n: int) -> np.ndarray:
     raise ValueError(f"no reflection for boundary kind {kind!r}")
 
 
-def ghost_data(interior: np.ndarray, kind: str, value: float = 0.0) -> np.ndarray:
-    """Reflect 1D node data (..., mu+1) across a wall.
-
-    `value` is the constant Dirichlet datum; it shifts only c_0.
-    Periodic edges are wrap-arounds, not reflections; use the gathers.
-    """
-    interior = np.asarray(interior, dtype=float)
-    out = interior * _signs(kind, interior.shape[-1])
-    if kind == "dirichlet0" and value != 0.0:
-        out = out.copy()
-        out[..., 0] += 2.0 * value
-    return out
-
-
-def ghost_data_2d(interior: np.ndarray, kind: str, normal_axis: int,
-                  value: float = 0.0) -> np.ndarray:
-    """Reflect 2D node data (..., kx+1, ky+1) in the normal direction.
+def ghost_data(interior: np.ndarray, kind: str, value: float = 0.0, axis: int = 0,
+               ndim: int = 1) -> np.ndarray:
+    """Reflect node data (..., mu_q+1 per axis) across a wall normal to `axis`.
 
     Args:
-        interior: coefficient blocks of the first interior node(s).
-        kind: dirichlet0 or neumann0.
-        normal_axis: 0 if the wall is an x-edge, 1 for a y-edge.
-        value: constant Dirichlet datum; shifts only c_{0,0}.
+        interior: coefficient blocks of the first interior node(s), with
+            `ndim` trailing order axes.
+        kind: dirichlet0 or neumann0; periodic edges are wrap-arounds, not
+            reflections, and are left to the gathers.
+        value: constant Dirichlet datum; shifts only c_{0,...,0}.
+        axis: the wall's normal axis, 0 for an x-edge.
     """
     interior = np.asarray(interior, dtype=float)
-    axis = -2 if normal_axis == 0 else -1
-    s = _signs(kind, interior.shape[axis])
-    shape = [1, 1]
-    shape[axis] = interior.shape[axis]
-    out = interior * s.reshape(shape)
+    k = interior.shape[axis - ndim]
+    out = interior * _signs(kind, k).reshape((k,) + (1,) * (ndim - 1 - axis))
     if kind == "dirichlet0" and value != 0.0:
-        out = out.copy()
-        out[..., 0, 0] += 2.0 * value
+        out[(Ellipsis,) + (0,) * ndim] += 2.0 * value
     return out
 
 
@@ -115,17 +96,16 @@ def gather_index(counts: tuple, parity: str, periodic: bool) -> np.ndarray:
     The index is into the nodes flattened in C order, shaped (targets per
     axis..., 2 per axis...): (targets, 2) in 1D, (ntx, nty, 2, 2) in 2D.
     """
+    ndim = len(counts)
     offsets = np.array((0, 1) if parity == PRIMAL else (-1, 0))
-    flanks = []
-    for n in counts:
+    index = 0
+    for q, n in enumerate(counts):
         flank = np.arange(n if periodic else n - 1 if parity == PRIMAL else n + 1)
         flank = flank[:, None] + offsets
-        flanks.append(flank % n if periodic else np.clip(flank, 0, n - 1))
-    if len(flanks) == 1:
-        index = flanks[0]
-    else:
-        ix, iy = flanks
-        index = ix[:, None, :, None] * counts[1] + iy[None, :, None, :]
+        flank = flank % n if periodic else np.clip(flank, 0, n - 1)
+        shape = [1] * (2 * ndim)
+        shape[q], shape[ndim + q] = flank.shape
+        index = index + flank.reshape(shape) * math.prod(counts[q + 1 :])
     index.setflags(write=False)
     return index
 
@@ -144,35 +124,38 @@ class GatherPlan:
         self.nodes, self.targets, self.index, self.fixups = nodes, targets, index, fixups
 
 
-def gather_plan(grid, parity: str, bc, blocks: tuple) -> GatherPlan:
+def gather_plan(grid, parity: str, bc: tuple, blocks: tuple) -> GatherPlan:
     """Build the `GatherPlan` of one level's `parity` nodes under `bc`.
 
-    `blocks` is ((coefficient shape, Dirichlet values or None), ...), one per
-    field packed along the node rows; values replace the specs' Dirichlet
-    constants (the velocity of a constant-in-time Dirichlet problem reflects
-    around zero). Raises ValueError when bc and grid disagree about periodicity.
+    `bc` holds one `BoundarySpec` per axis, in axis order. `blocks` is
+    ((coefficient shape, Dirichlet values or None), ...), one per field
+    packed along the node rows; values replace the specs' Dirichlet
+    constants (the velocity of a constant-in-time Dirichlet problem
+    reflects around zero). Raises ValueError when bc does not give one spec
+    per axis or disagrees with the grid about periodicity.
     """
-    specs = (bc,) if isinstance(bc, BoundarySpec) else (bc.x, bc.y)
-    if any(spec.periodic != grid.periodic for spec in specs):
+    ndim = len(grid.axes)
+    if not isinstance(bc, tuple) or len(bc) != ndim:
+        raise ValueError(f"need a tuple of {ndim} BoundarySpec, one per axis, got {bc!r}")
+    if any(spec.periodic != grid.periodic for spec in bc):
         raise ValueError("boundary spec and grid disagree about periodicity")
-    ndim = len(specs)
-    counts = tuple(axis.n_nodes(parity) for axis in ((grid,) if ndim == 1 else grid.axes))
+    counts = grid.shapes[parity]
     index = gather_index(counts, parity, grid.periodic)
     fixups = []
     shape = index.shape + (sum(math.prod(coeffs) for coeffs, _ in blocks),)
-    for axis, spec in enumerate(specs if parity == DUAL and not grid.periodic else ()):
+    for axis, spec in enumerate(bc if parity == DUAL and not grid.periodic else ()):
         # the clipped slots next to this axis's walls hold the first interior node
-        reflect = ghost_data if ndim == 1 else partial(ghost_data_2d, normal_axis=axis)
         scale, shift, mask = np.ones(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
         for side, kind in ((0, spec.left), (1, spec.right)):
             edge = [slice(None)] * (2 * ndim)
             edge[axis], edge[ndim + axis] = -side, side
             edge = tuple(edge)
             mask[edge] = True
-            scale[edge] = np.concatenate([reflect(np.ones(c), kind).ravel() for c, _ in blocks])
+            scale[edge] = np.concatenate([ghost_data(np.ones(c), kind, 0.0, axis, ndim).ravel()
+                                          for c, _ in blocks])
             shift[edge] = np.concatenate([
-                reflect(np.zeros(c), kind, value=(v or (spec.left_value, spec.right_value))[side])
-                .ravel() for c, v in blocks])
+                ghost_data(np.zeros(c), kind, (v or (spec.left_value, spec.right_value))[side],
+                           axis, ndim).ravel() for c, v in blocks])
         fixups.append((np.flatnonzero(mask), scale[mask], shift[mask]))
     return GatherPlan(math.prod(counts), math.prod(index.shape[:ndim]), index, tuple(fixups))
 
@@ -191,34 +174,21 @@ def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
     return out.reshape(plan.targets, -1)
 
 
-def _gather(field, bc, values_override):
-    """Gather one field through the plan cached on its grid."""
-    grid, parity, values = field.grid, field.parity, field.values
-    coeffs = values.shape[len(grid.spacings):]
-    key = ("gather", parity, bc, values_override, coeffs)
-    plan = grid.plans.get(key)
-    if plan is None:
-        plan = grid.plans[key] = gather_plan(grid, parity, bc, ((coeffs, values_override),))
-    return take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
-
-
-def pair_sources(field: Field1D, spec: BoundarySpec, dirichlet_values=None):
+def pair_sources(field, bc: tuple, dirichlet_values=None):
     """Flanking data for every target node of the opposite parity.
 
-    Returns:
-        data: (n_targets, 2, mu+1), axis 1 being (left, right).
-        centers: target node coordinates (the cell midpoints).
-    """
-    return _gather(field, spec, dirichlet_values), field.grid.nodes(flip(field.parity))
-
-
-def corner_sources(field: Field2D, spec: BoundarySpec2D, dirichlet_values=None):
-    """Corner data for every 2D target node of the opposite parity.
+    Gathers through the plan cached on the field's grid.
 
     Returns:
-        data: (ntx, nty, 2, 2, kx+1, ky+1); axes 2/3 are the x/y side.
-        cx, cy: target node coordinates per axis.
+        (data, *centers): data shaped (targets per axis..., 2 per axis...,
+        mu_q+1 per axis...), each 2 being that axis's (low, high) side, then
+        the target node coordinates (the cell midpoints) of each axis.
     """
-    target = flip(field.parity)
-    return (_gather(field, spec, dirichlet_values),
-            field.grid.axis(0).nodes(target), field.grid.axis(1).nodes(target))
+    grid, parity, values = field.grid, field.parity, field.values
+    coeffs = values.shape[len(grid.axes) :]
+    key = ("gather", parity, bc, dirichlet_values, coeffs)
+    plan = grid.plans.get(key)
+    if plan is None:
+        plan = grid.plans[key] = gather_plan(grid, parity, bc, ((coeffs, dirichlet_values),))
+    data = take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
+    return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import corner_sources, gather_plan, pair_sources, take
+from .boundary import gather_plan, pair_sources, take
 from .dissipative import SchemeConfig, eval_series, expand_taylor, fold
 from .grid import TwoLevelState, flip
 from .interp import apply_interp
@@ -91,16 +91,13 @@ def _update(data, m, rhos):
     return (conservative_update(apply_interp(data, len(rhos)), 0.0, m, rhos),)
 
 
-def _plan(field, cfg: SchemeConfig, bc) -> tuple:
-    """The update plan of field's level, cached on its grid: gather, matrix, dt/2.
+def _plan(field, cfg: SchemeConfig, bc, key) -> tuple:
+    """Build the update plan of field's level, cached on its grid under key:
+    gather, matrix, dt/2.
 
     dt is set by the smallest spacing, so only h ratios enter rho = c dt/(2h).
     """
     grid = field.grid
-    key = ("conservative", field.parity, bc, cfg)
-    plan = grid.plans.get(key)
-    if plan is not None:
-        return plan
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
     gather = gather_plan(grid, field.parity, bc, (((m + 1,) * ndim, None),))
@@ -118,7 +115,8 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLe
     """
     cur = state.current
     prev = state.previous.values
-    gather, a, half_dt = _plan(cur, cfg, bc)
+    key = ("conservative", cur.parity, bc, cfg)
+    gather, a, half_dt = cur.grid.plans.get(key) or _plan(cur, cfg, bc, key)
     new_vals = take(cur.values.reshape(gather.nodes, -1), gather) @ a
     new_vals = new_vals.reshape(prev.shape) - prev
     new = state.previous.with_values(new_vals, time=cur.time + half_dt)
@@ -140,9 +138,8 @@ def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
     hs = g0.grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
-    gather = pair_sources if ndim == 1 else corner_sources
-    du = gather(g0, bc)[0]
-    dv = gather(g1, bc, dirichlet_values=(0.0, 0.0))[0]
+    du = pair_sources(g0, bc)[0]
+    dv = pair_sources(g1, bc, dirichlet_values=(0.0, 0.0))[0]
     # with full-order v seeds every stage past d(2m+2) is exactly zero
     ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
                             cfg.speed, ndim * (2 * cfg.m + 2))

@@ -42,9 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import (BoundarySpec, BoundarySpec2D, corner_sources, gather_index,
-                       pair_sources)
-from .grid import Field1D, Field2D, FieldPair, Grid1D, flip
+from .boundary import gather_index, pair_sources
+from .grid import Axis, Field, FieldPair, flip
 from .interp import apply_interp, interp_matrix
 
 
@@ -66,7 +65,7 @@ def default_npts(m: int) -> int:
 # L2 errors
 
 
-def _axis_rule(grid: Grid1D, centers: np.ndarray, npts: int):
+def _axis_rule(axis: Axis, centers: np.ndarray, npts: int):
     """Gauss rule on each cell of one axis, cells centred on the gather's targets.
 
     On wall grids the cells are clipped to the domain (a dual field's
@@ -80,11 +79,11 @@ def _axis_rule(grid: Grid1D, centers: np.ndarray, npts: int):
             their scaled variable, wg the rule's weights and half the
             (cells,) half-lengths of the integration intervals.
     """
-    h = grid.h
+    h = axis.h
     a, b = centers - 0.5 * h, centers + 0.5 * h
     keep = slice(None)
-    if not grid.periodic:
-        a, b = np.maximum(a, grid.x_left), np.minimum(b, grid.x_right)
+    if not axis.periodic:
+        a, b = np.maximum(a, axis.x_left), np.minimum(b, axis.x_right)
         keep = b > a
         centers, a, b = centers[keep], a[keep], b[keep]
     xg, wg = gauss_rule(npts)
@@ -94,64 +93,72 @@ def _axis_rule(grid: Grid1D, centers: np.ndarray, npts: int):
     return keep, (x, xi, wg, half)
 
 
-def _cell_quadrature(field: Field1D, bc: BoundarySpec, npts: int, dirichlet_values=None):
-    """Interpolant coefficients (cells, 2mu+2) and `_axis_rule` of a 1D field."""
-    data, centers = pair_sources(field, bc, dirichlet_values)
-    keep, quad = _axis_rule(field.grid, centers, npts)
-    return apply_interp(data)[keep], quad
+def _cell_quadrature(field: Field, bc: tuple, npts: int, dirichlet_values=None):
+    """Interpolant coefficients (cells per axis..., 2mu_q+2 per axis...) of a
+    field, and one `_axis_rule` quadrature per axis."""
+    data, *centers = pair_sources(field, bc, dirichlet_values)
+    quads = []
+    for q, (axis, c) in enumerate(zip(field.grid.axes, centers)):
+        keep, quad = _axis_rule(axis, c, npts)
+        data = data[(slice(None),) * q + (keep,)]
+        quads.append(quad)
+    return apply_interp(data, len(quads)), quads
 
 
-def _cell_l2(coeffs, quad, exact) -> float:
-    """sqrt(integral (p - exact)^2) with p evaluated by Horner's rule per cell."""
-    x, xi, wg, half = quad
-    p = np.broadcast_to(coeffs[:, -1:], xi.shape)
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        p = p * xi + coeffs[:, k : k + 1]
-    d = p - exact(x)
-    return math.sqrt(np.dot((d * d) @ wg, half))
+def _cell_l2(coeffs, quads, exact) -> float:
+    """sqrt(integral (p - exact)^2) over the cells of per-axis quadratures.
+
+    Horner's rule turns one axis's coefficients into its Gauss points at a
+    time, so the values, and the points exact gets, are laid out (cells per
+    axis..., points per axis...)."""
+    d = len(quads)
+    vals, xs = coeffs, []
+    for q, (x, xi, _, _) in enumerate(quads):
+        shape = [1] * (2 * d)
+        shape[q], shape[d + q] = x.shape
+        xs.append(x.reshape(shape))
+        xi = xi.reshape(shape)
+        at = (slice(None),) * (d + q)
+        k = vals.shape[d + q]
+        p = vals[at + (slice(k - 1, k),)] * xi
+        for j in range(k - 2, 0, -1):
+            p += vals[at + (slice(j, j + 1),)]
+            p *= xi
+        vals = p + vals[at + (slice(0, 1),)]
+    total = vals - exact(*xs)
+    total = total * total
+    for _, _, wg, _ in reversed(quads):
+        total = total @ wg
+    for _, _, _, half in reversed(quads):
+        total = total @ half
+    return math.sqrt(total)
 
 
-def l2_error_field(field: Field1D, exact, bc: BoundarySpec,
-                   npts: int | None = None) -> float:
-    """L2 error of the global interpolant against exact(x), all cells at once."""
-    return _cell_l2(*_cell_quadrature(field, bc, npts or default_npts(field.order)), exact)
+def l2_error_field(field: Field, exact, bc: tuple, npts: int | None = None) -> float:
+    """L2 error of the global tensor interpolant against exact(x, y, ...).
+
+    Each axis's cells are clipped to the domain on wall grids.
+    """
+    return _cell_l2(*_cell_quadrature(field, bc, npts or default_npts(max(field.orders))),
+                    exact)
 
 
-def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v,
-                   bc: BoundarySpec, npts: int | None = None):
-    """(u, u_x, v) errors of a dissipative state in one sweep.
+def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v, bc: tuple,
+                   npts: int | None = None):
+    """(u, u_x, v) errors of a 1D dissipative state in one sweep.
 
     v reflects about 0 at walls, as in the stepper.
     """
-    npts = npts or default_npts(pair.u.order)
-    cu, quad = _cell_quadrature(pair.u, bc, npts)
+    h = _line(pair.u).h
+    npts = npts or default_npts(pair.u.orders[0])
+    cu, quads = _cell_quadrature(pair.u, bc, npts)
     # d/dx takes a_j xi^j to j a_j xi^(j-1) / h
-    dcu = cu[:, 1:] * np.arange(1, cu.shape[1]) / pair.u.grid.h
+    dcu = cu[:, 1:] * np.arange(1, cu.shape[1]) / h
     return (
-        _cell_l2(cu, quad, exact_u),
-        _cell_l2(dcu, quad, exact_dux),
+        _cell_l2(cu, quads, exact_u),
+        _cell_l2(dcu, quads, exact_dux),
         _cell_l2(*_cell_quadrature(pair.v, bc, npts, (0.0, 0.0)), exact_v),
     )
-
-
-def l2_error_field_2d(field: Field2D, exact, bc: BoundarySpec2D,
-                      npts: int | None = None) -> float:
-    """L2 error of the global tensor interpolant against exact(X, Y).
-
-    Each axis's cells are clipped to the domain as in the 1D errors.
-    """
-    mx, my = field.orders
-    npts = npts or default_npts(max(mx, my))
-    data, cx, cy = corner_sources(field, bc)
-    kx, (x, xix, wg, halfx) = _axis_rule(field.grid.axis(0), cx, npts)
-    ky, (y, xiy, _, halfy) = _axis_rule(field.grid.axis(1), cy, npts)
-    coeffs = apply_interp(data[kx][:, ky], 2)  # (cells x, cells y, 2mx+2, 2my+2)
-    vx = xix[..., None] ** np.arange(coeffs.shape[-2])  # (cells x, p, a)
-    vy = xiy[..., None] ** np.arange(coeffs.shape[-1])
-    vals = vx[:, None] @ coeffs @ vy.transpose(0, 2, 1)[None]  # (cells x, cells y, p, q)
-    diff = vals - exact(x[:, None, :, None], y[None, :, None, :])
-    total = np.einsum("ijpq,ip,jq->", diff * diff, halfx[:, None] * wg, halfy[:, None] * wg)
-    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -218,46 +225,55 @@ def seminorm_factor(mu: int, order: int, h: float) -> np.ndarray:
     return out
 
 
-def conservative_energy(current: Field1D, previous: Field1D, speed: float,
-                        dt: float, bc: BoundarySpec) -> float:
-    """E(t_n) from a two-level nodal state on a periodic grid."""
-    grid = current.grid
-    if not (grid.periodic and bc.periodic):
+def _line(field: Field) -> Axis:
+    """The one axis of a 1D field; the energies and u_x are defined in 1D only."""
+    ndim = len(field.grid.axes)
+    if ndim != 1:
+        raise ValueError(f"defined for 1D fields only, got a {ndim}D field")
+    return field.grid.axes[0]
+
+
+def conservative_energy(current: Field, previous: Field, speed: float,
+                        dt: float, bc: tuple) -> float:
+    """E(t_n) from a two-level nodal state on a periodic 1D grid."""
+    axis = _line(current)
+    if not (axis.periodic and all(spec.periodic for spec in bc)):
         raise ValueError("conserved variables need a periodic domain")
     if previous.parity != flip(current.parity):
         raise ValueError("the two levels must sit on opposite parities")
-    r = abs(0.5 * speed * dt / grid.h)
+    r = abs(0.5 * speed * dt / axis.h)
     if r > 0.5 * (1.0 + 1e-12):
         raise ValueError(f"the energy window needs c*dt <= h, got c*dt/h = {2 * r:g}")
     r = min(r, 0.5)  # lam = 1 can round to just above 1/2
-    m, n = current.order, grid.n
+    (m,), n = current.orders, axis.n
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
     cur = pair_sources(current, bc)[0].reshape(n, -1) @ top
     prev = pair_sources(previous, bc)[0].reshape(n, -1) @ top  # cells at current nodes
     flanks = prev[gather_index((n,), current.parity, True)].reshape(n, -1)
-    y = np.concatenate([cur, flanks], axis=1) @ energy_factor(m, r, grid.h).T
+    y = np.concatenate([cur, flanks], axis=1) @ energy_factor(m, r, axis.h).T
     return float(np.vdot(y, y))
 
 
-def _interp_seminorm(field: Field1D, order: int, bc: BoundarySpec,
+def _interp_seminorm(field: Field, order: int, h: float, bc: tuple,
                      dirichlet_values=None) -> float:
-    """|I field|_order^2 summed over the cells of the field's gather."""
-    mu = field.order
+    """|I field|_order^2 summed over the cells of the 1D field's gather."""
+    (mu,) = field.orders
     data = pair_sources(field, bc, dirichlet_values)[0]
     top = data.reshape(len(data), -1) @ interp_matrix(mu)[order:].T
-    y = top @ seminorm_factor(mu, order, field.grid.h).T
+    y = top @ seminorm_factor(mu, order, h).T
     return float(np.vdot(y, y))
 
 
-def dissipative_energy(state: FieldPair, speed: float, bc: BoundarySpec) -> float:
-    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the gathers.
+def dissipative_energy(state: FieldPair, speed: float, bc: tuple) -> float:
+    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the 1D gathers.
 
     v reflects about 0 at walls, as in the stepper. A dual level's
     ghost-backed edge cells reach h/2 past each wall and are not clipped.
     """
-    m = state.u.order
-    return (speed * speed * _interp_seminorm(state.u, m + 1, bc)
-            + _interp_seminorm(state.v, m, bc, (0.0, 0.0)))
+    h = _line(state.u).h
+    (m,) = state.u.orders
+    return (speed * speed * _interp_seminorm(state.u, m + 1, h, bc)
+            + _interp_seminorm(state.v, m, h, bc, (0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import BoundarySpec, BoundarySpec2D
+from .boundary import BoundarySpec
 from .conservative import bootstrap_first_half, full_step_conservative
-from .diagnostics import (
-    ErrorReport,
-    conservative_energy,
-    l2_error_field,
-    l2_error_field_2d,
-    l2_errors_pair,
-)
+from .diagnostics import ErrorReport, conservative_energy, l2_error_field, l2_errors_pair
 from .dissipative import SchemeConfig, half_step_1d, half_step_2d
-from .grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, TwoLevelState
+from .grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from .interp import MAX_ORDER
 
 
@@ -270,32 +264,33 @@ def _march(state, step, args, count: int, n: int, done: int = 0):
     for k in range(done + 1, last + 1):
         state = step(state, *args)
         if k % FINITE_STRIDE == 0 or k == last:
-            fields = (state.u, state.v) if isinstance(state, FieldPair) else (state.current,)
+            fields = state.fields
             _require_finite(*(f.values for f in fields), where=_at(k, fields[0].time, n))
     return state
 
 
-def _evolve(cfg: RunConfig, grid, bc, data, nhalf: int):
+def _evolve(cfg: RunConfig, grid: Grid, bc: tuple, data, nhalf: int, half_step):
     """Start one level from closed-form data and march it nhalf half steps.
 
     data(parity, t, order, tder) gives the scaled nodal blocks of u
-    (tder 0) or u_t (tder 1) on one parity's nodes at time t. The grid's
-    type picks 1D or 2D. Returns the final FieldPair (dissipative) or
-    TwoLevelState (conservative).
+    (tder 0) or u_t (tder 1) on one parity's nodes at time t. half_step is
+    the dissipative step as the experiment names it, `half_step_1d` or
+    `half_step_2d`: one function under two names, read from this module at
+    each call, so a wrapper patched in under either name sees every step.
+    Returns the final FieldPair (dissipative) or TwoLevelState
+    (conservative).
     """
     scfg = cfg.scheme_config()
-    flat = isinstance(grid, Grid1D)
-    n, h = (grid.n if flat else grid.nx), min(grid.spacings)
-    field = Field1D if flat else Field2D
+    n, h = grid.axes[0].n, min(grid.spacings)
 
     def start(parity, t, order, tder=0):
-        return field(grid, parity, t, data(parity, t, order, tder))
+        return Field(grid, parity, t, data(parity, t, order, tder))
 
     u0 = start(PRIMAL, 0.0, cfg.m)
     done = 0
     if cfg.scheme == "dissipative":
         state = FieldPair(u0, start(PRIMAL, 0.0, cfg.m - 1, tder=1))
-        step = half_step_1d if flat else half_step_2d
+        step = half_step
     else:
         step = full_step_conservative
         if cfg.init == "exact":
@@ -322,23 +317,23 @@ def _study(cfg: RunConfig, level) -> ErrorReport:
 # experiments
 
 
-def _boundary_1d(cfg: RunConfig) -> BoundarySpec:
+def _boundary_1d(cfg: RunConfig) -> tuple:
     if cfg.boundary == "periodic":
-        return BoundarySpec()
-    return BoundarySpec(cfg.boundary, cfg.boundary)
+        return (BoundarySpec(),)
+    return (BoundarySpec(cfg.boundary, cfg.boundary),)
 
 
 def _gaussian_level(cfg: RunConfig, n: int):
     """One gaussian1d level on n cells, run to the half step nearest t = 12.25."""
     bc = _boundary_1d(cfg)
-    grid = Grid1D(-1.5, 1.5, n, periodic=(cfg.boundary == "periodic"))
-    h = grid.h
+    axis = Axis(-1.5, 1.5, n, periodic=(cfg.boundary == "periodic"))
+    grid, h = Grid((axis,)), axis.h
     dt = cfg.scheme_config().dt(h)
     nhalf = round(24.5 / dt)
     tau = nhalf * (0.5 * dt) - 12.0
 
     def data(parity, t, order, tder):
-        x = grid.nodes(parity)
+        x = axis.nodes(parity)
         if tder:  # the pulse starts at rest
             return np.zeros((len(x), order + 1))
         # at t = 0 the two half pulses coincide
@@ -356,7 +351,7 @@ def _gaussian_level(cfg: RunConfig, n: int):
         return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
                       + 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
 
-    state = _evolve(cfg, grid, bc, data, nhalf)
+    state = _evolve(cfg, grid, bc, data, nhalf, half_step_1d)
     if cfg.scheme == "dissipative":
         return h, dt, l2_errors_pair(state, exact_u, exact_dux, exact_v, bc)
     return h, dt, (l2_error_field(state.current, exact_u, bc),)
@@ -370,20 +365,19 @@ def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
 def run_conservation_1d(cfg: RunConfig):
     """Energy drift trace; returns (steps, times, deltas, e0)."""
     scfg = cfg.scheme_config()
-    bc = BoundarySpec()
+    bc = (BoundarySpec(),)
     m = cfg.m
-    grid = Grid1D(-np.pi, np.pi, cfg.n0, periodic=True)
-    h = grid.h
+    axis = Axis(-np.pi, np.pi, cfg.n0, periodic=True)
+    grid, h = Grid((axis,)), axis.h
     dt = scfg.dt(h)
     if cfg.mode == "smooth":
-        cur = Field1D(grid, PRIMAL, 0.0,
-                      _scale_cols(sine_derivs(grid.nodes(PRIMAL), m, 0.0), h))
-        prev = Field1D(grid, DUAL, -0.5 * dt,
-                       _scale_cols(sine_derivs(grid.nodes(DUAL), m, -0.5 * dt), h))
+        cur = Field(grid, PRIMAL, 0.0, _scale_cols(sine_derivs(axis.nodes(PRIMAL), m, 0.0), h))
+        prev = Field(grid, DUAL, -0.5 * dt,
+                     _scale_cols(sine_derivs(axis.nodes(DUAL), m, -0.5 * dt), h))
     else:
         rng = np.random.default_rng(cfg.seed)
-        cur = Field1D(grid, PRIMAL, 0.0, rng.random((grid.n_nodes(PRIMAL), m + 1)))
-        prev = Field1D(grid, DUAL, -0.5 * dt, rng.random((grid.n_nodes(DUAL), m + 1)))
+        cur = Field(grid, PRIMAL, 0.0, rng.random((axis.n_nodes(PRIMAL), m + 1)))
+        prev = Field(grid, DUAL, -0.5 * dt, rng.random((axis.n_nodes(DUAL), m + 1)))
     state = TwoLevelState(current=cur, previous=prev)
     e0 = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
     steps, times, deltas = [0], [0.0], [0.0]
@@ -400,24 +394,23 @@ def run_conservation_1d(cfg: RunConfig):
 def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     """One level of sin(2 pi kappa (x + y + sqrt(2) t)) on n x n cells, run
     to the half step nearest t_target."""
-    bc = BoundarySpec2D()
-    grid = Grid2D(0.0, 1.0, 0.0, 1.0, n, n, periodic=True)
-    h = grid.hx
+    bc = (BoundarySpec(),) * 2
+    grid = Grid((Axis(0.0, 1.0, n, periodic=True),) * 2)
+    h = grid.spacings[0]
     dt = cfg.scheme_config().dt(h)
     nhalf = round(2 * t_target / dt)
     t_end = nhalf * 0.5 * dt
     w = 2.0 * np.pi * kappa
 
     def data(parity, t, order, tder):
-        xs, ys = grid.axis(0).nodes(parity), grid.axis(1).nodes(parity)
+        xs, ys = (axis.nodes(parity) for axis in grid.axes)
         return planewave_data(xs, ys, t, order, order, kappa, h, h, tder=tder)
 
     def exact(x, y):
         return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
 
-    state = _evolve(cfg, grid, bc, data, nhalf)
-    u = state.u if isinstance(state, FieldPair) else state.current
-    return h, dt, (l2_error_field_2d(u, exact, bc),)
+    state = _evolve(cfg, grid, bc, data, nhalf, half_step_2d)
+    return h, dt, (l2_error_field(state.fields[0], exact, bc),)
 
 
 def run_planewave_2d(cfg: RunConfig) -> ErrorReport:

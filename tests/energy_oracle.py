@@ -121,4 +121,4 @@ def oracle_energy(current, previous, speed: float, dt: float, bc) -> float:
     """E(t_n) from a two-level nodal state, assembled piece by piece."""
     pair = conserved_pair(field_interpolant(current, bc), field_interpolant(previous, bc),
                           0.5 * speed * dt)
-    return seminorm_energy(pair, current.order + 1)
+    return seminorm_energy(pair, current.orders[0] + 1)

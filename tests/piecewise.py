@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hermwave.boundary import BoundarySpec, pair_sources
+from hermwave.boundary import pair_sources
 from hermwave.diagnostics import gauss_rule
-from hermwave.grid import Field1D, FieldPair
+from hermwave.grid import Field, FieldPair
 from hermwave.interp import apply_interp
 
 
@@ -179,9 +179,9 @@ def interpolate_1d(left, right, center: float, width: float) -> CellPolynomial:
     return CellPolynomial(center, width, coeffs)
 
 
-def field_interpolant(field: Field1D, bc: BoundarySpec,
+def field_interpolant(field: Field, bc: tuple,
                       dirichlet_values=None) -> PiecewisePolynomial:
-    """Piecewise Hermite interpolant on the field's cells.
+    """Piecewise Hermite interpolant on the 1D field's cells.
 
     Cells sit between consecutive nodes of the field's own parity; with
     walls, a dual field contributes ghost-backed half cells at the edges
@@ -190,7 +190,8 @@ def field_interpolant(field: Field1D, bc: BoundarySpec,
     """
     data, centers = pair_sources(field, bc, dirichlet_values)
     coeffs = apply_interp(data)
-    h = field.grid.h
+    (axis,) = field.grid.axes
+    h = axis.h
     pieces = [CellPolynomial(c, h, coeffs[i]) for i, c in enumerate(centers)]
     bp = np.concatenate([centers - 0.5 * h, centers[-1:] + 0.5 * h])
     return PiecewisePolynomial(bp, pieces, periodic=field.grid.periodic)
@@ -210,12 +211,12 @@ def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
     return total
 
 
-def oracle_dissipative_energy(state: FieldPair, speed: float, bc: BoundarySpec) -> float:
+def oracle_dissipative_energy(state: FieldPair, speed: float, bc: tuple) -> float:
     """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, integrated piece by piece.
 
     v reflects about 0 at walls, as in the stepper.
     """
-    m = state.u.order
+    (m,) = state.u.orders
     ppu = field_interpolant(state.u, bc)
     ppv = field_interpolant(state.v, bc, (0.0, 0.0))
     return speed * speed * seminorm_sq(ppu, m + 1) + seminorm_sq(ppv, m)

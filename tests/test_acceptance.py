@@ -38,7 +38,7 @@ from numpy.polynomial import Polynomial as P
 from hermwave.boundary import BoundarySpec, ghost_data, pair_sources
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import l2_error_field
-from hermwave.dissipative import SchemeConfig, half_step_1d
+from hermwave.dissipative import SchemeConfig, half_step
 from hermwave.driver import (
     default_config,
     run_conservation_1d,
@@ -49,7 +49,7 @@ from hermwave.driver import (
     _scale_cols,
     _study,
 )
-from hermwave.grid import DUAL, PRIMAL, Field1D, FieldPair, Grid1D, TwoLevelState
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from hermwave.interp import apply_interp
 
 from piecewise import CellPolynomial, PiecewisePolynomial, interpolate_1d, seminorm_sq
@@ -229,8 +229,8 @@ def _dissipative_center_oracle(udata, vdata, lam, speed, h):
 
 def _exactness_level(kinds, values):
     """The six-cell grid of criterion 5, periodic or with the given walls."""
-    grid = Grid1D(0.0, 3.0, 6, periodic=kinds is None)
-    return grid, BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values)
+    grid = Grid((Axis(0.0, 3.0, 6, periodic=kinds is None),))
+    return grid, (BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values),)
 
 
 # Each (lam, m) cell also draws lam' = lam - back in (lam - 1/2, lam], so
@@ -255,19 +255,19 @@ def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, values
     lam = lam - back
     grid, bc = _exactness_level(kinds, values)
     cfg = SchemeConfig(m=m, lam=lam)
-    nodes = grid.n_nodes(parity)
+    nodes = grid.shapes[parity]
     pair = FieldPair(
-        Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m + 1))),
-        Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m))),
+        Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
+        Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,))),
     )
-    out = half_step_1d(pair, cfg, bc)
+    out = half_step(pair, cfg, bc)
     # the flank data the stepper reads: v reflects about 0 at walls
     udata, _ = pair_sources(pair.u, bc)
     vdata, _ = pair_sources(pair.v, bc, dirichlet_values=(0.0, 0.0))
     scale = np.abs(udata).max()
     worst = 0.0
     for i in range(len(udata)):
-        uref, vref = _dissipative_center_oracle(udata[i], vdata[i], lam, 1.0, grid.h)
+        uref, vref = _dissipative_center_oracle(udata[i], vdata[i], lam, 1.0, grid.spacings[0])
         worst = max(
             worst,
             abs(out.u.values[i, 0] - uref) / scale,
@@ -289,18 +289,19 @@ def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, value
     cfg = SchemeConfig(m=m, lam=lam)
     other = DUAL if parity == PRIMAL else PRIMAL
     state = TwoLevelState(
-        Field1D(grid, parity, 0.0, rng.standard_normal((grid.n_nodes(parity), m + 1))),
-        Field1D(grid, other, -0.1, rng.standard_normal((grid.n_nodes(other), m + 1))),
+        Field(grid, parity, 0.0, rng.standard_normal(grid.shapes[parity] + (m + 1,))),
+        Field(grid, other, -0.1, rng.standard_normal(grid.shapes[other] + (m + 1,))),
     )
     out = full_step_conservative(state, cfg, bc)
     data, centers = pair_sources(state.current, bc)
     coeffs = apply_interp(data)
     scale = np.abs(coeffs).max()
     rho = 0.5 * lam
+    (h,) = grid.spacings
     worst = 0.0
     for i in range(len(data)):
-        p = CellPolynomial(centers[i], grid.h, coeffs[i])
-        avg = 0.5 * (p(centers[i] + rho * grid.h) + p(centers[i] - rho * grid.h))
+        p = CellPolynomial(centers[i], h, coeffs[i])
+        avg = 0.5 * (p(centers[i] + rho * h) + p(centers[i] - rho * h))
         ref = 2.0 * avg - state.previous.values[i, 0]
         worst = max(worst, abs(out.current.values[i, 0] - ref) / scale)
     _bound_check(f"one-step exactness conservative m={m} lam={lam:.4g} "
@@ -350,11 +351,11 @@ def _coeff_sub(a, b):
 def test_criterion6_interpolation_error_slope(m):
     errs, hs = [], []
     for n in (8, 12, 18, 27):
-        grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
-        xs = grid.nodes(PRIMAL)
-        f = Field1D(grid, PRIMAL, 0.0, _scale_cols(sine_derivs(xs, m, 0.0), grid.h))
-        errs.append(l2_error_field(f, np.sin, BoundarySpec(), npts=2 * m + 8))
-        hs.append(grid.h)
+        axis = Axis(0.0, 2 * math.pi, n, periodic=True)
+        xs = axis.nodes(PRIMAL)
+        f = Field(Grid((axis,)), PRIMAL, 0.0, _scale_cols(sine_derivs(xs, m, 0.0), axis.h))
+        errs.append(l2_error_field(f, np.sin, (BoundarySpec(),), npts=2 * m + 8))
+        hs.append(axis.h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     _rate_check(f"interpolation L2 slope m={m}", slope, 2 * m + 2, 0.3)
 
@@ -366,11 +367,12 @@ def test_criterion6_interpolation_error_slope(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_criterion7_dissipative_long_run(m):
     n = 10
-    grid = Grid1D(-math.pi, math.pi, n, periodic=True)
+    axis = Axis(-math.pi, math.pi, n, periodic=True)
+    grid = Grid((axis,))
     cfg = SchemeConfig(m=m, lam=1.0)
-    bc = BoundarySpec()
-    xs = grid.nodes(PRIMAL)
-    h = grid.h
+    bc = (BoundarySpec(),)
+    xs = axis.nodes(PRIMAL)
+    h = axis.h
     uvals = np.stack(
         [np.sin(xs + l * math.pi / 2) * h**l / math.factorial(l) for l in range(m + 1)],
         axis=-1,
@@ -379,11 +381,11 @@ def test_criterion7_dissipative_long_run(m):
         [-np.cos(xs + l * math.pi / 2) * h**l / math.factorial(l) for l in range(m)],
         axis=-1,
     )
-    pair = FieldPair(Field1D(grid, PRIMAL, 0.0, uvals), Field1D(grid, PRIMAL, 0.0, vvals))
+    pair = FieldPair(Field(grid, PRIMAL, 0.0, uvals), Field(grid, PRIMAL, 0.0, vvals))
     sup0 = np.abs(pair.u.values[:, 0]).max()
     sup = sup0
     for k in range(10_000):
-        pair = half_step_1d(pair, cfg, bc)
+        pair = half_step(pair, cfg, bc)
         if (k + 1) % 100 == 0:
             assert np.all(np.isfinite(pair.u.values))
             sup = max(sup, np.abs(pair.u.values[:, 0]).max())

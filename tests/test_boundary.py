@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermwave.boundary import (
-    BoundarySpec,
-    BoundarySpec2D,
-    corner_sources,
-    gather_plan,
-    ghost_data,
-    ghost_data_2d,
-    pair_sources,
-    take,
-)
-from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, Grid1D, Grid2D
+from hermwave.boundary import BoundarySpec, gather_plan, ghost_data, pair_sources, take
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 from hermwave.interp import apply_interp
 
 
@@ -41,19 +32,20 @@ _dyadic = st.integers(-2**20, 2**20).map(lambda k: k / 2**10)
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 4), value=_dyadic, seed=st.integers(0, 2**32 - 1))
 def test_reflection_is_an_involution(kind, m, value, seed):
-    """Reflecting twice returns the data bit for bit, in 1D and across either 2D edge.
+    """Reflecting twice returns the data bit for bit, in 1D and across any 2D or 3D edge.
 
     Data and Dirichlet values are dyadic (k / 2**10, |k| <= 2**20), so the
     shift 2 value - c_0 and its reflection are exact; with generic floats
     it rounds in about four draws of five.
     """
     rng = np.random.default_rng(seed)
-    data = rng.integers(-2**20, 2**20, size=(3, m + 1, m), endpoint=True) / 2**10
-    blocks = data[..., 0]  # 1D node data (3, m+1)
+    data = rng.integers(-2**20, 2**20, size=(3, m + 1, m, m + 2), endpoint=True) / 2**10
+    blocks = data[..., 0, 0]  # 1D node data (3, m+1)
     assert np.array_equal(ghost_data(ghost_data(blocks, kind, value), kind, value), blocks)
-    for axis in (0, 1):
-        once = ghost_data_2d(data, kind, axis, value)
-        assert np.array_equal(ghost_data_2d(once, kind, axis, value), data)
+    for ndim, block in ((2, data[..., 0]), (3, data)):
+        for axis in range(ndim):
+            once = ghost_data(block, kind, value, axis, ndim)
+            assert np.array_equal(ghost_data(once, kind, value, axis, ndim), block)
 
 
 def test_periodic_kind_has_no_reflection():
@@ -82,17 +74,17 @@ def test_2d_reflection_separable():
     rng = np.random.default_rng(2)
     block = rng.standard_normal((3, 4))
     for kind in ("dirichlet0", "neumann0"):
-        out = ghost_data_2d(block, kind, normal_axis=0)
+        out = ghost_data(block, kind, axis=0, ndim=2)
         for l in range(4):
             np.testing.assert_array_equal(out[:, l], ghost_data(block[:, l], kind))
-        out_y = ghost_data_2d(block, kind, normal_axis=1)
+        out_y = ghost_data(block, kind, axis=1, ndim=2)
         for k in range(3):
             np.testing.assert_array_equal(out_y[k, :], ghost_data(block[k, :], kind))
 
 
 def test_2d_dirichlet_value_hits_corner_only():
     block = np.zeros((2, 2))
-    out = ghost_data_2d(block, "dirichlet0", normal_axis=1, value=3.0)
+    out = ghost_data(block, "dirichlet0", value=3.0, axis=1, ndim=2)
     want = np.zeros((2, 2))
     want[0, 0] = 6.0
     np.testing.assert_array_equal(out, want)
@@ -107,34 +99,40 @@ def test_boundary_spec_validation():
     assert not BoundarySpec("dirichlet0", "neumann0").periodic
 
 
+def _line(x_left, x_right, n, periodic):
+    """A 1D grid and its one axis."""
+    axis = Axis(x_left, x_right, n, periodic)
+    return Grid((axis,)), axis
+
+
 def _field_1d(parity, grid, mu, rng):
-    shape = (grid.n_nodes(parity), mu + 1)
-    return Field1D(grid, parity, 0.0, rng.standard_normal(shape))
+    shape = grid.shapes[parity] + (mu + 1,)
+    return Field(grid, parity, 0.0, rng.standard_normal(shape))
 
 
 def test_periodic_gather_is_index_wrap():
     rng = np.random.default_rng(3)
-    grid = Grid1D(-1.0, 1.0, 6, periodic=True)
-    spec = BoundarySpec()
+    grid, axis = _line(-1.0, 1.0, 6, periodic=True)
+    spec = (BoundarySpec(),)
     f = _field_1d(PRIMAL, grid, 2, rng)
     data, centers = pair_sources(f, spec)
     assert data.shape == (6, 2, 3)
     # primal targets are the dual nodes; flanks are (i, i+1 mod n)
     assert np.array_equal(data[:, 0], f.values)
     assert np.array_equal(data[:, 1], np.roll(f.values, -1, axis=0))
-    np.testing.assert_allclose(centers, grid.nodes(DUAL))
+    np.testing.assert_allclose(centers, axis.nodes(DUAL))
 
     g = _field_1d(DUAL, grid, 1, rng)
     data, centers = pair_sources(g, spec)
     assert np.array_equal(data[:, 0], np.roll(g.values, 1, axis=0))
     assert np.array_equal(data[:, 1], g.values)
-    np.testing.assert_allclose(centers, grid.nodes(PRIMAL))
+    np.testing.assert_allclose(centers, axis.nodes(PRIMAL))
 
 
 def test_wall_gather_primal_needs_no_ghosts():
     rng = np.random.default_rng(5)
-    grid = Grid1D(0.0, 1.0, 4, periodic=False)
-    spec = BoundarySpec("dirichlet0", "neumann0")
+    grid, _ = _line(0.0, 1.0, 4, periodic=False)
+    spec = (BoundarySpec("dirichlet0", "neumann0"),)
     f = _field_1d(PRIMAL, grid, 1, rng)  # 5 nodes
     data, centers = pair_sources(f, spec)
     assert data.shape == (4, 2, 2)
@@ -144,12 +142,12 @@ def test_wall_gather_primal_needs_no_ghosts():
 
 def test_wall_gather_dual_builds_ghosts():
     rng = np.random.default_rng(6)
-    grid = Grid1D(0.0, 1.0, 4, periodic=False)
-    spec = BoundarySpec("dirichlet0", "neumann0")
+    grid, axis = _line(0.0, 1.0, 4, periodic=False)
+    spec = (BoundarySpec("dirichlet0", "neumann0"),)
     f = _field_1d(DUAL, grid, 2, rng)  # 4 interior nodes
     data, centers = pair_sources(f, spec)
     assert data.shape == (5, 2, 3)
-    np.testing.assert_allclose(centers, grid.nodes(PRIMAL))
+    np.testing.assert_allclose(centers, axis.nodes(PRIMAL))
     # edge targets pair a reflected ghost with the first/last interior node
     np.testing.assert_array_equal(data[0, 0], ghost_data(f.values[0], "dirichlet0"))
     np.testing.assert_array_equal(data[0, 1], f.values[0])
@@ -162,8 +160,8 @@ def test_wall_gather_dual_builds_ghosts():
 
 def test_gather_dirichlet_value_override():
     rng = np.random.default_rng(7)
-    grid = Grid1D(0.0, 1.0, 3, periodic=False)
-    spec = BoundarySpec("dirichlet0", "dirichlet0", left_value=2.0, right_value=-1.0)
+    grid, _ = _line(0.0, 1.0, 3, periodic=False)
+    spec = (BoundarySpec("dirichlet0", "dirichlet0", left_value=2.0, right_value=-1.0),)
     f = _field_1d(DUAL, grid, 1, rng)
     data, _ = pair_sources(f, spec)
     np.testing.assert_array_equal(data[0, 0], ghost_data(f.values[0], "dirichlet0", 2.0))
@@ -174,17 +172,21 @@ def test_gather_dirichlet_value_override():
 
 def test_gather_periodicity_mismatch():
     rng = np.random.default_rng(8)
-    grid = Grid1D(0.0, 1.0, 3, periodic=True)
+    grid, _ = _line(0.0, 1.0, 3, periodic=True)
     f = _field_1d(PRIMAL, grid, 1, rng)
-    with pytest.raises(ValueError):
-        pair_sources(f, BoundarySpec("dirichlet0", "dirichlet0"))
+    with pytest.raises(ValueError, match="periodicity"):
+        pair_sources(f, (BoundarySpec("dirichlet0", "dirichlet0"),))
+    # one spec per axis, as a tuple
+    for bc in (BoundarySpec(), (BoundarySpec(),) * 2):
+        with pytest.raises(ValueError, match="one per axis"):
+            pair_sources(f, bc)
 
 
 def test_corner_sources_periodic_wrap():
     rng = np.random.default_rng(9)
-    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 3, periodic=True)
-    f = Field2D(grid, PRIMAL, 0.0, rng.standard_normal((4, 3, 2, 2)))
-    data, cx, cy = corner_sources(f, BoundarySpec2D())
+    grid = Grid((Axis(0.0, 1.0, 4, periodic=True), Axis(0.0, 1.0, 3, periodic=True)))
+    f = Field(grid, PRIMAL, 0.0, rng.standard_normal((4, 3, 2, 2)))
+    data, cx, cy = pair_sources(f, (BoundarySpec(),) * 2)
     assert data.shape == (4, 3, 2, 2, 2, 2)
     # corner (0,0) of target (i,j) is source node (i,j); (1,1) wraps
     assert np.array_equal(data[:, :, 0, 0], f.values)
@@ -196,29 +198,27 @@ def test_corner_sources_periodic_wrap():
 
 def test_corner_sources_wall_edges_reflect():
     rng = np.random.default_rng(10)
-    grid = Grid2D(0.0, 1.0, 0.0, 2.0, 3, 3, periodic=False)
-    spec = BoundarySpec2D(
-        BoundarySpec("dirichlet0", "dirichlet0"),
-        BoundarySpec("neumann0", "neumann0"),
-    )
-    f = Field2D(grid, DUAL, 0.0, rng.standard_normal((3, 3, 2, 2)))
-    data, cx, cy = corner_sources(f, spec)
+    grid = Grid((Axis(0.0, 1.0, 3, periodic=False), Axis(0.0, 2.0, 3, periodic=False)))
+    spec = (BoundarySpec("dirichlet0", "dirichlet0"), BoundarySpec("neumann0", "neumann0"))
+    f = Field(grid, DUAL, 0.0, rng.standard_normal((3, 3, 2, 2)))
+    data, cx, cy = pair_sources(f, spec)
     assert data.shape == (4, 4, 2, 2, 2, 2)
     # interior target: plain corner copies
     assert np.array_equal(data[1, 1, 0, 0], f.values[0, 0])
     assert np.array_equal(data[1, 1, 1, 1], f.values[1, 1])
     # x-wall target: x-reflected ghost feeding the left flank
     np.testing.assert_array_equal(
-        data[0, 1, 0, 0], ghost_data_2d(f.values[0, 0], "dirichlet0", 0)
+        data[0, 1, 0, 0], ghost_data(f.values[0, 0], "dirichlet0", axis=0, ndim=2)
     )
     # y-wall target: y-reflected ghost on the low side
     np.testing.assert_array_equal(
-        data[1, 0, 0, 0], ghost_data_2d(f.values[0, 0], "neumann0", 1)
+        data[1, 0, 0, 0], ghost_data(f.values[0, 0], "neumann0", axis=1, ndim=2)
     )
     # corner target reflects in both axes
     np.testing.assert_array_equal(
         data[0, 0, 0, 0],
-        ghost_data_2d(ghost_data_2d(f.values[0, 0], "dirichlet0", 0), "neumann0", 1),
+        ghost_data(ghost_data(f.values[0, 0], "dirichlet0", axis=0, ndim=2), "neumann0",
+                   axis=1, ndim=2),
     )
 
 
@@ -241,9 +241,9 @@ def test_2d_dual_gathers_build_ghosts_with_wall_values(m, nx, ny, kinds, values,
     about the wall values and v about 0.
     """
     rng = np.random.default_rng(seed)
-    spec = BoundarySpec2D(BoundarySpec(kinds[0], kinds[1], values[0], values[1]),
-                          BoundarySpec(kinds[2], kinds[3], values[2], values[3]))
-    grid = Grid2D(-0.5, 1.0, 0.0, 2.0, nx, ny, periodic=False)
+    spec = (BoundarySpec(kinds[0], kinds[1], values[0], values[1]),
+            BoundarySpec(kinds[2], kinds[3], values[2], values[3]))
+    grid = Grid((Axis(-0.5, 1.0, nx, periodic=False), Axis(0.0, 2.0, ny, periodic=False)))
     u = rng.standard_normal((nx, ny, m + 1, m + 1))
     v = rng.standard_normal((nx, ny, m, m))
 
@@ -251,9 +251,9 @@ def test_2d_dual_gathers_build_ghosts_with_wall_values(m, nx, ny, kinds, values,
         out = np.zeros((nx + 2, ny + 2) + block.shape[2:])
         out[1:-1, 1:-1] = block
         for side, (src, dst) in enumerate(((0, 0), (-1, -1))):
-            out[dst, 1:-1] = ghost_data_2d(block[src], kinds[side], 0, vals[side])
+            out[dst, 1:-1] = ghost_data(block[src], kinds[side], vals[side], 0, 2)
         for side, (src, dst) in enumerate(((1, 0), (-2, -1))):
-            out[:, dst] = ghost_data_2d(out[:, src], kinds[2 + side], 1, vals[2 + side])
+            out[:, dst] = ghost_data(out[:, src], kinds[2 + side], vals[2 + side], 1, 2)
         return out
 
     def assert_gathered(data, block, vals):
@@ -263,7 +263,7 @@ def test_2d_dual_gathers_build_ghosts_with_wall_values(m, nx, ny, kinds, values,
             for sy in (0, 1):
                 assert np.array_equal(data[:, :, sx, sy], want[sx:sx + nx + 1, sy:sy + ny + 1])
 
-    data, _, _ = corner_sources(Field2D(grid, DUAL, 0.0, u), spec)
+    data, _, _ = pair_sources(Field(grid, DUAL, 0.0, u), spec)
     assert_gathered(data, u, values)
     plan = gather_plan(grid, DUAL, spec, (((m + 1, m + 1), None), ((m, m), (0.0, 0.0))))
     rows = np.concatenate((u.reshape(nx * ny, -1), v.reshape(nx * ny, -1)), axis=1)
@@ -283,9 +283,7 @@ def _ghost_gather(values, node_axis, normal_axis, parity, spec, override):
     vl, vr = (spec.left_value, spec.right_value) if override is None else override
 
     def ghost(block, kind, value):
-        if v.ndim > 2:
-            return ghost_data_2d(block, kind, normal_axis, value)
-        return ghost_data(block, kind, value)
+        return ghost_data(block, kind, value, normal_axis, 1 + (v.ndim > 2))
 
     if parity == DUAL:
         v = np.concatenate([ghost(v[:1], spec.left, vl), v, ghost(v[-1:], spec.right, vr)])
@@ -312,15 +310,15 @@ _wall_spec = st.builds(BoundarySpec, _wall_kinds, _wall_kinds,
 def test_wall_gathers_match_ghost_construction(m, nx, ny, parity, sx, sy, override, seed):
     """Cached take-and-reflect gathers equal the explicit ghost construction."""
     rng = np.random.default_rng(seed)
-    g1 = Grid1D(-0.5, 1.0, nx, periodic=False)
+    g1, _ = _line(-0.5, 1.0, nx, periodic=False)
     f1 = _field_1d(parity, g1, m, rng)
-    data, _ = pair_sources(f1, sx, dirichlet_values=override)
+    data, _ = pair_sources(f1, (sx,), dirichlet_values=override)
     assert np.array_equal(data, _ghost_gather(f1.values, 0, 0, parity, sx, override))
 
-    g2 = Grid2D(-0.5, 1.0, 0.0, 2.0, nx, ny, periodic=False)
-    shape = (g2.axis(0).n_nodes(parity), g2.axis(1).n_nodes(parity), m + 1, m)
-    f2 = Field2D(g2, parity, 0.0, rng.standard_normal(shape))
-    data, _, _ = corner_sources(f2, BoundarySpec2D(sx, sy), dirichlet_values=override)
+    g2 = Grid((Axis(-0.5, 1.0, nx, periodic=False), Axis(0.0, 2.0, ny, periodic=False)))
+    shape = g2.shapes[parity] + (m + 1, m)
+    f2 = Field(g2, parity, 0.0, rng.standard_normal(shape))
+    data, _, _ = pair_sources(f2, (sx, sy), dirichlet_values=override)
     a = _ghost_gather(f2.values, 0, 0, parity, sx, override)
     want = np.moveaxis(_ghost_gather(a, 2, 1, parity, sy, override), 1, 2)
     assert np.array_equal(data, want)

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
-from hermwave.boundary import BoundarySpec, BoundarySpec2D, pair_sources
+from hermwave.boundary import BoundarySpec, pair_sources
 from hermwave.conservative import (
     bootstrap_first_half,
     conservative_update,
     full_step_conservative,
 )
 from hermwave.dissipative import SchemeConfig
-from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, Grid1D, Grid2D, TwoLevelState
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, TwoLevelState
 from hermwave.interp import apply_interp
+
+from lifting import lift, lifted_grids
+
+PERIODIC = (BoundarySpec(),)
 
 
 def test_zero_update_is_zero():
@@ -102,45 +106,52 @@ def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, seed):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _line(x_left, x_right, n, periodic):
+    """A 1D grid and its one axis."""
+    axis = Axis(x_left, x_right, n, periodic)
+    return Grid((axis,)), axis
+
+
 def _sine_field(grid, m, parity, t=0.0, omega=1.0):
-    xs = grid.nodes(parity)
+    (axis,) = grid.axes
+    xs = axis.nodes(parity)
     vals = np.stack(
         [
-            math.cos(omega * t) * np.sin(xs + l * math.pi / 2) * grid.h**l / math.factorial(l)
+            math.cos(omega * t) * np.sin(xs + l * math.pi / 2) * axis.h**l / math.factorial(l)
             for l in range(m + 1)
         ],
         axis=-1,
     )
-    return Field1D(grid, parity, t, vals)
+    return Field(grid, parity, t, vals)
 
 
 def _random_state(grid, m, rng):
-    nu = grid.n_nodes(PRIMAL)
-    nd = grid.n_nodes(DUAL)
-    cur = Field1D(grid, PRIMAL, 0.0, rng.standard_normal((nu, m + 1)))
-    prev = Field1D(grid, DUAL, -0.1, rng.standard_normal((nd, m + 1)))
+    nu = grid.shapes[PRIMAL]
+    nd = grid.shapes[DUAL]
+    cur = Field(grid, PRIMAL, 0.0, rng.standard_normal(nu + (m + 1,)))
+    prev = Field(grid, DUAL, -0.1, rng.standard_normal(nd + (m + 1,)))
     return TwoLevelState(cur, prev)
 
 
 def test_full_step_bookkeeping():
     rng = np.random.default_rng(31)
-    grid = Grid1D(0.0, 1.0, 6, periodic=True)
+    grid, axis = _line(0.0, 1.0, 6, periodic=True)
     cfg = SchemeConfig(m=2, lam=0.8)
     state = _random_state(grid, 2, rng)
-    out = full_step_conservative(state, cfg, BoundarySpec())
+    out = full_step_conservative(state, cfg, PERIODIC)
     assert out.previous is state.current
     assert out.current.parity == DUAL
-    assert out.current.time == pytest.approx(state.current.time + 0.5 * cfg.dt(grid.h))
+    assert out.current.time == pytest.approx(state.current.time + 0.5 * cfg.dt(axis.h))
 
 
 def test_full_step_closed_form_every_target():
     rng = np.random.default_rng(32)
-    grid = Grid1D(-1.0, 1.0, 7, periodic=True)
+    grid, _ = _line(-1.0, 1.0, 7, periodic=True)
     m, lam = 2, 0.9
     cfg = SchemeConfig(m=m, lam=lam)
     state = _random_state(grid, m, rng)
-    out = full_step_conservative(state, cfg, BoundarySpec())
-    data, _ = pair_sources(state.current, BoundarySpec())
+    out = full_step_conservative(state, cfg, PERIODIC)
+    data, _ = pair_sources(state.current, PERIODIC)
     coeffs = apply_interp(data)
     rho = 0.5 * lam
     for i in range(coeffs.shape[0]):
@@ -153,10 +164,10 @@ def test_full_step_closed_form_every_target():
 def test_update_is_time_reversible():
     """Running the two-level recursion backwards restores the start."""
     rng = np.random.default_rng(33)
-    grid = Grid1D(0.0, 2 * math.pi, 10, periodic=True)
+    grid, _ = _line(0.0, 2 * math.pi, 10, periodic=True)
     m = 2
     cfg = SchemeConfig(m=m, lam=1.0)
-    bc = BoundarySpec()
+    bc = PERIODIC
     state = _random_state(grid, m, rng)
     c0, p0 = state.current.values.copy(), state.previous.values.copy()
     n = 50
@@ -172,42 +183,42 @@ def test_update_is_time_reversible():
 
 
 def test_bootstrap_zero_data():
-    grid = Grid1D(0.0, 1.0, 5, periodic=True)
+    grid, axis = _line(0.0, 1.0, 5, periodic=True)
     cfg = SchemeConfig(m=2, lam=0.8)
-    z = Field1D(grid, PRIMAL, 0.0, np.zeros((5, 3)))
-    state = bootstrap_first_half(z, z, cfg, BoundarySpec())
+    z = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
+    state = bootstrap_first_half(z, z, cfg, PERIODIC)
     assert np.all(state.current.values == 0.0)
     assert state.previous is z
     assert state.current.parity == DUAL
-    assert state.current.time == pytest.approx(0.5 * cfg.dt(grid.h))
+    assert state.current.time == pytest.approx(0.5 * cfg.dt(axis.h))
 
 
 def test_bootstrap_linear_stationary():
     # u0 = 2x + 1 with zero velocity does not move
-    grid = Grid1D(0.0, 1.0, 4, periodic=False)
+    grid, axis = _line(0.0, 1.0, 4, periodic=False)
     cfg = SchemeConfig(m=1, lam=1.0)
-    xs = grid.nodes(PRIMAL)
-    g0 = Field1D(grid, PRIMAL, 0.0, np.stack([2 * xs + 1, np.full_like(xs, 2 * grid.h)], axis=-1))
-    g1 = Field1D(grid, PRIMAL, 0.0, np.zeros((len(xs), 2)))
-    bc = BoundarySpec("neumann0", "neumann0")
+    xs = axis.nodes(PRIMAL)
+    g0 = Field(grid, PRIMAL, 0.0, np.stack([2 * xs + 1, np.full_like(xs, 2 * axis.h)], axis=-1))
+    g1 = Field(grid, PRIMAL, 0.0, np.zeros((len(xs), 2)))
+    bc = (BoundarySpec("neumann0", "neumann0"),)
     state = bootstrap_first_half(g0, g1, cfg, bc)
-    xd = grid.nodes(DUAL)
-    want = np.stack([2 * xd + 1, np.full_like(xd, 2 * grid.h)], axis=-1)
+    xd = axis.nodes(DUAL)
+    want = np.stack([2 * xd + 1, np.full_like(xd, 2 * axis.h)], axis=-1)
     np.testing.assert_allclose(state.current.values, want, atol=1e-13)
 
 
 def test_bootstrap_constant_velocity():
     # u0 = 0, v0 = V: exactly u = V t at the half level
-    grid = Grid1D(0.0, 1.0, 5, periodic=True)
+    grid, axis = _line(0.0, 1.0, 5, periodic=True)
     cfg = SchemeConfig(m=2, lam=0.9)
     V = 3.0
     z = np.zeros((5, 3))
-    g0 = Field1D(grid, PRIMAL, 0.0, z)
+    g0 = Field(grid, PRIMAL, 0.0, z)
     g1vals = np.zeros((5, 3))
     g1vals[:, 0] = V
-    g1 = Field1D(grid, PRIMAL, 0.0, g1vals)
-    state = bootstrap_first_half(g0, g1, cfg, BoundarySpec())
-    dt = cfg.dt(grid.h)
+    g1 = Field(grid, PRIMAL, 0.0, g1vals)
+    state = bootstrap_first_half(g0, g1, cfg, PERIODIC)
+    dt = cfg.dt(axis.h)
     want = np.zeros((5, 3))
     want[:, 0] = V * dt / 2
     np.testing.assert_allclose(state.current.values, want, atol=1e-14)
@@ -219,11 +230,11 @@ def test_bootstrap_standing_wave_accuracy(m):
     errs = []
     ns = [20, 40]
     for n in ns:
-        grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
+        grid, _ = _line(0.0, 2 * math.pi, n, periodic=True)
         cfg = SchemeConfig(m=m, lam=0.8)
         g0 = _sine_field(grid, m, PRIMAL)
-        g1 = Field1D(grid, PRIMAL, 0.0, np.zeros((n, m + 1)))
-        state = bootstrap_first_half(g0, g1, cfg, BoundarySpec())
+        g1 = Field(grid, PRIMAL, 0.0, np.zeros((n, m + 1)))
+        state = bootstrap_first_half(g0, g1, cfg, PERIODIC)
         t = state.current.time
         want = _sine_field(grid, m, DUAL, t=t).values[:, 0]
         errs.append(np.abs(state.current.values[:, 0] - want).max())
@@ -243,67 +254,64 @@ def test_bootstrap_standing_wave_accuracy(m):
 )
 def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, parity, kinds,
                                                           values, seed):
-    """The 2D bootstrap of y-independent data is the 1D bootstrap on every row.
+    """The 2D or 3D bootstrap of y- and z-independent data is the 1D bootstrap on every row.
 
-    y walls are neumann0, which keeps the data y-independent; hy > hx, so
-    both dimensions take the same time step. The bootstrap is not folded:
-    its y interpolation of y-constant data leaves residues of a few 1e-13
-    in the higher y coefficients (a*x + (-a)*x is not exactly 0 under a
-    fused multiply-add), which 4m+4 stages amplify. Over 3000 random draws
-    at m = 4, lam = 1 the worst relative difference was 3.1e-12, so the
-    bound is 1e-11.
+    y and z walls are neumann0, which keeps the data y- and z-independent;
+    hy, hz > hx, so every dimension takes the same time step. 3D runs at
+    m <= 2. The bootstrap is not folded: its y interpolation of y-constant
+    data leaves residues of a few 1e-13 in the higher y coefficients
+    (a*x + (-a)*x is not exactly 0 under a fused multiply-add), which 4m+4
+    stages amplify. Over 3000 random draws at m = 4, lam = 1 the worst
+    relative difference in 2D was 3.1e-12, so the bound is 1e-11.
     """
     rng = np.random.default_rng(seed)
     bc1 = BoundarySpec() if periodic else BoundarySpec(*kinds, *values)
-    bc2 = BoundarySpec2D(bc1, BoundarySpec() if periodic else
-                         BoundarySpec("neumann0", "neumann0"))
-    grid1 = Grid1D(-1.0, 0.7, 5, periodic)
-    grid2 = Grid2D(-1.0, 0.7, 0.0, 1.3, 5, 3, periodic)
+    side = BoundarySpec() if periodic else BoundarySpec("neumann0", "neumann0")
+    grid1, x_axis = _line(-1.0, 0.7, 5, periodic)
     cfg = SchemeConfig(m=m, lam=lam)
-
-    def lift(vals, par):
-        out = np.zeros((vals.shape[0], grid2.axis(1).n_nodes(par), m + 1, m + 1))
-        out[:, :, :, 0] = vals[:, None, :]
-        return out
-
-    n = grid1.n_nodes(parity)
-    g0, g1 = (Field1D(grid1, parity, 0.0, rng.standard_normal((n, m + 1))) for _ in range(2))
-    want = bootstrap_first_half(g0, g1, cfg, bc1).current
-    got = bootstrap_first_half(*(Field2D(grid2, parity, 0.0, lift(g.values, parity))
-                                 for g in (g0, g1)), cfg, bc2).current
-    assert got.parity == want.parity
-    assert got.time == want.time
-    bound = 1e-11 * np.abs(want.values).max()
-    assert np.abs(got.values - lift(want.values, want.parity)).max() <= bound
+    n = grid1.shapes[parity]
+    g0, g1 = (Field(grid1, parity, 0.0, rng.standard_normal(n + (m + 1,))) for _ in range(2))
+    want = bootstrap_first_half(g0, g1, cfg, (bc1,)).current
+    for ndim, grid in lifted_grids(x_axis, periodic).items():
+        if ndim == 3 and m > 2:
+            continue
+        counts = grid.shapes[parity][1:]
+        got = bootstrap_first_half(*(Field(grid, parity, 0.0, lift(g.values, counts))
+                                     for g in (g0, g1)), cfg,
+                                   (bc1,) + (side,) * (ndim - 1)).current
+        assert got.parity == want.parity
+        assert got.time == want.time
+        bound = 1e-11 * np.abs(want.values).max()
+        lifted = lift(want.values, grid.shapes[want.parity][1:])
+        assert np.abs(got.values - lifted).max() <= bound, ndim
 
 
 def test_2d_reduces_to_1d_on_y_independent_data():
+    """A 2D or 3D update of y- and z-independent data is the 1D update on every row.
+
+    Periodic, then x walls (dirichlet0 with a wall value, and neumann0)
+    with neumann0 y and z walls.
+    """
     rng = np.random.default_rng(34)
     n, m = 5, 2
-    grid1 = Grid1D(0.0, 1.0, n, periodic=True)
-    grid2 = Grid2D(0.0, 1.0, 0.0, 1.0, n, n, periodic=True)
     cfg = SchemeConfig(m=m, lam=0.75)
-    cur1 = rng.standard_normal((n, m + 1))
-    prev1 = rng.standard_normal((n, m + 1))
-    cur2 = np.zeros((n, n, m + 1, m + 1))
-    prev2 = np.zeros((n, n, m + 1, m + 1))
-    cur2[:, :, :, 0] = cur1[:, None, :]
-    prev2[:, :, :, 0] = prev1[:, None, :]
-    s1 = TwoLevelState(
-        Field1D(grid1, PRIMAL, 0.0, cur1), Field1D(grid1, DUAL, -0.1, prev1)
-    )
-    s2 = TwoLevelState(
-        Field2D(grid2, PRIMAL, 0.0, cur2), Field2D(grid2, DUAL, -0.1, prev2)
-    )
-    o1 = full_step_conservative(s1, cfg, BoundarySpec())
-    o2 = full_step_conservative(s2, cfg, BoundarySpec2D())
-    scale = np.abs(cur1).max()
-    np.testing.assert_allclose(
-        o2.current.values[:, :, :, 0],
-        np.broadcast_to(o1.current.values[:, None, :], (n, n, m + 1)),
-        atol=1e-13 * scale,
-    )
-    np.testing.assert_allclose(o2.current.values[:, :, :, 1:], 0.0, atol=1e-13 * scale)
+    for periodic, bc1 in ((True, BoundarySpec()),
+                          (False, BoundarySpec("dirichlet0", "neumann0", left_value=0.4))):
+        side = BoundarySpec() if periodic else BoundarySpec("neumann0", "neumann0")
+        grid1, x_axis = _line(0.0, 1.0, n, periodic)
+        cur1 = rng.standard_normal(grid1.shapes[PRIMAL] + (m + 1,))
+        prev1 = rng.standard_normal(grid1.shapes[DUAL] + (m + 1,))
+        o1 = full_step_conservative(TwoLevelState(
+            Field(grid1, PRIMAL, 0.0, cur1), Field(grid1, DUAL, -0.1, prev1)), cfg, (bc1,))
+        scale = np.abs(cur1).max()
+        for ndim, grid in lifted_grids(x_axis, periodic).items():
+            s = TwoLevelState(
+                Field(grid, PRIMAL, 0.0, lift(cur1, grid.shapes[PRIMAL][1:])),
+                Field(grid, DUAL, -0.1, lift(prev1, grid.shapes[DUAL][1:])))
+            o = full_step_conservative(s, cfg, (bc1,) + (side,) * (ndim - 1))
+            np.testing.assert_allclose(
+                o.current.values, lift(o1.current.values, grid.shapes[DUAL][1:]),
+                atol=1e-13 * scale, err_msg=f"{ndim}D, periodic={periodic}")
 
 
 def test_2d_update_zero():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermwave.boundary import BoundarySpec, BoundarySpec2D
+from hermwave.boundary import BoundarySpec
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import (
     ErrorReport,
@@ -17,12 +17,10 @@ from hermwave.diagnostics import (
     fit_rate,
     gauss_rule,
     l2_error_field,
-    l2_error_field_2d,
     l2_errors_pair,
 )
-from hermwave.dissipative import SchemeConfig, half_step_1d
-from hermwave.grid import (DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D,
-                           TwoLevelState)
+from hermwave.dissipative import SchemeConfig, half_step
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 
 from energy_oracle import conserved_pair, oracle_energy, pp_subtract, seminorm_energy, shift
 from piecewise import (
@@ -32,6 +30,15 @@ from piecewise import (
     oracle_dissipative_energy,
     seminorm_sq,
 )
+
+
+PERIODIC = (BoundarySpec(),)
+
+
+def _line(x_left, x_right, n, periodic):
+    """A 1D grid and its one axis."""
+    axis = Axis(x_left, x_right, n, periodic)
+    return Grid((axis,)), axis
 
 
 def _sine_data(xs, h, count, fn=np.sin):
@@ -91,11 +98,11 @@ def test_l2_error_clip_restricts_domain():
 
 def test_l2_error_field_against_riemann_sum():
     n = 10
-    grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
     m = 1
-    xs = grid.nodes(PRIMAL)
-    f = Field1D(grid, PRIMAL, 0.0, _sine_data(xs, grid.h, m + 1))
-    bc = BoundarySpec()
+    xs = axis.nodes(PRIMAL)
+    f = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
+    bc = PERIODIC
     # npts beyond the polynomial-exact default: the integrand mixes in sin
     got = l2_error_field(f, np.sin, bc, npts=12)
     pp = field_interpolant(f, bc)
@@ -107,12 +114,12 @@ def test_l2_error_field_against_riemann_sum():
 
 def test_pair_errors_match_single_field_calls():
     n, m = 8, 2
-    grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
-    xs = grid.nodes(PRIMAL)
-    u = Field1D(grid, PRIMAL, 0.0, _sine_data(xs, grid.h, m + 1))
-    v = Field1D(grid, PRIMAL, 0.0, _sine_data(xs, grid.h, m, fn=np.cos))
+    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
+    xs = axis.nodes(PRIMAL)
+    u = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
+    v = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m, fn=np.cos))
     pair = FieldPair(u, v)
-    bc = BoundarySpec()
+    bc = PERIODIC
     eu, edux, ev = l2_errors_pair(pair, np.sin, np.cos, np.cos, bc)
     assert eu == pytest.approx(l2_error_field(u, np.sin, bc), rel=1e-13)
     assert ev == pytest.approx(
@@ -138,13 +145,13 @@ def test_pair_errors_match_single_field_calls():
 def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, values, extra, seed):
     """The batched 1D errors against the per-piece quadrature of the interpolant."""
     rng = np.random.default_rng(seed)
-    grid = Grid1D(-0.7, 1.3, n, periodic=kinds is None)
-    bc = BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values)
-    nodes = grid.n_nodes(parity)
-    u = Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m + 1)))
-    v = Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m)))
+    grid, axis = _line(-0.7, 1.3, n, periodic=kinds is None)
+    bc = (BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values),)
+    nodes = grid.shapes[parity]
+    u = Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,)))
+    v = Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,)))
     npts = default_npts(m) + extra
-    clip = None if grid.periodic else (grid.x_left, grid.x_right)
+    clip = None if axis.periodic else (axis.x_left, axis.x_right)
     ppu = field_interpolant(u, bc)
     got = l2_errors_pair(FieldPair(u, v), np.sin, np.cos, np.exp, bc, npts)
     want = (
@@ -158,16 +165,16 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, values, extra, seed)
 
 
 def _two_level_fields(n, m, rng, span=3.0):
-    grid = Grid1D(0.0, span, n, periodic=True)
-    cur = Field1D(grid, PRIMAL, 0.0, rng.standard_normal((n, m + 1)))
-    prev = Field1D(grid, DUAL, -0.1, rng.standard_normal((n, m + 1)))
+    grid, _ = _line(0.0, span, n, periodic=True)
+    cur = Field(grid, PRIMAL, 0.0, rng.standard_normal((n, m + 1)))
+    prev = Field(grid, DUAL, -0.1, rng.standard_normal((n, m + 1)))
     return grid, cur, prev
 
 
 def test_conserved_pair_coincident_levels_vanish():
     rng = np.random.default_rng(41)
     grid, cur, _ = _two_level_fields(6, 1, rng)
-    bc = BoundarySpec()
+    bc = PERIODIC
     pc = field_interpolant(cur, bc)
     pair = conserved_pair(pc, pc, 0.0)
     xq = np.linspace(0.0, 3.0, 97, endpoint=False) + 1e-4
@@ -178,8 +185,8 @@ def test_conserved_pair_coincident_levels_vanish():
 def test_conserved_pair_zero_current():
     rng = np.random.default_rng(42)
     grid, cur, prev = _two_level_fields(6, 1, rng)
-    bc = BoundarySpec()
-    zero = Field1D(grid, PRIMAL, 0.0, np.zeros_like(cur.values))
+    bc = PERIODIC
+    zero = Field(grid, PRIMAL, 0.0, np.zeros_like(cur.values))
     pz = field_interpolant(zero, bc)
     pv = field_interpolant(prev, bc)
     delta = 0.11
@@ -194,8 +201,8 @@ def test_conserved_pair_union_slicing():
     rng = np.random.default_rng(43)
     n = 6
     grid, cur, prev = _two_level_fields(n, 1, rng)
-    h = grid.h
-    bc = BoundarySpec()
+    (h,) = grid.spacings
+    bc = PERIODIC
     pair = conserved_pair(
         field_interpolant(cur, bc), field_interpolant(prev, bc), h / 4
     )
@@ -220,7 +227,7 @@ def test_conserved_pair_needs_periodic():
 def test_pp_subtract_pointwise():
     rng = np.random.default_rng(44)
     grid, cur, prev = _two_level_fields(5, 2, rng)
-    bc = BoundarySpec()
+    bc = PERIODIC
     a = field_interpolant(cur, bc)
     b = field_interpolant(prev, bc)  # window offset by h/2
     d = pp_subtract(a, b)
@@ -249,22 +256,22 @@ def test_seminorm_constant_derivative(m):
 def test_seminorm_shift_invariance():
     rng = np.random.default_rng(45)
     n = 4
-    grid = Grid1D(0.0, 2.0, n, periodic=True)
-    f = Field1D(grid, PRIMAL, 0.0, rng.standard_normal((n, 3)))
-    pp = field_interpolant(f, BoundarySpec())
+    grid, axis = _line(0.0, 2.0, n, periodic=True)
+    f = Field(grid, PRIMAL, 0.0, rng.standard_normal((n, 3)))
+    pp = field_interpolant(f, PERIODIC)
     base = seminorm_sq(pp, 3)
-    h = grid.h
+    h = axis.h
     for j in (1, 2, 3):
         assert seminorm_sq(shift(pp, j * h / 4), 3) == pytest.approx(base, rel=1e-12)
 
 
 def test_dissipative_energy_zero():
-    grid = Grid1D(0.0, 1.0, 4, periodic=True)
+    grid, _ = _line(0.0, 1.0, 4, periodic=True)
     pair = FieldPair(
-        Field1D(grid, PRIMAL, 0.0, np.zeros((4, 3))),
-        Field1D(grid, PRIMAL, 0.0, np.zeros((4, 2))),
+        Field(grid, PRIMAL, 0.0, np.zeros((4, 3))),
+        Field(grid, PRIMAL, 0.0, np.zeros((4, 2))),
     )
-    assert dissipative_energy(pair, 2.0, BoundarySpec()) == 0.0
+    assert dissipative_energy(pair, 2.0, PERIODIC) == 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -272,19 +279,19 @@ def test_dissipative_energy_constant_curvature(m):
     # u = x**(m+1) on walls: the interpolant reproduces it cell by cell,
     # so |I u|_{m+1}^2 = ((m+1)!)**2 * L exactly; v = 0 adds nothing
     n, L = 5, 1.0
-    grid = Grid1D(0.0, L, n, periodic=False)
-    xs = grid.nodes(PRIMAL)
-    h = grid.h
+    grid, axis = _line(0.0, L, n, periodic=False)
+    xs = axis.nodes(PRIMAL)
+    h = axis.h
     uvals = np.zeros((len(xs), m + 1))
     for l in range(m + 1):
         fall = math.factorial(m + 1) / math.factorial(m + 1 - l)
         uvals[:, l] = fall * xs ** (m + 1 - l) * h**l / math.factorial(l)
     pair = FieldPair(
-        Field1D(grid, PRIMAL, 0.0, uvals),
-        Field1D(grid, PRIMAL, 0.0, np.zeros((len(xs), m))),
+        Field(grid, PRIMAL, 0.0, uvals),
+        Field(grid, PRIMAL, 0.0, np.zeros((len(xs), m))),
     )
     speed = 1.5
-    bc = BoundarySpec("dirichlet0", "dirichlet0")
+    bc = (BoundarySpec("dirichlet0", "dirichlet0"),)
     K = math.factorial(m + 1)
     want = speed * speed * K * K * L
     assert dissipative_energy(pair, speed, bc) == pytest.approx(want, rel=1e-12)
@@ -304,11 +311,11 @@ def test_dissipative_energy_constant_curvature(m):
 def test_dissipative_energy_matches_oracle(m, n, parity, kinds, values, speed, seed):
     """The cached per-cell forms against the piecewise assembly."""
     rng = np.random.default_rng(seed)
-    grid = Grid1D(-0.7, 1.3, n, periodic=kinds is None)
-    bc = BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values)
-    nodes = grid.n_nodes(parity)
-    pair = FieldPair(Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m + 1))),
-                     Field1D(grid, parity, 0.0, rng.standard_normal((nodes, m))))
+    grid, _ = _line(-0.7, 1.3, n, periodic=kinds is None)
+    bc = (BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values),)
+    nodes = grid.shapes[parity]
+    pair = FieldPair(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
+                     Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,))))
     got = dissipative_energy(pair, speed, bc)
     want = oracle_dissipative_energy(pair, speed, bc)
     assert abs(got - want) <= 1e-12 * want
@@ -321,13 +328,13 @@ def test_wall_diagnostics_reflect_velocity_about_zero():
     constant in time), so the diagnostics must gather v the same way.
     """
     m, value = 2, 0.7
-    grid = Grid1D(0.0, 1.0, 6, periodic=False)
-    bc = BoundarySpec("dirichlet0", "dirichlet0", value, value)
-    nodes = grid.n_nodes(DUAL)
+    grid, axis = _line(0.0, 1.0, 6, periodic=False)
+    bc = (BoundarySpec("dirichlet0", "dirichlet0", value, value),)
+    nodes = axis.n_nodes(DUAL)
     u = np.zeros((nodes, m + 1))
     u[:, 0] = value
-    pair = FieldPair(Field1D(grid, DUAL, 0.0, u), Field1D(grid, DUAL, 0.0, np.zeros((nodes, m))))
-    stepped = half_step_1d(pair, SchemeConfig(m=m, lam=0.8), bc)
+    pair = FieldPair(Field(grid, DUAL, 0.0, u), Field(grid, DUAL, 0.0, np.zeros((nodes, m))))
+    stepped = half_step(pair, SchemeConfig(m=m, lam=0.8), bc)
     assert np.abs(stepped.v.values).max() <= 1e-13
     # rounding in u's top interpolant coefficients leaves about 1e-24
     assert dissipative_energy(pair, 1.0, bc) <= 1e-20
@@ -337,17 +344,17 @@ def test_wall_diagnostics_reflect_velocity_about_zero():
 
 def test_conservative_energy_invariant_under_step():
     n, m = 10, 2
-    grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
     cfg = SchemeConfig(m=m, lam=0.8)
-    dt = cfg.dt(grid.h)
-    xs = grid.nodes(PRIMAL)
-    xd = grid.nodes(DUAL)
-    cur = Field1D(grid, PRIMAL, 0.0, _sine_data(xs, grid.h, m + 1))
+    dt = cfg.dt(axis.h)
+    xs = axis.nodes(PRIMAL)
+    xd = axis.nodes(DUAL)
+    cur = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     pvals = np.zeros((n, m + 1))
     for l in range(m + 1):
-        pvals[:, l] = np.sin(xd + dt / 2 + l * math.pi / 2) * grid.h**l / math.factorial(l)
-    prev = Field1D(grid, DUAL, -dt / 2, pvals)
-    bc = BoundarySpec()
+        pvals[:, l] = np.sin(xd + dt / 2 + l * math.pi / 2) * axis.h**l / math.factorial(l)
+    prev = Field(grid, DUAL, -dt / 2, pvals)
+    bc = PERIODIC
     state = TwoLevelState(cur, prev)
     e0 = conservative_energy(state.current, state.previous, cfg.speed, dt, bc)
     for _ in range(5):
@@ -360,7 +367,7 @@ def test_conservative_energy_invariant_under_step():
 def test_conservative_energy_matches_manual_assembly():
     rng = np.random.default_rng(46)
     grid, cur, prev = _two_level_fields(8, 1, rng, span=2.0)
-    bc = BoundarySpec()
+    bc = PERIODIC
     speed, dt = 1.3, 0.05
     e = conservative_energy(cur, prev, speed, dt, bc)
     pair = conserved_pair(
@@ -382,23 +389,38 @@ def test_conservative_energy_matches_manual_assembly():
 def test_conservative_energy_matches_oracle(m, lam, speed, n, parity, seed):
     """The cached quadratic form against the piecewise assembly."""
     rng = np.random.default_rng(seed)
-    grid = Grid1D(-1.0, 1.5, n, periodic=True)
-    dt = lam * grid.h / speed
+    grid, axis = _line(-1.0, 1.5, n, periodic=True)
+    dt = lam * axis.h / speed
     other = DUAL if parity == PRIMAL else PRIMAL
-    cur = Field1D(grid, parity, 0.0, rng.standard_normal((n, m + 1)))
-    prev = Field1D(grid, other, -0.5 * dt, rng.standard_normal((n, m + 1)))
-    bc = BoundarySpec()
+    cur = Field(grid, parity, 0.0, rng.standard_normal((n, m + 1)))
+    prev = Field(grid, other, -0.5 * dt, rng.standard_normal((n, m + 1)))
+    bc = PERIODIC
     got = conservative_energy(cur, prev, speed, dt, bc)
     want = oracle_energy(cur, prev, speed, dt, bc)
     assert abs(got - want) <= 1e-12 * want
 
 
 def test_conservative_energy_needs_periodic():
-    grid = Grid1D(0.0, 1.0, 6, periodic=False)
-    cur = Field1D(grid, PRIMAL, 0.0, np.ones((7, 3)))
-    prev = Field1D(grid, DUAL, 0.0, np.ones((6, 3)))
+    grid, _ = _line(0.0, 1.0, 6, periodic=False)
+    cur = Field(grid, PRIMAL, 0.0, np.ones((7, 3)))
+    prev = Field(grid, DUAL, 0.0, np.ones((6, 3)))
     with pytest.raises(ValueError):
-        conservative_energy(cur, prev, 1.0, 0.1, BoundarySpec("dirichlet0", "dirichlet0"))
+        conservative_energy(cur, prev, 1.0, 0.1, (BoundarySpec("dirichlet0", "dirichlet0"),))
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_energies_need_a_1d_field(ndim):
+    """Both energies are 1D forms; a 2D or 3D state fails at once, naming its dimension."""
+    grid = Grid((Axis(0.0, 1.0, 4, periodic=True),) * ndim)
+    bc = PERIODIC * ndim
+    nodes = grid.shapes[PRIMAL]
+    u = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (3,) * ndim))
+    v = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (2,) * ndim))
+    prev = Field(grid, DUAL, -0.1, np.zeros(nodes + (3,) * ndim))
+    with pytest.raises(ValueError, match=f"{ndim}D field"):
+        dissipative_energy(FieldPair(u, v), 1.0, bc)
+    with pytest.raises(ValueError, match=f"{ndim}D field"):
+        conservative_energy(u, prev, 1.0, 0.1, bc)
 
 
 def test_fit_rate_exact_power_law():
@@ -453,14 +475,13 @@ def test_l2_error_2d_clips_wall_cells(parity):
     the ghost-backed edge cells of a dual level, which reach h/2 past each
     wall; counted unclipped they would read 1.25 on a 4x4 level.
     """
-    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4, periodic=False)
-    bc = BoundarySpec2D(BoundarySpec("dirichlet0", "neumann0", left_value=1.0),
-                        BoundarySpec("neumann0", "dirichlet0", right_value=1.0))
+    grid = Grid((Axis(0.0, 1.0, 4, periodic=False),) * 2)
+    bc = (BoundarySpec("dirichlet0", "neumann0", left_value=1.0),
+          BoundarySpec("neumann0", "dirichlet0", right_value=1.0))
     m = 2
-    nodes = (grid.axis(0).n_nodes(parity), grid.axis(1).n_nodes(parity))
-    vals = np.zeros(nodes + (m + 1, m + 1))
+    vals = np.zeros(grid.shapes[parity] + (m + 1, m + 1))
     vals[..., 0, 0] = 1.0
-    field = Field2D(grid, parity, 0.0, vals)
+    field = Field(grid, parity, 0.0, vals)
     zero = lambda x, y: 0.0 * x * y
-    assert abs(l2_error_field_2d(field, zero, bc) - 1.0) <= 1e-14
-    assert l2_error_field_2d(field, lambda x, y: 1.0 + zero(x, y), bc) < 1e-14
+    assert abs(l2_error_field(field, zero, bc) - 1.0) <= 1e-14
+    assert l2_error_field(field, lambda x, y: 1.0 + zero(x, y), bc) < 1e-14

@@ -8,21 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
-from hermwave.boundary import BoundarySpec, BoundarySpec2D, pair_sources
+from hermwave.boundary import BoundarySpec, pair_sources
 from hermwave.diagnostics import dissipative_energy
 from hermwave.dissipative import (
     SchemeConfig,
     eval_series,
     expand_taylor,
     fold,
-    half_step_1d,
-    half_step_2d,
+    half_step,
     taylor_half_step,
 )
-from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, flip
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, flip
 from hermwave.interp import apply_interp
 
+from lifting import lift, lifted_grids
+
 WALLS = ("dirichlet0", "neumann0")
+PERIODIC = (BoundarySpec(),)
 # periodic, then every pair of x walls
 X_EDGES = [("periodic", "periodic")] + [(a, b) for a in WALLS for b in WALLS]
 
@@ -118,31 +120,37 @@ def test_stage_count_is_sufficient():
                 assert all(np.array_equal(a, b) for a, b in zip(short, deep)), (ndim, m, fn)
 
 
+def _line(x_left, x_right, n, periodic):
+    """A 1D grid and its one axis."""
+    axis = Axis(x_left, x_right, n, periodic)
+    return Grid((axis,)), axis
+
+
 def _random_pair(grid, m, rng, parity=PRIMAL):
-    nu = grid.n_nodes(parity)
-    u = Field1D(grid, parity, 0.0, rng.standard_normal((nu, m + 1)))
-    v = Field1D(grid, parity, 0.0, rng.standard_normal((nu, m)))
+    nu = grid.shapes[parity]
+    u = Field(grid, parity, 0.0, rng.standard_normal(nu + (m + 1,)))
+    v = Field(grid, parity, 0.0, rng.standard_normal(nu + (m,)))
     return FieldPair(u, v)
 
 
 def test_half_step_zero_stays_zero():
-    grid = Grid1D(0.0, 1.0, 5, periodic=True)
-    u = Field1D(grid, PRIMAL, 0.0, np.zeros((5, 3)))
-    v = Field1D(grid, PRIMAL, 0.0, np.zeros((5, 2)))
+    grid, axis = _line(0.0, 1.0, 5, periodic=True)
+    u = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
+    v = Field(grid, PRIMAL, 0.0, np.zeros((5, 2)))
     cfg = SchemeConfig(m=2, lam=0.9)
-    out = half_step_1d(FieldPair(u, v), cfg, BoundarySpec())
+    out = half_step(FieldPair(u, v), cfg, PERIODIC)
     assert np.all(out.u.values == 0.0)
     assert np.all(out.v.values == 0.0)
     assert out.parity == DUAL
-    assert out.time == pytest.approx(0.5 * cfg.dt(grid.h))
+    assert out.time == pytest.approx(0.5 * cfg.dt(axis.h))
 
 
 def test_half_step_order_mismatch():
-    grid = Grid1D(0.0, 1.0, 5, periodic=True)
+    grid, _ = _line(0.0, 1.0, 5, periodic=True)
     rng = np.random.default_rng(17)
     pair = _random_pair(grid, 2, rng)
-    with pytest.raises(ValueError):
-        half_step_1d(pair, SchemeConfig(m=3), BoundarySpec())
+    with pytest.raises(ValueError, match="orders"):
+        half_step(pair, SchemeConfig(m=3), PERIODIC)
 
 
 def _dalembert_coeffs(udata, vdata, lam, speed, h, m):
@@ -174,15 +182,15 @@ def _dalembert_coeffs(udata, vdata, lam, speed, h, m):
 def test_half_step_matches_closed_form(m, lam):
     """Every target's new data equals the exact evolution of its cell pair."""
     rng = np.random.default_rng(50 + m)
-    grid = Grid1D(-1.0, 1.0, 6, periodic=True)
+    grid, axis = _line(-1.0, 1.0, 6, periodic=True)
     cfg = SchemeConfig(m=m, lam=lam, speed=2.0)
     pair = _random_pair(grid, m, rng)
-    bc = BoundarySpec()
-    out = half_step_1d(pair, cfg, bc)
+    bc = PERIODIC
+    out = half_step(pair, cfg, bc)
     udata, _ = pair_sources(pair.u, bc)
     vdata, _ = pair_sources(pair.v, bc)
     for i in range(udata.shape[0]):
-        uref, vref = _dalembert_coeffs(udata[i], vdata[i], lam, cfg.speed, grid.h, m)
+        uref, vref = _dalembert_coeffs(udata[i], vdata[i], lam, cfg.speed, axis.h, m)
         np.testing.assert_allclose(out.u.values[i], uref, rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(out.v.values[i], vref, rtol=1e-11, atol=1e-12)
 
@@ -192,25 +200,25 @@ def test_half_step_v_scaling_convention():
     # u = sin(x), v = -cos(x) translates: u(x, t) = sin(x - t)
     m, lam, h = 3, 1.0, 0.1
     n = int(round(2 * math.pi / h))
-    grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
     cfg = SchemeConfig(m=m, lam=lam)
-    xs = grid.nodes(PRIMAL)
+    xs = axis.nodes(PRIMAL)
     uvals = np.stack(
-        [np.sin(xs + l * math.pi / 2) * grid.h**l / math.factorial(l) for l in range(m + 1)],
+        [np.sin(xs + l * math.pi / 2) * axis.h**l / math.factorial(l) for l in range(m + 1)],
         axis=-1,
     )
     vvals = np.stack(
-        [-np.cos(xs + l * math.pi / 2) * grid.h**l / math.factorial(l) for l in range(m)],
+        [-np.cos(xs + l * math.pi / 2) * axis.h**l / math.factorial(l) for l in range(m)],
         axis=-1,
     )
     pair = FieldPair(
-        Field1D(grid, PRIMAL, 0.0, uvals), Field1D(grid, PRIMAL, 0.0, vvals)
+        Field(grid, PRIMAL, 0.0, uvals), Field(grid, PRIMAL, 0.0, vvals)
     )
-    bc = BoundarySpec()
+    bc = PERIODIC
     for _ in range(2):
-        pair = half_step_1d(pair, cfg, bc)
+        pair = half_step(pair, cfg, bc)
     t = pair.time
-    xs2 = grid.nodes(pair.parity)
+    xs2 = axis.nodes(pair.parity)
     want = np.sin(xs2 - t)
     np.testing.assert_allclose(pair.u.values[:, 0], want, atol=1e-10)
 
@@ -219,9 +227,9 @@ def test_energy_never_increases():
     rng = np.random.default_rng(18)
     m = 2
     n = 12
-    grid = Grid1D(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
     cfg = SchemeConfig(m=m, lam=0.95)
-    xs = grid.nodes(PRIMAL)
+    xs = axis.nodes(PRIMAL)
     # random smooth field: few low harmonics with exact derivative data
     amps = rng.standard_normal((2, 3))
     phs = rng.uniform(0, 2 * math.pi, (2, 3))
@@ -236,43 +244,36 @@ def test_energy_never_increases():
                     * k**l
                     * np.sin(k * x + phs[which, k - 1] + l * math.pi / 2)
                 )
-            out[:, l] = acc * grid.h**l / math.factorial(l)
+            out[:, l] = acc * axis.h**l / math.factorial(l)
         return out
 
     pair = FieldPair(
-        Field1D(grid, PRIMAL, 0.0, derivs(xs, m + 1, 0)),
-        Field1D(grid, PRIMAL, 0.0, derivs(xs, m, 1)),
+        Field(grid, PRIMAL, 0.0, derivs(xs, m + 1, 0)),
+        Field(grid, PRIMAL, 0.0, derivs(xs, m, 1)),
     )
-    bc = BoundarySpec()
+    bc = PERIODIC
     e = dissipative_energy(pair, cfg.speed, bc)
     for _ in range(100):
-        pair = half_step_1d(pair, cfg, bc)
+        pair = half_step(pair, cfg, bc)
         e_new = dissipative_energy(pair, cfg.speed, bc)
         assert e_new <= e * (1.0 + 1e-12)
         e = e_new
 
 
 def test_2d_constant_is_steady():
-    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4, periodic=True)
+    grid = Grid((Axis(0.0, 1.0, 4, periodic=True),) * 2)
     m = 2
     u = np.zeros((4, 4, m + 1, m + 1))
     u[..., 0, 0] = 3.0
     pair = FieldPair(
-        Field2D(grid, PRIMAL, 0.0, u),
-        Field2D(grid, PRIMAL, 0.0, np.zeros((4, 4, m, m))),
+        Field(grid, PRIMAL, 0.0, u),
+        Field(grid, PRIMAL, 0.0, np.zeros((4, 4, m, m))),
     )
-    out = half_step_2d(pair, SchemeConfig(m=m, lam=0.9), BoundarySpec2D())
+    out = half_step(pair, SchemeConfig(m=m, lam=0.9), PERIODIC * 2)
     want = np.zeros_like(u)
     want[..., 0, 0] = 3.0
     np.testing.assert_allclose(out.u.values, want, atol=1e-13)
     np.testing.assert_allclose(out.v.values, 0.0, atol=1e-13)
-
-
-def _y_independent(vals, ny):
-    """2D node data equal to 1D node data on every y row, with no y-derivatives."""
-    out = np.zeros((vals.shape[0], ny) + (vals.shape[1],) * 2)
-    out[:, :, :, 0] = vals[:, None, :]
-    return out
 
 
 @settings(max_examples=25, deadline=None)
@@ -284,42 +285,48 @@ def _y_independent(vals, ny):
 )
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_2d_reduces_to_1d_on_y_independent_data(m, lam, parity, values, seed):
-    """A 2D half step of y-independent data is the 1D half step on every row.
+    """A 2D or 3D half step of y- and z-independent data is the 1D half step on every row.
 
     Periodic, then every pair of x walls with the drawn Dirichlet values. y
-    walls are neumann0, whose even reflection keeps the data y-independent;
-    hy > hx, so the 1D and 2D time steps agree.
+    and z walls are neumann0, whose even reflection keeps the data y- and
+    z-independent. 3D runs at m <= 2, with lam rounded up to a multiple of
+    1/4: its m = 2 matrix takes about 0.1 s to build (at m = 4, about
+    0.7 GB), so the rounding lets the examples share a few.
     """
     rng = np.random.default_rng(seed)
-    cfg = SchemeConfig(m=m, lam=lam)
+    cfgs = {2: SchemeConfig(m=m, lam=lam)}
+    if m <= 2:
+        cfgs[3] = SchemeConfig(m=m, lam=math.ceil(4 * lam) / 4)
     for edges in X_EDGES:
         periodic = edges[0] == "periodic"
         bc1 = BoundarySpec() if periodic else BoundarySpec(*edges, *values)
-        bc2 = BoundarySpec2D(bc1, BoundarySpec() if periodic else
-                             BoundarySpec("neumann0", "neumann0"))
-        grid1 = Grid1D(-1.0, 0.7, 5, periodic)
-        grid2 = Grid2D(-1.0, 0.7, 0.0, 1.3, 5, 3, periodic)
+        side = BoundarySpec() if periodic else BoundarySpec("neumann0", "neumann0")
+        grid1, x_axis = _line(-1.0, 0.7, 5, periodic)
         pair = _random_pair(grid1, m, rng, parity)
-        out1 = half_step_1d(pair, cfg, bc1)
-        ny = grid2.axis(1).n_nodes(parity)
-        out2 = half_step_2d(FieldPair(
-            Field2D(grid2, parity, 0.0, _y_independent(pair.u.values, ny)),
-            Field2D(grid2, parity, 0.0, _y_independent(pair.v.values, ny))), cfg, bc2)
-        nty = grid2.axis(1).n_nodes(flip(parity))
-        for got, want in ((out2.u, out1.u), (out2.v, out1.v)):
-            assert got.time == want.time
-            bound = 1e-12 * np.abs(want.values).max()
-            assert np.abs(got.values - _y_independent(want.values, nty)).max() <= bound, edges
+        grids = lifted_grids(x_axis, periodic)
+        for ndim, cfg in cfgs.items():
+            grid = grids[ndim]
+            counts = grid.shapes[parity][1:]
+            out1 = half_step(pair, cfg, (bc1,))
+            out = half_step(FieldPair(
+                Field(grid, parity, 0.0, lift(pair.u.values, counts)),
+                Field(grid, parity, 0.0, lift(pair.v.values, counts))), cfg,
+                (bc1,) + (side,) * (ndim - 1))
+            targets = grid.shapes[flip(parity)][1:]
+            for got, want in ((out.u, out1.u), (out.v, out1.v)):
+                assert got.time == want.time
+                bound = 1e-12 * np.abs(want.values).max()
+                assert np.abs(got.values - lift(want.values, targets)).max() <= bound, edges
 
 
 def test_stage_cap_truncates_expansion():
-    grid = Grid1D(0.0, 1.0, 8, periodic=True)
+    grid, _ = _line(0.0, 1.0, 8, periodic=True)
     rng = np.random.default_rng(19)
     m = 3
     pair = _random_pair(grid, m, rng)
-    full = half_step_1d(pair, SchemeConfig(m=m, lam=0.8), BoundarySpec())
-    capped = half_step_1d(
-        pair, SchemeConfig(m=m, lam=0.8, stage_cap=2), BoundarySpec()
+    full = half_step(pair, SchemeConfig(m=m, lam=0.8), PERIODIC)
+    capped = half_step(
+        pair, SchemeConfig(m=m, lam=0.8, stage_cap=2), PERIODIC
     )
     # a 2-stage cap is first-order-in-time only; results must differ
     assert np.abs(full.u.values - capped.u.values).max() > 1e-8

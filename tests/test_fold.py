@@ -10,17 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermwave.boundary import BoundarySpec, BoundarySpec2D, corner_sources, pair_sources
+from hermwave.boundary import BoundarySpec, pair_sources
 from hermwave.conservative import conservative_update, full_step_conservative
-from hermwave.dissipative import (
-    SchemeConfig,
-    fold,
-    half_step_1d,
-    half_step_2d,
-    rows,
-    taylor_half_step,
-)
-from hermwave.grid import DUAL, PRIMAL, Field1D, Field2D, FieldPair, Grid1D, Grid2D, TwoLevelState, flip
+from hermwave.dissipative import SchemeConfig, fold, half_step, rows, taylor_half_step
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState, flip
 from hermwave.interp import apply_interp
 
 WALLS = ("dirichlet0", "neumann0")
@@ -35,12 +28,17 @@ def _axis_spec(draw, periodic):
                         draw(value), draw(value))
 
 
+def _grid(ndim, periodic):
+    """A 1D grid of 5 cells, or a 2D one of 4 x 3 cells with a longer y side."""
+    if ndim == 1:
+        return Grid((Axis(-1.0, 0.7, 5, periodic),))
+    return Grid((Axis(-1.0, 0.7, 4, periodic), Axis(0.0, 1.3, 3, periodic)))
+
+
 def _random_field(grid, parity, k, rng):
-    """Order-(k-1) random data (per axis in 2D) on every node of `parity`."""
-    if isinstance(grid, Grid1D):
-        return Field1D(grid, parity, 0.0, rng.standard_normal((grid.n_nodes(parity), k)))
-    nodes = (grid.axis(0).n_nodes(parity), grid.axis(1).n_nodes(parity))
-    return Field2D(grid, parity, 0.0, rng.standard_normal(nodes + (k, k)))
+    """Order-(k-1) random data per axis on every node of `parity`."""
+    nodes = grid.shapes[parity]
+    return Field(grid, parity, 0.0, rng.standard_normal(nodes + (k,) * len(nodes)))
 
 
 def _assert_close(got, want):
@@ -62,38 +60,36 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     cfg = SchemeConfig(m=m, lam=lam, speed=speed)
     target = flip(parity)
 
-    grid = Grid1D(-1.0, 0.7, 5, periodic)
-    bc = data.draw(_axis_spec(periodic))
-    n, nt = grid.n_nodes(parity), grid.n_nodes(target)
-    u = Field1D(grid, parity, 0.0, rng.standard_normal((n, m + 1)))
-    v = Field1D(grid, parity, 0.0, rng.standard_normal((n, m)))
-    prev = rng.standard_normal((nt, m + 1))
+    grid = _grid(1, periodic)
+    bc = (data.draw(_axis_spec(periodic)),)
+    (h,) = grid.spacings
+    u = _random_field(grid, parity, m + 1, rng)
+    v = _random_field(grid, parity, m, rng)
+    prev = rng.standard_normal(grid.shapes[target] + (m + 1,))
     du, _ = pair_sources(u, bc)
     dv, _ = pair_sources(v, bc, dirichlet_values=(0.0, 0.0))
-    got = half_step_1d(FieldPair(u, v), cfg, bc)
-    want = taylor_half_step(du, dv, cfg.dt(grid.h), (grid.h,), speed, cfg.stages(1))
+    got = half_step(FieldPair(u, v), cfg, bc)
+    want = taylor_half_step(du, dv, cfg.dt(h), (h,), speed, cfg.stages(1))
     _assert_close(got.u.values, want[0])
     _assert_close(got.v.values, want[1])
-    got = full_step_conservative(TwoLevelState(u, Field1D(grid, target, 0.0, prev)), cfg, bc)
+    got = full_step_conservative(TwoLevelState(u, Field(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
                   conservative_update(apply_interp(du), prev, m, (0.5 * lam,)))
 
-    grid = Grid2D(-1.0, 0.7, 0.0, 1.3, 4, 3, periodic)
-    bc = BoundarySpec2D(data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
-    nodes = (grid.axis(0).n_nodes(parity), grid.axis(1).n_nodes(parity))
-    targets = (grid.axis(0).n_nodes(target), grid.axis(1).n_nodes(target))
-    u = Field2D(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1, m + 1)))
-    v = Field2D(grid, parity, 0.0, rng.standard_normal(nodes + (m, m)))
-    prev = rng.standard_normal(targets + (m + 1, m + 1))
-    du, _, _ = corner_sources(u, bc)
-    dv, _, _ = corner_sources(v, bc, dirichlet_values=(0.0, 0.0))
-    hx, hy = grid.hx, grid.hy
+    grid = _grid(2, periodic)
+    bc = (data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
+    u = _random_field(grid, parity, m + 1, rng)
+    v = _random_field(grid, parity, m, rng)
+    prev = rng.standard_normal(grid.shapes[target] + (m + 1, m + 1))
+    du, _, _ = pair_sources(u, bc)
+    dv, _, _ = pair_sources(v, bc, dirichlet_values=(0.0, 0.0))
+    hx, hy = grid.spacings
     dt = cfg.dt(min(hx, hy))
-    got = half_step_2d(FieldPair(u, v), cfg, bc)
+    got = half_step(FieldPair(u, v), cfg, bc)
     want = taylor_half_step(du, dv, dt, (hx, hy), speed, cfg.stages(2))
     _assert_close(got.u.values, want[0])
     _assert_close(got.v.values, want[1])
-    got = full_step_conservative(TwoLevelState(u, Field2D(grid, target, 0.0, prev)), cfg, bc)
+    got = full_step_conservative(TwoLevelState(u, Field(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
                   conservative_update(apply_interp(du, 2), prev, m,
                                       (0.5 * speed * dt / hx, 0.5 * speed * dt / hy)))
@@ -121,21 +117,16 @@ def test_steps_keep_inputs_and_conservative_step_reverses(m, lam, two_d, periodi
     """
     rng = np.random.default_rng(seed)
     cfg = SchemeConfig(m=m, lam=lam)
-    if two_d:
-        grid = Grid2D(-1.0, 0.7, 0.0, 1.3, 4, 3, periodic)
-        bc = BoundarySpec2D(data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
-        gather, half_step = corner_sources, half_step_2d
-    else:
-        grid = Grid1D(-1.0, 0.7, 5, periodic)
-        bc = data.draw(_axis_spec(periodic))
-        gather, half_step = pair_sources, half_step_1d
+    ndim = 1 + two_d
+    grid = _grid(ndim, periodic)
+    bc = tuple(data.draw(_axis_spec(periodic)) for _ in range(ndim))
     u = _random_field(grid, parity, m + 1, rng)
     v = _random_field(grid, parity, m, rng)
     prev = _random_field(grid, flip(parity), m + 1, rng)
     kept = [f.values.copy() for f in (u, v, prev)]
 
-    gather(u, bc)
-    gather(v, bc, dirichlet_values=(0.0, 0.0))
+    pair_sources(u, bc)
+    pair_sources(v, bc, dirichlet_values=(0.0, 0.0))
     half_step(FieldPair(u, v), cfg, bc)
     s1 = full_step_conservative(TwoLevelState(u, prev), cfg, bc)
     for field, before in zip((u, v, prev), kept):
@@ -169,19 +160,14 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
     cfg = SchemeConfig(m=m, lam=lam)
     mismatch = BoundarySpec() if not periodic else BoundarySpec("dirichlet0", "dirichlet0")
     for ndim in (1, 2):
-        if ndim == 1:
-            grid = Grid1D(-1.0, 0.7, 5, periodic)
-            bc, bad = data.draw(_axis_spec(periodic)), mismatch
-            gather, half_step = pair_sources, half_step_1d
-        else:
-            grid = Grid2D(-1.0, 0.7, 0.0, 1.3, 4, 3, periodic)
-            bc = BoundarySpec2D(data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
-            bad = BoundarySpec2D(mismatch, mismatch)
-            gather, half_step = corner_sources, half_step_2d
+        grid = _grid(ndim, periodic)
+        bc = tuple(data.draw(_axis_spec(periodic)) for _ in range(ndim))
+        bad = (mismatch,) * ndim
         u = _random_field(grid, parity, m + 1, rng)
         v = _random_field(grid, parity, m, rng)
         prev = _random_field(grid, flip(parity), m + 1, rng)
-        du, dv = gather(u, bc)[0], gather(v, bc, dirichlet_values=(0.0, 0.0))[0]
+        du = pair_sources(u, bc)[0]
+        dv = pair_sources(v, bc, dirichlet_values=(0.0, 0.0))[0]
         hs = grid.spacings
         dt = cfg.dt(min(hs))
         a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), dt, hs,

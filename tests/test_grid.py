@@ -1,8 +1,9 @@
-"""Grid construction checks and the cached per-axis spacings."""
+"""Grid and field construction checks and the cached per-axis spacings."""
 
+import numpy as np
 import pytest
 
-from hermwave.grid import Grid1D, Grid2D
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 
 
 @pytest.mark.parametrize("args", [
@@ -12,7 +13,7 @@ from hermwave.grid import Grid1D, Grid2D
 ])
 def test_grid_1d_rejects_bad_inputs(args):
     with pytest.raises(ValueError):
-        Grid1D(*args)
+        Grid((Axis(*args),))
 
 
 @pytest.mark.parametrize("args", [
@@ -22,14 +23,39 @@ def test_grid_1d_rejects_bad_inputs(args):
     (0.0, 1.0, 2.0, 2.0, 3, 3, False),    # empty y domain
 ])
 def test_grid_2d_rejects_bad_inputs(args):
+    x0, x1, y0, y1, nx, ny, periodic = args
     with pytest.raises(ValueError):
-        Grid2D(*args)
+        Grid((Axis(x0, x1, nx, periodic), Axis(y0, y1, ny, periodic)))
+
+
+def test_grid_needs_axes_of_one_kind():
+    with pytest.raises(ValueError):
+        Grid(())
+    with pytest.raises(ValueError):
+        Grid((Axis(0.0, 1.0, 3, True), Axis(0.0, 1.0, 3, False)))
 
 
 def test_spacings_are_built_once():
-    g1 = Grid1D(-1.0, 0.5, 6, periodic=False)
-    g2 = Grid2D(0.0, 1.0, -1.0, 2.0, 4, 5, periodic=True)
-    assert g1.spacings == (g1.h,)
-    assert g2.spacings == (g2.hx, g2.hy) == (g2.axis(0).h, g2.axis(1).h)
+    g1 = Grid((Axis(-1.0, 0.5, 6, periodic=False),))
+    g2 = Grid((Axis(0.0, 1.0, 4, periodic=True), Axis(-1.0, 2.0, 5, periodic=True)))
+    assert g1.spacings == (g1.axes[0].h,) == (0.25,)
+    assert g2.spacings == (g2.axes[0].h, g2.axes[1].h) == (0.25, 0.6)
     assert g1.spacings is g1.spacings
     assert g2.spacings is g2.spacings
+    assert not g1.periodic and g2.periodic
+    assert g1.shapes == {PRIMAL: (7,), DUAL: (6,)}
+    assert g2.shapes == {PRIMAL: (4, 5), DUAL: (4, 5)}
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_field_needs_one_order_axis_per_node_axis(ndim):
+    """Values are (nodes per axis..., order+1 per axis...); any other rank fails at once."""
+    grid = Grid((Axis(0.0, 1.0, 3, periodic=False),) * ndim)
+    nodes = (4,) * ndim
+    field = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (3,) * ndim))
+    assert field.orders == (2,) * ndim
+    for shape in (nodes, nodes + (3,) * (ndim + 1), nodes[:-1] + (3,) * (ndim + 1)):
+        with pytest.raises(ValueError, match="node shape"):
+            Field(grid, PRIMAL, 0.0, np.zeros(shape))
+    with pytest.raises(ValueError, match="node shape"):
+        Field(grid, DUAL, 0.0, np.zeros(nodes + (3,) * ndim))
