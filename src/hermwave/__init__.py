@@ -5,7 +5,6 @@ from .conservative import (
     bootstrap_first_half,
     conservative_update,
     full_step_conservative,
-    two_level_tensor,
 )
 from .diagnostics import (
     ErrorReport,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySpec", "ghost_data", "pair_sources",
     "bootstrap_first_half", "conservative_update", "full_step_conservative",
-    "two_level_tensor",
     "ErrorReport", "conservative_energy", "dissipative_energy",
     "fit_rate", "l2_error_field", "l2_errors_pair",
     "SchemeConfig", "eval_series", "expand_taylor",

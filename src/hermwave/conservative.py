@@ -1,37 +1,31 @@
 """Two-time-level conservative update of u-only data.
 
-Any solution of u_tt = c^2 Delta u satisfies the two-level identity
+A solution of u_tt = c^2 Delta u has the time series u(t+tau) = sum_s
+tau**s/s! d_t^s u, whose even derivatives d_t^(2p) u = c^(2p) Delta^p u
+involve u alone and whose odd ones involve v = u_t. Adding the series at
+tau = +-dt/2 cancels the odd part:
 
-    u(x, t+dt/2) + u(x, t-dt/2) = 2 sum_p (c dt/2)**(2p) / (2p)! Delta^p u(x, t),
+    u(x, t+dt/2) + u(x, t-dt/2) = 2 sum_p (c dt/2)**(2p) / (2p)! Delta^p u(x, t).
 
-whose right-hand side involves only even space derivatives at time t.
-Applying it at a target node, with u(., t) replaced by the Hermite
-interpolant centered there, gives an explicit update for the node data at
-t+dt/2 from the interpolant and the data at t-dt/2 on the same grid. In d
-dimensions Delta^p expands multinomially, Delta^p = sum_{|i|=p} p!/prod(i_q!)
-prod(d_q^(2 i_q)), so in scaled coefficients, with rho_q = c dt/(2h_q),
+The right-hand side is twice the series of u at t+dt/2 evolved from v = 0,
+so the dissipative module's Taylor recursion (`expand_taylor`) builds it:
+seeded with the Hermite interpolant centered at the target node and v = 0,
+every odd stage is exactly zero, and the node data at t+dt/2 are twice the
+series at theta = 1/2 minus the data at t-dt/2 on the same grid. The
+interpolant has degree 2m+1 along each of d axes, so Delta^p of it vanishes
+past p = dm; 2dm stages capture every term, and resolved polynomial data is
+evolved exactly. Interpolation and update are linear in the gathered
+current level, so a step gathers it through a plan cached on its grid,
+multiplies it by one cached matrix (`fold`) and subtracts the previous
+level.
 
-    c_k^{n+1/2} = -c_k^{n-1/2} + 2 sum_i p!/prod(i_q!) prod((2i_q)!)/(2p)!
-                  prod(C(k_q+2i_q, k_q) rho_q**(2i_q)) c_{k+2i},
-
-summed while every k_q+2i_q stays within degree 2m+1 (which captures every
-term of the identity for the polynomial interpolant, so resolved
-polynomial data is evolved exactly). In 1D the weight is C(k+2i, k)
-rho**(2i). One cached tensor (`two_level_tensor`) serves every dimension.
-Interpolation and update are linear in the gathered current level, so a
-step gathers it through a plan cached on its grid, multiplies it by one
-cached matrix (`fold`) and subtracts the previous level.
-
-The first half step is bootstrapped with the dissipative module's Taylor
-recursion applied to full-order interpolants of the initial displacement
-and velocity; one such step is accurate to the interpolation error and
-comfortably exceeds the O(h^(2m+1)) the two-level scheme needs.
+The first half step is bootstrapped with the same recursion applied to
+full-order interpolants of the initial displacement and velocity; one such
+step is accurate to the interpolation error and comfortably exceeds the
+O(h^(2m+1)) the two-level scheme needs.
 """
 
 from __future__ import annotations
-
-import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,69 +35,39 @@ from .grid import TwoLevelState, flip
 from .interp import apply_interp
 
 
-@lru_cache(maxsize=64)
-def two_level_tensor(m: int, rhos: tuple) -> np.ndarray:
-    """Read-only W[k..., a...] with new data -prev + 2 W c for interpolant c.
-
-    One axis per entry of `rhos` = c dt/(2h) per axis. The entry at
-    a = k + 2i is p!/prod(i_q!) * prod((2i_q)!)/(2p)! * prod(C(a_q, k_q)
-    rho_q**(2i_q)) with p = sum(i_q); its integer part is one correctly
-    rounded ratio of Python integers.
-    """
-    d = len(rhos)
-    w = np.zeros((m + 1,) * d + (2 * m + 2,) * d)
-    for k in np.ndindex(w.shape[:d]):
-        for i in np.ndindex(w.shape[:d]):
-            a = tuple(kq + 2 * iq for kq, iq in zip(k, i))
-            if max(a) > 2 * m + 1:
-                continue
-            p = sum(i)
-            num = math.factorial(p) * math.prod(
-                math.factorial(2 * iq) * math.comb(aq, kq) for aq, kq, iq in zip(a, k, i))
-            den = math.factorial(2 * p) * math.prod(math.factorial(iq) for iq in i)
-            val = num / den
-            for rho, iq in zip(rhos, i):
-                val *= rho ** (2 * iq)
-            w[k + a] = val
-    w.setflags(write=False)
-    return w
-
-
-def conservative_update(interp, prev, m: int, rhos) -> np.ndarray:
+def conservative_update(interp, prev, m: int, dt, hs, speed) -> np.ndarray:
     """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
 
     Args:
         interp: (..., 2m+2 per axis) coefficients of the interpolant
-            centered at the target node (batched).
+            centered at the target node (batched), one axis per spacing.
         prev: (..., m+1 per axis) node data at t-dt/2.
-        rhos: c dt/(2h) per axis.
+        dt: time step; the update advances dt/2.
+        hs: cell spacing per axis.
+        speed: wave speed c.
     """
-    w = two_level_tensor(m, tuple(rhos))
-    d = len(rhos)
-    coeffs = np.asarray(interp, dtype=float)
-    batch = coeffs.shape[: coeffs.ndim - d]
-    out = coeffs.reshape(batch + (-1,)) @ w.reshape((m + 1) ** d, -1).T
-    return 2.0 * out.reshape(batch + w.shape[:d]) - np.asarray(prev, dtype=float)
+    ndim = len(hs)
+    c0 = np.asarray(interp, dtype=float)
+    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, speed, 2 * ndim * m)
+    new = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim]
+    return 2.0 * new - np.asarray(prev, dtype=float)
 
 
-def _update(data, m, rhos):
+def _update(data, m, dt, hs, speed):
     """The update of gathered current data with prev = 0, the map `fold` builds."""
-    return (conservative_update(apply_interp(data, len(rhos)), 0.0, m, rhos),)
+    return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
 
 
 def _plan(field, cfg: SchemeConfig, bc, key) -> tuple:
     """Build the update plan of field's level, cached on its grid under key:
-    gather, matrix, dt/2.
-
-    dt is set by the smallest spacing, so only h ratios enter rho = c dt/(2h).
-    """
+    gather, matrix, dt/2."""
     grid = field.grid
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
+    dt = cfg.dt(min(hs))
     gather = gather_plan(grid, field.parity, bc, (((m + 1,) * ndim, None),))
-    rhos = tuple(0.5 * cfg.lam * (min(hs) / h) for h in hs)
-    (a,) = fold(_update, ((2,) * ndim + (m + 1,) * ndim,), m, rhos)
-    plan = grid.plans[key] = (gather, a, 0.5 * cfg.dt(min(hs)))
+    (a,) = fold(_update, ((2,) * ndim + (m + 1,) * ndim,), m, dt, hs, cfg.speed)
+    plan = grid.plans[key] = (gather, a, 0.5 * dt)
     return plan
 
 

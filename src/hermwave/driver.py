@@ -98,6 +98,9 @@ class RunConfig:
         if self.experiment == "conserve1d" and self.scheme != "conservative":
             raise ConfigError("conserve1d tracks the conservative scheme's invariant; "
                               "set scheme=conservative")
+        if self.experiment == "conserve1d" and self.init != "exact":
+            raise ConfigError("conserve1d starts from two exact levels; init overrides "
+                              "only apply to gaussian1d and planewave2d")
         if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
             raise ConfigError(f"out {self.out!r} is a directory or its directory is missing")
         return self
@@ -146,9 +149,9 @@ _KEY_FIELDS = {"lambda": "lam"}
 def parse_config(text: str) -> dict:
     """Parse key=value lines ('#' comments) into config overrides.
 
-    Unknown keys and malformed values fail fast with their line number.
+    Unknown or repeated keys and malformed values fail fast with their line number.
     """
-    out = {}
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +161,9 @@ def parse_config(text: str) -> dict:
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         if not val:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         try:
@@ -341,15 +347,13 @@ def _gaussian_level(cfg: RunConfig, n: int):
         return _scale_cols(vals, h)
 
     def exact_u(x):
-        return 0.5 * (np.exp(-20.0 * (x + tau) ** 2) + np.exp(-20.0 * (x - tau) ** 2))
+        return gaussian_box_u(x, tau, 0)[..., 0]
 
     def exact_dux(x):
-        return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
-                      - 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
+        return gaussian_box_u(x, tau, 1)[..., 1]
 
-    def exact_v(x):
-        return 0.5 * (-40.0 * (x + tau) * np.exp(-20.0 * (x + tau) ** 2)
-                      + 40.0 * (x - tau) * np.exp(-20.0 * (x - tau) ** 2))
+    def exact_v(x):  # d/dt of (G(x+t) + G(x-t))/2 is (G'(x+t) - G'(x-t))/2
+        return 0.5 * (gaussian_derivs(x + tau, 1)[..., 1] - gaussian_derivs(x - tau, 1)[..., 1])
 
     state = _evolve(cfg, grid, bc, data, nhalf, half_step_1d)
     if cfg.scheme == "dissipative":

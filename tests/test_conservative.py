@@ -25,7 +25,7 @@ PERIODIC = (BoundarySpec(),)
 
 
 def test_zero_update_is_zero():
-    out = conservative_update(np.zeros((4, 6)), np.zeros((4, 3)), 2, (0.35,))
+    out = conservative_update(np.zeros((4, 6)), np.zeros((4, 3)), 2, 0.7, (1.0,), 1.0)
     assert np.all(out == 0.0)
 
 
@@ -36,13 +36,13 @@ def test_linear_profile_is_steady():
     a[:, 0] = rng.standard_normal(3)
     a[:, 1] = rng.standard_normal(3)
     prev = a[:, :3].copy()
-    out = conservative_update(a, prev, 2, (0.5,))
+    out = conservative_update(a, prev, 2, 1.0, (1.0,), 1.0)
     np.testing.assert_allclose(out, prev, atol=1e-15)
 
 
 def test_first_order_quadratic_update():
     # m=1, lam=1: xi**2 interpolant over zero previous data
-    out = conservative_update(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), 1, (0.5,))
+    out = conservative_update(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), 1, 1.0, (1.0,), 1.0)
     np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
 
 
@@ -57,7 +57,7 @@ def test_update_matches_even_shift_average(m, lam):
     a = rng.standard_normal((5, 2 * m + 2))
     prev = rng.standard_normal((5, m + 1))
     rho = 0.5 * lam
-    out = conservative_update(a, prev, m, (rho,))
+    out = conservative_update(a, prev, m, 2.0 * rho, (1.0,), 1.0)
     for i in range(5):
         p = P(a[i])
         avg = 0.5 * (p(P([rho, 1.0])) + p(P([-rho, 1.0])))
@@ -73,37 +73,41 @@ def test_update_matches_even_shift_average(m, lam):
     speed=st.floats(0.5, 2.0),
     hx=st.floats(0.05, 0.5),
     aspect=st.floats(0.3, 3.0).filter(lambda r: abs(r - 1.0) > 1e-3),
+    aspect_z=st.floats(0.3, 3.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, seed):
-    """The 2D update against 2 sum_p (c dt/2)^(2p)/(2p)! Delta^p q, minus prev.
+def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, aspect_z, seed):
+    """The 2D and 3D update against 2 sum_p (c dt/2)^(2p)/(2p)! Delta^p q, minus prev.
 
-    q is the interpolant in the scaled variables (x/hx, y/hy), so Delta is
-    the second polyder along each axis over hx^2 and hy^2; its mixed terms
-    come from the repeated application, not from any weight table.
+    q is the interpolant in the scaled variables (x/hx, y/hy, z/hz), so
+    Delta is the second polyder along each axis over h_q^2; its mixed terms
+    come from the repeated application of that sum. 3D runs at m <= 2.
     """
-    hy = aspect * hx
-    dt = lam * min(hx, hy) / speed
     rng = np.random.default_rng(seed)
     kk = 2 * m + 2
-    q = rng.standard_normal((kk, kk))
-    prev = rng.standard_normal((m + 1, m + 1))
+    for ndim in (2, 3):
+        if ndim == 3 and m > 2:
+            continue
+        hs = (hx, aspect * hx, aspect_z * hx)[:ndim]
+        dt = lam * min(hs) / speed
+        q = rng.standard_normal((kk,) * ndim)
+        prev = rng.standard_normal((m + 1,) * ndim)
 
-    def laplacian(c):
-        out = np.zeros_like(c)
-        out[:-2, :] += npoly.polyder(c, 2, axis=0) / hx**2
-        out[:, :-2] += npoly.polyder(c, 2, axis=1) / hy**2
-        return out
+        def laplacian(c):
+            out = np.zeros_like(c)
+            for axis, h in enumerate(hs):
+                keep = (slice(None),) * axis + (slice(kk - 2),)
+                out[keep] += npoly.polyder(c, 2, axis=axis) / h**2
+            return out
 
-    want, term = np.zeros_like(q), q
-    for p in range(2 * m + 2):
-        want += 2.0 * (0.5 * speed * dt) ** (2 * p) / math.factorial(2 * p) * term
-        term = laplacian(term)
-    assert not term.any()
-    want = want[: m + 1, : m + 1] - prev
-    rhos = (0.5 * speed * dt / hx, 0.5 * speed * dt / hy)
-    got = conservative_update(q[None], prev[None], m, rhos)[0]
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        want, term = np.zeros_like(q), q
+        for p in range(ndim * m + 2):
+            want += 2.0 * (0.5 * speed * dt) ** (2 * p) / math.factorial(2 * p) * term
+            term = laplacian(term)
+        assert not term.any()
+        want = want[(slice(m + 1),) * ndim] - prev
+        got = conservative_update(q[None], prev[None], m, dt, hs, speed)[0]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), ndim
 
 
 def _line(x_left, x_right, n, periodic):
@@ -315,5 +319,6 @@ def test_2d_reduces_to_1d_on_y_independent_data():
 
 
 def test_2d_update_zero():
-    out = conservative_update(np.zeros((3, 3, 4, 4)), np.zeros((3, 3, 2, 2)), 1, (0.3, 0.3))
+    out = conservative_update(np.zeros((3, 3, 4, 4)), np.zeros((3, 3, 2, 2)), 1, 0.6, (1.0, 1.0),
+                              1.0)
     assert np.all(out == 0.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
+from hermwave import conservative
 from hermwave.boundary import BoundarySpec, pair_sources
 from hermwave.diagnostics import dissipative_energy
 from hermwave.dissipative import (
@@ -99,10 +100,20 @@ def _bootstrap_u(du, dv, dt, hs, speed, stages):
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(du.shape[-1]),) * ndim],)
 
 
-def test_stage_count_is_sufficient():
-    """Stages past stages(ndim) (half step) and d(2m+2) (bootstrap) are exact zeros.
+def _conservative_u(du, dt, hs, speed, stages):
+    """The conservative update's map with prev = 0: the recursion from v = 0."""
+    ndim = len(hs)
+    c0 = apply_interp(du, ndim)
+    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, speed, stages)
+    return (2.0 * eval_series(ctab, 0.5)[(Ellipsis,) + (slice(du.shape[-1]),) * ndim],)
 
-    So six more stages leave every folded matrix unchanged to the bit.
+
+def test_stage_count_is_sufficient():
+    """Stages past stages(ndim) (half step), d(2m+2) (bootstrap) and 2dm
+    (conservative update) are exact zeros.
+
+    So six more stages leave every folded matrix unchanged to the bit. The
+    conservative map at 2dm stages is the library's folded update, bit for bit.
     """
     for ndim in (1, 2):
         for m in range(1, 7):
@@ -114,10 +125,13 @@ def test_stage_count_is_sufficient():
             for fn, shapes, depth in (
                 (taylor_half_step, (u_shape, v_shape), cfg.stages(ndim)),
                 (_bootstrap_u, (u_shape, u_shape), ndim * (2 * m + 2)),
+                (_conservative_u, (u_shape,), 2 * ndim * m),
             ):
                 short = fold(fn, shapes, dt, hs, cfg.speed, depth)
                 deep = fold(fn, shapes, dt, hs, cfg.speed, depth + 6)
                 assert all(np.array_equal(a, b) for a, b in zip(short, deep)), (ndim, m, fn)
+            (a,) = fold(conservative._update, (u_shape,), m, dt, hs, cfg.speed)
+            assert np.array_equal(a, short[0]), (ndim, m)
 
 
 def _line(x_left, x_right, n, periodic):

@@ -77,6 +77,11 @@ def test_parse_config_bad_type():
         parse_config("m = two")
 
 
+def test_parse_config_repeated_key():
+    with pytest.raises(ConfigError, match=r"line 3: key 'm' is already set on line 1"):
+        parse_config("m = 2\nlevels = 3\nm = 1\n")
+
+
 def test_lambda_out_of_range_names_the_field():
     with pytest.raises(ConfigError, match="lambda"):
         make_config("gaussian1d", {"lam": 1.5}, None)
@@ -103,6 +108,10 @@ def test_cross_field_rules():
         make_config("planewave2d", {"boundary": "dirichlet0"}, None)
     with pytest.raises(ConfigError, match="n0"):
         make_config("gaussian1d", {"n0": 2}, None)
+    for file_overrides, flag_overrides in (({"init": "bootstrap"}, None),
+                                           (None, {"init": "bootstrap"})):
+        with pytest.raises(ConfigError, match="init"):
+            make_config("conserve1d", file_overrides, flag_overrides)
 
 
 def test_half_step_count_rounds_to_target():

@@ -74,7 +74,7 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
-                  conservative_update(apply_interp(du), prev, m, (0.5 * lam,)))
+                  conservative_update(apply_interp(du), prev, m, cfg.dt(h), (h,), speed))
 
     grid = _grid(2, periodic)
     bc = (data.draw(_axis_spec(periodic)), data.draw(_axis_spec(periodic)))
@@ -91,8 +91,7 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     _assert_close(got.v.values, want[1])
     got = full_step_conservative(TwoLevelState(u, Field(grid, target, 0.0, prev)), cfg, bc)
     _assert_close(got.current.values,
-                  conservative_update(apply_interp(du, 2), prev, m,
-                                      (0.5 * speed * dt / hx, 0.5 * speed * dt / hy)))
+                  conservative_update(apply_interp(du, 2), prev, m, dt, (hx, hy), speed))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,8 +172,7 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
         a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), dt, hs,
                         cfg.speed, cfg.stages(ndim))
         want = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
-        rhos = tuple(0.5 * cfg.speed * dt / h for h in hs)
-        want_c = conservative_update(apply_interp(du, ndim), prev.values, m, rhos)
+        want_c = conservative_update(apply_interp(du, ndim), prev.values, m, dt, hs, cfg.speed)
         for _ in range(2):
             got = half_step(FieldPair(u, v), cfg, bc)
             new = np.concatenate([rows(f.values, ndim) for f in (got.u, got.v)], axis=1)
