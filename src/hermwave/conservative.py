@@ -31,7 +31,7 @@ import numpy as np
 
 from .boundary import gather_plan, pair_sources, take
 from .dissipative import SchemeConfig, eval_series, expand_taylor, fold
-from .grid import TwoLevelState, flip
+from .grid import Field, TwoLevelState, flip
 from .interp import apply_interp
 
 
@@ -58,16 +58,15 @@ def _update(data, m, dt, hs, speed):
     return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
 
 
-def _plan(field, cfg: SchemeConfig, bc, key) -> tuple:
-    """Build the update plan of field's level, cached on its grid under key:
-    gather, matrix, dt/2."""
-    grid = field.grid
+def _plan(grid, parity, cfg: SchemeConfig, bc, key) -> tuple:
+    """Build the update plan of grid's `parity` level, cached on grid under key:
+    gather, matrix, dt/2, target parity."""
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
-    gather = gather_plan(grid, field.parity, bc, (((m + 1,) * ndim, None),))
+    gather = gather_plan(grid, parity, bc, (((m + 1,) * ndim, None),))
     (a,) = fold(_update, ((2,) * ndim + (m + 1,) * ndim,), m, dt, hs, cfg.speed)
-    plan = grid.plans[key] = (gather, a, 0.5 * dt)
+    plan = grid.plans[key] = (gather, a, 0.5 * dt, flip(parity))
     return plan
 
 
@@ -75,16 +74,15 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLe
     """One update: gather the current level, multiply, subtract the previous.
 
     Returns the new state (advanced dt/2, parity flipped); the old current
-    level becomes the new previous level.
+    level's rows become the new previous level, uncopied.
     """
-    cur = state.current
-    prev = state.previous.values
-    key = ("conservative", cur.parity, bc, cfg)
-    gather, a, half_dt = cur.grid.plans.get(key) or _plan(cur, cfg, bc, key)
-    new_vals = take(cur.values.reshape(gather.nodes, -1), gather) @ a
-    new_vals = new_vals.reshape(prev.shape) - prev
-    new = state.previous.with_values(new_vals, time=cur.time + half_dt)
-    return TwoLevelState(current=new, previous=cur)
+    grid = state.grid
+    key = ("conservative", state.parity, bc, cfg)
+    gather, a, half_dt, parity = grid.plans.get(key) or _plan(grid, state.parity, cfg, bc, key)
+    new = take(state.rows, gather) @ a
+    new -= state.prev_rows
+    return TwoLevelState.packed(grid, parity, state.time + half_dt, state.time, new, state.rows,
+                                state.shapes[::-1])
 
 
 def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
@@ -108,5 +106,5 @@ def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
     ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
                             cfg.speed, ndim * (2 * cfg.m + 2))
     u_half = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(cfg.m + 1),) * ndim]
-    current = g0.with_values(u_half, parity=flip(g0.parity), time=g0.time + 0.5 * dt)
+    current = Field(g0.grid, flip(g0.parity), g0.time + 0.5 * dt, u_half)
     return TwoLevelState(current=current, previous=g0)

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gather_plan, take
-from .grid import Field, FieldPair, flip
+from .grid import FieldPair, flip, rows
 from .interp import apply_interp
 
 
@@ -149,11 +149,6 @@ def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def rows(block: np.ndarray, ndim: int = 1) -> np.ndarray:
-    """The block as one row per target; its first `ndim` axes index the targets."""
-    return block.reshape(math.prod(block.shape[:ndim]), -1)
-
-
 @lru_cache(maxsize=64)
 def fold(fn, shapes, *args) -> tuple:
     """Row blocks of the linear per-target map blocks -> fn(*blocks, *args), cached.
@@ -195,20 +190,19 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
-def _plan(field, cfg: SchemeConfig, bc, key) -> tuple:
-    """Build the half-step plan of field's level and cache it on its grid under key.
+def _plan(grid, parity, cfg: SchemeConfig, bc, key) -> tuple:
+    """Build the half-step plan of grid's `parity` level and cache it on grid under key.
 
     It gathers u | v packed per node (v reflects about 0 at walls) and holds
     the `fold` blocks stacked and permuted into the packed rows, dt/2, the
     target parity, the u values' shape it steps, the count of packed u
     columns and the new u and v shapes.
     """
-    grid = field.grid
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
     cu, cv = (m + 1,) * ndim, (m,) * ndim
-    gather = gather_plan(grid, field.parity, bc, ((cu, None), (cv, (0.0, 0.0))))
+    gather = gather_plan(grid, parity, bc, ((cu, None), (cv, (0.0, 0.0))))
     sides = (2,) * ndim
     a_u, a_v = fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, cfg.speed,
                     cfg.stages(ndim))
@@ -217,27 +211,22 @@ def _plan(field, cfg: SchemeConfig, bc, key) -> tuple:
                              len(a_u) + np.arange(len(a_v)).reshape(sides + (-1,))), axis=-1)
     a = np.concatenate((a_u, a_v))[packed.ravel()]
     a.setflags(write=False)
-    parity = flip(field.parity)
-    targets = grid.shapes[parity]
-    plan = grid.plans[key] = (gather, a, 0.5 * dt, parity, grid.shapes[field.parity] + cu,
-                              math.prod(cu), targets + cu, targets + cv)
+    targets = grid.shapes[flip(parity)]
+    plan = grid.plans[key] = (gather, a, 0.5 * dt, flip(parity), grid.shapes[parity] + cu,
+                              math.prod(cu), (targets + cu, targets + cv))
     return plan
 
 
 def half_step(state: FieldPair, cfg: SchemeConfig, bc: tuple) -> FieldPair:
     """Advance (u, v) by dt/2 onto the opposite grid, in any number of axes."""
-    u = state.u
-    key = ("dissipative", u.parity, bc, cfg)
-    gather, a, half_dt, parity, shape, k, u_shape, v_shape = (
-        u.grid.plans.get(key) or _plan(u, cfg, bc, key))
-    if u.values.shape != shape:
-        raise ValueError(f"state carries orders {u.orders}, config wants m = {cfg.m}")
-    n = gather.nodes
-    new = take(np.concatenate((u.values.reshape(n, -1), state.v.values.reshape(n, -1)),
-                              axis=1), gather) @ a
-    t_new = u.time + half_dt
-    return FieldPair(Field(u.grid, parity, t_new, new[:, :k].reshape(u_shape)),
-                     Field(u.grid, parity, t_new, new[:, k:].reshape(v_shape)))
+    grid = state.grid
+    key = ("dissipative", state.parity, bc, cfg)
+    gather, a, half_dt, parity, shape, split, shapes = (
+        grid.plans.get(key) or _plan(grid, state.parity, cfg, bc, key))
+    if state.shapes[0] != shape:
+        raise ValueError(f"state carries orders {state.u.orders}, config wants m = {cfg.m}")
+    return FieldPair.packed(grid, parity, state.time + half_dt, take(state.rows, gather) @ a,
+                            split, shapes)
 
 
 # perfbench's tracer counts dissipative node updates by wrapping these names

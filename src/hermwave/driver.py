@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,8 @@ class RunConfig:
         if self.experiment == "conserve1d" and self.scheme != "conservative":
             raise ConfigError("conserve1d tracks the conservative scheme's invariant; "
                               "set scheme=conservative")
+        if self.init != "exact" and self.scheme != "conservative":
+            raise ConfigError(f"init={self.init} only applies to the conservative scheme")
         if self.experiment == "conserve1d" and self.init != "exact":
             raise ConfigError("conserve1d starts from two exact levels; init overrides "
                               "only apply to gaussian1d and planewave2d")
@@ -199,22 +202,27 @@ def _scale_cols(vals: np.ndarray, h: float) -> np.ndarray:
     return vals * fac
 
 
-def gaussian_derivs(x, kmax: int, a: float = -20.0) -> np.ndarray:
-    """Columns d^k/dx^k exp(a x^2), k = 0..kmax.
+@lru_cache(maxsize=64)
+def _gaussian_polys(kmax: int, a: float) -> tuple:
+    """Read-only coefficients of p_0..p_kmax, lowest first: p_0 = 1 and
+    p_{k+1} = p_k' + 2 a x p_k."""
+    polys = [np.array([1.0])]
+    for _ in range(kmax):
+        p = polys[-1]
+        polys.append(np.concatenate([[0.0], 2.0 * a * p]))
+        polys[-1][: len(p) - 1] += p[1:] * np.arange(1, len(p))
+    for p in polys:
+        p.setflags(write=False)
+    return tuple(polys)
 
-    Uses f^(k) = p_k(x) f with the polynomial recurrence
-    p_{k+1} = p_k' + 2 a x p_k.
-    """
+
+def gaussian_derivs(x, kmax: int, a: float = -20.0) -> np.ndarray:
+    """Columns d^k/dx^k exp(a x^2) = p_k(x) exp(a x^2), k = 0..kmax."""
     x = np.asarray(x, dtype=float)
     f = np.exp(a * x * x)
     out = np.empty(x.shape + (kmax + 1,))
-    p = np.array([1.0])  # coefficients of p_k, lowest first
-    for k in range(kmax + 1):
+    for k, p in enumerate(_gaussian_polys(kmax, a)):
         out[..., k] = np.polynomial.polynomial.polyval(x, p) * f
-        dp = p[1:] * np.arange(1, len(p))
-        shifted = np.concatenate([[0.0], 2.0 * a * p])
-        shifted[: len(dp)] += dp
-        p = shifted
     return out
 
 
@@ -263,15 +271,15 @@ def _at(step: int, time: float, n: int) -> str:
 
 
 def _march(state, step, args, count: int, n: int, done: int = 0):
-    """Apply step(state, *args) count times, checking the fields every
-    FINITE_STRIDE half steps and after the last; `done` half steps precede
-    the first."""
+    """Apply step(state, *args) count times, one call per half step as the
+    tracer and tests count them, checking the node rows every FINITE_STRIDE
+    half steps and after the last; `done` half steps precede the first."""
     last = done + count
     for k in range(done + 1, last + 1):
         state = step(state, *args)
         if k % FINITE_STRIDE == 0 or k == last:
-            fields = state.fields
-            _require_finite(*(f.values for f in fields), where=_at(k, fields[0].time, n))
+            # a non-finite previous level was current a step ago and reached its targets
+            _require_finite(state.rows, where=_at(k, state.time, n))
     return state
 
 

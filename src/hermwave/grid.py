@@ -10,7 +10,8 @@ level shares its parity.
 
 A field stores, per node, the scaled derivative coefficients
 (h**l/l!) d^l u/dx^l up to its order along each axis, as one dense array
-shaped (nodes per axis..., order+1 per axis...).
+shaped (nodes per axis..., order+1 per axis...). The steppers' states keep
+node rows instead, one per node in C order, and build `Field` views on access.
 
 Every grid carries a `plans` dict where the gathers and steppers cache what
 they build once per level, so no cache outlives the grid its key names.
@@ -18,8 +19,8 @@ they build once per level, so no cache outlives the grid its key names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,62 +118,91 @@ class Field:
     def orders(self) -> tuple:
         return tuple(k - 1 for k in self.values.shape[self.values.ndim // 2 :])
 
-    def with_values(self, values, parity=None, time=None) -> "Field":
-        return Field(
-            self.grid,
-            self.parity if parity is None else parity,
-            self.time if time is None else time,
-            values,
-        )
+
+def rows(block: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """The block as one row per node or target, indexed by its first `ndim` axes."""
+    return block.reshape(math.prod(block.shape[:ndim]), -1)
 
 
-@lru_cache(maxsize=64)
-def _plus_one(shape: tuple) -> tuple:
-    return tuple(k + 1 for k in shape)
-
-
-@dataclass
 class FieldPair:
-    """Displacement/velocity pair; u order exceeds v order by one per axis."""
+    """Displacement/velocity pair; u order exceeds v order by one per axis.
 
-    u: Field
-    v: Field
+    Kept as `rows`, u | v packed per node as the dissipative plan gathers
+    them, with u's column count `split` and the u and v value `shapes`.
+    """
 
-    def __post_init__(self):
-        su, sv = self.u.values.shape, self.v.values.shape
+    __slots__ = ("grid", "parity", "time", "rows", "split", "shapes")
+
+    def __init__(self, u: Field, v: Field):
+        su, sv = u.values.shape, v.values.shape
         d = len(su) // 2
-        if su[d:] != _plus_one(sv[d:]):
-            raise ValueError(f"u orders must be v orders + 1, got {self.u.orders}/{self.v.orders}")
-        if self.u.parity != self.v.parity:
+        if su[d:] != tuple(k + 1 for k in sv[d:]):
+            raise ValueError(f"u orders must be v orders + 1, got {u.orders}/{v.orders}")
+        if u.parity != v.parity:
             raise ValueError("u and v must live on the same parity")
+        self.grid, self.parity, self.time = u.grid, u.parity, u.time
+        self.rows = np.concatenate((rows(u.values, d), rows(v.values, d)), axis=1)
+        self.split, self.shapes = math.prod(su[d:]), (su, sv)
+
+    @classmethod
+    def packed(cls, grid, parity, time, rows, split, shapes) -> "FieldPair":
+        """The stepper's unchecked constructor, over `rows` as they are."""
+        pair = object.__new__(cls)
+        pair.grid, pair.parity, pair.time = grid, parity, time
+        pair.rows, pair.split, pair.shapes = rows, split, shapes
+        return pair
 
     @property
-    def parity(self) -> str:
-        return self.u.parity
+    def u(self) -> Field:
+        return Field(self.grid, self.parity, self.time,
+                     self.rows[:, : self.split].reshape(self.shapes[0]))
 
     @property
-    def time(self) -> float:
-        return self.u.time
+    def v(self) -> Field:
+        return Field(self.grid, self.parity, self.time,
+                     self.rows[:, self.split :].reshape(self.shapes[1]))
 
     @property
     def fields(self) -> tuple:
         return self.u, self.v
 
 
-@dataclass
 class TwoLevelState:
     """Conservative-scheme state: u data at t_n and at t_{n-1/2}.
 
-    The two levels sit on opposite parities; `previous` lives on the grid
-    the next update writes to.
+    The two levels sit on opposite parities; `previous` lives on the grid the
+    next update writes to. They are kept as node rows, `rows` at `time` and
+    `prev_rows` at `prev_time`, with their value `shapes`.
     """
 
-    current: Field
-    previous: Field
+    __slots__ = ("grid", "parity", "time", "prev_time", "rows", "prev_rows", "shapes")
 
-    def __post_init__(self):
-        if self.current.parity == self.previous.parity:
+    def __init__(self, current: Field, previous: Field):
+        if current.parity == previous.parity:
             raise ValueError("the two levels must sit on opposite parities")
+        if current.orders != previous.orders:
+            raise ValueError(f"the two levels carry orders {current.orders}/{previous.orders}")
+        self.grid, self.parity, self.time = current.grid, current.parity, current.time
+        self.prev_time, self.shapes = previous.time, (current.values.shape, previous.values.shape)
+        d = len(self.grid.axes)
+        self.rows, self.prev_rows = rows(current.values, d), rows(previous.values, d)
+
+    @classmethod
+    def packed(cls, grid, parity, time, prev_time, rows, prev_rows, shapes) -> "TwoLevelState":
+        """The stepper's unchecked constructor, over the node rows as they are."""
+        state = object.__new__(cls)
+        state.grid, state.parity, state.time, state.prev_time = grid, parity, time, prev_time
+        state.rows, state.prev_rows, state.shapes = rows, prev_rows, shapes
+        return state
+
+    @property
+    def current(self) -> Field:
+        return Field(self.grid, self.parity, self.time, self.rows.reshape(self.shapes[0]))
+
+    @property
+    def previous(self) -> Field:
+        return Field(self.grid, flip(self.parity), self.prev_time,
+                     self.prev_rows.reshape(self.shapes[1]))
 
     @property
     def fields(self) -> tuple:

@@ -143,7 +143,10 @@ def test_full_step_bookkeeping():
     cfg = SchemeConfig(m=2, lam=0.8)
     state = _random_state(grid, 2, rng)
     out = full_step_conservative(state, cfg, PERIODIC)
-    assert out.previous is state.current
+    # the old current level becomes the previous one uncopied
+    assert np.shares_memory(out.previous.values, state.current.values)
+    assert out.previous.time == state.current.time
+    assert out.previous.parity == state.current.parity
     assert out.current.parity == DUAL
     assert out.current.time == pytest.approx(state.current.time + 0.5 * cfg.dt(axis.h))
 
@@ -192,7 +195,8 @@ def test_bootstrap_zero_data():
     z = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
     state = bootstrap_first_half(z, z, cfg, PERIODIC)
     assert np.all(state.current.values == 0.0)
-    assert state.previous is z
+    assert np.shares_memory(state.previous.values, z.values)
+    assert state.previous.time == z.time and state.previous.parity == z.parity
     assert state.current.parity == DUAL
     assert state.current.time == pytest.approx(0.5 * cfg.dt(axis.h))
 

@@ -142,6 +142,31 @@ def test_gaussian_derivative_columns_against_sympy():
         np.testing.assert_allclose(got[:, k], fn(pts), rtol=1e-11, atol=1e-11)
 
 
+def _gaussian_derivs_recurrence(x, kmax, a=-20.0):
+    """The per-call recurrence gaussian_derivs ran before its polynomials were cached."""
+    x = np.asarray(x, dtype=float)
+    f = np.exp(a * x * x)
+    out = np.empty(x.shape + (kmax + 1,))
+    p = np.array([1.0])
+    for k in range(kmax + 1):
+        out[..., k] = np.polynomial.polynomial.polyval(x, p) * f
+        dp = p[1:] * np.arange(1, len(p))
+        shifted = np.concatenate([[0.0], 2.0 * a * p])
+        shifted[: len(dp)] += dp
+        p = shifted
+    return out
+
+
+def test_gaussian_derivs_match_the_recurrence_bit_for_bit():
+    """The cached p_k give the recurrence's columns exactly, on every call."""
+    x = np.random.default_rng(5).uniform(-1.5, 1.5, (7, 3))
+    for a in (-20.0, -3.5):
+        for kmax in range(9):
+            for _ in range(2):
+                np.testing.assert_array_equal(gaussian_derivs(x, kmax, a),
+                                              _gaussian_derivs_recurrence(x, kmax, a))
+
+
 def test_gaussian_box_pair_against_sympy():
     x, t = sp.symbols("x t")
     u = (sp.exp(-20 * (x + t) ** 2) + sp.exp(-20 * (x - t) ** 2)) / 2
@@ -404,6 +429,19 @@ def test_cli_stops_at_first_check_after_nan(monkeypatch, capsys, argv, stepper):
     assert rc == 3
     assert len(calls) == first_check
     assert f"at half step {first_check} (t=" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian1d", "--init", "bootstrap", "--levels", "2"],
+    ["custom", "--experiment", "planewave2d", "--init", "bootstrap"],
+])
+def test_cli_rejects_init_for_the_dissipative_scheme(argv, capsys):
+    """Only the conservative scheme has a first level to bootstrap."""
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error:" in err
+    assert "init" in err
 
 
 def test_cli_rejects_stage_cap_flag(capsys):

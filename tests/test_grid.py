@@ -1,9 +1,11 @@
-"""Grid and field construction checks and the cached per-axis spacings."""
+"""Grid, field and packed-state construction checks and the cached per-axis spacings."""
+
+import math
 
 import numpy as np
 import pytest
 
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 
 
 @pytest.mark.parametrize("args", [
@@ -59,3 +61,40 @@ def test_field_needs_one_order_axis_per_node_axis(ndim):
             Field(grid, PRIMAL, 0.0, np.zeros(shape))
     with pytest.raises(ValueError, match="node shape"):
         Field(grid, DUAL, 0.0, np.zeros(nodes + (3,) * ndim))
+
+
+def _random_levels(ndim, rng):
+    """u, v on the primal nodes and a previous u level on the dual nodes, m = 2."""
+    grid = Grid((Axis(0.0, 1.0, 3, periodic=False),) * ndim)
+    u = Field(grid, PRIMAL, 0.25, rng.standard_normal(grid.shapes[PRIMAL] + (3,) * ndim))
+    v = Field(grid, PRIMAL, 0.25, rng.standard_normal(grid.shapes[PRIMAL] + (2,) * ndim))
+    prev = Field(grid, DUAL, -0.5, rng.standard_normal(grid.shapes[DUAL] + (3,) * ndim))
+    return u, v, prev
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_packed_states_give_back_their_fields(ndim):
+    """Packing into node rows and reading back a Field returns the input bit for bit."""
+    u, v, prev = _random_levels(ndim, np.random.default_rng(ndim))
+    pair = FieldPair(u, v)
+    assert pair.rows.shape == (math.prod(u.values.shape[:ndim]), 3**ndim + 2**ndim)
+    for got, want in zip(pair.fields, (u, v)):
+        np.testing.assert_array_equal(got.values, want.values)
+        assert (got.grid, got.parity, got.time) == (want.grid, want.parity, want.time)
+    state = TwoLevelState(u, prev)
+    for got, want in zip(state.fields, (u, prev)):
+        np.testing.assert_array_equal(got.values, want.values)
+        assert (got.grid, got.parity, got.time) == (want.grid, want.parity, want.time)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_packed_state_constructors_check_their_fields(ndim):
+    u, _, prev = _random_levels(ndim, np.random.default_rng(10 + ndim))
+    with pytest.raises(ValueError, match="orders"):
+        FieldPair(u, u)
+    with pytest.raises(ValueError, match="same parity"):
+        FieldPair(u, Field(u.grid, DUAL, 0.25, np.zeros(u.grid.shapes[DUAL] + (2,) * ndim)))
+    with pytest.raises(ValueError, match="opposite parities"):
+        TwoLevelState(u, u)
+    with pytest.raises(ValueError, match="orders"):
+        TwoLevelState(u, Field(u.grid, DUAL, 0.0, prev.values[(Ellipsis,) + (slice(2),) * ndim]))
