@@ -1,6 +1,6 @@
 """Hermite solvers for the scalar wave equation on staggered grids."""
 
-from .boundary import BoundarySpec, ghost_data, pair_sources
+from .boundary import ghost_data, pair_sources
 from .conservative import (
     bootstrap_first_half,
     conservative_update,
@@ -47,7 +47,7 @@ from .interp import apply_interp, interp_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "ghost_data", "pair_sources",
+    "ghost_data", "pair_sources",
     "bootstrap_first_half", "conservative_update", "full_step_conservative",
     "ErrorReport", "conservative_energy", "dissipative_energy",
     "fit_rate", "l2_error_field", "l2_errors_pair",

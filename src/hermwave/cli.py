@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .driver import (
+    _KEY_FIELDS,
+    _KEY_TYPES,
     BOUNDARIES,
     INITS,
     MODES,
@@ -75,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = ("scheme", "m", "lam", "levels", "n0", "steps", "seed", "out",
-              "init", "boundary", "mode", "sample_every")
+# every config key but the experiment, which names the subcommand
+_FLAG_KEYS = tuple(_KEY_FIELDS.get(k, k) for k in _KEY_TYPES if k != "experiment")
 
 
 def _assemble(args: argparse.Namespace) -> RunConfig:

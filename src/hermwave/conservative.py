@@ -58,34 +58,34 @@ def _update(data, m, dt, hs, speed):
     return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
 
 
-def _plan(grid, parity, cfg: SchemeConfig, bc, key) -> tuple:
+def _plan(grid, parity, cfg: SchemeConfig, key) -> tuple:
     """Build the update plan of grid's `parity` level, cached on grid under key:
     gather, matrix, dt/2, target parity."""
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
-    gather = gather_plan(grid, parity, bc, (((m + 1,) * ndim, None),))
+    gather = gather_plan(grid, parity, ((m + 1,) * ndim,))
     (a,) = fold(_update, ((2,) * ndim + (m + 1,) * ndim,), m, dt, hs, cfg.speed)
     plan = grid.plans[key] = (gather, a, 0.5 * dt, flip(parity))
     return plan
 
 
-def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig, bc) -> TwoLevelState:
+def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig) -> TwoLevelState:
     """One update: gather the current level, multiply, subtract the previous.
 
     Returns the new state (advanced dt/2, parity flipped); the old current
     level's rows become the new previous level, uncopied.
     """
     grid = state.grid
-    key = ("conservative", state.parity, bc, cfg)
-    gather, a, half_dt, parity = grid.plans.get(key) or _plan(grid, state.parity, cfg, bc, key)
+    key = ("conservative", state.parity, cfg)
+    gather, a, half_dt, parity = grid.plans.get(key) or _plan(grid, state.parity, cfg, key)
     new = take(state.rows, gather) @ a
     new -= state.prev_rows
     return TwoLevelState.packed(grid, parity, state.time + half_dt, state.time, new, state.rows,
                                 state.shapes[::-1])
 
 
-def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
+def bootstrap_first_half(g0, g1, cfg: SchemeConfig) -> TwoLevelState:
     """Produce the two starting levels from initial data at t = 0.
 
     Args:
@@ -100,8 +100,8 @@ def bootstrap_first_half(g0, g1, cfg: SchemeConfig, bc) -> TwoLevelState:
     hs = g0.grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
-    du = pair_sources(g0, bc)[0]
-    dv = pair_sources(g1, bc, dirichlet_values=(0.0, 0.0))[0]
+    du = pair_sources(g0)[0]
+    dv = pair_sources(g1)[0]
     # with full-order v seeds every stage past d(2m+2) is exactly zero
     ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
                             cfg.speed, ndim * (2 * cfg.m + 2))

@@ -24,7 +24,11 @@ top coefficients and P_± are small against the nodal data: the window
 holds interpolated coefficients rather than nodal values (a matrix
 folded through the interpolation cancels the large low-order data only
 to its own rounding), and E sums the squares of L y_i rather than
-evaluating y_i^T G y_i.
+evaluating y_i^T G y_i. The rounding still grows with m: at n = 30 and
+100 steps of smooth data, the stock conserve1d drift reads 5e-9 at m = 4,
+1.3e-3 at m = 6 and 0.6 at m = 8 while the stepped level's L2 error stays
+at or below 1e-13, and E of exact two-level data varies by as much, so past
+m = 4 the drift measures this form's noise, not the scheme.
 
 The dissipative analogue c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, what
 the (u, v) scheme dissipates at every interpolation, needs no shifts:
@@ -93,10 +97,10 @@ def _axis_rule(axis: Axis, centers: np.ndarray, npts: int):
     return keep, (x, xi, wg, half)
 
 
-def _cell_quadrature(field: Field, bc: tuple, npts: int, dirichlet_values=None):
+def _cell_quadrature(field: Field, npts: int):
     """Interpolant coefficients (cells per axis..., 2mu_q+2 per axis...) of a
     field, and one `_axis_rule` quadrature per axis."""
-    data, *centers = pair_sources(field, bc, dirichlet_values)
+    data, *centers = pair_sources(field)
     quads = []
     for q, (axis, c) in enumerate(zip(field.grid.axes, centers)):
         keep, quad = _axis_rule(axis, c, npts)
@@ -134,30 +138,25 @@ def _cell_l2(coeffs, quads, exact) -> float:
     return math.sqrt(total)
 
 
-def l2_error_field(field: Field, exact, bc: tuple, npts: int | None = None) -> float:
+def l2_error_field(field: Field, exact, npts: int | None = None) -> float:
     """L2 error of the global tensor interpolant against exact(x, y, ...).
 
     Each axis's cells are clipped to the domain on wall grids.
     """
-    return _cell_l2(*_cell_quadrature(field, bc, npts or default_npts(max(field.orders))),
-                    exact)
+    return _cell_l2(*_cell_quadrature(field, npts or default_npts(max(field.orders))), exact)
 
 
-def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v, bc: tuple,
-                   npts: int | None = None):
-    """(u, u_x, v) errors of a 1D dissipative state in one sweep.
-
-    v reflects about 0 at walls, as in the stepper.
-    """
+def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v, npts: int | None = None):
+    """(u, u_x, v) errors of a 1D dissipative state in one sweep."""
     h = _line(pair.u).h
     npts = npts or default_npts(pair.u.orders[0])
-    cu, quads = _cell_quadrature(pair.u, bc, npts)
+    cu, quads = _cell_quadrature(pair.u, npts)
     # d/dx takes a_j xi^j to j a_j xi^(j-1) / h
     dcu = cu[:, 1:] * np.arange(1, cu.shape[1]) / h
     return (
         _cell_l2(cu, quads, exact_u),
         _cell_l2(dcu, quads, exact_dux),
-        _cell_l2(*_cell_quadrature(pair.v, bc, npts, (0.0, 0.0)), exact_v),
+        _cell_l2(*_cell_quadrature(pair.v, npts), exact_v),
     )
 
 
@@ -233,11 +232,10 @@ def _line(field: Field) -> Axis:
     return field.grid.axes[0]
 
 
-def conservative_energy(current: Field, previous: Field, speed: float,
-                        dt: float, bc: tuple) -> float:
+def conservative_energy(current: Field, previous: Field, speed: float, dt: float) -> float:
     """E(t_n) from a two-level nodal state on a periodic 1D grid."""
     axis = _line(current)
-    if not (axis.periodic and all(spec.periodic for spec in bc)):
+    if not axis.periodic:
         raise ValueError("conserved variables need a periodic domain")
     if previous.parity != flip(current.parity):
         raise ValueError("the two levels must sit on opposite parities")
@@ -247,33 +245,32 @@ def conservative_energy(current: Field, previous: Field, speed: float,
     r = min(r, 0.5)  # lam = 1 can round to just above 1/2
     (m,), n = current.orders, axis.n
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
-    cur = pair_sources(current, bc)[0].reshape(n, -1) @ top
-    prev = pair_sources(previous, bc)[0].reshape(n, -1) @ top  # cells at current nodes
+    cur = pair_sources(current)[0].reshape(n, -1) @ top
+    prev = pair_sources(previous)[0].reshape(n, -1) @ top  # cells at current nodes
     flanks = prev[gather_index((n,), current.parity, True)].reshape(n, -1)
     y = np.concatenate([cur, flanks], axis=1) @ energy_factor(m, r, axis.h).T
     return float(np.vdot(y, y))
 
 
-def _interp_seminorm(field: Field, order: int, h: float, bc: tuple,
-                     dirichlet_values=None) -> float:
+def _interp_seminorm(field: Field, order: int, h: float) -> float:
     """|I field|_order^2 summed over the cells of the 1D field's gather."""
     (mu,) = field.orders
-    data = pair_sources(field, bc, dirichlet_values)[0]
+    data = pair_sources(field)[0]
     top = data.reshape(len(data), -1) @ interp_matrix(mu)[order:].T
     y = top @ seminorm_factor(mu, order, h).T
     return float(np.vdot(y, y))
 
 
-def dissipative_energy(state: FieldPair, speed: float, bc: tuple) -> float:
+def dissipative_energy(state: FieldPair, speed: float) -> float:
     """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the 1D gathers.
 
-    v reflects about 0 at walls, as in the stepper. A dual level's
-    ghost-backed edge cells reach h/2 past each wall and are not clipped.
+    A dual level's ghost-backed edge cells reach h/2 past each wall and are
+    not clipped.
     """
     h = _line(state.u).h
     (m,) = state.u.orders
-    return (speed * speed * _interp_seminorm(state.u, m + 1, h, bc)
-            + _interp_seminorm(state.v, m, h, bc, (0.0, 0.0)))
+    return (speed * speed * _interp_seminorm(state.u, m + 1, h)
+            + _interp_seminorm(state.v, m, h))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ flanking data, so for fixed (m, dt, h per axis, c, stages) a half step is
 one matrix. `fold` builds it once, one row block per gathered field, by
 pushing the identity through the pipeline (`taylor_half_step`). A level's
 plan stacks the blocks in the rows of u | v packed per node, so a half
-step is one take, at most one edge fix-up per wall axis and one matmul.
+step is one take, at most one sign flip of the wall slots and one matmul.
 """
 
 from __future__ import annotations
@@ -57,15 +57,11 @@ class SchemeConfig:
         m: method order; nodal data carries derivatives 0..m of u.
         speed: wave speed c > 0.
         lam: CFL number c*dt/h (smallest h in 2D), in (0, 1].
-        stage_cap: optional cap on the number of Taylor stages; default is
-            the full truncation depth d(2m+2)-2 in d axes (2m in 1D, 4m+2
-            in 2D), past which every stage is exactly zero.
     """
 
     m: int
     speed: float = 1.0
     lam: float = 0.8
-    stage_cap: int | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -74,15 +70,14 @@ class SchemeConfig:
             raise ValueError(f"CFL number must be in (0, 1], got {self.lam}")
         if self.speed <= 0.0:
             raise ValueError("wave speed must be positive")
-        if self.stage_cap is not None and self.stage_cap < 1:
-            raise ValueError("stage cap must be at least 1")
 
     def dt(self, h: float) -> float:
         return self.lam * h / self.speed
 
     def stages(self, ndim: int) -> int:
-        """Taylor stages of a half step in `ndim` axes: d(2m+2)-2 unless capped."""
-        return ndim * (2 * self.m + 2) - 2 if self.stage_cap is None else self.stage_cap
+        """Taylor stages of a half step in `ndim` axes: d(2m+2)-2 (2m in 1D,
+        4m+2 in 2D), past which every stage is exactly zero."""
+        return ndim * (2 * self.m + 2) - 2
 
 
 def _axis_slice(ndim: int, q: int, sl: slice) -> tuple:
@@ -115,37 +110,37 @@ def expand_taylor(c0, d0, dt, hs, speed, smax, d1=None):
             recursion supplies stage 1 as well.
 
     Returns:
-        (C, D), both padded to c0's footprint, with a trailing stage axis of
-        length smax+1.
+        (C, D), both padded to c0's footprint, with a leading stage axis of
+        length smax+1: stage s is the contiguous slab C[s].
     """
     ndim = len(hs)
     c0 = np.asarray(c0, dtype=float)
     k, lv = c0.shape[-1], np.shape(d0)[-1]
-    ctab = np.zeros(c0.shape + (smax + 1,))
+    ctab = np.zeros((smax + 1,) + c0.shape)
     dtab = np.zeros_like(ctab)
-    ctab[..., 0] = c0
-    dtab[(Ellipsis,) + (slice(lv),) * ndim + (0,)] = d0
+    ctab[0] = c0
+    dtab[0][(Ellipsis,) + (slice(lv),) * ndim] = d0
     terms = _d2_terms(dt, hs, speed, k)
     for s in range(1, smax + 1):
-        ctab[..., s] = (dt / s) * dtab[..., s - 1]
+        ctab[s] = (dt / s) * dtab[s - 1]
         if s == 1 and d1 is not None:
-            dtab[(Ellipsis,) + (slice(k - 2),) * ndim + (1,)] = d1
+            dtab[1][(Ellipsis,) + (slice(k - 2),) * ndim] = d1
             continue
-        prev = ctab[..., s - 1]
+        prev, cur = ctab[s - 1], dtab[s]
         for q, (r, w, src, dst) in enumerate(terms):
             term = (r / s) * w * prev[src]
             if q == 0:
-                dtab[dst + (s,)] = term
+                cur[dst] = term
             else:
-                dtab[dst + (s,)] += term
+                cur[dst] += term
     return ctab, dtab
 
 
 def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
-    """Sum the time series at theta = tau/dt by Horner's rule."""
-    out = table[..., -1].copy()
-    for s in range(table.shape[-1] - 2, -1, -1):
-        out = out * theta + table[..., s]
+    """Sum the time series (stages first) at theta = tau/dt by Horner's rule."""
+    out = table[-1].copy()
+    for s in range(len(table) - 2, -1, -1):
+        out = out * theta + table[s]
     return out
 
 
@@ -190,10 +185,10 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
-def _plan(grid, parity, cfg: SchemeConfig, bc, key) -> tuple:
+def _plan(grid, parity, cfg: SchemeConfig, key) -> tuple:
     """Build the half-step plan of grid's `parity` level and cache it on grid under key.
 
-    It gathers u | v packed per node (v reflects about 0 at walls) and holds
+    It gathers u | v packed per node and holds
     the `fold` blocks stacked and permuted into the packed rows, dt/2, the
     target parity, the u values' shape it steps, the count of packed u
     columns and the new u and v shapes.
@@ -202,7 +197,7 @@ def _plan(grid, parity, cfg: SchemeConfig, bc, key) -> tuple:
     ndim = len(hs)
     dt = cfg.dt(min(hs))
     cu, cv = (m + 1,) * ndim, (m,) * ndim
-    gather = gather_plan(grid, parity, bc, ((cu, None), (cv, (0.0, 0.0))))
+    gather = gather_plan(grid, parity, (cu, cv))
     sides = (2,) * ndim
     a_u, a_v = fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, cfg.speed,
                     cfg.stages(ndim))
@@ -217,12 +212,12 @@ def _plan(grid, parity, cfg: SchemeConfig, bc, key) -> tuple:
     return plan
 
 
-def half_step(state: FieldPair, cfg: SchemeConfig, bc: tuple) -> FieldPair:
+def half_step(state: FieldPair, cfg: SchemeConfig) -> FieldPair:
     """Advance (u, v) by dt/2 onto the opposite grid, in any number of axes."""
     grid = state.grid
-    key = ("dissipative", state.parity, bc, cfg)
+    key = ("dissipative", state.parity, cfg)
     gather, a, half_dt, parity, shape, split, shapes = (
-        grid.plans.get(key) or _plan(grid, state.parity, cfg, bc, key))
+        grid.plans.get(key) or _plan(grid, state.parity, cfg, key))
     if state.shapes[0] != shape:
         raise ValueError(f"state carries orders {state.u.orders}, config wants m = {cfg.m}")
     return FieldPair.packed(grid, parity, state.time + half_dt, take(state.rows, gather) @ a,

@@ -28,11 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import BoundarySpec
 from .conservative import bootstrap_first_half, full_step_conservative
 from .diagnostics import ErrorReport, conservative_energy, l2_error_field, l2_errors_pair
 from .dissipative import SchemeConfig, half_step_1d, half_step_2d
-from .grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from .interp import MAX_ORDER
 
 
@@ -46,7 +45,7 @@ class NumericalError(RuntimeError):
 
 SCHEMES = ("dissipative", "conservative")
 EXPERIMENTS = ("gaussian1d", "conserve1d", "planewave2d")
-BOUNDARIES = ("dirichlet0", "neumann0", "periodic")
+BOUNDARIES = KINDS
 MODES = ("smooth", "random")
 INITS = ("exact", "bootstrap")
 REFINE = 1.2  # grid growth factor between the levels of a refinement study
@@ -283,7 +282,7 @@ def _march(state, step, args, count: int, n: int, done: int = 0):
     return state
 
 
-def _evolve(cfg: RunConfig, grid: Grid, bc: tuple, data, nhalf: int, half_step):
+def _evolve(cfg: RunConfig, grid: Grid, data, nhalf: int, half_step):
     """Start one level from closed-form data and march it nhalf half steps.
 
     data(parity, t, order, tder) gives the scaled nodal blocks of u
@@ -310,9 +309,9 @@ def _evolve(cfg: RunConfig, grid: Grid, bc: tuple, data, nhalf: int, half_step):
         if cfg.init == "exact":
             state = TwoLevelState(u0, start(DUAL, -0.5 * scfg.dt(h), cfg.m))
         else:
-            state = bootstrap_first_half(u0, start(PRIMAL, 0.0, cfg.m, tder=1), scfg, bc)
+            state = bootstrap_first_half(u0, start(PRIMAL, 0.0, cfg.m, tder=1), scfg)
             done = 1
-    return _march(state, step, (scfg, bc), nhalf - done, n, done)
+    return _march(state, step, (scfg,), nhalf - done, n, done)
 
 
 def _study(cfg: RunConfig, level) -> ErrorReport:
@@ -331,16 +330,9 @@ def _study(cfg: RunConfig, level) -> ErrorReport:
 # experiments
 
 
-def _boundary_1d(cfg: RunConfig) -> tuple:
-    if cfg.boundary == "periodic":
-        return (BoundarySpec(),)
-    return (BoundarySpec(cfg.boundary, cfg.boundary),)
-
-
 def _gaussian_level(cfg: RunConfig, n: int):
     """One gaussian1d level on n cells, run to the half step nearest t = 12.25."""
-    bc = _boundary_1d(cfg)
-    axis = Axis(-1.5, 1.5, n, periodic=(cfg.boundary == "periodic"))
+    axis = Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary)
     grid, h = Grid((axis,)), axis.h
     dt = cfg.scheme_config().dt(h)
     nhalf = round(24.5 / dt)
@@ -363,10 +355,10 @@ def _gaussian_level(cfg: RunConfig, n: int):
     def exact_v(x):  # d/dt of (G(x+t) + G(x-t))/2 is (G'(x+t) - G'(x-t))/2
         return 0.5 * (gaussian_derivs(x + tau, 1)[..., 1] - gaussian_derivs(x - tau, 1)[..., 1])
 
-    state = _evolve(cfg, grid, bc, data, nhalf, half_step_1d)
+    state = _evolve(cfg, grid, data, nhalf, half_step_1d)
     if cfg.scheme == "dissipative":
-        return h, dt, l2_errors_pair(state, exact_u, exact_dux, exact_v, bc)
-    return h, dt, (l2_error_field(state.current, exact_u, bc),)
+        return h, dt, l2_errors_pair(state, exact_u, exact_dux, exact_v)
+    return h, dt, (l2_error_field(state.current, exact_u),)
 
 
 def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
@@ -377,9 +369,8 @@ def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
 def run_conservation_1d(cfg: RunConfig):
     """Energy drift trace; returns (steps, times, deltas, e0)."""
     scfg = cfg.scheme_config()
-    bc = (BoundarySpec(),)
     m = cfg.m
-    axis = Axis(-np.pi, np.pi, cfg.n0, periodic=True)
+    axis = Axis(-np.pi, np.pi, cfg.n0)
     grid, h = Grid((axis,)), axis.h
     dt = scfg.dt(h)
     if cfg.mode == "smooth":
@@ -391,12 +382,12 @@ def run_conservation_1d(cfg: RunConfig):
         cur = Field(grid, PRIMAL, 0.0, rng.random((axis.n_nodes(PRIMAL), m + 1)))
         prev = Field(grid, DUAL, -0.5 * dt, rng.random((axis.n_nodes(DUAL), m + 1)))
     state = TwoLevelState(current=cur, previous=prev)
-    e0 = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
+    e0 = conservative_energy(state.current, state.previous, scfg.speed, dt)
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
         count = min(cfg.sample_every, cfg.steps - done)
-        state = _march(state, full_step_conservative, (scfg, bc), count, cfg.n0, done)
-        e = conservative_energy(state.current, state.previous, scfg.speed, dt, bc)
+        state = _march(state, full_step_conservative, (scfg,), count, cfg.n0, done)
+        e = conservative_energy(state.current, state.previous, scfg.speed, dt)
         steps.append(done + count)
         times.append(state.current.time)
         deltas.append(e - e0)
@@ -406,8 +397,7 @@ def run_conservation_1d(cfg: RunConfig):
 def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     """One level of sin(2 pi kappa (x + y + sqrt(2) t)) on n x n cells, run
     to the half step nearest t_target."""
-    bc = (BoundarySpec(),) * 2
-    grid = Grid((Axis(0.0, 1.0, n, periodic=True),) * 2)
+    grid = Grid((Axis(0.0, 1.0, n),) * 2)
     h = grid.spacings[0]
     dt = cfg.scheme_config().dt(h)
     nhalf = round(2 * t_target / dt)
@@ -421,8 +411,8 @@ def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     def exact(x, y):
         return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
 
-    state = _evolve(cfg, grid, bc, data, nhalf, half_step_2d)
-    return h, dt, (l2_error_field(state.fields[0], exact, bc),)
+    state = _evolve(cfg, grid, data, nhalf, half_step_2d)
+    return h, dt, (l2_error_field(state.fields[0], exact),)
 
 
 def run_planewave_2d(cfg: RunConfig) -> ErrorReport:

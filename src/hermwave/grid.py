@@ -2,7 +2,9 @@
 
 Two interleaved node sets live on each axis: the primal nodes x_i = X_L +
 i*h and the dual nodes x_{i+1/2} shifted by h/2. The solution alternates
-between them every half time step. On a periodic axis both sets carry n
+between them every half time step. Each end of an axis is periodic or a
+homogeneous reflecting wall (`KINDS`): `dirichlet0` pins the value and
+`neumann0` the normal derivative. On a periodic axis both sets carry n
 nodes for n cells; with walls the primal set includes both boundary points
 (n+1 nodes) while the dual set stays interior (n nodes). A `Grid` is one
 `Axis` per dimension, all periodic or all walled, and every axis of a
@@ -26,6 +28,7 @@ import numpy as np
 
 PRIMAL = "primal"
 DUAL = "dual"
+KINDS = ("dirichlet0", "neumann0", "periodic")
 
 
 def flip(parity: str) -> str:
@@ -38,21 +41,29 @@ def flip(parity: str) -> str:
 
 @dataclass(frozen=True)
 class Axis:
-    """n cells on [x_left, x_right], with each parity's node coordinates."""
+    """n cells on [x_left, x_right] with the kinds of its two ends, one of `KINDS`,
+    and each parity's node coordinates."""
 
     x_left: float
     x_right: float
     n: int
-    periodic: bool
+    left: str = "periodic"
+    right: str = "periodic"
 
     def __post_init__(self):
+        for kind in (self.left, self.right):
+            if kind not in KINDS:
+                raise ValueError(f"unknown boundary kind {kind!r}, expected one of {KINDS}")
+        if (self.left == "periodic") != (self.right == "periodic"):
+            raise ValueError("periodic must be specified on both opposing sides")
         if self.n < 1:
             raise ValueError("need at least one cell")
         if self.x_right <= self.x_left:
             raise ValueError("empty domain")
-        # a plain attribute, not a field; set here it is stored with the
+        # plain attributes, not fields; set here they are stored with the
         # fields, where a cached_property would give the axis a separate
         # instance dict and make every attribute read on it about 4x slower
+        object.__setattr__(self, "periodic", self.left == "periodic")
         object.__setattr__(self, "_nodes", {
             parity: self.x_left + self.h * (np.arange(self.n_nodes(parity)) + off)
             for parity, off in ((PRIMAL, 0.0), (DUAL, 0.5))})
@@ -109,6 +120,8 @@ class Field:
 
     def __post_init__(self):
         v = self.values = np.asarray(self.values, dtype=float)
+        if self.parity not in self.grid.shapes:
+            raise ValueError(f"unknown parity {self.parity!r}, expected {PRIMAL!r} or {DUAL!r}")
         nodes = self.grid.shapes[self.parity]
         if v.shape[: len(nodes)] != nodes or v.ndim != 2 * len(nodes):
             raise ValueError(f"{self.parity} field needs node shape {nodes} and one order "

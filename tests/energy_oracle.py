@@ -117,8 +117,8 @@ def seminorm_energy(pair: ConservedPair, order: int) -> float:
     return seminorm_sq(pair.p_plus, order) + seminorm_sq(pair.p_minus, order)
 
 
-def oracle_energy(current, previous, speed: float, dt: float, bc) -> float:
+def oracle_energy(current, previous, speed: float, dt: float) -> float:
     """E(t_n) from a two-level nodal state, assembled piece by piece."""
-    pair = conserved_pair(field_interpolant(current, bc), field_interpolant(previous, bc),
+    pair = conserved_pair(field_interpolant(current), field_interpolant(previous),
                           0.5 * speed * dt)
     return seminorm_energy(pair, current.orders[0] + 1)

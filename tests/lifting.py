@@ -19,10 +19,13 @@ def lift(vals, counts):
     return out
 
 
-def lifted_grids(x_axis, periodic):
+def lifted_grids(x_axis):
     """{2: 2D grid, 3: 3D grid} sharing the 1D grid's x axis.
 
-    hy and hz exceed hx, so every grid takes the 1D time step.
+    The other axes are periodic with a periodic x axis and have neumann0
+    walls otherwise, which reflect the lifted data into itself. hy and hz
+    exceed hx, so every grid takes the 1D time step.
     """
-    y, z = Axis(0.0, 1.3, 3, periodic), Axis(0.0, 0.9, 2, periodic)
+    kinds = ("periodic",) * 2 if x_axis.periodic else ("neumann0",) * 2
+    y, z = Axis(0.0, 1.3, 3, *kinds), Axis(0.0, 0.9, 2, *kinds)
     return {2: Grid((x_axis, y)), 3: Grid((x_axis, y, z))}

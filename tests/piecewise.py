@@ -179,16 +179,14 @@ def interpolate_1d(left, right, center: float, width: float) -> CellPolynomial:
     return CellPolynomial(center, width, coeffs)
 
 
-def field_interpolant(field: Field, bc: tuple,
-                      dirichlet_values=None) -> PiecewisePolynomial:
+def field_interpolant(field: Field) -> PiecewisePolynomial:
     """Piecewise Hermite interpolant on the 1D field's cells.
 
     Cells sit between consecutive nodes of the field's own parity; with
     walls, a dual field contributes ghost-backed half cells at the edges
     (their pieces extend past the domain; integration clips).
-    `dirichlet_values` overrides the wall values, as in `pair_sources`.
     """
-    data, centers = pair_sources(field, bc, dirichlet_values)
+    data, centers = pair_sources(field)
     coeffs = apply_interp(data)
     (axis,) = field.grid.axes
     h = axis.h
@@ -211,12 +209,9 @@ def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
     return total
 
 
-def oracle_dissipative_energy(state: FieldPair, speed: float, bc: tuple) -> float:
-    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, integrated piece by piece.
-
-    v reflects about 0 at walls, as in the stepper.
-    """
+def oracle_dissipative_energy(state: FieldPair, speed: float) -> float:
+    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, integrated piece by piece."""
     (m,) = state.u.orders
-    ppu = field_interpolant(state.u, bc)
-    ppv = field_interpolant(state.v, bc, (0.0, 0.0))
+    ppu = field_interpolant(state.u)
+    ppv = field_interpolant(state.v)
     return speed * speed * seminorm_sq(ppu, m + 1) + seminorm_sq(ppv, m)

@@ -35,7 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
-from hermwave.boundary import BoundarySpec, ghost_data, pair_sources
+from hermwave.boundary import ghost_data, pair_sources
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import l2_error_field
 from hermwave.dissipative import SchemeConfig, half_step
@@ -227,10 +227,9 @@ def _dissipative_center_oracle(udata, vdata, lam, speed, h):
     return u, v
 
 
-def _exactness_level(kinds, values):
+def _exactness_level(kinds):
     """The six-cell grid of criterion 5, periodic or with the given walls."""
-    grid = Grid((Axis(0.0, 3.0, 6, periodic=kinds is None),))
-    return grid, (BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values),)
+    return Grid((Axis(0.0, 3.0, 6, *(kinds or ())),))
 
 
 # Each (lam, m) cell also draws lam' = lam - back in (lam - 1/2, lam], so
@@ -239,7 +238,6 @@ _EXACTNESS_DRAWS = dict(
     back=st.floats(0.0, 0.5, exclude_max=True),
     kinds=st.sampled_from((None, ("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann0"),
                            ("neumann0", "dirichlet0"), ("neumann0", "neumann0"))),
-    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     parity=st.sampled_from((PRIMAL, DUAL)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -249,21 +247,21 @@ _EXACTNESS_DRAWS = dict(
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 @settings(max_examples=20, deadline=None)
 @given(**_EXACTNESS_DRAWS)
-@example(back=0.0, kinds=None, values=(0.0, 0.0), parity=PRIMAL, seed=0)
-def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, values, parity, seed):
+@example(back=0.0, kinds=None, parity=PRIMAL, seed=0)
+def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, parity, seed):
     rng = np.random.default_rng(seed)
     lam = lam - back
-    grid, bc = _exactness_level(kinds, values)
+    grid = _exactness_level(kinds)
     cfg = SchemeConfig(m=m, lam=lam)
     nodes = grid.shapes[parity]
     pair = FieldPair(
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,))),
     )
-    out = half_step(pair, cfg, bc)
-    # the flank data the stepper reads: v reflects about 0 at walls
-    udata, _ = pair_sources(pair.u, bc)
-    vdata, _ = pair_sources(pair.v, bc, dirichlet_values=(0.0, 0.0))
+    out = half_step(pair, cfg)
+    # the flank data the stepper reads
+    udata, _ = pair_sources(pair.u)
+    vdata, _ = pair_sources(pair.v)
     scale = np.abs(udata).max()
     worst = 0.0
     for i in range(len(udata)):
@@ -281,19 +279,19 @@ def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, values
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 @settings(max_examples=20, deadline=None)
 @given(**_EXACTNESS_DRAWS)
-@example(back=0.0, kinds=None, values=(0.0, 0.0), parity=PRIMAL, seed=0)
-def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, values, parity, seed):
+@example(back=0.0, kinds=None, parity=PRIMAL, seed=0)
+def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, parity, seed):
     rng = np.random.default_rng(seed)
     lam = lam - back
-    grid, bc = _exactness_level(kinds, values)
+    grid = _exactness_level(kinds)
     cfg = SchemeConfig(m=m, lam=lam)
     other = DUAL if parity == PRIMAL else PRIMAL
     state = TwoLevelState(
         Field(grid, parity, 0.0, rng.standard_normal(grid.shapes[parity] + (m + 1,))),
         Field(grid, other, -0.1, rng.standard_normal(grid.shapes[other] + (m + 1,))),
     )
-    out = full_step_conservative(state, cfg, bc)
-    data, centers = pair_sources(state.current, bc)
+    out = full_step_conservative(state, cfg)
+    data, centers = pair_sources(state.current)
     coeffs = apply_interp(data)
     scale = np.abs(coeffs).max()
     rho = 0.5 * lam
@@ -351,10 +349,10 @@ def _coeff_sub(a, b):
 def test_criterion6_interpolation_error_slope(m):
     errs, hs = [], []
     for n in (8, 12, 18, 27):
-        axis = Axis(0.0, 2 * math.pi, n, periodic=True)
+        axis = Axis(0.0, 2 * math.pi, n)
         xs = axis.nodes(PRIMAL)
         f = Field(Grid((axis,)), PRIMAL, 0.0, _scale_cols(sine_derivs(xs, m, 0.0), axis.h))
-        errs.append(l2_error_field(f, np.sin, (BoundarySpec(),), npts=2 * m + 8))
+        errs.append(l2_error_field(f, np.sin, npts=2 * m + 8))
         hs.append(axis.h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     _rate_check(f"interpolation L2 slope m={m}", slope, 2 * m + 2, 0.3)
@@ -367,10 +365,9 @@ def test_criterion6_interpolation_error_slope(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_criterion7_dissipative_long_run(m):
     n = 10
-    axis = Axis(-math.pi, math.pi, n, periodic=True)
+    axis = Axis(-math.pi, math.pi, n)
     grid = Grid((axis,))
     cfg = SchemeConfig(m=m, lam=1.0)
-    bc = (BoundarySpec(),)
     xs = axis.nodes(PRIMAL)
     h = axis.h
     uvals = np.stack(
@@ -385,7 +382,7 @@ def test_criterion7_dissipative_long_run(m):
     sup0 = np.abs(pair.u.values[:, 0]).max()
     sup = sup0
     for k in range(10_000):
-        pair = half_step(pair, cfg, bc)
+        pair = half_step(pair, cfg)
         if (k + 1) % 100 == 0:
             assert np.all(np.isfinite(pair.u.values))
             sup = max(sup, np.abs(pair.u.values[:, 0]).max())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
-from hermwave.boundary import BoundarySpec, pair_sources
+from hermwave.boundary import pair_sources
 from hermwave.conservative import (
     bootstrap_first_half,
     conservative_update,
@@ -20,8 +20,6 @@ from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, TwoLevelState
 from hermwave.interp import apply_interp
 
 from lifting import lift, lifted_grids
-
-PERIODIC = (BoundarySpec(),)
 
 
 def test_zero_update_is_zero():
@@ -110,9 +108,9 @@ def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, aspect_z,
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), ndim
 
 
-def _line(x_left, x_right, n, periodic):
+def _line(x_left, x_right, n, left="periodic", right="periodic"):
     """A 1D grid and its one axis."""
-    axis = Axis(x_left, x_right, n, periodic)
+    axis = Axis(x_left, x_right, n, left, right)
     return Grid((axis,)), axis
 
 
@@ -139,10 +137,10 @@ def _random_state(grid, m, rng):
 
 def test_full_step_bookkeeping():
     rng = np.random.default_rng(31)
-    grid, axis = _line(0.0, 1.0, 6, periodic=True)
+    grid, axis = _line(0.0, 1.0, 6)
     cfg = SchemeConfig(m=2, lam=0.8)
     state = _random_state(grid, 2, rng)
-    out = full_step_conservative(state, cfg, PERIODIC)
+    out = full_step_conservative(state, cfg)
     # the old current level becomes the previous one uncopied
     assert np.shares_memory(out.previous.values, state.current.values)
     assert out.previous.time == state.current.time
@@ -153,12 +151,12 @@ def test_full_step_bookkeeping():
 
 def test_full_step_closed_form_every_target():
     rng = np.random.default_rng(32)
-    grid, _ = _line(-1.0, 1.0, 7, periodic=True)
+    grid, _ = _line(-1.0, 1.0, 7)
     m, lam = 2, 0.9
     cfg = SchemeConfig(m=m, lam=lam)
     state = _random_state(grid, m, rng)
-    out = full_step_conservative(state, cfg, PERIODIC)
-    data, _ = pair_sources(state.current, PERIODIC)
+    out = full_step_conservative(state, cfg)
+    data, _ = pair_sources(state.current)
     coeffs = apply_interp(data)
     rho = 0.5 * lam
     for i in range(coeffs.shape[0]):
@@ -171,18 +169,17 @@ def test_full_step_closed_form_every_target():
 def test_update_is_time_reversible():
     """Running the two-level recursion backwards restores the start."""
     rng = np.random.default_rng(33)
-    grid, _ = _line(0.0, 2 * math.pi, 10, periodic=True)
+    grid, _ = _line(0.0, 2 * math.pi, 10)
     m = 2
     cfg = SchemeConfig(m=m, lam=1.0)
-    bc = PERIODIC
     state = _random_state(grid, m, rng)
     c0, p0 = state.current.values.copy(), state.previous.values.copy()
     n = 50
     for _ in range(n):
-        state = full_step_conservative(state, cfg, bc)
+        state = full_step_conservative(state, cfg)
     back = TwoLevelState(current=state.previous, previous=state.current)
     for _ in range(n):
-        back = full_step_conservative(back, cfg, bc)
+        back = full_step_conservative(back, cfg)
     scale = np.abs(c0).max()
     # back.current retraces previous(t=-dt/2), back.previous retraces current
     np.testing.assert_allclose(back.current.values, p0, atol=1e-10 * scale)
@@ -190,10 +187,10 @@ def test_update_is_time_reversible():
 
 
 def test_bootstrap_zero_data():
-    grid, axis = _line(0.0, 1.0, 5, periodic=True)
+    grid, axis = _line(0.0, 1.0, 5)
     cfg = SchemeConfig(m=2, lam=0.8)
     z = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
-    state = bootstrap_first_half(z, z, cfg, PERIODIC)
+    state = bootstrap_first_half(z, z, cfg)
     assert np.all(state.current.values == 0.0)
     assert np.shares_memory(state.previous.values, z.values)
     assert state.previous.time == z.time and state.previous.parity == z.parity
@@ -203,13 +200,12 @@ def test_bootstrap_zero_data():
 
 def test_bootstrap_linear_stationary():
     # u0 = 2x + 1 with zero velocity does not move
-    grid, axis = _line(0.0, 1.0, 4, periodic=False)
+    grid, axis = _line(0.0, 1.0, 4, "neumann0", "neumann0")
     cfg = SchemeConfig(m=1, lam=1.0)
     xs = axis.nodes(PRIMAL)
     g0 = Field(grid, PRIMAL, 0.0, np.stack([2 * xs + 1, np.full_like(xs, 2 * axis.h)], axis=-1))
     g1 = Field(grid, PRIMAL, 0.0, np.zeros((len(xs), 2)))
-    bc = (BoundarySpec("neumann0", "neumann0"),)
-    state = bootstrap_first_half(g0, g1, cfg, bc)
+    state = bootstrap_first_half(g0, g1, cfg)
     xd = axis.nodes(DUAL)
     want = np.stack([2 * xd + 1, np.full_like(xd, 2 * axis.h)], axis=-1)
     np.testing.assert_allclose(state.current.values, want, atol=1e-13)
@@ -217,7 +213,7 @@ def test_bootstrap_linear_stationary():
 
 def test_bootstrap_constant_velocity():
     # u0 = 0, v0 = V: exactly u = V t at the half level
-    grid, axis = _line(0.0, 1.0, 5, periodic=True)
+    grid, axis = _line(0.0, 1.0, 5)
     cfg = SchemeConfig(m=2, lam=0.9)
     V = 3.0
     z = np.zeros((5, 3))
@@ -225,7 +221,7 @@ def test_bootstrap_constant_velocity():
     g1vals = np.zeros((5, 3))
     g1vals[:, 0] = V
     g1 = Field(grid, PRIMAL, 0.0, g1vals)
-    state = bootstrap_first_half(g0, g1, cfg, PERIODIC)
+    state = bootstrap_first_half(g0, g1, cfg)
     dt = cfg.dt(axis.h)
     want = np.zeros((5, 3))
     want[:, 0] = V * dt / 2
@@ -238,11 +234,11 @@ def test_bootstrap_standing_wave_accuracy(m):
     errs = []
     ns = [20, 40]
     for n in ns:
-        grid, _ = _line(0.0, 2 * math.pi, n, periodic=True)
+        grid, _ = _line(0.0, 2 * math.pi, n)
         cfg = SchemeConfig(m=m, lam=0.8)
         g0 = _sine_field(grid, m, PRIMAL)
         g1 = Field(grid, PRIMAL, 0.0, np.zeros((n, m + 1)))
-        state = bootstrap_first_half(g0, g1, cfg, PERIODIC)
+        state = bootstrap_first_half(g0, g1, cfg)
         t = state.current.time
         want = _sine_field(grid, m, DUAL, t=t).values[:, 0]
         errs.append(np.abs(state.current.values[:, 0] - want).max())
@@ -257,11 +253,9 @@ def test_bootstrap_standing_wave_accuracy(m):
     periodic=st.booleans(),
     parity=st.sampled_from((PRIMAL, DUAL)),
     kinds=st.tuples(*(st.sampled_from(("dirichlet0", "neumann0")),) * 2),
-    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, parity, kinds,
-                                                          values, seed):
+def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, parity, kinds, seed):
     """The 2D or 3D bootstrap of y- and z-independent data is the 1D bootstrap on every row.
 
     y and z walls are neumann0, which keeps the data y- and z-independent;
@@ -270,23 +264,20 @@ def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, pari
     data leaves residues of a few 1e-13 in the higher y coefficients
     (a*x + (-a)*x is not exactly 0 under a fused multiply-add), which 4m+4
     stages amplify. Over 3000 random draws at m = 4, lam = 1 the worst
-    relative difference in 2D was 3.1e-12, so the bound is 1e-11.
+    relative difference in 2D was 2.8e-12, so the bound is 1e-11.
     """
     rng = np.random.default_rng(seed)
-    bc1 = BoundarySpec() if periodic else BoundarySpec(*kinds, *values)
-    side = BoundarySpec() if periodic else BoundarySpec("neumann0", "neumann0")
-    grid1, x_axis = _line(-1.0, 0.7, 5, periodic)
+    grid1, x_axis = _line(-1.0, 0.7, 5, *(() if periodic else kinds))
     cfg = SchemeConfig(m=m, lam=lam)
     n = grid1.shapes[parity]
     g0, g1 = (Field(grid1, parity, 0.0, rng.standard_normal(n + (m + 1,))) for _ in range(2))
-    want = bootstrap_first_half(g0, g1, cfg, (bc1,)).current
-    for ndim, grid in lifted_grids(x_axis, periodic).items():
+    want = bootstrap_first_half(g0, g1, cfg).current
+    for ndim, grid in lifted_grids(x_axis).items():
         if ndim == 3 and m > 2:
             continue
         counts = grid.shapes[parity][1:]
         got = bootstrap_first_half(*(Field(grid, parity, 0.0, lift(g.values, counts))
-                                     for g in (g0, g1)), cfg,
-                                   (bc1,) + (side,) * (ndim - 1)).current
+                                     for g in (g0, g1)), cfg).current
         assert got.parity == want.parity
         assert got.time == want.time
         bound = 1e-11 * np.abs(want.values).max()
@@ -297,29 +288,26 @@ def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, pari
 def test_2d_reduces_to_1d_on_y_independent_data():
     """A 2D or 3D update of y- and z-independent data is the 1D update on every row.
 
-    Periodic, then x walls (dirichlet0 with a wall value, and neumann0)
-    with neumann0 y and z walls.
+    Periodic, then x walls (dirichlet0 and neumann0) with neumann0 y and z walls.
     """
     rng = np.random.default_rng(34)
     n, m = 5, 2
     cfg = SchemeConfig(m=m, lam=0.75)
-    for periodic, bc1 in ((True, BoundarySpec()),
-                          (False, BoundarySpec("dirichlet0", "neumann0", left_value=0.4))):
-        side = BoundarySpec() if periodic else BoundarySpec("neumann0", "neumann0")
-        grid1, x_axis = _line(0.0, 1.0, n, periodic)
+    for kinds in (("periodic", "periodic"), ("dirichlet0", "neumann0")):
+        grid1, x_axis = _line(0.0, 1.0, n, *kinds)
         cur1 = rng.standard_normal(grid1.shapes[PRIMAL] + (m + 1,))
         prev1 = rng.standard_normal(grid1.shapes[DUAL] + (m + 1,))
         o1 = full_step_conservative(TwoLevelState(
-            Field(grid1, PRIMAL, 0.0, cur1), Field(grid1, DUAL, -0.1, prev1)), cfg, (bc1,))
+            Field(grid1, PRIMAL, 0.0, cur1), Field(grid1, DUAL, -0.1, prev1)), cfg)
         scale = np.abs(cur1).max()
-        for ndim, grid in lifted_grids(x_axis, periodic).items():
+        for ndim, grid in lifted_grids(x_axis).items():
             s = TwoLevelState(
                 Field(grid, PRIMAL, 0.0, lift(cur1, grid.shapes[PRIMAL][1:])),
                 Field(grid, DUAL, -0.1, lift(prev1, grid.shapes[DUAL][1:])))
-            o = full_step_conservative(s, cfg, (bc1,) + (side,) * (ndim - 1))
+            o = full_step_conservative(s, cfg)
             np.testing.assert_allclose(
                 o.current.values, lift(o1.current.values, grid.shapes[DUAL][1:]),
-                atol=1e-13 * scale, err_msg=f"{ndim}D, periodic={periodic}")
+                atol=1e-13 * scale, err_msg=f"{ndim}D, {kinds}")
 
 
 def test_2d_update_zero():

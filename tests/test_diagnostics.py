@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermwave.boundary import BoundarySpec
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import (
     ErrorReport,
@@ -32,12 +31,9 @@ from piecewise import (
 )
 
 
-PERIODIC = (BoundarySpec(),)
-
-
-def _line(x_left, x_right, n, periodic):
+def _line(x_left, x_right, n, left="periodic", right="periodic"):
     """A 1D grid and its one axis."""
-    axis = Axis(x_left, x_right, n, periodic)
+    axis = Axis(x_left, x_right, n, left, right)
     return Grid((axis,)), axis
 
 
@@ -98,14 +94,13 @@ def test_l2_error_clip_restricts_domain():
 
 def test_l2_error_field_against_riemann_sum():
     n = 10
-    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n)
     m = 1
     xs = axis.nodes(PRIMAL)
     f = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
-    bc = PERIODIC
     # npts beyond the polynomial-exact default: the integrand mixes in sin
-    got = l2_error_field(f, np.sin, bc, npts=12)
-    pp = field_interpolant(f, bc)
+    got = l2_error_field(f, np.sin, npts=12)
+    pp = field_interpolant(f)
     xq = np.linspace(0.0, 2 * math.pi, 400_000, endpoint=False) + 1.1e-7
     d = pp(xq) - np.sin(xq)
     ref = math.sqrt(np.mean(d * d) * 2 * math.pi)
@@ -114,18 +109,17 @@ def test_l2_error_field_against_riemann_sum():
 
 def test_pair_errors_match_single_field_calls():
     n, m = 8, 2
-    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n)
     xs = axis.nodes(PRIMAL)
     u = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     v = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m, fn=np.cos))
     pair = FieldPair(u, v)
-    bc = PERIODIC
-    eu, edux, ev = l2_errors_pair(pair, np.sin, np.cos, np.cos, bc)
-    assert eu == pytest.approx(l2_error_field(u, np.sin, bc), rel=1e-13)
+    eu, edux, ev = l2_errors_pair(pair, np.sin, np.cos, np.cos)
+    assert eu == pytest.approx(l2_error_field(u, np.sin), rel=1e-13)
     assert ev == pytest.approx(
-        l2_error_field(v, np.cos, bc, npts=default_npts(m)), rel=1e-13
+        l2_error_field(v, np.cos, npts=default_npts(m)), rel=1e-13
     )
-    ppdu = field_interpolant(u, bc).derivative(1)
+    ppdu = field_interpolant(u).derivative(1)
     assert edux == pytest.approx(
         l2_error(ppdu, np.cos, default_npts(m)), rel=1e-13
     )
@@ -138,34 +132,32 @@ def test_pair_errors_match_single_field_calls():
     parity=st.sampled_from((PRIMAL, DUAL)),
     kinds=st.sampled_from((None, ("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann0"),
                            ("neumann0", "dirichlet0"), ("neumann0", "neumann0"))),
-    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     extra=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, values, extra, seed):
+def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     """The batched 1D errors against the per-piece quadrature of the interpolant."""
     rng = np.random.default_rng(seed)
-    grid, axis = _line(-0.7, 1.3, n, periodic=kinds is None)
-    bc = (BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values),)
+    grid, axis = _line(-0.7, 1.3, n, *(kinds or ()))
     nodes = grid.shapes[parity]
     u = Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,)))
     v = Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,)))
     npts = default_npts(m) + extra
     clip = None if axis.periodic else (axis.x_left, axis.x_right)
-    ppu = field_interpolant(u, bc)
-    got = l2_errors_pair(FieldPair(u, v), np.sin, np.cos, np.exp, bc, npts)
+    ppu = field_interpolant(u)
+    got = l2_errors_pair(FieldPair(u, v), np.sin, np.cos, np.exp, npts)
     want = (
         l2_error(ppu, np.sin, npts, clip),
         l2_error(ppu.derivative(1), np.cos, npts, clip),
-        l2_error(field_interpolant(v, bc, (0.0, 0.0)), np.exp, npts, clip),
+        l2_error(field_interpolant(v), np.exp, npts, clip),
     )
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
-    assert l2_error_field(u, np.sin, bc, npts) == got[0]
+    assert l2_error_field(u, np.sin, npts) == got[0]
 
 
 def _two_level_fields(n, m, rng, span=3.0):
-    grid, _ = _line(0.0, span, n, periodic=True)
+    grid, _ = _line(0.0, span, n)
     cur = Field(grid, PRIMAL, 0.0, rng.standard_normal((n, m + 1)))
     prev = Field(grid, DUAL, -0.1, rng.standard_normal((n, m + 1)))
     return grid, cur, prev
@@ -174,8 +166,7 @@ def _two_level_fields(n, m, rng, span=3.0):
 def test_conserved_pair_coincident_levels_vanish():
     rng = np.random.default_rng(41)
     grid, cur, _ = _two_level_fields(6, 1, rng)
-    bc = PERIODIC
-    pc = field_interpolant(cur, bc)
+    pc = field_interpolant(cur)
     pair = conserved_pair(pc, pc, 0.0)
     xq = np.linspace(0.0, 3.0, 97, endpoint=False) + 1e-4
     assert np.abs(pair.p_plus(xq)).max() <= 1e-13
@@ -185,10 +176,9 @@ def test_conserved_pair_coincident_levels_vanish():
 def test_conserved_pair_zero_current():
     rng = np.random.default_rng(42)
     grid, cur, prev = _two_level_fields(6, 1, rng)
-    bc = PERIODIC
     zero = Field(grid, PRIMAL, 0.0, np.zeros_like(cur.values))
-    pz = field_interpolant(zero, bc)
-    pv = field_interpolant(prev, bc)
+    pz = field_interpolant(zero)
+    pv = field_interpolant(prev)
     delta = 0.11
     pair = conserved_pair(pz, pv, delta)
     xq = np.linspace(0.0, 3.0, 53, endpoint=False) + 2.7e-4
@@ -202,9 +192,8 @@ def test_conserved_pair_union_slicing():
     n = 6
     grid, cur, prev = _two_level_fields(n, 1, rng)
     (h,) = grid.spacings
-    bc = PERIODIC
     pair = conserved_pair(
-        field_interpolant(cur, bc), field_interpolant(prev, bc), h / 4
+        field_interpolant(cur), field_interpolant(prev), h / 4
     )
     for member, frac in ((pair.p_plus, 0.25), (pair.p_minus, 0.75)):
         sizes = np.diff(member.breakpoints)
@@ -227,9 +216,8 @@ def test_conserved_pair_needs_periodic():
 def test_pp_subtract_pointwise():
     rng = np.random.default_rng(44)
     grid, cur, prev = _two_level_fields(5, 2, rng)
-    bc = PERIODIC
-    a = field_interpolant(cur, bc)
-    b = field_interpolant(prev, bc)  # window offset by h/2
+    a = field_interpolant(cur)
+    b = field_interpolant(prev)  # window offset by h/2
     d = pp_subtract(a, b)
     xq = np.linspace(0.0, 3.0, 101, endpoint=False) + 3.1e-4
     np.testing.assert_allclose(d(xq), a(xq) - b(xq), atol=1e-12)
@@ -256,9 +244,9 @@ def test_seminorm_constant_derivative(m):
 def test_seminorm_shift_invariance():
     rng = np.random.default_rng(45)
     n = 4
-    grid, axis = _line(0.0, 2.0, n, periodic=True)
+    grid, axis = _line(0.0, 2.0, n)
     f = Field(grid, PRIMAL, 0.0, rng.standard_normal((n, 3)))
-    pp = field_interpolant(f, PERIODIC)
+    pp = field_interpolant(f)
     base = seminorm_sq(pp, 3)
     h = axis.h
     for j in (1, 2, 3):
@@ -266,12 +254,12 @@ def test_seminorm_shift_invariance():
 
 
 def test_dissipative_energy_zero():
-    grid, _ = _line(0.0, 1.0, 4, periodic=True)
+    grid, _ = _line(0.0, 1.0, 4)
     pair = FieldPair(
         Field(grid, PRIMAL, 0.0, np.zeros((4, 3))),
         Field(grid, PRIMAL, 0.0, np.zeros((4, 2))),
     )
-    assert dissipative_energy(pair, 2.0, PERIODIC) == 0.0
+    assert dissipative_energy(pair, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -279,7 +267,7 @@ def test_dissipative_energy_constant_curvature(m):
     # u = x**(m+1) on walls: the interpolant reproduces it cell by cell,
     # so |I u|_{m+1}^2 = ((m+1)!)**2 * L exactly; v = 0 adds nothing
     n, L = 5, 1.0
-    grid, axis = _line(0.0, L, n, periodic=False)
+    grid, axis = _line(0.0, L, n, "dirichlet0", "dirichlet0")
     xs = axis.nodes(PRIMAL)
     h = axis.h
     uvals = np.zeros((len(xs), m + 1))
@@ -291,10 +279,9 @@ def test_dissipative_energy_constant_curvature(m):
         Field(grid, PRIMAL, 0.0, np.zeros((len(xs), m))),
     )
     speed = 1.5
-    bc = (BoundarySpec("dirichlet0", "dirichlet0"),)
     K = math.factorial(m + 1)
     want = speed * speed * K * K * L
-    assert dissipative_energy(pair, speed, bc) == pytest.approx(want, rel=1e-12)
+    assert dissipative_energy(pair, speed) == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,47 +291,44 @@ def test_dissipative_energy_constant_curvature(m):
     parity=st.sampled_from((PRIMAL, DUAL)),
     kinds=st.sampled_from((None, ("dirichlet0", "dirichlet0"), ("dirichlet0", "neumann0"),
                            ("neumann0", "dirichlet0"), ("neumann0", "neumann0"))),
-    values=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     speed=st.floats(0.5, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dissipative_energy_matches_oracle(m, n, parity, kinds, values, speed, seed):
+def test_dissipative_energy_matches_oracle(m, n, parity, kinds, speed, seed):
     """The cached per-cell forms against the piecewise assembly."""
     rng = np.random.default_rng(seed)
-    grid, _ = _line(-0.7, 1.3, n, periodic=kinds is None)
-    bc = (BoundarySpec() if kinds is None else BoundarySpec(*kinds, *values),)
+    grid, _ = _line(-0.7, 1.3, n, *(kinds or ()))
     nodes = grid.shapes[parity]
     pair = FieldPair(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
                      Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,))))
-    got = dissipative_energy(pair, speed, bc)
-    want = oracle_dissipative_energy(pair, speed, bc)
+    got = dissipative_energy(pair, speed)
+    want = oracle_dissipative_energy(pair, speed)
     assert abs(got - want) <= 1e-12 * want
 
 
 def test_wall_diagnostics_reflect_velocity_about_zero():
-    """u at its constant Dirichlet value and v = 0 is steady; the diagnostics agree.
+    """A constant u and v = 0 between neumann0 walls is steady; the diagnostics agree.
 
-    The stepper reflects v about 0 at walls (u_t = 0 there for a wall value
-    constant in time), so the diagnostics must gather v the same way.
+    The stepper and the diagnostics gather v through the same wall
+    reflection, so both read the velocity as zero up to the walls.
     """
     m, value = 2, 0.7
-    grid, axis = _line(0.0, 1.0, 6, periodic=False)
-    bc = (BoundarySpec("dirichlet0", "dirichlet0", value, value),)
+    grid, axis = _line(0.0, 1.0, 6, "neumann0", "neumann0")
     nodes = axis.n_nodes(DUAL)
     u = np.zeros((nodes, m + 1))
     u[:, 0] = value
     pair = FieldPair(Field(grid, DUAL, 0.0, u), Field(grid, DUAL, 0.0, np.zeros((nodes, m))))
-    stepped = half_step(pair, SchemeConfig(m=m, lam=0.8), bc)
+    stepped = half_step(pair, SchemeConfig(m=m, lam=0.8))
     assert np.abs(stepped.v.values).max() <= 1e-13
     # rounding in u's top interpolant coefficients leaves about 1e-24
-    assert dissipative_energy(pair, 1.0, bc) <= 1e-20
+    assert dissipative_energy(pair, 1.0) <= 1e-20
     zero = np.zeros_like
-    assert l2_errors_pair(pair, lambda x: value + zero(x), zero, zero, bc)[2] <= 1e-13
+    assert l2_errors_pair(pair, lambda x: value + zero(x), zero, zero)[2] <= 1e-13
 
 
 def test_conservative_energy_invariant_under_step():
     n, m = 10, 2
-    grid, axis = _line(0.0, 2 * math.pi, n, periodic=True)
+    grid, axis = _line(0.0, 2 * math.pi, n)
     cfg = SchemeConfig(m=m, lam=0.8)
     dt = cfg.dt(axis.h)
     xs = axis.nodes(PRIMAL)
@@ -354,12 +338,11 @@ def test_conservative_energy_invariant_under_step():
     for l in range(m + 1):
         pvals[:, l] = np.sin(xd + dt / 2 + l * math.pi / 2) * axis.h**l / math.factorial(l)
     prev = Field(grid, DUAL, -dt / 2, pvals)
-    bc = PERIODIC
     state = TwoLevelState(cur, prev)
-    e0 = conservative_energy(state.current, state.previous, cfg.speed, dt, bc)
+    e0 = conservative_energy(state.current, state.previous, cfg.speed, dt)
     for _ in range(5):
-        state = full_step_conservative(state, cfg, bc)
-    e5 = conservative_energy(state.current, state.previous, cfg.speed, dt, bc)
+        state = full_step_conservative(state, cfg)
+    e5 = conservative_energy(state.current, state.previous, cfg.speed, dt)
     assert e5 == pytest.approx(e0, rel=1e-12)
     assert e0 > 0.0
 
@@ -367,11 +350,10 @@ def test_conservative_energy_invariant_under_step():
 def test_conservative_energy_matches_manual_assembly():
     rng = np.random.default_rng(46)
     grid, cur, prev = _two_level_fields(8, 1, rng, span=2.0)
-    bc = PERIODIC
     speed, dt = 1.3, 0.05
-    e = conservative_energy(cur, prev, speed, dt, bc)
+    e = conservative_energy(cur, prev, speed, dt)
     pair = conserved_pair(
-        field_interpolant(cur, bc), field_interpolant(prev, bc), 0.5 * speed * dt
+        field_interpolant(cur), field_interpolant(prev), 0.5 * speed * dt
     )
     assert e == pytest.approx(seminorm_energy(pair, 2), rel=1e-13)
 
@@ -389,38 +371,36 @@ def test_conservative_energy_matches_manual_assembly():
 def test_conservative_energy_matches_oracle(m, lam, speed, n, parity, seed):
     """The cached quadratic form against the piecewise assembly."""
     rng = np.random.default_rng(seed)
-    grid, axis = _line(-1.0, 1.5, n, periodic=True)
+    grid, axis = _line(-1.0, 1.5, n)
     dt = lam * axis.h / speed
     other = DUAL if parity == PRIMAL else PRIMAL
     cur = Field(grid, parity, 0.0, rng.standard_normal((n, m + 1)))
     prev = Field(grid, other, -0.5 * dt, rng.standard_normal((n, m + 1)))
-    bc = PERIODIC
-    got = conservative_energy(cur, prev, speed, dt, bc)
-    want = oracle_energy(cur, prev, speed, dt, bc)
+    got = conservative_energy(cur, prev, speed, dt)
+    want = oracle_energy(cur, prev, speed, dt)
     assert abs(got - want) <= 1e-12 * want
 
 
 def test_conservative_energy_needs_periodic():
-    grid, _ = _line(0.0, 1.0, 6, periodic=False)
+    grid, _ = _line(0.0, 1.0, 6, "dirichlet0", "dirichlet0")
     cur = Field(grid, PRIMAL, 0.0, np.ones((7, 3)))
     prev = Field(grid, DUAL, 0.0, np.ones((6, 3)))
     with pytest.raises(ValueError):
-        conservative_energy(cur, prev, 1.0, 0.1, (BoundarySpec("dirichlet0", "dirichlet0"),))
+        conservative_energy(cur, prev, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_energies_need_a_1d_field(ndim):
     """Both energies are 1D forms; a 2D or 3D state fails at once, naming its dimension."""
-    grid = Grid((Axis(0.0, 1.0, 4, periodic=True),) * ndim)
-    bc = PERIODIC * ndim
+    grid = Grid((Axis(0.0, 1.0, 4),) * ndim)
     nodes = grid.shapes[PRIMAL]
     u = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (3,) * ndim))
     v = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (2,) * ndim))
     prev = Field(grid, DUAL, -0.1, np.zeros(nodes + (3,) * ndim))
     with pytest.raises(ValueError, match=f"{ndim}D field"):
-        dissipative_energy(FieldPair(u, v), 1.0, bc)
+        dissipative_energy(FieldPair(u, v), 1.0)
     with pytest.raises(ValueError, match=f"{ndim}D field"):
-        conservative_energy(u, prev, 1.0, 0.1, bc)
+        conservative_energy(u, prev, 1.0, 0.1)
 
 
 def test_fit_rate_exact_power_law():
@@ -471,17 +451,15 @@ def test_error_report_validation():
 def test_l2_error_2d_clips_wall_cells(parity):
     """A constant 1 on the unit square has L2 norm 1 on either parity.
 
-    The walls of both kinds (Dirichlet value 1) reproduce the constant in
-    the ghost-backed edge cells of a dual level, which reach h/2 past each
-    wall; counted unclipped they would read 1.25 on a 4x4 level.
+    The neumann0 walls reproduce the constant in the ghost-backed edge
+    cells of a dual level, which reach h/2 past each wall; counted
+    unclipped they would read 1.25 on a 4x4 level.
     """
-    grid = Grid((Axis(0.0, 1.0, 4, periodic=False),) * 2)
-    bc = (BoundarySpec("dirichlet0", "neumann0", left_value=1.0),
-          BoundarySpec("neumann0", "dirichlet0", right_value=1.0))
+    grid = Grid((Axis(0.0, 1.0, 4, "neumann0", "neumann0"),) * 2)
     m = 2
     vals = np.zeros(grid.shapes[parity] + (m + 1, m + 1))
     vals[..., 0, 0] = 1.0
     field = Field(grid, parity, 0.0, vals)
     zero = lambda x, y: 0.0 * x * y
-    assert abs(l2_error_field(field, zero, bc) - 1.0) <= 1e-14
-    assert l2_error_field(field, lambda x, y: 1.0 + zero(x, y), bc) < 1e-14
+    assert abs(l2_error_field(field, zero) - 1.0) <= 1e-14
+    assert l2_error_field(field, lambda x, y: 1.0 + zero(x, y)) < 1e-14

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from hermwave.grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+
+PERIODIC = ("periodic", "periodic")
+WALLS = ("dirichlet0", "dirichlet0")
 
 
 @pytest.mark.parametrize("args", [
-    (0.0, 1.0, 0, True),     # no cells
-    (1.0, 0.0, 3, True),     # reversed domain
-    (0.5, 0.5, 3, False),    # empty domain
+    (0.0, 1.0, 0) + PERIODIC,    # no cells
+    (1.0, 0.0, 3) + PERIODIC,    # reversed domain
+    (0.5, 0.5, 3) + WALLS,       # empty domain
 ])
 def test_grid_1d_rejects_bad_inputs(args):
     with pytest.raises(ValueError):
@@ -19,27 +22,37 @@ def test_grid_1d_rejects_bad_inputs(args):
 
 
 @pytest.mark.parametrize("args", [
-    (0.0, 1.0, 0.0, 1.0, 0, 3, True),     # no x cells
-    (0.0, 1.0, 0.0, 1.0, 3, 0, False),    # no y cells
-    (1.0, 0.0, 0.0, 1.0, 3, 3, True),     # reversed x domain
-    (0.0, 1.0, 2.0, 2.0, 3, 3, False),    # empty y domain
+    (0.0, 1.0, 0.0, 1.0, 0, 3, PERIODIC),   # no x cells
+    (0.0, 1.0, 0.0, 1.0, 3, 0, WALLS),      # no y cells
+    (1.0, 0.0, 0.0, 1.0, 3, 3, PERIODIC),   # reversed x domain
+    (0.0, 1.0, 2.0, 2.0, 3, 3, WALLS),      # empty y domain
 ])
 def test_grid_2d_rejects_bad_inputs(args):
-    x0, x1, y0, y1, nx, ny, periodic = args
+    x0, x1, y0, y1, nx, ny, kinds = args
     with pytest.raises(ValueError):
-        Grid((Axis(x0, x1, nx, periodic), Axis(y0, y1, ny, periodic)))
+        Grid((Axis(x0, x1, nx, *kinds), Axis(y0, y1, ny, *kinds)))
+
+
+def test_axis_kind_validation():
+    with pytest.raises(ValueError, match="unknown boundary kind"):
+        Axis(0.0, 1.0, 3, "clamped", "clamped")
+    with pytest.raises(ValueError, match="both opposing sides"):
+        Axis(0.0, 1.0, 3, "periodic", "dirichlet0")
+    assert Axis(0.0, 1.0, 3).periodic
+    assert not Axis(0.0, 1.0, 3, "dirichlet0", "neumann0").periodic
+    assert set(KINDS) == {"periodic", "dirichlet0", "neumann0"}
 
 
 def test_grid_needs_axes_of_one_kind():
     with pytest.raises(ValueError):
         Grid(())
     with pytest.raises(ValueError):
-        Grid((Axis(0.0, 1.0, 3, True), Axis(0.0, 1.0, 3, False)))
+        Grid((Axis(0.0, 1.0, 3), Axis(0.0, 1.0, 3, *WALLS)))
 
 
 def test_spacings_are_built_once():
-    g1 = Grid((Axis(-1.0, 0.5, 6, periodic=False),))
-    g2 = Grid((Axis(0.0, 1.0, 4, periodic=True), Axis(-1.0, 2.0, 5, periodic=True)))
+    g1 = Grid((Axis(-1.0, 0.5, 6, *WALLS),))
+    g2 = Grid((Axis(0.0, 1.0, 4), Axis(-1.0, 2.0, 5)))
     assert g1.spacings == (g1.axes[0].h,) == (0.25,)
     assert g2.spacings == (g2.axes[0].h, g2.axes[1].h) == (0.25, 0.6)
     assert g1.spacings is g1.spacings
@@ -52,7 +65,7 @@ def test_spacings_are_built_once():
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_field_needs_one_order_axis_per_node_axis(ndim):
     """Values are (nodes per axis..., order+1 per axis...); any other rank fails at once."""
-    grid = Grid((Axis(0.0, 1.0, 3, periodic=False),) * ndim)
+    grid = Grid((Axis(0.0, 1.0, 3, *WALLS),) * ndim)
     nodes = (4,) * ndim
     field = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (3,) * ndim))
     assert field.orders == (2,) * ndim
@@ -63,9 +76,15 @@ def test_field_needs_one_order_axis_per_node_axis(ndim):
         Field(grid, DUAL, 0.0, np.zeros(nodes + (3,) * ndim))
 
 
+def test_field_rejects_unknown_parity():
+    grid = Grid((Axis(0.0, 1.0, 3),))
+    with pytest.raises(ValueError, match="unknown parity 'bogus'"):
+        Field(grid, "bogus", 0.0, np.zeros((3, 2)))
+
+
 def _random_levels(ndim, rng):
     """u, v on the primal nodes and a previous u level on the dual nodes, m = 2."""
-    grid = Grid((Axis(0.0, 1.0, 3, periodic=False),) * ndim)
+    grid = Grid((Axis(0.0, 1.0, 3, *WALLS),) * ndim)
     u = Field(grid, PRIMAL, 0.25, rng.standard_normal(grid.shapes[PRIMAL] + (3,) * ndim))
     v = Field(grid, PRIMAL, 0.25, rng.standard_normal(grid.shapes[PRIMAL] + (2,) * ndim))
     prev = Field(grid, DUAL, -0.5, rng.standard_normal(grid.shapes[DUAL] + (3,) * ndim))
