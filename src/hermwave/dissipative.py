@@ -70,6 +70,12 @@ class SchemeConfig:
             raise ValueError(f"CFL number must be in (0, 1], got {self.lam}")
         if self.speed <= 0.0:
             raise ValueError("wave speed must be positive")
+        # every half step hashes its plan key, which holds the config; a
+        # plain attribute, not a field, so eq, repr and replace ignore it
+        object.__setattr__(self, "_hash", hash((self.m, self.speed, self.lam)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def dt(self, h: float) -> float:
         return self.lam * h / self.speed

@@ -1,6 +1,11 @@
 """Config plumbing, closed-form data, experiment runs, CSV, CLI."""
 
+import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +404,67 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "numerical failure:" in err
+
+
+def test_cli_memory_error_is_a_config_error(monkeypatch, capsys):
+    """A grid too large to allocate exits 2 with the allocation named, not a traceback."""
+    def oversized(cfg):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type int64")
+
+    monkeypatch.setattr(cli, "run_experiment", oversized)
+    rc = cli.main(["conserve1d", "--steps", "2", "--n0", "100000000000"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:")
+    assert "745. GiB" in err and "Traceback" not in err
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    """One parser serves every call in a process; importing the CLI builds none."""
+    assert cli._build_parser() is cli._build_parser()
+    built = [0]
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    argv = ["conserve1d", "--n0", "6", "--steps", "4"]
+    assert cli.main(argv) == 0
+    assert built[0] == 5  # the program and its four subcommands
+    built[0] = 0
+    assert cli.main(argv) == 0
+    assert built[0] == 0
+    capsys.readouterr()
+    probe = ("import hermwave, hermwave.cli; "
+             "print(hermwave.cli._build_parser.cache_info().currsize)")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "0"
+
+
+def test_cli_shared_parser_keeps_no_state(tmp_path, capsys):
+    """A call's flags and parse errors do not reach the next call's arguments."""
+    def run(*extra):
+        out = tmp_path / "rates.csv"
+        rc = cli.main(["gaussian1d", "--levels", "2", "--n0", "6", "--out", str(out), *extra])
+        assert rc == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    cli._build_parser.cache_clear()
+    fresh = run()
+    walled = run("--boundary", "neumann0")
+    assert walled != fresh
+    assert run() == fresh
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gaussian1d", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run() == fresh
 
 
 @pytest.mark.parametrize("argv, stepper", [
