@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration problems (including a run whose
-arrays cannot be allocated), 3 numerical failure (non-finite field data
-mid-run).
+Exit codes: 0 success, 2 configuration problems or a run that needs more
+memory than is available (a MemoryError anywhere in the run, at its first
+allocation or partway through), 3 numerical failure (non-finite field
+data mid-run).
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and kept for the process.
 
     Its dozens of `add_argument` calls each build a help formatter, about
-    1.3 ms in all on a 2-vCPU Xeon VM, a fifth of a 1000-step `conserve1d`
-    call; `parse_args` keeps no state in the parser, so every call can
-    share it.
+    1.3 ms in all on a 2-vCPU Xeon VM. Only a process that calls `main`
+    more than once (the benchmark worker, the tests) saves it; a shell
+    `hermwave` command builds one parser either way. `parse_args` keeps no
+    state in the parser, so every call can share it.
     """
     parser = argparse.ArgumentParser(
         prog="hermwave",
@@ -135,7 +137,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"config error: the run's arrays do not fit in memory: {exc}", file=sys.stderr)
+        print(f"config error: the run needs more memory than is available: {exc}",
+              file=sys.stderr)
         return 2
     if cfg.experiment == "conserve1d":
         steps, times, deltas, e0 = result

@@ -416,8 +416,27 @@ def test_cli_memory_error_is_a_config_error(monkeypatch, capsys):
     rc = cli.main(["conserve1d", "--steps", "2", "--n0", "100000000000"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("config error:")
+    assert err.startswith("config error: the run needs more memory than is available:")
     assert "745. GiB" in err and "Traceback" not in err
+
+
+def test_cli_memory_error_mid_run_exits_2(monkeypatch, capsys):
+    """An allocation that fails partway through a run, past its checks, also exits 2."""
+    real = driver.full_step_conservative
+    calls = []
+
+    def starved(*args):
+        calls.append(1)
+        if len(calls) == 50:
+            raise MemoryError("Unable to allocate 1.00 MiB")
+        return real(*args)
+
+    monkeypatch.setattr(driver, "full_step_conservative", starved)
+    rc = cli.main(["conserve1d", "--steps", "200"])
+    err = capsys.readouterr().err
+    assert rc == 2 and len(calls) == 50
+    assert err.startswith("config error: the run needs more memory than is available:")
+    assert "1.00 MiB" in err and "Traceback" not in err
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):
