@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import (
-    _KEY_FIELDS,
-    _KEY_TYPES,
-    BOUNDARIES,
-    INITS,
-    MODES,
-    SCHEMES,
+    KEYS,
     ConfigError,
     NumericalError,
     RunConfig,
@@ -30,28 +25,6 @@ from .driver import (
     parse_config,
     rates_csv,
     run_experiment,
-)
-
-_CORE_FLAGS = (
-    ("--scheme", dict(choices=SCHEMES, help="time stepper family")),
-    ("--m", dict(type=int, help="derivative order carried per node")),
-    ("--lambda", dict(type=float, dest="lam", metavar="LAM",
-                      help="CFL number c*dt/h, in (0, 1]")),
-    ("--levels", dict(type=int, help="number of refinement levels")),
-    ("--n0", dict(type=int, help="coarsest cell count per direction")),
-    ("--steps", dict(type=int, help="update count (conserve1d)")),
-    ("--seed", dict(type=int, help="RNG seed for random-mode data")),
-    ("--out", dict(help="CSV output path (default: print summary only)")),
-    ("--config", dict(help="key=value file; flags override its entries")),
-)
-
-_CUSTOM_FLAGS = (
-    ("--experiment", dict(help="which built-in experiment to run")),
-    ("--init", dict(choices=INITS, help="conservative start-up data")),
-    ("--boundary", dict(choices=BOUNDARIES, help="wall treatment (gaussian1d)")),
-    ("--mode", dict(choices=MODES, help="conserve1d data: smooth or random")),
-    ("--sample-every", dict(type=int, dest="sample_every",
-                            help="energy sampling stride (conserve1d)")),
 )
 
 
@@ -78,19 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, blurb in specs.items():
         p = sub.add_parser(name, help=blurb)
-        flags = _CORE_FLAGS + (_CUSTOM_FLAGS if name == "custom" else ())
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        if name == "gaussian1d":
-            p.add_argument("--boundary", choices=BOUNDARIES,
-                           help="wall treatment at both ends")
-            p.add_argument("--init", choices=INITS,
-                           help="conservative start-up data")
+        for key, spec in KEYS.items():
+            if name == "custom" or name in spec.read_by:
+                p.add_argument("--" + key.replace("_", "-"), dest=spec.field, type=spec.type,
+                               choices=spec.choices, help=spec.help)
+        p.add_argument("--config", help="key=value file; flags override its entries")
     return parser
-
-
-# every config key but the experiment, which names the subcommand
-_FLAG_KEYS = tuple(_KEY_FIELDS.get(k, k) for k in _KEY_TYPES if k != "experiment")
 
 
 def _assemble(args: argparse.Namespace) -> RunConfig:
@@ -106,10 +72,10 @@ def _assemble(args: argparse.Namespace) -> RunConfig:
         file_overrides = parse_config(text)
     experiment = args.command
     if experiment == "custom":
-        experiment = getattr(args, "experiment", None) or file_overrides.get("experiment")
+        experiment = args.experiment or file_overrides.get("experiment")
         if experiment is None:
             raise ConfigError("custom runs need --experiment or an experiment= config entry")
-    flag_overrides = {k: getattr(args, k, None) for k in _FLAG_KEYS}
+    flag_overrides = {s.field: getattr(args, s.field, None) for s in KEYS.values()}
     return make_config(experiment, file_overrides, flag_overrides)
 
 

@@ -43,12 +43,48 @@ class NumericalError(RuntimeError):
     """NaN or overflow detected in field data during a run."""
 
 
-SCHEMES = ("dissipative", "conservative")
 EXPERIMENTS = ("gaussian1d", "conserve1d", "planewave2d")
-BOUNDARIES = KINDS
-MODES = ("smooth", "random")
-INITS = ("exact", "bootstrap")
 REFINE = 1.2  # grid growth factor between the levels of a refinement study
+
+
+@dataclass(frozen=True)
+class Key:
+    """One run key: the RunConfig field it sets, its type, its help text,
+    its allowed values (None for any) and the experiments that read it."""
+
+    field: str
+    type: type
+    help: str
+    choices: tuple | None = None
+    read_by: tuple = EXPERIMENTS
+
+
+_STUDIES = ("gaussian1d", "planewave2d")
+
+# Every config-file key, in --help order. Each experiment's subcommand takes
+# the flags (--key, "_" as "-") of the keys it reads and `custom` takes them
+# all. A run that sets a key its experiment does not read to anything but the
+# experiment's default is a configuration error. No experiment reads
+# `experiment`: it picks one, and a subcommand names its own.
+KEYS = {
+    "experiment": Key("experiment", str, "which built-in experiment to run", EXPERIMENTS,
+                      read_by=()),
+    "scheme": Key("scheme", str, "time stepper family", ("dissipative", "conservative")),
+    "m": Key("m", int, "derivative order carried per node"),
+    "lambda": Key("lam", float, "CFL number c*dt/h, in (0, 1]"),
+    "levels": Key("levels", int, "number of refinement levels", read_by=_STUDIES),
+    "n0": Key("n0", int, "cell count per direction (a study's coarsest)"),
+    "steps": Key("steps", int, "update count", read_by=("conserve1d",)),
+    "sample_every": Key("sample_every", int, "updates between energy samples",
+                        read_by=("conserve1d",)),
+    "seed": Key("seed", int, "RNG seed for random-mode data", read_by=("conserve1d",)),
+    "mode": Key("mode", str, "initial data", ("smooth", "random"), read_by=("conserve1d",)),
+    "init": Key("init", str, "conservative start-up data", ("exact", "bootstrap"),
+                read_by=_STUDIES),
+    "boundary": Key("boundary", str, "wall treatment at both ends", KINDS,
+                    read_by=("gaussian1d",)),
+    "out": Key("out", str, "CSV output path (default: print summary only)"),
+}
 
 
 @dataclass(frozen=True)
@@ -68,10 +104,15 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> "RunConfig":
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        base = default_config(self.experiment)
+        for key, spec in KEYS.items():
+            val = getattr(self, spec.field)
+            if spec.choices is not None and val not in spec.choices:
+                raise ConfigError(f"{key} must be one of {spec.choices}, got {val!r}")
+            default = getattr(base, spec.field)
+            if self.experiment not in spec.read_by and val != default:
+                raise ConfigError(f"{self.experiment} does not read {key}; leave it at "
+                                  f"its default {default!r}")
         if not 1 <= self.m <= MAX_ORDER:
             raise ConfigError(f"m must be in [1, {MAX_ORDER}], got {self.m}")
         if not 0.0 < self.lam <= 1.0:
@@ -86,23 +127,11 @@ class RunConfig:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.init not in INITS:
-            raise ConfigError(f"init must be one of {INITS}, got {self.init!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.experiment != "gaussian1d" and self.boundary != "periodic":
-            raise ConfigError(f"{self.experiment} runs on a periodic domain; boundary "
-                              f"overrides only apply to gaussian1d")
         if self.experiment == "conserve1d" and self.scheme != "conservative":
             raise ConfigError("conserve1d tracks the conservative scheme's invariant; "
                               "set scheme=conservative")
         if self.init != "exact" and self.scheme != "conservative":
             raise ConfigError(f"init={self.init} only applies to the conservative scheme")
-        if self.experiment == "conserve1d" and self.init != "exact":
-            raise ConfigError("conserve1d starts from two exact levels; init overrides "
-                              "only apply to gaussian1d and planewave2d")
         if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
             raise ConfigError(f"out {self.out!r} is a directory or its directory is missing")
         return self
@@ -124,28 +153,11 @@ _DEFAULTS = {
 }
 
 
+@lru_cache(maxsize=None)  # one frozen config per experiment; validate reads it every call
 def default_config(experiment: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     return RunConfig(experiment=experiment, **_DEFAULTS[experiment])
-
-
-_KEY_TYPES = {
-    "experiment": str,
-    "scheme": str,
-    "m": int,
-    "lambda": float,
-    "levels": int,
-    "n0": int,
-    "steps": int,
-    "sample_every": int,
-    "seed": int,
-    "mode": str,
-    "init": str,
-    "boundary": str,
-    "out": str,
-}
-_KEY_FIELDS = {"lambda": "lam"}
 
 
 def parse_config(text: str) -> dict:
@@ -161,20 +173,20 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _KEY_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} is already set on line {seen[key]}")
         seen[key] = lineno
         if not val:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        spec = KEYS[key]
         try:
-            parsed = _KEY_TYPES[key](val)
+            out[spec.field] = spec.type(val)
         except ValueError:
             raise ConfigError(
-                f"line {lineno}: cannot parse {val!r} as {_KEY_TYPES[key].__name__} for {key!r}"
+                f"line {lineno}: cannot parse {val!r} as {spec.type.__name__} for {key!r}"
             ) from None
-        out[_KEY_FIELDS.get(key, key)] = parsed
     return out
 
 
@@ -269,49 +281,43 @@ def _at(step: int, time: float, n: int) -> str:
     return f" at half step {step} (t={time:.6g}, n={n})"
 
 
-def _march(state, step, args, count: int, n: int, done: int = 0):
-    """Apply step(state, *args) count times, one call per half step as the
-    tracer and tests count them, checking the node rows every FINITE_STRIDE
-    half steps and after the last; `done` half steps precede the first."""
-    last = done + count
+def _march(state, step, scfg: SchemeConfig, done: int, last: int, n: int):
+    """Apply step(state, scfg) from half step `done` to half step `last`, one
+    call per half step as the tracer and tests count them, checking the node
+    rows every FINITE_STRIDE half steps and after the last."""
     for k in range(done + 1, last + 1):
-        state = step(state, *args)
+        state = step(state, scfg)
         if k % FINITE_STRIDE == 0 or k == last:
             # a non-finite previous level was current a step ago and reached its targets
             _require_finite(state.rows, where=_at(k, state.time, n))
     return state
 
 
-def _evolve(cfg: RunConfig, grid: Grid, data, nhalf: int, half_step):
-    """Start one level from closed-form data and march it nhalf half steps.
+def _start(cfg: RunConfig, grid: Grid, data, half_step=None):
+    """First state of one level, the step that advances it and the half
+    steps it has taken: 1 after a bootstrap, else 0.
 
     data(parity, t, order, tder) gives the scaled nodal blocks of u
-    (tder 0) or u_t (tder 1) on one parity's nodes at time t. half_step is
-    the dissipative step as the experiment names it, `half_step_1d` or
-    `half_step_2d`: one function under two names, read from this module at
-    each call, so a wrapper patched in under either name sees every step.
-    Returns the final FieldPair (dissipative) or TwoLevelState
-    (conservative).
+    (tder 0) or u_t (tder 1) on one parity's nodes at time t; it is called
+    for the primal level first. half_step is the dissipative step as the
+    experiment names it, `half_step_1d` or `half_step_2d`: one function
+    under two names, read from this module at each call, so a wrapper
+    patched in under either name sees every step. The state is a FieldPair
+    (dissipative) or a TwoLevelState (conservative).
     """
     scfg = cfg.scheme_config()
-    n, h = grid.axes[0].n, min(grid.spacings)
 
-    def start(parity, t, order, tder=0):
+    def field(parity, t, order, tder=0):
         return Field(grid, parity, t, data(parity, t, order, tder))
 
-    u0 = start(PRIMAL, 0.0, cfg.m)
-    done = 0
+    u0 = field(PRIMAL, 0.0, cfg.m)
     if cfg.scheme == "dissipative":
-        state = FieldPair(u0, start(PRIMAL, 0.0, cfg.m - 1, tder=1))
-        step = half_step
-    else:
-        step = full_step_conservative
-        if cfg.init == "exact":
-            state = TwoLevelState(u0, start(DUAL, -0.5 * scfg.dt(h), cfg.m))
-        else:
-            state = bootstrap_first_half(u0, start(PRIMAL, 0.0, cfg.m, tder=1), scfg)
-            done = 1
-    return _march(state, step, (scfg,), nhalf - done, n, done)
+        return FieldPair(u0, field(PRIMAL, 0.0, cfg.m - 1, tder=1)), half_step, 0
+    if cfg.init == "exact":
+        prev = field(DUAL, -0.5 * scfg.dt(min(grid.spacings)), cfg.m)
+        return TwoLevelState(u0, prev), full_step_conservative, 0
+    u_t = field(PRIMAL, 0.0, cfg.m, tder=1)
+    return bootstrap_first_half(u0, u_t, scfg), full_step_conservative, 1
 
 
 def _study(cfg: RunConfig, level) -> ErrorReport:
@@ -334,7 +340,8 @@ def _gaussian_level(cfg: RunConfig, n: int):
     """One gaussian1d level on n cells, run to the half step nearest t = 12.25."""
     axis = Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary)
     grid, h = Grid((axis,)), axis.h
-    dt = cfg.scheme_config().dt(h)
+    scfg = cfg.scheme_config()
+    dt = scfg.dt(h)
     nhalf = round(24.5 / dt)
     tau = nhalf * (0.5 * dt) - 12.0
 
@@ -355,7 +362,8 @@ def _gaussian_level(cfg: RunConfig, n: int):
     def exact_v(x):  # d/dt of (G(x+t) + G(x-t))/2 is (G'(x+t) - G'(x-t))/2
         return 0.5 * (gaussian_derivs(x + tau, 1)[..., 1] - gaussian_derivs(x - tau, 1)[..., 1])
 
-    state = _evolve(cfg, grid, data, nhalf, half_step_1d)
+    state, step, done = _start(cfg, grid, data, half_step_1d)
+    state = _march(state, step, scfg, done, nhalf, n)
     if cfg.scheme == "dissipative":
         return h, dt, l2_errors_pair(state, exact_u, exact_dux, exact_v)
     return h, dt, (l2_error_field(state.current, exact_u),)
@@ -369,26 +377,25 @@ def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
 def run_conservation_1d(cfg: RunConfig):
     """Energy drift trace; returns (steps, times, deltas, e0)."""
     scfg = cfg.scheme_config()
-    m = cfg.m
     axis = Axis(-np.pi, np.pi, cfg.n0)
-    grid, h = Grid((axis,)), axis.h
+    h = axis.h
     dt = scfg.dt(h)
     if cfg.mode == "smooth":
-        cur = Field(grid, PRIMAL, 0.0, _scale_cols(sine_derivs(axis.nodes(PRIMAL), m, 0.0), h))
-        prev = Field(grid, DUAL, -0.5 * dt,
-                     _scale_cols(sine_derivs(axis.nodes(DUAL), m, -0.5 * dt), h))
+        def data(parity, t, order, tder):
+            return _scale_cols(sine_derivs(axis.nodes(parity), order, t), h)
     else:
         rng = np.random.default_rng(cfg.seed)
-        cur = Field(grid, PRIMAL, 0.0, rng.random((axis.n_nodes(PRIMAL), m + 1)))
-        prev = Field(grid, DUAL, -0.5 * dt, rng.random((axis.n_nodes(DUAL), m + 1)))
-    state = TwoLevelState(current=cur, previous=prev)
+
+        def data(parity, t, order, tder):
+            return rng.random((axis.n_nodes(parity), order + 1))
+    state, step, _ = _start(cfg, Grid((axis,)), data)
     e0 = conservative_energy(state.current, state.previous, scfg.speed, dt)
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
-        count = min(cfg.sample_every, cfg.steps - done)
-        state = _march(state, full_step_conservative, (scfg,), count, cfg.n0, done)
+        last = min(done + cfg.sample_every, cfg.steps)
+        state = _march(state, step, scfg, done, last, cfg.n0)
         e = conservative_energy(state.current, state.previous, scfg.speed, dt)
-        steps.append(done + count)
+        steps.append(last)
         times.append(state.current.time)
         deltas.append(e - e0)
     return np.array(steps), np.array(times), np.array(deltas), e0
@@ -399,7 +406,8 @@ def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     to the half step nearest t_target."""
     grid = Grid((Axis(0.0, 1.0, n),) * 2)
     h = grid.spacings[0]
-    dt = cfg.scheme_config().dt(h)
+    scfg = cfg.scheme_config()
+    dt = scfg.dt(h)
     nhalf = round(2 * t_target / dt)
     t_end = nhalf * 0.5 * dt
     w = 2.0 * np.pi * kappa
@@ -411,7 +419,8 @@ def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     def exact(x, y):
         return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
 
-    state = _evolve(cfg, grid, data, nhalf, half_step_2d)
+    state, step, done = _start(cfg, grid, data, half_step_2d)
+    state = _march(state, step, scfg, done, nhalf, n)
     return h, dt, (l2_error_field(state.fields[0], exact),)
 
 

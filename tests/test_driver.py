@@ -529,6 +529,66 @@ def test_cli_rejects_init_for_the_dissipative_scheme(argv, capsys):
     assert "init" in err
 
 
+def test_cli_flags_and_config_keys():
+    """Each experiment's subcommand takes the flags of the keys it reads; custom takes all."""
+    (sub,) = (a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    common = {"--scheme", "--m", "--lambda", "--n0", "--out", "--config"}
+    assert flags == {
+        "gaussian1d": common | {"--levels", "--init", "--boundary"},
+        "conserve1d": common | {"--steps", "--sample-every", "--seed", "--mode"},
+        "planewave2d": common | {"--levels", "--init"},
+        "custom": common | {"--experiment", "--levels", "--init", "--boundary", "--steps",
+                            "--sample-every", "--seed", "--mode"},
+    }
+    assert set(driver.KEYS) == {"experiment", "scheme", "m", "lambda", "levels", "n0", "steps",
+                                "sample_every", "seed", "mode", "init", "boundary", "out"}
+
+
+_SMALL = {"gaussian1d": ["--levels", "1", "--n0", "4"],
+          "conserve1d": ["--n0", "8", "--steps", "10"],
+          "planewave2d": ["--levels", "1", "--n0", "4"]}
+
+
+@pytest.mark.parametrize("experiment, key, value, default", [
+    ("gaussian1d", "steps", "5", 10000),
+    ("gaussian1d", "sample_every", "7", 100),
+    ("gaussian1d", "seed", "3", None),
+    ("gaussian1d", "mode", "random", "smooth"),
+    ("conserve1d", "levels", "3", 1),
+    ("conserve1d", "init", "bootstrap", "exact"),
+    ("conserve1d", "boundary", "dirichlet0", "periodic"),
+    ("planewave2d", "steps", "5", 10000),
+    ("planewave2d", "sample_every", "7", 100),
+    ("planewave2d", "seed", "3", None),
+    ("planewave2d", "mode", "random", "smooth"),
+    ("planewave2d", "boundary", "neumann0", "periodic"),
+])
+def test_cli_rejects_keys_the_experiment_does_not_read(tmp_path, capsys, experiment, key,
+                                                       value, default):
+    """A key the experiment ignores may only keep the experiment's default."""
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([experiment, flag, value] + _SMALL[experiment])
+    assert exc.value.code == 2
+    f = tmp_path / "run.cfg"
+    f.write_text(f"{key} = {value}\n")
+    for argv in (["custom", "--experiment", experiment, flag, value],
+                 [experiment, "--config", str(f)]):
+        capsys.readouterr()
+        rc = cli.main(argv + _SMALL[experiment])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert err.startswith("config error:") and key in err and repr(default) in err
+    if default is not None:  # a seed has no default to repeat
+        f.write_text(f"{key} = {default}\n")
+        for argv in (["custom", "--experiment", experiment, flag, str(default)],
+                     [experiment, "--config", str(f)]):
+            assert cli.main(argv + _SMALL[experiment]) == 0, argv
+
+
 def test_cli_rejects_stage_cap_flag(capsys):
     """Truncating the Taylor stages can make a run unstable; the CLI has no such knob."""
     with pytest.raises(SystemExit) as exc:
