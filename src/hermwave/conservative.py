@@ -79,7 +79,7 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig) -> TwoLevelS
     grid = state.grid
     key = ("conservative", state.parity, cfg)
     gather, a, half_dt, parity = grid.plans.get(key) or _plan(grid, state.parity, cfg, key)
-    new = take(state.rows, gather) @ a
+    new = take(state.rows, gather).dot(a)  # not `@`: see dissipative.half_step
     new -= state.prev_rows
     return TwoLevelState.packed(grid, parity, state.time + half_dt, state.time, new, state.rows,
                                 state.shapes[::-1])

@@ -127,6 +127,9 @@ class RunConfig:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.seed is not None and self.mode != "random":
+            raise ConfigError(f"seed only applies to mode=random; mode={self.mode} "
+                              "draws no random data")
         if self.experiment == "conserve1d" and self.scheme != "conservative":
             raise ConfigError("conserve1d tracks the conservative scheme's invariant; "
                               "set scheme=conservative")

@@ -189,7 +189,7 @@ def _drift(m, mode, steps=10_000, lam=0.5, n0=30, seed=123):
         steps=steps,
         lam=lam,
         n0=n0,
-        seed=seed,
+        seed=seed if mode == "random" else None,
     ).validate()
     _, _, deltas, e0 = run_conservation_1d(cfg)
     return float(np.max(np.abs(deltas)) / e0)

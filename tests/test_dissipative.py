@@ -372,6 +372,34 @@ def test_stage_cap_truncates_expansion():
     assert np.abs(full.u.values - capped).max() > 1e-8
 
 
+@pytest.mark.parametrize("axes, parity", [
+    ((Axis(0.0, 1.0, 7, "dirichlet0", "neumann0"),), DUAL),
+    ((Axis(0.0, 1.0, 7, "neumann0", "dirichlet0"),), PRIMAL),
+    ((Axis(0.0, 1.0, 5),) * 2, PRIMAL),
+])
+def test_steps_are_the_cached_plan_product_bit_for_bit(axes, parity):
+    """Both steppers' new rows are take(rows, gather) @ a from the level's
+    cached plan, bit for bit (minus the previous rows for the conservative
+    update): the product the steppers call changes no bits."""
+    grid = Grid(axes)
+    d, m = len(axes), 3
+    cfg = SchemeConfig(m=m, lam=0.8)
+    rng = np.random.default_rng(57)
+    nodes = grid.shapes[parity]
+    pair = FieldPair(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
+                     Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,) * d)))
+    got = half_step(pair, cfg).rows
+    gather, a = grid.plans[("dissipative", parity, cfg)][:2]
+    assert np.array_equal(got, take(pair.rows, gather) @ a)
+    state = TwoLevelState(
+        Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
+        Field(grid, flip(parity), -0.1, rng.standard_normal(grid.shapes[flip(parity)]
+                                                            + (m + 1,) * d)))
+    got = conservative.full_step_conservative(state, cfg).rows
+    gather, a = grid.plans[("conservative", parity, cfg)][:2]
+    assert np.array_equal(got, take(state.rows, gather) @ a - state.prev_rows)
+
+
 def test_periodic_1d_symbol_is_stable():
     """No Fourier mode of a periodic 1D dissipative full step grows.
 

@@ -623,6 +623,18 @@ def test_cli_rejects_refine_config_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["conserve1d", "--steps", "10", "--seed", "3"],
+    ["custom", "--experiment", "conserve1d", "--mode", "smooth", "--steps", "10", "--seed", "0"],
+])
+def test_cli_rejects_seed_without_random_mode(capsys, argv):
+    """Smooth data draws nothing, so a seed there would be silently ignored."""
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and "seed" in err
+
+
 def test_cli_rejects_negative_seed_flag(capsys):
     rc = cli.main(["custom", "--experiment", "conserve1d", "--mode", "random", "--seed", "-1"])
     err = capsys.readouterr().err
