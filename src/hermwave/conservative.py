@@ -31,7 +31,7 @@ import numpy as np
 
 from .boundary import gather_plan, pair_sources, take
 from .dissipative import SchemeConfig, eval_series, expand_taylor, fold
-from .grid import Field, TwoLevelState, flip
+from .grid import Field, TwoLevelState, flip, link
 from .interp import apply_interp
 
 
@@ -58,31 +58,38 @@ def _update(data, m, dt, hs, speed):
     return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
 
 
-def _plan(grid, parity, cfg: SchemeConfig, key) -> tuple:
-    """Build the update plan of grid's `parity` level, cached on grid under key:
-    gather, matrix, dt/2, target parity."""
+def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
+    """Build the update plan of grid's `parity` level: gather, matrix, dt/2,
+    target parity and the new current and previous shapes."""
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
-    gather = gather_plan(grid, parity, ((m + 1,) * ndim,))
-    (a,) = fold(_update, ((2,) * ndim + (m + 1,) * ndim,), m, dt, hs, cfg.speed)
-    plan = grid.plans[key] = (gather, a, 0.5 * dt, flip(parity))
-    return plan
+    cu = (m + 1,) * ndim
+    gather = gather_plan(grid, parity, (cu,))
+    (a,) = fold(_update, ((2,) * ndim + cu,), m, dt, hs, cfg.speed)
+    return gather, a, 0.5 * dt, flip(parity), (grid.shapes[flip(parity)] + cu,
+                                               grid.shapes[parity] + cu)
 
 
 def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig) -> TwoLevelState:
     """One update: gather the current level, multiply, subtract the previous.
 
     Returns the new state (advanced dt/2, parity flipped); the old current
-    level's rows become the new previous level, uncopied.
+    level's rows become the new previous level, uncopied. The state's plans
+    are linked as in `dissipative.half_step`.
     """
-    grid = state.grid
-    key = ("conservative", state.parity, cfg)
-    gather, a, half_dt, parity = grid.plans.get(key) or _plan(grid, state.parity, cfg, key)
+    lnk = state.link
+    if lnk is None or lnk[0] is not cfg:
+        lnk = link(state, cfg, "conservative", _plan)
+    gather, a, half_dt, parity, shapes = lnk[1]
     new = take(state.rows, gather).dot(a)  # not `@`: see dissipative.half_step
     new -= state.prev_rows
-    return TwoLevelState.packed(grid, parity, state.time + half_dt, state.time, new, state.rows,
-                                state.shapes[::-1])
+    out = TwoLevelState.__new__(TwoLevelState)
+    out.grid, out.parity, out.shapes = state.grid, parity, shapes
+    out.time, out.prev_time = state.time + half_dt, state.time
+    out.rows, out.prev_rows = new, state.rows
+    out.link = (cfg, lnk[2], lnk[1])
+    return out
 
 
 def bootstrap_first_half(g0, g1, cfg: SchemeConfig) -> TwoLevelState:

@@ -232,24 +232,42 @@ def _line(field: Field) -> Axis:
     return field.grid.axes[0]
 
 
-def conservative_energy(current: Field, previous: Field, speed: float, dt: float) -> float:
-    """E(t_n) from a two-level nodal state on a periodic 1D grid."""
-    axis = _line(current)
+def energy_window(axis: Axis, m: int, speed: float, dt: float) -> np.ndarray:
+    """`energy_factor` of order-m levels on a periodic axis, r = c dt/(2h)."""
     if not axis.periodic:
         raise ValueError("conserved variables need a periodic domain")
-    if previous.parity != flip(current.parity):
-        raise ValueError("the two levels must sit on opposite parities")
     r = abs(0.5 * speed * dt / axis.h)
     if r > 0.5 * (1.0 + 1e-12):
         raise ValueError(f"the energy window needs c*dt <= h, got c*dt/h = {2 * r:g}")
-    r = min(r, 0.5)  # lam = 1 can round to just above 1/2
-    (m,), n = current.orders, axis.n
+    return energy_factor(m, min(r, 0.5), axis.h)  # lam = 1 can round to just above 1/2
+
+
+def energy_of_rows(cur_rows: np.ndarray, prev_rows: np.ndarray, parity: str,
+                   factor: np.ndarray) -> float:
+    """E(t_n) from the node rows of a periodic 1D two-level state.
+
+    cur_rows (n, m+1) hold the current level on `parity` nodes, prev_rows
+    the previous level on the others; factor is the levels' `energy_window`.
+    """
+    n, m = len(cur_rows), cur_rows.shape[1] - 1
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
-    cur = pair_sources(current)[0].reshape(n, -1) @ top
-    prev = pair_sources(previous)[0].reshape(n, -1) @ top  # cells at current nodes
-    flanks = prev[gather_index((n,), current.parity, True)].reshape(n, -1)
-    y = np.concatenate([cur, flanks], axis=1) @ energy_factor(m, r, axis.h).T
+    own = gather_index((n,), parity, True)
+    cur = cur_rows[own].reshape(n, -1) @ top
+    prev = prev_rows[gather_index((n,), flip(parity), True)].reshape(n, -1) @ top
+    flanks = prev[own].reshape(n, -1)  # the previous cells centred on the current nodes
+    y = np.concatenate([cur, flanks], axis=1) @ factor.T
     return float(np.vdot(y, y))
+
+
+def conservative_energy(current: Field, previous: Field, speed: float, dt: float) -> float:
+    """E(t_n) from a two-level nodal state on a periodic 1D grid."""
+    axis = _line(current)
+    if previous.parity != flip(current.parity):
+        raise ValueError("the two levels must sit on opposite parities")
+    (m,) = current.orders
+    # a 1D level's values are its node rows
+    return energy_of_rows(current.values, previous.values, current.parity,
+                          energy_window(axis, m, speed, dt))
 
 
 def _interp_seminorm(field: Field, order: int, h: float) -> float:

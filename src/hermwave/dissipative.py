@@ -34,7 +34,9 @@ one matrix. `fold` builds it once, one row block per gathered field, by
 pushing the identity through the pipeline (`taylor_half_step`). A level's
 plan stacks the blocks in the rows of u | v packed per node, so a half
 step is one take, at most one sign flip of the wall slots and one product,
-`ndarray.dot`, which skips the per-call set-up of the `@` ufunc.
+`ndarray.dot`, which skips the per-call set-up of the `@` ufunc. A state
+carries its level's plan and the next level's (`grid.link`), so a march
+looks the two up once and each half step builds its state directly.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gather_plan, take
-from .grid import FieldPair, flip, rows
+from .grid import FieldPair, flip, link, rows
 from .interp import apply_interp
 
 
@@ -71,12 +73,6 @@ class SchemeConfig:
             raise ValueError(f"CFL number must be in (0, 1], got {self.lam}")
         if self.speed <= 0.0:
             raise ValueError("wave speed must be positive")
-        # every half step hashes its plan key, which holds the config; a
-        # plain attribute, not a field, so eq, repr and replace ignore it
-        object.__setattr__(self, "_hash", hash((self.m, self.speed, self.lam)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def dt(self, h: float) -> float:
         return self.lam * h / self.speed
@@ -192,13 +188,12 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
-def _plan(grid, parity, cfg: SchemeConfig, key) -> tuple:
-    """Build the half-step plan of grid's `parity` level and cache it on grid under key.
+def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
+    """Build the half-step plan of grid's `parity` level.
 
-    It gathers u | v packed per node and holds
-    the `fold` blocks stacked and permuted into the packed rows, dt/2, the
-    target parity, the u values' shape it steps, the count of packed u
-    columns and the new u and v shapes.
+    It gathers u | v packed per node and holds the `fold` blocks stacked
+    and permuted into the packed rows, dt/2, the target parity, the new u
+    and v shapes and the count of packed u columns.
     """
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
@@ -214,25 +209,28 @@ def _plan(grid, parity, cfg: SchemeConfig, key) -> tuple:
     a = np.concatenate((a_u, a_v))[packed.ravel()]
     a.setflags(write=False)
     targets = grid.shapes[flip(parity)]
-    plan = grid.plans[key] = (gather, a, 0.5 * dt, flip(parity), grid.shapes[parity] + cu,
-                              math.prod(cu), (targets + cu, targets + cv))
-    return plan
+    return gather, a, 0.5 * dt, flip(parity), (targets + cu, targets + cv), math.prod(cu)
 
 
 def half_step(state: FieldPair, cfg: SchemeConfig) -> FieldPair:
-    """Advance (u, v) by dt/2 onto the opposite grid, in any number of axes."""
-    grid = state.grid
-    key = ("dissipative", state.parity, cfg)
-    gather, a, half_dt, parity, shape, split, shapes = (
-        grid.plans.get(key) or _plan(grid, state.parity, cfg, key))
-    if state.shapes[0] != shape:
-        raise ValueError(f"state carries orders {state.u.orders}, config wants m = {cfg.m}")
+    """Advance (u, v) by dt/2 onto the opposite grid, in any number of axes.
+
+    A state linked under this very config object steps with the plan it
+    carries; any other is linked first, which checks its orders.
+    """
+    lnk = state.link
+    if lnk is None or lnk[0] is not cfg:
+        lnk = link(state, cfg, "dissipative", _plan)
+    gather, a, half_dt, parity, shapes, split = lnk[1]
+    out = FieldPair.__new__(FieldPair)
+    out.grid, out.parity, out.time = state.grid, parity, state.time + half_dt
     # ndarray.dot calls BLAS directly, with the same bits; `@` sets up the
     # matmul ufunc on every call, which nearly doubles a 1D level's product:
     # (41, 14) by (14, 7) takes 1.4-2.8 us with `@` and 0.9-1.5 us with dot
     # (timeit, 2-vCPU Xeon VM, one BLAS thread)
-    return FieldPair.packed(grid, parity, state.time + half_dt, take(state.rows, gather).dot(a),
-                            split, shapes)
+    out.rows, out.split, out.shapes = take(state.rows, gather).dot(a), split, shapes
+    out.link = (cfg, lnk[2], lnk[1])
+    return out
 
 
 # perfbench's tracer counts dissipative node updates by wrapping these names

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .conservative import bootstrap_first_half, full_step_conservative
-from .diagnostics import ErrorReport, conservative_energy, l2_error_field, l2_errors_pair
+from .diagnostics import (ErrorReport, energy_of_rows, energy_window, l2_error_field,
+                          l2_errors_pair)
 from .dissipative import SchemeConfig, half_step_1d, half_step_2d
 from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from .interp import MAX_ORDER
@@ -287,12 +288,18 @@ def _at(step: int, time: float, n: int) -> str:
 def _march(state, step, scfg: SchemeConfig, done: int, last: int, n: int):
     """Apply step(state, scfg) from half step `done` to half step `last`, one
     call per half step as the tracer and tests count them, checking the node
-    rows every FINITE_STRIDE half steps and after the last."""
-    for k in range(done + 1, last + 1):
-        state = step(state, scfg)
-        if k % FINITE_STRIDE == 0 or k == last:
-            # a non-finite previous level was current a step ago and reached its targets
-            _require_finite(state.rows, where=_at(k, state.time, n))
+    rows at every multiple of FINITE_STRIDE and after the last.
+
+    Each state a step returns carries its level's two plans, linked under
+    scfg (`grid.link`), so only the first call can look a plan up.
+    """
+    while done < last:
+        stop = min(last, (done // FINITE_STRIDE + 1) * FINITE_STRIDE)
+        for _ in range(done, stop):
+            state = step(state, scfg)
+        done = stop
+        # a non-finite previous level was current a step ago and reached its targets
+        _require_finite(state.rows, where=_at(done, state.time, n))
     return state
 
 
@@ -392,14 +399,15 @@ def run_conservation_1d(cfg: RunConfig):
         def data(parity, t, order, tder):
             return rng.random((axis.n_nodes(parity), order + 1))
     state, step, _ = _start(cfg, Grid((axis,)), data)
-    e0 = conservative_energy(state.current, state.previous, scfg.speed, dt)
+    factor = energy_window(axis, cfg.m, scfg.speed, dt)
+    e0 = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
         last = min(done + cfg.sample_every, cfg.steps)
         state = _march(state, step, scfg, done, last, cfg.n0)
-        e = conservative_energy(state.current, state.previous, scfg.speed, dt)
+        e = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
         steps.append(last)
-        times.append(state.current.time)
+        times.append(state.time)
         deltas.append(e - e0)
     return np.array(steps), np.array(times), np.array(deltas), e0
 

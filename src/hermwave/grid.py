@@ -16,7 +16,11 @@ shaped (nodes per axis..., order+1 per axis...). The steppers' states keep
 node rows instead, one per node in C order, and build `Field` views on access.
 
 Every grid carries a `plans` dict where the gathers and steppers cache what
-they build once per level, so no cache outlives the grid its key names.
+they build once per level, so no cache outlives the grid its key names. A
+stepper links a state to its plans (`link`): the state then carries the
+config it was stepped with, the plan of its own parity and the plan of the
+opposite one, and each state the stepper returns carries the same two plans
+swapped, so a march looks up a level's plans once.
 """
 
 from __future__ import annotations
@@ -141,10 +145,11 @@ class FieldPair:
     """Displacement/velocity pair; u order exceeds v order by one per axis.
 
     Kept as `rows`, u | v packed per node as the dissipative plan gathers
-    them, with u's column count `split` and the u and v value `shapes`.
+    them, with u's column count `split`, the u and v value `shapes` and the
+    stepper's `link` (None until a stepper sets it; see `link`).
     """
 
-    __slots__ = ("grid", "parity", "time", "rows", "split", "shapes")
+    __slots__ = ("grid", "parity", "time", "rows", "split", "shapes", "link")
 
     def __init__(self, u: Field, v: Field):
         su, sv = u.values.shape, v.values.shape
@@ -156,14 +161,7 @@ class FieldPair:
         self.grid, self.parity, self.time = u.grid, u.parity, u.time
         self.rows = np.concatenate((rows(u.values, d), rows(v.values, d)), axis=1)
         self.split, self.shapes = math.prod(su[d:]), (su, sv)
-
-    @classmethod
-    def packed(cls, grid, parity, time, rows, split, shapes) -> "FieldPair":
-        """The stepper's unchecked constructor, over `rows` as they are."""
-        pair = object.__new__(cls)
-        pair.grid, pair.parity, pair.time = grid, parity, time
-        pair.rows, pair.split, pair.shapes = rows, split, shapes
-        return pair
+        self.link = None
 
     @property
     def u(self) -> Field:
@@ -185,10 +183,11 @@ class TwoLevelState:
 
     The two levels sit on opposite parities; `previous` lives on the grid the
     next update writes to. They are kept as node rows, `rows` at `time` and
-    `prev_rows` at `prev_time`, with their value `shapes`.
+    `prev_rows` at `prev_time`, with their value `shapes` and the stepper's
+    `link` (None until a stepper sets it; see `link`).
     """
 
-    __slots__ = ("grid", "parity", "time", "prev_time", "rows", "prev_rows", "shapes")
+    __slots__ = ("grid", "parity", "time", "prev_time", "rows", "prev_rows", "shapes", "link")
 
     def __init__(self, current: Field, previous: Field):
         if current.parity == previous.parity:
@@ -199,14 +198,7 @@ class TwoLevelState:
         self.prev_time, self.shapes = previous.time, (current.values.shape, previous.values.shape)
         d = len(self.grid.axes)
         self.rows, self.prev_rows = rows(current.values, d), rows(previous.values, d)
-
-    @classmethod
-    def packed(cls, grid, parity, time, prev_time, rows, prev_rows, shapes) -> "TwoLevelState":
-        """The stepper's unchecked constructor, over the node rows as they are."""
-        state = object.__new__(cls)
-        state.grid, state.parity, state.time, state.prev_time = grid, parity, time, prev_time
-        state.rows, state.prev_rows, state.shapes = rows, prev_rows, shapes
-        return state
+        self.link = None
 
     @property
     def current(self) -> Field:
@@ -220,3 +212,25 @@ class TwoLevelState:
     @property
     def fields(self) -> tuple:
         return self.current, self.previous
+
+
+def link(state, cfg, scheme: str, build) -> tuple:
+    """The `link` of a state stepped under cfg: (cfg, plan, next plan).
+
+    The plans are those of the state's parity and the opposite one, each
+    looked up in the grid's `plans` by (scheme, parity, cfg) or built there
+    by build(grid, parity, cfg). A plan's fifth entry is the value shapes of
+    the states it returns; the next plan's must be the state's own, else
+    the state's orders do not match cfg.m.
+    """
+    grid, plans = state.grid, []
+    for parity in (state.parity, flip(state.parity)):
+        key = (scheme, parity, cfg)
+        plan = grid.plans.get(key)
+        if plan is None:
+            plan = grid.plans[key] = build(grid, parity, cfg)
+        plans.append(plan)
+    if state.shapes != plans[1][4]:
+        orders = tuple(k - 1 for k in state.shapes[0][len(grid.axes) :])
+        raise ValueError(f"state carries orders {orders}, config wants m = {cfg.m}")
+    return cfg, plans[0], plans[1]

@@ -17,7 +17,7 @@ from hermwave.conservative import (
     full_step_conservative,
 )
 from hermwave.dissipative import SchemeConfig
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, TwoLevelState
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, TwoLevelState, flip
 from hermwave.interp import apply_interp
 
 from lifting import lift, lifted_grids
@@ -148,6 +148,20 @@ def test_full_step_bookkeeping():
     assert out.previous.parity == state.current.parity
     assert out.current.parity == DUAL
     assert out.current.time == pytest.approx(state.current.time + 0.5 * cfg.dt(axis.h))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_full_step_order_mismatch(ndim):
+    """Data of order 2 stepped under m = 3 fails naming both, also once linked under m = 2."""
+    grid = Grid((Axis(0.0, 1.0, 4),) * ndim)
+    rng = np.random.default_rng(ndim)
+    state = TwoLevelState(
+        Field(grid, PRIMAL, 0.0, rng.standard_normal(grid.shapes[PRIMAL] + (3,) * ndim)),
+        Field(grid, DUAL, -0.1, rng.standard_normal(grid.shapes[DUAL] + (3,) * ndim)))
+    want = rf"state carries orders \({', '.join(['2'] * ndim)},?\), config wants m = 3"
+    for s in (state, full_step_conservative(state, SchemeConfig(m=2))):
+        with pytest.raises(ValueError, match=want):
+            full_step_conservative(s, SchemeConfig(m=3))
 
 
 def test_full_step_closed_form_every_target():
@@ -335,7 +349,7 @@ def _companion_symbols(d, n, m, lam, theta):
     mode = np.exp(1j * (np.indices((n,) * d).reshape(d, -1).T @ probe))[:, None]
     out = np.eye(2 * (m + 1) ** d)
     for parity, shift in ((PRIMAL, 0), (DUAL, 1)):
-        gather, a = _plan(grid, parity, cfg, ("conservative", parity, cfg))[:2]
+        gather, a = _plan(grid, parity, cfg)[:2]
         k = len(a) // len(corners)
 
         def block(th):
@@ -408,3 +422,53 @@ def test_periodic_2d_symbol_grows_linearly_at_lam_1():
     assert 1.8 < norm(g, 8000) / norm(g, 4000) < 2.2
     assert 7.0 < norm(g, 64000) / norm(g, 8000) < 9.0
     assert max(norm(g_pi, k) for k in (1000, 8000, 64000)) < 60.0
+
+
+def _walled_full_step(n, m, lam):
+    """The full-step matrix of a 1D conservative level on n cells between dirichlet0 walls.
+
+    It acts on the primal current rows, then the dual previous rows, all
+    flattened. Each half step from parity p maps (current, previous) to
+    (G_p current - previous, current), with G_p the level's cached plan
+    (gather, then product) applied to the identity. Checked against two
+    stepper calls on random data.
+    """
+    grid, _ = _line(0.0, 1.0, n, "dirichlet0", "dirichlet0")
+    cfg = SchemeConfig(m=m, lam=lam)
+    k = m + 1
+    state = _random_state(grid, m, np.random.default_rng(n + m))
+    stepped = full_step_conservative(full_step_conservative(state, cfg), cfg)
+    full = np.eye(len(state.rows) * k + len(state.prev_rows) * k)
+    for parity in (PRIMAL, DUAL):
+        gather, a = grid.plans[("conservative", parity, cfg)][:2]
+        ns, nt = grid.shapes[parity][0] * k, grid.shapes[flip(parity)][0] * k
+        g = np.stack([take(e.reshape(-1, k), gather).dot(a).ravel() for e in np.eye(ns)], axis=1)
+        full = np.block([[g, -np.eye(nt)], [np.eye(ns), np.zeros((ns, nt))]]) @ full
+    got = full @ np.concatenate((state.rows.ravel(), state.prev_rows.ravel()))
+    want = np.concatenate((stepped.rows.ravel(), stepped.prev_rows.ravel()))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    return full
+
+
+def test_dirichlet0_walls_grow_linearly():
+    """On dirichlet0 walls the conservative full step grows linearly at m = 2, lam = 0.8.
+
+    The whole-level matrix A (n = 20) has eigenvalue -1 with too few
+    eigenvectors: ||A^k|| reads 421, 841, 1682, 3363 and 6727 at k = 500,
+    1000, 2000, 4000 and 8000, doubling with k; the growing output lies on
+    the previous level. At m = 3, lam = 0.5 it stays bounded: 1634, 233,
+    371, 342 and 340 at the same k.
+    """
+    def norms(a):
+        power, out = np.linalg.matrix_power(a, 500), []
+        for _ in range(5):  # k = 500, 1000, ..., 8000
+            out.append(np.linalg.norm(power, 2))
+            power = power @ power
+        return np.array(out)
+
+    grows = norms(_walled_full_step(20, 2, 0.8))
+    assert 400.0 < grows[0] < 450.0
+    assert np.all(np.abs(grows[1:] / grows[:-1] - 2.0) < 0.01)
+    bounded = norms(_walled_full_step(20, 3, 0.5))
+    assert bounded.max() < 2000.0
+    assert abs(bounded[-1] / bounded[-2] - 1.0) < 0.02

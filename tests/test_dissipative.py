@@ -49,7 +49,7 @@ def test_config_validation():
 
 
 def test_config_hash_contract():
-    """The hash is computed once, but the config behaves as the plain frozen dataclass."""
+    """The config hashes, compares and copies as the plain frozen dataclass."""
     cfg = SchemeConfig(m=3, speed=1.5, lam=0.8)
     twin = SchemeConfig(m=3, speed=1.5, lam=0.8)
     assert cfg == twin and cfg is not twin and hash(cfg) == hash(twin)
@@ -77,6 +77,60 @@ def test_equal_configs_share_one_plan_per_level():
     steppers = sorted(key[:2] for key in grid.plans if key[0] != "gather")
     assert steppers == [("conservative", DUAL), ("conservative", PRIMAL),
                         ("dissipative", DUAL), ("dissipative", PRIMAL)]
+
+
+class _CountedPlans(dict):
+    """A grid's plan cache that counts its lookups."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def _level_states(grid, m, rng):
+    """A FieldPair and a TwoLevelState of order m, current on grid's primal nodes."""
+    d, nodes = len(grid.axes), grid.shapes[PRIMAL]
+    pair = FieldPair(Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
+                     Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m,) * d)))
+    state = TwoLevelState(
+        Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
+        Field(grid, DUAL, -0.1, rng.standard_normal(grid.shapes[DUAL] + (m + 1,) * d)))
+    return pair, state
+
+
+@pytest.mark.parametrize("axes", [(Axis(0.0, 1.0, 7, "dirichlet0", "neumann0"),),
+                                  (Axis(0.0, 1.0, 5),) * 2], ids=["1d-walls", "2d-periodic"])
+def test_linked_states_step_as_fresh_ones(axes):
+    """A state carries the plans it was linked with under one config object.
+
+    After five steps under cfg, stepping on with an equal but distinct
+    config, or with another lam, gives rows bit-identical to a fresh state
+    built from the same Fields. Relinking costs one lookup per parity, not
+    one per step, and the grid holds one plan per (scheme, parity, config
+    value).
+    """
+    grid = Grid(axes)
+    plans = _CountedPlans()
+    object.__setattr__(grid, "plans", plans)
+    cfg = SchemeConfig(m=2, lam=0.8)
+    steppers = {"dissipative": half_step, "conservative": conservative.full_step_conservative}
+    for start, step in zip(_level_states(grid, 2, np.random.default_rng(len(axes))),
+                           steppers.values()):
+        for _ in range(5):
+            start = step(start, cfg)
+        for other in (SchemeConfig(m=2, lam=0.8), SchemeConfig(m=2, lam=0.5)):
+            linked, fresh = start, type(start)(*start.fields)
+            plans.gets = 0
+            for _ in range(3):
+                linked, fresh = step(linked, other), step(fresh, other)
+                assert np.array_equal(linked.rows, fresh.rows)
+            assert linked.time == fresh.time and linked.link[0] is other
+            assert plans.gets == 4  # two parities, once for each of the two states
+    keys = sorted((scheme, parity, c.lam) for scheme, parity, c in plans)
+    assert keys == sorted((scheme, parity, lam) for scheme in steppers
+                          for parity in (PRIMAL, DUAL) for lam in (0.5, 0.8))
 
 
 def test_constant_state_is_steady():
@@ -197,8 +251,9 @@ def test_half_step_order_mismatch():
     grid, _ = _line(0.0, 1.0, 5)
     rng = np.random.default_rng(17)
     pair = _random_pair(grid, 2, rng)
-    with pytest.raises(ValueError, match="orders"):
-        half_step(pair, SchemeConfig(m=3))
+    for state in (pair, half_step(pair, SchemeConfig(m=2))):
+        with pytest.raises(ValueError, match="orders"):
+            half_step(state, SchemeConfig(m=3))
 
 
 def _dalembert_coeffs(udata, vdata, lam, speed, h, m):
@@ -420,7 +475,7 @@ def test_periodic_1d_symbol_is_stable():
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid, _ = _line(0.0, 1.0, n)
-            (gather, a), (gather2, b) = (_plan(grid, p, cfg, ("dissipative", p, cfg))[:2]
+            (gather, a), (gather2, b) = (_plan(grid, p, cfg)[:2]
                                          for p in (PRIMAL, DUAL))
             k = len(a) // 2
 
@@ -470,7 +525,7 @@ def test_periodic_2d_symbol_is_stable():
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid = Grid((Axis(0.0, 1.0, n),) * 2)
-            (gather, a), (gather2, b) = (_plan(grid, p, cfg, ("dissipative", p, cfg))[:2]
+            (gather, a), (gather2, b) = (_plan(grid, p, cfg)[:2]
                                          for p in (PRIMAL, DUAL))
             # the blocks and phases are the plans' own: step one grid mode through each
             r = np.random.default_rng(m).standard_normal(len(a) // 4)
