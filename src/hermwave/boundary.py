@@ -12,10 +12,11 @@ tangential column. Each axis carries the kinds of its two ends
 
 The gathers below assemble, for every target node of the opposite parity,
 the flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the steppers need. Every gather runs
-one path, `take` through a `GatherPlan` cached on the level's grid: one
-take through a flat index into the node rows (u | v packed per node for
-the steppers), which wraps on a periodic axis and is clipped at walls. A
+including any ghosts, which is all the steppers and the error norms need.
+Every gather runs one path, `take` through a `GatherPlan` cached on the
+level's grid, one per gathered blocks (`level_gather`): one take through a
+flat index into the node rows (u | v packed per node for the dissipative
+stepper), which wraps on a periodic axis and is clipped at walls. A
 dual level at walls then turns the clipped edge slots into ghosts: every
 reflection is a sign flip, so one flat index `negate` lists the slots
 whose product of wall signs is -1 (corners included), and the result
@@ -115,6 +116,20 @@ def gather_plan(grid, parity: str, blocks: tuple) -> GatherPlan:
     return GatherPlan(math.prod(counts), math.prod(index.shape[:ndim]), index, negate)
 
 
+def level_gather(grid, parity: str, blocks: tuple) -> GatherPlan:
+    """The `gather_plan` of grid's `parity` level for `blocks`, built once.
+
+    It is kept in the grid's `plans` under ("gather", parity, blocks), so a
+    stepper's plan, `pair_sources` and the error norms that gather the same
+    blocks from the same level share one.
+    """
+    key = ("gather", parity, blocks)
+    plan = grid.plans.get(key)
+    if plan is None:
+        plan = grid.plans[key] = gather_plan(grid, parity, blocks)
+    return plan
+
+
 def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
     """Gather (nodes, K) node rows into (targets, 2**d * K) flanking-data rows.
 
@@ -131,7 +146,7 @@ def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
 def pair_sources(field):
     """Flanking data for every target node of the opposite parity.
 
-    Gathers through the plan cached on the field's grid.
+    Gathers through the field's `level_gather`.
 
     Returns:
         (data, *centers): data shaped (targets per axis..., 2 per axis...,
@@ -140,9 +155,6 @@ def pair_sources(field):
     """
     grid, parity, values = field.grid, field.parity, field.values
     coeffs = values.shape[len(grid.axes) :]
-    key = ("gather", parity, coeffs)
-    plan = grid.plans.get(key)
-    if plan is None:
-        plan = grid.plans[key] = gather_plan(grid, parity, (coeffs,))
+    plan = level_gather(grid, parity, (coeffs,))
     data = take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
     return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import gather_plan, pair_sources, take
+from .boundary import level_gather, pair_sources, take
 from .dissipative import SchemeConfig, eval_series, expand_taylor, fold
 from .grid import Field, TwoLevelState, flip, link
 from .interp import apply_interp
@@ -65,7 +65,7 @@ def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
     ndim = len(hs)
     dt = cfg.dt(min(hs))
     cu = (m + 1,) * ndim
-    gather = gather_plan(grid, parity, (cu,))
+    gather = level_gather(grid, parity, (cu,))
     (a,) = fold(_update, ((2,) * ndim + cu,), m, dt, hs, cfg.speed)
     return gather, a, 0.5 * dt, flip(parity), (grid.shapes[flip(parity)] + cu,
                                                grid.shapes[parity] + cu)

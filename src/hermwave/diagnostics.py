@@ -40,15 +40,16 @@ Gauss-point derivative rows as `energy_factor`, on the whole cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .boundary import gather_index, pair_sources
-from .grid import Axis, Field, FieldPair, flip
-from .interp import apply_interp, interp_matrix
+from .boundary import gather_index, level_gather, pair_sources, take
+from .grid import DUAL, Axis, Field, FieldPair, flip
+from .interp import interp_matrix
 
 
 @lru_cache(maxsize=64)
@@ -67,97 +68,156 @@ def default_npts(m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # L2 errors
+#
+# A level's errors integrate over the cells of its gather, one centred on
+# each target node, and evaluate each cell's interpolant at its Gauss points
+# with one product of its gathered row and a matrix that folds the
+# interpolation into the evaluation. A dual level's edge cells at walls are
+# ghost-backed and reach h/2 past the wall; they are clipped to the half
+# inside. So a cell has one of three kinds along each axis, its interval in
+# xi: the whole cell, the low edge's and the high edge's.
+
+KINDS = ((-0.5, 0.5), (0.0, 0.5), (-0.5, 0.0))
+_AT = (slice(1, -1), slice(0, 1), slice(-1, None))  # each kind's cells on a clipped axis
 
 
-def _axis_rule(axis: Axis, centers: np.ndarray, npts: int):
-    """Gauss rule on each cell of one axis, cells centred on the gather's targets.
+def _points(npts: int, kind: int) -> np.ndarray:
+    lo, hi = KINDS[kind]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * gauss_rule(npts)[0]
 
-    On wall grids the cells are clipped to the domain (a dual field's
-    ghost-backed edge cells stick out by h/2) and empty ones are dropped;
-    periodic cells cover one period as they are, on a window shifted by up
-    to h/2.
 
-    Returns:
-        keep: index of the kept cells.
-        quad: (x, xi, wg, half) with x the (cells, npts) Gauss points, xi
-            their scaled variable, wg the rule's weights and half the
-            (cells,) half-lengths of the integration intervals.
+@lru_cache(maxsize=None)
+def eval_matrix(mu: int, npts: int, kind: int, der: int = 0) -> np.ndarray:
+    """Read-only (2mu+2, npts) map from stacked (left, right) order-mu node
+    data to the interpolant's der-th xi-derivative (der <= 1) at the Gauss
+    points of a cell kind."""
+    v = np.vander(_points(npts, kind), 2 * mu + 2, increasing=True)
+    if der:  # d/dxi takes xi^j to j xi^(j-1)
+        v = np.concatenate((np.zeros((npts, 1)), v[:, :-1] * np.arange(1, 2 * mu + 2)), axis=1)
+    out = np.ascontiguousarray((v @ interp_matrix(mu)).T)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=256)
+def field_matrix(coeffs: tuple, npts: int, kinds: tuple) -> np.ndarray:
+    """Read-only tensor product of `eval_matrix` over the axes, axis q of
+    kind kinds[q]: (2**d prod(coeffs), npts**d), its rows laid out as `take`
+    gathers a field of coefficient shape `coeffs` (sides per axis, then
+    coefficients per axis) and its Gauss points in C order."""
+    out = np.ones((1, 1, 1))  # (sides, coefficients, points) of the axes so far
+    for k, kind in zip(coeffs, kinds):
+        e = eval_matrix(k - 1, npts, kind).reshape(2, k, npts)
+        out = np.einsum("abc,def->adbecf", out, e).reshape(2 * len(out), -1, out.shape[2] * npts)
+    out = out.reshape(-1, out.shape[2])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=128)
+def pair_matrix(mu: int, npts: int, kind: int, h: float) -> np.ndarray:
+    """Read-only (2(2mu+1), 3 npts) map from a gathered 1D row of u | v
+    packed per node, u of order mu, to [u | u_x | v] at the Gauss points of
+    a cell kind; d/dx = (1/h) d/dxi."""
+    out = np.zeros((2, 2 * mu + 1, 3, npts))
+    out[:, : mu + 1, 0] = eval_matrix(mu, npts, kind).reshape(2, mu + 1, npts)
+    out[:, : mu + 1, 1] = eval_matrix(mu, npts, kind, 1).reshape(2, mu + 1, npts) / h
+    out[:, mu + 1 :, 2] = eval_matrix(mu - 1, npts, kind).reshape(2, mu, npts)
+    out = out.reshape(4 * mu + 2, 3 * npts)
+    out.setflags(write=False)
+    return out
+
+
+def _values(gathered: np.ndarray, targets: tuple, clipped: bool, matrix) -> np.ndarray:
+    """(targets..., columns) values of gathered rows through matrix(kinds).
+
+    Every cell is evaluated as a whole cell; on a clipped level each mix of
+    kinds with an edge in it is then evaluated again, one product each.
     """
-    h = axis.h
-    a, b = centers - 0.5 * h, centers + 0.5 * h
-    keep = slice(None)
-    if not axis.periodic:
-        a, b = np.maximum(a, axis.x_left), np.minimum(b, axis.x_right)
-        keep = b > a
-        centers, a, b = centers[keep], a[keep], b[keep]
-    xg, wg = gauss_rule(npts)
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b)[:, None] + half[:, None] * xg
-    xi = (x - centers[:, None]) / h
-    return keep, (x, xi, wg, half)
+    def dot(rows, a):
+        # numpy sends one row through gemv, whose sums depend on a's shape;
+        # gemm's do not, so a u error has the same bits from either matrix
+        return np.concatenate((rows, rows)).dot(a)[:1] if len(rows) == 1 else rows.dot(a)
+
+    d = len(targets)
+    out = dot(gathered, matrix((0,) * d)).reshape(targets + (-1,))
+    if clipped:
+        gathered = gathered.reshape(targets + (-1,))
+        for kinds in itertools.product(range(3), repeat=d):
+            if any(kinds):
+                at = tuple(_AT[kind] for kind in kinds)
+                block = gathered[at]
+                out[at] = dot(block.reshape(-1, block.shape[-1]),
+                              matrix(kinds)).reshape(out[at].shape)
+    return out
 
 
-def _cell_quadrature(field: Field, npts: int):
-    """Interpolant coefficients (cells per axis..., 2mu_q+2 per axis...) of a
-    field, and one `_axis_rule` quadrature per axis."""
-    data, *centers = pair_sources(field)
-    quads = []
-    for q, (axis, c) in enumerate(zip(field.grid.axes, centers)):
-        keep, quad = _axis_rule(axis, c, npts)
-        data = data[(slice(None),) * q + (keep,)]
-        quads.append(quad)
-    return apply_interp(data, len(quads)), quads
+@lru_cache(maxsize=256)
+def _axis_cells(count: int, npts: int, clipped: bool) -> tuple:
+    """Read-only Gauss points in xi (count, npts) and half-lengths in units
+    of h (count,) of an axis's cells, the edge cells clipped if `clipped`."""
+    xi, half = np.tile(_points(npts, 0), (count, 1)), np.full(count, 0.5)
+    if clipped:
+        xi[0], xi[-1], half[[0, -1]] = _points(npts, 1), _points(npts, 2), 0.25
+    xi.setflags(write=False)
+    half.setflags(write=False)
+    return xi, half
 
 
-def _cell_l2(coeffs, quads, exact) -> float:
-    """sqrt(integral (p - exact)^2) over the cells of per-axis quadratures.
-
-    Horner's rule turns one axis's coefficients into its Gauss points at a
-    time, so the values, and the points exact gets, are laid out (cells per
-    axis..., points per axis...)."""
-    d = len(quads)
-    vals, xs = coeffs, []
-    for q, (x, xi, _, _) in enumerate(quads):
+def _error_norms(grid, parity: str, npts: int, gathered: np.ndarray, matrix, exacts):
+    """sqrt of the Gauss sum of (values - exact)^2 for each exact, over the
+    cells of a `parity` level, the values of exacts[i] being the i-th block
+    of npts**d columns of `_values`."""
+    d, targets = len(grid.axes), grid.shapes[flip(parity)]
+    clipped = parity == DUAL and not grid.periodic
+    xs, halves = [], []
+    for q, axis in enumerate(grid.axes):
+        centers = axis.nodes(flip(parity))
+        xi, half = _axis_cells(len(centers), npts, clipped)
         shape = [1] * (2 * d)
-        shape[q], shape[d + q] = x.shape
-        xs.append(x.reshape(shape))
-        xi = xi.reshape(shape)
-        at = (slice(None),) * (d + q)
-        k = vals.shape[d + q]
-        p = vals[at + (slice(k - 1, k),)] * xi
-        for j in range(k - 2, 0, -1):
-            p += vals[at + (slice(j, j + 1),)]
-            p *= xi
-        vals = p + vals[at + (slice(0, 1),)]
-    total = vals - exact(*xs)
-    total = total * total
-    for _, _, wg, _ in reversed(quads):
-        total = total @ wg
-    for _, _, _, half in reversed(quads):
-        total = total @ half
-    return math.sqrt(total)
+        shape[q], shape[d + q] = xi.shape
+        xs.append((centers[:, None] + axis.h * xi).reshape(shape))
+        halves.append(axis.h * half)
+    vals = _values(gathered, targets, clipped, matrix).reshape(-1, len(exacts), npts**d)
+    wg = gauss_rule(npts)[1]
+    out = []
+    for i, exact in enumerate(exacts):
+        total = vals[:, i].reshape(targets + (npts,) * d) - exact(*xs)
+        total *= total
+        for _ in range(d):
+            total = total.dot(wg)
+        for half in reversed(halves):
+            total = total.dot(half)
+        out.append(math.sqrt(total))
+    return out
 
 
 def l2_error_field(field: Field, exact, npts: int | None = None) -> float:
     """L2 error of the global tensor interpolant against exact(x, y, ...).
 
-    Each axis's cells are clipped to the domain on wall grids.
+    One take through the level's `level_gather`, one `field_matrix`
+    product per mix of cell kinds and one Gauss sum; on wall grids the
+    cells are clipped to the domain.
     """
-    return _cell_l2(*_cell_quadrature(field, npts or default_npts(max(field.orders))), exact)
+    grid, d = field.grid, field.values.ndim // 2
+    coeffs = field.values.shape[d:]
+    npts = npts or default_npts(max(field.orders))
+    gather = level_gather(grid, field.parity, (coeffs,))
+    gathered = take(field.values.reshape(gather.nodes, -1), gather)
+    return _error_norms(grid, field.parity, npts, gathered,
+                        lambda kinds: field_matrix(coeffs, npts, kinds), (exact,))[0]
 
 
 def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v, npts: int | None = None):
-    """(u, u_x, v) errors of a 1D dissipative state in one sweep."""
-    h = _line(pair.u).h
-    npts = npts or default_npts(pair.u.orders[0])
-    cu, quads = _cell_quadrature(pair.u, npts)
-    # d/dx takes a_j xi^j to j a_j xi^(j-1) / h
-    dcu = cu[:, 1:] * np.arange(1, cu.shape[1]) / h
-    return (
-        _cell_l2(cu, quads, exact_u),
-        _cell_l2(dcu, quads, exact_dux),
-        _cell_l2(*_cell_quadrature(pair.v, npts), exact_v),
-    )
+    """(u, u_x, v) errors of a 1D dissipative state: one take of its packed
+    rows, through the stepper's gather, and one `pair_matrix` product per
+    cell kind."""
+    h, mu = _line(pair).h, pair.split - 1
+    npts = npts or default_npts(mu)
+    gathered = take(pair.rows, level_gather(pair.grid, pair.parity, ((mu + 1,), (mu,))))
+    return tuple(_error_norms(pair.grid, pair.parity, npts, gathered,
+                              lambda kinds: pair_matrix(mu, npts, kinds[0], h),
+                              (exact_u, exact_dux, exact_v)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +284,8 @@ def seminorm_factor(mu: int, order: int, h: float) -> np.ndarray:
     return out
 
 
-def _line(field: Field) -> Axis:
-    """The one axis of a 1D field; the energies and u_x are defined in 1D only."""
+def _line(field) -> Axis:
+    """The one axis of a 1D field or pair; the energies and u_x are defined in 1D only."""
     ndim = len(field.grid.axes)
     if ndim != 1:
         raise ValueError(f"defined for 1D fields only, got a {ndim}D field")

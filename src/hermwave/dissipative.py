@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import gather_plan, take
+from .boundary import level_gather, take
 from .grid import FieldPair, flip, link, rows
 from .interp import apply_interp
 
@@ -199,7 +199,7 @@ def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
     ndim = len(hs)
     dt = cfg.dt(min(hs))
     cu, cv = (m + 1,) * ndim, (m,) * ndim
-    gather = gather_plan(grid, parity, (cu, cv))
+    gather = level_gather(grid, parity, (cu, cv))
     sides = (2,) * ndim
     a_u, a_v = fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, cfg.speed,
                     cfg.stages(ndim))

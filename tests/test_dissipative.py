@@ -108,8 +108,9 @@ def test_linked_states_step_as_fresh_ones(axes):
     After five steps under cfg, stepping on with an equal but distinct
     config, or with another lam, gives rows bit-identical to a fresh state
     built from the same Fields. Relinking costs one lookup per parity, not
-    one per step, and the grid holds one plan per (scheme, parity, config
-    value).
+    one per step, plus one gather lookup per plan it builds; the grid holds
+    one plan per (scheme, parity, config value) and one gather per (parity,
+    gathered blocks), which every config's plans share.
     """
     grid = Grid(axes)
     plans = _CountedPlans()
@@ -127,10 +128,16 @@ def test_linked_states_step_as_fresh_ones(axes):
                 linked, fresh = step(linked, other), step(fresh, other)
                 assert np.array_equal(linked.rows, fresh.rows)
             assert linked.time == fresh.time and linked.link[0] is other
-            assert plans.gets == 4  # two parities, once for each of the two states
-    keys = sorted((scheme, parity, c.lam) for scheme, parity, c in plans)
+            # two parities, once for each of the two states; a new lam builds
+            # the linked state's two plans, each of which looks up its gather
+            assert plans.gets == 4 + 2 * (other.lam != cfg.lam)
+    keys = sorted((scheme, parity, c.lam) for scheme, parity, c in plans if scheme != "gather")
     assert keys == sorted((scheme, parity, lam) for scheme in steppers
                           for parity in (PRIMAL, DUAL) for lam in (0.5, 0.8))
+    d = len(axes)
+    gathers = sorted((parity, blocks) for scheme, parity, blocks in plans if scheme == "gather")
+    assert gathers == sorted((parity, blocks) for parity in (PRIMAL, DUAL)
+                             for blocks in (((3,) * d, (2,) * d), ((3,) * d,)))
 
 
 def test_constant_state_is_steady():
