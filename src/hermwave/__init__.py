@@ -40,6 +40,7 @@ from .grid import (
     Field,
     FieldPair,
     Grid,
+    Stack,
     TwoLevelState,
 )
 from .interp import apply_interp, interp_matrix
@@ -55,6 +56,6 @@ __all__ = [
     "half_step", "half_step_1d", "half_step_2d",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",
     "run_experiment", "run_gaussian_1d", "run_conservation_1d", "run_planewave_2d",
-    "DUAL", "PRIMAL", "Axis", "Field", "FieldPair", "Grid", "TwoLevelState",
+    "DUAL", "PRIMAL", "Axis", "Field", "FieldPair", "Grid", "Stack", "TwoLevelState",
     "apply_interp", "interp_matrix",
 ]

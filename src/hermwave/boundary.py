@@ -20,7 +20,9 @@ stepper), which wraps on a periodic axis and is clipped at walls. A
 dual level at walls then turns the clipped edge slots into ghosts: every
 reflection is a sign flip, so one flat index `negate` lists the slots
 whose product of wall signs is -1 (corners included), and the result
-equals the explicit [ghost, interior..., ghost] construction.
+equals the explicit [ghost, interior..., ghost] construction. A `Stack`'s
+gather is its levels' gathers one after the other, each offset by the rows
+and slots before its level.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DUAL, PRIMAL, flip
+from .grid import DUAL, PRIMAL, Stack, flip
 
 
 def _signs(kind: str, n: int) -> np.ndarray:
@@ -99,7 +101,9 @@ def gather_plan(grid, parity: str, blocks: tuple) -> GatherPlan:
     `blocks` holds the coefficient shape of each field packed along the
     node rows; with homogeneous walls every field reflects the same way.
     """
-    ndim = len(grid.axes)
+    if isinstance(grid, Stack):
+        return _stack_plan(grid, parity, blocks)
+    ndim = grid.ndim
     counts = grid.shapes[parity]
     index = gather_index(counts, parity, grid.periodic)
     negate = None
@@ -114,6 +118,28 @@ def gather_plan(grid, parity: str, blocks: tuple) -> GatherPlan:
                     [ghost_data(np.ones(c), kind, q, ndim).ravel() for c in blocks])
         negate = np.flatnonzero(sign < 0)
     return GatherPlan(math.prod(counts), math.prod(index.shape[:ndim]), index, negate)
+
+
+def _stack_plan(stack, parity: str, blocks: tuple) -> GatherPlan:
+    """The gather of a `Stack`: each level's `level_gather`, its index offset
+    by the rows before the level and its negate by the slots before its
+    first target, concatenated. A stack that leads a larger one takes the
+    leading targets of that one's gather."""
+    slots = 2**stack.ndim * sum(math.prod(coeffs) for coeffs in blocks)  # per target
+    if stack.whole is not None:
+        plan, targets = level_gather(stack.whole, parity, blocks), stack.shapes[flip(parity)][0]
+        negate = plan.negate
+        if negate is not None:
+            negate = negate[: np.searchsorted(negate, targets * slots)]
+        return GatherPlan(stack.shapes[parity][0], targets, plan.index[:targets], negate)
+    plans = [level_gather(level, parity, blocks) for level in stack.levels]
+    index = np.concatenate([plan.index.reshape(plan.targets, -1) + first
+                            for plan, first in zip(plans, stack.offsets[parity])])
+    index.setflags(write=False)
+    negate = [plan.negate + first * slots
+              for plan, first in zip(plans, stack.offsets[flip(parity)]) if plan.negate is not None]
+    return GatherPlan(stack.shapes[parity][0], len(index), index,
+                      np.concatenate(negate) if negate else None)
 
 
 def level_gather(grid, parity: str, blocks: tuple) -> GatherPlan:
@@ -154,7 +180,7 @@ def pair_sources(field):
         the target node coordinates (the cell midpoints) of each axis.
     """
     grid, parity, values = field.grid, field.parity, field.values
-    coeffs = values.shape[len(grid.axes) :]
+    coeffs = values.shape[grid.ndim :]
     plan = level_gather(grid, parity, (coeffs,))
     data = take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
     return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))

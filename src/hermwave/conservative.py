@@ -59,16 +59,18 @@ def _update(data, m, dt, hs, speed):
 
 
 def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
-    """Build the update plan of grid's `parity` level: gather, matrix, dt/2,
-    target parity and the new current and previous shapes."""
+    """Build the update plan of grid's `parity` level, or of a `Stack`:
+    gather, matrix, dt/2 (one per level on a stack), target parity and the
+    new current and previous shapes. The matrix depends on lam alone, so a
+    stack's, built at the unit spacing of its aspect, serves every level."""
     m, hs = cfg.m, grid.spacings
     ndim = len(hs)
     dt = cfg.dt(min(hs))
     cu = (m + 1,) * ndim
     gather = level_gather(grid, parity, (cu,))
     (a,) = fold(_update, ((2,) * ndim + cu,), m, dt, hs, cfg.speed)
-    return gather, a, 0.5 * dt, flip(parity), (grid.shapes[flip(parity)] + cu,
-                                               grid.shapes[parity] + cu)
+    return gather, a, 0.5 * cfg.dt(grid.h), flip(parity), (grid.shapes[flip(parity)] + cu,
+                                                           grid.shapes[parity] + cu)
 
 
 def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig) -> TwoLevelState:

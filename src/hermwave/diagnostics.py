@@ -168,7 +168,7 @@ def _error_norms(grid, parity: str, npts: int, gathered: np.ndarray, matrix, exa
     """sqrt of the Gauss sum of (values - exact)^2 for each exact, over the
     cells of a `parity` level, the values of exacts[i] being the i-th block
     of npts**d columns of `_values`."""
-    d, targets = len(grid.axes), grid.shapes[flip(parity)]
+    d, targets = grid.ndim, grid.shapes[flip(parity)]
     clipped = parity == DUAL and not grid.periodic
     xs, halves = [], []
     for q, axis in enumerate(grid.axes):
@@ -192,20 +192,41 @@ def _error_norms(grid, parity: str, npts: int, gathered: np.ndarray, matrix, exa
     return out
 
 
-def l2_error_field(field: Field, exact, npts: int | None = None) -> float:
+@lru_cache(maxsize=256)
+def _padded_matrix(coeffs: tuple, pad: int, npts: int, kinds: tuple) -> np.ndarray:
+    """Read-only `field_matrix` with `pad` zero rows after each side's
+    block: the field's values from gathered rows that pack `pad` more
+    columns per node after its own, as a FieldPair's u | v."""
+    a = field_matrix(coeffs, npts, kinds)
+    if not pad:
+        return a
+    sides = a.reshape(2 ** len(coeffs), -1, a.shape[1])
+    out = np.concatenate((sides, np.zeros((len(sides), pad, a.shape[1]))), axis=1)
+    out = out.reshape(-1, a.shape[1])
+    out.setflags(write=False)
+    return out
+
+
+def l2_error_field(field, exact, npts: int | None = None) -> float:
     """L2 error of the global tensor interpolant against exact(x, y, ...).
 
-    One take through the level's `level_gather`, one `field_matrix`
-    product per mix of cell kinds and one Gauss sum; on wall grids the
+    field is a Field, or a FieldPair whose u is measured. One take through
+    the level's `level_gather`, a pair's being its packed u | v one, which
+    its stepper built; one `field_matrix` product per mix of cell kinds,
+    zero rows reading a pair's v; and one Gauss sum. On wall grids the
     cells are clipped to the domain.
     """
-    grid, d = field.grid, field.values.ndim // 2
-    coeffs = field.values.shape[d:]
-    npts = npts or default_npts(max(field.orders))
-    gather = level_gather(grid, field.parity, (coeffs,))
-    gathered = take(field.values.reshape(gather.nodes, -1), gather)
-    return _error_norms(grid, field.parity, npts, gathered,
-                        lambda kinds: field_matrix(coeffs, npts, kinds), (exact,))[0]
+    grid, parity = field.grid, field.parity
+    if isinstance(field, FieldPair):
+        data, blocks = field.rows, tuple(shape[grid.ndim :] for shape in field.shapes)
+    else:
+        blocks = (field.values.shape[grid.ndim :],)
+        data = field.values.reshape(math.prod(grid.shapes[parity]), -1)
+    coeffs, pad = blocks[0], sum(math.prod(block) for block in blocks[1:])
+    npts = npts or default_npts(max(coeffs) - 1)
+    gathered = take(data, level_gather(grid, parity, blocks))
+    return _error_norms(grid, parity, npts, gathered,
+                        lambda kinds: _padded_matrix(coeffs, pad, npts, kinds), (exact,))[0]
 
 
 def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v, npts: int | None = None):

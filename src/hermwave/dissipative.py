@@ -36,7 +36,10 @@ plan stacks the blocks in the rows of u | v packed per node, so a half
 step is one take, at most one sign flip of the wall slots and one product,
 `ndarray.dot`, which skips the per-call set-up of the `@` ufunc. A state
 carries its level's plan and the next level's (`grid.link`), so a march
-looks the two up once and each half step builds its state directly.
+looks the two up once and each half step builds its state directly. The
+matrix depends on h only through v's units, so the levels of a
+`grid.Stack`, v carried as h*v, share one built at unit spacing and step
+as one set of rows.
 """
 
 from __future__ import annotations
@@ -188,28 +191,37 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
-def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
-    """Build the half-step plan of grid's `parity` level.
-
-    It gathers u | v packed per node and holds the `fold` blocks stacked
-    and permuted into the packed rows, dt/2, the target parity, the new u
-    and v shapes and the count of packed u columns.
-    """
-    m, hs = cfg.m, grid.spacings
+@lru_cache(maxsize=64)
+def _packed_matrix(m: int, dt: float, hs: tuple, speed: float, stages: int) -> np.ndarray:
+    """Read-only `fold` blocks of a half step, stacked and permuted into the
+    rows of u | v packed per node, built once per (m, dt, hs, c, stages)."""
     ndim = len(hs)
-    dt = cfg.dt(min(hs))
-    cu, cv = (m + 1,) * ndim, (m,) * ndim
-    gather = level_gather(grid, parity, (cu, cv))
-    sides = (2,) * ndim
-    a_u, a_v = fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, cfg.speed,
-                    cfg.stages(ndim))
+    sides, cu, cv = (2,) * ndim, (m + 1,) * ndim, (m,) * ndim
+    a_u, a_v = fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, speed, stages)
     # row r of a_u (a_v) reads entry r of the flattened (sides, coefficients) block
     packed = np.concatenate((np.arange(len(a_u)).reshape(sides + (-1,)),
                              len(a_u) + np.arange(len(a_v)).reshape(sides + (-1,))), axis=-1)
     a = np.concatenate((a_u, a_v))[packed.ravel()]
     a.setflags(write=False)
+    return a
+
+
+def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
+    """Build the half-step plan of grid's `parity` level, or of a `Stack`.
+
+    It gathers u | v packed per node and holds `_packed_matrix`, dt/2 (one
+    per level on a stack), the target parity, the new u and v shapes and
+    the count of packed u columns. A stack's spacings are its aspect, so
+    its matrix is built at unit spacing, the one map of all its levels with
+    v carried as h*v.
+    """
+    m, hs = cfg.m, grid.spacings
+    ndim = len(hs)
+    cu, cv = (m + 1,) * ndim, (m,) * ndim
+    a = _packed_matrix(m, cfg.dt(min(hs)), hs, cfg.speed, cfg.stages(ndim))
     targets = grid.shapes[flip(parity)]
-    return gather, a, 0.5 * dt, flip(parity), (targets + cu, targets + cv), math.prod(cu)
+    return (level_gather(grid, parity, (cu, cv)), a, 0.5 * cfg.dt(grid.h), flip(parity),
+            (targets + cu, targets + cv), math.prod(cu))
 
 
 def half_step(state: FieldPair, cfg: SchemeConfig) -> FieldPair:

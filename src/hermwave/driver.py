@@ -17,6 +17,13 @@ Three built-in experiments:
 Initial nodal data is produced from closed-form derivative recurrences
 rather than projection so the refinement studies see only the scheme's
 error. Runs are deterministic for a fixed seed.
+
+A refinement study (`_study`) starts every level on its own grid, then
+marches them all as one `grid.Stack`, finest first: each half step is one
+call of the named stepper, one take through the levels' concatenated
+gathers and one product with the matrix they share, v carried as h*v. A
+level leaves the stack at its own last half step, and its errors are
+measured on its own plain state. `conserve1d` steps its plain state.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +40,7 @@ from .conservative import bootstrap_first_half, full_step_conservative
 from .diagnostics import (ErrorReport, energy_of_rows, energy_window, l2_error_field,
                           l2_errors_pair)
 from .dissipative import SchemeConfig, half_step_1d, half_step_2d
-from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState
 from .interp import MAX_ORDER
 
 
@@ -275,23 +283,26 @@ def planewave_data(xnodes, ynodes, t: float, kx: int, ky: int, kappa: int,
 FINITE_STRIDE = 64
 
 
-def _require_finite(*arrays, where: str = ""):
+def _require_finite(*arrays, where=lambda: ""):
+    """Raise NumericalError if an array holds a NaN or an inf; where()
+    names the place, and is called only then."""
     for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NumericalError(f"non-finite field data detected{where}")
+        if not np.isfinite(a).all():
+            raise NumericalError(f"non-finite field data detected{where()}")
 
 
 def _at(step: int, time: float, n: int) -> str:
     return f" at half step {step} (t={time:.6g}, n={n})"
 
 
-def _march(state, step, scfg: SchemeConfig, done: int, last: int, n: int):
+def _march(state, step, scfg: SchemeConfig, done: int, last: int, where):
     """Apply step(state, scfg) from half step `done` to half step `last`, one
     call per half step as the tracer and tests count them, checking the node
     rows at every multiple of FINITE_STRIDE and after the last.
 
     Each state a step returns carries its level's two plans, linked under
-    scfg (`grid.link`), so only the first call can look a plan up.
+    scfg (`grid.link`), so only the first call can look a plan up. A failed
+    check names where(state, half step).
     """
     while done < last:
         stop = min(last, (done // FINITE_STRIDE + 1) * FINITE_STRIDE)
@@ -299,7 +310,7 @@ def _march(state, step, scfg: SchemeConfig, done: int, last: int, n: int):
             state = step(state, scfg)
         done = stop
         # a non-finite previous level was current a step ago and reached its targets
-        _require_finite(state.rows, where=_at(done, state.time, n))
+        _require_finite(state.rows, where=lambda: where(state, done))
     return state
 
 
@@ -324,21 +335,55 @@ def _start(cfg: RunConfig, grid: Grid, data, half_step=None):
     if cfg.scheme == "dissipative":
         return FieldPair(u0, field(PRIMAL, 0.0, cfg.m - 1, tder=1)), half_step, 0
     if cfg.init == "exact":
-        prev = field(DUAL, -0.5 * scfg.dt(min(grid.spacings)), cfg.m)
+        prev = field(DUAL, -0.5 * scfg.dt(grid.h), cfg.m)
         return TwoLevelState(u0, prev), full_step_conservative, 0
     u_t = field(PRIMAL, 0.0, cfg.m, tder=1)
     return bootstrap_first_half(u0, u_t, scfg), full_step_conservative, 1
 
 
-def _study(cfg: RunConfig, level) -> ErrorReport:
-    """Refinement study over cfg's levels.
+class Level(NamedTuple):
+    """One level of a study: its h and dt, `_start`'s (state, step, done),
+    the half step it ends on, and errors(state) -> (err_u,) or (err_u,
+    err_dux, err_v) of its plain state there."""
 
-    level(n) returns (h, dt, errors) with errors (err_u,) or
-    (err_u, err_dux, err_v).
+    h: float
+    dt: float
+    state: object
+    step: object
+    done: int
+    nhalf: int
+    errors: object
+
+
+def _study(cfg: RunConfig, level) -> ErrorReport:
+    """Refinement study over cfg's levels, marched as one `Stack`.
+
+    level(n) returns the n-cell `Level`. The levels are stacked by the half
+    step they end on, latest first (the finest level first), so each
+    leaves from the end of the stack when the march reaches its end, and
+    its errors are measured on its own plain state. One step call advances
+    every level still on the stack by a half step.
     """
     ns = cfg.level_sizes()
-    hs, dts, errs = zip(*map(level, ns))
-    return ErrorReport(np.array(ns), np.array(hs), np.array(dts),
+    levels = [level(n) for n in ns]
+    order = sorted(range(len(ns)), key=lambda i: -levels[i].nhalf)
+    state = Stack([levels[i].state.grid for i in order]).pack([levels[i].state for i in order])
+    scfg, step, done = cfg.scheme_config(), levels[0].step, levels[0].done
+
+    def where(state, done):  # the first non-finite level
+        bad = np.argmin(np.isfinite(state.rows).all(axis=1))
+        i = np.searchsorted(state.grid.offsets[state.parity], bad, side="right") - 1
+        return _at(done, state.time[i], ns[order[i]])
+
+    errs = [None] * len(ns)
+    for i in reversed(order):
+        last = max(done, levels[i].nhalf)
+        state = _march(state, step, scfg, done, last, where)
+        done = last
+        plain, state = state.grid.pop(state)
+        errs[i] = levels[i].errors(plain)
+    return ErrorReport(np.array(ns), np.array([lv.h for lv in levels]),
+                       np.array([lv.dt for lv in levels]),
                        *(np.array(e) for e in zip(*errs)))
 
 
@@ -347,7 +392,7 @@ def _study(cfg: RunConfig, level) -> ErrorReport:
 
 
 def _gaussian_level(cfg: RunConfig, n: int):
-    """One gaussian1d level on n cells, run to the half step nearest t = 12.25."""
+    """The gaussian1d `Level` on n cells, run to the half step nearest t = 12.25."""
     axis = Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary)
     grid, h = Grid((axis,)), axis.h
     scfg = cfg.scheme_config()
@@ -372,11 +417,12 @@ def _gaussian_level(cfg: RunConfig, n: int):
     def exact_v(x):  # d/dt of (G(x+t) + G(x-t))/2 is (G'(x+t) - G'(x-t))/2
         return 0.5 * (gaussian_derivs(x + tau, 1)[..., 1] - gaussian_derivs(x - tau, 1)[..., 1])
 
-    state, step, done = _start(cfg, grid, data, half_step_1d)
-    state = _march(state, step, scfg, done, nhalf, n)
-    if cfg.scheme == "dissipative":
-        return h, dt, l2_errors_pair(state, exact_u, exact_dux, exact_v)
-    return h, dt, (l2_error_field(state.current, exact_u),)
+    def errors(state):
+        if cfg.scheme == "dissipative":
+            return l2_errors_pair(state, exact_u, exact_dux, exact_v)
+        return (l2_error_field(state.current, exact_u),)
+
+    return Level(h, dt, *_start(cfg, grid, data, half_step_1d), nhalf, errors)
 
 
 def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
@@ -404,7 +450,7 @@ def run_conservation_1d(cfg: RunConfig):
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
         last = min(done + cfg.sample_every, cfg.steps)
-        state = _march(state, step, scfg, done, last, cfg.n0)
+        state = _march(state, step, scfg, done, last, lambda s, d: _at(d, s.time, cfg.n0))
         e = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
         steps.append(last)
         times.append(state.time)
@@ -413,7 +459,7 @@ def run_conservation_1d(cfg: RunConfig):
 
 
 def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
-    """One level of sin(2 pi kappa (x + y + sqrt(2) t)) on n x n cells, run
+    """The `Level` of sin(2 pi kappa (x + y + sqrt(2) t)) on n x n cells, run
     to the half step nearest t_target."""
     grid = Grid((Axis(0.0, 1.0, n),) * 2)
     h = grid.spacings[0]
@@ -430,9 +476,10 @@ def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     def exact(x, y):
         return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
 
-    state, step, done = _start(cfg, grid, data, half_step_2d)
-    state = _march(state, step, scfg, done, nhalf, n)
-    return h, dt, (l2_error_field(state.fields[0], exact),)
+    def errors(state):  # a FieldPair's u through its own packed gather
+        return (l2_error_field(state if cfg.scheme == "dissipative" else state.current, exact),)
+
+    return Level(h, dt, *_start(cfg, grid, data, half_step_2d), nhalf, errors)
 
 
 def run_planewave_2d(cfg: RunConfig) -> ErrorReport:

@@ -21,10 +21,16 @@ stepper links a state to its plans (`link`): the state then carries the
 config it was stepped with, the plan of its own parity and the plan of the
 opposite one, and each state the stepper returns carries the same two plans
 swapped, so a march looks up a level's plans once.
+
+A `Stack` puts the levels of a refinement study one after the other in one
+set of node rows, so that one take and one product step them all (see
+`Stack`). Its states are a `FieldPair` or `TwoLevelState` like a grid's,
+with one time per level and, in a `FieldPair`, v carried as h*v.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -92,9 +98,10 @@ class Axis:
 class Grid:
     """A box of cells, one `Axis` per dimension in axis order.
 
-    Built once, as plain attributes like `Axis`'s nodes: `periodic`, shared
-    by every axis; `spacings`, h per axis; `shapes`, each parity's node
-    count per axis; and `plans`, the level's cached plans.
+    Built once, as plain attributes like `Axis`'s nodes: `ndim`, the number
+    of axes; `periodic`, shared by every axis; `spacings`, h per axis; `h`,
+    the smallest of them, which sets the time step; `shapes`, each parity's
+    node count per axis; and `plans`, the level's cached plans.
     """
 
     axes: tuple
@@ -106,8 +113,10 @@ class Grid:
         if len({axis.periodic for axis in axes}) != 1:
             raise ValueError("the axes must be all periodic or all walled")
         object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "ndim", len(axes))
         object.__setattr__(self, "periodic", axes[0].periodic)
         object.__setattr__(self, "spacings", tuple(axis.h for axis in axes))
+        object.__setattr__(self, "h", min(self.spacings))
         object.__setattr__(self, "shapes", {
             parity: tuple(axis.n_nodes(parity) for axis in axes) for parity in (PRIMAL, DUAL)})
         object.__setattr__(self, "plans", {})
@@ -115,7 +124,8 @@ class Grid:
 
 @dataclass
 class Field:
-    """values[i..., l...] = c_l at node i: d node axes, then d order axes."""
+    """values[i..., l...] = c_l at node i: the grid's node axes (d on a
+    `Grid`, one on a `Stack`), then d order axes."""
 
     grid: Grid
     parity: str
@@ -127,13 +137,13 @@ class Field:
         if self.parity not in self.grid.shapes:
             raise ValueError(f"unknown parity {self.parity!r}, expected {PRIMAL!r} or {DUAL!r}")
         nodes = self.grid.shapes[self.parity]
-        if v.shape[: len(nodes)] != nodes or v.ndim != 2 * len(nodes):
-            raise ValueError(f"{self.parity} field needs node shape {nodes} and one order "
-                             f"axis per node axis, got values of shape {v.shape}")
+        if v.shape[: len(nodes)] != nodes or v.ndim != len(nodes) + self.grid.ndim:
+            raise ValueError(f"{self.parity} field needs node shape {nodes} and "
+                             f"{self.grid.ndim} order axes, got values of shape {v.shape}")
 
     @property
     def orders(self) -> tuple:
-        return tuple(k - 1 for k in self.values.shape[self.values.ndim // 2 :])
+        return tuple(k - 1 for k in self.values.shape[-self.grid.ndim :])
 
 
 def rows(block: np.ndarray, ndim: int = 1) -> np.ndarray:
@@ -231,6 +241,126 @@ def link(state, cfg, scheme: str, build) -> tuple:
             plan = grid.plans[key] = build(grid, parity, cfg)
         plans.append(plan)
     if state.shapes != plans[1][4]:
-        orders = tuple(k - 1 for k in state.shapes[0][len(grid.axes) :])
+        orders = tuple(k - 1 for k in state.shapes[0][-grid.ndim :])
         raise ValueError(f"state carries orders {orders}, config wants m = {cfg.m}")
     return cfg, plans[0], plans[1]
+
+
+class Stack:
+    """The levels of a refinement study as one set of node rows.
+
+    `levels` are `Grid`s of d axes with one aspect, spacings over the
+    smallest spacing h; each parity's rows are the levels' node rows one
+    level after the other. A stepper plans a stack as it plans a grid, and
+    every level of a stack shares one map per half step:
+    - the gather is the levels' own gathers, each offset by the rows before
+      its level (`boundary.gather_plan`);
+    - the matrix is built once at unit spacing, `spacings` being the
+      aspect. It is every level's matrix, as a step depends on h only
+      through v's units: with dt = lam h/c the dissipative map is
+      A(h) = D^-1 Â D, D = diag(I_u, h I_v), so a `FieldPair` on a stack
+      carries each level's v as h*v; the conservative scheme carries u
+      alone;
+    - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
+
+    A state of the stack (`pack`) holds one time per level. A level leaves
+    from the end (`pop`), so a study stacks the level that marches longest
+    first: its finest. The stack of the other levels holds the leading
+    rows, its gathers are the leading targets of this stack's, and it names
+    this stack as its `whole`.
+
+    Built once, as plain attributes: `levels`, `ndim`, `spacings` (the
+    aspect), `h` (each level's smallest spacing, read-only), `offsets` (each
+    parity's first row of every level, then the total), `shapes` (each
+    parity's total rows, as one node axis), `plans` and `whole` (the stack
+    this one leads, or None).
+    """
+
+    def __init__(self, levels):
+        self.levels = levels = tuple(levels)
+        if not levels:
+            raise ValueError("a stack needs at least one level")
+        aspects = [tuple(s / g.h for s in g.spacings) for g in levels]
+        if any(len(a) != len(aspects[0])
+               or not all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(a, aspects[0]))
+               for a in aspects):
+            raise ValueError("stacked levels need one number of axes and one aspect")
+        self.ndim, self.spacings = levels[0].ndim, aspects[0]
+        self.h = np.array([g.h for g in levels])
+        self.h.setflags(write=False)
+        self.offsets = {parity: np.cumsum([0] + [math.prod(g.shapes[parity]) for g in levels])
+                        for parity in (PRIMAL, DUAL)}
+        self.shapes = {parity: (int(off[-1]),) for parity, off in self.offsets.items()}
+        self.plans, self.whole, self._head = {}, None, None
+
+    def _shapes(self, state, grid) -> tuple:
+        """state's value shapes moved onto grid's node axes (a level or a stack)."""
+        second = state.parity if isinstance(state, FieldPair) else flip(state.parity)
+        return tuple(grid.shapes[parity] + shape[-self.ndim :]
+                     for parity, shape in zip((state.parity, second), state.shapes))
+
+    def pack(self, states):
+        """One state of the stack from one plain state per level, in stack order.
+
+        The states are all FieldPairs or all TwoLevelStates, of one parity;
+        their rows are concatenated, each FieldPair's v columns times its
+        level's h, and their times go into arrays.
+        """
+        first = states[0]
+        if len(states) != len(self.levels) or any(
+                type(s) is not type(first) or s.parity != first.parity or s.grid is not g
+                for s, g in zip(states, self.levels)):
+            raise ValueError("pack takes one state per level on it, in stack order, "
+                             "all of one kind and parity")
+        out = copy.copy(first)
+        out.grid, out.link = self, None
+        out.time = np.array([s.time for s in states])
+        out.rows = np.concatenate([s.rows for s in states])
+        if isinstance(first, FieldPair):
+            h = np.repeat(self.h, np.diff(self.offsets[first.parity]))
+            out.rows[:, first.split :] *= h[:, None]
+        else:
+            out.prev_time = np.array([s.prev_time for s in states])
+            out.prev_rows = np.concatenate([s.prev_rows for s in states])
+        out.shapes = self._shapes(first, self)
+        return out
+
+    def _lead(self, count: int) -> Stack:
+        """The stack of the first `count` levels, built once from this one's
+        attributes, their leading entries."""
+        if self._head is None:
+            head = self._head = copy.copy(self)
+            head.levels, head.h = self.levels[:count], self.h[:count]
+            head.offsets = {parity: off[: count + 1] for parity, off in self.offsets.items()}
+            head.shapes = {parity: (int(off[-1]),) for parity, off in head.offsets.items()}
+            head.plans, head.whole, head._head = {}, self, None
+        return self._head
+
+    def pop(self, state):
+        """(the last level's plain state, the state of the stack of the others).
+
+        The last level's rows are copied out, a FieldPair's v columns over
+        its h; the others stay views of the state's leading rows, on the
+        stack of the leading levels (None when no level is left).
+        """
+        i, level = len(self.levels) - 1, self.levels[-1]
+        start = self.offsets[state.parity][i]
+        last = copy.copy(state)
+        last.grid, last.link, last.time = level, None, float(state.time[i])
+        last.rows = state.rows[start:].copy()
+        last.shapes = self._shapes(state, level)
+        if isinstance(state, FieldPair):
+            last.rows[:, state.split :] /= self.h[i]
+        else:
+            last.prev_time = float(state.prev_time[i])
+            last.prev_rows = state.prev_rows[self.offsets[flip(state.parity)][i] :].copy()
+        if not i:
+            return last, None
+        rest = copy.copy(state)
+        rest.grid, rest.link, rest.time = self._lead(i), None, state.time[:i]
+        rest.rows = state.rows[:start]
+        rest.shapes = self._shapes(state, rest.grid)
+        if not isinstance(state, FieldPair):
+            rest.prev_time = state.prev_time[:i]
+            rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]
+        return last, rest

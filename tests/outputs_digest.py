@@ -27,9 +27,11 @@ instead, in two steps run from each checkout and then from either:
 
 `--values` writes, per CLI call, its exit code, every number of each CSV
 column (an empty cell reads null) and every number on its stdout lines
-(the "stdout" column). `--compare` prints, per call and column, the
-largest relative difference |a - b| / max(|a|, |b|) between the two files,
-and the largest over all of them last.
+(the "stdout" column), then, per library march, the node values of each
+field and the time it reached under each config. `--compare` prints, per
+call or march and column, the largest relative difference
+|a - b| / max(|a|, |b|) between the two files, and the largest over all of
+them last.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 def values() -> dict:
     """Per call (arguments joined by spaces): its exit code and its numbers
-    by column, the CSV's columns and "stdout"."""
+    by column, the CSV's columns and "stdout"; then per library march (exit
+    code null) the node values of each field and the time it reached under
+    each config, as columns "config j field k" and "config j time"."""
     out = {}
     for argv, code, stdout, table in runs():
         columns = {"stdout": [float(x) for x in NUMBER.findall(stdout)]}
@@ -119,6 +123,13 @@ def values() -> dict:
                 for name, cell in row.items():
                     columns.setdefault(name, []).append(float(cell) if cell else None)
         out[" ".join(argv)] = {"exit": code, "columns": columns}
+    for name, reached in marches():
+        columns = {}
+        for j, (fields, time) in enumerate(reached):
+            for k, values in enumerate(fields):
+                columns[f"config {j} field {k}"] = values.ravel().tolist()
+            columns[f"config {j} time"] = [time]
+        out[name] = {"exit": None, "columns": columns}
     return out
 
 
@@ -150,7 +161,7 @@ def compare(path_a: str, path_b: str) -> float:
             rel = relative(ca[name], cb[name])
             worst = max(worst, rel)
             print(f"{call}  {name}  {rel:.3g}")
-    print(f"largest relative difference over {len(a)} calls: {worst:.3g}")
+    print(f"largest relative difference over {len(a)} calls and marches: {worst:.3g}")
     return worst
 
 
@@ -167,9 +178,9 @@ MARCH_GRIDS = [
 MARCH_CONFIGS = ((40, 0.8), (15, 0.8), (15, 0.5))
 
 
-def march_digest() -> tuple[str, int]:
-    """One sha256 over the fields and times each march reaches under each config."""
-    sha, count = hashlib.sha256(), 0
+def marches():
+    """Run each march; yields (name, per config the values of the state's
+    fields and the time it reached)."""
     for i, (axes, m) in enumerate(MARCH_GRIDS):
         grid = Grid(axes)
         d, rng = len(axes), np.random.default_rng(i)
@@ -181,14 +192,24 @@ def march_digest() -> tuple[str, int]:
         for state, step in ((FieldPair(field(PRIMAL, m), field(PRIMAL, m - 1)), half_step),
                             (TwoLevelState(field(PRIMAL, m), field(DUAL, m, -0.1)),
                              full_step_conservative)):
+            reached = []
             for steps, lam in MARCH_CONFIGS:
                 cfg = SchemeConfig(m=m, lam=lam)
                 for _ in range(steps):
                     state = step(state, cfg)
-                for f in state.fields:
-                    sha.update(np.ascontiguousarray(f.values).tobytes())
-                sha.update(repr(state.time).encode() + b"\0")
-            count += 1
+                reached.append(([f.values.copy() for f in state.fields], state.time))
+            yield f"march {i} {step.__name__}", reached
+
+
+def march_digest() -> tuple[str, int]:
+    """One sha256 over the fields and times each march reaches under each config."""
+    sha, count = hashlib.sha256(), 0
+    for _, reached in marches():
+        for fields, time in reached:
+            for values in fields:
+                sha.update(np.ascontiguousarray(values).tobytes())
+            sha.update(repr(time).encode() + b"\0")
+        count += 1
     return sha.hexdigest(), count
 
 

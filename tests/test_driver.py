@@ -13,6 +13,7 @@ import sympy as sp
 
 from hermwave import cli, driver
 from hermwave.diagnostics import ErrorReport
+from hermwave.dissipative import half_step
 from hermwave.driver import (
     FINITE_STRIDE,
     ConfigError,
@@ -32,6 +33,9 @@ from hermwave.driver import (
     run_gaussian_1d,
     sine_derivs,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402  (the benchmark's node counter, used as is)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +750,9 @@ def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, stepper, nhal
 
     The benchmark counts node updates by wrapping these four names there,
     so a march that bypasses them, or steps twice per call, would miscount.
+    A study marches its levels as one stack, one call per half step of its
+    longest level; this one-level study is a stack of one (see
+    `test_stacked_study_counts_every_level_s_target_nodes`).
     """
     calls = dict.fromkeys(STEPPERS, 0)
     for name in STEPPERS:
@@ -761,3 +768,104 @@ def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, stepper, nhal
     want = dict.fromkeys(STEPPERS, 0)
     want.update({stepper: nhalf - boot, "bootstrap_first_half": boot})
     assert calls == want
+
+
+_CONS = ["--scheme", "conservative"]
+_STARTS = ([], _CONS, _CONS + ["--init", "bootstrap"])
+_WALL_KINDS = ("dirichlet0", "neumann0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian1d", "--m", "3", "--levels", "4", "--boundary", kind] + start
+    for start in _STARTS for kind in _WALL_KINDS
+] + [["planewave2d", "--levels", "2"] + start for start in _STARTS])
+def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
+    """The benchmark's node counter sums each level's own half-step targets.
+
+    It wraps the steppers and the bootstrap as `perfbench/tracing.py` does
+    and reads each returned state's `.u.values` or `.current.values`. A
+    stack's state answers with one node axis over all its levels, so the
+    sum must be each level's targets summed over its own half steps, and
+    the stepper is called once per half step of the longest level.
+    """
+    cfg = cli._assemble(cli._build_parser().parse_args(argv))
+    level = (driver._gaussian_level if argv[0] == "gaussian1d"
+             else lambda c, n: driver._planewave_level(c, n, c.m + 1, 4.18))
+    levels = [level(cfg, n) for n in cfg.level_sizes()]
+    want = 0
+    for lv in levels:  # half step j writes the dual nodes for even j, the primal for odd
+        counts = {p: math.prod(lv.state.grid.shapes[p]) for p in ("primal", "dual")}
+        want += (lv.nhalf + 1) // 2 * counts["dual"] + lv.nhalf // 2 * counts["primal"]
+    counter = tracing.Tracer()
+    layers = {k: tracing.LAYERS[k] for k in tracing.HALF_STEP_SPANS}
+    with tracing.installed(counter, layers):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    boot = int("bootstrap" in argv)
+    calls = [span[3] for span in counter.spans]
+    assert calls.count("step") == max(lv.nhalf for lv in levels) - boot
+    assert calls.count("conservative.bootstrap") == boot * len(levels)
+    assert counter.nodes == want
+
+
+def test_nan_in_one_stacked_level_names_that_level(monkeypatch, capsys):
+    """A NaN put into one level of a 3-level stack exits 3 at the next
+    check and names that level's n and its own time."""
+    cfg = make_config("gaussian1d", flag_overrides={"levels": 3})
+    levels = {n: driver._gaussian_level(cfg, n) for n in cfg.level_sizes()}  # n = 10, 12, 15
+    checks = [k * FINITE_STRIDE for k in range(1, 4)] + [lv.nhalf for lv in levels.values()]
+    first_check = min(c for c in checks if c >= 70)
+    real, calls = driver.half_step_1d, []
+
+    def poisoned(state, *args):
+        out = real(state, *args)
+        calls.append(1)
+        if len(calls) == 70:  # the stack holds n = 15, 12, 10, finest first
+            start, stop = out.grid.offsets[out.parity][:2]
+            out.rows[start + (stop - start) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(driver, "half_step_1d", poisoned)
+    rc = cli.main(["gaussian1d", "--levels", "3"])
+    err = capsys.readouterr().err
+    t = first_check * 0.5 * levels[15].dt
+    assert rc == 3 and len(calls) == first_check
+    assert f"at half step {first_check} (t={t:.6g}, n=15)" in err
+
+
+def test_finite_check_builds_no_message_while_finite(monkeypatch):
+    """`_march` formats its failure message only when a check fails."""
+    built = []
+    monkeypatch.setattr(driver, "_at", lambda *args: built.append(args) or "")
+    report = run_gaussian_1d(make_config("gaussian1d", flag_overrides={"levels": 2}))
+    assert len(report.ns) == 2 and built == []
+    with pytest.raises(NumericalError):
+        _require_finite(np.ones(2), np.array([np.nan]), where=lambda: built.append(1) or "")
+    assert built == [1]
+
+
+def test_planewave_dissipative_error_reads_the_stepper_gather():
+    """A 2D dissipative level measures u through its packed u | v gather:
+    no u-only gather is left in its grid's plans, and the error equals the
+    u-only gather's to 1e-12 relative."""
+    cfg = make_config("planewave2d", flag_overrides={"levels": 1, "n0": 6})
+    lv = driver._planewave_level(cfg, 6, cfg.m + 1, 4.18)
+    report = driver._study(cfg, lambda n: lv)
+    grid, cu = lv.state.grid, (cfg.m + 1,) * 2
+    keys = {key for key in grid.plans if key[0] == "gather"}
+    assert keys and all(key[2] != (cu,) for key in keys)
+    # the level marched alone, its u measured through both gathers
+    state, scfg = lv.state, cfg.scheme_config()
+    for _ in range(lv.nhalf):
+        state = half_step(state, scfg)
+    t_end = lv.nhalf * 0.5 * lv.dt
+    w = 2.0 * np.pi * (cfg.m + 1)
+
+    def exact(x, y):
+        return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
+
+    new = driver.l2_error_field(state, exact)
+    assert ("gather", state.parity, (cu,)) not in grid.plans
+    old = driver.l2_error_field(state.u, exact)
+    assert ("gather", state.parity, (cu,)) in grid.plans
+    assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
