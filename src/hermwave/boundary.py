@@ -59,6 +59,30 @@ def ghost_data(interior: np.ndarray, kind: str, axis: int = 0, ndim: int = 1) ->
     return interior * _signs(kind, k).reshape((k,) + (1,) * (ndim - 1 - axis))
 
 
+def zero_wall_slots(values: np.ndarray, grid) -> None:
+    """Zero, in place, the slots each wall flips to -1 on its primal nodes.
+
+    values holds primal node data of a `Grid` (node axes, then order axes)
+    or of a `Stack` (its rows, then order axes). On the nodes that sit on a
+    wall normal to axis q, the slots of axis-q order l with `ghost_data`
+    sign -1 are set to 0: c_0, c_2, ... at `dirichlet0` and c_1, c_3, ...
+    at `neumann0`, so the data there equal their own reflection.
+    """
+    stacked, first = isinstance(grid, Stack), 0
+    for level in grid.levels if stacked else (grid,):
+        d, count = level.ndim, math.prod(level.shapes[PRIMAL])
+        block = (values[first : first + count] if stacked else values).view()
+        block.shape = level.shapes[PRIMAL] + values.shape[-d:]  # raises rather than copy
+        for q, axis in enumerate(level.axes):
+            for node, kind in ((0, axis.left), (-1, axis.right)):
+                if kind != "periodic":
+                    at = [slice(None)] * (2 * d)
+                    at[q] = node
+                    at[d + q] = np.flatnonzero(_signs(kind, block.shape[d + q]) < 0)
+                    block[tuple(at)] = 0.0
+        first += count
+
+
 @lru_cache(maxsize=256)
 def gather_index(counts: tuple, parity: str, periodic: bool) -> np.ndarray:
     """Read-only index of every target's flanking nodes in a level's nodes.
@@ -103,21 +127,31 @@ def gather_plan(grid, parity: str, blocks: tuple) -> GatherPlan:
     """
     if isinstance(grid, Stack):
         return _stack_plan(grid, parity, blocks)
-    ndim = grid.ndim
     counts = grid.shapes[parity]
     index = gather_index(counts, parity, grid.periodic)
     negate = None
     if parity == DUAL and not grid.periodic:
-        # the clipped slots next to the walls hold the first interior node
-        sign = np.ones(index.shape + (sum(math.prod(coeffs) for coeffs in blocks),))
-        for q, axis in enumerate(grid.axes):
-            for side, kind in ((0, axis.left), (1, axis.right)):
-                edge = [slice(None)] * (2 * ndim)
-                edge[q], edge[ndim + q] = -side, side
-                sign[tuple(edge)] *= np.concatenate(
-                    [ghost_data(np.ones(c), kind, q, ndim).ravel() for c in blocks])
-        negate = np.flatnonzero(sign < 0)
-    return GatherPlan(math.prod(counts), math.prod(index.shape[:ndim]), index, negate)
+        negate = _negate(counts, tuple((axis.left, axis.right) for axis in grid.axes), blocks)
+    return GatherPlan(math.prod(counts), math.prod(index.shape[: grid.ndim]), index, negate)
+
+
+@lru_cache(maxsize=256)
+def _negate(counts: tuple, kinds: tuple, blocks: tuple) -> np.ndarray:
+    """Read-only `GatherPlan.negate` of a dual level of `counts` nodes per
+    axis between walls of `kinds` (left, right) per axis, for `blocks`."""
+    ndim = len(counts)
+    index = gather_index(counts, DUAL, False)
+    # the clipped slots next to the walls hold the first interior node
+    sign = np.ones(index.shape + (sum(math.prod(coeffs) for coeffs in blocks),))
+    for q, ends in enumerate(kinds):
+        for side, kind in enumerate(ends):
+            edge = [slice(None)] * (2 * ndim)
+            edge[q], edge[ndim + q] = -side, side
+            sign[tuple(edge)] *= np.concatenate(
+                [ghost_data(np.ones(c), kind, q, ndim).ravel() for c in blocks])
+    negate = np.flatnonzero(sign < 0)
+    negate.setflags(write=False)
+    return negate
 
 
 def _stack_plan(stack, parity: str, blocks: tuple) -> GatherPlan:

@@ -22,16 +22,24 @@ level.
 The first half step is bootstrapped with the same recursion applied to
 full-order interpolants of the initial displacement and velocity; one such
 step is accurate to the interpolation error and comfortably exceeds the
-O(h^(2m+1)) the two-level scheme needs.
+O(h^(2m+1)) the two-level scheme needs. It is linear in the gathered pair
+too, so `fold` turns it into one matrix per (m, lam, c, aspect), built at
+unit spacing: with dt = lam h/c the map from (u, h u_t) is the same at
+every h (the D^-1 A D argument of `grid.Stack`). A bootstrap is then one
+take of u | h u_t packed per node and one product, for one level or for
+every level of a stack at once.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
-from .boundary import level_gather, pair_sources, take
-from .dissipative import SchemeConfig, eval_series, expand_taylor, fold
-from .grid import Field, TwoLevelState, flip, link
+from .boundary import level_gather, take
+from .dissipative import SchemeConfig, eval_series, expand_taylor, fold, packed
+from .grid import Field, Stack, TwoLevelState, flip, link
 from .interp import apply_interp
 
 
@@ -94,26 +102,50 @@ def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig) -> TwoLevelS
     return out
 
 
+def _bootstrap(du, dv, m, dt, hs, speed):
+    """u at dt/2 from gathered u and u_t data, the map `_bootstrap_matrix` folds."""
+    ndim = len(hs)
+    # with full-order v seeds every stage past d(2m+2) is exactly zero
+    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, speed,
+                            ndim * (2 * m + 2))
+    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],)
+
+
+@lru_cache(maxsize=64)
+def _bootstrap_matrix(m: int, dt: float, hs: tuple, speed: float) -> np.ndarray:
+    """The `packed` `fold` blocks of the bootstrap, u | u_t per node, built
+    once per (m, dt, hs, c)."""
+    sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
+    return packed(fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs, speed), sides)
+
+
 def bootstrap_first_half(g0, g1, cfg: SchemeConfig) -> TwoLevelState:
     """Produce the two starting levels from initial data at t = 0.
 
+    One take of g0 | g1 packed per node, through the level's or the stack's
+    gather, and one product with the bootstrap matrix at unit spacing.
+
     Args:
-        g0: Field with order-m data of the initial displacement.
+        g0: Field with order-m data of the initial displacement, on a
+            `Grid` or a `Stack`.
         g1: Field with order-m data of the initial velocity (same grid and
-            parity as g0; the extra order sharpens the single Taylor step).
+            parity as g0; the extra order sharpens the single Taylor step),
+            on a stack carried as h*u_t, as a stack's v is.
 
     Returns:
         TwoLevelState with `current` at t = dt/2 on the opposite parity
         and `previous` = g0.
     """
-    hs = g0.grid.spacings
-    ndim = len(hs)
-    dt = cfg.dt(min(hs))
-    du = pair_sources(g0)[0]
-    dv = pair_sources(g1)[0]
-    # with full-order v seeds every stage past d(2m+2) is exactly zero
-    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
-                            cfg.speed, ndim * (2 * cfg.m + 2))
-    u_half = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(cfg.m + 1),) * ndim]
-    current = Field(g0.grid, flip(g0.parity), g0.time + 0.5 * dt, u_half)
+    grid, parity = g0.grid, g0.parity
+    cu = (cfg.m + 1,) * grid.ndim
+    nodes = math.prod(grid.shapes[parity])
+    u, u_t = g0.values.reshape(nodes, -1), g1.values.reshape(nodes, -1)
+    if isinstance(grid, Stack):
+        hs = grid.spacings
+    else:
+        hs, u_t = tuple(s / grid.h for s in grid.spacings), u_t * grid.h
+    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), hs, cfg.speed)
+    new = take(np.concatenate((u, u_t), axis=1), level_gather(grid, parity, (cu, cu))).dot(a)
+    current = Field(grid, flip(parity), g0.time + 0.5 * cfg.dt(grid.h),
+                    new.reshape(grid.shapes[flip(parity)] + cu))
     return TwoLevelState(current=current, previous=g0)

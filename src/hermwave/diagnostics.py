@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gather_index, level_gather, pair_sources, take
-from .grid import DUAL, Axis, Field, FieldPair, flip
+from .grid import DUAL, Axis, Field, FieldPair, Stack, flip
 from .interp import interp_matrix
 
 
@@ -69,13 +69,17 @@ def default_npts(m: int) -> int:
 # ---------------------------------------------------------------------------
 # L2 errors
 #
-# A level's errors integrate over the cells of its gather, one centred on
-# each target node, and evaluate each cell's interpolant at its Gauss points
-# with one product of its gathered row and a matrix that folds the
-# interpolation into the evaluation. A dual level's edge cells at walls are
-# ghost-backed and reach h/2 past the wall; they are clipped to the half
-# inside. So a cell has one of three kinds along each axis, its interval in
-# xi: the whole cell, the low edge's and the high edge's.
+# One function measures every state: a level's (`Grid`) or every level of a
+# `Stack` at once. Its errors integrate over the cells of its gather, one
+# centred on each target node, and evaluate each cell's interpolant at its
+# Gauss points with one product of its gathered row and a matrix that folds
+# the interpolation into the evaluation, built at unit spacing: u_x is then
+# scaled by 1/h per row, and so is a stack's v, carried as h*v. A dual
+# level's edge cells at walls are ghost-backed and reach h/2 past the wall;
+# they are clipped to the half inside. So a cell has one of three kinds
+# along each axis, its interval in xi: the whole cell, the low edge's and
+# the high edge's. The exact solution is evaluated once, at every row's
+# Gauss points, and the Gauss sums are summed per level.
 
 KINDS = ((-0.5, 0.5), (0.0, 0.5), (-0.5, 0.0))
 _AT = (slice(1, -1), slice(0, 1), slice(-1, None))  # each kind's cells on a clipped axis
@@ -100,55 +104,39 @@ def eval_matrix(mu: int, npts: int, kind: int, der: int = 0) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def field_matrix(coeffs: tuple, npts: int, kinds: tuple) -> np.ndarray:
+def field_matrix(coeffs: tuple, npts: int, kinds: tuple, der: int = 0) -> np.ndarray:
     """Read-only tensor product of `eval_matrix` over the axes, axis q of
-    kind kinds[q]: (2**d prod(coeffs), npts**d), its rows laid out as `take`
-    gathers a field of coefficient shape `coeffs` (sides per axis, then
-    coefficients per axis) and its Gauss points in C order."""
+    kind kinds[q] and the der-th xi-derivative along axis 0: (2**d
+    prod(coeffs), npts**d), its rows laid out as `take` gathers a field of
+    coefficient shape `coeffs` (sides per axis, then coefficients per axis)
+    and its Gauss points in C order."""
     out = np.ones((1, 1, 1))  # (sides, coefficients, points) of the axes so far
-    for k, kind in zip(coeffs, kinds):
-        e = eval_matrix(k - 1, npts, kind).reshape(2, k, npts)
+    for q, (k, kind) in enumerate(zip(coeffs, kinds)):
+        e = eval_matrix(k - 1, npts, kind, der if q == 0 else 0).reshape(2, k, npts)
         out = np.einsum("abc,def->adbecf", out, e).reshape(2 * len(out), -1, out.shape[2] * npts)
     out = out.reshape(-1, out.shape[2])
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=128)
-def pair_matrix(mu: int, npts: int, kind: int, h: float) -> np.ndarray:
-    """Read-only (2(2mu+1), 3 npts) map from a gathered 1D row of u | v
-    packed per node, u of order mu, to [u | u_x | v] at the Gauss points of
-    a cell kind; d/dx = (1/h) d/dxi."""
-    out = np.zeros((2, 2 * mu + 1, 3, npts))
-    out[:, : mu + 1, 0] = eval_matrix(mu, npts, kind).reshape(2, mu + 1, npts)
-    out[:, : mu + 1, 1] = eval_matrix(mu, npts, kind, 1).reshape(2, mu + 1, npts) / h
-    out[:, mu + 1 :, 2] = eval_matrix(mu - 1, npts, kind).reshape(2, mu, npts)
-    out = out.reshape(4 * mu + 2, 3 * npts)
+@lru_cache(maxsize=256)
+def error_matrix(blocks: tuple, npts: int, kinds: tuple, pair: bool) -> np.ndarray:
+    """Read-only map from a gathered row that packs the fields of coefficient
+    shapes `blocks` per node (u, or u | v) to their values at the Gauss
+    points of a cell of `kinds`: u, then, if `pair`, u's xi-derivative along
+    axis 0 and v. Each value is one block of npts**d columns, and the rows
+    of the fields it does not read are zero."""
+    sizes = [math.prod(block) for block in blocks]
+    reads = [(0, field_matrix(blocks[0], npts, kinds))]
+    if pair:
+        reads += [(0, field_matrix(blocks[0], npts, kinds, 1)),
+                  (1, field_matrix(blocks[1], npts, kinds))]
+    points, first = reads[0][1].shape[1], np.cumsum([0] + sizes)
+    out = np.zeros((2 ** len(kinds), first[-1], len(reads), points))
+    for j, (i, a) in enumerate(reads):
+        out[:, first[i] : first[i + 1], j] = a.reshape(len(out), sizes[i], points)
+    out = out.reshape(-1, len(reads) * points)
     out.setflags(write=False)
-    return out
-
-
-def _values(gathered: np.ndarray, targets: tuple, clipped: bool, matrix) -> np.ndarray:
-    """(targets..., columns) values of gathered rows through matrix(kinds).
-
-    Every cell is evaluated as a whole cell; on a clipped level each mix of
-    kinds with an edge in it is then evaluated again, one product each.
-    """
-    def dot(rows, a):
-        # numpy sends one row through gemv, whose sums depend on a's shape;
-        # gemm's do not, so a u error has the same bits from either matrix
-        return np.concatenate((rows, rows)).dot(a)[:1] if len(rows) == 1 else rows.dot(a)
-
-    d = len(targets)
-    out = dot(gathered, matrix((0,) * d)).reshape(targets + (-1,))
-    if clipped:
-        gathered = gathered.reshape(targets + (-1,))
-        for kinds in itertools.product(range(3), repeat=d):
-            if any(kinds):
-                at = tuple(_AT[kind] for kind in kinds)
-                block = gathered[at]
-                out[at] = dot(block.reshape(-1, block.shape[-1]),
-                              matrix(kinds)).reshape(out[at].shape)
     return out
 
 
@@ -164,81 +152,133 @@ def _axis_cells(count: int, npts: int, clipped: bool) -> tuple:
     return xi, half
 
 
-def _error_norms(grid, parity: str, npts: int, gathered: np.ndarray, matrix, exacts):
-    """sqrt of the Gauss sum of (values - exact)^2 for each exact, over the
-    cells of a `parity` level, the values of exacts[i] being the i-th block
-    of npts**d columns of `_values`."""
-    d, targets = grid.ndim, grid.shapes[flip(parity)]
-    clipped = parity == DUAL and not grid.periodic
-    xs, halves = [], []
-    for q, axis in enumerate(grid.axes):
-        centers = axis.nodes(flip(parity))
-        xi, half = _axis_cells(len(centers), npts, clipped)
-        shape = [1] * (2 * d)
-        shape[q], shape[d + q] = xi.shape
-        xs.append((centers[:, None] + axis.h * xi).reshape(shape))
-        halves.append(axis.h * half)
-    vals = _values(gathered, targets, clipped, matrix).reshape(-1, len(exacts), npts**d)
-    wg = gauss_rule(npts)[1]
-    out = []
-    for i, exact in enumerate(exacts):
-        total = vals[:, i].reshape(targets + (npts,) * d) - exact(*xs)
-        total *= total
-        for _ in range(d):
-            total = total.dot(wg)
-        for half in reversed(halves):
-            total = total.dot(half)
-        out.append(math.sqrt(total))
-    return out
-
-
 @lru_cache(maxsize=256)
-def _padded_matrix(coeffs: tuple, pad: int, npts: int, kinds: tuple) -> np.ndarray:
-    """Read-only `field_matrix` with `pad` zero rows after each side's
-    block: the field's values from gathered rows that pack `pad` more
-    columns per node after its own, as a FieldPair's u | v."""
-    a = field_matrix(coeffs, npts, kinds)
-    if not pad:
-        return a
-    sides = a.reshape(2 ** len(coeffs), -1, a.shape[1])
-    out = np.concatenate((sides, np.zeros((len(sides), pad, a.shape[1]))), axis=1)
-    out = out.reshape(-1, a.shape[1])
+def _level_cells(axes: tuple, parity: str, npts: int) -> tuple:
+    """Read-only cells of one level's `parity` gather, built once per (axes,
+    parity, npts): each axis's Gauss points in x per target row, axis q
+    shaped (rows, 1 per axis before q, npts, 1 per axis after q); the
+    cells' measures; and the rows of each mix of cell kinds with an edge in
+    it, on a clipped level."""
+    d = len(axes)
+    targets = tuple(axis.n_nodes(flip(parity)) for axis in axes)
+    clipped = parity == DUAL and not axes[0].periodic
+    count, weight, xs, edges = math.prod(targets), np.ones(()), [], {}
+    for q, axis in enumerate(axes):
+        xi, half = _axis_cells(targets[q], npts, clipped)
+        points = (1,) * q + (npts,) + (1,) * (d - 1 - q)
+        x = (axis.nodes(flip(parity))[:, None] + axis.h * xi).reshape(
+            tuple(n if p == q else 1 for p, n in enumerate(targets)) + points)
+        xs.append(np.broadcast_to(x, targets + points).reshape((count,) + points))
+        weight = np.multiply.outer(weight, axis.h * half)
+    weight = weight.ravel()
+    if clipped:
+        rows = np.arange(count).reshape(targets)
+        for kinds in itertools.product(range(3), repeat=d):
+            if any(kinds):
+                edges[kinds] = rows[tuple(_AT[kind] for kind in kinds)].ravel()
+    for a in xs + [weight] + list(edges.values()):
+        a.setflags(write=False)
+    return tuple(xs), weight, edges, count
+
+
+def _cells(levels, parity: str, npts: int) -> tuple:
+    """`_level_cells` of the levels' gathers, one level after the other: the
+    Gauss points and cell measures per target row, each level's row count
+    and first row, and the edge rows of each mix of kinds. Read-only on a
+    single level."""
+    cells = [_level_cells(level.axes, parity, npts) for level in levels]
+    counts = [cell[3] for cell in cells]
+    first = list(itertools.accumulate(counts[:-1], initial=0))
+    edges = {}
+    for (_, _, local, _), start in zip(cells, first):
+        for kinds, rows in local.items():
+            edges.setdefault(kinds, []).append(rows + start)
+    return ([_cat([cell[0][q] for cell in cells]) for q in range(levels[0].ndim)],
+            _cat([cell[1] for cell in cells]), counts, first,
+            {kinds: _cat(rows) for kinds, rows in edges.items()})
+
+
+def _cat(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@lru_cache(maxsize=64)
+def _gauss_weights(npts: int, d: int) -> np.ndarray:
+    """Read-only Gauss weights of the tensor rule on [-1, 1]^d, points in C order."""
+    out = np.ones(())
+    for _ in range(d):
+        out = np.multiply.outer(out, gauss_rule(npts)[1])
+    out = out.ravel()
     out.setflags(write=False)
     return out
 
 
-def l2_error_field(field, exact, npts: int | None = None) -> float:
-    """L2 error of the global tensor interpolant against exact(x, y, ...).
+def _dot(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # numpy sends one row through gemv, whose sums depend on a's shape;
+    # gemm's do not, so a u error has the same bits from either matrix
+    return np.concatenate((rows, rows)).dot(a)[:1] if len(rows) == 1 else rows.dot(a)
 
-    field is a Field, or a FieldPair whose u is measured. One take through
-    the level's `level_gather`, a pair's being its packed u | v one, which
-    its stepper built; one `field_matrix` product per mix of cell kinds,
-    zero rows reading a pair's v; and one Gauss sum. On wall grids the
-    cells are clipped to the domain.
+
+def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
+    """(values, levels) L2 errors of a Field or FieldPair on a Grid or Stack.
+
+    The values are u, then, if `pair`, u_x (along axis 0) and v, and
+    exact(*xs) gives them at the Gauss points xs of every target row, one
+    array for u alone or a tuple. One take through the state's own gather,
+    one `error_matrix` product per mix of cell kinds (the whole cells, then
+    each mix with an edge again), and one Gauss sum per level.
     """
-    grid, parity = field.grid, field.parity
-    if isinstance(field, FieldPair):
-        data, blocks = field.rows, tuple(shape[grid.ndim :] for shape in field.shapes)
+    grid, parity, d = state.grid, state.parity, state.grid.ndim
+    if isinstance(state, FieldPair):
+        rows, blocks = state.rows, tuple(shape[-d:] for shape in state.shapes)
     else:
-        blocks = (field.values.shape[grid.ndim :],)
-        data = field.values.reshape(math.prod(grid.shapes[parity]), -1)
-    coeffs, pad = blocks[0], sum(math.prod(block) for block in blocks[1:])
-    npts = npts or default_npts(max(coeffs) - 1)
-    gathered = take(data, level_gather(grid, parity, blocks))
-    return _error_norms(grid, parity, npts, gathered,
-                        lambda kinds: _padded_matrix(coeffs, pad, npts, kinds), (exact,))[0]
+        blocks = (state.values.shape[-d:],)
+        rows = state.values.reshape(math.prod(grid.shapes[parity]), -1)
+    if pair and len(blocks) != 2:
+        raise ValueError("u_x and v errors need a FieldPair")
+    npts = npts or default_npts(max(blocks[0]) - 1)
+    stacked = isinstance(grid, Stack)
+    levels = grid.levels if stacked else (grid,)
+    xs, weight, counts, first, edges = _cells(levels, parity, npts)
+    gathered = take(rows, level_gather(grid, parity, blocks))
+    vals = _dot(gathered, error_matrix(blocks, npts, (0,) * d, pair))
+    for kinds, at in edges.items():
+        vals[at] = _dot(gathered[at], error_matrix(blocks, npts, kinds, pair))
+    vals = vals.reshape((len(vals), -1) + (npts,) * d)
+    if pair:  # per row, u_x over its level's axis-0 spacing, a stack's h*v over its h
+        h = np.repeat([(level.spacings[0], level.h) for level in levels], counts, axis=0)
+        vals[:, 1] /= h[:, 0].reshape((-1,) + (1,) * d)
+        if stacked:
+            vals[:, 2] /= h[:, 1].reshape((-1,) + (1,) * d)
+    want = exact(*xs) if pair else (exact(*xs),)
+    wg, out = _gauss_weights(npts, d), []
+    for j, w in enumerate(want):
+        total = vals[:, j] - w
+        total *= total
+        out.append(np.add.reduceat(total.reshape(len(total), -1).dot(wg) * weight, first))
+    return np.sqrt(out)
 
 
-def l2_errors_pair(pair: FieldPair, exact_u, exact_dux, exact_v, npts: int | None = None):
-    """(u, u_x, v) errors of a 1D dissipative state: one take of its packed
-    rows, through the stepper's gather, and one `pair_matrix` product per
-    cell kind."""
-    h, mu = _line(pair).h, pair.split - 1
-    npts = npts or default_npts(mu)
-    gathered = take(pair.rows, level_gather(pair.grid, pair.parity, ((mu + 1,), (mu,))))
-    return tuple(_error_norms(pair.grid, pair.parity, npts, gathered,
-                              lambda kinds: pair_matrix(mu, npts, kinds[0], h),
-                              (exact_u, exact_dux, exact_v)))
+def l2_error_field(state, exact, npts: int | None = None):
+    """L2 error of the global tensor interpolant of u against exact(*xs).
+
+    state is a Field, or a FieldPair whose u is measured through its packed
+    u | v gather, which its stepper built. On a `Grid` the error is a
+    float; on a `Stack` it is one per level, and each xs[q] holds the Gauss
+    points of every target row, one level after the other (see `_cells`),
+    so exact can take each row's own time. On wall grids the cells are
+    clipped to the domain.
+    """
+    errs = _l2_errors(state, exact, npts, False)[0]
+    return errs if isinstance(state.grid, Stack) else float(errs[0])
+
+
+def l2_errors_pair(pair: FieldPair, exact, npts: int | None = None) -> tuple:
+    """(u, u_x, v) errors of a dissipative state, u_x along axis 0, against
+    exact(*xs) -> (u, u_x, v): floats on a `Grid`, one per level on a
+    `Stack`, as `l2_error_field`."""
+    errs = _l2_errors(pair, exact, npts, True)
+    return tuple(errs) if isinstance(pair.grid, Stack) else tuple(float(e[0]) for e in errs)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +346,7 @@ def seminorm_factor(mu: int, order: int, h: float) -> np.ndarray:
 
 
 def _line(field) -> Axis:
-    """The one axis of a 1D field or pair; the energies and u_x are defined in 1D only."""
+    """The one axis of a 1D field or pair; the energies are defined in 1D only."""
     ndim = len(field.grid.axes)
     if ndim != 1:
         raise ValueError(f"defined for 1D fields only, got a {ndim}D field")

@@ -191,19 +191,25 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
-@lru_cache(maxsize=64)
-def _packed_matrix(m: int, dt: float, hs: tuple, speed: float, stages: int) -> np.ndarray:
-    """Read-only `fold` blocks of a half step, stacked and permuted into the
-    rows of u | v packed per node, built once per (m, dt, hs, c, stages)."""
-    ndim = len(hs)
-    sides, cu, cv = (2,) * ndim, (m + 1,) * ndim, (m,) * ndim
-    a_u, a_v = fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, speed, stages)
-    # row r of a_u (a_v) reads entry r of the flattened (sides, coefficients) block
-    packed = np.concatenate((np.arange(len(a_u)).reshape(sides + (-1,)),
-                             len(a_u) + np.arange(len(a_v)).reshape(sides + (-1,))), axis=-1)
-    a = np.concatenate((a_u, a_v))[packed.ravel()]
+def packed(blocks: tuple, sides: tuple) -> np.ndarray:
+    """`fold`'s row blocks, stacked and permuted into the rows of their fields
+    packed per node, as `take` gathers them; read-only."""
+    # row r of block i reads entry r of field i's flattened (sides, coefficients) block
+    first = np.cumsum([0] + [len(block) for block in blocks])
+    index = np.concatenate([start + np.arange(len(block)).reshape(sides + (-1,))
+                            for start, block in zip(first, blocks)], axis=-1)
+    a = np.concatenate(blocks)[index.ravel()]
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=64)
+def _packed_matrix(m: int, dt: float, hs: tuple, speed: float, stages: int) -> np.ndarray:
+    """The `packed` `fold` blocks of a half step, u | v per node, built once
+    per (m, dt, hs, c, stages)."""
+    ndim = len(hs)
+    sides, cu, cv = (2,) * ndim, (m + 1,) * ndim, (m,) * ndim
+    return packed(fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, speed, stages), sides)
 
 
 def _plan(grid, parity, cfg: SchemeConfig) -> tuple:

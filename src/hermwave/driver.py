@@ -18,12 +18,15 @@ Initial nodal data is produced from closed-form derivative recurrences
 rather than projection so the refinement studies see only the scheme's
 error. Runs are deterministic for a fixed seed.
 
-A refinement study (`_study`) starts every level on its own grid, then
-marches them all as one `grid.Stack`, finest first: each half step is one
-call of the named stepper, one take through the levels' concatenated
-gathers and one product with the matrix they share, v carried as h*v. A
-level leaves the stack at its own last half step, and its errors are
-measured on its own plain state. `conserve1d` steps its plain state.
+A refinement study (`_study`) is one `grid.Stack` from its start to its
+errors, finest level first. Its levels start as one stacked state, with
+one bootstrap for them all; each half step is one call of the named
+stepper, one take through the levels' concatenated gathers and one product
+with the matrix they share, v carried as h*v. A level leaves the stack at
+its own last half step with its rows, and the levels that end on one
+parity are measured with one error call on their stack, against the exact
+solution evaluated once at every row's own end time. `conserve1d` steps
+its plain state.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .boundary import zero_wall_slots
 from .conservative import bootstrap_first_half, full_step_conservative
 from .diagnostics import (ErrorReport, energy_of_rows, energy_window, l2_error_field,
                           l2_errors_pair)
 from .dissipative import SchemeConfig, half_step_1d, half_step_2d
-from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState
+from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState, flip
 from .interp import MAX_ORDER
 
 
@@ -314,77 +318,123 @@ def _march(state, step, scfg: SchemeConfig, done: int, last: int, where):
     return state
 
 
-def _start(cfg: RunConfig, grid: Grid, data, half_step=None):
-    """First state of one level, the step that advances it and the half
-    steps it has taken: 1 after a bootstrap, else 0.
+def _start(cfg: RunConfig, grid, data, half_step=None):
+    """First state of a level or a `Stack`, the step that advances it and
+    the half steps it has taken: 1 after a bootstrap, else 0.
 
     data(parity, t, order, tder) gives the scaled nodal blocks of u
-    (tder 0) or u_t (tder 1) on one parity's nodes at time t; it is called
-    for the primal level first. half_step is the dissipative step as the
-    experiment names it, `half_step_1d` or `half_step_2d`: one function
-    under two names, read from this module at each call, so a wrapper
-    patched in under either name sees every step. The state is a FieldPair
-    (dissipative) or a TwoLevelState (conservative).
+    (tder 0) or u_t (tder 1) on one parity's nodes at time t, one time per
+    level on a stack, where they are its rows and u_t is carried as h*u_t;
+    it is called for the primal level first. half_step is the dissipative
+    step as the dimension names it, `half_step_1d` or `half_step_2d`: one
+    function under two names, read from this module at each call, so a
+    wrapper patched in under either name sees every step. The state is a
+    FieldPair (dissipative) or a TwoLevelState (conservative), whose primal
+    level has its wall slots zeroed (`boundary.zero_wall_slots`).
     """
     scfg = cfg.scheme_config()
+    t0 = np.zeros(len(grid.levels)) if isinstance(grid, Stack) else 0.0
 
     def field(parity, t, order, tder=0):
         return Field(grid, parity, t, data(parity, t, order, tder))
 
-    u0 = field(PRIMAL, 0.0, cfg.m)
     if cfg.scheme == "dissipative":
-        return FieldPair(u0, field(PRIMAL, 0.0, cfg.m - 1, tder=1)), half_step, 0
+        u_v = field(PRIMAL, t0, cfg.m), field(PRIMAL, t0, cfg.m - 1, tder=1)
+        return FieldPair(*u_v), half_step, 0
+    u0 = data(PRIMAL, t0, cfg.m, 0)
+    zero_wall_slots(u0, grid)
+    u0 = Field(grid, PRIMAL, t0, u0)
     if cfg.init == "exact":
         prev = field(DUAL, -0.5 * scfg.dt(grid.h), cfg.m)
         return TwoLevelState(u0, prev), full_step_conservative, 0
-    u_t = field(PRIMAL, 0.0, cfg.m, tder=1)
+    u_t = field(PRIMAL, t0, cfg.m, tder=1)
     return bootstrap_first_half(u0, u_t, scfg), full_step_conservative, 1
 
 
 class Level(NamedTuple):
-    """One level of a study: its h and dt, `_start`'s (state, step, done),
-    the half step it ends on, and errors(state) -> (err_u,) or (err_u,
-    err_dux, err_v) of its plain state there."""
+    """One level of a study: its h and dt, its grid, its start data (as
+    `_start` reads them, on the level's own nodes and in u_t's own units),
+    the half step it ends on and exact(t, *xs), the solution at times t,
+    as a tuple: (u, u_x, u_t) in 1D, where a dissipative study measures all
+    three, and (u,) in 2D."""
 
     h: float
     dt: float
-    state: object
-    step: object
-    done: int
+    grid: Grid
+    data: object
     nhalf: int
-    errors: object
+    exact: object
 
 
 def _study(cfg: RunConfig, level) -> ErrorReport:
-    """Refinement study over cfg's levels, marched as one `Stack`.
+    """Refinement study over cfg's levels, one `Stack` from start to errors.
 
     level(n) returns the n-cell `Level`. The levels are stacked by the half
-    step they end on, latest first (the finest level first), so each
-    leaves from the end of the stack when the march reaches its end, and
-    its errors are measured on its own plain state. One step call advances
-    every level still on the stack by a half step.
+    step they end on, latest first (the finest level first), and started
+    as one state (one bootstrap for them all). One step call advances every
+    level still on the stack by a half step, and each leaves from the end
+    when the march reaches its end, keeping its rows. The levels that end
+    on one parity are then measured together, with one error call on their
+    stack's state (a FieldPair, v as h*v, or the current level as a Field),
+    against the exact solution at each target row's end time.
     """
     ns = cfg.level_sizes()
     levels = [level(n) for n in ns]
     order = sorted(range(len(ns)), key=lambda i: -levels[i].nhalf)
-    state = Stack([levels[i].state.grid for i in order]).pack([levels[i].state for i in order])
-    scfg, step, done = cfg.scheme_config(), levels[0].step, levels[0].done
+    stack = Stack([levels[i].grid for i in order])
+    d, scfg = stack.ndim, cfg.scheme_config()
+
+    def data(parity, t, k, tder):  # the levels' blocks as the stack's rows, u_t as h*u_t
+        blocks = [levels[i].data(parity, ti, k, tder).reshape((-1,) + (k + 1,) * d)
+                  for i, ti in zip(order, t)]
+        if tder:
+            blocks = [block * h for block, h in zip(blocks, stack.h)]
+        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+
+    state, step, done = _start(cfg, stack, data, half_step_1d if d == 1 else half_step_2d)
 
     def where(state, done):  # the first non-finite level
         bad = np.argmin(np.isfinite(state.rows).all(axis=1))
         i = np.searchsorted(state.grid.offsets[state.parity], bad, side="right") - 1
         return _at(done, state.time[i], ns[order[i]])
 
-    errs = [None] * len(ns)
+    ended = {PRIMAL: [], DUAL: []}  # per end parity, (level, rows) in stack order
     for i in reversed(order):
         last = max(done, levels[i].nhalf)
         state = _march(state, step, scfg, done, last, where)
         done = last
-        plain, state = state.grid.pop(state)
-        errs[i] = levels[i].errors(plain)
+        parity = state.parity
+        rows, state = state.grid.pop(state)
+        ended[parity].insert(0, (i, rows))
+    t_end = np.array([lv.nhalf * (0.5 * lv.dt) for lv in levels])
+    exact, cols = levels[0].exact, {}
+    for parity, group in ended.items():
+        if group:
+            idx = [i for i, _ in group]
+            sub = stack if idx == order else Stack([levels[i].grid for i in idx])
+            t = np.repeat(t_end[idx], np.diff(sub.offsets[flip(parity)])).reshape((-1,) + (1,) * d)
+            state = _ended(cfg, sub, parity, np.concatenate([rows for _, rows in group]),
+                           t_end[idx])
+            if isinstance(state, FieldPair) and d == 1:
+                errs = l2_errors_pair(state, lambda x: exact(t, x))
+            else:  # a FieldPair's u through its own packed gather
+                errs = (l2_error_field(state, lambda *xs: exact(t, *xs)[0]),)
+            for j, e in enumerate(errs):
+                cols.setdefault(j, np.empty(len(ns)))[idx] = e
     return ErrorReport(np.array(ns), np.array([lv.h for lv in levels]),
-                       np.array([lv.dt for lv in levels]),
-                       *(np.array(e) for e in zip(*errs)))
+                       np.array([lv.dt for lv in levels]), *cols.values())
+
+
+def _ended(cfg: RunConfig, stack: Stack, parity: str, rows, time):
+    """The state errors read of stacked levels that ended on `parity`, from
+    their rows: a FieldPair, v as h*v, or the conservative current level."""
+    shape, cu = stack.shapes[parity], (cfg.m + 1,) * stack.ndim
+    if cfg.scheme == "conservative":
+        return Field(stack, parity, time, rows.reshape(shape + cu))
+    state = FieldPair.__new__(FieldPair)  # on the stack's rows, uncopied
+    state.grid, state.parity, state.time, state.rows, state.link = stack, parity, time, rows, None
+    state.split, state.shapes = math.prod(cu), (shape + cu, shape + (cfg.m,) * stack.ndim)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +444,8 @@ def _study(cfg: RunConfig, level) -> ErrorReport:
 def _gaussian_level(cfg: RunConfig, n: int):
     """The gaussian1d `Level` on n cells, run to the half step nearest t = 12.25."""
     axis = Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary)
-    grid, h = Grid((axis,)), axis.h
-    scfg = cfg.scheme_config()
-    dt = scfg.dt(h)
-    nhalf = round(24.5 / dt)
-    tau = nhalf * (0.5 * dt) - 12.0
+    h = axis.h
+    dt = cfg.scheme_config().dt(h)
 
     def data(parity, t, order, tder):
         x = axis.nodes(parity)
@@ -408,21 +455,21 @@ def _gaussian_level(cfg: RunConfig, n: int):
         vals = gaussian_derivs(x, order) if t == 0.0 else gaussian_box_u(x, t, order)
         return _scale_cols(vals, h)
 
-    def exact_u(x):
-        return gaussian_box_u(x, tau, 0)[..., 0]
+    return Level(h, dt, Grid((axis,)), data, round(24.5 / dt), gaussian_box)
 
-    def exact_dux(x):
-        return gaussian_box_u(x, tau, 1)[..., 1]
 
-    def exact_v(x):  # d/dt of (G(x+t) + G(x-t))/2 is (G'(x+t) - G'(x-t))/2
-        return 0.5 * (gaussian_derivs(x + tau, 1)[..., 1] - gaussian_derivs(x - tau, 1)[..., 1])
+def gaussian_box(t, x) -> tuple:
+    """(u, u_x, u_t) of the gaussian1d solution at times t near 12.
 
-    def errors(state):
-        if cfg.scheme == "dissipative":
-            return l2_errors_pair(state, exact_u, exact_dux, exact_v)
-        return (l2_error_field(state.current, exact_u),)
-
-    return Level(h, dt, *_start(cfg, grid, data, half_step_1d), nhalf, errors)
+    Each pulse returns to its start every 6 time units, two reflections off
+    walls of either kind later, so there it is the free pair (G(x+tau) +
+    G(x-tau))/2 at tau = t - 12, G = exp(-20 x^2), whose t-derivative is
+    (G'(x+tau) - G'(x-tau))/2: one G and G' evaluation per side.
+    """
+    tau = t - 12.0
+    plus, minus = gaussian_derivs(x + tau, 1), gaussian_derivs(x - tau, 1)
+    return (0.5 * (plus[..., 0] + minus[..., 0]), 0.5 * (plus[..., 1] + minus[..., 1]),
+            0.5 * (plus[..., 1] - minus[..., 1]))
 
 
 def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
@@ -463,23 +510,17 @@ def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
     to the half step nearest t_target."""
     grid = Grid((Axis(0.0, 1.0, n),) * 2)
     h = grid.spacings[0]
-    scfg = cfg.scheme_config()
-    dt = scfg.dt(h)
-    nhalf = round(2 * t_target / dt)
-    t_end = nhalf * 0.5 * dt
+    dt = cfg.scheme_config().dt(h)
     w = 2.0 * np.pi * kappa
 
     def data(parity, t, order, tder):
         xs, ys = (axis.nodes(parity) for axis in grid.axes)
         return planewave_data(xs, ys, t, order, order, kappa, h, h, tder=tder)
 
-    def exact(x, y):
-        return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
+    def exact(t, x, y):
+        return (np.sin(w * (x + y + math.sqrt(2.0) * t)),)
 
-    def errors(state):  # a FieldPair's u through its own packed gather
-        return (l2_error_field(state if cfg.scheme == "dissipative" else state.current, exact),)
-
-    return Level(h, dt, *_start(cfg, grid, data, half_step_2d), nhalf, errors)
+    return Level(h, dt, grid, data, round(2 * t_target / dt), exact)
 
 
 def run_planewave_2d(cfg: RunConfig) -> ErrorReport:

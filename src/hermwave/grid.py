@@ -25,7 +25,8 @@ swapped, so a march looks up a level's plans once.
 A `Stack` puts the levels of a refinement study one after the other in one
 set of node rows, so that one take and one product step them all (see
 `Stack`). Its states are a `FieldPair` or `TwoLevelState` like a grid's,
-with one time per level and, in a `FieldPair`, v carried as h*v.
+with one time per level and, in a `FieldPair`, v carried as h*v (as is
+the u_t a bootstrap on the stack reads).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class FieldPair:
 
     def __init__(self, u: Field, v: Field):
         su, sv = u.values.shape, v.values.shape
-        d = len(su) // 2
+        d = len(u.grid.shapes[u.parity])  # node axes
         if su[d:] != tuple(k + 1 for k in sv[d:]):
             raise ValueError(f"u orders must be v orders + 1, got {u.orders}/{v.orders}")
         if u.parity != v.parity:
@@ -206,7 +207,7 @@ class TwoLevelState:
             raise ValueError(f"the two levels carry orders {current.orders}/{previous.orders}")
         self.grid, self.parity, self.time = current.grid, current.parity, current.time
         self.prev_time, self.shapes = previous.time, (current.values.shape, previous.values.shape)
-        d = len(self.grid.axes)
+        d = len(self.grid.shapes[self.parity])  # node axes
         self.rows, self.prev_rows = rows(current.values, d), rows(previous.values, d)
         self.link = None
 
@@ -264,10 +265,10 @@ class Stack:
     - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
 
     A state of the stack (`pack`) holds one time per level. A level leaves
-    from the end (`pop`), so a study stacks the level that marches longest
-    first: its finest. The stack of the other levels holds the leading
-    rows, its gathers are the leading targets of this stack's, and it names
-    this stack as its `whole`.
+    from the end (`pop`) with its rows alone, so a study stacks the level
+    that marches longest first: its finest. The stack of the other levels
+    holds the leading rows, its gathers are the leading targets of this
+    stack's, and it names this stack as its `whole`.
 
     Built once, as plain attributes: `levels`, `ndim`, `spacings` (the
     aspect), `h` (each level's smallest spacing, read-only), `offsets` (each
@@ -337,25 +338,18 @@ class Stack:
         return self._head
 
     def pop(self, state):
-        """(the last level's plain state, the state of the stack of the others).
+        """(the last level's rows, the state of the stack of the others).
 
-        The last level's rows are copied out, a FieldPair's v columns over
-        its h; the others stay views of the state's leading rows, on the
-        stack of the leading levels (None when no level is left).
+        The rows are the last level's `rows` in the stack's units (a
+        FieldPair's v as h*v), a view: a step writes new rows and never
+        into the ones it reads. The others stay views of the state's
+        leading rows, on the stack of the leading levels (None when no
+        level is left).
         """
-        i, level = len(self.levels) - 1, self.levels[-1]
+        i = len(self.levels) - 1
         start = self.offsets[state.parity][i]
-        last = copy.copy(state)
-        last.grid, last.link, last.time = level, None, float(state.time[i])
-        last.rows = state.rows[start:].copy()
-        last.shapes = self._shapes(state, level)
-        if isinstance(state, FieldPair):
-            last.rows[:, state.split :] /= self.h[i]
-        else:
-            last.prev_time = float(state.prev_time[i])
-            last.prev_rows = state.prev_rows[self.offsets[flip(state.parity)][i] :].copy()
         if not i:
-            return last, None
+            return state.rows, None
         rest = copy.copy(state)
         rest.grid, rest.link, rest.time = self._lead(i), None, state.time[:i]
         rest.rows = state.rows[:start]
@@ -363,4 +357,4 @@ class Stack:
         if not isinstance(state, FieldPair):
             rest.prev_time = state.prev_time[:i]
             rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]
-        return last, rest
+        return state.rows[start:], rest

@@ -23,7 +23,7 @@ A change that moves output bits on purpose is compared to a tolerance
 instead, in two steps run from each checkout and then from either:
 
     PYTHONPATH=src python3 tests/outputs_digest.py --values A.json
-    PYTHONPATH=src python3 tests/outputs_digest.py --compare A.json B.json
+    PYTHONPATH=src python3 tests/outputs_digest.py --compare A.json B.json [--rtol R]
 
 `--values` writes, per CLI call, its exit code, every number of each CSV
 column (an empty cell reads null) and every number on its stdout lines
@@ -31,7 +31,9 @@ column (an empty cell reads null) and every number on its stdout lines
 field and the time it reached under each config. `--compare` prints, per
 call or march and column, the largest relative difference
 |a - b| / max(|a|, |b|) between the two files, and the largest over all of
-them last.
+them last. With `--rtol R` it is a gate: it then names every call or march
+and column whose difference exceeds R (calls or columns present in one file
+only included) and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from hermwave import (  # noqa: E402
     full_step_conservative,
     half_step,
 )
-from hermwave.cli import main  # noqa: E402
+from hermwave import cli  # noqa: E402
 
 SEEDS = (0, 1)
 # conserve1d runs the conservative scheme only
@@ -90,7 +92,7 @@ def runs():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 try:
-                    code = main(argv + ["--out", str(out)])
+                    code = cli.main(argv + ["--out", str(out)])
                 except SystemExit as exc:
                     code = exc.code
             yield argv, code, buf.getvalue(), out.read_bytes() if out.is_file() else None
@@ -147,22 +149,27 @@ def relative(a, b) -> float:
     return worst
 
 
-def compare(path_a: str, path_b: str) -> float:
-    """Print the largest relative difference per call and column; return the largest."""
+def compare(path_a: str, path_b: str, rtol: float | None = None) -> list:
+    """Print the largest relative difference per call and column, then the
+    largest over all; with rtol, name each one past it. Returns those, as
+    (call, column or None, difference)."""
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    worst = 0.0 if a.keys() == b.keys() else float("inf")
+    diffs = [(call, None, float("inf")) for call in a.keys() ^ b.keys()]
     for call in (c for c in a if c in b):
         ca, cb = a[call]["columns"], b[call]["columns"]
         if a[call]["exit"] != b[call]["exit"] or ca.keys() != cb.keys():
-            worst = float("inf")
+            diffs.append((call, None, float("inf")))
             print(f"{call}: exit codes or columns differ")
             continue
         for name in ca:
-            rel = relative(ca[name], cb[name])
-            worst = max(worst, rel)
-            print(f"{call}  {name}  {rel:.3g}")
+            diffs.append((call, name, relative(ca[name], cb[name])))
+            print(f"{call}  {name}  {diffs[-1][2]:.3g}")
+    worst = max((rel for _, _, rel in diffs), default=0.0)
     print(f"largest relative difference over {len(a)} calls and marches: {worst:.3g}")
-    return worst
+    over = [d for d in diffs if rtol is not None and not d[2] <= rtol]
+    for call, name, rel in over:
+        print(f"over rtol {rtol:g}: {call}  {name or 'the whole call'}  {rel:.3g}")
+    return over
 
 
 # (axes, m) per march: mixed walls so both reflections act, and a 2D box that
@@ -213,16 +220,24 @@ def march_digest() -> tuple[str, int]:
     return sha.hexdigest(), count
 
 
-if __name__ == "__main__":
-    if sys.argv[1:2] == ["--values"] and len(sys.argv) == 3:
-        Path(sys.argv[2]).write_text(json.dumps(values(), indent=1))
-        sys.exit(0)
-    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
-        compare(*sys.argv[2:])
-        sys.exit(0)
-    if len(sys.argv) > 1:
-        sys.exit(__doc__)
+def main(args: list) -> int | str:
+    """The command line: the exit code, or the usage text for a bad one."""
+    if args[:1] == ["--values"] and len(args) == 2:
+        Path(args[1]).write_text(json.dumps(values(), indent=1))
+        return 0
+    if args[:1] == ["--compare"] and len(args) == 3:
+        compare(*args[1:])
+        return 0
+    if args[:1] == ["--compare"] and len(args) == 5 and args[3] == "--rtol":
+        return 1 if compare(*args[1:3], rtol=float(args[4])) else 0
+    if args:
+        return __doc__
     hexdigest, count = digest()
     print(f"{hexdigest}  {count} CLI calls")
     hexdigest, count = march_digest()
     print(f"{hexdigest}  {count} library marches")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

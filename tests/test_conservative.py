@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
-from hermwave.boundary import pair_sources, take
+from hermwave.boundary import pair_sources, take, zero_wall_slots
 from hermwave.conservative import (
     _plan,
     bootstrap_first_half,
@@ -275,11 +275,12 @@ def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, pari
 
     y and z walls are neumann0, which keeps the data y- and z-independent;
     hy, hz > hx, so every dimension takes the same time step. 3D runs at
-    m <= 2. The bootstrap is not folded: its y interpolation of y-constant
-    data leaves residues of a few 1e-13 in the higher y coefficients
-    (a*x + (-a)*x is not exactly 0 under a fused multiply-add), which 4m+4
-    stages amplify. Over 3000 random draws at m = 4, lam = 1 the worst
-    relative difference in 2D was 2.8e-12, so the bound is 1e-11.
+    m <= 2. The bootstrap is one folded matrix, whose y-side blocks carry
+    the rounding of the fold: over 3000 random draws, half of them at
+    m = 4, lam = 1, the worst relative difference was 9.9e-14 in 2D and
+    1.4e-15 in 3D. The unfolded pipeline read up to 2.8e-12 in 2D (its y
+    interpolation of y-constant data left residues of a few 1e-13, which
+    4m+4 stages amplified), so the bound is 1e-11.
     """
     rng = np.random.default_rng(seed)
     grid1, x_axis = _line(-1.0, 0.7, 5, *(() if periodic else kinds))
@@ -458,6 +459,15 @@ def _walled_full_step(n, m, lam):
     return full
 
 
+def _power_norms(a, columns=1.0):
+    """||A^k P|| at k = 500, 1000, ..., 8000, P scaling A's columns by `columns`."""
+    power, out = np.linalg.matrix_power(a, 500), []
+    for _ in range(5):
+        out.append(np.linalg.norm(power * columns, 2))
+        power = power @ power
+    return np.array(out)
+
+
 def test_dirichlet0_walls_grow_linearly():
     """On dirichlet0 walls the conservative full step grows linearly at m = 2, lam = 0.8.
 
@@ -467,16 +477,29 @@ def test_dirichlet0_walls_grow_linearly():
     the previous level. At m = 3, lam = 0.5 it stays bounded: 1634, 233,
     371, 342 and 340 at the same k.
     """
-    def norms(a):
-        power, out = np.linalg.matrix_power(a, 500), []
-        for _ in range(5):  # k = 500, 1000, ..., 8000
-            out.append(np.linalg.norm(power, 2))
-            power = power @ power
-        return np.array(out)
-
-    grows = norms(_walled_full_step(20, 2, 0.8))
+    grows = _power_norms(_walled_full_step(20, 2, 0.8))
     assert 400.0 < grows[0] < 450.0
     assert np.all(np.abs(grows[1:] / grows[:-1] - 2.0) < 0.01)
-    bounded = norms(_walled_full_step(20, 3, 0.5))
+    bounded = _power_norms(_walled_full_step(20, 3, 0.5))
     assert bounded.max() < 2000.0
     assert abs(bounded[-1] / bounded[-2] - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("m, lam, bound", [(2, 0.8, 10.0), (3, 0.8, 85.0), (4, 0.8, 330.0),
+                                           (2, 0.5, 80.0)])
+def test_dirichlet0_walls_stay_bounded_from_symmetric_start_data(m, lam, bound):
+    """The linear growth lives in the primal wall nodes' reflected slots.
+
+    The update new = G cur - prev never resets the slots c_0, c_2, ... of a
+    dirichlet0 wall node, so data there flip sign every full step and feed
+    the interior at eigenvalue -1. Start data with those slots zeroed
+    (`zero_wall_slots`, the projection P) keep ||A^k P|| bounded where
+    ||A^k|| doubles with k: at n = 20, 4.6-6.5 (m = 2), 41-55 (m = 3) and
+    144-217 (m = 4) at lam = 0.8, and 12-52 at m = 2, lam = 0.5.
+    """
+    n = 20
+    keep = np.ones((n + 1, m + 1))
+    zero_wall_slots(keep, _line(0.0, 1.0, n, "dirichlet0", "dirichlet0")[0])
+    norms = _power_norms(_walled_full_step(n, m, lam),
+                         np.concatenate((keep.ravel(), np.ones(n * (m + 1)))))
+    assert norms.max() < bound and norms[-1] < 2.0 * norms[0]

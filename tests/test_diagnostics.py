@@ -117,7 +117,7 @@ def test_pair_errors_match_single_field_calls():
     u = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     v = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m, fn=np.cos))
     pair = FieldPair(u, v)
-    eu, edux, ev = l2_errors_pair(pair, np.sin, np.cos, np.cos)
+    eu, edux, ev = l2_errors_pair(pair, lambda x: (np.sin(x), np.cos(x), np.cos(x)))
     assert eu == pytest.approx(l2_error_field(u, np.sin), rel=1e-13)
     assert ev == pytest.approx(
         l2_error_field(v, np.cos, npts=default_npts(m)), rel=1e-13
@@ -154,7 +154,7 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     npts = default_npts(m) + extra
     clip = None if axis.periodic else (axis.x_left, axis.x_right)
     ppu = field_interpolant(u)
-    got = l2_errors_pair(FieldPair(u, v), np.sin, np.cos, np.exp, npts)
+    got = l2_errors_pair(FieldPair(u, v), lambda x: (np.sin(x), np.cos(x), np.exp(x)), npts)
     want = (
         l2_error(ppu, np.sin, npts, clip),
         l2_error(ppu.derivative(1), np.cos, npts, clip),
@@ -332,7 +332,7 @@ def test_wall_diagnostics_reflect_velocity_about_zero():
     # rounding in u's top interpolant coefficients leaves about 1e-24
     assert dissipative_energy(pair, 1.0) <= 1e-20
     zero = np.zeros_like
-    assert l2_errors_pair(pair, lambda x: value + zero(x), zero, zero)[2] <= 1e-13
+    assert l2_errors_pair(pair, lambda x: (value + zero(x), zero(x), zero(x)))[2] <= 1e-13
 
 
 def test_conservative_energy_invariant_under_step():
@@ -474,12 +474,13 @@ def test_l2_error_2d_clips_wall_cells(parity):
     assert l2_error_field(field, lambda x, y: 1.0 + zero(x, y)) < 1e-14
 
 
-def _tensor_oracle(field, exact, npts):
+def _tensor_oracle(field, exact, npts, der=0):
     """sqrt(integral (p - exact)^2) cell by cell, without the evaluation matrices.
 
     Each cell's tensor interpolant comes from `apply_interp` on its flanking
     data and is evaluated with numpy's polyval2d/polyval3d on the tensor
-    Gauss rule of the cell clipped to the domain.
+    Gauss rule of the cell clipped to the domain; with der=1, p is its
+    derivative along axis 0.
     """
     data, *centers = pair_sources(field)
     d = len(centers)
@@ -497,10 +498,35 @@ def _tensor_oracle(field, exact, npts):
             ws.append(0.5 * (b - a) * wg)
         pts = np.meshgrid(*xs, indexing="ij")
         xis = [(x - cs[i]) / axis.h for x, cs, i, axis in zip(pts, centers, cell, field.grid.axes)]
-        diff = polyval(*xis, coeffs[cell]) - exact(*pts)
+        cell_coeffs = coeffs[cell]
+        if der:  # d/dx = (1/h) d/dxi along axis 0
+            cell_coeffs = np.polynomial.polynomial.polyder(cell_coeffs, der,
+                                                           1.0 / field.grid.axes[0].h)
+        diff = polyval(*xis, cell_coeffs) - exact(*pts)
         weight = np.einsum(",".join("abc"[:d]) + "->" + "abc"[:d], *ws)
         total += np.sum(weight * diff * diff)
     return math.sqrt(total)
+
+
+@pytest.mark.parametrize("parity", [PRIMAL, DUAL])
+@pytest.mark.parametrize("kinds", [("periodic", "periodic"), ("dirichlet0", "neumann0")])
+def test_pair_errors_in_2d_match_the_tensor_oracle(kinds, parity):
+    """On a 2D level `l2_errors_pair` gives the u, u_x (along axis 0) and v
+    errors of the per-cell oracle, to 1e-12, clipped cells included."""
+    grid = Grid((Axis(0.0, 1.0, 4, *kinds), Axis(-0.5, 0.5, 3, *kinds[::-1])))
+    m, rng = 2, np.random.default_rng(len(parity) + len(kinds[0]))
+    u, v = (Field(grid, parity, 0.0, rng.standard_normal(grid.shapes[parity] + (k, k)))
+            for k in (m + 1, m))
+
+    def exact(x, y):
+        arg = 1.5 * x + 2.5 * y
+        return np.sin(arg), 1.5 * np.cos(arg), np.cos(arg)
+
+    npts = default_npts(m)
+    want = [_tensor_oracle(f, lambda x, y, j=j: exact(x, y)[j], npts, der)
+            for f, j, der in ((u, 0, 0), (u, 1, 1), (v, 2, 0))]
+    for got, w in zip(l2_errors_pair(FieldPair(u, v), exact), want):
+        assert abs(got - w) <= 1e-12 * w
 
 
 _WALLS = list(itertools.product(("dirichlet0", "neumann0"), repeat=2))
@@ -569,7 +595,8 @@ def test_stepped_level_errors_reuse_its_gather(axes):
                lambda s: l2_error_field(s.current, exact))]
     if d == 1:
         states.append((FieldPair(field(PRIMAL, m), field(PRIMAL, m - 1)), half_step,
-                       lambda s: l2_errors_pair(s, np.sin, np.cos, np.cos)))
+                       lambda s: l2_errors_pair(s, lambda x: (np.sin(x), np.cos(x),
+                                                              np.cos(x)))))
     for state, step, errors in states:
         for steps in (3, 1):  # end on the dual level, then on the primal one
             for _ in range(steps):

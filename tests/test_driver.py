@@ -14,6 +14,7 @@ import sympy as sp
 from hermwave import cli, driver
 from hermwave.diagnostics import ErrorReport
 from hermwave.dissipative import half_step
+from hermwave.grid import PRIMAL, Axis, Grid
 from hermwave.driver import (
     FINITE_STRIDE,
     ConfigError,
@@ -794,7 +795,7 @@ def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     levels = [level(cfg, n) for n in cfg.level_sizes()]
     want = 0
     for lv in levels:  # half step j writes the dual nodes for even j, the primal for odd
-        counts = {p: math.prod(lv.state.grid.shapes[p]) for p in ("primal", "dual")}
+        counts = {p: math.prod(lv.grid.shapes[p]) for p in ("primal", "dual")}
         want += (lv.nhalf + 1) // 2 * counts["dual"] + lv.nhalf // 2 * counts["primal"]
     counter = tracing.Tracer()
     layers = {k: tracing.LAYERS[k] for k in tracing.HALF_STEP_SPANS}
@@ -804,7 +805,7 @@ def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     boot = int("bootstrap" in argv)
     calls = [span[3] for span in counter.spans]
     assert calls.count("step") == max(lv.nhalf for lv in levels) - boot
-    assert calls.count("conservative.bootstrap") == boot * len(levels)
+    assert calls.count("conservative.bootstrap") == boot
     assert counter.nodes == want
 
 
@@ -851,11 +852,11 @@ def test_planewave_dissipative_error_reads_the_stepper_gather():
     cfg = make_config("planewave2d", flag_overrides={"levels": 1, "n0": 6})
     lv = driver._planewave_level(cfg, 6, cfg.m + 1, 4.18)
     report = driver._study(cfg, lambda n: lv)
-    grid, cu = lv.state.grid, (cfg.m + 1,) * 2
+    grid, cu = lv.grid, (cfg.m + 1,) * 2
     keys = {key for key in grid.plans if key[0] == "gather"}
     assert keys and all(key[2] != (cu,) for key in keys)
     # the level marched alone, its u measured through both gathers
-    state, scfg = lv.state, cfg.scheme_config()
+    (state, _, _), scfg = driver._start(cfg, grid, lv.data), cfg.scheme_config()
     for _ in range(lv.nhalf):
         state = half_step(state, scfg)
     t_end = lv.nhalf * 0.5 * lv.dt
@@ -869,3 +870,65 @@ def test_planewave_dissipative_error_reads_the_stepper_gather():
     old = driver.l2_error_field(state.u, exact)
     assert ("gather", state.parity, (cu,)) in grid.plans
     assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
+
+
+@pytest.mark.parametrize("scheme", ["dissipative", "conservative"])
+def test_study_makes_one_error_call_per_end_parity(monkeypatch, capsys, scheme):
+    """A 10-level study measures the levels that end on one parity with one
+    error call, on their stack's state: one call per end parity."""
+    argv = ["gaussian1d", "--m", "3", "--levels", "10", "--scheme", scheme]
+    cfg = cli._assemble(cli._build_parser().parse_args(argv))
+    ends = {lv.nhalf % 2 for lv in (driver._gaussian_level(cfg, n) for n in cfg.level_sizes())}
+    calls = []
+    for name in ("l2_error_field", "l2_errors_pair"):
+        def spy(state, *args, _real=getattr(driver, name)):
+            calls.append((state.parity, len(state.grid.levels)))
+            return _real(state, *args)
+
+        monkeypatch.setattr(driver, name, spy)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == len(ends) == 2
+    assert len({parity for parity, _ in calls}) == 2 and sum(n for _, n in calls) == 10
+
+
+@pytest.mark.parametrize("init", ["exact", "bootstrap"])
+@pytest.mark.parametrize("kind", ["dirichlet0", "neumann0"])
+def test_walled_conservative_start_zeroes_reflected_slots(monkeypatch, capsys, kind, init):
+    """Every walled conservative start state holds exactly 0 in the slots
+    its walls flip to -1 on the primal wall nodes (c_0, c_2, ... at
+    dirichlet0, c_1, c_3, ... at neumann0), on every level of a study."""
+    starts, real = [], driver._start
+    monkeypatch.setattr(driver, "_start", lambda *args: starts.append(real(*args)) or starts[-1])
+    assert cli.main(["gaussian1d", "--m", "3", "--levels", "3", "--boundary", kind,
+                     "--scheme", "conservative", "--init", init]) == 0
+    capsys.readouterr()
+    ((state, _, _),) = starts
+    primal = state.current if init == "exact" else state.previous
+    assert primal.parity == PRIMAL
+    flipped = slice(0, None, 2) if kind == "dirichlet0" else slice(1, None, 2)
+    offsets = state.grid.offsets[PRIMAL]
+    for first, stop in zip(offsets[:-1], offsets[1:]):
+        walls = primal.values[[first, stop - 1]]
+        assert np.all(walls[:, flipped] == 0.0) and np.any(walls != 0.0)
+
+
+def test_2d_walled_conservative_start_zeroes_reflected_slots():
+    """On a 2D walled level each wall zeroes its reflected orders along its
+    normal axis, for every tangential order; no other slot changes."""
+    grid = Grid((Axis(0.0, 1.0, 4, "dirichlet0", "neumann0"),
+                 Axis(0.0, 1.0, 3, "neumann0", "dirichlet0")))
+    m, rng = 2, np.random.default_rng(5)
+    cfg = make_config("planewave2d", flag_overrides={"scheme": "conservative", "m": m})
+    drawn = {}
+
+    def data(parity, t, order, tder):
+        return drawn.setdefault((parity, tder), rng.standard_normal(
+            grid.shapes[parity] + (order + 1,) * 2))
+
+    state, _, _ = driver._start(cfg, grid, data)
+    got, want = state.current.values, drawn[PRIMAL, 0].copy()
+    odd, even = slice(1, None, 2), slice(0, None, 2)  # neumann0 and dirichlet0 slots
+    want[0, :, even, :] = want[-1, :, odd, :] = 0.0
+    want[:, 0, :, odd] = want[:, -1, :, even] = 0.0
+    np.testing.assert_array_equal(got, want)

@@ -1,0 +1,36 @@
+"""The tolerance gate of `outputs_digest.py --compare`."""
+
+import json
+
+from outputs_digest import main
+
+COLUMNS = {"call one": {"exit": 0, "columns": {"error_u": [1.0, 2.0], "n": [10.0, 12.0]}},
+           "march 0": {"exit": None, "columns": {"config 0 time": [0.5]}}}
+
+
+def _compare(tmp_path, capsys, b, *rtol):
+    """Run --compare of COLUMNS against b; returns (exit code, stdout lines)."""
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, values in zip(paths, (COLUMNS, b)):
+        with open(path, "w") as fh:
+            json.dump(values, fh)
+    code = main(["--compare", *paths, *rtol])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_compare_rtol_names_every_column_past_it(tmp_path, capsys):
+    b = json.loads(json.dumps(COLUMNS))
+    b["call one"]["columns"]["error_u"][1] = 2.0 * (1.0 + 1e-6)
+    code, out = _compare(tmp_path, capsys, b, "--rtol", "1e-8")
+    assert code == 1
+    assert [line for line in out if line.startswith("over rtol")] == [
+        "over rtol 1e-08: call one  error_u  1e-06"]
+    assert _compare(tmp_path, capsys, b, "--rtol", "1e-5")[0] == 0
+    code, out = _compare(tmp_path, capsys, b)  # no gate: exit 0, nothing named
+    assert code == 0 and not any(line.startswith("over rtol") for line in out)
+    assert out[-1] == "largest relative difference over 2 calls and marches: 1e-06"
+
+
+def test_compare_rtol_names_a_call_missing_from_one_file(tmp_path, capsys):
+    code, out = _compare(tmp_path, capsys, {"call one": COLUMNS["call one"]}, "--rtol", "1")
+    assert code == 1 and "over rtol 1: march 0  the whole call  inf" in out

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import level_oracle
 from hermwave.boundary import gather_plan, level_gather
-from hermwave.conservative import full_step_conservative
+from hermwave.conservative import bootstrap_first_half, full_step_conservative
+from hermwave.diagnostics import l2_error_field, l2_errors_pair
 from hermwave.dissipative import SchemeConfig, half_step
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState, flip
 
 WALLS = {"dirichlet0": ("dirichlet0", "dirichlet0"), "neumann0": ("neumann0", "neumann0"),
          "mixed": ("dirichlet0", "neumann0"), "periodic": ("periodic", "periodic")}
@@ -48,12 +50,12 @@ def _assert_gathers_equal(head, fresh):
 @pytest.mark.parametrize("kinds, d, m", CASES, ids=[c[0] + f"-{c[1]}d" for c in CASES])
 def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
     """A stack of 3 levels, popped at each level's end, gives each level's
-    fields and time as its own march does, to 1e-12 relative.
+    rows and time as its own march does, to 1e-12 relative.
 
-    The levels leave from the end; the others stay views of the leading
-    rows, on a stack whose gathers are the leading targets of the larger
-    stack's, and the stack's v is carried as h*v but popped in its own
-    units.
+    The levels leave from the end, each with a view of its rows, in the
+    stack's units (v as h*v); the others stay views of the leading rows,
+    on a stack whose gathers are the leading targets of the larger
+    stack's.
     """
     cfg = SchemeConfig(m=m, lam=0.8)
     step = half_step if scheme == "dissipative" else full_step_conservative
@@ -72,18 +74,27 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
         done = ends[i]
         if state.grid.whole is not None:
             _assert_gathers_equal(state.grid, Stack(state.grid.levels))
-        rows = state.rows
-        got[i], state = state.grid.pop(state)
+        rows, grid = state.rows, state.grid
+        got[i] = (state.parity, state.time[i])
+        if isinstance(state, TwoLevelState):  # a study reads the current level alone
+            got[i] += (state.prev_rows[grid.offsets[flip(state.parity)][i] :],)
+        last, state = grid.pop(state)
+        got[i] = (last,) + got[i]
+        assert np.shares_memory(last, rows)
         if i:
             assert np.shares_memory(state.rows, rows) and state.grid.levels == stack.levels[:i]
     assert state is None
-    for i, (want, have) in enumerate(zip(alone, (got[i] for i in range(len(grids))))):
-        assert type(have) is type(want) and have.grid is grids[i]
-        assert (have.parity, have.time) == (want.parity, want.time)
-        for f_want, f_have in zip(want.fields, have.fields):
-            assert f_have.time == f_want.time and f_have.parity == f_want.parity
-            scale = np.abs(f_want.values).max()
-            assert np.abs(f_have.values - f_want.values).max() <= 1e-12 * scale
+    for i, want in enumerate(alone):
+        last, parity, time, *prev = got[i]
+        assert (parity, time) == (want.parity, want.time)
+        if isinstance(want, FieldPair):  # popped in the stack's units, v as h*v
+            split = want.split
+            parts = [(last[:, :split], want.rows[:, :split]),
+                     (last[:, split:] / stack.h[i], want.rows[:, split:])]
+        else:
+            parts = [(last, want.rows), (prev[0], want.prev_rows)]
+        for have, rows in parts:
+            assert np.abs(have - rows).max() <= 1e-12 * np.abs(rows).max()
 
 
 def test_stacked_state_counts_its_target_nodes():
@@ -119,3 +130,89 @@ def test_pack_takes_one_state_per_level():
     for bad in (states[:1], states[::-1], [states[0], two_level]):
         with pytest.raises(ValueError, match="one state per level"):
             stack.pack(bad)
+
+
+# (edge kinds, number of axes); 1D walls of both kinds and 2D periodic
+BOOT_CASES = [("dirichlet0", 1), ("neumann0", 1), ("periodic", 2)]
+
+
+@pytest.mark.parametrize("kinds, d", BOOT_CASES, ids=[f"{k}-{d}d" for k, d in BOOT_CASES])
+@pytest.mark.parametrize("parity", [PRIMAL, DUAL])
+def test_stacked_bootstrap_matches_the_taylor_pipeline(kinds, d, parity):
+    """One bootstrap of a 3-level stack, u_t carried as h*u_t, gives each
+    level's first half step as the per-level Taylor pipeline does, to
+    1e-12 relative; so does the bootstrap of each plain level."""
+    m, rng = 3 if d == 1 else 2, np.random.default_rng(d + len(kinds))
+    cfg = SchemeConfig(m=m, lam=0.8)
+    grids = [Grid((Axis(-1.0, 1.0, n, *WALLS[kinds]),) * d) for n in (11, 8, 6)]
+    fields = [[Field(g, parity, 0.0, rng.standard_normal(g.shapes[parity] + (m + 1,) * d))
+               for _ in range(2)] for g in grids]
+    stack = Stack(grids)
+    g0, g1 = (Field(stack, parity, np.zeros(3), np.concatenate(
+        [f[k].values.reshape((-1,) + (m + 1,) * d) * (g.h if k else 1.0)
+         for f, g in zip(fields, grids)])) for k in (0, 1))
+    state = bootstrap_first_half(g0, g1, cfg)
+    assert np.shares_memory(state.prev_rows, g0.values)
+    assert state.parity == flip(parity)
+    np.testing.assert_array_equal(state.time, 0.5 * cfg.dt(stack.h))
+    offsets = stack.offsets[flip(parity)]
+    for i, ((u, u_t), grid) in enumerate(zip(fields, grids)):
+        want = level_oracle.bootstrap(u, u_t, cfg)
+        got = state.rows[offsets[i] : offsets[i + 1]].reshape(want.shape)
+        alone = bootstrap_first_half(u, u_t, cfg)
+        assert alone.time == state.time[i]
+        for have in (got, alone.current.values):
+            assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# (edge kinds, number of axes); the 2D walls mix both kinds on each axis
+ERROR_CASES = [("dirichlet0", 1), ("neumann0", 1), ("mixed", 1), ("periodic", 2), ("mixed", 2)]
+
+
+@pytest.mark.parametrize("kinds, d", ERROR_CASES, ids=[f"{k}-{d}d" for k, d in ERROR_CASES])
+@pytest.mark.parametrize("parity", [PRIMAL, DUAL])
+@pytest.mark.parametrize("scheme", ["dissipative", "conservative"])
+def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
+    """One error call on a 3-level stack gives each level's errors as the
+    per-level arithmetic does on its plain state, to 1e-12 relative.
+
+    The levels carry random data, a FieldPair's v as h*v on the stack, and
+    the exact solution takes each level's own time through its target
+    rows; a dual level on walls has clipped edge cells (and corners in 2D).
+    """
+    m, rng = 3 if d == 1 else 2, np.random.default_rng([d, len(kinds), len(parity)])
+    grids = [Grid((Axis(-1.0, 1.0, n, *WALLS[kinds]),
+                   Axis(0.0, 1.5, n, *WALLS[kinds][::-1]))[:d]) for n in (11, 8, 6)]
+    times = np.array([0.3, -0.2, 0.7])
+
+    def field(g, order):
+        return Field(g, parity, 0.0, rng.standard_normal(g.shapes[parity] + (order + 1,) * d))
+
+    if scheme == "dissipative":
+        states = [FieldPair(field(g, m), field(g, m - 1)) for g in grids]
+    else:
+        states = [field(g, m) for g in grids]
+
+    def exact(t, *xs):  # u, u_x and v of sin(x + y + t)
+        arg = sum(xs) + t
+        return np.sin(arg), np.cos(arg), np.cos(arg)
+
+    stack = Stack(grids)
+    if scheme == "dissipative":
+        stacked = stack.pack(states)
+        stacked.time = times
+    else:
+        stacked = Field(stack, parity, times,
+                        np.concatenate([s.values.reshape((-1,) + (m + 1,) * d) for s in states]))
+    t = np.repeat(times, np.diff(stack.offsets[flip(parity)])).reshape((-1,) + (1,) * d)
+    got = [l2_error_field(stacked, lambda *xs: exact(t, *xs)[0])]
+    if scheme == "dissipative" and d == 1:
+        got = list(l2_errors_pair(stacked, lambda x: exact(t, x)))
+    for i, (state, ti) in enumerate(zip(states, times)):
+        if len(got) == 3:
+            exacts = [lambda x, j=j: exact(ti, x)[j] for j in range(3)]
+        else:
+            exacts = [lambda *xs: exact(ti, *xs)[0]]
+        want = level_oracle.errors(state, exacts)
+        for have, w in zip(got, want):
+            assert abs(have[i] - w) <= 1e-12 * w
