@@ -1,19 +1,8 @@
 """Hermite solvers for the scalar wave equation on staggered grids."""
 
-from .boundary import ghost_data, pair_sources
-from .conservative import (
-    bootstrap_first_half,
-    conservative_update,
-    full_step_conservative,
-)
-from .diagnostics import (
-    ErrorReport,
-    conservative_energy,
-    dissipative_energy,
-    fit_rate,
-    l2_error_field,
-    l2_errors_pair,
-)
+from .boundary import ghost_data
+from .conservative import bootstrap_first_half, full_step_conservative
+from .diagnostics import ErrorReport, fit_rate, l2_error_field, l2_errors_pair
 from .dissipative import (
     SchemeConfig,
     eval_series,
@@ -48,10 +37,9 @@ from .interp import apply_interp, interp_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "ghost_data", "pair_sources",
-    "bootstrap_first_half", "conservative_update", "full_step_conservative",
-    "ErrorReport", "conservative_energy", "dissipative_energy",
-    "fit_rate", "l2_error_field", "l2_errors_pair",
+    "ghost_data",
+    "bootstrap_first_half", "full_step_conservative",
+    "ErrorReport", "fit_rate", "l2_error_field", "l2_errors_pair",
     "SchemeConfig", "eval_series", "expand_taylor",
     "half_step", "half_step_1d", "half_step_2d",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",

@@ -10,19 +10,19 @@ then has no even (resp. odd) powers. In d axes one reflection
 tangential column. Each axis carries the kinds of its two ends
 (`Axis.left`, `Axis.right`).
 
-The gathers below assemble, for every target node of the opposite parity,
-the flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the steppers and the error norms need.
-Every gather runs one path, `take` through a `GatherPlan` cached on the
-level's grid, one per gathered blocks (`level_gather`): one take through a
-flat index into the node rows (u | v packed per node for the dissipative
-stepper), which wraps on a periodic axis and is clipped at walls. A
-dual level at walls then turns the clipped edge slots into ghosts: every
-reflection is a sign flip, so one flat index `negate` lists the slots
-whose product of wall signs is -1 (corners included), and the result
-equals the explicit [ghost, interior..., ghost] construction. A `Stack`'s
-gather is its levels' gathers one after the other, each offset by the rows
-and slots before its level.
+A gather assembles, for every target node of the opposite parity, the
+flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
+including any ghosts, which is all the steppers, the bootstrap and the
+error norms need. It has one path, `take` through a `GatherPlan` cached on
+the level's grid, one per gathered blocks (`level_gather`): one take
+through a flat index into the node rows (u | v packed per node for the
+dissipative stepper), which wraps on a periodic axis and is clipped at
+walls. A dual level at walls then turns the clipped edge slots into
+ghosts: every reflection is a sign flip, so one flat index `negate` lists
+the slots whose product of wall signs is -1 (corners included), and the
+result equals the explicit [ghost, interior..., ghost] construction. A
+`Stack`'s gather is its levels' gathers one after the other, each offset
+by the rows and slots before its level.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def level_gather(grid, parity: str, blocks: tuple) -> GatherPlan:
     """The `gather_plan` of grid's `parity` level for `blocks`, built once.
 
     It is kept in the grid's `plans` under ("gather", parity, blocks), so a
-    stepper's plan, `pair_sources` and the error norms that gather the same
-    blocks from the same level share one.
+    stepper's plan and the error norms that gather the same blocks from the
+    same level share one.
     """
     key = ("gather", parity, blocks)
     plan = grid.plans.get(key)
@@ -202,19 +202,3 @@ def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
         flat[plan.negate] *= -1.0
     return out.reshape(plan.targets, -1)
 
-
-def pair_sources(field):
-    """Flanking data for every target node of the opposite parity.
-
-    Gathers through the field's `level_gather`.
-
-    Returns:
-        (data, *centers): data shaped (targets per axis..., 2 per axis...,
-        mu_q+1 per axis...), each 2 being that axis's (low, high) side, then
-        the target node coordinates (the cell midpoints) of each axis.
-    """
-    grid, parity, values = field.grid, field.parity, field.values
-    coeffs = values.shape[grid.ndim :]
-    plan = level_gather(grid, parity, (coeffs,))
-    data = take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
-    return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))

@@ -1,33 +1,34 @@
-"""Two-time-level conservative update of u-only data.
+"""Two-time-level conservative update of u-only data, and its bootstrap.
 
-A solution of u_tt = c^2 Delta u has the time series u(t+tau) = sum_s
-tau**s/s! d_t^s u, whose even derivatives d_t^(2p) u = c^(2p) Delta^p u
-involve u alone and whose odd ones involve v = u_t. Adding the series at
-tau = +-dt/2 cancels the odd part:
+The first half step is bootstrapped by the dissipative module's Taylor
+recursion (`expand_taylor`), seeded with the full-order Hermite
+interpolants of the initial displacement and velocity that are centered at
+the target node, and summed at dt/2. One such step is accurate to the
+interpolation error and comfortably exceeds the O(h^(2m+1)) the two-level
+scheme needs. It is linear in the gathered pair, so `fold` turns it into
+one matrix B per (m, dt, hs, c); with dt = lam h/c the map from (u, h u_t)
+is the same at every h (the D^-1 A D argument of `grid.Stack`), so a stack's
+is built at unit spacing. A bootstrap is then one take of u | h u_t packed
+per node and one product, for one level or for every level of a stack at
+once.
+
+The update is the same map. A solution of u_tt = c^2 Delta u has the time
+series u(t+tau) = sum_s tau**s/s! d_t^s u, whose even derivatives
+d_t^(2p) u = c^(2p) Delta^p u involve u alone and whose odd ones involve
+v = u_t. Adding the series at tau = +-dt/2 cancels the odd part:
 
     u(x, t+dt/2) + u(x, t-dt/2) = 2 sum_p (c dt/2)**(2p) / (2p)! Delta^p u(x, t).
 
-The right-hand side is twice the series of u at t+dt/2 evolved from v = 0,
-so the dissipative module's Taylor recursion (`expand_taylor`) builds it:
-seeded with the Hermite interpolant centered at the target node and v = 0,
-every odd stage is exactly zero, and the node data at t+dt/2 are twice the
-series at theta = 1/2 minus the data at t-dt/2 on the same grid. The
+The right-hand side is twice the series of u at t+dt/2 evolved from
+u_t = 0: twice B's u rows, B_u, applied to the gathered current level. The
 interpolant has degree 2m+1 along each of d axes, so Delta^p of it vanishes
-past p = dm; 2dm stages capture every term, and resolved polynomial data is
-evolved exactly. Interpolation and update are linear in the gathered
-current level, so a step gathers it through a plan cached on its grid,
-multiplies it by one cached matrix (`fold`) and subtracts the previous
-level.
+past p = dm, every stage of B past 2dm is exactly zero on u_t = 0 data and
+resolved polynomial data is evolved exactly. A step is one take of the
+current level through a plan cached on its grid, one product with 2 B_u
+(`_update_matrix`, the u block of B's `fold`) and the subtraction of the
+previous level:
 
-The first half step is bootstrapped with the same recursion applied to
-full-order interpolants of the initial displacement and velocity; one such
-step is accurate to the interpolation error and comfortably exceeds the
-O(h^(2m+1)) the two-level scheme needs. It is linear in the gathered pair
-too, so `fold` turns it into one matrix per (m, lam, c, aspect), built at
-unit spacing: with dt = lam h/c the map from (u, h u_t) is the same at
-every h (the D^-1 A D argument of `grid.Stack`). A bootstrap is then one
-take of u | h u_t packed per node and one product, for one level or for
-every level of a stack at once.
+    new = 2 B_u (gathered u) - prev.
 """
 
 from __future__ import annotations
@@ -43,42 +44,17 @@ from .grid import Field, Stack, TwoLevelState, flip, link
 from .interp import apply_interp
 
 
-def conservative_update(interp, prev, m: int, dt, hs, speed) -> np.ndarray:
-    """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
-
-    Args:
-        interp: (..., 2m+2 per axis) coefficients of the interpolant
-            centered at the target node (batched), one axis per spacing.
-        prev: (..., m+1 per axis) node data at t-dt/2.
-        dt: time step; the update advances dt/2.
-        hs: cell spacing per axis.
-        speed: wave speed c.
-    """
-    ndim = len(hs)
-    c0 = np.asarray(interp, dtype=float)
-    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, speed, 2 * ndim * m)
-    new = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim]
-    return 2.0 * new - np.asarray(prev, dtype=float)
-
-
-def _update(data, m, dt, hs, speed):
-    """The update of gathered current data with prev = 0, the map `fold` builds."""
-    return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
-
-
 def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
     """Build the update plan of grid's `parity` level, or of a `Stack`:
-    gather, matrix, dt/2 (one per level on a stack), target parity and the
-    new current and previous shapes. The matrix depends on lam alone, so a
-    stack's, built at the unit spacing of its aspect, serves every level."""
+    gather, `_update_matrix`, dt/2 (one per level on a stack), target parity
+    and the new current and previous shapes. The matrix depends on lam
+    alone, so a stack's, built at the unit spacing of its aspect, serves
+    every level."""
     m, hs = cfg.m, grid.spacings
-    ndim = len(hs)
-    dt = cfg.dt(min(hs))
-    cu = (m + 1,) * ndim
-    gather = level_gather(grid, parity, (cu,))
-    (a,) = fold(_update, ((2,) * ndim + cu,), m, dt, hs, cfg.speed)
-    return gather, a, 0.5 * cfg.dt(grid.h), flip(parity), (grid.shapes[flip(parity)] + cu,
-                                                           grid.shapes[parity] + cu)
+    cu = (m + 1,) * len(hs)
+    a = _update_matrix(m, cfg.dt(min(hs)), hs, cfg.speed)
+    return (level_gather(grid, parity, (cu,)), a, 0.5 * cfg.dt(grid.h), flip(parity),
+            (grid.shapes[flip(parity)] + cu, grid.shapes[parity] + cu))
 
 
 def full_step_conservative(state: TwoLevelState, cfg: SchemeConfig) -> TwoLevelState:
@@ -117,6 +93,16 @@ def _bootstrap_matrix(m: int, dt: float, hs: tuple, speed: float) -> np.ndarray:
     once per (m, dt, hs, c)."""
     sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
     return packed(fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs, speed), sides)
+
+
+@lru_cache(maxsize=64)
+def _update_matrix(m: int, dt: float, hs: tuple, speed: float) -> np.ndarray:
+    """2 B_u, twice the u block of the bootstrap's `fold`: the update's map
+    from the gathered current level, built once per (m, dt, hs, c)."""
+    sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
+    a = 2.0 * fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs, speed)[0]
+    a.setflags(write=False)
+    return a
 
 
 def bootstrap_first_half(g0, g1, cfg: SchemeConfig) -> TwoLevelState:

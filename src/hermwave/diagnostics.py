@@ -1,4 +1,4 @@
-"""Error norms, convergence rates, and conserved-variable energies.
+"""Error norms, convergence rates, and the conservative scheme's energy.
 
 The conservative scheme preserves the seminorm energy
 
@@ -17,7 +17,8 @@ the shifts reach. Hence E = sum_i y_i^T G y_i with one Gram matrix G per
 (m, r, h). `energy_factor` builds it as G = L^T L from binomial shifts
 and, on each of the four sub-pieces, the derivative at Gauss points
 exact for its square, so no quadrature error enters the drift
-measurement.
+measurement. `energy_of_rows` reads E from a periodic 1D two-level
+state's node rows and its `energy_window`.
 
 Two choices keep the rounding relative to E for smooth data, where the
 top coefficients and P_± are small against the nodal data: the window
@@ -29,13 +30,6 @@ evaluating y_i^T G y_i. The rounding still grows with m: at n = 30 and
 1.3e-3 at m = 6 and 0.6 at m = 8 while the stepped level's L2 error stays
 at or below 1e-13, and E of exact two-level data varies by as much, so past
 m = 4 the drift measures this form's noise, not the scheme.
-
-The dissipative analogue c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, what
-the (u, v) scheme dissipates at every interpolation, needs no shifts:
-each cell's term reads only that cell's u coefficients of degree m+1 to
-2m+1 and v coefficients of degree m to 2m-1. So it is c^2 sum_i |L_u a_i|^2
-+ sum_i |L_v b_i|^2, with the two `seminorm_factor`s built from the same
-Gauss-point derivative rows as `energy_factor`, on the whole cell.
 """
 
 from __future__ import annotations
@@ -47,8 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import gather_index, level_gather, pair_sources, take
-from .grid import DUAL, Axis, Field, FieldPair, Stack, flip
+from .boundary import gather_index, level_gather, take
+from .grid import DUAL, Axis, FieldPair, Stack, flip
 from .interp import interp_matrix
 
 
@@ -332,27 +326,6 @@ def energy_factor(m: int, r: float, h: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def seminorm_factor(mu: int, order: int, h: float) -> np.ndarray:
-    """Read-only L with |p|_order^2 = |L a|^2 on one cell of width h.
-
-    a holds the scaled coefficients of degree order to 2mu+1 of the cell
-    interpolant of order-mu node data; the factor h^(1/2-order) turns the
-    integral over xi in [-1/2, 1/2] into the physical one.
-    """
-    out = _derivative_rows(-0.5, 0.5, order, 2 * mu + 2 - order) * h ** (0.5 - order)
-    out.setflags(write=False)
-    return out
-
-
-def _line(field) -> Axis:
-    """The one axis of a 1D field or pair; the energies are defined in 1D only."""
-    ndim = len(field.grid.axes)
-    if ndim != 1:
-        raise ValueError(f"defined for 1D fields only, got a {ndim}D field")
-    return field.grid.axes[0]
-
-
 def energy_window(axis: Axis, m: int, speed: float, dt: float) -> np.ndarray:
     """`energy_factor` of order-m levels on a periodic axis, r = c dt/(2h)."""
     if not axis.periodic:
@@ -378,38 +351,6 @@ def energy_of_rows(cur_rows: np.ndarray, prev_rows: np.ndarray, parity: str,
     flanks = prev[own].reshape(n, -1)  # the previous cells centred on the current nodes
     y = np.concatenate([cur, flanks], axis=1) @ factor.T
     return float(np.vdot(y, y))
-
-
-def conservative_energy(current: Field, previous: Field, speed: float, dt: float) -> float:
-    """E(t_n) from a two-level nodal state on a periodic 1D grid."""
-    axis = _line(current)
-    if previous.parity != flip(current.parity):
-        raise ValueError("the two levels must sit on opposite parities")
-    (m,) = current.orders
-    # a 1D level's values are its node rows
-    return energy_of_rows(current.values, previous.values, current.parity,
-                          energy_window(axis, m, speed, dt))
-
-
-def _interp_seminorm(field: Field, order: int, h: float) -> float:
-    """|I field|_order^2 summed over the cells of the 1D field's gather."""
-    (mu,) = field.orders
-    data = pair_sources(field)[0]
-    top = data.reshape(len(data), -1) @ interp_matrix(mu)[order:].T
-    y = top @ seminorm_factor(mu, order, h).T
-    return float(np.vdot(y, y))
-
-
-def dissipative_energy(state: FieldPair, speed: float) -> float:
-    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the 1D gathers.
-
-    A dual level's ghost-backed edge cells reach h/2 past each wall and are
-    not clipped.
-    """
-    h = _line(state.u).h
-    (m,) = state.u.orders
-    return (speed * speed * _interp_seminorm(state.u, m + 1, h)
-            + _interp_seminorm(state.v, m, h))
 
 
 # ---------------------------------------------------------------------------

@@ -274,12 +274,14 @@ def planewave_data(xnodes, ynodes, t: float, kx: int, ky: int, kappa: int,
     """
     w = 2.0 * np.pi * kappa
     theta = w * (xnodes[:, None] + ynodes[None, :] + math.sqrt(2.0) * t)
+    # one sine per distinct k+l+d, s[..., k + l] the (k, l) block's
+    s = np.sin(theta[..., None] + 0.5 * np.pi * np.arange(tder, kx + ky + tder + 1))
     out = np.empty(theta.shape + (kx + 1, ky + 1))
     for k in range(kx + 1):
         for l in range(ky + 1):
             amp = w ** (k + l) * (math.sqrt(2.0) * w) ** tder
             amp *= hx**k / math.factorial(k) * hy**l / math.factorial(l)
-            out[..., k, l] = amp * np.sin(theta + 0.5 * np.pi * (k + l + tder))
+            out[..., k, l] = amp * s[..., k + l]
     return out
 
 
@@ -318,15 +320,15 @@ def _march(state, step, scfg: SchemeConfig, done: int, last: int, where):
     return state
 
 
-def _start(cfg: RunConfig, grid, data, half_step=None):
+def _start(cfg: RunConfig, grid, data):
     """First state of a level or a `Stack`, the step that advances it and
     the half steps it has taken: 1 after a bootstrap, else 0.
 
     data(parity, t, order, tder) gives the scaled nodal blocks of u
     (tder 0) or u_t (tder 1) on one parity's nodes at time t, one time per
     level on a stack, where they are its rows and u_t is carried as h*u_t;
-    it is called for the primal level first. half_step is the dissipative
-    step as the dimension names it, `half_step_1d` or `half_step_2d`: one
+    it is called for the primal level first. The dissipative step is the
+    one the grid's dimension names, `half_step_1d` or `half_step_2d`: one
     function under two names, read from this module at each call, so a
     wrapper patched in under either name sees every step. The state is a
     FieldPair (dissipative) or a TwoLevelState (conservative), whose primal
@@ -340,7 +342,7 @@ def _start(cfg: RunConfig, grid, data, half_step=None):
 
     if cfg.scheme == "dissipative":
         u_v = field(PRIMAL, t0, cfg.m), field(PRIMAL, t0, cfg.m - 1, tder=1)
-        return FieldPair(*u_v), half_step, 0
+        return FieldPair(*u_v), half_step_1d if grid.ndim == 1 else half_step_2d, 0
     u0 = data(PRIMAL, t0, cfg.m, 0)
     zero_wall_slots(u0, grid)
     u0 = Field(grid, PRIMAL, t0, u0)
@@ -391,7 +393,7 @@ def _study(cfg: RunConfig, level) -> ErrorReport:
             blocks = [block * h for block, h in zip(blocks, stack.h)]
         return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
-    state, step, done = _start(cfg, stack, data, half_step_1d if d == 1 else half_step_2d)
+    state, step, done = _start(cfg, stack, data)
 
     def where(state, done):  # the first non-finite level
         bad = np.argmin(np.isfinite(state.rows).all(axis=1))

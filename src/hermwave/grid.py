@@ -264,9 +264,10 @@ class Stack:
       alone;
     - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
 
-    A state of the stack (`pack`) holds one time per level. A level leaves
-    from the end (`pop`) with its rows alone, so a study stacks the level
-    that marches longest first: its finest. The stack of the other levels
+    A state of the stack holds every level's rows, one after the other, and
+    one time per level; a study starts one from its levels' start data. A
+    level leaves from the end (`pop`) with its rows alone, so a study stacks
+    the level that marches longest first: its finest. The stack of the other levels
     holds the leading rows, its gathers are the leading targets of this
     stack's, and it names this stack as its `whole`.
 
@@ -293,38 +294,6 @@ class Stack:
                         for parity in (PRIMAL, DUAL)}
         self.shapes = {parity: (int(off[-1]),) for parity, off in self.offsets.items()}
         self.plans, self.whole, self._head = {}, None, None
-
-    def _shapes(self, state, grid) -> tuple:
-        """state's value shapes moved onto grid's node axes (a level or a stack)."""
-        second = state.parity if isinstance(state, FieldPair) else flip(state.parity)
-        return tuple(grid.shapes[parity] + shape[-self.ndim :]
-                     for parity, shape in zip((state.parity, second), state.shapes))
-
-    def pack(self, states):
-        """One state of the stack from one plain state per level, in stack order.
-
-        The states are all FieldPairs or all TwoLevelStates, of one parity;
-        their rows are concatenated, each FieldPair's v columns times its
-        level's h, and their times go into arrays.
-        """
-        first = states[0]
-        if len(states) != len(self.levels) or any(
-                type(s) is not type(first) or s.parity != first.parity or s.grid is not g
-                for s, g in zip(states, self.levels)):
-            raise ValueError("pack takes one state per level on it, in stack order, "
-                             "all of one kind and parity")
-        out = copy.copy(first)
-        out.grid, out.link = self, None
-        out.time = np.array([s.time for s in states])
-        out.rows = np.concatenate([s.rows for s in states])
-        if isinstance(first, FieldPair):
-            h = np.repeat(self.h, np.diff(self.offsets[first.parity]))
-            out.rows[:, first.split :] *= h[:, None]
-        else:
-            out.prev_time = np.array([s.prev_time for s in states])
-            out.prev_rows = np.concatenate([s.prev_rows for s in states])
-        out.shapes = self._shapes(first, self)
-        return out
 
     def _lead(self, count: int) -> Stack:
         """The stack of the first `count` levels, built once from this one's
@@ -353,7 +322,9 @@ class Stack:
         rest = copy.copy(state)
         rest.grid, rest.link, rest.time = self._lead(i), None, state.time[:i]
         rest.rows = state.rows[:start]
-        rest.shapes = self._shapes(state, rest.grid)
+        second = state.parity if isinstance(state, FieldPair) else flip(state.parity)
+        rest.shapes = tuple(rest.grid.shapes[parity] + shape[-self.ndim :]
+                            for parity, shape in zip((state.parity, second), state.shapes))
         if not isinstance(state, FieldPair):
             rest.prev_time = state.prev_time[:i]
             rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]

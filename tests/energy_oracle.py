@@ -1,6 +1,18 @@
-"""Piecewise assembly of the conserved energy, the oracle for its cached form.
+"""The energies in closed form on a level, and their piecewise oracle.
 
-The conserved variables P_± = p^n - S_± p^{n-1/2} are built as explicit
+`conservative_energy` reads E(t_n) from two `Field`s through the cached form
+the driver samples (`hermwave.diagnostics.energy_window`, `energy_of_rows`).
+
+The dissipative analogue c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, what
+the (u, v) scheme dissipates at every interpolation, needs no shifts:
+each cell's term reads only that cell's u coefficients of degree m+1 to
+2m+1 and v coefficients of degree m to 2m-1. So it is c^2 sum_i |L_u a_i|^2
++ sum_i |L_v b_i|^2 (`dissipative_energy`), with the two `seminorm_factor`s
+built from the same Gauss-point derivative rows as `energy_factor`, on the
+whole cell.
+
+Piecewise assembly of the conserved energy, the oracle for its cached form:
+the conserved variables P_± = p^n - S_± p^{n-1/2} are built as explicit
 piecewise polynomials: the previous level's interpolant is translated by
 ±c dt/2 (`shift`), subtracted from the current one on the union of both
 breakpoint sets (`pp_subtract`), and each union piece is integrated by a
@@ -13,10 +25,68 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from hermwave.diagnostics import _derivative_rows, energy_of_rows, energy_window
+from hermwave.grid import Axis, Field, FieldPair, flip
+from hermwave.interp import interp_matrix
+from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, field_interpolant, seminorm_sq
+
+
+@lru_cache(maxsize=64)
+def seminorm_factor(mu: int, order: int, h: float) -> np.ndarray:
+    """Read-only L with |p|_order^2 = |L a|^2 on one cell of width h.
+
+    a holds the scaled coefficients of degree order to 2mu+1 of the cell
+    interpolant of order-mu node data; the factor h^(1/2-order) turns the
+    integral over xi in [-1/2, 1/2] into the physical one.
+    """
+    out = _derivative_rows(-0.5, 0.5, order, 2 * mu + 2 - order) * h ** (0.5 - order)
+    out.setflags(write=False)
+    return out
+
+
+def _line(field) -> Axis:
+    """The one axis of a 1D field or pair; the energies are defined in 1D only."""
+    ndim = len(field.grid.axes)
+    if ndim != 1:
+        raise ValueError(f"defined for 1D fields only, got a {ndim}D field")
+    return field.grid.axes[0]
+
+
+def conservative_energy(current: Field, previous: Field, speed: float, dt: float) -> float:
+    """E(t_n) from a two-level nodal state on a periodic 1D grid."""
+    axis = _line(current)
+    if previous.parity != flip(current.parity):
+        raise ValueError("the two levels must sit on opposite parities")
+    (m,) = current.orders
+    # a 1D level's values are its node rows
+    return energy_of_rows(current.values, previous.values, current.parity,
+                          energy_window(axis, m, speed, dt))
+
+
+def _interp_seminorm(field: Field, order: int, h: float) -> float:
+    """|I field|_order^2 summed over the cells of the 1D field's gather."""
+    (mu,) = field.orders
+    data = pair_sources(field)[0]
+    top = data.reshape(len(data), -1) @ interp_matrix(mu)[order:].T
+    y = top @ seminorm_factor(mu, order, h).T
+    return float(np.vdot(y, y))
+
+
+def dissipative_energy(state: FieldPair, speed: float) -> float:
+    """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the 1D gathers.
+
+    A dual level's ghost-backed edge cells reach h/2 past each wall and are
+    not clipped.
+    """
+    h = _line(state.u).h
+    (m,) = state.u.orders
+    return (speed * speed * _interp_seminorm(state.u, m + 1, h)
+            + _interp_seminorm(state.v, m, h))
 
 
 def shift(f: PiecewisePolynomial, delta: float) -> PiecewisePolynomial:

@@ -1,4 +1,11 @@
-"""Per-level arithmetic that the stacked study paths replaced, kept as oracles.
+"""Per-level arithmetic that the stacked and folded paths replaced, kept as oracles.
+
+`pair_sources` is a level's gather in the explicit layout: the flanking
+data of every target node, shaped per axis, and the target coordinates.
+
+`conservative_update` is the two-level update the conservative plan's
+matrix folds: the Taylor recursion from the target-centered interpolant
+and v = 0, summed at dt/2, doubled, minus the previous level.
 
 `bootstrap` is the Taylor pipeline the conservative bootstrap ran on each
 level: gather each field's flanking data, interpolate, run the recursion
@@ -18,12 +25,53 @@ import math
 
 import numpy as np
 
-from hermwave.boundary import level_gather, pair_sources, take
+from hermwave.boundary import level_gather, take
 from hermwave.diagnostics import (_AT, _axis_cells, default_npts, eval_matrix, field_matrix,
                                   gauss_rule)
 from hermwave.dissipative import eval_series, expand_taylor
 from hermwave.grid import DUAL, FieldPair, flip
 from hermwave.interp import apply_interp
+
+
+def pair_sources(field):
+    """Flanking data for every target node of the opposite parity.
+
+    Gathers through the field's `level_gather`.
+
+    Returns:
+        (data, *centers): data shaped (targets per axis..., 2 per axis...,
+        mu_q+1 per axis...), each 2 being that axis's (low, high) side, then
+        the target node coordinates (the cell midpoints) of each axis.
+    """
+    grid, parity, values = field.grid, field.parity, field.values
+    coeffs = values.shape[grid.ndim :]
+    plan = level_gather(grid, parity, (coeffs,))
+    data = take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
+    return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))
+
+
+def conservative_update(interp, prev, m: int, dt, hs, speed) -> np.ndarray:
+    """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
+
+    Args:
+        interp: (..., 2m+2 per axis) coefficients of the interpolant
+            centered at the target node (batched), one axis per spacing.
+        prev: (..., m+1 per axis) node data at t-dt/2.
+        dt: time step; the update advances dt/2.
+        hs: cell spacing per axis.
+        speed: wave speed c.
+    """
+    ndim = len(hs)
+    c0 = np.asarray(interp, dtype=float)
+    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, speed, 2 * ndim * m)
+    new = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim]
+    return 2.0 * new - np.asarray(prev, dtype=float)
+
+
+def update(data, m, dt, hs, speed):
+    """`conservative_update` of gathered current data with prev = 0, as
+    `dissipative.fold` takes it: the map the conservative plan's matrix is."""
+    return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
 
 
 def bootstrap(g0, g1, cfg) -> np.ndarray:

@@ -8,9 +8,10 @@ coefficients a_l of
 the scaled basis of `hermwave.interp`. `field_interpolant` assembles a
 level's global Hermite interpolant from these pieces and `seminorm_sq`
 integrates a squared derivative piece by piece with a Gauss rule exact for
-its degree. This is independent of the cached matrices in
-`hermwave.diagnostics` (`seminorm_factor`, `energy_factor`), which fold the
-same integrals into one matrix per cell, so the two check each other.
+its degree. This is independent of the cached matrices
+(`energy_oracle.seminorm_factor`, `hermwave.diagnostics.energy_factor`),
+which fold the same integrals into one matrix per cell, so the two check
+each other.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hermwave.boundary import pair_sources
 from hermwave.diagnostics import gauss_rule
 from hermwave.grid import Field, FieldPair
 from hermwave.interp import apply_interp
+
+from level_oracle import pair_sources
 
 
 @dataclass(frozen=True)

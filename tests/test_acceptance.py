@@ -35,7 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
-from hermwave.boundary import ghost_data, pair_sources
+from hermwave.boundary import ghost_data
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import l2_error_field
 from hermwave.dissipative import SchemeConfig, half_step
@@ -52,6 +52,7 @@ from hermwave.driver import (
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from hermwave.interp import apply_interp
 
+from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, interpolate_1d, seminorm_sq
 
 

@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
-from hermwave.boundary import pair_sources, take, zero_wall_slots
-from hermwave.conservative import (
-    _plan,
-    bootstrap_first_half,
-    conservative_update,
-    full_step_conservative,
-)
+from hermwave.boundary import take, zero_wall_slots
+from hermwave.conservative import _plan, bootstrap_first_half, full_step_conservative
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, TwoLevelState, flip
 from hermwave.interp import apply_interp
 
+from level_oracle import conservative_update, pair_sources
 from lifting import lift, lifted_grids
 
 

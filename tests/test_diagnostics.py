@@ -8,13 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermwave.boundary import pair_sources
 from hermwave.conservative import full_step_conservative
 from hermwave.diagnostics import (
     ErrorReport,
-    conservative_energy,
     default_npts,
-    dissipative_energy,
     fit_rate,
     gauss_rule,
     l2_error_field,
@@ -24,7 +21,16 @@ from hermwave.dissipative import SchemeConfig, half_step
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from hermwave.interp import apply_interp
 
-from energy_oracle import conserved_pair, oracle_energy, pp_subtract, seminorm_energy, shift
+from energy_oracle import (
+    conservative_energy,
+    conserved_pair,
+    dissipative_energy,
+    oracle_energy,
+    pp_subtract,
+    seminorm_energy,
+    shift,
+)
+from level_oracle import pair_sources
 from piecewise import (
     CellPolynomial,
     PiecewisePolynomial,

@@ -13,7 +13,6 @@ import sympy as sp
 
 from hermwave import cli, driver
 from hermwave.diagnostics import ErrorReport
-from hermwave.dissipative import half_step
 from hermwave.grid import PRIMAL, Axis, Grid
 from hermwave.driver import (
     FINITE_STRIDE,
@@ -855,10 +854,12 @@ def test_planewave_dissipative_error_reads_the_stepper_gather():
     grid, cu = lv.grid, (cfg.m + 1,) * 2
     keys = {key for key in grid.plans if key[0] == "gather"}
     assert keys and all(key[2] != (cu,) for key in keys)
-    # the level marched alone, its u measured through both gathers
-    (state, _, _), scfg = driver._start(cfg, grid, lv.data), cfg.scheme_config()
+    # the level marched alone with the stepper its start picks, its u
+    # measured through both gathers
+    (state, step, _), scfg = driver._start(cfg, grid, lv.data), cfg.scheme_config()
+    assert step is driver.half_step_2d
     for _ in range(lv.nhalf):
-        state = half_step(state, scfg)
+        state = step(state, scfg)
     t_end = lv.nhalf * 0.5 * lv.dt
     w = 2.0 * np.pi * (cfg.m + 1)
 

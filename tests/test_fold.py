@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermwave import conservative
-from hermwave.boundary import pair_sources
-from hermwave.conservative import bootstrap_first_half, conservative_update, full_step_conservative
+import level_oracle
+from hermwave.conservative import _plan, bootstrap_first_half, full_step_conservative
 from hermwave.dissipative import SchemeConfig, fold, half_step, rows, taylor_half_step
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState, flip
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState, flip
 from hermwave.interp import apply_interp
+
+from level_oracle import conservative_update, pair_sources
 
 WALLS = ("dirichlet0", "neumann0")
 PERIODIC = ("periodic", "periodic")
@@ -229,7 +230,7 @@ def _oracle_full_step(cur, prev, cfg):
     ndim, hs = len(grid.axes), grid.spacings
     dt = cfg.dt(min(hs))
     dc = pair_sources(cur)[0]
-    (a,) = fold(conservative._update, (dc.shape[ndim:],), cfg.m, dt, hs, cfg.speed)
+    (a,) = fold(level_oracle.update, (dc.shape[ndim:],), cfg.m, dt, hs, cfg.speed)
     new = (rows(dc, ndim) @ a).reshape(prev.values.shape) - prev.values
     return Field(grid, prev.parity, cur.time + 0.5 * dt, new), cur
 
@@ -269,3 +270,27 @@ def test_200_packed_steps_match_field_oracle(ndim):
     for got, want in zip(state.fields, (cur, prev)):
         assert (got.parity, got.time) == (want.parity, want.time)
         assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("d, ms", [(1, range(1, 5)), (2, range(1, 4)), (3, range(1, 3))])
+def test_conservative_plan_is_the_folded_update(d, ms):
+    """The conservative plan's matrix, twice the u rows of the folded
+    bootstrap, is bit for bit the `fold` of the update oracle
+    (`level_oracle.conservative_update`): on a `Grid` of unequal real
+    spacings and on a `Stack` of two such levels, whose plan is built at
+    the unit spacing of their aspect.
+
+    With u_t = 0 every bootstrap stage past the update's 2dm is exactly
+    zero, so the two series sum the same terms in the same order.
+    """
+    sides = [(1.7, 5), (1.3, 3), (0.9, 4)][:d]
+    grid = Grid(tuple(Axis(0.0, length, n) for length, n in sides))
+    stack = Stack([grid, Grid(tuple(Axis(0.0, length, 2 * n) for length, n in sides))])
+    for m in ms:
+        for lam in (0.5, 0.8, 1.0):
+            cfg = SchemeConfig(m=m, lam=lam)
+            for level in (grid, stack):
+                hs = level.spacings
+                (want,) = fold(level_oracle.update, ((2,) * d + (m + 1,) * d,), m,
+                               cfg.dt(min(hs)), hs, cfg.speed)
+                assert np.array_equal(_plan(level, PRIMAL, cfg)[1], want), (m, lam, level)

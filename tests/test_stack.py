@@ -32,6 +32,21 @@ def _levels(kinds, d, m, scheme, rng):
     return grids, states, [35, 25, 19]
 
 
+def _pack(stack, states):
+    """One state of the stack from one plain state per level, in stack order:
+    each field's values one level after the other, a FieldPair's v times its
+    level's h, and one time per level."""
+    def field(fields, scale=np.ones(len(states))):
+        values = [f.values.reshape((-1,) + f.values.shape[stack.ndim :]) * s
+                  for f, s in zip(fields, scale)]
+        return Field(stack, fields[0].parity, np.array([f.time for f in fields]),
+                     np.concatenate(values))
+
+    if isinstance(states[0], FieldPair):
+        return FieldPair(field([s.u for s in states]), field([s.v for s in states], stack.h))
+    return TwoLevelState(field([s.current for s in states]), field([s.previous for s in states]))
+
+
 def _assert_gathers_equal(head, fresh):
     """Each gather a stepped head stack holds, a prefix of the larger
     stack's, equals the one a fresh stack of its levels builds."""
@@ -67,7 +82,7 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
         alone.append(state)
 
     stack = Stack(grids)
-    state, done, got = stack.pack(states), 0, {}
+    state, done, got = _pack(stack, states), 0, {}
     for i in reversed(range(len(grids))):
         for _ in range(done, ends[i]):
             state = step(state, cfg)
@@ -105,10 +120,10 @@ def test_stacked_state_counts_its_target_nodes():
     states = [FieldPair(*(Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (k, k)))
                           for k in (3, 2))) for g in grids]
     stack = Stack(grids)
-    out = half_step(stack.pack(states), SchemeConfig(m=2))
+    out = half_step(_pack(stack, states), SchemeConfig(m=2))
     assert out.u.values.shape == (25 + 16, 3, 3) and out.u.orders == (2, 2)
     np.testing.assert_array_equal(out.time, 0.5 * 0.8 * stack.h)
-    packed = stack.pack(states)
+    packed = _pack(stack, states)
     np.testing.assert_array_equal(packed.v.values[:25].reshape(5, 5, 2, 2),
                                   states[0].v.values * 0.2)
 
@@ -119,17 +134,6 @@ def test_stack_needs_one_aspect():
                Grid((Axis(0.0, 1.0, 4), Axis(0.0, 2.0, 4)))])
     with pytest.raises(ValueError, match="aspect"):
         Stack([Grid((Axis(0.0, 1.0, 4),)), Grid((Axis(0.0, 1.0, 4), Axis(0.0, 1.0, 4)))])
-
-
-def test_pack_takes_one_state_per_level():
-    grids = [Grid((Axis(0.0, 1.0, n),)) for n in (6, 4)]
-    states = [FieldPair(*(Field(g, PRIMAL, 0.0, np.zeros(g.shapes[PRIMAL] + (k,))) for k in (3, 2)))
-              for g in grids]
-    two_level = TwoLevelState(*(Field(grids[1], p, 0.0, np.zeros((4, 3))) for p in (PRIMAL, DUAL)))
-    stack = Stack(grids)
-    for bad in (states[:1], states[::-1], [states[0], two_level]):
-        with pytest.raises(ValueError, match="one state per level"):
-            stack.pack(bad)
 
 
 # (edge kinds, number of axes); 1D walls of both kinds and 2D periodic
@@ -199,7 +203,7 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
 
     stack = Stack(grids)
     if scheme == "dissipative":
-        stacked = stack.pack(states)
+        stacked = _pack(stack, states)
         stacked.time = times
     else:
         stacked = Field(stack, parity, times,
