@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration problems or a run that needs more
-memory than is available (a MemoryError anywhere in the run, at its first
-allocation or partway through), 3 numerical failure (non-finite field
-data mid-run).
+Exit codes: 0 success, 2 configuration problems (an `--out` that cannot be
+written included) or a run that needs more memory than is available (a
+study whose node rows alone exceed physical memory, before it starts, or a
+MemoryError anywhere in the run, at its first allocation or partway
+through), 3 numerical failure (non-finite field data mid-run).
 """
 
 from __future__ import annotations
@@ -106,17 +107,20 @@ def main(argv=None) -> int:
         print(f"config error: the run needs more memory than is available: {exc}",
               file=sys.stderr)
         return 2
+    if cfg.out:
+        text = energy_csv(*result[:3]) if cfg.experiment == "conserve1d" else rates_csv(result)
+        try:
+            Path(cfg.out).write_text(text)
+        except OSError as exc:  # what validation cannot see, e.g. a symbolic link loop
+            print(f"config error: cannot write out {cfg.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     if cfg.experiment == "conserve1d":
         steps, times, deltas, e0 = result
-        if cfg.out:
-            Path(cfg.out).write_text(energy_csv(steps, times, deltas))
         rel = float(np.max(np.abs(deltas)) / e0) if e0 else float("nan")
         print(f"conserve1d scheme={cfg.scheme} m={cfg.m} mode={cfg.mode} "
               f"steps={cfg.steps}")
         print(f"energy: initial={e0:.10e}  max |drift|/initial={rel:.3e}")
     else:
-        if cfg.out:
-            Path(cfg.out).write_text(rates_csv(result))
         _report_summary(cfg, result)
     return 0
 

@@ -19,23 +19,24 @@ rather than projection so the refinement studies see only the scheme's
 error. Runs are deterministic for a fixed seed.
 
 A refinement study (`_study`) is one `grid.Stack` from its start to its
-errors, finest level first. Its levels start as one stacked state, with
-one bootstrap for them all; each half step is one call of the named
-stepper, one take through the levels' concatenated gathers and one product
-with the matrix they share, v carried as h*v. A level leaves the stack at
-its own last half step with its rows, and the levels that end on one
-parity are measured with one error call on their stack, against the exact
-solution evaluated once at every row's own end time. `conserve1d` steps
-its plain state.
+errors, finest level first. Its levels start as one stacked state: each
+start field is one call of the experiment's data function on the stack's
+rows, and one bootstrap serves them all. Each half step is one call of the
+named stepper, one take through the levels' concatenated gathers and one
+product with the matrix they share, v carried as h*v. A level leaves the
+stack at its own last half step with its rows, and the levels that end on
+one parity are measured with one error call on their stack, against the
+exact solution evaluated once at every row's own end time. `conserve1d`
+steps its plain state.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,8 @@ class NumericalError(RuntimeError):
 
 EXPERIMENTS = ("gaussian1d", "conserve1d", "planewave2d")
 REFINE = 1.2  # grid growth factor between the levels of a refinement study
+# bytes of physical memory, which a run's node rows alone must not exceed
+MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -148,15 +151,38 @@ class RunConfig:
                               "set scheme=conservative")
         if self.init != "exact" and self.scheme != "conservative":
             raise ConfigError(f"init={self.init} only applies to the conservative scheme")
-        if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
-            raise ConfigError(f"out {self.out!r} is a directory or its directory is missing")
+        if self.out:
+            out = Path(self.out)
+            try:
+                if out.is_symlink():  # the file it would write
+                    out = Path(os.path.realpath(out))
+                bad = out.is_dir() or not out.parent.is_dir()
+            except OSError as exc:  # a name too long for its file system
+                raise ConfigError(f"out {self.out!r}: {exc.strerror}") from None
+            if bad:
+                raise ConfigError(f"out {self.out!r} is a directory or its directory is missing")
+        # a lower bound on the bytes of the stacked rows: n^d nodes of (m+1)^d
+        # values per level; sizes stop growing once it is exceeded
+        d = 2 if self.experiment == "planewave2d" else 1
+        need = 0
+        for n in self._sizes():
+            need += n**d * (self.m + 1) ** d * 8
+            if need > MEMORY:
+                raise ConfigError(f"the node rows of {self.levels} level(s) from n0={self.n0} "
+                                  f"need more than the {MEMORY / 2**30:.1f} GiB of physical "
+                                  "memory")
         return self
 
     def level_sizes(self) -> list[int]:
-        sizes = [self.n0]
-        for _ in range(self.levels - 1):
-            sizes.append(math.ceil(round(REFINE * sizes[-1], 9)))
-        return sizes
+        return list(self._sizes())
+
+    def _sizes(self):
+        """Each level's cell count per direction, coarsest first, computed as
+        it is read."""
+        n = self.n0
+        for _ in range(self.levels):
+            yield n
+            n = math.ceil(round(REFINE * n, 9))
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(m=self.m, speed=1.0, lam=self.lam)
@@ -221,11 +247,12 @@ def make_config(experiment: str, file_overrides: dict | None = None,
 # closed-form initial data
 
 
-def _scale_cols(vals: np.ndarray, h: float) -> np.ndarray:
-    """Turn derivative columns d^l u into scaled data (h**l/l!) d^l u."""
-    fac = np.ones(vals.shape[-1])
+def _scale_cols(vals: np.ndarray, h) -> np.ndarray:
+    """Turn derivative columns d^l u into scaled data (h**l/l!) d^l u; h is one
+    value or one per row."""
+    fac = np.ones(np.shape(h) + vals.shape[-1:])
     for l in range(1, vals.shape[-1]):
-        fac[l] = fac[l - 1] * h / l
+        fac[..., l] = fac[..., l - 1] * h / l
     return vals * fac
 
 
@@ -265,22 +292,24 @@ def sine_derivs(x, kmax: int, t: float) -> np.ndarray:
     return np.sin(x[..., None] + 0.5 * np.pi * k) * math.cos(t)
 
 
-def planewave_data(xnodes, ynodes, t: float, kx: int, ky: int, kappa: int,
-                   hx: float, hy: float, tder: int = 0) -> np.ndarray:
-    """Scaled data blocks of u = sin(2 pi kappa (x + y + sqrt(2) t)).
+def planewave_data(x, y, t, order: int, kappa: int, h, tder: int = 0) -> np.ndarray:
+    """Scaled blocks, orders 0..order per axis, of u = sin(2 pi kappa (x + y +
+    sqrt(2) t)) at nodes (x, y), times t and spacing h, each one or one per node.
 
     d_t^d d_x^k d_y^l u = w**(k+l) (sqrt(2) w)**d sin(theta + (k+l+d) pi/2)
     with w = 2 pi kappa; tder=1 gives the velocity's blocks.
     """
     w = 2.0 * np.pi * kappa
-    theta = w * (xnodes[:, None] + ynodes[None, :] + math.sqrt(2.0) * t)
+    theta = w * (x + y + math.sqrt(2.0) * t)
     # one sine per distinct k+l+d, s[..., k + l] the (k, l) block's
-    s = np.sin(theta[..., None] + 0.5 * np.pi * np.arange(tder, kx + ky + tder + 1))
-    out = np.empty(theta.shape + (kx + 1, ky + 1))
-    for k in range(kx + 1):
-        for l in range(ky + 1):
+    s = np.sin(theta[..., None] + 0.5 * np.pi * np.arange(tder, 2 * order + tder + 1))
+    # h**k as Python's pow rounds it (an array's `**` can differ in the last bit)
+    hk = [1.0, h] + [np.float_power(h, k) for k in range(2, order + 1)]
+    out = np.empty(theta.shape + (order + 1,) * 2)
+    for k in range(order + 1):
+        for l in range(order + 1):
             amp = w ** (k + l) * (math.sqrt(2.0) * w) ** tder
-            amp *= hx**k / math.factorial(k) * hy**l / math.factorial(l)
+            amp = amp * (hk[k] / math.factorial(k) * hk[l] / math.factorial(l))
             out[..., k, l] = amp * s[..., k + l]
     return out
 
@@ -324,28 +353,38 @@ def _start(cfg: RunConfig, grid, data):
     """First state of a level or a `Stack`, the step that advances it and
     the half steps it has taken: 1 after a bootstrap, else 0.
 
-    data(parity, t, order, tder) gives the scaled nodal blocks of u
-    (tder 0) or u_t (tder 1) on one parity's nodes at time t, one time per
-    level on a stack, where they are its rows and u_t is carried as h*u_t;
-    it is called for the primal level first. The dissipative step is the
-    one the grid's dimension names, `half_step_1d` or `half_step_2d`: one
-    function under two names, read from this module at each call, so a
-    wrapper patched in under either name sees every step. The state is a
-    FieldPair (dissipative) or a TwoLevelState (conservative), whose primal
-    level has its wall slots zeroed (`boundary.zero_wall_slots`).
+    data(xs, t, h, order, tder) gives the scaled nodal blocks of u (tder 0)
+    or u_t (tder 1), orders 0..order per axis, at the nodes xs of one
+    parity (`nodes`) at times t with spacing h: one value each on a grid,
+    one per row on a stack (its levels', through `level_of`), where u_t is
+    carried as h*u_t. It is called once per start field, primal level
+    first. The dissipative step is the one the grid's dimension names,
+    `half_step_1d` or `half_step_2d`: one function under two names, read
+    from this module at each call, so a wrapper patched in under either
+    name sees every step. The state is a FieldPair (dissipative) or a
+    TwoLevelState (conservative), whose primal level has its wall slots
+    zeroed (`boundary.zero_wall_slots`).
     """
-    scfg = cfg.scheme_config()
-    t0 = np.zeros(len(grid.levels)) if isinstance(grid, Stack) else 0.0
+    scfg, stacked = cfg.scheme_config(), isinstance(grid, Stack)
+    t0 = np.zeros(len(grid.levels)) if stacked else 0.0
+    rows = {}  # per parity: the node coordinates and the rows' h, built once
 
     def field(parity, t, order, tder=0):
-        return Field(grid, parity, t, data(parity, t, order, tder))
+        if parity not in rows:
+            rows[parity] = (grid.nodes(parity),
+                            grid.h[grid.level_of[parity]] if stacked else grid.h)
+        xs, h = rows[parity]
+        vals = data(xs, t[grid.level_of[parity]] if stacked else t, h, order, tder)
+        vals = vals.reshape(grid.shapes[parity] + (order + 1,) * grid.ndim)
+        if stacked and tder:
+            vals = vals * h.reshape((-1,) + (1,) * grid.ndim)
+        return Field(grid, parity, t, vals)
 
     if cfg.scheme == "dissipative":
         u_v = field(PRIMAL, t0, cfg.m), field(PRIMAL, t0, cfg.m - 1, tder=1)
         return FieldPair(*u_v), half_step_1d if grid.ndim == 1 else half_step_2d, 0
-    u0 = data(PRIMAL, t0, cfg.m, 0)
-    zero_wall_slots(u0, grid)
-    u0 = Field(grid, PRIMAL, t0, u0)
+    u0 = field(PRIMAL, t0, cfg.m)
+    zero_wall_slots(u0.values, grid)
     if cfg.init == "exact":
         prev = field(DUAL, -0.5 * scfg.dt(grid.h), cfg.m)
         return TwoLevelState(u0, prev), full_step_conservative, 0
@@ -353,111 +392,83 @@ def _start(cfg: RunConfig, grid, data):
     return bootstrap_first_half(u0, u_t, scfg), full_step_conservative, 1
 
 
-class Level(NamedTuple):
-    """One level of a study: its h and dt, its grid, its start data (as
-    `_start` reads them, on the level's own nodes and in u_t's own units),
-    the half step it ends on and exact(t, *xs), the solution at times t,
-    as a tuple: (u, u_x, u_t) in 1D, where a dissipative study measures all
-    three, and (u,) in 2D."""
-
-    h: float
-    dt: float
-    grid: Grid
-    data: object
-    nhalf: int
-    exact: object
-
-
-def _study(cfg: RunConfig, level) -> ErrorReport:
+def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     """Refinement study over cfg's levels, one `Stack` from start to errors.
 
-    level(n) returns the n-cell `Level`. The levels are stacked by the half
-    step they end on, latest first (the finest level first), and started
-    as one state (one bootstrap for them all). One step call advances every
-    level still on the stack by a half step, and each leaves from the end
-    when the march reaches its end, keeping its rows. The levels that end
-    on one parity are then measured together, with one error call on their
-    stack's state (a FieldPair, v as h*v, or the current level as a Field),
-    against the exact solution at each target row's end time.
+    grid_of(n) is the n-cell `Grid`, run at its own h and dt to the half
+    step nearest t_end from `_start`'s data; exact(t, *xs) is the solution
+    at times t: (u, u_x, u_t) in 1D, where a dissipative study measures all
+    three, and (u,) in 2D. The levels are stacked finest (latest-ending)
+    first and started as one state. One step call advances every level
+    still on the stack by a half step, and each leaves from the end at its
+    last, keeping its rows. The levels that end on one parity are then
+    measured with one error call on their stack's state (a FieldPair, v as
+    h*v, or the current level as a Field), against the exact solution at
+    each target row's end time.
     """
-    ns = cfg.level_sizes()
-    levels = [level(n) for n in ns]
-    order = sorted(range(len(ns)), key=lambda i: -levels[i].nhalf)
-    stack = Stack([levels[i].grid for i in order])
-    d, scfg = stack.ndim, cfg.scheme_config()
-
-    def data(parity, t, k, tder):  # the levels' blocks as the stack's rows, u_t as h*u_t
-        blocks = [levels[i].data(parity, ti, k, tder).reshape((-1,) + (k + 1,) * d)
-                  for i, ti in zip(order, t)]
-        if tder:
-            blocks = [block * h for block, h in zip(blocks, stack.h)]
-        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-
+    ns, scfg = cfg.level_sizes(), cfg.scheme_config()
+    grids = [grid_of(n) for n in ns]
+    dts = [scfg.dt(grid.h) for grid in grids]
+    nhalf = [round(2 * t_end / dt) for dt in dts]
+    order = sorted(range(len(ns)), key=lambda i: -nhalf[i])
+    stack = Stack([grids[i] for i in order])
     state, step, done = _start(cfg, stack, data)
 
     def where(state, done):  # the first non-finite level
-        bad = np.argmin(np.isfinite(state.rows).all(axis=1))
-        i = np.searchsorted(state.grid.offsets[state.parity], bad, side="right") - 1
+        i = state.grid.level_of[state.parity][np.argmin(np.isfinite(state.rows).all(axis=1))]
         return _at(done, state.time[i], ns[order[i]])
 
     ended = {PRIMAL: [], DUAL: []}  # per end parity, (level, rows) in stack order
     for i in reversed(order):
-        last = max(done, levels[i].nhalf)
+        last = max(done, nhalf[i])
         state = _march(state, step, scfg, done, last, where)
         done = last
         parity = state.parity
         rows, state = state.grid.pop(state)
         ended[parity].insert(0, (i, rows))
-    t_end = np.array([lv.nhalf * (0.5 * lv.dt) for lv in levels])
-    exact, cols = levels[0].exact, {}
+    ends = np.array([n * (0.5 * dt) for n, dt in zip(nhalf, dts)])
+    cols = {}
     for parity, group in ended.items():
         if group:
             idx = [i for i, _ in group]
-            sub = stack if idx == order else Stack([levels[i].grid for i in idx])
-            t = np.repeat(t_end[idx], np.diff(sub.offsets[flip(parity)])).reshape((-1,) + (1,) * d)
+            sub = stack if idx == order else Stack([grids[i] for i in idx])
+            t = ends[idx][sub.level_of[flip(parity)]].reshape((-1,) + (1,) * stack.ndim)
             state = _ended(cfg, sub, parity, np.concatenate([rows for _, rows in group]),
-                           t_end[idx])
-            if isinstance(state, FieldPair) and d == 1:
+                           ends[idx])
+            if isinstance(state, FieldPair) and stack.ndim == 1:
                 errs = l2_errors_pair(state, lambda x: exact(t, x))
             else:  # a FieldPair's u through its own packed gather
                 errs = (l2_error_field(state, lambda *xs: exact(t, *xs)[0]),)
             for j, e in enumerate(errs):
                 cols.setdefault(j, np.empty(len(ns)))[idx] = e
-    return ErrorReport(np.array(ns), np.array([lv.h for lv in levels]),
-                       np.array([lv.dt for lv in levels]), *cols.values())
+    return ErrorReport(np.array(ns), np.array([grid.h for grid in grids]), np.array(dts),
+                       *cols.values())
 
 
 def _ended(cfg: RunConfig, stack: Stack, parity: str, rows, time):
     """The state errors read of stacked levels that ended on `parity`, from
     their rows: a FieldPair, v as h*v, or the conservative current level."""
-    shape, cu = stack.shapes[parity], (cfg.m + 1,) * stack.ndim
-    if cfg.scheme == "conservative":
-        return Field(stack, parity, time, rows.reshape(shape + cu))
-    state = FieldPair.__new__(FieldPair)  # on the stack's rows, uncopied
-    state.grid, state.parity, state.time, state.rows, state.link = stack, parity, time, rows, None
-    state.split, state.shapes = math.prod(cu), (shape + cu, shape + (cfg.m,) * stack.ndim)
-    return state
+    d = stack.ndim
+    split = (cfg.m + 1) ** d  # u's columns; a conservative row holds u alone
+
+    def field(cols, order):
+        return Field(stack, parity, time, cols.reshape(stack.shapes[parity] + (order + 1,) * d))
+
+    u = field(rows[:, :split], cfg.m)
+    return u if cfg.scheme == "conservative" else FieldPair(u, field(rows[:, split:], cfg.m - 1))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _gaussian_level(cfg: RunConfig, n: int):
-    """The gaussian1d `Level` on n cells, run to the half step nearest t = 12.25."""
-    axis = Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary)
-    h = axis.h
-    dt = cfg.scheme_config().dt(h)
-
-    def data(parity, t, order, tder):
-        x = axis.nodes(parity)
-        if tder:  # the pulse starts at rest
-            return np.zeros((len(x), order + 1))
-        # at t = 0 the two half pulses coincide
-        vals = gaussian_derivs(x, order) if t == 0.0 else gaussian_box_u(x, t, order)
-        return _scale_cols(vals, h)
-
-    return Level(h, dt, Grid((axis,)), data, round(24.5 / dt), gaussian_box)
+def _gaussian_data(xs, t, h, order: int, tder: int) -> np.ndarray:
+    """The gaussian1d start data as `_start` reads them: the pulse at rest."""
+    if tder:
+        return np.zeros((len(xs[0]), order + 1))
+    # at t = 0 the two half pulses coincide
+    vals = gaussian_box_u(xs[0], t, order) if np.any(t) else gaussian_derivs(xs[0], order)
+    return _scale_cols(vals, h)
 
 
 def gaussian_box(t, x) -> tuple:
@@ -475,24 +486,24 @@ def gaussian_box(t, x) -> tuple:
 
 
 def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:
-    """Refinement study against the reflected two-pulse solution."""
-    return _study(cfg, lambda n: _gaussian_level(cfg, n))
+    """Refinement study against the reflected two-pulse solution, to t ~ 12.25."""
+    return _study(cfg, lambda n: Grid((Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary),)),
+                  12.25, _gaussian_data, gaussian_box)
 
 
 def run_conservation_1d(cfg: RunConfig):
     """Energy drift trace; returns (steps, times, deltas, e0)."""
     scfg = cfg.scheme_config()
     axis = Axis(-np.pi, np.pi, cfg.n0)
-    h = axis.h
-    dt = scfg.dt(h)
+    dt = scfg.dt(axis.h)
     if cfg.mode == "smooth":
-        def data(parity, t, order, tder):
-            return _scale_cols(sine_derivs(axis.nodes(parity), order, t), h)
+        def data(xs, t, h, order, tder):
+            return _scale_cols(sine_derivs(xs[0], order, t), h)
     else:
         rng = np.random.default_rng(cfg.seed)
 
-        def data(parity, t, order, tder):
-            return rng.random((axis.n_nodes(parity), order + 1))
+        def data(xs, t, h, order, tder):
+            return rng.random((len(xs[0]), order + 1))
     state, step, _ = _start(cfg, Grid((axis,)), data)
     factor = energy_window(axis, cfg.m, scfg.speed, dt)
     e0 = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
@@ -507,27 +518,23 @@ def run_conservation_1d(cfg: RunConfig):
     return np.array(steps), np.array(times), np.array(deltas), e0
 
 
-def _planewave_level(cfg: RunConfig, n: int, kappa: int, t_target: float):
-    """The `Level` of sin(2 pi kappa (x + y + sqrt(2) t)) on n x n cells, run
-    to the half step nearest t_target."""
-    grid = Grid((Axis(0.0, 1.0, n),) * 2)
-    h = grid.spacings[0]
-    dt = cfg.scheme_config().dt(h)
+def _planewave_study(cfg: RunConfig, kappa: int, t_end: float) -> ErrorReport:
+    """Refinement study of sin(2 pi kappa (x + y + sqrt(2) t)) on the
+    periodic unit square, run to the half step nearest t_end."""
     w = 2.0 * np.pi * kappa
 
-    def data(parity, t, order, tder):
-        xs, ys = (axis.nodes(parity) for axis in grid.axes)
-        return planewave_data(xs, ys, t, order, order, kappa, h, h, tder=tder)
+    def data(xs, t, h, order, tder):
+        return planewave_data(*xs, t, order, kappa, h, tder)
 
     def exact(t, x, y):
         return (np.sin(w * (x + y + math.sqrt(2.0) * t)),)
 
-    return Level(h, dt, grid, data, round(2 * t_target / dt), exact)
+    return _study(cfg, lambda n: Grid((Axis(0.0, 1.0, n),) * 2), t_end, data, exact)
 
 
 def run_planewave_2d(cfg: RunConfig) -> ErrorReport:
     """Refinement study for the periodic plane wave on the unit square."""
-    return _study(cfg, lambda n: _planewave_level(cfg, n, cfg.m + 1, 4.18))
+    return _planewave_study(cfg, cfg.m + 1, 4.18)
 
 
 def run_experiment(cfg: RunConfig):

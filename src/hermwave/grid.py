@@ -122,6 +122,14 @@ class Grid:
             parity: tuple(axis.n_nodes(parity) for axis in axes) for parity in (PRIMAL, DUAL)})
         object.__setattr__(self, "plans", {})
 
+    def nodes(self, parity: str) -> np.ndarray:
+        """One parity's node coordinates, a new (axes, nodes) array: row q is
+        axis q's coordinate of every node, in C order as `rows` lays them out."""
+        out = np.empty((self.ndim,) + self.shapes[parity])
+        for q, axis in enumerate(self.axes):  # broadcast along the later axes
+            out[q] = axis.nodes(parity).reshape((-1,) + (1,) * (self.ndim - 1 - q))
+        return out.reshape(self.ndim, -1)
+
 
 @dataclass
 class Field:
@@ -265,17 +273,18 @@ class Stack:
     - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
 
     A state of the stack holds every level's rows, one after the other, and
-    one time per level; a study starts one from its levels' start data. A
-    level leaves from the end (`pop`) with its rows alone, so a study stacks
-    the level that marches longest first: its finest. The stack of the other levels
-    holds the leading rows, its gathers are the leading targets of this
-    stack's, and it names this stack as its `whole`.
+    one time per level; a study starts one from data evaluated on its rows
+    (`nodes`, `level_of`). A level leaves from the end (`pop`) with its
+    rows alone, so a study stacks the level that marches longest first: its
+    finest. The stack of the other levels holds the leading rows, its
+    gathers are the leading targets of this stack's, and it names this
+    stack as its `whole`.
 
     Built once, as plain attributes: `levels`, `ndim`, `spacings` (the
     aspect), `h` (each level's smallest spacing, read-only), `offsets` (each
-    parity's first row of every level, then the total), `shapes` (each
-    parity's total rows, as one node axis), `plans` and `whole` (the stack
-    this one leads, or None).
+    parity's first row of every level, then the total), `level_of` (each
+    parity's level of every row), `shapes` (each parity's total rows, as
+    one node axis), `plans` and `whole` (the stack this one leads, or None).
     """
 
     def __init__(self, levels):
@@ -290,10 +299,16 @@ class Stack:
         self.ndim, self.spacings = levels[0].ndim, aspects[0]
         self.h = np.array([g.h for g in levels])
         self.h.setflags(write=False)
-        self.offsets = {parity: np.cumsum([0] + [math.prod(g.shapes[parity]) for g in levels])
-                        for parity in (PRIMAL, DUAL)}
+        counts = {parity: [math.prod(g.shapes[parity]) for g in levels]
+                  for parity in (PRIMAL, DUAL)}
+        self.offsets = {parity: np.cumsum([0] + c) for parity, c in counts.items()}
+        self.level_of = {parity: np.arange(len(levels)).repeat(c) for parity, c in counts.items()}
         self.shapes = {parity: (int(off[-1]),) for parity, off in self.offsets.items()}
         self.plans, self.whole, self._head = {}, None, None
+
+    def nodes(self, parity: str) -> np.ndarray:
+        """`Grid.nodes` of every row, the levels' one level after the other."""
+        return np.concatenate([g.nodes(parity) for g in self.levels], axis=1)
 
     def _lead(self, count: int) -> Stack:
         """The stack of the first `count` levels, built once from this one's
@@ -302,6 +317,8 @@ class Stack:
             head = self._head = copy.copy(self)
             head.levels, head.h = self.levels[:count], self.h[:count]
             head.offsets = {parity: off[: count + 1] for parity, off in self.offsets.items()}
+            head.level_of = {parity: lv[: head.offsets[parity][-1]]
+                             for parity, lv in self.level_of.items()}
             head.shapes = {parity: (int(off[-1]),) for parity, off in head.offsets.items()}
             head.plans, head.whole, head._head = {}, self, None
         return self._head

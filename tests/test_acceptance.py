@@ -45,9 +45,8 @@ from hermwave.driver import (
     run_gaussian_1d,
     run_planewave_2d,
     sine_derivs,
-    _planewave_level,
+    _planewave_study,
     _scale_cols,
-    _study,
 )
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
 from hermwave.interp import apply_interp
@@ -150,7 +149,7 @@ _RESOLVED_2D = {
 
 def _resolved_planewave_2d(cfg):
     """Refinement study of sin(2 pi (x + y + sqrt(2) t)) to t ~ 1, n = 15..33."""
-    return _study(replace(cfg, n0=15, levels=5), lambda n: _planewave_level(cfg, n, 1, 1.0))
+    return _planewave_study(replace(cfg, n0=15, levels=5), 1, 1.0)
 
 
 def _check_planewave_2d(scheme, m, lam, target):

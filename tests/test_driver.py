@@ -196,20 +196,22 @@ def test_sine_columns():
 
 
 def test_planewave_blocks_against_sympy():
+    """planewave_data on rows: each row its own node, time and spacing h."""
     x, y, t = sp.symbols("x y t")
     kappa = 2
     u = sp.sin(2 * sp.pi * kappa * (x + y + sp.sqrt(2) * t))
-    hx, hy = 0.2, 0.25
-    xs = np.array([0.1, 0.6])
-    ys = np.array([0.3, 0.8])
+    xs = np.array([0.1, 0.6, 0.1, 0.6])
+    ys = np.array([0.3, 0.3, 0.8, 0.8])
+    ts = np.array([0.15, 0.15, -0.05, 0.4])
+    hs = np.array([0.2, 0.2, 0.25, 0.25])
     for tder in (0, 1):
-        got = planewave_data(xs, ys, 0.15, 2, 1, kappa, hx, hy, tder=tder)
+        got = planewave_data(xs, ys, ts, 2, kappa, hs, tder=tder)
         for k in range(3):
-            for l in range(2):
+            for l in range(3):
                 expr = sp.diff(u, t, tder, x, k, y, l)
                 fn = sp.lambdify((x, y, t), expr, "numpy")
-                want = fn(xs[:, None], ys[None, :], 0.15)
-                want = want * hx**k / math.factorial(k) * hy**l / math.factorial(l)
+                want = fn(xs, ys, ts)
+                want = want * hs**k / math.factorial(k) * hs**l / math.factorial(l)
                 np.testing.assert_allclose(got[..., k, l], want, rtol=1e-10, atol=1e-10)
 
 
@@ -417,11 +419,38 @@ def test_cli_memory_error_is_a_config_error(monkeypatch, capsys):
                           "(100000000000,) and data type int64")
 
     monkeypatch.setattr(cli, "run_experiment", oversized)
+    monkeypatch.setattr(driver, "MEMORY", 2**80)  # past validation's bound, into the run
     rc = cli.main(["conserve1d", "--steps", "2", "--n0", "100000000000"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: the run needs more memory than is available:")
     assert "745. GiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("gaussian1d", {"levels": 5000}),  # sizes past a float: an OverflowError before
+    ("gaussian1d", {"levels": 200}),  # allocated until the kernel killed it
+    ("conserve1d", {"n0": 10**20}),  # numpy's "Maximum allowed size exceeded" before
+], ids=["levels-5000", "levels-200", "n0-1e20"])
+def test_study_larger_than_physical_memory_is_a_config_error(experiment, overrides):
+    """A study whose node rows alone exceed physical memory is rejected by
+    validation, before any size is grown past a float or any row allocated."""
+    with pytest.raises(ConfigError, match="GiB of physical memory"):
+        make_config(experiment, flag_overrides=overrides)
+
+
+@pytest.mark.parametrize("name", ["long", "dangling", "loop"])
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, name):
+    """An --out file that cannot be written exits 2 with a config error that
+    names it: a name longer than the file system allows and a symbolic link
+    into a missing directory before the run, a link loop when the run writes."""
+    out = tmp_path / ("a" * 300 + ".csv" if name == "long" else name + ".csv")
+    if name != "long":
+        out.symlink_to(tmp_path / "missing" / "x.csv" if name == "dangling" else out)
+    rc = cli.main(["gaussian1d", "--levels", "1", "--n0", "4", "--m", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("config error:")
+    assert repr(str(out)) in err and "Traceback" not in err
 
 
 def test_cli_memory_error_mid_run_exits_2(monkeypatch, capsys):
@@ -770,6 +799,20 @@ def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, stepper, nhal
     assert calls == want
 
 
+def _study_levels(cfg) -> list:
+    """(grid, half steps) of each level of cfg's gaussian1d or planewave2d
+    study, coarsest first: the box [-3/2, 3/2] with cfg's walls to t = 12.25,
+    or the periodic unit square to t = 4.18, at dt = lam h."""
+    scfg, out = cfg.scheme_config(), []
+    for n in cfg.level_sizes():
+        if cfg.experiment == "gaussian1d":
+            grid, t_end = Grid((Axis(-1.5, 1.5, n, cfg.boundary, cfg.boundary),)), 12.25
+        else:
+            grid, t_end = Grid((Axis(0.0, 1.0, n),) * 2), 4.18
+        out.append((grid, round(2 * t_end / scfg.dt(grid.h))))
+    return out
+
+
 _CONS = ["--scheme", "conservative"]
 _STARTS = ([], _CONS, _CONS + ["--init", "bootstrap"])
 _WALL_KINDS = ("dirichlet0", "neumann0")
@@ -789,13 +832,11 @@ def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     the stepper is called once per half step of the longest level.
     """
     cfg = cli._assemble(cli._build_parser().parse_args(argv))
-    level = (driver._gaussian_level if argv[0] == "gaussian1d"
-             else lambda c, n: driver._planewave_level(c, n, c.m + 1, 4.18))
-    levels = [level(cfg, n) for n in cfg.level_sizes()]
+    levels = _study_levels(cfg)
     want = 0
-    for lv in levels:  # half step j writes the dual nodes for even j, the primal for odd
-        counts = {p: math.prod(lv.grid.shapes[p]) for p in ("primal", "dual")}
-        want += (lv.nhalf + 1) // 2 * counts["dual"] + lv.nhalf // 2 * counts["primal"]
+    for grid, nhalf in levels:  # half step j writes the dual nodes for even j, the primal for odd
+        counts = {p: math.prod(grid.shapes[p]) for p in ("primal", "dual")}
+        want += (nhalf + 1) // 2 * counts["dual"] + nhalf // 2 * counts["primal"]
     counter = tracing.Tracer()
     layers = {k: tracing.LAYERS[k] for k in tracing.HALF_STEP_SPANS}
     with tracing.installed(counter, layers):
@@ -803,7 +844,7 @@ def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     capsys.readouterr()
     boot = int("bootstrap" in argv)
     calls = [span[3] for span in counter.spans]
-    assert calls.count("step") == max(lv.nhalf for lv in levels) - boot
+    assert calls.count("step") == max(nhalf for _, nhalf in levels) - boot
     assert calls.count("conservative.bootstrap") == boot
     assert counter.nodes == want
 
@@ -812,8 +853,9 @@ def test_nan_in_one_stacked_level_names_that_level(monkeypatch, capsys):
     """A NaN put into one level of a 3-level stack exits 3 at the next
     check and names that level's n and its own time."""
     cfg = make_config("gaussian1d", flag_overrides={"levels": 3})
-    levels = {n: driver._gaussian_level(cfg, n) for n in cfg.level_sizes()}  # n = 10, 12, 15
-    checks = [k * FINITE_STRIDE for k in range(1, 4)] + [lv.nhalf for lv in levels.values()]
+    # n = 10, 12, 15
+    levels = {grid.axes[0].n: (grid, nhalf) for grid, nhalf in _study_levels(cfg)}
+    checks = [k * FINITE_STRIDE for k in range(1, 4)] + [nhalf for _, nhalf in levels.values()]
     first_check = min(c for c in checks if c >= 70)
     real, calls = driver.half_step_1d, []
 
@@ -828,7 +870,7 @@ def test_nan_in_one_stacked_level_names_that_level(monkeypatch, capsys):
     monkeypatch.setattr(driver, "half_step_1d", poisoned)
     rc = cli.main(["gaussian1d", "--levels", "3"])
     err = capsys.readouterr().err
-    t = first_check * 0.5 * levels[15].dt
+    t = first_check * 0.5 * cfg.scheme_config().dt(levels[15][0].h)
     assert rc == 3 and len(calls) == first_check
     assert f"at half step {first_check} (t={t:.6g}, n=15)" in err
 
@@ -844,23 +886,26 @@ def test_finite_check_builds_no_message_while_finite(monkeypatch):
     assert built == [1]
 
 
-def test_planewave_dissipative_error_reads_the_stepper_gather():
+def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     """A 2D dissipative level measures u through its packed u | v gather:
     no u-only gather is left in its grid's plans, and the error equals the
     u-only gather's to 1e-12 relative."""
     cfg = make_config("planewave2d", flag_overrides={"levels": 1, "n0": 6})
-    lv = driver._planewave_level(cfg, 6, cfg.m + 1, 4.18)
-    report = driver._study(cfg, lambda n: lv)
-    grid, cu = lv.grid, (cfg.m + 1,) * 2
+    starts, real = [], driver._start
+    monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real(*args))
+    report = driver.run_planewave_2d(cfg)
+    ((_, stack, data),) = starts
+    (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level, with the plans it built
     keys = {key for key in grid.plans if key[0] == "gather"}
     assert keys and all(key[2] != (cu,) for key in keys)
-    # the level marched alone with the stepper its start picks, its u
-    # measured through both gathers
-    (state, step, _), scfg = driver._start(cfg, grid, lv.data), cfg.scheme_config()
+    # the level marched alone with the stepper its start picks, from the
+    # study's data function, its u measured through both gathers
+    (state, step, _), scfg = real(cfg, grid, data), cfg.scheme_config()
     assert step is driver.half_step_2d
-    for _ in range(lv.nhalf):
+    ((_, nhalf),) = _study_levels(cfg)
+    for _ in range(nhalf):
         state = step(state, scfg)
-    t_end = lv.nhalf * 0.5 * lv.dt
+    t_end = nhalf * 0.5 * scfg.dt(grid.h)
     w = 2.0 * np.pi * (cfg.m + 1)
 
     def exact(x, y):
@@ -879,7 +924,7 @@ def test_study_makes_one_error_call_per_end_parity(monkeypatch, capsys, scheme):
     error call, on their stack's state: one call per end parity."""
     argv = ["gaussian1d", "--m", "3", "--levels", "10", "--scheme", scheme]
     cfg = cli._assemble(cli._build_parser().parse_args(argv))
-    ends = {lv.nhalf % 2 for lv in (driver._gaussian_level(cfg, n) for n in cfg.level_sizes())}
+    ends = {nhalf % 2 for _, nhalf in _study_levels(cfg)}
     calls = []
     for name in ("l2_error_field", "l2_errors_pair"):
         def spy(state, *args, _real=getattr(driver, name)):
@@ -891,6 +936,49 @@ def test_study_makes_one_error_call_per_end_parity(monkeypatch, capsys, scheme):
     capsys.readouterr()
     assert len(calls) == len(ends) == 2
     assert len({parity for parity, _ in calls}) == 2 and sum(n for _, n in calls) == 10
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Stop
+
+
+@pytest.mark.parametrize("scheme, init", [("dissipative", "exact"), ("conservative", "exact"),
+                                          ("conservative", "bootstrap")])
+@pytest.mark.parametrize("experiment, name", [("gaussian1d", "_gaussian_data"),
+                                              ("planewave2d", "planewave_data")])
+def test_study_evaluates_each_start_field_once_on_the_stack_rows(monkeypatch, experiment, name,
+                                                                 scheme, init):
+    """A 10-level study calls its experiment's data function once per start
+    field, on all of the stack's rows. The start fields (a bootstrap's
+    inputs) equal the levels' own start data concatenated in stack order,
+    u_t and v times their level's h, bit for bit."""
+    cfg = make_config(experiment, flag_overrides={"levels": 10, "scheme": scheme, "init": init})
+    calls, fields, starts = [], [], []
+    real_data, real_start, real_field = getattr(driver, name), driver._start, driver.Field
+    monkeypatch.setattr(driver, name, lambda *args: calls.append(args) or real_data(*args))
+    monkeypatch.setattr(driver, "Field", lambda *args: fields.append(real_field(*args))
+                        or fields[-1])
+    monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real_start(*args))
+    monkeypatch.setattr(driver, "_march", _stop)  # the start is all this test reads
+    with pytest.raises(_Stop):
+        driver.run_experiment(cfg)
+    ((_, stack, data),) = starts
+    assert len(stack.levels) == 10 and len(calls) == len(fields) == 2
+    study, fields[:] = list(fields), []
+    for grid in stack.levels:  # each level's own start data, in its own units
+        real_start(cfg, grid, data)
+    assert len(fields) == 2 * len(stack.levels)
+    d = stack.ndim
+    for j, got in enumerate(study):
+        per_level = [f.values.reshape((-1,) + f.values.shape[-d:]) for f in fields[j::2]]
+        if j == 1 and (scheme == "dissipative" or init == "bootstrap"):  # v or u_t, as h*v
+            per_level = [values * grid.h for values, grid in zip(per_level, stack.levels)]
+        assert got.grid is stack
+        np.testing.assert_array_equal(got.values, np.concatenate(per_level), strict=True)
 
 
 @pytest.mark.parametrize("init", ["exact", "bootstrap"])
@@ -921,14 +1009,14 @@ def test_2d_walled_conservative_start_zeroes_reflected_slots():
                  Axis(0.0, 1.0, 3, "neumann0", "dirichlet0")))
     m, rng = 2, np.random.default_rng(5)
     cfg = make_config("planewave2d", flag_overrides={"scheme": "conservative", "m": m})
-    drawn = {}
+    drawn = []  # in call order: the primal u first
 
-    def data(parity, t, order, tder):
-        return drawn.setdefault((parity, tder), rng.standard_normal(
-            grid.shapes[parity] + (order + 1,) * 2))
+    def data(xs, t, h, order, tder):
+        drawn.append(rng.standard_normal((len(xs[0]),) + (order + 1,) * 2))
+        return drawn[-1].copy()
 
     state, _, _ = driver._start(cfg, grid, data)
-    got, want = state.current.values, drawn[PRIMAL, 0].copy()
+    got, want = state.current.values, drawn[0].reshape(grid.shapes[PRIMAL] + (m + 1,) * 2)
     odd, even = slice(1, None, 2), slice(0, None, 2)  # neumann0 and dirichlet0 slots
     want[0, :, even, :] = want[-1, :, odd, :] = 0.0
     want[:, 0, :, odd] = want[:, -1, :, even] = 0.0
