@@ -12,11 +12,11 @@ tangential column. Each axis carries the kinds of its two ends
 
 A gather assembles, for every target node of the opposite parity, the
 flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the steppers, the bootstrap and the
+including any ghosts, which is all the step, the bootstrap and the
 error norms need. It has one path, `take` through a `GatherPlan` cached on
 the level's grid, one per gathered blocks (`level_gather`): one take
 through a flat index into the node rows (u | v packed per node for the
-dissipative stepper), which wraps on a periodic axis and is clipped at
+dissipative scheme), which wraps on a periodic axis and is clipped at
 walls. A dual level at walls then turns the clipped edge slots into
 ghosts: every reflection is a sign flip, so one flat index `negate` lists
 the slots whose product of wall signs is -1 (corners included), and the
@@ -180,7 +180,7 @@ def level_gather(grid, parity: str, blocks: tuple) -> GatherPlan:
     """The `gather_plan` of grid's `parity` level for `blocks`, built once.
 
     It is kept in the grid's `plans` under ("gather", parity, blocks), so a
-    stepper's plan and the error norms that gather the same blocks from the
+    step's plan and the error norms that gather the same blocks from the
     same level share one.
     """
     key = ("gather", parity, blocks)

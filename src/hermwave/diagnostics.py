@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gather_index, level_gather, take
-from .grid import DUAL, Axis, FieldPair, Stack, flip
+from .grid import DUAL, Axis, Stack, flip
 from .interp import interp_matrix
 
 
@@ -214,7 +214,7 @@ def _dot(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
-    """(values, levels) L2 errors of a Field or FieldPair on a Grid or Stack.
+    """(values, levels) L2 errors of a `State` on a Grid or Stack.
 
     The values are u, then, if `pair`, u_x (along axis 0) and v, and
     exact(*xs) gives them at the Gauss points xs of every target row, one
@@ -222,19 +222,14 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
     one `error_matrix` product per mix of cell kinds (the whole cells, then
     each mix with an edge again), and one Gauss sum per level.
     """
-    grid, parity, d = state.grid, state.parity, state.grid.ndim
-    if isinstance(state, FieldPair):
-        rows, blocks = state.rows, tuple(shape[-d:] for shape in state.shapes)
-    else:
-        blocks = (state.values.shape[-d:],)
-        rows = state.values.reshape(math.prod(grid.shapes[parity]), -1)
+    grid, parity, d, blocks = state.grid, state.parity, state.grid.ndim, state.blocks
     if pair and len(blocks) != 2:
-        raise ValueError("u_x and v errors need a FieldPair")
+        raise ValueError("u_x and v errors need a dissipative state")
     npts = npts or default_npts(max(blocks[0]) - 1)
     stacked = isinstance(grid, Stack)
     levels = grid.levels if stacked else (grid,)
     xs, weight, counts, first, edges = _cells(levels, parity, npts)
-    gathered = take(rows, level_gather(grid, parity, blocks))
+    gathered = take(state.rows, level_gather(grid, parity, blocks))
     vals = _dot(gathered, error_matrix(blocks, npts, (0,) * d, pair))
     for kinds, at in edges.items():
         vals[at] = _dot(gathered[at], error_matrix(blocks, npts, kinds, pair))
@@ -256,18 +251,18 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
 def l2_error_field(state, exact, npts: int | None = None):
     """L2 error of the global tensor interpolant of u against exact(*xs).
 
-    state is a Field, or a FieldPair whose u is measured through its packed
-    u | v gather, which its stepper built. On a `Grid` the error is a
-    float; on a `Stack` it is one per level, and each xs[q] holds the Gauss
-    points of every target row, one level after the other (see `_cells`),
-    so exact can take each row's own time. On wall grids the cells are
-    clipped to the domain.
+    state is a `State`, whose u is measured through the gather of its own
+    rows: a dissipative state's packed u | v, which its step built. On a
+    `Grid` the error is a float; on a `Stack` it is one per level, and each
+    xs[q] holds the Gauss points of every target row, one level after the
+    other (see `_cells`), so exact can take each row's own time. On wall
+    grids the cells are clipped to the domain.
     """
     errs = _l2_errors(state, exact, npts, False)[0]
     return errs if isinstance(state.grid, Stack) else float(errs[0])
 
 
-def l2_errors_pair(pair: FieldPair, exact, npts: int | None = None) -> tuple:
+def l2_errors_pair(pair, exact, npts: int | None = None) -> tuple:
     """(u, u_x, v) errors of a dissipative state, u_x along axis 0, against
     exact(*xs) -> (u, u_x, v): floats on a `Grid`, one per level on a
     `Stack`, as `l2_error_field`."""

@@ -18,25 +18,27 @@ node at the cell center and hands the data to the opposite grid.
 
 In d axes the same recursion runs on tensor coefficients, one axis per
 spacing h_q, with the d second-derivative terms summed; one builder
-(`expand_taylor`, `taylor_half_step`) serves every d. Seeding every series
-from the full-order interpolant of u alone is unstable at the full CFL
-number in 2D; the first stage of the v-recursion instead sums, over the
-axes q, the second q-derivative of the interpolant of order m along q and
-m-1 along the others (I_{m,m-1} u for x and I_{m-1,m} u for y in 2D),
-after which the plain recursion takes over. In 1D that sum is the plain
-stage 1. The price is that 2D evolution is no longer exact on polynomial
-data. Past d(2m+2)-2 stages every coefficient is exactly zero (2m in 1D,
-4m+2 in 2D), so a half step runs that many (`SchemeConfig.stages`).
+(`expand_taylor`, `taylor_half_step`) serves every d. The first stage of
+the v-recursion sums, over the axes q, the second q-derivative of the
+interpolant of order m along q and m-1 along the others (I_{m,m-1} u for
+x and I_{m-1,m} u for y in 2D), after which the plain recursion takes
+over. In 1D that sum is the plain stage 1. The price is that 2D evolution
+is no longer exact on polynomial data. Past d(2m+2)-2 stages every
+coefficient is exactly zero (2m in 1D, 4m+2 in 2D), so a half step runs
+that many (`SchemeConfig.stages`). The 2D periodic symbol puts stability
+in that stage count: seeding every series from the full-order
+interpolant of u alone is stable at 4m+2 stages (max |g| - 1 at most
+6.5e-15 for m = 1..4, lam <= 1), while at the 1D count of 2m stages and
+lam = 1 its max |g| - 1 reads 0.75, 2.6 and 8.4 for m = 1, 2, 3, and the
+mixed first stage's 0, 0.49 and 4.2.
 
 Interpolation, recursion and evaluation are all linear in the gathered
 flanking data, so for fixed (m, dt, h per axis, c, stages) a half step is
 one matrix. `fold` builds it once, one row block per gathered field, by
-pushing the identity through the pipeline (`taylor_half_step`). A level's
-plan stacks the blocks in the rows of u | v packed per node, so a half
-step is one take, at most one sign flip of the wall slots and one product,
-`ndarray.dot`, which skips the per-call set-up of the `@` ufunc. A state
-carries its level's plan and the next level's (`grid.link`), so a march
-looks the two up once and each half step builds its state directly. The
+pushing the identity through the pipeline (`taylor_half_step`), and
+`_packed_matrix` stacks the blocks in the rows of u | v packed per node.
+A half step is then one take, at most one sign flip of the wall slots and
+one product: `conservative.step`, the one step of both schemes. The
 matrix depends on h only through v's units, so the levels of a
 `grid.Stack`, v carried as h*v, share one built at unit spacing and step
 as one set of rows.
@@ -50,8 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import level_gather, take
-from .grid import FieldPair, flip, link, rows
+from .grid import rows
 from .interp import apply_interp
 
 
@@ -210,46 +211,3 @@ def _packed_matrix(m: int, dt: float, hs: tuple, speed: float, stages: int) -> n
     ndim = len(hs)
     sides, cu, cv = (2,) * ndim, (m + 1,) * ndim, (m,) * ndim
     return packed(fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, speed, stages), sides)
-
-
-def _plan(grid, parity, cfg: SchemeConfig) -> tuple:
-    """Build the half-step plan of grid's `parity` level, or of a `Stack`.
-
-    It gathers u | v packed per node and holds `_packed_matrix`, dt/2 (one
-    per level on a stack), the target parity, the new u and v shapes and
-    the count of packed u columns. A stack's spacings are its aspect, so
-    its matrix is built at unit spacing, the one map of all its levels with
-    v carried as h*v.
-    """
-    m, hs = cfg.m, grid.spacings
-    ndim = len(hs)
-    cu, cv = (m + 1,) * ndim, (m,) * ndim
-    a = _packed_matrix(m, cfg.dt(min(hs)), hs, cfg.speed, cfg.stages(ndim))
-    targets = grid.shapes[flip(parity)]
-    return (level_gather(grid, parity, (cu, cv)), a, 0.5 * cfg.dt(grid.h), flip(parity),
-            (targets + cu, targets + cv), math.prod(cu))
-
-
-def half_step(state: FieldPair, cfg: SchemeConfig) -> FieldPair:
-    """Advance (u, v) by dt/2 onto the opposite grid, in any number of axes.
-
-    A state linked under this very config object steps with the plan it
-    carries; any other is linked first, which checks its orders.
-    """
-    lnk = state.link
-    if lnk is None or lnk[0] is not cfg:
-        lnk = link(state, cfg, "dissipative", _plan)
-    gather, a, half_dt, parity, shapes, split = lnk[1]
-    out = FieldPair.__new__(FieldPair)
-    out.grid, out.parity, out.time = state.grid, parity, state.time + half_dt
-    # ndarray.dot calls BLAS directly, with the same bits; `@` sets up the
-    # matmul ufunc on every call, which nearly doubles a 1D level's product:
-    # (41, 14) by (14, 7) takes 1.4-2.8 us with `@` and 0.9-1.5 us with dot
-    # (timeit, 2-vCPU Xeon VM, one BLAS thread)
-    out.rows, out.split, out.shapes = take(state.rows, gather).dot(a), split, shapes
-    out.link = (cfg, lnk[2], lnk[1])
-    return out
-
-
-# perfbench's tracer counts dissipative node updates by wrapping these names
-half_step_1d = half_step_2d = half_step

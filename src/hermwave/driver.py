@@ -22,8 +22,8 @@ A refinement study (`_study`) is one `grid.Stack` from its start to its
 errors, finest level first. Its levels start as one stacked state: each
 start field is one call of the experiment's data function on the stack's
 rows, and one bootstrap serves them all. Each half step is one call of the
-named stepper, one take through the levels' concatenated gathers and one
-product with the matrix they share, v carried as h*v. A level leaves the
+step, one take through the levels' concatenated gathers and one product
+with the matrix they share, v carried as h*v. A level leaves the
 stack at its own last half step with its rows, and the levels that end on
 one parity are measured with one error call on their stack, against the
 exact solution evaluated once at every row's own end time. `conserve1d`
@@ -41,11 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import zero_wall_slots
-from .conservative import bootstrap_first_half, full_step_conservative
+from .conservative import bootstrap_first_half
+# the one step of both schemes, under a name that perfbench's tracer wraps to
+# count node updates; each `_march` call reads it from this module
+from .conservative import step as half_step_1d
 from .diagnostics import (ErrorReport, energy_of_rows, energy_window, l2_error_field,
                           l2_errors_pair)
-from .dissipative import SchemeConfig, half_step_1d, half_step_2d
-from .grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState, flip
+from .dissipative import SchemeConfig
+from .grid import DUAL, KINDS, PRIMAL, Axis, Field, Grid, Stack, State, flip
 from .interp import MAX_ORDER
 
 
@@ -330,15 +333,17 @@ def _at(step: int, time: float, n: int) -> str:
     return f" at half step {step} (t={time:.6g}, n={n})"
 
 
-def _march(state, step, scfg: SchemeConfig, done: int, last: int, where):
-    """Apply step(state, scfg) from half step `done` to half step `last`, one
-    call per half step as the tracer and tests count them, checking the node
-    rows at every multiple of FINITE_STRIDE and after the last.
+def _march(state, scfg: SchemeConfig, done: int, last: int, where):
+    """Step state under scfg from half step `done` to half step `last`, one
+    call of `half_step_1d`, read from this module, per half step as the
+    tracer and tests count them, checking the node rows at every multiple
+    of FINITE_STRIDE and after the last.
 
     Each state a step returns carries its level's two plans, linked under
     scfg (`grid.link`), so only the first call can look a plan up. A failed
     check names where(state, half step).
     """
+    step = half_step_1d
     while done < last:
         stop = min(last, (done // FINITE_STRIDE + 1) * FINITE_STRIDE)
         for _ in range(done, stop):
@@ -350,46 +355,44 @@ def _march(state, step, scfg: SchemeConfig, done: int, last: int, where):
 
 
 def _start(cfg: RunConfig, grid, data):
-    """First state of a level or a `Stack`, the step that advances it and
-    the half steps it has taken: 1 after a bootstrap, else 0.
+    """First `State` of a level or a `Stack` and the half steps it has
+    taken: 1 after a bootstrap, else 0.
 
     data(xs, t, h, order, tder) gives the scaled nodal blocks of u (tder 0)
     or u_t (tder 1), orders 0..order per axis, at the nodes xs of one
     parity (`nodes`) at times t with spacing h: one value each on a grid,
     one per row on a stack (its levels', through `level_of`), where u_t is
     carried as h*u_t. It is called once per start field, primal level
-    first. The dissipative step is the one the grid's dimension names,
-    `half_step_1d` or `half_step_2d`: one function under two names, read
-    from this module at each call, so a wrapper patched in under either
-    name sees every step. The state is a FieldPair (dissipative) or a
-    TwoLevelState (conservative), whose primal level has its wall slots
-    zeroed (`boundary.zero_wall_slots`).
+    first. A conservative state's primal level has its wall slots zeroed
+    (`boundary.zero_wall_slots`).
     """
     scfg, stacked = cfg.scheme_config(), isinstance(grid, Stack)
     t0 = np.zeros(len(grid.levels)) if stacked else 0.0
-    rows = {}  # per parity: the node coordinates and the rows' h, built once
+    cols = {}  # per parity: the node coordinates and the rows' h, built once
 
     def field(parity, t, order, tder=0):
-        if parity not in rows:
-            rows[parity] = (grid.nodes(parity),
+        if parity not in cols:
+            cols[parity] = (grid.nodes(parity),
                             grid.h[grid.level_of[parity]] if stacked else grid.h)
-        xs, h = rows[parity]
+        xs, h = cols[parity]
         vals = data(xs, t[grid.level_of[parity]] if stacked else t, h, order, tder)
         vals = vals.reshape(grid.shapes[parity] + (order + 1,) * grid.ndim)
         if stacked and tder:
             vals = vals * h.reshape((-1,) + (1,) * grid.ndim)
         return Field(grid, parity, t, vals)
 
+    u0, n = field(PRIMAL, t0, cfg.m), math.prod(grid.shapes[PRIMAL])
+    cu = u0.values.shape[-grid.ndim :]
     if cfg.scheme == "dissipative":
-        u_v = field(PRIMAL, t0, cfg.m), field(PRIMAL, t0, cfg.m - 1, tder=1)
-        return FieldPair(*u_v), half_step_1d if grid.ndim == 1 else half_step_2d, 0
-    u0 = field(PRIMAL, t0, cfg.m)
+        v0 = field(PRIMAL, t0, cfg.m - 1, tder=1).values
+        rows = np.concatenate((u0.values.reshape(n, -1), v0.reshape(n, -1)), axis=1)
+        return State(grid, PRIMAL, t0, rows, (cu, v0.shape[-grid.ndim :])), 0
     zero_wall_slots(u0.values, grid)
     if cfg.init == "exact":
-        prev = field(DUAL, -0.5 * scfg.dt(grid.h), cfg.m)
-        return TwoLevelState(u0, prev), full_step_conservative, 0
-    u_t = field(PRIMAL, t0, cfg.m, tder=1)
-    return bootstrap_first_half(u0, u_t, scfg), full_step_conservative, 1
+        prev = field(DUAL, -0.5 * scfg.dt(grid.h), cfg.m).values
+        return State(grid, PRIMAL, t0, u0.values.reshape(n, -1), (cu,),
+                     prev.reshape(-1, math.prod(cu))), 0
+    return bootstrap_first_half(u0, field(PRIMAL, t0, cfg.m, tder=1), scfg), 1
 
 
 def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
@@ -402,9 +405,10 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     first and started as one state. One step call advances every level
     still on the stack by a half step, and each leaves from the end at its
     last, keeping its rows. The levels that end on one parity are then
-    measured with one error call on their stack's state (a FieldPair, v as
-    h*v, or the current level as a Field), against the exact solution at
-    each target row's end time.
+    measured with one error call on a `State` of their stack that wraps
+    their rows (a dissipative state's v as h*v, a conservative state's
+    current level), against the exact solution at each target row's end
+    time.
     """
     ns, scfg = cfg.level_sizes(), cfg.scheme_config()
     grids = [grid_of(n) for n in ns]
@@ -412,7 +416,8 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     nhalf = [round(2 * t_end / dt) for dt in dts]
     order = sorted(range(len(ns)), key=lambda i: -nhalf[i])
     stack = Stack([grids[i] for i in order])
-    state, step, done = _start(cfg, stack, data)
+    state, done = _start(cfg, stack, data)
+    blocks = state.blocks
 
     def where(state, done):  # the first non-finite level
         i = state.grid.level_of[state.parity][np.argmin(np.isfinite(state.rows).all(axis=1))]
@@ -421,7 +426,7 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     ended = {PRIMAL: [], DUAL: []}  # per end parity, (level, rows) in stack order
     for i in reversed(order):
         last = max(done, nhalf[i])
-        state = _march(state, step, scfg, done, last, where)
+        state = _march(state, scfg, done, last, where)
         done = last
         parity = state.parity
         rows, state = state.grid.pop(state)
@@ -433,29 +438,17 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
             idx = [i for i, _ in group]
             sub = stack if idx == order else Stack([grids[i] for i in idx])
             t = ends[idx][sub.level_of[flip(parity)]].reshape((-1,) + (1,) * stack.ndim)
-            state = _ended(cfg, sub, parity, np.concatenate([rows for _, rows in group]),
-                           ends[idx])
-            if isinstance(state, FieldPair) and stack.ndim == 1:
+            parts = [rows for _, rows in group]  # copied only to join levels
+            state = State(sub, parity, ends[idx],
+                          parts[0] if len(parts) == 1 else np.concatenate(parts), blocks)
+            if len(blocks) == 2 and stack.ndim == 1:
                 errs = l2_errors_pair(state, lambda x: exact(t, x))
-            else:  # a FieldPair's u through its own packed gather
+            else:  # a dissipative state's u through its own packed gather
                 errs = (l2_error_field(state, lambda *xs: exact(t, *xs)[0]),)
             for j, e in enumerate(errs):
                 cols.setdefault(j, np.empty(len(ns)))[idx] = e
     return ErrorReport(np.array(ns), np.array([grid.h for grid in grids]), np.array(dts),
                        *cols.values())
-
-
-def _ended(cfg: RunConfig, stack: Stack, parity: str, rows, time):
-    """The state errors read of stacked levels that ended on `parity`, from
-    their rows: a FieldPair, v as h*v, or the conservative current level."""
-    d = stack.ndim
-    split = (cfg.m + 1) ** d  # u's columns; a conservative row holds u alone
-
-    def field(cols, order):
-        return Field(stack, parity, time, cols.reshape(stack.shapes[parity] + (order + 1,) * d))
-
-    u = field(rows[:, :split], cfg.m)
-    return u if cfg.scheme == "conservative" else FieldPair(u, field(rows[:, split:], cfg.m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +497,13 @@ def run_conservation_1d(cfg: RunConfig):
 
         def data(xs, t, h, order, tder):
             return rng.random((len(xs[0]), order + 1))
-    state, step, _ = _start(cfg, Grid((axis,)), data)
+    state, _ = _start(cfg, Grid((axis,)), data)
     factor = energy_window(axis, cfg.m, scfg.speed, dt)
     e0 = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
         last = min(done + cfg.sample_every, cfg.steps)
-        state = _march(state, step, scfg, done, last, lambda s, d: _at(d, s.time, cfg.n0))
+        state = _march(state, scfg, done, last, lambda s, d: _at(d, s.time, cfg.n0))
         e = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
         steps.append(last)
         times.append(state.time)

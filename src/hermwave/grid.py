@@ -12,21 +12,23 @@ level shares its parity.
 
 A field stores, per node, the scaled derivative coefficients
 (h**l/l!) d^l u/dx^l up to its order along each axis, as one dense array
-shaped (nodes per axis..., order+1 per axis...). The steppers' states keep
-node rows instead, one per node in C order, and build `Field` views on access.
+shaped (nodes per axis..., order+1 per axis...). Both schemes' states are
+one `State`, which keeps node rows instead, one per node in C order: u | v
+packed per node (dissipative), or u with the previous level's rows
+(conservative). Its one view, `u`, builds a `Field` on access.
 
-Every grid carries a `plans` dict where the gathers and steppers cache what
-they build once per level, so no cache outlives the grid its key names. A
-stepper links a state to its plans (`link`): the state then carries the
-config it was stepped with, the plan of its own parity and the plan of the
-opposite one, and each state the stepper returns carries the same two plans
+Every grid carries a `plans` dict where the gathers and the step cache what
+they build once per level, so no cache outlives the grid its key names. The
+step links a state to its plans (`link`): the state then carries the config
+it was stepped with, the plan of its own parity and the plan of the
+opposite one, and each state the step returns carries the same two plans
 swapped, so a march looks up a level's plans once.
 
 A `Stack` puts the levels of a refinement study one after the other in one
 set of node rows, so that one take and one product step them all (see
-`Stack`). Its states are a `FieldPair` or `TwoLevelState` like a grid's,
-with one time per level and, in a `FieldPair`, v carried as h*v (as is
-the u_t a bootstrap on the stack reads).
+`Stack`). Its states are `State`s like a grid's, with one time per level
+and a dissipative state's v carried as h*v (as is the u_t a bootstrap on
+the stack reads).
 """
 
 from __future__ import annotations
@@ -150,107 +152,65 @@ class Field:
             raise ValueError(f"{self.parity} field needs node shape {nodes} and "
                              f"{self.grid.ndim} order axes, got values of shape {v.shape}")
 
-    @property
-    def orders(self) -> tuple:
-        return tuple(k - 1 for k in self.values.shape[-self.grid.ndim :])
-
 
 def rows(block: np.ndarray, ndim: int = 1) -> np.ndarray:
     """The block as one row per node or target, indexed by its first `ndim` axes."""
     return block.reshape(math.prod(block.shape[:ndim]), -1)
 
 
-class FieldPair:
-    """Displacement/velocity pair; u order exceeds v order by one per axis.
+class State:
+    """One level of either scheme, or every level of a `Stack`, as node rows.
 
-    Kept as `rows`, u | v packed per node as the dissipative plan gathers
-    them, with u's column count `split`, the u and v value `shapes` and the
-    stepper's `link` (None until a stepper sets it; see `link`).
+    `rows` packs, per node of the grid's `parity` in C order, the
+    coefficients of each field of `blocks`, the coefficient shape of each:
+    u | v, ((m+1,)*d, (m,)*d), for the dissipative scheme and u alone,
+    ((m+1,)*d,), for the conservative one, whose previous level sits in
+    `prev_rows` on the other parity (None for the dissipative scheme). It
+    carries the step's `link` (None until a step sets it; see `link`).
     """
 
-    __slots__ = ("grid", "parity", "time", "rows", "split", "shapes", "link")
+    __slots__ = ("grid", "parity", "time", "rows", "blocks", "prev_rows", "link")
 
-    def __init__(self, u: Field, v: Field):
-        su, sv = u.values.shape, v.values.shape
-        d = len(u.grid.shapes[u.parity])  # node axes
-        if su[d:] != tuple(k + 1 for k in sv[d:]):
-            raise ValueError(f"u orders must be v orders + 1, got {u.orders}/{v.orders}")
-        if u.parity != v.parity:
-            raise ValueError("u and v must live on the same parity")
-        self.grid, self.parity, self.time = u.grid, u.parity, u.time
-        self.rows = np.concatenate((rows(u.values, d), rows(v.values, d)), axis=1)
-        self.split, self.shapes = math.prod(su[d:]), (su, sv)
-        self.link = None
+    def __init__(self, grid, parity: str, time, rows, blocks: tuple, prev_rows=None):
+        if parity not in grid.shapes:
+            raise ValueError(f"unknown parity {parity!r}, expected {PRIMAL!r} or {DUAL!r}")
+        cols = sum(math.prod(block) for block in blocks)
+        for p, r in ((parity, rows), (flip(parity), prev_rows)):
+            want = (math.prod(grid.shapes[p]), cols)
+            if r is not None and np.shape(r) != want:
+                raise ValueError(f"{p} rows of blocks {blocks} need shape {want}, "
+                                 f"got {np.shape(r)}")
+        self.grid, self.parity, self.time, self.blocks = grid, parity, time, blocks
+        self.rows, self.prev_rows, self.link = rows, prev_rows, None
 
     @property
     def u(self) -> Field:
+        """u, the current level of a two-level state, as a `Field`."""
+        u = self.blocks[0]
         return Field(self.grid, self.parity, self.time,
-                     self.rows[:, : self.split].reshape(self.shapes[0]))
-
-    @property
-    def v(self) -> Field:
-        return Field(self.grid, self.parity, self.time,
-                     self.rows[:, self.split :].reshape(self.shapes[1]))
-
-    @property
-    def fields(self) -> tuple:
-        return self.u, self.v
+                     self.rows[:, : math.prod(u)].reshape(self.grid.shapes[self.parity] + u))
 
 
-class TwoLevelState:
-    """Conservative-scheme state: u data at t_n and at t_{n-1/2}.
-
-    The two levels sit on opposite parities; `previous` lives on the grid the
-    next update writes to. They are kept as node rows, `rows` at `time` and
-    `prev_rows` at `prev_time`, with their value `shapes` and the stepper's
-    `link` (None until a stepper sets it; see `link`).
-    """
-
-    __slots__ = ("grid", "parity", "time", "prev_time", "rows", "prev_rows", "shapes", "link")
-
-    def __init__(self, current: Field, previous: Field):
-        if current.parity == previous.parity:
-            raise ValueError("the two levels must sit on opposite parities")
-        if current.orders != previous.orders:
-            raise ValueError(f"the two levels carry orders {current.orders}/{previous.orders}")
-        self.grid, self.parity, self.time = current.grid, current.parity, current.time
-        self.prev_time, self.shapes = previous.time, (current.values.shape, previous.values.shape)
-        d = len(self.grid.shapes[self.parity])  # node axes
-        self.rows, self.prev_rows = rows(current.values, d), rows(previous.values, d)
-        self.link = None
-
-    @property
-    def current(self) -> Field:
-        return Field(self.grid, self.parity, self.time, self.rows.reshape(self.shapes[0]))
-
-    @property
-    def previous(self) -> Field:
-        return Field(self.grid, flip(self.parity), self.prev_time,
-                     self.prev_rows.reshape(self.shapes[1]))
-
-    @property
-    def fields(self) -> tuple:
-        return self.current, self.previous
-
-
-def link(state, cfg, scheme: str, build) -> tuple:
+def link(state, cfg, build) -> tuple:
     """The `link` of a state stepped under cfg: (cfg, plan, next plan).
 
     The plans are those of the state's parity and the opposite one, each
-    looked up in the grid's `plans` by (scheme, parity, cfg) or built there
-    by build(grid, parity, cfg). A plan's fifth entry is the value shapes of
-    the states it returns; the next plan's must be the state's own, else
-    the state's orders do not match cfg.m.
+    looked up in the grid's `plans` by (scheme, parity, cfg), the scheme
+    "conservative" for a state with a previous level and "dissipative"
+    otherwise, or built there by build(grid, parity, cfg, scheme). A plan's
+    last entry is the blocks of the states it steps; they must be the
+    state's own, else the state's orders do not match cfg.m.
     """
     grid, plans = state.grid, []
+    scheme = "dissipative" if state.prev_rows is None else "conservative"
     for parity in (state.parity, flip(state.parity)):
         key = (scheme, parity, cfg)
         plan = grid.plans.get(key)
         if plan is None:
-            plan = grid.plans[key] = build(grid, parity, cfg)
+            plan = grid.plans[key] = build(grid, parity, cfg, scheme)
         plans.append(plan)
-    if state.shapes != plans[1][4]:
-        orders = tuple(k - 1 for k in state.shapes[0][-grid.ndim :])
+    if state.blocks != plans[0][-1]:
+        orders = tuple(k - 1 for k in state.blocks[0])
         raise ValueError(f"state carries orders {orders}, config wants m = {cfg.m}")
     return cfg, plans[0], plans[1]
 
@@ -260,15 +220,15 @@ class Stack:
 
     `levels` are `Grid`s of d axes with one aspect, spacings over the
     smallest spacing h; each parity's rows are the levels' node rows one
-    level after the other. A stepper plans a stack as it plans a grid, and
+    level after the other. The step plans a stack as it plans a grid, and
     every level of a stack shares one map per half step:
     - the gather is the levels' own gathers, each offset by the rows before
       its level (`boundary.gather_plan`);
     - the matrix is built once at unit spacing, `spacings` being the
       aspect. It is every level's matrix, as a step depends on h only
       through v's units: with dt = lam h/c the dissipative map is
-      A(h) = D^-1 Â D, D = diag(I_u, h I_v), so a `FieldPair` on a stack
-      carries each level's v as h*v; the conservative scheme carries u
+      A(h) = D^-1 Â D, D = diag(I_u, h I_v), so a dissipative state on a
+      stack carries each level's v as h*v; the conservative scheme carries u
       alone;
     - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
 
@@ -327,8 +287,8 @@ class Stack:
         """(the last level's rows, the state of the stack of the others).
 
         The rows are the last level's `rows` in the stack's units (a
-        FieldPair's v as h*v), a view: a step writes new rows and never
-        into the ones it reads. The others stay views of the state's
+        dissipative state's v as h*v), a view: a step writes new rows and
+        never into the ones it reads. The others stay views of the state's
         leading rows, on the stack of the leading levels (None when no
         level is left).
         """
@@ -339,10 +299,6 @@ class Stack:
         rest = copy.copy(state)
         rest.grid, rest.link, rest.time = self._lead(i), None, state.time[:i]
         rest.rows = state.rows[:start]
-        second = state.parity if isinstance(state, FieldPair) else flip(state.parity)
-        rest.shapes = tuple(rest.grid.shapes[parity] + shape[-self.ndim :]
-                            for parity, shape in zip((state.parity, second), state.shapes))
-        if not isinstance(state, FieldPair):
-            rest.prev_time = state.prev_time[:i]
+        if state.prev_rows is not None:
             rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]
         return state.rows[start:], rest

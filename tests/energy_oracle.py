@@ -30,10 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from hermwave.diagnostics import _derivative_rows, energy_of_rows, energy_window
-from hermwave.grid import Axis, Field, FieldPair, flip
+from hermwave.grid import Axis, Field, State, flip
 from hermwave.interp import interp_matrix
 from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, field_interpolant, seminorm_sq
+from states import orders, v_of
 
 
 @lru_cache(maxsize=64)
@@ -62,7 +63,7 @@ def conservative_energy(current: Field, previous: Field, speed: float, dt: float
     axis = _line(current)
     if previous.parity != flip(current.parity):
         raise ValueError("the two levels must sit on opposite parities")
-    (m,) = current.orders
+    (m,) = orders(current)
     # a 1D level's values are its node rows
     return energy_of_rows(current.values, previous.values, current.parity,
                           energy_window(axis, m, speed, dt))
@@ -70,23 +71,23 @@ def conservative_energy(current: Field, previous: Field, speed: float, dt: float
 
 def _interp_seminorm(field: Field, order: int, h: float) -> float:
     """|I field|_order^2 summed over the cells of the 1D field's gather."""
-    (mu,) = field.orders
+    (mu,) = orders(field)
     data = pair_sources(field)[0]
     top = data.reshape(len(data), -1) @ interp_matrix(mu)[order:].T
     y = top @ seminorm_factor(mu, order, h).T
     return float(np.vdot(y, y))
 
 
-def dissipative_energy(state: FieldPair, speed: float) -> float:
+def dissipative_energy(state: State, speed: float) -> float:
     """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2 over the cells of the 1D gathers.
 
     A dual level's ghost-backed edge cells reach h/2 past each wall and are
     not clipped.
     """
     h = _line(state.u).h
-    (m,) = state.u.orders
+    (m,) = orders(state.u)
     return (speed * speed * _interp_seminorm(state.u, m + 1, h)
-            + _interp_seminorm(state.v, m, h))
+            + _interp_seminorm(v_of(state), m, h))
 
 
 def shift(f: PiecewisePolynomial, delta: float) -> PiecewisePolynomial:
@@ -191,4 +192,4 @@ def oracle_energy(current, previous, speed: float, dt: float) -> float:
     """E(t_n) from a two-level nodal state, assembled piece by piece."""
     pair = conserved_pair(field_interpolant(current), field_interpolant(previous),
                           0.5 * speed * dt)
-    return seminorm_energy(pair, current.orders[0] + 1)
+    return seminorm_energy(pair, orders(current)[0] + 1)

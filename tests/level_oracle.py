@@ -29,7 +29,7 @@ from hermwave.boundary import level_gather, take
 from hermwave.diagnostics import (_AT, _axis_cells, default_npts, eval_matrix, field_matrix,
                                   gauss_rule)
 from hermwave.dissipative import eval_series, expand_taylor
-from hermwave.grid import DUAL, FieldPair, flip
+from hermwave.grid import DUAL, Field, flip
 from hermwave.interp import apply_interp
 
 
@@ -117,15 +117,15 @@ def _values(gathered, targets, clipped, matrix):
 
 
 def errors(state, exacts, npts=None) -> list:
-    """L2 errors of a plain-grid Field (u) or FieldPair against exacts:
-    one callable of (x, y, ...) for u alone, or three for a 1D pair's
-    (u, u_x, v)."""
+    """L2 errors of a plain-grid Field (u) or `State` against exacts: one
+    callable of (x, y, ...) for u alone, or three for a 1D dissipative
+    state's (u, u_x, v)."""
     grid, parity, d = state.grid, state.parity, state.grid.ndim
-    if isinstance(state, FieldPair):
-        rows, blocks = state.rows, tuple(shape[d:] for shape in state.shapes)
-    else:
+    if isinstance(state, Field):
         blocks = (state.values.shape[d:],)
         rows = state.values.reshape(math.prod(grid.shapes[parity]), -1)
+    else:
+        rows, blocks = state.rows, state.blocks
     npts = npts or default_npts(max(blocks[0]) - 1)
     gathered = take(rows, level_gather(grid, parity, blocks))
     if len(exacts) == 3:

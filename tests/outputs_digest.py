@@ -54,19 +54,9 @@ from workloads import WORKLOADS  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from hermwave import (  # noqa: E402
-    DUAL,
-    PRIMAL,
-    Axis,
-    Field,
-    FieldPair,
-    Grid,
-    SchemeConfig,
-    TwoLevelState,
-    full_step_conservative,
-    half_step,
-)
+from hermwave import DUAL, PRIMAL, Axis, Field, Grid, SchemeConfig, step  # noqa: E402
 from hermwave import cli  # noqa: E402
+from states import fields_of, two_level, uv_state  # noqa: E402
 
 SEEDS = (0, 1)
 # conserve1d runs the conservative scheme only
@@ -187,7 +177,8 @@ MARCH_CONFIGS = ((40, 0.8), (15, 0.8), (15, 0.5))
 
 def marches():
     """Run each march; yields (name, per config the values of the state's
-    fields and the time it reached)."""
+    fields and the time it reached). A march is named by its grid and its
+    scheme."""
     for i, (axes, m) in enumerate(MARCH_GRIDS):
         grid = Grid(axes)
         d, rng = len(axes), np.random.default_rng(i)
@@ -196,16 +187,16 @@ def marches():
             values = rng.standard_normal(grid.shapes[parity] + (order + 1,) * d)
             return Field(grid, parity, time, values)
 
-        for state, step in ((FieldPair(field(PRIMAL, m), field(PRIMAL, m - 1)), half_step),
-                            (TwoLevelState(field(PRIMAL, m), field(DUAL, m, -0.1)),
-                             full_step_conservative)):
+        states = (("dissipative", uv_state(field(PRIMAL, m), field(PRIMAL, m - 1))),
+                  ("conservative", two_level(field(PRIMAL, m), field(DUAL, m, -0.1))))
+        for scheme, state in states:
             reached = []
             for steps, lam in MARCH_CONFIGS:
                 cfg = SchemeConfig(m=m, lam=lam)
                 for _ in range(steps):
                     state = step(state, cfg)
-                reached.append(([f.values.copy() for f in state.fields], state.time))
-            yield f"march {i} {step.__name__}", reached
+                reached.append(([f.values.copy() for f in fields_of(state)], state.time))
+            yield f"march {i} {scheme}", reached
 
 
 def march_digest() -> tuple[str, int]:

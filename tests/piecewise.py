@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermwave.diagnostics import gauss_rule
-from hermwave.grid import Field, FieldPair
+from hermwave.grid import Field, State
 from hermwave.interp import apply_interp
 
 from level_oracle import pair_sources
+from states import orders, v_of
 
 
 @dataclass(frozen=True)
@@ -211,9 +212,9 @@ def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
     return total
 
 
-def oracle_dissipative_energy(state: FieldPair, speed: float) -> float:
+def oracle_dissipative_energy(state: State, speed: float) -> float:
     """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, integrated piece by piece."""
-    (m,) = state.u.orders
+    (m,) = orders(state.u)
     ppu = field_interpolant(state.u)
-    ppv = field_interpolant(state.v)
+    ppv = field_interpolant(v_of(state))
     return speed * speed * seminorm_sq(ppu, m + 1) + seminorm_sq(ppv, m)

@@ -36,9 +36,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
 from hermwave.boundary import ghost_data
-from hermwave.conservative import full_step_conservative
+from hermwave.conservative import step
 from hermwave.diagnostics import l2_error_field
-from hermwave.dissipative import SchemeConfig, half_step
+from hermwave.dissipative import SchemeConfig
 from hermwave.driver import (
     default_config,
     run_conservation_1d,
@@ -48,11 +48,12 @@ from hermwave.driver import (
     _planewave_study,
     _scale_cols,
 )
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 from hermwave.interp import apply_interp
 
 from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, interpolate_1d, seminorm_sq
+from states import previous_of, two_level, u_state, uv_state, v_of
 
 
 def _rate_check(tag, rate, target, tol, ladder=None, stock=None):
@@ -254,14 +255,14 @@ def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, parity
     grid = _exactness_level(kinds)
     cfg = SchemeConfig(m=m, lam=lam)
     nodes = grid.shapes[parity]
-    pair = FieldPair(
+    pair = uv_state(
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,))),
     )
-    out = half_step(pair, cfg)
+    out = step(pair, cfg)
     # the flank data the stepper reads
     udata, _ = pair_sources(pair.u)
-    vdata, _ = pair_sources(pair.v)
+    vdata, _ = pair_sources(v_of(pair))
     scale = np.abs(udata).max()
     worst = 0.0
     for i in range(len(udata)):
@@ -269,7 +270,7 @@ def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, parity
         worst = max(
             worst,
             abs(out.u.values[i, 0] - uref) / scale,
-            abs(out.v.values[i, 0] - vref) / scale,
+            abs(v_of(out).values[i, 0] - vref) / scale,
         )
     _bound_check(f"one-step exactness dissipative m={m} lam={lam:.4g} "
                  f"{kinds or 'periodic'} {parity}", worst, 1e-12)
@@ -286,12 +287,12 @@ def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, parit
     grid = _exactness_level(kinds)
     cfg = SchemeConfig(m=m, lam=lam)
     other = DUAL if parity == PRIMAL else PRIMAL
-    state = TwoLevelState(
+    state = two_level(
         Field(grid, parity, 0.0, rng.standard_normal(grid.shapes[parity] + (m + 1,))),
         Field(grid, other, -0.1, rng.standard_normal(grid.shapes[other] + (m + 1,))),
     )
-    out = full_step_conservative(state, cfg)
-    data, centers = pair_sources(state.current)
+    out = step(state, cfg)
+    data, centers = pair_sources(state.u)
     coeffs = apply_interp(data)
     scale = np.abs(coeffs).max()
     rho = 0.5 * lam
@@ -300,8 +301,8 @@ def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, parit
     for i in range(len(data)):
         p = CellPolynomial(centers[i], h, coeffs[i])
         avg = 0.5 * (p(centers[i] + rho * h) + p(centers[i] - rho * h))
-        ref = 2.0 * avg - state.previous.values[i, 0]
-        worst = max(worst, abs(out.current.values[i, 0] - ref) / scale)
+        ref = 2.0 * avg - previous_of(state).values[i, 0]
+        worst = max(worst, abs(out.u.values[i, 0] - ref) / scale)
     _bound_check(f"one-step exactness conservative m={m} lam={lam:.4g} "
                  f"{kinds or 'periodic'} {parity}", worst, 1e-12)
 
@@ -352,7 +353,7 @@ def test_criterion6_interpolation_error_slope(m):
         axis = Axis(0.0, 2 * math.pi, n)
         xs = axis.nodes(PRIMAL)
         f = Field(Grid((axis,)), PRIMAL, 0.0, _scale_cols(sine_derivs(xs, m, 0.0), axis.h))
-        errs.append(l2_error_field(f, np.sin, npts=2 * m + 8))
+        errs.append(l2_error_field(u_state(f), np.sin, npts=2 * m + 8))
         hs.append(axis.h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     _rate_check(f"interpolation L2 slope m={m}", slope, 2 * m + 2, 0.3)
@@ -378,11 +379,11 @@ def test_criterion7_dissipative_long_run(m):
         [-np.cos(xs + l * math.pi / 2) * h**l / math.factorial(l) for l in range(m)],
         axis=-1,
     )
-    pair = FieldPair(Field(grid, PRIMAL, 0.0, uvals), Field(grid, PRIMAL, 0.0, vvals))
+    pair = uv_state(Field(grid, PRIMAL, 0.0, uvals), Field(grid, PRIMAL, 0.0, vvals))
     sup0 = np.abs(pair.u.values[:, 0]).max()
     sup = sup0
     for k in range(10_000):
-        pair = half_step(pair, cfg)
+        pair = step(pair, cfg)
         if (k + 1) % 100 == 0:
             assert np.all(np.isfinite(pair.u.values))
             sup = max(sup, np.abs(pair.u.values[:, 0]).max())

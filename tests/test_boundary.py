@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermwave.boundary import gather_plan, ghost_data, take, zero_wall_slots
-from hermwave.conservative import full_step_conservative
-from hermwave.dissipative import SchemeConfig, half_step
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from hermwave.conservative import step
+from hermwave.dissipative import SchemeConfig
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 from hermwave.interp import apply_interp
 
 from level_oracle import pair_sources
+from states import fields_of, two_level, uv_state
 
 
 def test_dirichlet_reflection_first_order():
@@ -323,15 +324,14 @@ def test_walled_level_marches_as_its_image_level(scheme, d, kinds):
 
     cfg = SchemeConfig(m=m, lam=0.8)
     if scheme == "dissipative":
-        step, views = half_step, ("u", "v")
-        states = [FieldPair(u, v) for u, v in zip(fields(PRIMAL, m), fields(PRIMAL, m - 1))]
+        views = ("u", "v")
+        states = [uv_state(u, v) for u, v in zip(fields(PRIMAL, m), fields(PRIMAL, m - 1))]
     else:
-        step, views = full_step_conservative, ("current", "previous")
-        states = [TwoLevelState(cur, prev)
+        views = ("current", "previous")
+        states = [two_level(cur, prev)
                   for cur, prev in zip(fields(PRIMAL, m), fields(DUAL, m, -0.1))]
     for _ in range(40):
         states = [step(state, cfg) for state in states]
-        for view in views:
-            got, image = (getattr(state, view) for state in states)
+        for view, got, image in zip(views, *(fields_of(state) for state in states)):
             want = image.values[tuple(slice(k) for k in walled.shapes[got.parity])]
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max(), view

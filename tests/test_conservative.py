@@ -10,13 +10,14 @@ from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
 from hermwave.boundary import take, zero_wall_slots
-from hermwave.conservative import _plan, bootstrap_first_half, full_step_conservative
+from hermwave.conservative import _plan, bootstrap_first_half, step
 from hermwave.dissipative import SchemeConfig
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, TwoLevelState, flip
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, flip
 from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
 from lifting import lift, lifted_grids
+from states import previous_of, two_level
 
 
 def test_zero_update_is_zero():
@@ -129,7 +130,7 @@ def _random_state(grid, m, rng):
     nd = grid.shapes[DUAL]
     cur = Field(grid, PRIMAL, 0.0, rng.standard_normal(nu + (m + 1,)))
     prev = Field(grid, DUAL, -0.1, rng.standard_normal(nd + (m + 1,)))
-    return TwoLevelState(cur, prev)
+    return two_level(cur, prev)
 
 
 def test_full_step_bookkeeping():
@@ -137,13 +138,13 @@ def test_full_step_bookkeeping():
     grid, axis = _line(0.0, 1.0, 6)
     cfg = SchemeConfig(m=2, lam=0.8)
     state = _random_state(grid, 2, rng)
-    out = full_step_conservative(state, cfg)
+    out = step(state, cfg)
     # the old current level becomes the previous one uncopied
-    assert np.shares_memory(out.previous.values, state.current.values)
-    assert out.previous.time == state.current.time
-    assert out.previous.parity == state.current.parity
-    assert out.current.parity == DUAL
-    assert out.current.time == pytest.approx(state.current.time + 0.5 * cfg.dt(axis.h))
+    assert np.shares_memory(previous_of(out).values, state.u.values)
+    assert previous_of(out, cfg).time == state.u.time
+    assert previous_of(out).parity == state.u.parity
+    assert out.u.parity == DUAL
+    assert out.u.time == pytest.approx(state.u.time + 0.5 * cfg.dt(axis.h))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -151,13 +152,13 @@ def test_full_step_order_mismatch(ndim):
     """Data of order 2 stepped under m = 3 fails naming both, also once linked under m = 2."""
     grid = Grid((Axis(0.0, 1.0, 4),) * ndim)
     rng = np.random.default_rng(ndim)
-    state = TwoLevelState(
+    state = two_level(
         Field(grid, PRIMAL, 0.0, rng.standard_normal(grid.shapes[PRIMAL] + (3,) * ndim)),
         Field(grid, DUAL, -0.1, rng.standard_normal(grid.shapes[DUAL] + (3,) * ndim)))
     want = rf"state carries orders \({', '.join(['2'] * ndim)},?\), config wants m = 3"
-    for s in (state, full_step_conservative(state, SchemeConfig(m=2))):
+    for s in (state, step(state, SchemeConfig(m=2))):
         with pytest.raises(ValueError, match=want):
-            full_step_conservative(s, SchemeConfig(m=3))
+            step(s, SchemeConfig(m=3))
 
 
 def test_full_step_closed_form_every_target():
@@ -166,15 +167,15 @@ def test_full_step_closed_form_every_target():
     m, lam = 2, 0.9
     cfg = SchemeConfig(m=m, lam=lam)
     state = _random_state(grid, m, rng)
-    out = full_step_conservative(state, cfg)
-    data, _ = pair_sources(state.current)
+    out = step(state, cfg)
+    data, _ = pair_sources(state.u)
     coeffs = apply_interp(data)
     rho = 0.5 * lam
     for i in range(coeffs.shape[0]):
         p = P(coeffs[i])
         avg = 0.5 * (p(P([rho, 1.0])) + p(P([-rho, 1.0])))
-        want = 2.0 * avg.coef[: m + 1] - state.previous.values[i]
-        np.testing.assert_allclose(out.current.values[i], want, rtol=1e-12, atol=1e-13)
+        want = 2.0 * avg.coef[: m + 1] - previous_of(state).values[i]
+        np.testing.assert_allclose(out.u.values[i], want, rtol=1e-12, atol=1e-13)
 
 
 def test_update_is_time_reversible():
@@ -184,17 +185,17 @@ def test_update_is_time_reversible():
     m = 2
     cfg = SchemeConfig(m=m, lam=1.0)
     state = _random_state(grid, m, rng)
-    c0, p0 = state.current.values.copy(), state.previous.values.copy()
+    c0, p0 = state.u.values.copy(), previous_of(state).values.copy()
     n = 50
     for _ in range(n):
-        state = full_step_conservative(state, cfg)
-    back = TwoLevelState(current=state.previous, previous=state.current)
+        state = step(state, cfg)
+    back = two_level(previous_of(state, cfg), state.u)
     for _ in range(n):
-        back = full_step_conservative(back, cfg)
+        back = step(back, cfg)
     scale = np.abs(c0).max()
-    # back.current retraces previous(t=-dt/2), back.previous retraces current
-    np.testing.assert_allclose(back.current.values, p0, atol=1e-10 * scale)
-    np.testing.assert_allclose(back.previous.values, c0, atol=1e-10 * scale)
+    # back.u retraces previous(t=-dt/2), previous_of(back) retraces current
+    np.testing.assert_allclose(back.u.values, p0, atol=1e-10 * scale)
+    np.testing.assert_allclose(previous_of(back).values, c0, atol=1e-10 * scale)
 
 
 def test_bootstrap_zero_data():
@@ -202,11 +203,11 @@ def test_bootstrap_zero_data():
     cfg = SchemeConfig(m=2, lam=0.8)
     z = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
     state = bootstrap_first_half(z, z, cfg)
-    assert np.all(state.current.values == 0.0)
-    assert np.shares_memory(state.previous.values, z.values)
-    assert state.previous.time == z.time and state.previous.parity == z.parity
-    assert state.current.parity == DUAL
-    assert state.current.time == pytest.approx(0.5 * cfg.dt(axis.h))
+    assert np.all(state.u.values == 0.0)
+    assert np.shares_memory(previous_of(state).values, z.values)
+    assert previous_of(state, cfg).time == z.time and previous_of(state).parity == z.parity
+    assert state.u.parity == DUAL
+    assert state.u.time == pytest.approx(0.5 * cfg.dt(axis.h))
 
 
 def test_bootstrap_linear_stationary():
@@ -219,7 +220,7 @@ def test_bootstrap_linear_stationary():
     state = bootstrap_first_half(g0, g1, cfg)
     xd = axis.nodes(DUAL)
     want = np.stack([2 * xd + 1, np.full_like(xd, 2 * axis.h)], axis=-1)
-    np.testing.assert_allclose(state.current.values, want, atol=1e-13)
+    np.testing.assert_allclose(state.u.values, want, atol=1e-13)
 
 
 def test_bootstrap_constant_velocity():
@@ -236,7 +237,7 @@ def test_bootstrap_constant_velocity():
     dt = cfg.dt(axis.h)
     want = np.zeros((5, 3))
     want[:, 0] = V * dt / 2
-    np.testing.assert_allclose(state.current.values, want, atol=1e-14)
+    np.testing.assert_allclose(state.u.values, want, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -250,9 +251,9 @@ def test_bootstrap_standing_wave_accuracy(m):
         g0 = _sine_field(grid, m, PRIMAL)
         g1 = Field(grid, PRIMAL, 0.0, np.zeros((n, m + 1)))
         state = bootstrap_first_half(g0, g1, cfg)
-        t = state.current.time
+        t = state.u.time
         want = _sine_field(grid, m, DUAL, t=t).values[:, 0]
-        errs.append(np.abs(state.current.values[:, 0] - want).max())
+        errs.append(np.abs(state.u.values[:, 0] - want).max())
     slope = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert slope >= 2 * m + 1 - 0.4
 
@@ -283,13 +284,13 @@ def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, pari
     cfg = SchemeConfig(m=m, lam=lam)
     n = grid1.shapes[parity]
     g0, g1 = (Field(grid1, parity, 0.0, rng.standard_normal(n + (m + 1,))) for _ in range(2))
-    want = bootstrap_first_half(g0, g1, cfg).current
+    want = bootstrap_first_half(g0, g1, cfg).u
     for ndim, grid in lifted_grids(x_axis).items():
         if ndim == 3 and m > 2:
             continue
         counts = grid.shapes[parity][1:]
         got = bootstrap_first_half(*(Field(grid, parity, 0.0, lift(g.values, counts))
-                                     for g in (g0, g1)), cfg).current
+                                     for g in (g0, g1)), cfg).u
         assert got.parity == want.parity
         assert got.time == want.time
         bound = 1e-11 * np.abs(want.values).max()
@@ -309,16 +310,16 @@ def test_2d_reduces_to_1d_on_y_independent_data():
         grid1, x_axis = _line(0.0, 1.0, n, *kinds)
         cur1 = rng.standard_normal(grid1.shapes[PRIMAL] + (m + 1,))
         prev1 = rng.standard_normal(grid1.shapes[DUAL] + (m + 1,))
-        o1 = full_step_conservative(TwoLevelState(
+        o1 = step(two_level(
             Field(grid1, PRIMAL, 0.0, cur1), Field(grid1, DUAL, -0.1, prev1)), cfg)
         scale = np.abs(cur1).max()
         for ndim, grid in lifted_grids(x_axis).items():
-            s = TwoLevelState(
+            s = two_level(
                 Field(grid, PRIMAL, 0.0, lift(cur1, grid.shapes[PRIMAL][1:])),
                 Field(grid, DUAL, -0.1, lift(prev1, grid.shapes[DUAL][1:])))
-            o = full_step_conservative(s, cfg)
+            o = step(s, cfg)
             np.testing.assert_allclose(
-                o.current.values, lift(o1.current.values, grid.shapes[DUAL][1:]),
+                o.u.values, lift(o1.u.values, grid.shapes[DUAL][1:]),
                 atol=1e-13 * scale, err_msg=f"{ndim}D, {kinds}")
 
 
@@ -346,7 +347,7 @@ def _companion_symbols(d, n, m, lam, theta):
     mode = np.exp(1j * (np.indices((n,) * d).reshape(d, -1).T @ probe))[:, None]
     out = np.eye(2 * (m + 1) ** d)
     for parity, shift in ((PRIMAL, 0), (DUAL, 1)):
-        gather, a = _plan(grid, parity, cfg)[:2]
+        gather, a = _plan(grid, parity, cfg, "conservative")[:2]
         k = len(a) // len(corners)
 
         def block(th):
@@ -436,13 +437,13 @@ def _walled_full_step(n, m, lam):
     flattened. Each half step from parity p maps (current, previous) to
     (G_p current - previous, current), with G_p the level's cached plan
     (gather, then product) applied to the identity. Checked against two
-    stepper calls on random data.
+    step calls on random data.
     """
     grid, _ = _line(0.0, 1.0, n, "dirichlet0", "dirichlet0")
     cfg = SchemeConfig(m=m, lam=lam)
     k = m + 1
     state = _random_state(grid, m, np.random.default_rng(n + m))
-    stepped = full_step_conservative(full_step_conservative(state, cfg), cfg)
+    stepped = step(step(state, cfg), cfg)
     full = np.eye(len(state.rows) * k + len(state.prev_rows) * k)
     for parity in (PRIMAL, DUAL):
         gather, a = grid.plans[("conservative", parity, cfg)][:2]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermwave.conservative import full_step_conservative
+from hermwave.conservative import step
 from hermwave.diagnostics import (
     ErrorReport,
     default_npts,
@@ -17,8 +17,8 @@ from hermwave.diagnostics import (
     l2_error_field,
     l2_errors_pair,
 )
-from hermwave.dissipative import SchemeConfig, half_step
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from hermwave.dissipative import SchemeConfig
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 from hermwave.interp import apply_interp
 
 from energy_oracle import (
@@ -38,6 +38,7 @@ from piecewise import (
     oracle_dissipative_energy,
     seminorm_sq,
 )
+from states import previous_of, two_level, u_state, uv_state, v_of
 
 
 def _line(x_left, x_right, n, left="periodic", right="periodic"):
@@ -108,7 +109,7 @@ def test_l2_error_field_against_riemann_sum():
     xs = axis.nodes(PRIMAL)
     f = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     # npts beyond the polynomial-exact default: the integrand mixes in sin
-    got = l2_error_field(f, np.sin, npts=12)
+    got = l2_error_field(u_state(f), np.sin, npts=12)
     pp = field_interpolant(f)
     xq = np.linspace(0.0, 2 * math.pi, 400_000, endpoint=False) + 1.1e-7
     d = pp(xq) - np.sin(xq)
@@ -122,11 +123,11 @@ def test_pair_errors_match_single_field_calls():
     xs = axis.nodes(PRIMAL)
     u = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     v = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m, fn=np.cos))
-    pair = FieldPair(u, v)
+    pair = uv_state(u, v)
     eu, edux, ev = l2_errors_pair(pair, lambda x: (np.sin(x), np.cos(x), np.cos(x)))
-    assert eu == pytest.approx(l2_error_field(u, np.sin), rel=1e-13)
+    assert eu == pytest.approx(l2_error_field(u_state(u), np.sin), rel=1e-13)
     assert ev == pytest.approx(
-        l2_error_field(v, np.cos, npts=default_npts(m)), rel=1e-13
+        l2_error_field(u_state(v), np.cos, npts=default_npts(m)), rel=1e-13
     )
     ppdu = field_interpolant(u).derivative(1)
     assert edux == pytest.approx(
@@ -160,7 +161,7 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     npts = default_npts(m) + extra
     clip = None if axis.periodic else (axis.x_left, axis.x_right)
     ppu = field_interpolant(u)
-    got = l2_errors_pair(FieldPair(u, v), lambda x: (np.sin(x), np.cos(x), np.exp(x)), npts)
+    got = l2_errors_pair(uv_state(u, v), lambda x: (np.sin(x), np.cos(x), np.exp(x)), npts)
     want = (
         l2_error(ppu, np.sin, npts, clip),
         l2_error(ppu.derivative(1), np.cos, npts, clip),
@@ -168,7 +169,7 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     )
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
-    assert l2_error_field(u, np.sin, npts) == got[0]
+    assert l2_error_field(u_state(u), np.sin, npts) == got[0]
 
 
 def _two_level_fields(n, m, rng, span=3.0):
@@ -270,7 +271,7 @@ def test_seminorm_shift_invariance():
 
 def test_dissipative_energy_zero():
     grid, _ = _line(0.0, 1.0, 4)
-    pair = FieldPair(
+    pair = uv_state(
         Field(grid, PRIMAL, 0.0, np.zeros((4, 3))),
         Field(grid, PRIMAL, 0.0, np.zeros((4, 2))),
     )
@@ -289,7 +290,7 @@ def test_dissipative_energy_constant_curvature(m):
     for l in range(m + 1):
         fall = math.factorial(m + 1) / math.factorial(m + 1 - l)
         uvals[:, l] = fall * xs ** (m + 1 - l) * h**l / math.factorial(l)
-    pair = FieldPair(
+    pair = uv_state(
         Field(grid, PRIMAL, 0.0, uvals),
         Field(grid, PRIMAL, 0.0, np.zeros((len(xs), m))),
     )
@@ -314,7 +315,7 @@ def test_dissipative_energy_matches_oracle(m, n, parity, kinds, speed, seed):
     rng = np.random.default_rng(seed)
     grid, _ = _line(-0.7, 1.3, n, *(kinds or ()))
     nodes = grid.shapes[parity]
-    pair = FieldPair(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
+    pair = uv_state(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,))),
                      Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,))))
     got = dissipative_energy(pair, speed)
     want = oracle_dissipative_energy(pair, speed)
@@ -332,9 +333,9 @@ def test_wall_diagnostics_reflect_velocity_about_zero():
     nodes = axis.n_nodes(DUAL)
     u = np.zeros((nodes, m + 1))
     u[:, 0] = value
-    pair = FieldPair(Field(grid, DUAL, 0.0, u), Field(grid, DUAL, 0.0, np.zeros((nodes, m))))
-    stepped = half_step(pair, SchemeConfig(m=m, lam=0.8))
-    assert np.abs(stepped.v.values).max() <= 1e-13
+    pair = uv_state(Field(grid, DUAL, 0.0, u), Field(grid, DUAL, 0.0, np.zeros((nodes, m))))
+    stepped = step(pair, SchemeConfig(m=m, lam=0.8))
+    assert np.abs(v_of(stepped).values).max() <= 1e-13
     # rounding in u's top interpolant coefficients leaves about 1e-24
     assert dissipative_energy(pair, 1.0) <= 1e-20
     zero = np.zeros_like
@@ -353,11 +354,11 @@ def test_conservative_energy_invariant_under_step():
     for l in range(m + 1):
         pvals[:, l] = np.sin(xd + dt / 2 + l * math.pi / 2) * axis.h**l / math.factorial(l)
     prev = Field(grid, DUAL, -dt / 2, pvals)
-    state = TwoLevelState(cur, prev)
-    e0 = conservative_energy(state.current, state.previous, cfg.speed, dt)
+    state = two_level(cur, prev)
+    e0 = conservative_energy(state.u, previous_of(state), cfg.speed, dt)
     for _ in range(5):
-        state = full_step_conservative(state, cfg)
-    e5 = conservative_energy(state.current, state.previous, cfg.speed, dt)
+        state = step(state, cfg)
+    e5 = conservative_energy(state.u, previous_of(state), cfg.speed, dt)
     assert e5 == pytest.approx(e0, rel=1e-12)
     assert e0 > 0.0
 
@@ -413,7 +414,7 @@ def test_energies_need_a_1d_field(ndim):
     v = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (2,) * ndim))
     prev = Field(grid, DUAL, -0.1, np.zeros(nodes + (3,) * ndim))
     with pytest.raises(ValueError, match=f"{ndim}D field"):
-        dissipative_energy(FieldPair(u, v), 1.0)
+        dissipative_energy(uv_state(u, v), 1.0)
     with pytest.raises(ValueError, match=f"{ndim}D field"):
         conservative_energy(u, prev, 1.0, 0.1)
 
@@ -476,8 +477,8 @@ def test_l2_error_2d_clips_wall_cells(parity):
     vals[..., 0, 0] = 1.0
     field = Field(grid, parity, 0.0, vals)
     zero = lambda x, y: 0.0 * x * y
-    assert abs(l2_error_field(field, zero) - 1.0) <= 1e-14
-    assert l2_error_field(field, lambda x, y: 1.0 + zero(x, y)) < 1e-14
+    assert abs(l2_error_field(u_state(field), zero) - 1.0) <= 1e-14
+    assert l2_error_field(u_state(field), lambda x, y: 1.0 + zero(x, y)) < 1e-14
 
 
 def _tensor_oracle(field, exact, npts, der=0):
@@ -531,7 +532,7 @@ def test_pair_errors_in_2d_match_the_tensor_oracle(kinds, parity):
     npts = default_npts(m)
     want = [_tensor_oracle(f, lambda x, y, j=j: exact(x, y)[j], npts, der)
             for f, j, der in ((u, 0, 0), (u, 1, 1), (v, 2, 0))]
-    for got, w in zip(l2_errors_pair(FieldPair(u, v), exact), want):
+    for got, w in zip(l2_errors_pair(uv_state(u, v), exact), want):
         assert abs(got - w) <= 1e-12 * w
 
 
@@ -572,7 +573,7 @@ def test_l2_error_field_matches_tensor_oracle(axes, m, parity):
 
     npts = default_npts(m)
     want = _tensor_oracle(field, exact, npts)
-    assert abs(l2_error_field(field, exact) - want) <= 1e-12 * want
+    assert abs(l2_error_field(u_state(field), exact) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("axes", [
@@ -582,7 +583,7 @@ def test_l2_error_field_matches_tensor_oracle(axes, m, parity):
     (Axis(0.0, 1.0, 5, "neumann0", "dirichlet0"), Axis(0.0, 1.0, 4, "dirichlet0", "dirichlet0")),
 ], ids=["1d-walls", "1d-periodic", "2d-periodic", "2d-walls"])
 def test_stepped_level_errors_reuse_its_gather(axes):
-    """A stepped level's errors take the stepper's gather from the grid.
+    """A stepped level's errors take the step's gather from the grid.
 
     After a march, `l2_errors_pair` (1D dissipative) and `l2_error_field`
     of a conservative state's current level add no entry to grid.plans,
@@ -597,13 +598,13 @@ def test_stepped_level_errors_reuse_its_gather(axes):
     def exact(*xs):
         return np.cos(sum(xs))
 
-    states = [(TwoLevelState(field(PRIMAL, m), field(DUAL, m, -0.1)), full_step_conservative,
-               lambda s: l2_error_field(s.current, exact))]
+    states = [(two_level(field(PRIMAL, m), field(DUAL, m, -0.1)),
+               lambda s: l2_error_field(s, exact))]
     if d == 1:
-        states.append((FieldPair(field(PRIMAL, m), field(PRIMAL, m - 1)), half_step,
+        states.append((uv_state(field(PRIMAL, m), field(PRIMAL, m - 1)),
                        lambda s: l2_errors_pair(s, lambda x: (np.sin(x), np.cos(x),
                                                               np.cos(x)))))
-    for state, step, errors in states:
+    for state, errors in states:
         for steps in (3, 1):  # end on the dual level, then on the primal one
             for _ in range(steps):
                 state = step(state, cfg)

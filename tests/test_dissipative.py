@@ -13,21 +13,16 @@ from numpy.polynomial import Polynomial as P
 
 from hermwave import conservative
 from hermwave.boundary import take
-from hermwave.dissipative import (
-    SchemeConfig,
-    _plan,
-    eval_series,
-    expand_taylor,
-    fold,
-    half_step,
-    taylor_half_step,
-)
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState, flip
+from hermwave.conservative import _plan, step
+from hermwave.dissipative import (SchemeConfig, eval_series, expand_taylor, fold, packed,
+                                  taylor_half_step)
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, flip
 from hermwave.interp import apply_interp
 
 from energy_oracle import dissipative_energy
 from level_oracle import pair_sources
 from lifting import lift, lifted_grids
+from states import fields_of, two_level, uv_state, v_of
 
 WALLS = ("dirichlet0", "neumann0")
 # periodic, then every pair of x walls
@@ -71,10 +66,10 @@ def test_equal_configs_share_one_plan_per_level():
     grid, _ = _line(0.0, 1.0, 6)
     rng = np.random.default_rng(21)
     pair = _random_pair(grid, 2, rng)
-    state = TwoLevelState(pair.u, _random_pair(grid, 2, rng, DUAL).u)
+    state = two_level(pair.u, _random_pair(grid, 2, rng, DUAL).u)
     for cfg in (SchemeConfig(m=2, lam=0.9), SchemeConfig(m=2, lam=0.9)):
-        half_step(half_step(pair, cfg), cfg)
-        conservative.full_step_conservative(conservative.full_step_conservative(state, cfg), cfg)
+        step(step(pair, cfg), cfg)
+        step(step(state, cfg), cfg)
     steppers = sorted(key[:2] for key in grid.plans if key[0] != "gather")
     assert steppers == [("conservative", DUAL), ("conservative", PRIMAL),
                         ("dissipative", DUAL), ("dissipative", PRIMAL)]
@@ -91,11 +86,11 @@ class _CountedPlans(dict):
 
 
 def _level_states(grid, m, rng):
-    """A FieldPair and a TwoLevelState of order m, current on grid's primal nodes."""
+    """A dissipative and a conservative state of order m, current on grid's primal nodes."""
     d, nodes = len(grid.axes), grid.shapes[PRIMAL]
-    pair = FieldPair(Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
-                     Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m,) * d)))
-    state = TwoLevelState(
+    pair = uv_state(Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
+                    Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m,) * d)))
+    state = two_level(
         Field(grid, PRIMAL, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
         Field(grid, DUAL, -0.1, rng.standard_normal(grid.shapes[DUAL] + (m + 1,) * d)))
     return pair, state
@@ -117,13 +112,13 @@ def test_linked_states_step_as_fresh_ones(axes):
     plans = _CountedPlans()
     object.__setattr__(grid, "plans", plans)
     cfg = SchemeConfig(m=2, lam=0.8)
-    steppers = {"dissipative": half_step, "conservative": conservative.full_step_conservative}
-    for start, step in zip(_level_states(grid, 2, np.random.default_rng(len(axes))),
-                           steppers.values()):
+    builders = {"dissipative": uv_state, "conservative": two_level}
+    for start, build in zip(_level_states(grid, 2, np.random.default_rng(len(axes))),
+                            builders.values()):
         for _ in range(5):
             start = step(start, cfg)
         for other in (SchemeConfig(m=2, lam=0.8), SchemeConfig(m=2, lam=0.5)):
-            linked, fresh = start, type(start)(*start.fields)
+            linked, fresh = start, build(*fields_of(start))
             plans.gets = 0
             for _ in range(3):
                 linked, fresh = step(linked, other), step(fresh, other)
@@ -133,7 +128,7 @@ def test_linked_states_step_as_fresh_ones(axes):
             # the linked state's two plans, each of which looks up its gather
             assert plans.gets == 4 + 2 * (other.lam != cfg.lam)
     keys = sorted((scheme, parity, c.lam) for scheme, parity, c in plans if scheme != "gather")
-    assert keys == sorted((scheme, parity, lam) for scheme in steppers
+    assert keys == sorted((scheme, parity, lam) for scheme in builders
                           for parity in (PRIMAL, DUAL) for lam in (0.5, 0.8))
     d = len(axes)
     gathers = sorted((parity, blocks) for scheme, parity, blocks in plans if scheme == "gather")
@@ -241,7 +236,7 @@ def _random_pair(grid, m, rng, parity=PRIMAL):
     nu = grid.shapes[parity]
     u = Field(grid, parity, 0.0, rng.standard_normal(nu + (m + 1,)))
     v = Field(grid, parity, 0.0, rng.standard_normal(nu + (m,)))
-    return FieldPair(u, v)
+    return uv_state(u, v)
 
 
 def test_half_step_zero_stays_zero():
@@ -249,9 +244,9 @@ def test_half_step_zero_stays_zero():
     u = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
     v = Field(grid, PRIMAL, 0.0, np.zeros((5, 2)))
     cfg = SchemeConfig(m=2, lam=0.9)
-    out = half_step(FieldPair(u, v), cfg)
+    out = step(uv_state(u, v), cfg)
     assert np.all(out.u.values == 0.0)
-    assert np.all(out.v.values == 0.0)
+    assert np.all(v_of(out).values == 0.0)
     assert out.parity == DUAL
     assert out.time == pytest.approx(0.5 * cfg.dt(axis.h))
 
@@ -260,9 +255,9 @@ def test_half_step_order_mismatch():
     grid, _ = _line(0.0, 1.0, 5)
     rng = np.random.default_rng(17)
     pair = _random_pair(grid, 2, rng)
-    for state in (pair, half_step(pair, SchemeConfig(m=2))):
+    for state in (pair, step(pair, SchemeConfig(m=2))):
         with pytest.raises(ValueError, match="orders"):
-            half_step(state, SchemeConfig(m=3))
+            step(state, SchemeConfig(m=3))
 
 
 def _dalembert_coeffs(udata, vdata, lam, speed, h, m):
@@ -297,13 +292,13 @@ def test_half_step_matches_closed_form(m, lam):
     grid, axis = _line(-1.0, 1.0, 6)
     cfg = SchemeConfig(m=m, lam=lam, speed=2.0)
     pair = _random_pair(grid, m, rng)
-    out = half_step(pair, cfg)
+    out = step(pair, cfg)
     udata, _ = pair_sources(pair.u)
-    vdata, _ = pair_sources(pair.v)
+    vdata, _ = pair_sources(v_of(pair))
     for i in range(udata.shape[0]):
         uref, vref = _dalembert_coeffs(udata[i], vdata[i], lam, cfg.speed, axis.h, m)
         np.testing.assert_allclose(out.u.values[i], uref, rtol=1e-11, atol=1e-12)
-        np.testing.assert_allclose(out.v.values[i], vref, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(v_of(out).values[i], vref, rtol=1e-11, atol=1e-12)
 
 
 def test_half_step_v_scaling_convention():
@@ -322,11 +317,11 @@ def test_half_step_v_scaling_convention():
         [-np.cos(xs + l * math.pi / 2) * axis.h**l / math.factorial(l) for l in range(m)],
         axis=-1,
     )
-    pair = FieldPair(
+    pair = uv_state(
         Field(grid, PRIMAL, 0.0, uvals), Field(grid, PRIMAL, 0.0, vvals)
     )
     for _ in range(2):
-        pair = half_step(pair, cfg)
+        pair = step(pair, cfg)
     t = pair.time
     xs2 = axis.nodes(pair.parity)
     want = np.sin(xs2 - t)
@@ -357,13 +352,13 @@ def test_energy_never_increases():
             out[:, l] = acc * axis.h**l / math.factorial(l)
         return out
 
-    pair = FieldPair(
+    pair = uv_state(
         Field(grid, PRIMAL, 0.0, derivs(xs, m + 1, 0)),
         Field(grid, PRIMAL, 0.0, derivs(xs, m, 1)),
     )
     e = dissipative_energy(pair, cfg.speed)
     for _ in range(100):
-        pair = half_step(pair, cfg)
+        pair = step(pair, cfg)
         e_new = dissipative_energy(pair, cfg.speed)
         assert e_new <= e * (1.0 + 1e-12)
         e = e_new
@@ -374,15 +369,15 @@ def test_2d_constant_is_steady():
     m = 2
     u = np.zeros((4, 4, m + 1, m + 1))
     u[..., 0, 0] = 3.0
-    pair = FieldPair(
+    pair = uv_state(
         Field(grid, PRIMAL, 0.0, u),
         Field(grid, PRIMAL, 0.0, np.zeros((4, 4, m, m))),
     )
-    out = half_step(pair, SchemeConfig(m=m, lam=0.9))
+    out = step(pair, SchemeConfig(m=m, lam=0.9))
     want = np.zeros_like(u)
     want[..., 0, 0] = 3.0
     np.testing.assert_allclose(out.u.values, want, atol=1e-13)
-    np.testing.assert_allclose(out.v.values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(v_of(out).values, 0.0, atol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
@@ -412,12 +407,12 @@ def test_2d_reduces_to_1d_on_y_independent_data(m, lam, parity, seed):
         for ndim, cfg in cfgs.items():
             grid = grids[ndim]
             counts = grid.shapes[parity][1:]
-            out1 = half_step(pair, cfg)
-            out = half_step(FieldPair(
+            out1 = step(pair, cfg)
+            out = step(uv_state(
                 Field(grid, parity, 0.0, lift(pair.u.values, counts)),
-                Field(grid, parity, 0.0, lift(pair.v.values, counts))), cfg)
+                Field(grid, parity, 0.0, lift(v_of(pair).values, counts))), cfg)
             targets = grid.shapes[flip(parity)][1:]
-            for got, want in ((out.u, out1.u), (out.v, out1.v)):
+            for got, want in ((out.u, out1.u), (v_of(out), v_of(out1))):
                 assert got.time == want.time
                 bound = 1e-12 * np.abs(want.values).max()
                 assert np.abs(got.values - lift(want.values, targets)).max() <= bound, edges
@@ -429,8 +424,8 @@ def test_stage_cap_truncates_expansion():
     m = 3
     pair = _random_pair(grid, m, rng)
     cfg = SchemeConfig(m=m, lam=0.8)
-    full = half_step(pair, cfg)
-    capped, _ = taylor_half_step(pair_sources(pair.u)[0], pair_sources(pair.v)[0],
+    full = step(pair, cfg)
+    capped, _ = taylor_half_step(pair_sources(pair.u)[0], pair_sources(v_of(pair))[0],
                                  cfg.dt(axis.h), (axis.h,), cfg.speed, 2)
     # a 2-stage cap is first-order-in-time only; results must differ
     assert np.abs(full.u.values - capped).max() > 1e-8
@@ -442,24 +437,24 @@ def test_stage_cap_truncates_expansion():
     ((Axis(0.0, 1.0, 5),) * 2, PRIMAL),
 ])
 def test_steps_are_the_cached_plan_product_bit_for_bit(axes, parity):
-    """Both steppers' new rows are take(rows, gather) @ a from the level's
-    cached plan, bit for bit (minus the previous rows for the conservative
-    update): the product the steppers call changes no bits."""
+    """The step's new rows in both schemes are take(rows, gather) @ a from
+    the level's cached plan, bit for bit (minus the previous rows for the
+    conservative update): the product the step calls changes no bits."""
     grid = Grid(axes)
     d, m = len(axes), 3
     cfg = SchemeConfig(m=m, lam=0.8)
     rng = np.random.default_rng(57)
     nodes = grid.shapes[parity]
-    pair = FieldPair(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
-                     Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,) * d)))
-    got = half_step(pair, cfg).rows
+    pair = uv_state(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
+                    Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,) * d)))
+    got = step(pair, cfg).rows
     gather, a = grid.plans[("dissipative", parity, cfg)][:2]
     assert np.array_equal(got, take(pair.rows, gather) @ a)
-    state = TwoLevelState(
+    state = two_level(
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
         Field(grid, flip(parity), -0.1, rng.standard_normal(grid.shapes[flip(parity)]
                                                             + (m + 1,) * d)))
-    got = conservative.full_step_conservative(state, cfg).rows
+    got = step(state, cfg).rows
     gather, a = grid.plans[("conservative", parity, cfg)][:2]
     assert np.array_equal(got, take(state.rows, gather) @ a - state.prev_rows)
 
@@ -484,7 +479,7 @@ def test_periodic_1d_symbol_is_stable():
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid, _ = _line(0.0, 1.0, n)
-            (gather, a), (gather2, b) = (_plan(grid, p, cfg)[:2]
+            (gather, a), (gather2, b) = (_plan(grid, p, cfg, "dissipative")[:2]
                                          for p in (PRIMAL, DUAL))
             k = len(a) // 2
 
@@ -506,6 +501,29 @@ def test_periodic_1d_symbol_is_stable():
     assert worst <= 1e-12
 
 
+_CORNERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+def _symbol_2d(mat, shift, theta):
+    """sum_s e^{i theta.(s - shift)} A_s of a 2D half-step matrix's corner
+    blocks A_s, at each row of theta: H1 from primal sources (shift 0), H2
+    from dual ones (shift 1)."""
+    phase = np.exp(1j * (theta @ (_CORNERS - shift).T))
+    return np.einsum("...c,ckl->...kl", phase, mat.reshape(4, len(mat) // 4, -1))
+
+
+def _theta_grid(count):
+    """count x count theta pairs on [0, pi]^2, one per row."""
+    t = np.linspace(0.0, np.pi, count)
+    return np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _growth_2d(a, theta):
+    """max |eig(H1 H2)| - 1 over theta of a periodic 2D level whose two
+    parities share the half-step matrix a, as on a square grid."""
+    return np.abs(np.linalg.eigvals(_symbol_2d(a, 0, theta) @ _symbol_2d(a, 1, theta))).max() - 1
+
+
 def test_periodic_2d_symbol_is_stable():
     """No Fourier mode of a periodic 2D dissipative full step grows.
 
@@ -519,22 +537,16 @@ def test_periodic_2d_symbol_is_stable():
     33 x 33 grid on [-pi, pi]^2; 6 to 16 cells read 4.2e-15 to 5.1e-15).
     """
     n = 8
-    corners = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-    t = np.linspace(0.0, np.pi, 17)
-    theta = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    theta = _theta_grid(17)
     probe = 2 * np.pi * np.array([3, 1]) / n
     mode = np.exp(1j * (np.indices((n, n)).reshape(2, -1).T @ probe))[:, None]
-
-    def symbol(mat, shift, th):
-        phase = np.exp(1j * (th @ (corners - shift).T))
-        return np.einsum("...c,ckl->...kl", phase, mat.reshape(4, len(mat) // 4, -1))
-
+    symbol = _symbol_2d
     worst = 0.0
     for m in range(1, 4):
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid = Grid((Axis(0.0, 1.0, n),) * 2)
-            (gather, a), (gather2, b) = (_plan(grid, p, cfg)[:2]
+            (gather, a), (gather2, b) = (_plan(grid, p, cfg, "dissipative")[:2]
                                          for p in (PRIMAL, DUAL))
             # the blocks and phases are the plans' own: step one grid mode through each
             r = np.random.default_rng(m).standard_normal(len(a) // 4)
@@ -545,3 +557,73 @@ def test_periodic_2d_symbol_is_stable():
             growth = np.abs(np.linalg.eigvals(symbol(a, 0, theta) @ symbol(b, 1, theta)))
             worst = max(worst, growth.max() - 1.0)
     assert worst <= 1e-12
+
+
+def _plain_half_step(du, dv, dt, hs, speed, stages):
+    """`taylor_half_step` with every series seeded from the full-order
+    interpolants of u and v, the plain recursion supplying stage 1 too."""
+    ndim, m = len(hs), dv.shape[-1]
+    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, speed,
+                               stages)
+    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
+            eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
+
+
+def test_full_order_seeding_in_2d_is_stable_at_4m_plus_2_stages():
+    """Seeding the 2D half step from the full-order u interpolant alone is
+    stable at the shipped 4m+2 stages; cut to the 1D count of 2m it is not.
+
+    The periodic symbol of the plain-seeded map (`_plain_half_step`),
+    folded as the library folds its own, reads max |eig(H1 H2)| - 1 of at
+    most 6.5e-15 for m = 1..4 and lam in {0.5, 0.8, 0.9, 1} over a 49 x 49
+    theta grid on [-pi, pi]^2, and 0.75, 2.60 and 8.37 for m = 1, 2, 3 at
+    2m stages and lam = 1, where the library's mixed first stage
+    (`taylor_half_step`) reads 0, 0.49 and 4.23. Here the theta grid is
+    5 x 5 on [0, pi]^2, a subset of that grid on which the 2m-stage maxima
+    are reached.
+    """
+    theta, sides = _theta_grid(5), (2, 2)
+
+    def growth(fn, m, lam, stages):
+        cfg = SchemeConfig(m=m, lam=lam)
+        a = packed(fold(fn, (sides + (m + 1,) * 2, sides + (m,) * 2), cfg.dt(1.0), (1.0, 1.0),
+                        cfg.speed, stages), sides)
+        return _growth_2d(a, theta)
+
+    for m in (1, 2, 3, 4):
+        for lam in (0.5, 0.8, 0.9, 1.0):
+            assert growth(_plain_half_step, m, lam, SchemeConfig(m=m).stages(2)) <= 1e-14, (m, lam)
+    for m, plain, mixed in ((1, 0.75, 0.0), (2, 2.6016, 0.4922), (3, 8.3725, 4.2297)):
+        assert abs(growth(_plain_half_step, m, 1.0, 2 * m) - plain) <= 1e-4 * plain, m
+        assert abs(growth(taylor_half_step, m, 1.0, 2 * m) - mixed) <= 1e-4 * mixed + 1e-14, m
+
+
+def test_m1_damps_the_kappa_2_plane_wave_away_in_2d():
+    """The stock planewave2d wave, kappa = 2, is damped away at m = 1, lam = 0.8.
+
+    On a periodic n x n level its data is the Fourier mode theta = 2 pi
+    kappa h (1, 1) of the full-step symbol H1 H2, whose spectral radius
+    reads 0.760 at n = 10 and 0.963 at n = 22, the coarsest and finest stock
+    levels. Over their 52 and 115 full steps to t = 4.18 that leaves at
+    most 6.4e-7 and 1.3e-2 of the wave, and the wave's own data, stepped
+    through the symbol, keeps 5.8e-7 and 1.26e-2 of its nodal value: the
+    README's damped m = 1 plane wave.
+    """
+    m, kappa, w = 1, 2, 4 * np.pi
+    cfg = SchemeConfig(m=m, lam=0.8)
+    for n, rho_want, bound in ((10, 0.760, 6.5e-7), (22, 0.963, 1.3e-2)):
+        grid = Grid((Axis(0.0, 1.0, n),) * 2)
+        a, b = (_plan(grid, p, cfg, "dissipative")[1] for p in (PRIMAL, DUAL))
+        theta = np.full((1, 2), 2 * np.pi * kappa * grid.h)
+        g = (_symbol_2d(a, 0, theta) @ _symbol_2d(b, 1, theta))[0]
+        rho = np.abs(np.linalg.eigvals(g)).max()
+        nhalf = round(2 * 4.18 / cfg.dt(grid.h))
+        assert nhalf % 2 == 0 and abs(rho - rho_want) <= 5e-4, (n, rho)
+        assert rho ** (nhalf // 2) <= bound
+        # the scaled blocks of e^{i w (x + y + sqrt(2) t)} at a node: u, then v = u_t
+        z = 1j * w * grid.h
+        cu = np.array([[z ** (k + l) / math.factorial(k) / math.factorial(l)
+                        for l in range(m + 1)] for k in range(m + 1)])
+        r = np.concatenate([cu.ravel(), 1j * math.sqrt(2.0) * w * cu[:m, :m].ravel()])
+        kept = abs((r @ np.linalg.matrix_power(g, nhalf // 2))[0])
+        assert kept <= bound * abs(r[0]), (n, kept)

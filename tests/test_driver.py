@@ -34,6 +34,8 @@ from hermwave.driver import (
     sine_derivs,
 )
 
+from states import previous_of, u_state
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402  (the benchmark's node counter, used as is)
 
@@ -455,7 +457,7 @@ def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, name):
 
 def test_cli_memory_error_mid_run_exits_2(monkeypatch, capsys):
     """An allocation that fails partway through a run, past its checks, also exits 2."""
-    real = driver.full_step_conservative
+    real = driver.half_step_1d
     calls = []
 
     def starved(*args):
@@ -464,7 +466,7 @@ def test_cli_memory_error_mid_run_exits_2(monkeypatch, capsys):
             raise MemoryError("Unable to allocate 1.00 MiB")
         return real(*args)
 
-    monkeypatch.setattr(driver, "full_step_conservative", starved)
+    monkeypatch.setattr(driver, "half_step_1d", starved)
     rc = cli.main(["conserve1d", "--steps", "200"])
     err = capsys.readouterr().err
     assert rc == 2 and len(calls) == 50
@@ -519,28 +521,26 @@ def test_cli_shared_parser_keeps_no_state(tmp_path, capsys):
     assert run() == fresh
 
 
-@pytest.mark.parametrize("argv, stepper", [
-    (["gaussian1d", "--levels", "1", "--n0", "20"], "half_step_1d"),
-    (["planewave2d", "--scheme", "conservative", "--levels", "1", "--n0", "20"],
-     "full_step_conservative"),
-    (["custom", "--experiment", "conserve1d", "--steps", "200", "--sample-every", "1000"],
-     "full_step_conservative"),
-    (["planewave2d", "--levels", "1", "--n0", "20"], "half_step_2d"),
-])
-def test_cli_stops_at_first_check_after_nan(monkeypatch, capsys, argv, stepper):
+@pytest.mark.parametrize("argv", [
+    ["gaussian1d", "--levels", "1", "--n0", "20"],
+    ["planewave2d", "--scheme", "conservative", "--levels", "1", "--n0", "20"],
+    ["custom", "--experiment", "conserve1d", "--steps", "200", "--sample-every", "1000"],
+    ["planewave2d", "--levels", "1", "--n0", "20"],
+], ids=["gaussian1d-dissipative", "planewave2d-conservative", "conserve1d",
+        "planewave2d-dissipative"])
+def test_cli_stops_at_first_check_after_nan(monkeypatch, capsys, argv):
     """A NaN injected at half step 70 of about 200 ends the run at the next check."""
-    real = getattr(driver, stepper)
+    real = driver.half_step_1d
     calls = []
 
     def poisoned(state, *args):
         out = real(state, *args)
         calls.append(1)
         if len(calls) == 70:
-            field = out.u if hasattr(out, "u") else out.current
-            field.values[0] = np.nan
+            out.u.values[0] = np.nan
         return out
 
-    monkeypatch.setattr(driver, stepper, poisoned)
+    monkeypatch.setattr(driver, "half_step_1d", poisoned)
     rc = cli.main(argv)
     err = capsys.readouterr().err
     first_check = -(-70 // FINITE_STRIDE) * FINITE_STRIDE
@@ -754,31 +754,31 @@ def test_warm_run_dataclass_comparisons_do_not_grow_with_steps(monkeypatch, caps
     assert many <= few
 
 
-STEPPERS = ("half_step_1d", "half_step_2d", "full_step_conservative", "bootstrap_first_half")
+STEPPERS = ("half_step_1d", "bootstrap_first_half")
 
 
-@pytest.mark.parametrize("argv, stepper, nhalf", [
+@pytest.mark.parametrize("argv, nhalf", [
     # gaussian1d runs to the half step nearest t = 12.25: h = 3/n, dt = lam*h
-    (["gaussian1d", "--n0", "6"], "half_step_1d", round(24.5 / (0.8 * 3 / 6))),
-    (["gaussian1d", "--n0", "6", "--scheme", "conservative"], "full_step_conservative",
-     round(24.5 / (0.8 * 3 / 6))),
+    (["gaussian1d", "--n0", "6"], round(24.5 / (0.8 * 3 / 6))),
+    (["gaussian1d", "--n0", "6", "--scheme", "conservative"], round(24.5 / (0.8 * 3 / 6))),
     (["gaussian1d", "--n0", "6", "--scheme", "conservative", "--init", "bootstrap"],
-     "full_step_conservative", round(24.5 / (0.8 * 3 / 6))),
-    (["conserve1d", "--steps", "50"], "full_step_conservative", 50),
+     round(24.5 / (0.8 * 3 / 6))),
+    (["conserve1d", "--steps", "50"], 50),
     # planewave2d runs to the half step nearest t = 4.18: h = 1/n
-    (["planewave2d", "--n0", "4"], "half_step_2d", round(8.36 / (0.8 / 4))),
-    (["planewave2d", "--n0", "4", "--scheme", "conservative"], "full_step_conservative",
-     round(8.36 / (0.8 / 4))),
+    (["planewave2d", "--n0", "4"], round(8.36 / (0.8 / 4))),
+    (["planewave2d", "--n0", "4", "--scheme", "conservative"], round(8.36 / (0.8 / 4))),
     (["planewave2d", "--n0", "4", "--scheme", "conservative", "--init", "bootstrap"],
-     "full_step_conservative", round(8.36 / (0.8 / 4))),
+     round(8.36 / (0.8 / 4))),
 ], ids=["gaussian1d-dissipative", "gaussian1d-conservative", "gaussian1d-bootstrap",
         "conserve1d", "planewave2d-dissipative", "planewave2d-conservative",
         "planewave2d-bootstrap"])
-def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, stepper, nhalf):
-    """The driver calls a stepper from `hermwave.driver` once per half step.
+def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, nhalf):
+    """The driver calls the step, as `hermwave.driver.half_step_1d`, once per
+    half step in either scheme and any number of axes.
 
-    The benchmark counts node updates by wrapping these four names there,
-    so a march that bypasses them, or steps twice per call, would miscount.
+    The benchmark counts node updates by wrapping that name and the
+    bootstrap's there, so a march that bypasses them, or steps twice per
+    call, would miscount.
     A study marches its levels as one stack, one call per half step of its
     longest level; this one-level study is a stack of one (see
     `test_stacked_study_counts_every_level_s_target_nodes`).
@@ -795,7 +795,7 @@ def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, stepper, nhal
     assert rc == 0
     boot = int("bootstrap" in argv)
     want = dict.fromkeys(STEPPERS, 0)
-    want.update({stepper: nhalf - boot, "bootstrap_first_half": boot})
+    want.update({"half_step_1d": nhalf - boot, "bootstrap_first_half": boot})
     assert calls == want
 
 
@@ -825,11 +825,11 @@ _WALL_KINDS = ("dirichlet0", "neumann0")
 def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     """The benchmark's node counter sums each level's own half-step targets.
 
-    It wraps the steppers and the bootstrap as `perfbench/tracing.py` does
-    and reads each returned state's `.u.values` or `.current.values`. A
-    stack's state answers with one node axis over all its levels, so the
-    sum must be each level's targets summed over its own half steps, and
-    the stepper is called once per half step of the longest level.
+    It wraps the step and the bootstrap as `perfbench/tracing.py` does and
+    reads each returned state's `.u.values`. A stack's state answers with
+    one node axis over all its levels, so the sum must be each level's
+    targets summed over its own half steps, and the step is called once
+    per half step of the longest level.
     """
     cfg = cli._assemble(cli._build_parser().parse_args(argv))
     levels = _study_levels(cfg)
@@ -898,13 +898,12 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level, with the plans it built
     keys = {key for key in grid.plans if key[0] == "gather"}
     assert keys and all(key[2] != (cu,) for key in keys)
-    # the level marched alone with the stepper its start picks, from the
-    # study's data function, its u measured through both gathers
-    (state, step, _), scfg = real(cfg, grid, data), cfg.scheme_config()
-    assert step is driver.half_step_2d
+    # the level marched alone with the driver's step, from the study's data
+    # function, its u measured through both gathers
+    (state, _), scfg = real(cfg, grid, data), cfg.scheme_config()
     ((_, nhalf),) = _study_levels(cfg)
     for _ in range(nhalf):
-        state = step(state, scfg)
+        state = driver.half_step_1d(state, scfg)
     t_end = nhalf * 0.5 * scfg.dt(grid.h)
     w = 2.0 * np.pi * (cfg.m + 1)
 
@@ -913,7 +912,7 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
 
     new = driver.l2_error_field(state, exact)
     assert ("gather", state.parity, (cu,)) not in grid.plans
-    old = driver.l2_error_field(state.u, exact)
+    old = driver.l2_error_field(u_state(state.u), exact)
     assert ("gather", state.parity, (cu,)) in grid.plans
     assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
 
@@ -992,8 +991,8 @@ def test_walled_conservative_start_zeroes_reflected_slots(monkeypatch, capsys, k
     assert cli.main(["gaussian1d", "--m", "3", "--levels", "3", "--boundary", kind,
                      "--scheme", "conservative", "--init", init]) == 0
     capsys.readouterr()
-    ((state, _, _),) = starts
-    primal = state.current if init == "exact" else state.previous
+    ((state, _),) = starts
+    primal = state.u if init == "exact" else previous_of(state)
     assert primal.parity == PRIMAL
     flipped = slice(0, None, 2) if kind == "dirichlet0" else slice(1, None, 2)
     offsets = state.grid.offsets[PRIMAL]
@@ -1015,8 +1014,8 @@ def test_2d_walled_conservative_start_zeroes_reflected_slots():
         drawn.append(rng.standard_normal((len(xs[0]),) + (order + 1,) * 2))
         return drawn[-1].copy()
 
-    state, _, _ = driver._start(cfg, grid, data)
-    got, want = state.current.values, drawn[0].reshape(grid.shapes[PRIMAL] + (m + 1,) * 2)
+    state, _ = driver._start(cfg, grid, data)
+    got, want = state.u.values, drawn[0].reshape(grid.shapes[PRIMAL] + (m + 1,) * 2)
     odd, even = slice(1, None, 2), slice(0, None, 2)  # neumann0 and dirichlet0 slots
     want[0, :, even, :] = want[-1, :, odd, :] = 0.0
     want[:, 0, :, odd] = want[:, -1, :, even] = 0.0

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import level_oracle
-from hermwave.conservative import _plan, bootstrap_first_half, full_step_conservative
-from hermwave.dissipative import SchemeConfig, fold, half_step, rows, taylor_half_step
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState, flip
+from hermwave.conservative import _plan, bootstrap_first_half, step
+from hermwave.dissipative import SchemeConfig, fold, rows, taylor_half_step
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, flip
 from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
+from states import previous_of, two_level, uv_state, v_of
 
 WALLS = ("dirichlet0", "neumann0")
 PERIODIC = ("periodic", "periodic")
@@ -74,12 +75,12 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     prev = rng.standard_normal(grid.shapes[target] + (m + 1,))
     du, _ = pair_sources(u)
     dv, _ = pair_sources(v)
-    got = half_step(FieldPair(u, v), cfg)
+    got = step(uv_state(u, v), cfg)
     want = taylor_half_step(du, dv, cfg.dt(h), (h,), speed, cfg.stages(1))
     _assert_close(got.u.values, want[0])
-    _assert_close(got.v.values, want[1])
-    got = full_step_conservative(TwoLevelState(u, Field(grid, target, 0.0, prev)), cfg)
-    _assert_close(got.current.values,
+    _assert_close(v_of(got).values, want[1])
+    got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
+    _assert_close(got.u.values,
                   conservative_update(apply_interp(du), prev, m, cfg.dt(h), (h,), speed))
 
     grid = _drawn_grid(2, periodic, data)
@@ -90,12 +91,12 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     dv, _, _ = pair_sources(v)
     hx, hy = grid.spacings
     dt = cfg.dt(min(hx, hy))
-    got = half_step(FieldPair(u, v), cfg)
+    got = step(uv_state(u, v), cfg)
     want = taylor_half_step(du, dv, dt, (hx, hy), speed, cfg.stages(2))
     _assert_close(got.u.values, want[0])
-    _assert_close(got.v.values, want[1])
-    got = full_step_conservative(TwoLevelState(u, Field(grid, target, 0.0, prev)), cfg)
-    _assert_close(got.current.values,
+    _assert_close(v_of(got).values, want[1])
+    got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
+    _assert_close(got.u.values,
                   conservative_update(apply_interp(du, 2), prev, m, dt, (hx, hy), speed))
 
 
@@ -130,13 +131,13 @@ def test_steps_keep_inputs_and_conservative_step_reverses(m, lam, two_d, periodi
 
     pair_sources(u)
     pair_sources(v)
-    half_step(FieldPair(u, v), cfg)
-    s1 = full_step_conservative(TwoLevelState(u, prev), cfg)
+    step(uv_state(u, v), cfg)
+    s1 = step(two_level(u, prev), cfg)
     for field, before in zip((u, v, prev), kept):
         assert np.array_equal(field.values, before)
 
-    back = full_step_conservative(TwoLevelState(current=s1.previous, previous=s1.current), cfg)
-    assert np.abs(back.current.values - prev.values).max() <= 1e-12 * np.abs(prev.values).max()
+    back = step(two_level(previous_of(s1, cfg), s1.u), cfg)
+    assert np.abs(back.u.values - prev.values).max() <= 1e-12 * np.abs(prev.values).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,21 +174,22 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
         want = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
         want_c = conservative_update(apply_interp(du, ndim), prev.values, m, dt, hs, cfg.speed)
         for _ in range(2):
-            got = half_step(FieldPair(u, v), cfg)
-            new = np.concatenate([rows(f.values, ndim) for f in (got.u, got.v)], axis=1)
+            got = step(uv_state(u, v), cfg)
+            new = np.concatenate([rows(f.values, ndim) for f in (got.u, v_of(got))], axis=1)
             assert np.abs(new - want).max() <= 1e-14 * np.abs(want).max()
-            got_c = full_step_conservative(TwoLevelState(u, prev), cfg)
-            _assert_close(got_c.current.values, want_c)
+            got_c = step(two_level(u, prev), cfg)
+            _assert_close(got_c.u.values, want_c)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("parity", [PRIMAL, DUAL])
 def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
-    """Each stepper's result reads as fields on the target nodes.
+    """Each step's and the bootstrap's result reads as fields on the target nodes.
 
-    A benchmark counts half-step target nodes from `.u.values` of a
-    dissipative result and `.current.values` of a conservative one.
+    A benchmark counts half-step target nodes from `.u.values` of a result
+    of either scheme: a dissipative state's u, a conservative one's current
+    level.
     """
     rng = np.random.default_rng(ndim)
     m = 2
@@ -199,10 +201,10 @@ def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
     v = _random_field(grid, parity, m, rng)
     prev = _random_field(grid, target, m + 1, rng)
     g0, g1 = (_random_field(grid, parity, m + 1, rng) for _ in range(2))
-    for state in (half_step(FieldPair(u, v), cfg),
-                  full_step_conservative(TwoLevelState(u, prev), cfg),
+    for state in (step(uv_state(u, v), cfg),
+                  step(two_level(u, prev), cfg),
                   bootstrap_first_half(g0, g1, cfg)):
-        field = state.u if isinstance(state, FieldPair) else state.current
+        field = state.u
         assert field.parity == target
         assert field.values.shape[:ndim] == grid.shapes[target]
 
@@ -252,22 +254,22 @@ def test_200_packed_steps_match_field_oracle(ndim):
     cfg = SchemeConfig(m=3, lam=0.9)
     u = _random_field(grid, PRIMAL, 4, rng)
     v = _random_field(grid, PRIMAL, 3, rng)
-    pair = FieldPair(u, v)
+    pair = uv_state(u, v)
     for _ in range(200):
-        pair = half_step(pair, cfg)
+        pair = step(pair, cfg)
         u, v = _oracle_half_step(u, v, cfg)
-    for got, want in zip(pair.fields, (u, v)):
+    for got, want in zip((pair.u, v_of(pair)), (u, v)):
         assert (got.parity, got.time) == (want.parity, want.time)
         assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
 
     cfg = SchemeConfig(m=2, lam=0.9)
     cur = _random_field(grid, PRIMAL, 3, rng)
     prev = _random_field(grid, DUAL, 3, rng)
-    state = TwoLevelState(cur, prev)
+    state = two_level(cur, prev)
     for _ in range(200):
-        state = full_step_conservative(state, cfg)
+        state = step(state, cfg)
         cur, prev = _oracle_full_step(cur, prev, cfg)
-    for got, want in zip(state.fields, (cur, prev)):
+    for got, want in zip((state.u, previous_of(state, cfg)), (cur, prev)):
         assert (got.parity, got.time) == (want.parity, want.time)
         assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
 
@@ -293,4 +295,5 @@ def test_conservative_plan_is_the_folded_update(d, ms):
                 hs = level.spacings
                 (want,) = fold(level_oracle.update, ((2,) * d + (m + 1,) * d,), m,
                                cfg.dt(min(hs)), hs, cfg.speed)
-                assert np.array_equal(_plan(level, PRIMAL, cfg)[1], want), (m, lam, level)
+                got = _plan(level, PRIMAL, cfg, "conservative")[1]
+                assert np.array_equal(got, want), (m, lam, level)

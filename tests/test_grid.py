@@ -1,14 +1,19 @@
-"""Grid, field and packed-state construction checks and the cached per-axis spacings."""
+"""Grid, field and state construction checks and the cached per-axis spacings."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hermwave.grid import DUAL, KINDS, PRIMAL, Axis, Field, FieldPair, Grid, TwoLevelState
+from hermwave.conservative import step
+from hermwave.dissipative import SchemeConfig
+from hermwave.grid import DUAL, KINDS, PRIMAL, Axis, Field, Grid, State
+
+from states import fields_of, orders, previous_of, two_level, uv_state
 
 PERIODIC = ("periodic", "periodic")
 WALLS = ("dirichlet0", "dirichlet0")
+CFG = SchemeConfig(m=2)
 
 
 @pytest.mark.parametrize("args", [
@@ -68,7 +73,7 @@ def test_field_needs_one_order_axis_per_node_axis(ndim):
     grid = Grid((Axis(0.0, 1.0, 3, *WALLS),) * ndim)
     nodes = (4,) * ndim
     field = Field(grid, PRIMAL, 0.0, np.zeros(nodes + (3,) * ndim))
-    assert field.orders == (2,) * ndim
+    assert orders(field) == (2,) * ndim
     for shape in (nodes, nodes + (3,) * (ndim + 1), nodes[:-1] + (3,) * (ndim + 1)):
         with pytest.raises(ValueError, match="node shape"):
             Field(grid, PRIMAL, 0.0, np.zeros(shape))
@@ -83,11 +88,13 @@ def test_field_rejects_unknown_parity():
 
 
 def _random_levels(ndim, rng):
-    """u, v on the primal nodes and a previous u level on the dual nodes, m = 2."""
+    """u, v on the primal nodes and a previous u level on the dual nodes, m = 2,
+    the previous level half a step of CFG before the others."""
     grid = Grid((Axis(0.0, 1.0, 3, *WALLS),) * ndim)
     u = Field(grid, PRIMAL, 0.25, rng.standard_normal(grid.shapes[PRIMAL] + (3,) * ndim))
     v = Field(grid, PRIMAL, 0.25, rng.standard_normal(grid.shapes[PRIMAL] + (2,) * ndim))
-    prev = Field(grid, DUAL, -0.5, rng.standard_normal(grid.shapes[DUAL] + (3,) * ndim))
+    prev = Field(grid, DUAL, 0.25 - 0.5 * CFG.dt(grid.h),
+                 rng.standard_normal(grid.shapes[DUAL] + (3,) * ndim))
     return u, v, prev
 
 
@@ -95,25 +102,38 @@ def _random_levels(ndim, rng):
 def test_packed_states_give_back_their_fields(ndim):
     """Packing into node rows and reading back a Field returns the input bit for bit."""
     u, v, prev = _random_levels(ndim, np.random.default_rng(ndim))
-    pair = FieldPair(u, v)
-    assert pair.rows.shape == (math.prod(u.values.shape[:ndim]), 3**ndim + 2**ndim)
-    for got, want in zip(pair.fields, (u, v)):
+    state = uv_state(u, v)
+    assert state.rows.shape == (math.prod(u.values.shape[:ndim]), 3**ndim + 2**ndim)
+    for got, want in zip(fields_of(state), (u, v)):
         np.testing.assert_array_equal(got.values, want.values)
         assert (got.grid, got.parity, got.time) == (want.grid, want.parity, want.time)
-    state = TwoLevelState(u, prev)
-    for got, want in zip(state.fields, (u, prev)):
+    state = two_level(u, prev)
+    for got, want in zip((state.u, previous_of(state, CFG)), (u, prev)):
         np.testing.assert_array_equal(got.values, want.values)
         assert (got.grid, got.parity, got.time) == (want.grid, want.parity, want.time)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_packed_state_constructors_check_their_fields(ndim):
+    """A state's rows and previous rows must have their grid's node count of
+    their parity and the column count of its blocks; a config of another m
+    than the blocks' fails at the link, naming the orders."""
     u, _, prev = _random_levels(ndim, np.random.default_rng(10 + ndim))
-    with pytest.raises(ValueError, match="orders"):
-        FieldPair(u, u)
-    with pytest.raises(ValueError, match="same parity"):
-        FieldPair(u, Field(u.grid, DUAL, 0.25, np.zeros(u.grid.shapes[DUAL] + (2,) * ndim)))
-    with pytest.raises(ValueError, match="opposite parities"):
-        TwoLevelState(u, u)
-    with pytest.raises(ValueError, match="orders"):
-        TwoLevelState(u, Field(u.grid, DUAL, 0.0, prev.values[(Ellipsis,) + (slice(2),) * ndim]))
+    grid, cu = u.grid, ((3,) * ndim,)
+    rows = u.values.reshape(math.prod(grid.shapes[PRIMAL]), -1)
+    prow = prev.values.reshape(math.prod(grid.shapes[DUAL]), -1)
+    State(grid, PRIMAL, 0.25, rows, cu, prow)
+    with pytest.raises(ValueError, match="unknown parity 'bogus'"):
+        State(grid, "bogus", 0.25, rows, cu)
+    with pytest.raises(ValueError, match="primal rows"):
+        State(grid, PRIMAL, 0.25, rows[:, :-1], cu)  # a column short of the blocks
+    with pytest.raises(ValueError, match="dual rows"):
+        State(grid, DUAL, 0.25, rows, cu)  # the primal count on the dual parity
+    with pytest.raises(ValueError, match="dual rows"):
+        State(grid, PRIMAL, 0.25, rows, cu, rows)  # a previous level on the same parity
+    with pytest.raises(ValueError, match="dual rows"):
+        State(grid, PRIMAL, 0.25, rows, cu,  # a previous level of lower orders
+              prev.values[(Ellipsis,) + (slice(2),) * ndim].reshape(len(prow), -1))
+    for state in (uv_state(u, u), two_level(u, prev)):
+        with pytest.raises(ValueError, match=r"state carries orders \(2,"):
+            step(state, SchemeConfig(m=3))

@@ -1,8 +1,8 @@
-"""The tolerance gate of `outputs_digest.py --compare`."""
+"""The tolerance gate of `outputs_digest.py --compare` and the names it compares by."""
 
 import json
 
-from outputs_digest import main
+from outputs_digest import MARCH_GRIDS, main, marches
 
 COLUMNS = {"call one": {"exit": 0, "columns": {"error_u": [1.0, 2.0], "n": [10.0, 12.0]}},
            "march 0": {"exit": None, "columns": {"config 0 time": [0.5]}}}
@@ -34,3 +34,11 @@ def test_compare_rtol_names_every_column_past_it(tmp_path, capsys):
 def test_compare_rtol_names_a_call_missing_from_one_file(tmp_path, capsys):
     code, out = _compare(tmp_path, capsys, {"call one": COLUMNS["call one"]}, "--rtol", "1")
     assert code == 1 and "over rtol 1: march 0  the whole call  inf" in out
+
+
+def test_every_library_march_has_its_own_name():
+    """`values()` keys each march by its name, so two marches of one name
+    would leave one of them out of `--compare`: one name per grid and
+    scheme, 8 in all."""
+    names = [name for name, _ in marches()]
+    assert len(set(names)) == len(names) == 2 * len(MARCH_GRIDS) == 8

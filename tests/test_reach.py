@@ -20,13 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # name -> why no CLI run calls it
 UNREACHED = {
-    "grid.FieldPair.u": "public view of a state's u; the benchmark's tracer reads it",
-    "grid.FieldPair.v": "public view of a state's v",
-    "grid.FieldPair.fields": "public view of a state's (u, v)",
-    "grid.TwoLevelState.current": "public view of a state's current level; the "
-                                  "benchmark's tracer reads it",
-    "grid.TwoLevelState.previous": "public view of a state's previous level",
-    "grid.TwoLevelState.fields": "public view of a state's (current, previous)",
+    "grid.State.u": "public view of a state's u, the current level of a two-level "
+                    "state; the benchmark's tracer counts node updates from it",
     "driver._at": "formats the exit-3 message of a non-finite run only",
 }
 

@@ -1,14 +1,18 @@
 """Stacked levels: one march of several levels equals each level marched alone."""
 
+import math
+
 import numpy as np
 import pytest
 
 import level_oracle
 from hermwave.boundary import gather_plan, level_gather
-from hermwave.conservative import bootstrap_first_half, full_step_conservative
+from hermwave.conservative import bootstrap_first_half, step
 from hermwave.diagnostics import l2_error_field, l2_errors_pair
-from hermwave.dissipative import SchemeConfig, half_step
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, FieldPair, Grid, Stack, TwoLevelState, flip
+from hermwave.dissipative import SchemeConfig
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, flip
+
+from states import orders, previous_of, two_level, u_state, uv_state, v_of
 
 WALLS = {"dirichlet0": ("dirichlet0", "dirichlet0"), "neumann0": ("neumann0", "neumann0"),
          "mixed": ("dirichlet0", "neumann0"), "periodic": ("periodic", "periodic")}
@@ -26,25 +30,25 @@ def _levels(kinds, d, m, scheme, rng):
         return Field(grid, parity, time, values)
 
     if scheme == "dissipative":
-        states = [FieldPair(field(g, PRIMAL, m), field(g, PRIMAL, m - 1)) for g in grids]
+        states = [uv_state(field(g, PRIMAL, m), field(g, PRIMAL, m - 1)) for g in grids]
     else:
-        states = [TwoLevelState(field(g, PRIMAL, m), field(g, DUAL, m, -0.1)) for g in grids]
+        states = [two_level(field(g, PRIMAL, m), field(g, DUAL, m, -0.1)) for g in grids]
     return grids, states, [35, 25, 19]
 
 
 def _pack(stack, states):
     """One state of the stack from one plain state per level, in stack order:
-    each field's values one level after the other, a FieldPair's v times its
-    level's h, and one time per level."""
+    each field's values one level after the other, a dissipative state's v
+    times its level's h, and one time per level."""
     def field(fields, scale=np.ones(len(states))):
         values = [f.values.reshape((-1,) + f.values.shape[stack.ndim :]) * s
                   for f, s in zip(fields, scale)]
         return Field(stack, fields[0].parity, np.array([f.time for f in fields]),
                      np.concatenate(values))
 
-    if isinstance(states[0], FieldPair):
-        return FieldPair(field([s.u for s in states]), field([s.v for s in states], stack.h))
-    return TwoLevelState(field([s.current for s in states]), field([s.previous for s in states]))
+    if states[0].prev_rows is None:
+        return uv_state(field([s.u for s in states]), field([v_of(s) for s in states], stack.h))
+    return two_level(field([s.u for s in states]), field([previous_of(s) for s in states]))
 
 
 def _assert_gathers_equal(head, fresh):
@@ -73,7 +77,6 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
     stack's.
     """
     cfg = SchemeConfig(m=m, lam=0.8)
-    step = half_step if scheme == "dissipative" else full_step_conservative
     grids, states, ends = _levels(kinds, d, m, scheme, np.random.default_rng(len(kinds) + d))
     alone = []
     for state, end in zip(states, ends):
@@ -91,7 +94,7 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
             _assert_gathers_equal(state.grid, Stack(state.grid.levels))
         rows, grid = state.rows, state.grid
         got[i] = (state.parity, state.time[i])
-        if isinstance(state, TwoLevelState):  # a study reads the current level alone
+        if state.prev_rows is not None:  # a study reads the current level alone
             got[i] += (state.prev_rows[grid.offsets[flip(state.parity)][i] :],)
         last, state = grid.pop(state)
         got[i] = (last,) + got[i]
@@ -102,8 +105,8 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
     for i, want in enumerate(alone):
         last, parity, time, *prev = got[i]
         assert (parity, time) == (want.parity, want.time)
-        if isinstance(want, FieldPair):  # popped in the stack's units, v as h*v
-            split = want.split
+        if want.prev_rows is None:  # popped in the stack's units, v as h*v
+            split = math.prod(want.blocks[0])
             parts = [(last[:, :split], want.rows[:, :split]),
                      (last[:, split:] / stack.h[i], want.rows[:, split:])]
         else:
@@ -117,15 +120,15 @@ def test_stacked_state_counts_its_target_nodes():
     level's targets, and .v in units of h*v."""
     grids = [Grid((Axis(0.0, 1.0, n), Axis(0.0, 1.0, n))) for n in (5, 4)]
     rng = np.random.default_rng(3)
-    states = [FieldPair(*(Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (k, k)))
+    states = [uv_state(*(Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (k, k)))
                           for k in (3, 2))) for g in grids]
     stack = Stack(grids)
-    out = half_step(_pack(stack, states), SchemeConfig(m=2))
-    assert out.u.values.shape == (25 + 16, 3, 3) and out.u.orders == (2, 2)
+    out = step(_pack(stack, states), SchemeConfig(m=2))
+    assert out.u.values.shape == (25 + 16, 3, 3) and orders(out.u) == (2, 2)
     np.testing.assert_array_equal(out.time, 0.5 * 0.8 * stack.h)
     packed = _pack(stack, states)
-    np.testing.assert_array_equal(packed.v.values[:25].reshape(5, 5, 2, 2),
-                                  states[0].v.values * 0.2)
+    np.testing.assert_array_equal(v_of(packed).values[:25].reshape(5, 5, 2, 2),
+                                  v_of(states[0]).values * 0.2)
 
 
 def test_stack_needs_one_aspect():
@@ -165,7 +168,7 @@ def test_stacked_bootstrap_matches_the_taylor_pipeline(kinds, d, parity):
         got = state.rows[offsets[i] : offsets[i + 1]].reshape(want.shape)
         alone = bootstrap_first_half(u, u_t, cfg)
         assert alone.time == state.time[i]
-        for have in (got, alone.current.values):
+        for have in (got, alone.u.values):
             assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -180,9 +183,10 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
     """One error call on a 3-level stack gives each level's errors as the
     per-level arithmetic does on its plain state, to 1e-12 relative.
 
-    The levels carry random data, a FieldPair's v as h*v on the stack, and
-    the exact solution takes each level's own time through its target
-    rows; a dual level on walls has clipped edge cells (and corners in 2D).
+    The levels carry random data, a dissipative state's v as h*v on the
+    stack, and the exact solution takes each level's own time through its
+    target rows; a dual level on walls has clipped edge cells (and corners
+    in 2D).
     """
     m, rng = 3 if d == 1 else 2, np.random.default_rng([d, len(kinds), len(parity)])
     grids = [Grid((Axis(-1.0, 1.0, n, *WALLS[kinds]),
@@ -193,7 +197,7 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
         return Field(g, parity, 0.0, rng.standard_normal(g.shapes[parity] + (order + 1,) * d))
 
     if scheme == "dissipative":
-        states = [FieldPair(field(g, m), field(g, m - 1)) for g in grids]
+        states = [uv_state(field(g, m), field(g, m - 1)) for g in grids]
     else:
         states = [field(g, m) for g in grids]
 
@@ -206,8 +210,8 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
         stacked = _pack(stack, states)
         stacked.time = times
     else:
-        stacked = Field(stack, parity, times,
-                        np.concatenate([s.values.reshape((-1,) + (m + 1,) * d) for s in states]))
+        stacked = u_state(Field(stack, parity, times, np.concatenate(
+            [s.values.reshape((-1,) + (m + 1,) * d) for s in states])))
     t = np.repeat(times, np.diff(stack.offsets[flip(parity)])).reshape((-1,) + (1,) * d)
     got = [l2_error_field(stacked, lambda *xs: exact(t, *xs)[0])]
     if scheme == "dissipative" and d == 1:
