@@ -7,18 +7,17 @@ interpolants of the initial displacement and velocity that are centered at
 the target node, and summed at dt/2. One such step is accurate to the
 interpolation error and comfortably exceeds the O(h^(2m+1)) the two-level
 scheme needs. It is linear in the gathered pair, so `fold` turns it into
-one matrix B per (m, dt, hs, c); with dt = lam h/c the map from (u, h u_t)
-is the same at every h (the D^-1 A D argument of `grid.Stack`), so a stack's
-is built at unit spacing. A bootstrap is then one take of u | h u_t packed
-per node and one product, for one level or for every level of a stack at
-once.
+one matrix B, which from (u, h u_t) is the same at every h (see
+`grid.State`): one per (m, lam, aspect), built at unit spacing. A
+bootstrap is then one take of u | h u_t packed per node and one product,
+for one level or for every level of a stack at once.
 
-The update is the same map. A solution of u_tt = c^2 Delta u has the time
+The update is the same map. A solution of u_tt = Delta u has the time
 series u(t+tau) = sum_s tau**s/s! d_t^s u, whose even derivatives
-d_t^(2p) u = c^(2p) Delta^p u involve u alone and whose odd ones involve
+d_t^(2p) u = Delta^p u involve u alone and whose odd ones involve
 v = u_t. Adding the series at tau = +-dt/2 cancels the odd part:
 
-    u(x, t+dt/2) + u(x, t-dt/2) = 2 sum_p (c dt/2)**(2p) / (2p)! Delta^p u(x, t).
+    u(x, t+dt/2) + u(x, t-dt/2) = 2 sum_p (dt/2)**(2p) / (2p)! Delta^p u(x, t).
 
 The right-hand side is twice the series of u at t+dt/2 evolved from
 u_t = 0: twice B's u rows, B_u, applied to the gathered current level. The
@@ -32,7 +31,7 @@ B's `fold`) and the subtraction of the previous level:
 
 So a half step of either scheme is a take and one matrix, and this module,
 which imports both matrix builders, holds the one plan builder (`_plan`)
-and the one `step` of a `grid.State`: the dissipative state's u | v rows
+and the one `step` of a `grid.State`: the dissipative state's u | h*v rows
 go through `dissipative._packed_matrix`, the two-level state's u rows
 through 2 B_u before its previous level is subtracted.
 """
@@ -46,65 +45,57 @@ import numpy as np
 
 from .boundary import level_gather, take
 from .dissipative import SchemeConfig, _packed_matrix, eval_series, expand_taylor, fold, packed
-from .grid import Stack, State, flip, link
+from .grid import State, flip, link
 from .interp import apply_interp
 
 
-def _bootstrap(du, dv, m, dt, hs, speed):
+def _bootstrap(du, dv, m, dt, hs):
     """u at dt/2 from gathered u and u_t data, the map `_bootstrap_matrix` folds."""
     ndim = len(hs)
     # with full-order v seeds every stage past d(2m+2) is exactly zero
-    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, speed,
+    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
                             ndim * (2 * m + 2))
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],)
 
 
 @lru_cache(maxsize=64)
-def _bootstrap_matrix(m: int, dt: float, hs: tuple, speed: float) -> np.ndarray:
+def _bootstrap_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
     """The `packed` `fold` blocks of the bootstrap, u | u_t per node, built
-    once per (m, dt, hs, c)."""
+    once per (m, dt, hs)."""
     sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
-    return packed(fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs, speed), sides)
+    return packed(fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs), sides)
 
 
 @lru_cache(maxsize=64)
-def _update_matrix(m: int, dt: float, hs: tuple, speed: float) -> np.ndarray:
+def _update_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
     """2 B_u, twice the u block of the bootstrap's `fold`: the update's map
-    from the gathered current level, built once per (m, dt, hs, c)."""
+    from the gathered current level, built once per (m, dt, hs)."""
     sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
-    a = 2.0 * fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs, speed)[0]
+    a = 2.0 * fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs)[0]
     a.setflags(write=False)
     return a
 
 
-def bootstrap_first_half(g0, g1, cfg: SchemeConfig) -> State:
+def bootstrap_first_half(state: State, cfg: SchemeConfig) -> State:
     """Produce the two starting levels from initial data at t = 0.
 
-    One take of g0 | g1 packed per node, through the level's or the stack's
-    gather, and one product with the bootstrap matrix at unit spacing.
+    One take of the state's rows, through the level's or the stack's
+    gather, and one product with the bootstrap matrix of its aspect.
 
     Args:
-        g0: Field with order-m data of the initial displacement, on a
-            `Grid` or a `Stack`.
-        g1: Field with order-m data of the initial velocity (same grid and
-            parity as g0; the extra order sharpens the single Taylor step),
-            on a stack carried as h*u_t, as a stack's v is.
+        state: the initial data as a `State` on a `Grid` or a `Stack`, its
+            rows u | h*u_t per node, both of order m (the extra order of
+            u_t sharpens the single Taylor step).
 
     Returns:
         The two-level `State` with u at t = dt/2 on the opposite parity and
-        g0's rows, uncopied, as its previous level.
+        the state's u rows, uncopied, as its previous level.
     """
-    grid, parity = g0.grid, g0.parity
-    cu = (cfg.m + 1,) * grid.ndim
-    nodes = math.prod(grid.shapes[parity])
-    u, u_t = g0.values.reshape(nodes, -1), g1.values.reshape(nodes, -1)
-    if isinstance(grid, Stack):
-        hs = grid.spacings
-    else:
-        hs, u_t = tuple(s / grid.h for s in grid.spacings), u_t * grid.h
-    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), hs, cfg.speed)
-    new = take(np.concatenate((u, u_t), axis=1), level_gather(grid, parity, (cu, cu))).dot(a)
-    return State(grid, flip(parity), g0.time + 0.5 * cfg.dt(grid.h), new, (cu,), u)
+    grid, parity, (cu, _) = state.grid, state.parity, state.blocks
+    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), grid.aspect)
+    new = take(state.rows, level_gather(grid, parity, state.blocks)).dot(a)
+    return State(grid, flip(parity), state.time + 0.5 * cfg.dt(grid.h), new, (cu,),
+                 state.rows[:, : math.prod(cu)])
 
 
 def _plan(grid, parity, cfg: SchemeConfig, scheme: str) -> tuple:
@@ -112,18 +103,17 @@ def _plan(grid, parity, cfg: SchemeConfig, scheme: str) -> tuple:
     for "dissipative" or "conservative" states.
 
     It holds the gather of the packed rows, the matrix (`_packed_matrix`
-    or `_update_matrix`), dt/2 (one per level on a stack), the target
-    parity and the blocks the rows pack. The matrix depends on lam alone
-    once v is carried as h*v, so a stack's, built at the unit spacing of
-    its aspect, serves every level.
+    or `_update_matrix`) of the grid's aspect, shared by every grid of that
+    aspect (see `grid.State`), dt/2 (one per level on a stack), the target
+    parity and the blocks the rows pack.
     """
-    m, hs = cfg.m, grid.spacings
-    ndim, dt = len(hs), cfg.dt(min(hs))
+    m, hs, dt = cfg.m, grid.aspect, cfg.dt(1.0)
+    ndim = len(hs)
     cu = (m + 1,) * ndim
     if scheme == "conservative":
-        blocks, a = (cu,), _update_matrix(m, dt, hs, cfg.speed)
+        blocks, a = (cu,), _update_matrix(m, dt, hs)
     else:
-        blocks, a = (cu, (m,) * ndim), _packed_matrix(m, dt, hs, cfg.speed, cfg.stages(ndim))
+        blocks, a = (cu, (m,) * ndim), _packed_matrix(m, dt, hs, cfg.stages(ndim))
     return level_gather(grid, parity, blocks), a, 0.5 * cfg.dt(grid.h), flip(parity), blocks
 
 

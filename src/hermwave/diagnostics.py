@@ -3,13 +3,13 @@
 The conservative scheme preserves the seminorm energy
 
     E(t_n) = |P_+|_{m+1}^2 + |P_-|_{m+1}^2,
-    P_± = p^n - S_± p^{n-1/2},   S_± w(x) = w(x ± c dt/2),
+    P_± = p^n - S_± p^{n-1/2},   S_± w(x) = w(x ± dt/2),
 
 where p^n, p^{n-1/2} are the global piecewise interpolants of the two
 levels and |f|_r^2 integrates the squared r-th derivative. On a cell of
 p^n, in its scaled variable xi in [-1/2, 1/2], S_± p^{n-1/2} is the
 previous level's left cell evaluated at xi + 1/2 ± r for xi below ∓r and
-its right cell at xi - 1/2 ± r above, with r = c dt/(2h) <= 1/2. The
+its right cell at xi - 1/2 ± r above, with r = dt/(2h) <= 1/2. The
 (m+1)-th derivative keeps only the coefficients of degree m+1 to 2m+1,
 so both members are linear in a fixed window y_i of 3(m+1) values per
 cell: those coefficients of the cell and of the two previous-level cells
@@ -18,7 +18,7 @@ the shifts reach. Hence E = sum_i y_i^T G y_i with one Gram matrix G per
 and, on each of the four sub-pieces, the derivative at Gauss points
 exact for its square, so no quadrature error enters the drift
 measurement. `energy_of_rows` reads E from a periodic 1D two-level
-state's node rows and its `energy_window`.
+state's node rows, through the level's gathers, and its `energy_window`.
 
 Two choices keep the rounding relative to E for smooth data, where the
 top coefficients and P_± are small against the nodal data: the window
@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import gather_index, level_gather, take
+from .boundary import level_gather, take
 from .grid import DUAL, Axis, Stack, flip
 from .interp import interp_matrix
 
@@ -68,7 +68,7 @@ def default_npts(m: int) -> int:
 # centred on each target node, and evaluate each cell's interpolant at its
 # Gauss points with one product of its gathered row and a matrix that folds
 # the interpolation into the evaluation, built at unit spacing: u_x is then
-# scaled by 1/h per row, and so is a stack's v, carried as h*v. A dual
+# scaled by 1/h per row, and so is v, carried as h*v. A dual
 # level's edge cells at walls are ghost-backed and reach h/2 past the wall;
 # they are clipped to the half inside. So a cell has one of three kinds
 # along each axis, its interval in xi: the whole cell, the low edge's and
@@ -226,19 +226,17 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
     if pair and len(blocks) != 2:
         raise ValueError("u_x and v errors need a dissipative state")
     npts = npts or default_npts(max(blocks[0]) - 1)
-    stacked = isinstance(grid, Stack)
-    levels = grid.levels if stacked else (grid,)
+    levels = grid.levels if isinstance(grid, Stack) else (grid,)
     xs, weight, counts, first, edges = _cells(levels, parity, npts)
     gathered = take(state.rows, level_gather(grid, parity, blocks))
     vals = _dot(gathered, error_matrix(blocks, npts, (0,) * d, pair))
     for kinds, at in edges.items():
         vals[at] = _dot(gathered[at], error_matrix(blocks, npts, kinds, pair))
     vals = vals.reshape((len(vals), -1) + (npts,) * d)
-    if pair:  # per row, u_x over its level's axis-0 spacing, a stack's h*v over its h
+    if pair:  # per row, u_x over its level's axis-0 spacing, h*v over its h
         h = np.repeat([(level.spacings[0], level.h) for level in levels], counts, axis=0)
         vals[:, 1] /= h[:, 0].reshape((-1,) + (1,) * d)
-        if stacked:
-            vals[:, 2] /= h[:, 1].reshape((-1,) + (1,) * d)
+        vals[:, 2] /= h[:, 1].reshape((-1,) + (1,) * d)
     want = exact(*xs) if pair else (exact(*xs),)
     wg, out = _gauss_weights(npts, d), []
     for j, w in enumerate(want):
@@ -252,7 +250,7 @@ def l2_error_field(state, exact, npts: int | None = None):
     """L2 error of the global tensor interpolant of u against exact(*xs).
 
     state is a `State`, whose u is measured through the gather of its own
-    rows: a dissipative state's packed u | v, which its step built. On a
+    rows: a dissipative state's packed u | h*v, which its step built. On a
     `Grid` the error is a float; on a `Stack` it is one per level, and each
     xs[q] holds the Gauss points of every target row, one level after the
     other (see `_cells`), so exact can take each row's own time. On wall
@@ -298,7 +296,7 @@ def energy_factor(m: int, r: float, h: float) -> np.ndarray:
     nodes. Row block p of L is the (m+1)-th derivative of P_± on
     sub-piece p at its m+1 Gauss points, weighted so that the squares sum
     to the exact integral; G = L^T L is the energy's Gram matrix.
-    r = c dt/(2h) must lie in [0, 1/2].
+    r = dt/(2h) must lie in [0, 1/2].
     """
     mu = m + 1
     rows = []
@@ -321,29 +319,29 @@ def energy_factor(m: int, r: float, h: float) -> np.ndarray:
     return out
 
 
-def energy_window(axis: Axis, m: int, speed: float, dt: float) -> np.ndarray:
-    """`energy_factor` of order-m levels on a periodic axis, r = c dt/(2h)."""
+def energy_window(axis: Axis, m: int, dt: float) -> np.ndarray:
+    """`energy_factor` of order-m levels on a periodic axis, r = dt/(2h)."""
     if not axis.periodic:
         raise ValueError("conserved variables need a periodic domain")
-    r = abs(0.5 * speed * dt / axis.h)
+    r = abs(0.5 * dt / axis.h)
     if r > 0.5 * (1.0 + 1e-12):
-        raise ValueError(f"the energy window needs c*dt <= h, got c*dt/h = {2 * r:g}")
+        raise ValueError(f"the energy window needs dt <= h, got dt/h = {2 * r:g}")
     return energy_factor(m, min(r, 0.5), axis.h)  # lam = 1 can round to just above 1/2
 
 
-def energy_of_rows(cur_rows: np.ndarray, prev_rows: np.ndarray, parity: str,
-                   factor: np.ndarray) -> float:
-    """E(t_n) from the node rows of a periodic 1D two-level state.
+def energy_of_rows(state, factor: np.ndarray) -> float:
+    """E(t_n) of a two-level `State` on a periodic 1D `Grid`.
 
-    cur_rows (n, m+1) hold the current level on `parity` nodes, prev_rows
-    the previous level on the others; factor is the levels' `energy_window`.
+    Its rows and its previous level's are read through the level's gathers
+    of the state's blocks; factor is the levels' `energy_window`.
     """
-    n, m = len(cur_rows), cur_rows.shape[1] - 1
+    grid, parity, blocks = state.grid, state.parity, state.blocks
+    m = blocks[0][0] - 1
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
-    own = gather_index((n,), parity, True)
-    cur = cur_rows[own].reshape(n, -1) @ top
-    prev = prev_rows[gather_index((n,), flip(parity), True)].reshape(n, -1) @ top
-    flanks = prev[own].reshape(n, -1)  # the previous cells centred on the current nodes
+    own = level_gather(grid, parity, blocks)
+    cur = take(state.rows, own) @ top
+    prev = take(state.prev_rows, level_gather(grid, flip(parity), blocks)) @ top
+    flanks = take(prev, own)  # the previous cells centred on the current nodes
     y = np.concatenate([cur, flanks], axis=1) @ factor.T
     return float(np.vdot(y, y))
 

@@ -4,15 +4,15 @@ Writing u and its velocity v = u_t on a cell as space-time series
 
     u = sum_{l,s} c_{l,s} xi**l theta**s,   xi = (x - x_c)/h, theta = (t - t_n)/dt,
 
-the first-order system u_t = v, v_t = c^2 u_xx turns into the recursion
+the first-order system u_t = v, v_t = u_xx turns into the recursion
 
     c_{l,s} = (dt/s) d_{l,s-1},
-    d_{l,s} = c^2 (l+2)(l+1) (dt/h^2) / s * c_{l+2,s-1},
+    d_{l,s} = (l+2)(l+1) (dt/h^2) / s * c_{l+2,s-1},
 
 seeded at s = 0 by the Hermite interpolants of degree 2m+1 (u) and 2m-1
 (v). The series terminate: every coefficient beyond
 kappa_v(l) = 2m-1-2*floor(l/2) (v) and kappa_u = kappa_v+1 (u) vanishes,
-so running 2m stages evolves polynomial data exactly for c*dt <= h. One
+so running 2m stages evolves polynomial data exactly for dt <= h. One
 half step evaluates the truncated series at theta = 1/2 on the staggered
 node at the cell center and hands the data to the opposite grid.
 
@@ -33,15 +33,14 @@ lam = 1 its max |g| - 1 reads 0.75, 2.6 and 8.4 for m = 1, 2, 3, and the
 mixed first stage's 0, 0.49 and 4.2.
 
 Interpolation, recursion and evaluation are all linear in the gathered
-flanking data, so for fixed (m, dt, h per axis, c, stages) a half step is
+flanking data, so for fixed (m, dt, h per axis, stages) a half step is
 one matrix. `fold` builds it once, one row block per gathered field, by
 pushing the identity through the pipeline (`taylor_half_step`), and
 `_packed_matrix` stacks the blocks in the rows of u | v packed per node.
 A half step is then one take, at most one sign flip of the wall slots and
-one product: `conservative.step`, the one step of both schemes. The
-matrix depends on h only through v's units, so the levels of a
-`grid.Stack`, v carried as h*v, share one built at unit spacing and step
-as one set of rows.
+one product: `conservative.step`, the one step of both schemes. With v
+carried as h*v the matrix depends on (m, lam, aspect) alone (see
+`grid.State`), so it is built once at unit spacing for every level.
 """
 
 from __future__ import annotations
@@ -62,12 +61,12 @@ class SchemeConfig:
 
     Attributes:
         m: method order; nodal data carries derivatives 0..m of u.
-        speed: wave speed c > 0.
-        lam: CFL number c*dt/h (smallest h in 2D), in (0, 1].
+        lam: CFL number dt/h (smallest h in 2D), in (0, 1]. The equation
+            is u_tt = Delta u: u_tt = c^2 Delta u is the same run read at
+            time c*t.
     """
 
     m: int
-    speed: float = 1.0
     lam: float = 0.8
 
     def __post_init__(self):
@@ -75,11 +74,9 @@ class SchemeConfig:
             raise ValueError(f"method order must be >= 1, got {self.m}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"CFL number must be in (0, 1], got {self.lam}")
-        if self.speed <= 0.0:
-            raise ValueError("wave speed must be positive")
 
     def dt(self, h: float) -> float:
-        return self.lam * h / self.speed
+        return self.lam * h
 
     def stages(self, ndim: int) -> int:
         """Taylor stages of a half step in `ndim` axes: d(2m+2)-2 (2m in 1D,
@@ -92,21 +89,21 @@ def _axis_slice(ndim: int, q: int, sl: slice) -> tuple:
     return (Ellipsis,) + (slice(None),) * q + (sl,) + (slice(None),) * (ndim - 1 - q)
 
 
-def _d2_terms(dt, hs, speed, k: int) -> list:
+def _d2_terms(dt, hs, k: int) -> list:
     """The v recursion's second-derivative term per axis q, on k coefficients per axis.
 
-    Each is (r_q, w_q, src_q, dst_q) with r_q = c^2 dt/h_q^2 and w_q =
+    Each is (r_q, w_q, src_q, dst_q) with r_q = dt/h_q^2 and w_q =
     (j+2)(j+1), j < k-2, shaped along axis q: stage s adds
     r_q/s * w_q * c[src_q] at [dst_q].
     """
     ndim = len(hs)
     w = np.arange(2, k) * np.arange(1, k - 1)
-    return [(speed * speed * dt / (h * h), w.reshape((-1,) + (1,) * (ndim - 1 - q)),
+    return [(dt / (h * h), w.reshape((-1,) + (1,) * (ndim - 1 - q)),
              _axis_slice(ndim, q, slice(2, None)), _axis_slice(ndim, q, slice(k - 2)))
             for q, h in enumerate(hs)]
 
 
-def expand_taylor(c0, d0, dt, hs, speed, smax, d1=None):
+def expand_taylor(c0, d0, dt, hs, smax, d1=None):
     """Run the recursion on batched cell coefficients, one axis per spacing.
 
     Args:
@@ -127,7 +124,7 @@ def expand_taylor(c0, d0, dt, hs, speed, smax, d1=None):
     dtab = np.zeros_like(ctab)
     ctab[0] = c0
     dtab[0][(Ellipsis,) + (slice(lv),) * ndim] = d0
-    terms = _d2_terms(dt, hs, speed, k)
+    terms = _d2_terms(dt, hs, k)
     for s in range(1, smax + 1):
         ctab[s] = (dt / s) * dtab[s - 1]
         if s == 1 and d1 is not None:
@@ -170,7 +167,7 @@ def fold(fn, shapes, *args) -> tuple:
     return tuple(np.split(a, splits))
 
 
-def taylor_half_step(du, dv, dt, hs, speed, stages):
+def taylor_half_step(du, dv, dt, hs, stages):
     """Interpolate, expand in time and evaluate at dt/2, per target node.
 
     du (..., 2 per axis, m+1 per axis) and dv (..., 2 per axis, m per axis)
@@ -182,12 +179,12 @@ def taylor_half_step(du, dv, dt, hs, speed, stages):
     ndim = len(hs)
     m = dv.shape[-1]
     terms = []
-    for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, speed, 2 * m + 2)):
+    for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, 2 * m + 2)):
         keep = tuple(slice(None) if p == q else slice(m) for p in range(ndim))
         terms.append(r * w * apply_interp(du[(Ellipsis,) + keep], ndim)[src])
     d1 = sum(terms[1:], terms[0])
-    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
-                               speed, stages, d1=d1)
+    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, stages,
+                               d1=d1)
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
@@ -205,9 +202,9 @@ def packed(blocks: tuple, sides: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _packed_matrix(m: int, dt: float, hs: tuple, speed: float, stages: int) -> np.ndarray:
+def _packed_matrix(m: int, dt: float, hs: tuple, stages: int) -> np.ndarray:
     """The `packed` `fold` blocks of a half step, u | v per node, built once
-    per (m, dt, hs, c, stages)."""
+    per (m, dt, hs, stages)."""
     ndim = len(hs)
     sides, cu, cv = (2,) * ndim, (m + 1,) * ndim, (m,) * ndim
-    return packed(fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, speed, stages), sides)
+    return packed(fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, stages), sides)

@@ -23,7 +23,7 @@ errors, finest level first. Its levels start as one stacked state: each
 start field is one call of the experiment's data function on the stack's
 rows, and one bootstrap serves them all. Each half step is one call of the
 step, one take through the levels' concatenated gathers and one product
-with the matrix they share, v carried as h*v. A level leaves the
+with the matrix they share. A level leaves the
 stack at its own last half step with its rows, and the levels that end on
 one parity are measured with one error call on their stack, against the
 exact solution evaluated once at every row's own end time. `conserve1d`
@@ -48,7 +48,7 @@ from .conservative import step as half_step_1d
 from .diagnostics import (ErrorReport, energy_of_rows, energy_window, l2_error_field,
                           l2_errors_pair)
 from .dissipative import SchemeConfig
-from .grid import DUAL, KINDS, PRIMAL, Axis, Field, Grid, Stack, State, flip
+from .grid import DUAL, KINDS, PRIMAL, Axis, Grid, Stack, State, flip
 from .interp import MAX_ORDER
 
 
@@ -84,13 +84,14 @@ _STUDIES = ("gaussian1d", "planewave2d")
 # the flags (--key, "_" as "-") of the keys it reads and `custom` takes them
 # all. A run that sets a key its experiment does not read to anything but the
 # experiment's default is a configuration error. No experiment reads
-# `experiment`: it picks one, and a subcommand names its own.
+# `experiment`: it picks one, and a subcommand names its own, which a config
+# file may repeat but not contradict (`make_config`).
 KEYS = {
     "experiment": Key("experiment", str, "which built-in experiment to run", EXPERIMENTS,
                       read_by=()),
     "scheme": Key("scheme", str, "time stepper family", ("dissipative", "conservative")),
     "m": Key("m", int, "derivative order carried per node"),
-    "lambda": Key("lam", float, "CFL number c*dt/h, in (0, 1]"),
+    "lambda": Key("lam", float, "CFL number dt/h, in (0, 1]"),
     "levels": Key("levels", int, "number of refinement levels", read_by=_STUDIES),
     "n0": Key("n0", int, "cell count per direction (a study's coarsest)"),
     "steps": Key("steps", int, "update count", read_by=("conserve1d",)),
@@ -188,7 +189,7 @@ class RunConfig:
             n = math.ceil(round(REFINE * n, 9))
 
     def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(m=self.m, speed=1.0, lam=self.lam)
+        return SchemeConfig(m=self.m, lam=self.lam)
 
 
 _DEFAULTS = {
@@ -237,7 +238,15 @@ def parse_config(text: str) -> dict:
 
 def make_config(experiment: str, file_overrides: dict | None = None,
                 flag_overrides: dict | None = None) -> RunConfig:
-    """Defaults <- config file <- command-line flags, then validate."""
+    """Defaults <- config file <- command-line flags, then validate.
+
+    The file's `experiment` entry, unless a flag overrides it, must name
+    `experiment` itself, the one a subcommand runs.
+    """
+    named = (file_overrides or {}).get("experiment")
+    if named not in (None, experiment) and (flag_overrides or {}).get("experiment") is None:
+        raise ConfigError(f"the config file sets experiment = {named}, but the run is "
+                          f"{experiment}; leave the entry out or set it to {experiment}")
     cfg = default_config(experiment)
     for overrides in (file_overrides, flag_overrides):
         if overrides:
@@ -361,38 +370,36 @@ def _start(cfg: RunConfig, grid, data):
     data(xs, t, h, order, tder) gives the scaled nodal blocks of u (tder 0)
     or u_t (tder 1), orders 0..order per axis, at the nodes xs of one
     parity (`nodes`) at times t with spacing h: one value each on a grid,
-    one per row on a stack (its levels', through `level_of`), where u_t is
-    carried as h*u_t. It is called once per start field, primal level
-    first. A conservative state's primal level has its wall slots zeroed
+    one per row on a stack (its levels', through `level_of`). It is called
+    once per start field, primal level first, and u_t is packed as h*u_t
+    (see `grid.State`): u | h*v for the dissipative scheme, u | h*u_t into
+    the conservative bootstrap, or u with the exact previous level. A
+    conservative state's primal level has its wall slots zeroed
     (`boundary.zero_wall_slots`).
     """
     scfg, stacked = cfg.scheme_config(), isinstance(grid, Stack)
     t0 = np.zeros(len(grid.levels)) if stacked else 0.0
     cols = {}  # per parity: the node coordinates and the rows' h, built once
 
-    def field(parity, t, order, tder=0):
+    def rows(parity, t, order, tder=0):
         if parity not in cols:
             cols[parity] = (grid.nodes(parity),
                             grid.h[grid.level_of[parity]] if stacked else grid.h)
         xs, h = cols[parity]
         vals = data(xs, t[grid.level_of[parity]] if stacked else t, h, order, tder)
-        vals = vals.reshape(grid.shapes[parity] + (order + 1,) * grid.ndim)
-        if stacked and tder:
-            vals = vals * h.reshape((-1,) + (1,) * grid.ndim)
-        return Field(grid, parity, t, vals)
+        vals = vals.reshape(len(xs[0]), -1)
+        return vals * np.reshape(h, (-1, 1)) if tder else vals
 
-    u0, n = field(PRIMAL, t0, cfg.m), math.prod(grid.shapes[PRIMAL])
-    cu = u0.values.shape[-grid.ndim :]
-    if cfg.scheme == "dissipative":
-        v0 = field(PRIMAL, t0, cfg.m - 1, tder=1).values
-        rows = np.concatenate((u0.values.reshape(n, -1), v0.reshape(n, -1)), axis=1)
-        return State(grid, PRIMAL, t0, rows, (cu, v0.shape[-grid.ndim :])), 0
-    zero_wall_slots(u0.values, grid)
-    if cfg.init == "exact":
-        prev = field(DUAL, -0.5 * scfg.dt(grid.h), cfg.m).values
-        return State(grid, PRIMAL, t0, u0.values.reshape(n, -1), (cu,),
-                     prev.reshape(-1, math.prod(cu))), 0
-    return bootstrap_first_half(u0, field(PRIMAL, t0, cfg.m, tder=1), scfg), 1
+    u0, cu = rows(PRIMAL, t0, cfg.m), (cfg.m + 1,) * grid.ndim
+    if cfg.scheme == "conservative":
+        zero_wall_slots(u0.reshape(grid.shapes[PRIMAL] + cu), grid)  # a view of u0
+        if cfg.init == "exact":
+            prev = rows(DUAL, -0.5 * scfg.dt(grid.h), cfg.m)
+            return State(grid, PRIMAL, t0, u0, (cu,), prev), 0
+    cv = cu if cfg.scheme == "conservative" else (cfg.m,) * grid.ndim  # u_t's or v's orders
+    u_t = rows(PRIMAL, t0, cv[0] - 1, tder=1)
+    state = State(grid, PRIMAL, t0, np.concatenate((u0, u_t), axis=1), (cu, cv))
+    return (state, 0) if cfg.scheme == "dissipative" else (bootstrap_first_half(state, scfg), 1)
 
 
 def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
@@ -406,9 +413,8 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     still on the stack by a half step, and each leaves from the end at its
     last, keeping its rows. The levels that end on one parity are then
     measured with one error call on a `State` of their stack that wraps
-    their rows (a dissipative state's v as h*v, a conservative state's
-    current level), against the exact solution at each target row's end
-    time.
+    their rows (a conservative state's current level), against the exact
+    solution at each target row's end time.
     """
     ns, scfg = cfg.level_sizes(), cfg.scheme_config()
     grids = [grid_of(n) for n in ns]
@@ -498,13 +504,13 @@ def run_conservation_1d(cfg: RunConfig):
         def data(xs, t, h, order, tder):
             return rng.random((len(xs[0]), order + 1))
     state, _ = _start(cfg, Grid((axis,)), data)
-    factor = energy_window(axis, cfg.m, scfg.speed, dt)
-    e0 = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
+    factor = energy_window(axis, cfg.m, dt)
+    e0 = energy_of_rows(state, factor)
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
         last = min(done + cfg.sample_every, cfg.steps)
         state = _march(state, scfg, done, last, lambda s, d: _at(d, s.time, cfg.n0))
-        e = energy_of_rows(state.rows, state.prev_rows, state.parity, factor)
+        e = energy_of_rows(state, factor)
         steps.append(last)
         times.append(state.time)
         deltas.append(e - e0)

@@ -13,7 +13,7 @@ level shares its parity.
 A field stores, per node, the scaled derivative coefficients
 (h**l/l!) d^l u/dx^l up to its order along each axis, as one dense array
 shaped (nodes per axis..., order+1 per axis...). Both schemes' states are
-one `State`, which keeps node rows instead, one per node in C order: u | v
+one `State`, which keeps node rows instead, one per node in C order: u | h*v
 packed per node (dissipative), or u with the previous level's rows
 (conservative). Its one view, `u`, builds a `Field` on access.
 
@@ -26,9 +26,8 @@ swapped, so a march looks up a level's plans once.
 
 A `Stack` puts the levels of a refinement study one after the other in one
 set of node rows, so that one take and one product step them all (see
-`Stack`). Its states are `State`s like a grid's, with one time per level
-and a dissipative state's v carried as h*v (as is the u_t a bootstrap on
-the stack reads).
+`Stack`). Its states are `State`s like a grid's, in the same units, with
+one time per level.
 """
 
 from __future__ import annotations
@@ -103,8 +102,9 @@ class Grid:
 
     Built once, as plain attributes like `Axis`'s nodes: `ndim`, the number
     of axes; `periodic`, shared by every axis; `spacings`, h per axis; `h`,
-    the smallest of them, which sets the time step; `shapes`, each parity's
-    node count per axis; and `plans`, the level's cached plans.
+    the smallest of them, which sets the time step; `aspect`, the spacings
+    over h, at which the step's matrices are built (see `State`); `shapes`,
+    each parity's node count per axis; and `plans`, the level's cached plans.
     """
 
     axes: tuple
@@ -120,6 +120,7 @@ class Grid:
         object.__setattr__(self, "periodic", axes[0].periodic)
         object.__setattr__(self, "spacings", tuple(axis.h for axis in axes))
         object.__setattr__(self, "h", min(self.spacings))
+        object.__setattr__(self, "aspect", tuple(s / self.h for s in self.spacings))
         object.__setattr__(self, "shapes", {
             parity: tuple(axis.n_nodes(parity) for axis in axes) for parity in (PRIMAL, DUAL)})
         object.__setattr__(self, "plans", {})
@@ -163,10 +164,17 @@ class State:
 
     `rows` packs, per node of the grid's `parity` in C order, the
     coefficients of each field of `blocks`, the coefficient shape of each:
-    u | v, ((m+1,)*d, (m,)*d), for the dissipative scheme and u alone,
+    u | h*v, ((m+1,)*d, (m,)*d), for the dissipative scheme and u alone,
     ((m+1,)*d,), for the conservative one, whose previous level sits in
     `prev_rows` on the other parity (None for the dissipative scheme). It
     carries the step's `link` (None until a step sets it; see `link`).
+
+    Every state carries v, and a bootstrap's u_t, as h*v, h the smallest
+    spacing of the node's level, and steps u_tt = Delta u. Then a half step
+    depends on h only through the aspect: with dt = lam h, the map A(h)
+    from a node's flanking u | v data is D^-1 Â D, D = diag(I_u, h I_v),
+    with Â built at unit spacing. So one matrix per (scheme, m, lam,
+    aspect) steps every level, a `Grid`'s as a `Stack`'s.
     """
 
     __slots__ = ("grid", "parity", "time", "rows", "blocks", "prev_rows", "link")
@@ -224,12 +232,7 @@ class Stack:
     every level of a stack shares one map per half step:
     - the gather is the levels' own gathers, each offset by the rows before
       its level (`boundary.gather_plan`);
-    - the matrix is built once at unit spacing, `spacings` being the
-      aspect. It is every level's matrix, as a step depends on h only
-      through v's units: with dt = lam h/c the dissipative map is
-      A(h) = D^-1 Â D, D = diag(I_u, h I_v), so a dissipative state on a
-      stack carries each level's v as h*v; the conservative scheme carries u
-      alone;
+    - the matrix is the one of their `aspect` (see `State`);
     - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
 
     A state of the stack holds every level's rows, one after the other, and
@@ -240,8 +243,8 @@ class Stack:
     gathers are the leading targets of this stack's, and it names this
     stack as its `whole`.
 
-    Built once, as plain attributes: `levels`, `ndim`, `spacings` (the
-    aspect), `h` (each level's smallest spacing, read-only), `offsets` (each
+    Built once, as plain attributes: `levels`, `ndim`, `aspect`, `h`
+    (each level's smallest spacing, read-only), `offsets` (each
     parity's first row of every level, then the total), `level_of` (each
     parity's level of every row), `shapes` (each parity's total rows, as
     one node axis), `plans` and `whole` (the stack this one leads, or None).
@@ -251,12 +254,11 @@ class Stack:
         self.levels = levels = tuple(levels)
         if not levels:
             raise ValueError("a stack needs at least one level")
-        aspects = [tuple(s / g.h for s in g.spacings) for g in levels]
-        if any(len(a) != len(aspects[0])
-               or not all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(a, aspects[0]))
-               for a in aspects):
+        self.ndim, self.aspect = levels[0].ndim, levels[0].aspect
+        if any(g.ndim != self.ndim or not all(math.isclose(x, y, rel_tol=1e-12)
+                                              for x, y in zip(g.aspect, self.aspect))
+               for g in levels):
             raise ValueError("stacked levels need one number of axes and one aspect")
-        self.ndim, self.spacings = levels[0].ndim, aspects[0]
         self.h = np.array([g.h for g in levels])
         self.h.setflags(write=False)
         counts = {parity: [math.prod(g.shapes[parity]) for g in levels]
@@ -286,9 +288,8 @@ class Stack:
     def pop(self, state):
         """(the last level's rows, the state of the stack of the others).
 
-        The rows are the last level's `rows` in the stack's units (a
-        dissipative state's v as h*v), a view: a step writes new rows and
-        never into the ones it reads. The others stay views of the state's
+        The rows are the last level's `rows`, a view: a step writes new
+        rows and never into the ones it reads. The others stay views of the state's
         leading rows, on the stack of the leading levels (None when no
         level is left).
         """

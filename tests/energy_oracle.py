@@ -14,7 +14,7 @@ whole cell.
 Piecewise assembly of the conserved energy, the oracle for its cached form:
 the conserved variables P_± = p^n - S_± p^{n-1/2} are built as explicit
 piecewise polynomials: the previous level's interpolant is translated by
-±c dt/2 (`shift`), subtracted from the current one on the union of both
+±dt/2 (`shift`), subtracted from the current one on the union of both
 breakpoint sets (`pp_subtract`), and each union piece is integrated by a
 Gauss rule exact for its degree (`seminorm_sq`). This is independent of
 `hermwave.diagnostics.energy_factor`, which folds the same quantity into
@@ -34,7 +34,7 @@ from hermwave.grid import Axis, Field, State, flip
 from hermwave.interp import interp_matrix
 from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, field_interpolant, seminorm_sq
-from states import orders, v_of
+from states import orders, two_level, v_of
 
 
 @lru_cache(maxsize=64)
@@ -58,15 +58,13 @@ def _line(field) -> Axis:
     return field.grid.axes[0]
 
 
-def conservative_energy(current: Field, previous: Field, speed: float, dt: float) -> float:
+def conservative_energy(current: Field, previous: Field, dt: float) -> float:
     """E(t_n) from a two-level nodal state on a periodic 1D grid."""
     axis = _line(current)
     if previous.parity != flip(current.parity):
         raise ValueError("the two levels must sit on opposite parities")
     (m,) = orders(current)
-    # a 1D level's values are its node rows
-    return energy_of_rows(current.values, previous.values, current.parity,
-                          energy_window(axis, m, speed, dt))
+    return energy_of_rows(two_level(current, previous), energy_window(axis, m, dt))
 
 
 def _interp_seminorm(field: Field, order: int, h: float) -> float:
@@ -174,7 +172,7 @@ def pp_subtract(a: PiecewisePolynomial, b: PiecewisePolynomial) -> PiecewisePoly
 
 def conserved_pair(current: PiecewisePolynomial, previous: PiecewisePolynomial,
                    delta: float) -> ConservedPair:
-    """P_± = current - S_± previous with shift distance delta = c*dt/2."""
+    """P_± = current - S_± previous with shift distance delta = dt/2."""
     if not (current.periodic and previous.periodic):
         raise ValueError("conserved variables need a periodic domain")
     return ConservedPair(
@@ -188,8 +186,7 @@ def seminorm_energy(pair: ConservedPair, order: int) -> float:
     return seminorm_sq(pair.p_plus, order) + seminorm_sq(pair.p_minus, order)
 
 
-def oracle_energy(current, previous, speed: float, dt: float) -> float:
+def oracle_energy(current, previous, dt: float) -> float:
     """E(t_n) from a two-level nodal state, assembled piece by piece."""
-    pair = conserved_pair(field_interpolant(current), field_interpolant(previous),
-                          0.5 * speed * dt)
+    pair = conserved_pair(field_interpolant(current), field_interpolant(previous), 0.5 * dt)
     return seminorm_energy(pair, orders(current)[0] + 1)

@@ -14,7 +14,7 @@ at the level's own spacing and sum the series at dt/2.
 `errors` is the per-level L2 error arithmetic the driver ran on each
 popped plain state: one take of the level's rows, one product of each mix
 of cell kinds with a matrix built at the level's own h (u_x scaled inside
-the matrix, v in its own units), the exact callables evaluated on that
+the matrix, and h*v read as v), the exact callables evaluated on that
 level's Gauss points alone, and nested Gauss sums.
 """
 
@@ -50,7 +50,7 @@ def pair_sources(field):
     return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))
 
 
-def conservative_update(interp, prev, m: int, dt, hs, speed) -> np.ndarray:
+def conservative_update(interp, prev, m: int, dt, hs) -> np.ndarray:
     """Node data at t+dt/2 from the target-centered interpolant and t-dt/2.
 
     Args:
@@ -59,19 +59,18 @@ def conservative_update(interp, prev, m: int, dt, hs, speed) -> np.ndarray:
         prev: (..., m+1 per axis) node data at t-dt/2.
         dt: time step; the update advances dt/2.
         hs: cell spacing per axis.
-        speed: wave speed c.
     """
     ndim = len(hs)
     c0 = np.asarray(interp, dtype=float)
-    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, speed, 2 * ndim * m)
+    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, 2 * ndim * m)
     new = eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim]
     return 2.0 * new - np.asarray(prev, dtype=float)
 
 
-def update(data, m, dt, hs, speed):
+def update(data, m, dt, hs):
     """`conservative_update` of gathered current data with prev = 0, as
     `dissipative.fold` takes it: the map the conservative plan's matrix is."""
-    return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs, speed),)
+    return (conservative_update(apply_interp(data, len(hs)), 0.0, m, dt, hs),)
 
 
 def bootstrap(g0, g1, cfg) -> np.ndarray:
@@ -81,16 +80,16 @@ def bootstrap(g0, g1, cfg) -> np.ndarray:
     ndim = len(hs)
     ctab, _ = expand_taylor(apply_interp(pair_sources(g0)[0], ndim),
                             apply_interp(pair_sources(g1)[0], ndim), cfg.dt(min(hs)), hs,
-                            cfg.speed, ndim * (2 * cfg.m + 2))
+                            ndim * (2 * cfg.m + 2))
     return eval_series(ctab, 0.5)[(Ellipsis,) + (slice(cfg.m + 1),) * ndim]
 
 
 def _pair_matrix(mu, npts, kind, h):
-    """(2(2mu+1), 3 npts): a gathered 1D u | v row to [u | u_x | v]."""
+    """(2(2mu+1), 3 npts): a gathered 1D u | h*v row to [u | u_x | v]."""
     out = np.zeros((2, 2 * mu + 1, 3, npts))
     out[:, : mu + 1, 0] = eval_matrix(mu, npts, kind).reshape(2, mu + 1, npts)
     out[:, : mu + 1, 1] = eval_matrix(mu, npts, kind, 1).reshape(2, mu + 1, npts) / h
-    out[:, mu + 1 :, 2] = eval_matrix(mu - 1, npts, kind).reshape(2, mu, npts)
+    out[:, mu + 1 :, 2] = eval_matrix(mu - 1, npts, kind).reshape(2, mu, npts) / h
     return out.reshape(4 * mu + 2, 3 * npts)
 
 

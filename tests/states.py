@@ -1,8 +1,11 @@
 """`grid.State`s built from Fields, and the Field views of their rows.
 
 The library keeps a state of either scheme as node rows and reads only its
-u (`State.u`). The tests build and read states through Fields:
-- `uv_state(u, v)`: a dissipative state, u | v packed per node;
+u (`State.u`). The tests build and read states through Fields, whose v is
+in its own units, while a state's rows carry it as h*v, h the smallest
+spacing of each row's level (`grid.State`):
+- `uv_state(u, v)`: a dissipative state, u | h*v packed per node, and the
+  bootstrap's input, u | h*u_t;
 - `two_level(current, previous)`: a conservative state, its previous level
   on the other parity;
 - `u_state(field)`: u alone, the state the errors read of a conservative level;
@@ -16,7 +19,7 @@ import math
 
 import numpy as np
 
-from hermwave.grid import Field, State, flip, rows
+from hermwave.grid import Field, Stack, State, flip, rows
 
 
 def orders(field: Field) -> tuple:
@@ -31,9 +34,17 @@ def _block(field: Field) -> tuple:
     return field.values.shape[-field.grid.ndim :]
 
 
+def row_h(grid, parity: str) -> np.ndarray:
+    """The h of each node row of `parity` as a column: the grid's, or on a
+    `Stack` the h of the row's level."""
+    h = grid.h[grid.level_of[parity]] if isinstance(grid, Stack) else grid.h
+    return np.reshape(h, (-1, 1))
+
+
 def uv_state(u: Field, v: Field) -> State:
     """The dissipative state of u and v (u's grid, parity and time)."""
-    return State(u.grid, u.parity, u.time, np.concatenate((_rows(u), _rows(v)), axis=1),
+    h = row_h(u.grid, u.parity)
+    return State(u.grid, u.parity, u.time, np.concatenate((_rows(u), _rows(v) * h), axis=1),
                  (_block(u), _block(v)))
 
 
@@ -50,10 +61,11 @@ def u_state(field: Field) -> State:
 
 
 def v_of(state: State) -> Field:
-    """v of a dissipative state."""
+    """v of a dissipative state, in its own units."""
     u, v = state.blocks
+    values = state.rows[:, math.prod(u) :] / row_h(state.grid, state.parity)
     return Field(state.grid, state.parity, state.time,
-                 state.rows[:, math.prod(u) :].reshape(state.grid.shapes[state.parity] + v))
+                 values.reshape(state.grid.shapes[state.parity] + v))
 
 
 def previous_of(state: State, cfg=None) -> Field:

@@ -17,11 +17,11 @@ from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
 from lifting import lift, lifted_grids
-from states import previous_of, two_level
+from states import previous_of, two_level, uv_state
 
 
 def test_zero_update_is_zero():
-    out = conservative_update(np.zeros((4, 6)), np.zeros((4, 3)), 2, 0.7, (1.0,), 1.0)
+    out = conservative_update(np.zeros((4, 6)), np.zeros((4, 3)), 2, 0.7, (1.0,))
     assert np.all(out == 0.0)
 
 
@@ -32,13 +32,13 @@ def test_linear_profile_is_steady():
     a[:, 0] = rng.standard_normal(3)
     a[:, 1] = rng.standard_normal(3)
     prev = a[:, :3].copy()
-    out = conservative_update(a, prev, 2, 1.0, (1.0,), 1.0)
+    out = conservative_update(a, prev, 2, 1.0, (1.0,))
     np.testing.assert_allclose(out, prev, atol=1e-15)
 
 
 def test_first_order_quadratic_update():
     # m=1, lam=1: xi**2 interpolant over zero previous data
-    out = conservative_update(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), 1, 1.0, (1.0,), 1.0)
+    out = conservative_update(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), 1, 1.0, (1.0,))
     np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
 
 
@@ -53,7 +53,7 @@ def test_update_matches_even_shift_average(m, lam):
     a = rng.standard_normal((5, 2 * m + 2))
     prev = rng.standard_normal((5, m + 1))
     rho = 0.5 * lam
-    out = conservative_update(a, prev, m, 2.0 * rho, (1.0,), 1.0)
+    out = conservative_update(a, prev, m, 2.0 * rho, (1.0,))
     for i in range(5):
         p = P(a[i])
         avg = 0.5 * (p(P([rho, 1.0])) + p(P([-rho, 1.0])))
@@ -66,14 +66,13 @@ def test_update_matches_even_shift_average(m, lam):
 @given(
     m=st.integers(1, 4),
     lam=st.floats(0.0, 1.0, exclude_min=True),
-    speed=st.floats(0.5, 2.0),
     hx=st.floats(0.05, 0.5),
     aspect=st.floats(0.3, 3.0).filter(lambda r: abs(r - 1.0) > 1e-3),
     aspect_z=st.floats(0.3, 3.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, aspect_z, seed):
-    """The 2D and 3D update against 2 sum_p (c dt/2)^(2p)/(2p)! Delta^p q, minus prev.
+def test_2d_update_matches_laplacian_series(m, lam, hx, aspect, aspect_z, seed):
+    """The 2D and 3D update against 2 sum_p (dt/2)^(2p)/(2p)! Delta^p q, minus prev.
 
     q is the interpolant in the scaled variables (x/hx, y/hy, z/hz), so
     Delta is the second polyder along each axis over h_q^2; its mixed terms
@@ -85,7 +84,7 @@ def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, aspect_z,
         if ndim == 3 and m > 2:
             continue
         hs = (hx, aspect * hx, aspect_z * hx)[:ndim]
-        dt = lam * min(hs) / speed
+        dt = lam * min(hs)
         q = rng.standard_normal((kk,) * ndim)
         prev = rng.standard_normal((m + 1,) * ndim)
 
@@ -98,11 +97,11 @@ def test_2d_update_matches_laplacian_series(m, lam, speed, hx, aspect, aspect_z,
 
         want, term = np.zeros_like(q), q
         for p in range(ndim * m + 2):
-            want += 2.0 * (0.5 * speed * dt) ** (2 * p) / math.factorial(2 * p) * term
+            want += 2.0 * (0.5 * dt) ** (2 * p) / math.factorial(2 * p) * term
             term = laplacian(term)
         assert not term.any()
         want = want[(slice(m + 1),) * ndim] - prev
-        got = conservative_update(q[None], prev[None], m, dt, hs, speed)[0]
+        got = conservative_update(q[None], prev[None], m, dt, hs)[0]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), ndim
 
 
@@ -202,9 +201,11 @@ def test_bootstrap_zero_data():
     grid, axis = _line(0.0, 1.0, 5)
     cfg = SchemeConfig(m=2, lam=0.8)
     z = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
-    state = bootstrap_first_half(z, z, cfg)
+    start = uv_state(z, z)
+    state = bootstrap_first_half(start, cfg)
     assert np.all(state.u.values == 0.0)
-    assert np.shares_memory(previous_of(state).values, z.values)
+    assert np.shares_memory(state.prev_rows, start.rows)
+    np.testing.assert_array_equal(previous_of(state).values, z.values)
     assert previous_of(state, cfg).time == z.time and previous_of(state).parity == z.parity
     assert state.u.parity == DUAL
     assert state.u.time == pytest.approx(0.5 * cfg.dt(axis.h))
@@ -217,7 +218,7 @@ def test_bootstrap_linear_stationary():
     xs = axis.nodes(PRIMAL)
     g0 = Field(grid, PRIMAL, 0.0, np.stack([2 * xs + 1, np.full_like(xs, 2 * axis.h)], axis=-1))
     g1 = Field(grid, PRIMAL, 0.0, np.zeros((len(xs), 2)))
-    state = bootstrap_first_half(g0, g1, cfg)
+    state = bootstrap_first_half(uv_state(g0, g1), cfg)
     xd = axis.nodes(DUAL)
     want = np.stack([2 * xd + 1, np.full_like(xd, 2 * axis.h)], axis=-1)
     np.testing.assert_allclose(state.u.values, want, atol=1e-13)
@@ -233,7 +234,7 @@ def test_bootstrap_constant_velocity():
     g1vals = np.zeros((5, 3))
     g1vals[:, 0] = V
     g1 = Field(grid, PRIMAL, 0.0, g1vals)
-    state = bootstrap_first_half(g0, g1, cfg)
+    state = bootstrap_first_half(uv_state(g0, g1), cfg)
     dt = cfg.dt(axis.h)
     want = np.zeros((5, 3))
     want[:, 0] = V * dt / 2
@@ -250,7 +251,7 @@ def test_bootstrap_standing_wave_accuracy(m):
         cfg = SchemeConfig(m=m, lam=0.8)
         g0 = _sine_field(grid, m, PRIMAL)
         g1 = Field(grid, PRIMAL, 0.0, np.zeros((n, m + 1)))
-        state = bootstrap_first_half(g0, g1, cfg)
+        state = bootstrap_first_half(uv_state(g0, g1), cfg)
         t = state.u.time
         want = _sine_field(grid, m, DUAL, t=t).values[:, 0]
         errs.append(np.abs(state.u.values[:, 0] - want).max())
@@ -284,13 +285,13 @@ def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, pari
     cfg = SchemeConfig(m=m, lam=lam)
     n = grid1.shapes[parity]
     g0, g1 = (Field(grid1, parity, 0.0, rng.standard_normal(n + (m + 1,))) for _ in range(2))
-    want = bootstrap_first_half(g0, g1, cfg).u
+    want = bootstrap_first_half(uv_state(g0, g1), cfg).u
     for ndim, grid in lifted_grids(x_axis).items():
         if ndim == 3 and m > 2:
             continue
         counts = grid.shapes[parity][1:]
-        got = bootstrap_first_half(*(Field(grid, parity, 0.0, lift(g.values, counts))
-                                     for g in (g0, g1)), cfg).u
+        got = bootstrap_first_half(uv_state(*(Field(grid, parity, 0.0, lift(g.values, counts))
+                                              for g in (g0, g1))), cfg).u
         assert got.parity == want.parity
         assert got.time == want.time
         bound = 1e-11 * np.abs(want.values).max()
@@ -324,8 +325,7 @@ def test_2d_reduces_to_1d_on_y_independent_data():
 
 
 def test_2d_update_zero():
-    out = conservative_update(np.zeros((3, 3, 4, 4)), np.zeros((3, 3, 2, 2)), 1, 0.6, (1.0, 1.0),
-                              1.0)
+    out = conservative_update(np.zeros((3, 3, 4, 4)), np.zeros((3, 3, 2, 2)), 1, 0.6, (1.0, 1.0))
     assert np.all(out == 0.0)
 
 
@@ -364,6 +364,40 @@ def _companion_symbols(d, n, m, lam, theta):
         comp[..., k:, :k] = -np.eye(k)
         out = out @ comp
     return out
+
+
+# two small theta of a periodic 1D level, and lam, at which the design
+# orders are read from the full-step symbols
+ORDER_THETA, ORDER_LAM = np.array([0.15, 0.3]), 0.5
+
+
+def eigen_orders(symbols, lam=ORDER_LAM, theta=ORDER_THETA) -> tuple:
+    """(phase, whole) design orders of full-step symbols G(theta), one per
+    entry of theta: of the eigenvalue g nearest the exact e^{i lam theta}, the
+    log-log slope, between the two theta, of |arg g - lam theta| (phase) and
+    of |g - e^{i lam theta}| (whole), each minus 1 (a full step errs by
+    theta**(order+1))."""
+    errors = []
+    for g, t in zip(symbols, theta):
+        eig, exact = np.linalg.eigvals(g), np.exp(1j * lam * t)
+        near = eig[np.argmin(np.abs(eig - exact))]
+        errors.append((abs(np.angle(near) - lam * t), abs(near - exact)))
+    errors = np.array(errors)
+    return tuple(np.log(errors[1] / errors[0]) / np.log(theta[1] / theta[0]) - 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conservative_design_order_from_the_symbol(m):
+    """The conservative full step has design order 2m, read from its symbol.
+
+    On a periodic 1D level at lam = 0.5, the physical eigenvalue of the
+    full-step symbol built from the plans' own matrices
+    (`_companion_symbols`) has modulus 1, so its whole error is its phase
+    error. At theta = 0.15 and 0.3 both read order 1.99, 3.99 and 6.00 for
+    m = 1, 2, 3.
+    """
+    phase, whole = eigen_orders(_companion_symbols(1, 16, m, ORDER_LAM, ORDER_THETA[:, None]))
+    assert abs(phase - 2 * m) <= 0.1 and abs(whole - 2 * m) <= 0.1, (phase, whole)
 
 
 def _theta_grid(d, points):

@@ -355,10 +355,10 @@ def test_conservative_energy_invariant_under_step():
         pvals[:, l] = np.sin(xd + dt / 2 + l * math.pi / 2) * axis.h**l / math.factorial(l)
     prev = Field(grid, DUAL, -dt / 2, pvals)
     state = two_level(cur, prev)
-    e0 = conservative_energy(state.u, previous_of(state), cfg.speed, dt)
+    e0 = conservative_energy(state.u, previous_of(state), dt)
     for _ in range(5):
         state = step(state, cfg)
-    e5 = conservative_energy(state.u, previous_of(state), cfg.speed, dt)
+    e5 = conservative_energy(state.u, previous_of(state), dt)
     assert e5 == pytest.approx(e0, rel=1e-12)
     assert e0 > 0.0
 
@@ -366,11 +366,9 @@ def test_conservative_energy_invariant_under_step():
 def test_conservative_energy_matches_manual_assembly():
     rng = np.random.default_rng(46)
     grid, cur, prev = _two_level_fields(8, 1, rng, span=2.0)
-    speed, dt = 1.3, 0.05
-    e = conservative_energy(cur, prev, speed, dt)
-    pair = conserved_pair(
-        field_interpolant(cur), field_interpolant(prev), 0.5 * speed * dt
-    )
+    dt = 0.065
+    e = conservative_energy(cur, prev, dt)
+    pair = conserved_pair(field_interpolant(cur), field_interpolant(prev), 0.5 * dt)
     assert e == pytest.approx(seminorm_energy(pair, 2), rel=1e-13)
 
 
@@ -378,22 +376,21 @@ def test_conservative_energy_matches_manual_assembly():
 @given(
     m=st.integers(1, 4),
     lam=st.floats(0.0, 1.0, exclude_min=True),
-    speed=st.floats(0.5, 2.0),
     n=st.integers(4, 40),
     parity=st.sampled_from((PRIMAL, DUAL)),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=3, lam=1.0, speed=1.3, n=7, parity=DUAL, seed=0)
-def test_conservative_energy_matches_oracle(m, lam, speed, n, parity, seed):
+@example(m=3, lam=1.0, n=7, parity=DUAL, seed=0)
+def test_conservative_energy_matches_oracle(m, lam, n, parity, seed):
     """The cached quadratic form against the piecewise assembly."""
     rng = np.random.default_rng(seed)
     grid, axis = _line(-1.0, 1.5, n)
-    dt = lam * axis.h / speed
+    dt = lam * axis.h
     other = DUAL if parity == PRIMAL else PRIMAL
     cur = Field(grid, parity, 0.0, rng.standard_normal((n, m + 1)))
     prev = Field(grid, other, -0.5 * dt, rng.standard_normal((n, m + 1)))
-    got = conservative_energy(cur, prev, speed, dt)
-    want = oracle_energy(cur, prev, speed, dt)
+    got = conservative_energy(cur, prev, dt)
+    want = oracle_energy(cur, prev, dt)
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -402,7 +399,7 @@ def test_conservative_energy_needs_periodic():
     cur = Field(grid, PRIMAL, 0.0, np.ones((7, 3)))
     prev = Field(grid, DUAL, 0.0, np.ones((6, 3)))
     with pytest.raises(ValueError):
-        conservative_energy(cur, prev, 1.0, 0.1)
+        conservative_energy(cur, prev, 0.1)
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
@@ -416,7 +413,7 @@ def test_energies_need_a_1d_field(ndim):
     with pytest.raises(ValueError, match=f"{ndim}D field"):
         dissipative_energy(uv_state(u, v), 1.0)
     with pytest.raises(ValueError, match=f"{ndim}D field"):
-        conservative_energy(u, prev, 1.0, 0.1)
+        conservative_energy(u, prev, 0.1)
 
 
 def test_fit_rate_exact_power_law():

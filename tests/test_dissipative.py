@@ -16,13 +16,14 @@ from hermwave.boundary import take
 from hermwave.conservative import _plan, step
 from hermwave.dissipative import (SchemeConfig, eval_series, expand_taylor, fold, packed,
                                   taylor_half_step)
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, flip
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, State, flip
 from hermwave.interp import apply_interp
 
 from energy_oracle import dissipative_energy
 from level_oracle import pair_sources
 from lifting import lift, lifted_grids
-from states import fields_of, two_level, uv_state, v_of
+from states import two_level, uv_state, v_of
+from test_conservative import ORDER_LAM, ORDER_THETA, eigen_orders
 
 WALLS = ("dirichlet0", "neumann0")
 # periodic, then every pair of x walls
@@ -36,8 +37,6 @@ def test_config_validation():
         SchemeConfig(m=2, lam=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(m=2, lam=1.2)
-    with pytest.raises(ValueError):
-        SchemeConfig(m=2, speed=-1.0)
     cfg = SchemeConfig(m=3, lam=1.0)
     assert cfg.stages(1) == 6
     assert cfg.stages(2) == 14
@@ -46,15 +45,15 @@ def test_config_validation():
 
 def test_config_hash_contract():
     """The config hashes, compares and copies as the plain frozen dataclass."""
-    cfg = SchemeConfig(m=3, speed=1.5, lam=0.8)
-    twin = SchemeConfig(m=3, speed=1.5, lam=0.8)
+    cfg = SchemeConfig(m=3, lam=0.8)
+    twin = SchemeConfig(m=3, lam=0.8)
     assert cfg == twin and cfg is not twin and hash(cfg) == hash(twin)
-    assert hash(cfg) == hash((3, 1.5, 0.8))
+    assert hash(cfg) == hash((3, 0.8))
     moved = dataclasses.replace(cfg, lam=0.5)
-    assert moved == SchemeConfig(3, 1.5, 0.5) and hash(moved) == hash(SchemeConfig(3, 1.5, 0.5))
+    assert moved == SchemeConfig(3, 0.5) and hash(moved) == hash(SchemeConfig(3, 0.5))
     assert moved != cfg
-    assert [f.name for f in dataclasses.fields(cfg)] == ["m", "speed", "lam"]
-    assert repr(cfg) == "SchemeConfig(m=3, speed=1.5, lam=0.8)"
+    assert [f.name for f in dataclasses.fields(cfg)] == ["m", "lam"]
+    assert repr(cfg) == "SchemeConfig(m=3, lam=0.8)"
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.lam = 0.5
     for copied in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
@@ -103,7 +102,7 @@ def test_linked_states_step_as_fresh_ones(axes):
 
     After five steps under cfg, stepping on with an equal but distinct
     config, or with another lam, gives rows bit-identical to a fresh state
-    built from the same Fields. Relinking costs one lookup per parity, not
+    built from the same rows. Relinking costs one lookup per parity, not
     one per step, plus one gather lookup per plan it builds; the grid holds
     one plan per (scheme, parity, config value) and one gather per (parity,
     gathered blocks), which every config's plans share.
@@ -112,13 +111,13 @@ def test_linked_states_step_as_fresh_ones(axes):
     plans = _CountedPlans()
     object.__setattr__(grid, "plans", plans)
     cfg = SchemeConfig(m=2, lam=0.8)
-    builders = {"dissipative": uv_state, "conservative": two_level}
-    for start, build in zip(_level_states(grid, 2, np.random.default_rng(len(axes))),
-                            builders.values()):
+    for start in _level_states(grid, 2, np.random.default_rng(len(axes))):
         for _ in range(5):
             start = step(start, cfg)
         for other in (SchemeConfig(m=2, lam=0.8), SchemeConfig(m=2, lam=0.5)):
-            linked, fresh = start, build(*fields_of(start))
+            linked = start
+            fresh = State(grid, start.parity, start.time, start.rows.copy(), start.blocks,
+                          start.prev_rows)
             plans.gets = 0
             for _ in range(3):
                 linked, fresh = step(linked, other), step(fresh, other)
@@ -128,7 +127,7 @@ def test_linked_states_step_as_fresh_ones(axes):
             # the linked state's two plans, each of which looks up its gather
             assert plans.gets == 4 + 2 * (other.lam != cfg.lam)
     keys = sorted((scheme, parity, c.lam) for scheme, parity, c in plans if scheme != "gather")
-    assert keys == sorted((scheme, parity, lam) for scheme in builders
+    assert keys == sorted((scheme, parity, lam) for scheme in ("dissipative", "conservative")
                           for parity in (PRIMAL, DUAL) for lam in (0.5, 0.8))
     d = len(axes)
     gathers = sorted((parity, blocks) for scheme, parity, blocks in plans if scheme == "gather")
@@ -139,7 +138,7 @@ def test_linked_states_step_as_fresh_ones(axes):
 def test_constant_state_is_steady():
     cu = np.array([[4.0, 0.0, 0.0, 0.0]])
     cv = np.array([[0.0, 0.0]])
-    CU, CV = expand_taylor(cu, cv, 0.3, (0.5,), 1.0, 4)
+    CU, CV = expand_taylor(cu, cv, 0.3, (0.5,), 4)
     assert np.all(CU[1:] == 0.0)
     assert np.all(CV[1:] == 0.0)
 
@@ -148,7 +147,7 @@ def test_constant_velocity_advances_value():
     # u_t = v: only c_{0,1} = dt * d0 appears
     cu = np.zeros((1, 4))
     cv = np.array([[2.5, 0.0]])
-    CU, CV = expand_taylor(cu, cv, 0.3, (0.5,), 1.0, 4)
+    CU, CV = expand_taylor(cu, cv, 0.3, (0.5,), 4)
     want = np.zeros((5, 1, 4))
     want[1, 0, 0] = 0.3 * 2.5
     np.testing.assert_allclose(CU, want, atol=1e-15)
@@ -156,12 +155,12 @@ def test_constant_velocity_advances_value():
 
 
 def test_quadratic_space_time_table():
-    # u = xi**2, h = c = 1: v picks up 2*dt, u the dt**2 echo
+    # u = xi**2, h = 1: v picks up 2*dt, u the dt**2 echo
     dt = 0.17
     cu = np.zeros((1, 4))
     cu[0, 2] = 1.0
     cv = np.zeros((1, 2))
-    CU, CV = expand_taylor(cu, cv, dt, (1.0,), 1.0, 4)
+    CU, CV = expand_taylor(cu, cv, dt, (1.0,), 4)
     assert CV[1, 0, 0] == pytest.approx(2 * dt)
     assert CU[2, 0, 0] == pytest.approx(dt * dt)
     # center value after a half step matches u = x**2 + t**2
@@ -183,19 +182,18 @@ def test_eval_at_zero_returns_initial_column():
     assert np.array_equal(eval_series(table, 0.0), table[0])
 
 
-def _bootstrap_u(du, dv, dt, hs, speed, stages):
+def _bootstrap_u(du, dv, dt, hs, stages):
     """The bootstrap's u map: full-order seeds through the plain recursion."""
     ndim = len(hs)
-    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, speed,
-                            stages)
+    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, stages)
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(du.shape[-1]),) * ndim],)
 
 
-def _conservative_u(du, dt, hs, speed, stages):
+def _conservative_u(du, dt, hs, stages):
     """The conservative update's map with prev = 0: the recursion from v = 0."""
     ndim = len(hs)
     c0 = apply_interp(du, ndim)
-    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, speed, stages)
+    ctab, _ = expand_taylor(c0, np.zeros_like(c0), dt, hs, stages)
     return (2.0 * eval_series(ctab, 0.5)[(Ellipsis,) + (slice(du.shape[-1]),) * ndim],)
 
 
@@ -209,7 +207,7 @@ def test_stage_count_is_sufficient():
     """
     for ndim in (1, 2):
         for m in range(1, 7):
-            cfg = SchemeConfig(m=m, lam=1.0, speed=1.3)
+            cfg = SchemeConfig(m=m, lam=1.0)
             hs = (0.2, 0.3)[:ndim]
             dt = cfg.dt(min(hs))
             side = (2,) * ndim
@@ -219,10 +217,10 @@ def test_stage_count_is_sufficient():
                 (_bootstrap_u, (u_shape, u_shape), ndim * (2 * m + 2)),
                 (_conservative_u, (u_shape,), 2 * ndim * m),
             ):
-                short = fold(fn, shapes, dt, hs, cfg.speed, depth)
-                deep = fold(fn, shapes, dt, hs, cfg.speed, depth + 6)
+                short = fold(fn, shapes, dt, hs, depth)
+                deep = fold(fn, shapes, dt, hs, depth + 6)
                 assert all(np.array_equal(a, b) for a, b in zip(short, deep)), (ndim, m, fn)
-            a = conservative._update_matrix(m, dt, hs, cfg.speed)
+            a = conservative._update_matrix(m, dt, hs)
             assert np.array_equal(a, short[0]), (ndim, m)
 
 
@@ -260,12 +258,12 @@ def test_half_step_order_mismatch():
             step(state, SchemeConfig(m=3))
 
 
-def _dalembert_coeffs(udata, vdata, lam, speed, h, m):
+def _dalembert_coeffs(udata, vdata, lam, h, m):
     """Exact half-step center data from the flanking interpolants.
 
     Shift/average the cell interpolants per the closed-form solution of
-    u_tt = c^2 u_xx; in the scaled variable the half step moves by lam/2.
-    The velocity integral picks up h/(2c), the velocity update c/(2h).
+    u_tt = u_xx; in the scaled variable the half step moves by lam/2.
+    The velocity integral picks up h/2, the velocity update 1/(2h).
     """
     from hermwave.interp import apply_interp
 
@@ -277,11 +275,9 @@ def _dalembert_coeffs(udata, vdata, lam, speed, h, m):
     plus = P([s0, 1.0])
     minus = P([-s0, 1.0])
     qint = q.integ()
-    u_sol = 0.5 * (p(plus) + p(minus)) + (h / (2.0 * speed)) * (
-        qint(plus) - qint(minus)
-    )
+    u_sol = 0.5 * (p(plus) + p(minus)) + (h / 2.0) * (qint(plus) - qint(minus))
     dp = p.deriv()
-    v_sol = (speed / (2.0 * h)) * (dp(plus) - dp(minus)) + 0.5 * (q(plus) + q(minus))
+    v_sol = (dp(plus) - dp(minus)) / (2.0 * h) + 0.5 * (q(plus) + q(minus))
     return u_sol.coef[: m + 1], v_sol.coef[:m]
 
 
@@ -290,13 +286,13 @@ def test_half_step_matches_closed_form(m, lam):
     """Every target's new data equals the exact evolution of its cell pair."""
     rng = np.random.default_rng(50 + m)
     grid, axis = _line(-1.0, 1.0, 6)
-    cfg = SchemeConfig(m=m, lam=lam, speed=2.0)
+    cfg = SchemeConfig(m=m, lam=lam)
     pair = _random_pair(grid, m, rng)
     out = step(pair, cfg)
     udata, _ = pair_sources(pair.u)
     vdata, _ = pair_sources(v_of(pair))
     for i in range(udata.shape[0]):
-        uref, vref = _dalembert_coeffs(udata[i], vdata[i], lam, cfg.speed, axis.h, m)
+        uref, vref = _dalembert_coeffs(udata[i], vdata[i], lam, axis.h, m)
         np.testing.assert_allclose(out.u.values[i], uref, rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(v_of(out).values[i], vref, rtol=1e-11, atol=1e-12)
 
@@ -356,10 +352,10 @@ def test_energy_never_increases():
         Field(grid, PRIMAL, 0.0, derivs(xs, m + 1, 0)),
         Field(grid, PRIMAL, 0.0, derivs(xs, m, 1)),
     )
-    e = dissipative_energy(pair, cfg.speed)
+    e = dissipative_energy(pair, 1.0)
     for _ in range(100):
         pair = step(pair, cfg)
-        e_new = dissipative_energy(pair, cfg.speed)
+        e_new = dissipative_energy(pair, 1.0)
         assert e_new <= e * (1.0 + 1e-12)
         e = e_new
 
@@ -426,7 +422,7 @@ def test_stage_cap_truncates_expansion():
     cfg = SchemeConfig(m=m, lam=0.8)
     full = step(pair, cfg)
     capped, _ = taylor_half_step(pair_sources(pair.u)[0], pair_sources(v_of(pair))[0],
-                                 cfg.dt(axis.h), (axis.h,), cfg.speed, 2)
+                                 cfg.dt(axis.h), (axis.h,), 2)
     # a 2-stage cap is first-order-in-time only; results must differ
     assert np.abs(full.u.values - capped).max() > 1e-8
 
@@ -459,6 +455,14 @@ def test_steps_are_the_cached_plan_product_bit_for_bit(axes, parity):
     assert np.array_equal(got, take(state.rows, gather) @ a - state.prev_rows)
 
 
+def _half_symbols_1d(a, b, theta):
+    """(H1, H2) at theta of a periodic 1D level whose half steps have the
+    matrices a (from primal nodes) and b (from dual ones): one K x K block
+    per flank, K = rows / 2."""
+    k = len(a) // 2
+    return a[:k] + np.exp(1j * theta) * a[k:], np.exp(-1j * theta) * b[:k] + b[k:]
+
+
 def test_periodic_1d_symbol_is_stable():
     """No Fourier mode of a periodic 1D dissipative full step grows.
 
@@ -481,24 +485,35 @@ def test_periodic_1d_symbol_is_stable():
             grid, _ = _line(0.0, 1.0, n)
             (gather, a), (gather2, b) = (_plan(grid, p, cfg, "dissipative")[:2]
                                          for p in (PRIMAL, DUAL))
-            k = len(a) // 2
-
-            def h1(t):
-                return a[:k] + np.exp(1j * t) * a[k:]
-
-            def h2(t):
-                return np.exp(-1j * t) * b[:k] + b[k:]
-
             # the blocks and phases are the plans' own: step one grid mode through each
-            r = np.random.default_rng(m).standard_normal(k)
+            r = np.random.default_rng(m).standard_normal(len(a) // 2)
             mode = np.exp(1j * probe * nodes)
-            for plan, mat, sym in ((gather, a, h1), (gather2, b, h2)):
+            for plan, mat, sym in zip((gather, gather2), (a, b), _half_symbols_1d(a, b, probe)):
                 got = take(mode * r, plan) @ mat
-                want = mode * (r @ sym(probe))
+                want = mode * (r @ sym)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (m, lam)
-            growth = np.abs(np.linalg.eigvals(h1(theta) @ h2(theta))).max() - 1.0
+            h1, h2 = _half_symbols_1d(a, b, theta)
+            growth = np.abs(np.linalg.eigvals(h1 @ h2)).max() - 1.0
             worst = max(worst, growth)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dissipative_design_order_from_the_symbol(m):
+    """The dissipative full step has design order 2m - 1, read from its symbol.
+
+    On a periodic 1D level at lam = 0.5 (`eigen_orders`' theta), the
+    physical eigenvalue of H1 H2, built from the plans' own matrices, errs
+    by its dissipation, of order 2m - 1: 1.01, 2.99 and 5.00 for
+    m = 1, 2, 3. Its phase alone is one order better, 2m: 1.98, 3.95 and
+    6.02.
+    """
+    cfg = SchemeConfig(m=m, lam=ORDER_LAM)
+    grid, _ = _line(0.0, 1.0, 16)
+    a, b = (_plan(grid, p, cfg, "dissipative")[1] for p in (PRIMAL, DUAL))
+    h1, h2 = _half_symbols_1d(a, b, ORDER_THETA[:, None, None])
+    phase, whole = eigen_orders(h1 @ h2)
+    assert abs(whole - (2 * m - 1)) <= 0.1 and abs(phase - 2 * m) <= 0.1, (whole, phase)
 
 
 _CORNERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -533,8 +548,9 @@ def test_periodic_2d_symbol_is_stable():
     H2 = sum_s e^{i theta.(s-1)} A'_s. Reflecting an axis maps the step to
     itself up to coefficient signs, so theta in [0, pi]^2 covers every mode.
     The worst max|eig(H1 H2)| - 1 over m = 1..3, lam in {0.5, 0.8, 1} and a
-    17 x 17 theta grid reads 4.9e-15 on 8 x 8 cells (the same over a
-    33 x 33 grid on [-pi, pi]^2; 6 to 16 cells read 4.2e-15 to 5.1e-15).
+    17 x 17 theta grid reads 4.0e-15 on 8 x 8 cells, the same over a
+    33 x 33 grid on [-pi, pi]^2 and on 6 and 16 cells, whose matrices are
+    the one of their aspect.
     """
     n = 8
     theta = _theta_grid(17)
@@ -559,12 +575,11 @@ def test_periodic_2d_symbol_is_stable():
     assert worst <= 1e-12
 
 
-def _plain_half_step(du, dv, dt, hs, speed, stages):
+def _plain_half_step(du, dv, dt, hs, stages):
     """`taylor_half_step` with every series seeded from the full-order
     interpolants of u and v, the plain recursion supplying stage 1 too."""
     ndim, m = len(hs), dv.shape[-1]
-    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, speed,
-                               stages)
+    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, stages)
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
@@ -587,7 +602,7 @@ def test_full_order_seeding_in_2d_is_stable_at_4m_plus_2_stages():
     def growth(fn, m, lam, stages):
         cfg = SchemeConfig(m=m, lam=lam)
         a = packed(fold(fn, (sides + (m + 1,) * 2, sides + (m,) * 2), cfg.dt(1.0), (1.0, 1.0),
-                        cfg.speed, stages), sides)
+                        stages), sides)
         return _growth_2d(a, theta)
 
     for m in (1, 2, 3, 4):
@@ -620,10 +635,10 @@ def test_m1_damps_the_kappa_2_plane_wave_away_in_2d():
         nhalf = round(2 * 4.18 / cfg.dt(grid.h))
         assert nhalf % 2 == 0 and abs(rho - rho_want) <= 5e-4, (n, rho)
         assert rho ** (nhalf // 2) <= bound
-        # the scaled blocks of e^{i w (x + y + sqrt(2) t)} at a node: u, then v = u_t
+        # the scaled blocks of e^{i w (x + y + sqrt(2) t)} at a node: u, then h*v, v = u_t
         z = 1j * w * grid.h
         cu = np.array([[z ** (k + l) / math.factorial(k) / math.factorial(l)
                         for l in range(m + 1)] for k in range(m + 1)])
-        r = np.concatenate([cu.ravel(), 1j * math.sqrt(2.0) * w * cu[:m, :m].ravel()])
+        r = np.concatenate([cu.ravel(), math.sqrt(2.0) * z * cu[:m, :m].ravel()])
         kept = abs((r @ np.linalg.matrix_power(g, nhalf // 2))[0])
         assert kept <= bound * abs(r[0]), (n, kept)

@@ -106,10 +106,16 @@ def test_flags_override_file_which_overrides_defaults():
     assert cfg.seed is None  # None flags are no-ops
 
 
-def test_file_experiment_entry_is_ignored_for_overrides():
-    cfg = make_config("conserve1d", {"experiment": "planewave2d", "m": 3}, None)
+def test_file_experiment_entry_must_match_the_run():
+    """A file's experiment entry that names another experiment is a config
+    error naming both; one that names the run's own is accepted, and a
+    flag (custom's --experiment) overrides it as every flag does."""
+    with pytest.raises(ConfigError, match="experiment = planewave2d.*conserve1d"):
+        make_config("conserve1d", {"experiment": "planewave2d", "m": 3}, None)
+    cfg = make_config("conserve1d", {"experiment": "conserve1d", "m": 3}, None)
+    assert (cfg.experiment, cfg.m) == ("conserve1d", 3)
+    cfg = make_config("conserve1d", {"experiment": "planewave2d"}, {"experiment": "conserve1d"})
     assert cfg.experiment == "conserve1d"
-    assert cfg.m == 3
 
 
 def test_cross_field_rules():
@@ -401,6 +407,18 @@ def test_cli_custom_with_experiment(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "conserve1d" in out
+
+
+def test_cli_config_file_naming_another_experiment_exits_2(tmp_path, capsys):
+    """Under a named subcommand a file's other experiment exits 2, naming
+    both; under custom, --experiment overrides the file's entry."""
+    f = tmp_path / "run.cfg"
+    f.write_text("experiment = planewave2d\nn0 = 8\n")
+    assert cli.main(["gaussian1d", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "planewave2d" in err and "gaussian1d" in err
+    rc = cli.main(["custom", "--config", str(f), "--experiment", "conserve1d", "--steps", "10"])
+    assert rc == 0 and capsys.readouterr().out.startswith("conserve1d")
 
 
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
@@ -952,32 +970,36 @@ def _stop(*args):
 def test_study_evaluates_each_start_field_once_on_the_stack_rows(monkeypatch, experiment, name,
                                                                  scheme, init):
     """A 10-level study calls its experiment's data function once per start
-    field, on all of the stack's rows. The start fields (a bootstrap's
-    inputs) equal the levels' own start data concatenated in stack order,
-    u_t and v times their level's h, bit for bit."""
+    field, on all of the stack's rows. The start state (a bootstrap's input)
+    holds the levels' own start rows concatenated in stack order, bit for
+    bit: a level and the stack carry v and u_t in the same units."""
     cfg = make_config(experiment, flag_overrides={"levels": 10, "scheme": scheme, "init": init})
-    calls, fields, starts = [], [], []
-    real_data, real_start, real_field = getattr(driver, name), driver._start, driver.Field
+    calls, starts, states = [], [], []
+    real_data, real_start = getattr(driver, name), driver._start
+    real_boot = driver.bootstrap_first_half
     monkeypatch.setattr(driver, name, lambda *args: calls.append(args) or real_data(*args))
-    monkeypatch.setattr(driver, "Field", lambda *args: fields.append(real_field(*args))
-                        or fields[-1])
     monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real_start(*args))
-    monkeypatch.setattr(driver, "_march", _stop)  # the start is all this test reads
+    monkeypatch.setattr(driver, "bootstrap_first_half",
+                        lambda state, scfg: states.append(state) or real_boot(state, scfg))
+    # the start is all this test reads: the first state marched, or the bootstrap's input
+    monkeypatch.setattr(driver, "_march", lambda state, *args: states.append(state) or _stop())
+
+    def start(grid):
+        state, _ = real_start(cfg, grid, data)
+        return states.pop() if init == "bootstrap" else state
+
     with pytest.raises(_Stop):
         driver.run_experiment(cfg)
     ((_, stack, data),) = starts
-    assert len(stack.levels) == 10 and len(calls) == len(fields) == 2
-    study, fields[:] = list(fields), []
-    for grid in stack.levels:  # each level's own start data, in its own units
-        real_start(cfg, grid, data)
-    assert len(fields) == 2 * len(stack.levels)
-    d = stack.ndim
-    for j, got in enumerate(study):
-        per_level = [f.values.reshape((-1,) + f.values.shape[-d:]) for f in fields[j::2]]
-        if j == 1 and (scheme == "dissipative" or init == "bootstrap"):  # v or u_t, as h*v
-            per_level = [values * grid.h for values, grid in zip(per_level, stack.levels)]
-        assert got.grid is stack
-        np.testing.assert_array_equal(got.values, np.concatenate(per_level), strict=True)
+    assert len(stack.levels) == 10 and len(calls) == 2
+    study = states[0]
+    levels = [start(grid) for grid in stack.levels]  # each level's own start data
+    assert study.grid is stack and study.blocks == levels[0].blocks
+    np.testing.assert_array_equal(study.rows, np.concatenate([s.rows for s in levels]),
+                                  strict=True)
+    if study.prev_rows is not None:
+        np.testing.assert_array_equal(study.prev_rows,
+                                      np.concatenate([s.prev_rows for s in levels]), strict=True)
 
 
 @pytest.mark.parametrize("init", ["exact", "bootstrap"])

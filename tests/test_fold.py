@@ -57,15 +57,14 @@ def _assert_close(got, want):
 @given(
     m=st.integers(1, 4),
     lam=st.floats(0.0, 1.0, exclude_min=True),
-    speed=st.floats(0.5, 2.0),
     periodic=st.booleans(),
     parity=st.sampled_from((PRIMAL, DUAL)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data):
+def test_folded_steps_match_pipeline(m, lam, periodic, parity, seed, data):
     rng = np.random.default_rng(seed)
-    cfg = SchemeConfig(m=m, lam=lam, speed=speed)
+    cfg = SchemeConfig(m=m, lam=lam)
     target = flip(parity)
 
     grid = _drawn_grid(1, periodic, data)
@@ -76,12 +75,12 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     du, _ = pair_sources(u)
     dv, _ = pair_sources(v)
     got = step(uv_state(u, v), cfg)
-    want = taylor_half_step(du, dv, cfg.dt(h), (h,), speed, cfg.stages(1))
+    want = taylor_half_step(du, dv, cfg.dt(h), (h,), cfg.stages(1))
     _assert_close(got.u.values, want[0])
     _assert_close(v_of(got).values, want[1])
     got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
     _assert_close(got.u.values,
-                  conservative_update(apply_interp(du), prev, m, cfg.dt(h), (h,), speed))
+                  conservative_update(apply_interp(du), prev, m, cfg.dt(h), (h,)))
 
     grid = _drawn_grid(2, periodic, data)
     u = _random_field(grid, parity, m + 1, rng)
@@ -92,12 +91,12 @@ def test_folded_steps_match_pipeline(m, lam, speed, periodic, parity, seed, data
     hx, hy = grid.spacings
     dt = cfg.dt(min(hx, hy))
     got = step(uv_state(u, v), cfg)
-    want = taylor_half_step(du, dv, dt, (hx, hy), speed, cfg.stages(2))
+    want = taylor_half_step(du, dv, dt, (hx, hy), cfg.stages(2))
     _assert_close(got.u.values, want[0])
     _assert_close(v_of(got).values, want[1])
     got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
     _assert_close(got.u.values,
-                  conservative_update(apply_interp(du, 2), prev, m, dt, (hx, hy), speed))
+                  conservative_update(apply_interp(du, 2), prev, m, dt, (hx, hy)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,9 +151,10 @@ def test_steps_keep_inputs_and_conservative_step_reverses(m, lam, two_d, periodi
 def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data):
     """A half step through a level's packed u | v plan equals the per-field blocks.
 
-    The plan gathers u and v with one take and multiplies by the `fold`
-    blocks stacked in packed row order; only the summation order differs
-    from rows(du) @ a_u + rows(dv) @ a_v. A conservative plan on the same
+    The plan gathers u and h*v with one take and multiplies by the `fold`
+    blocks of the aspect stacked in packed row order; only the summation
+    order differs from rows(du) @ a_u + rows(h dv) @ a_v. A conservative
+    plan on the same
     grid, parity and config must not be handed to the dissipative stepper
     or back.
     """
@@ -169,13 +169,12 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
         dv = pair_sources(v)[0]
         hs = grid.spacings
         dt = cfg.dt(min(hs))
-        a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), dt, hs,
-                        cfg.speed, cfg.stages(ndim))
-        want = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
-        want_c = conservative_update(apply_interp(du, ndim), prev.values, m, dt, hs, cfg.speed)
+        a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), cfg.dt(1.0),
+                        grid.aspect, cfg.stages(ndim))
+        want = rows(du, ndim) @ a_u + rows(dv * grid.h, ndim) @ a_v
+        want_c = conservative_update(apply_interp(du, ndim), prev.values, m, dt, hs)
         for _ in range(2):
-            got = step(uv_state(u, v), cfg)
-            new = np.concatenate([rows(f.values, ndim) for f in (got.u, v_of(got))], axis=1)
+            new = step(uv_state(u, v), cfg).rows
             assert np.abs(new - want).max() <= 1e-14 * np.abs(want).max()
             got_c = step(two_level(u, prev), cfg)
             _assert_close(got_c.u.values, want_c)
@@ -203,38 +202,38 @@ def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
     g0, g1 = (_random_field(grid, parity, m + 1, rng) for _ in range(2))
     for state in (step(uv_state(u, v), cfg),
                   step(two_level(u, prev), cfg),
-                  bootstrap_first_half(g0, g1, cfg)):
+                  bootstrap_first_half(uv_state(g0, g1), cfg)):
         field = state.u
         assert field.parity == target
         assert field.values.shape[:ndim] == grid.shapes[target]
 
 
 def _oracle_half_step(u, v, cfg):
-    """One dissipative half step on fields: per-field gathers and `fold` blocks."""
+    """One dissipative half step on fields: per-field gathers and `fold` blocks
+    of the aspect, v carried as h*v, as a state's rows carry it."""
     grid = u.grid
-    ndim, hs = len(grid.axes), grid.spacings
-    dt = cfg.dt(min(hs))
+    ndim = len(grid.axes)
     du = pair_sources(u)[0]
     dv = pair_sources(v)[0]
-    a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), dt, hs, cfg.speed,
-                    cfg.stages(ndim))
+    a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), cfg.dt(1.0),
+                    grid.aspect, cfg.stages(ndim))
     new = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
     k = new.shape[1] - v.values[(0,) * ndim].size
-    target, t = flip(u.parity), u.time + 0.5 * dt
+    target, t = flip(u.parity), u.time + 0.5 * cfg.dt(grid.h)
     nodes = grid.shapes[target]
     return (Field(grid, target, t, new[:, :k].reshape(nodes + u.values.shape[ndim:])),
             Field(grid, target, t, new[:, k:].reshape(nodes + v.values.shape[ndim:])))
 
 
 def _oracle_full_step(cur, prev, cfg):
-    """One conservative step on fields: a gather, the `fold` block, minus prev."""
+    """One conservative step on fields: a gather, the `fold` block of the
+    aspect, minus prev."""
     grid = cur.grid
-    ndim, hs = len(grid.axes), grid.spacings
-    dt = cfg.dt(min(hs))
+    ndim = len(grid.axes)
     dc = pair_sources(cur)[0]
-    (a,) = fold(level_oracle.update, (dc.shape[ndim:],), cfg.m, dt, hs, cfg.speed)
+    (a,) = fold(level_oracle.update, (dc.shape[ndim:],), cfg.m, cfg.dt(1.0), grid.aspect)
     new = (rows(dc, ndim) @ a).reshape(prev.values.shape) - prev.values
-    return Field(grid, prev.parity, cur.time + 0.5 * dt, new), cur
+    return Field(grid, prev.parity, cur.time + 0.5 * cfg.dt(grid.h), new), cur
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -243,10 +242,11 @@ def test_200_packed_steps_match_field_oracle(ndim):
 
     200 dissipative half steps at m = 3 and 200 conservative steps at m = 2,
     both between Dirichlet and Neumann walls on every axis, from random
-    data. The packed and oracle maps differ only in summation order: over
-    200 seeds of this set-up the largest relative difference was 2.0e-14
-    (1D) and 4.6e-14 (2D) for the dissipative steps, and 0 for the
-    conservative ones.
+    data; both oracles fold their map at the unit spacing of the aspect,
+    and the dissipative one's v Field holds h*v, as the rows do. The packed
+    and oracle maps differ only in summation order: over 200 seeds of this
+    set-up the largest relative difference was 1.8e-14 (1D) and 4.1e-14
+    (2D) for the dissipative steps, and 0 for the conservative ones.
     """
     rng = np.random.default_rng(200 + ndim)
     walls = ("dirichlet0", "neumann0")
@@ -255,12 +255,14 @@ def test_200_packed_steps_match_field_oracle(ndim):
     u = _random_field(grid, PRIMAL, 4, rng)
     v = _random_field(grid, PRIMAL, 3, rng)
     pair = uv_state(u, v)
+    v = Field(grid, PRIMAL, 0.0, v.values * grid.h)
     for _ in range(200):
         pair = step(pair, cfg)
         u, v = _oracle_half_step(u, v, cfg)
-    for got, want in zip((pair.u, v_of(pair)), (u, v)):
-        assert (got.parity, got.time) == (want.parity, want.time)
-        assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
+    for got, want in zip(np.split(pair.rows, [u.values[(0,) * ndim].size], axis=1), (u, v)):
+        assert (pair.parity, pair.time) == (want.parity, want.time)
+        want = rows(want.values, ndim)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     cfg = SchemeConfig(m=2, lam=0.9)
     cur = _random_field(grid, PRIMAL, 3, rng)
@@ -278,9 +280,9 @@ def test_200_packed_steps_match_field_oracle(ndim):
 def test_conservative_plan_is_the_folded_update(d, ms):
     """The conservative plan's matrix, twice the u rows of the folded
     bootstrap, is bit for bit the `fold` of the update oracle
-    (`level_oracle.conservative_update`): on a `Grid` of unequal real
-    spacings and on a `Stack` of two such levels, whose plan is built at
-    the unit spacing of their aspect.
+    (`level_oracle.conservative_update`) at the unit spacing of the aspect:
+    on a `Grid` of unequal real spacings and on a `Stack` of two such
+    levels.
 
     With u_t = 0 every bootstrap stage past the update's 2dm is exactly
     zero, so the two series sum the same terms in the same order.
@@ -292,8 +294,7 @@ def test_conservative_plan_is_the_folded_update(d, ms):
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             for level in (grid, stack):
-                hs = level.spacings
                 (want,) = fold(level_oracle.update, ((2,) * d + (m + 1,) * d,), m,
-                               cfg.dt(min(hs)), hs, cfg.speed)
+                               cfg.dt(1.0), level.aspect)
                 got = _plan(level, PRIMAL, cfg, "conservative")[1]
                 assert np.array_equal(got, want), (m, lam, level)

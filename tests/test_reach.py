@@ -22,6 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 UNREACHED = {
     "grid.State.u": "public view of a state's u, the current level of a two-level "
                     "state; the benchmark's tracer counts node updates from it",
+    "grid.Field.__post_init__": "checks the Field that `State.u` builds, the tracer's "
+                                "view of a state",
     "driver._at": "formats the exit-3 message of a non-finite run only",
 }
 

@@ -7,12 +7,12 @@ import pytest
 
 import level_oracle
 from hermwave.boundary import gather_plan, level_gather
-from hermwave.conservative import bootstrap_first_half, step
+from hermwave.conservative import _plan, bootstrap_first_half, step
 from hermwave.diagnostics import l2_error_field, l2_errors_pair
 from hermwave.dissipative import SchemeConfig
-from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, flip
+from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, State, flip
 
-from states import orders, previous_of, two_level, u_state, uv_state, v_of
+from states import orders, two_level, u_state, uv_state, v_of
 
 WALLS = {"dirichlet0": ("dirichlet0", "dirichlet0"), "neumann0": ("neumann0", "neumann0"),
          "mixed": ("dirichlet0", "neumann0"), "periodic": ("periodic", "periodic")}
@@ -38,17 +38,12 @@ def _levels(kinds, d, m, scheme, rng):
 
 def _pack(stack, states):
     """One state of the stack from one plain state per level, in stack order:
-    each field's values one level after the other, a dissipative state's v
-    times its level's h, and one time per level."""
-    def field(fields, scale=np.ones(len(states))):
-        values = [f.values.reshape((-1,) + f.values.shape[stack.ndim :]) * s
-                  for f, s in zip(fields, scale)]
-        return Field(stack, fields[0].parity, np.array([f.time for f in fields]),
-                     np.concatenate(values))
-
-    if states[0].prev_rows is None:
-        return uv_state(field([s.u for s in states]), field([v_of(s) for s in states], stack.h))
-    return two_level(field([s.u for s in states]), field([previous_of(s) for s in states]))
+    the rows, in the same units on both, one level after the other, and one
+    time per level."""
+    prev = [s.prev_rows for s in states]
+    return State(stack, states[0].parity, np.array([s.time for s in states]),
+                 np.concatenate([s.rows for s in states]), states[0].blocks,
+                 None if prev[0] is None else np.concatenate(prev))
 
 
 def _assert_gathers_equal(head, fresh):
@@ -71,10 +66,9 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
     """A stack of 3 levels, popped at each level's end, gives each level's
     rows and time as its own march does, to 1e-12 relative.
 
-    The levels leave from the end, each with a view of its rows, in the
-    stack's units (v as h*v); the others stay views of the leading rows,
-    on a stack whose gathers are the leading targets of the larger
-    stack's.
+    The levels leave from the end, each with a view of its rows; the
+    others stay views of the leading rows, on a stack whose gathers are
+    the leading targets of the larger stack's.
     """
     cfg = SchemeConfig(m=m, lam=0.8)
     grids, states, ends = _levels(kinds, d, m, scheme, np.random.default_rng(len(kinds) + d))
@@ -105,10 +99,10 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
     for i, want in enumerate(alone):
         last, parity, time, *prev = got[i]
         assert (parity, time) == (want.parity, want.time)
-        if want.prev_rows is None:  # popped in the stack's units, v as h*v
+        if want.prev_rows is None:
             split = math.prod(want.blocks[0])
             parts = [(last[:, :split], want.rows[:, :split]),
-                     (last[:, split:] / stack.h[i], want.rows[:, split:])]
+                     (last[:, split:], want.rows[:, split:])]
         else:
             parts = [(last, want.rows), (prev[0], want.prev_rows)]
         for have, rows in parts:
@@ -117,7 +111,7 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
 
 def test_stacked_state_counts_its_target_nodes():
     """A stepped stack answers .u.values with one node axis over every
-    level's targets, and .v in units of h*v."""
+    level's targets, and carries v as h*v per level, as its levels do."""
     grids = [Grid((Axis(0.0, 1.0, n), Axis(0.0, 1.0, n))) for n in (5, 4)]
     rng = np.random.default_rng(3)
     states = [uv_state(*(Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (k, k)))
@@ -127,8 +121,50 @@ def test_stacked_state_counts_its_target_nodes():
     assert out.u.values.shape == (25 + 16, 3, 3) and orders(out.u) == (2, 2)
     np.testing.assert_array_equal(out.time, 0.5 * 0.8 * stack.h)
     packed = _pack(stack, states)
-    np.testing.assert_array_equal(v_of(packed).values[:25].reshape(5, 5, 2, 2),
-                                  v_of(states[0]).values * 0.2)
+    np.testing.assert_array_equal(packed.rows[:25, 9:], states[0].rows[:, 9:])
+    np.testing.assert_array_equal(packed.rows[25:, 9:], states[1].rows[:, 9:])
+    np.testing.assert_allclose(v_of(packed).values[:25].reshape(5, 5, 2, 2),
+                               v_of(states[0]).values, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("scheme", ["dissipative", "conservative"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_grids_of_one_aspect_share_one_matrix(scheme, d):
+    """Periodic grids of two sizes and a `Stack` of them, all of one aspect,
+    hold the one matrix of (scheme, m, lam, aspect) in their plans."""
+    cfg = SchemeConfig(m=2, lam=0.8)
+    grids = [Grid((Axis(0.0, 1.0, n), Axis(0.0, 2.0, n))[:d]) for n in (4, 8)]
+    got = [_plan(level, parity, cfg, scheme)[1] for level in grids + [Stack(grids)]
+           for parity in (PRIMAL, DUAL)]
+    assert all(a is got[0] for a in got)
+
+
+@pytest.mark.parametrize("scheme", ["dissipative", "conservative", "bootstrap"])
+@pytest.mark.parametrize("kinds", ["mixed", "periodic"])
+def test_grid_and_one_level_stack_step_alike(scheme, kinds):
+    """A level stepped 20 half steps as a plain `Grid` state and as a
+    one-level `Stack` state gives bit-identical rows and times: both carry
+    v (and a bootstrap's u_t) as h*v and step with one matrix."""
+    m, rng = 3, np.random.default_rng(len(kinds))
+    grid = Grid((Axis(-1.0, 1.0, 9, *WALLS[kinds]),))
+    cfg = SchemeConfig(m=m, lam=0.8)
+
+    def field(parity, order):
+        return Field(grid, parity, 0.0, rng.standard_normal(grid.shapes[parity] + (order + 1,)))
+
+    if scheme == "conservative":
+        plain = two_level(field(PRIMAL, m), field(DUAL, m))
+    else:
+        plain = uv_state(field(PRIMAL, m), field(PRIMAL, m if scheme == "bootstrap" else m - 1))
+    stacked = _pack(Stack([grid]), [plain])
+    if scheme == "bootstrap":
+        plain, stacked = (bootstrap_first_half(s, cfg) for s in (plain, stacked))
+    for _ in range(20):
+        plain, stacked = step(plain, cfg), step(stacked, cfg)
+    assert stacked.time[0] == plain.time
+    np.testing.assert_array_equal(stacked.rows, plain.rows, strict=True)
+    if plain.prev_rows is not None:
+        np.testing.assert_array_equal(stacked.prev_rows, plain.prev_rows, strict=True)
 
 
 def test_stack_needs_one_aspect():
@@ -146,27 +182,26 @@ BOOT_CASES = [("dirichlet0", 1), ("neumann0", 1), ("periodic", 2)]
 @pytest.mark.parametrize("kinds, d", BOOT_CASES, ids=[f"{k}-{d}d" for k, d in BOOT_CASES])
 @pytest.mark.parametrize("parity", [PRIMAL, DUAL])
 def test_stacked_bootstrap_matches_the_taylor_pipeline(kinds, d, parity):
-    """One bootstrap of a 3-level stack, u_t carried as h*u_t, gives each
-    level's first half step as the per-level Taylor pipeline does, to
-    1e-12 relative; so does the bootstrap of each plain level."""
+    """One bootstrap of a 3-level stack gives each level's first half step
+    as the per-level Taylor pipeline does, to 1e-12 relative; so does the
+    bootstrap of each plain level."""
     m, rng = 3 if d == 1 else 2, np.random.default_rng(d + len(kinds))
     cfg = SchemeConfig(m=m, lam=0.8)
     grids = [Grid((Axis(-1.0, 1.0, n, *WALLS[kinds]),) * d) for n in (11, 8, 6)]
     fields = [[Field(g, parity, 0.0, rng.standard_normal(g.shapes[parity] + (m + 1,) * d))
                for _ in range(2)] for g in grids]
     stack = Stack(grids)
-    g0, g1 = (Field(stack, parity, np.zeros(3), np.concatenate(
-        [f[k].values.reshape((-1,) + (m + 1,) * d) * (g.h if k else 1.0)
-         for f, g in zip(fields, grids)])) for k in (0, 1))
-    state = bootstrap_first_half(g0, g1, cfg)
-    assert np.shares_memory(state.prev_rows, g0.values)
+    start = uv_state(*(Field(stack, parity, np.zeros(3), np.concatenate(
+        [f[k].values.reshape((-1,) + (m + 1,) * d) for f in fields])) for k in (0, 1)))
+    state = bootstrap_first_half(start, cfg)
+    assert np.shares_memory(state.prev_rows, start.rows)
     assert state.parity == flip(parity)
     np.testing.assert_array_equal(state.time, 0.5 * cfg.dt(stack.h))
     offsets = stack.offsets[flip(parity)]
     for i, ((u, u_t), grid) in enumerate(zip(fields, grids)):
         want = level_oracle.bootstrap(u, u_t, cfg)
         got = state.rows[offsets[i] : offsets[i + 1]].reshape(want.shape)
-        alone = bootstrap_first_half(u, u_t, cfg)
+        alone = bootstrap_first_half(uv_state(u, u_t), cfg)
         assert alone.time == state.time[i]
         for have in (got, alone.u.values):
             assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
@@ -183,8 +218,8 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
     """One error call on a 3-level stack gives each level's errors as the
     per-level arithmetic does on its plain state, to 1e-12 relative.
 
-    The levels carry random data, a dissipative state's v as h*v on the
-    stack, and the exact solution takes each level's own time through its
+    The levels carry random data, and the exact solution takes each
+    level's own time through its
     target rows; a dual level on walls has clipped edge cells (and corners
     in 2D).
     """
