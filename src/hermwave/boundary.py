@@ -14,15 +14,15 @@ A gather assembles, for every target node of the opposite parity, the
 flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
 including any ghosts, which is all the step, the bootstrap and the
 error norms need. It has one path, `take` through a `GatherPlan` cached on
-the level's grid, one per gathered blocks (`level_gather`): one take
-through a flat index into the node rows (u | v packed per node for the
-dissipative scheme), which wraps on a periodic axis and is clipped at
-walls. A dual level at walls then turns the clipped edge slots into
+the `Stack`, one per gathered blocks (`level_gather`): one take through a
+flat index into the node rows (u | v packed per node for the dissipative
+scheme). On each level the index wraps on a periodic axis and is clipped
+at walls. A dual level at walls then turns the clipped edge slots into
 ghosts: every reflection is a sign flip, so one flat index `negate` lists
 the slots whose product of wall signs is -1 (corners included), and the
 result equals the explicit [ghost, interior..., ghost] construction. A
-`Stack`'s gather is its levels' gathers one after the other, each offset
-by the rows and slots before its level.
+stack's gather is its levels' gathers one after the other, each offset by
+the rows and slots before its level.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DUAL, PRIMAL, Stack, flip
+from .grid import DUAL, PRIMAL, flip
 
 
 def _signs(kind: str, n: int) -> np.ndarray:
@@ -59,19 +59,18 @@ def ghost_data(interior: np.ndarray, kind: str, axis: int = 0, ndim: int = 1) ->
     return interior * _signs(kind, k).reshape((k,) + (1,) * (ndim - 1 - axis))
 
 
-def zero_wall_slots(values: np.ndarray, grid) -> None:
+def zero_wall_slots(values: np.ndarray, stack) -> None:
     """Zero, in place, the slots each wall flips to -1 on its primal nodes.
 
-    values holds primal node data of a `Grid` (node axes, then order axes)
-    or of a `Stack` (its rows, then order axes). On the nodes that sit on a
-    wall normal to axis q, the slots of axis-q order l with `ghost_data`
-    sign -1 are set to 0: c_0, c_2, ... at `dirichlet0` and c_1, c_3, ...
-    at `neumann0`, so the data there equal their own reflection.
+    values holds a `Stack`'s primal node data: its rows, then order axes.
+    On the nodes that sit on a wall normal to axis q, the slots of axis-q
+    order l with `ghost_data` sign -1 are set to 0: c_0, c_2, ... at
+    `dirichlet0` and c_1, c_3, ... at `neumann0`, so the data there equal
+    their own reflection.
     """
-    stacked, first = isinstance(grid, Stack), 0
-    for level in grid.levels if stacked else (grid,):
-        d, count = level.ndim, math.prod(level.shapes[PRIMAL])
-        block = (values[first : first + count] if stacked else values).view()
+    d, offsets = stack.ndim, stack.offsets[PRIMAL]
+    for i, level in enumerate(stack.levels):
+        block = values[offsets[i] : offsets[i + 1]].view()
         block.shape = level.shapes[PRIMAL] + values.shape[-d:]  # raises rather than copy
         for q, axis in enumerate(level.axes):
             for node, kind in ((0, axis.left), (-1, axis.right)):
@@ -80,7 +79,6 @@ def zero_wall_slots(values: np.ndarray, grid) -> None:
                     at[q] = node
                     at[d + q] = np.flatnonzero(_signs(kind, block.shape[d + q]) < 0)
                     block[tuple(at)] = 0.0
-        first += count
 
 
 @lru_cache(maxsize=256)
@@ -107,7 +105,7 @@ def gather_index(counts: tuple, parity: str, periodic: bool) -> np.ndarray:
 
 
 class GatherPlan:
-    """One level's gather: `nodes` source rows to `targets` rows via `index`.
+    """A stack's gather: `nodes` source rows to `targets` rows via `index`.
 
     `negate` holds the flat positions of the gathered slots that a dual
     level's walls reflect with sign -1, or None where nothing is reflected.
@@ -117,22 +115,6 @@ class GatherPlan:
 
     def __init__(self, nodes: int, targets: int, index: np.ndarray, negate):
         self.nodes, self.targets, self.index, self.negate = nodes, targets, index, negate
-
-
-def gather_plan(grid, parity: str, blocks: tuple) -> GatherPlan:
-    """Build the `GatherPlan` of one level's `parity` nodes.
-
-    `blocks` holds the coefficient shape of each field packed along the
-    node rows; with homogeneous walls every field reflects the same way.
-    """
-    if isinstance(grid, Stack):
-        return _stack_plan(grid, parity, blocks)
-    counts = grid.shapes[parity]
-    index = gather_index(counts, parity, grid.periodic)
-    negate = None
-    if parity == DUAL and not grid.periodic:
-        negate = _negate(counts, tuple((axis.left, axis.right) for axis in grid.axes), blocks)
-    return GatherPlan(math.prod(counts), math.prod(index.shape[: grid.ndim]), index, negate)
 
 
 @lru_cache(maxsize=256)
@@ -154,47 +136,58 @@ def _negate(counts: tuple, kinds: tuple, blocks: tuple) -> np.ndarray:
     return negate
 
 
-def _stack_plan(stack, parity: str, blocks: tuple) -> GatherPlan:
-    """The gather of a `Stack`: each level's `level_gather`, its index offset
-    by the rows before the level and its negate by the slots before its
-    first target, concatenated. A stack that leads a larger one takes the
-    leading targets of that one's gather."""
+def gather_plan(stack, parity: str, blocks: tuple) -> GatherPlan:
+    """Build the `GatherPlan` of a `Stack`'s `parity` nodes for `blocks`.
+
+    `blocks` holds the coefficient shape of each field packed along the
+    node rows; with homogeneous walls every field reflects the same way.
+    Each level's `gather_index` is offset by the rows before the level,
+    and on a dual level at walls its `_negate` by the slots before its
+    first target, and they are concatenated. A stack that leads a larger
+    one takes the leading targets of that one's gather.
+    """
     slots = 2**stack.ndim * sum(math.prod(coeffs) for coeffs in blocks)  # per target
+    targets = stack.shapes[flip(parity)][0]
     if stack.whole is not None:
-        plan, targets = level_gather(stack.whole, parity, blocks), stack.shapes[flip(parity)][0]
+        plan = level_gather(stack.whole, parity, blocks)
         negate = plan.negate
         if negate is not None:
             negate = negate[: np.searchsorted(negate, targets * slots)]
         return GatherPlan(stack.shapes[parity][0], targets, plan.index[:targets], negate)
-    plans = [level_gather(level, parity, blocks) for level in stack.levels]
-    index = np.concatenate([plan.index.reshape(plan.targets, -1) + first
-                            for plan, first in zip(plans, stack.offsets[parity])])
+    index, negate = [], []
+    for level, first, start in zip(stack.levels, stack.offsets[parity],
+                                   stack.offsets[flip(parity)]):
+        counts = level.shapes[parity]
+        index.append(gather_index(counts, parity, level.periodic).reshape(-1, 2**stack.ndim)
+                     + first)
+        if parity == DUAL and not level.periodic:
+            kinds = tuple((axis.left, axis.right) for axis in level.axes)
+            negate.append(_negate(counts, kinds, blocks) + start * slots)
+    index = np.concatenate(index)
     index.setflags(write=False)
-    negate = [plan.negate + first * slots
-              for plan, first in zip(plans, stack.offsets[flip(parity)]) if plan.negate is not None]
-    return GatherPlan(stack.shapes[parity][0], len(index), index,
+    return GatherPlan(stack.shapes[parity][0], targets, index,
                       np.concatenate(negate) if negate else None)
 
 
-def level_gather(grid, parity: str, blocks: tuple) -> GatherPlan:
-    """The `gather_plan` of grid's `parity` level for `blocks`, built once.
+def level_gather(stack, parity: str, blocks: tuple) -> GatherPlan:
+    """The `gather_plan` of a stack's `parity` nodes for `blocks`, built once.
 
-    It is kept in the grid's `plans` under ("gather", parity, blocks), so a
-    step's plan and the error norms that gather the same blocks from the
-    same level share one.
+    It is kept in the stack's `plans` under ("gather", parity, blocks), so
+    a step's plan and the error norms that gather the same blocks from the
+    same levels share one.
     """
     key = ("gather", parity, blocks)
-    plan = grid.plans.get(key)
+    plan = stack.plans.get(key)
     if plan is None:
-        plan = grid.plans[key] = gather_plan(grid, parity, blocks)
+        plan = stack.plans[key] = gather_plan(stack, parity, blocks)
     return plan
 
 
 def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
     """Gather (nodes, K) node rows into (targets, 2**d * K) flanking-data rows.
 
-    One take, then one sign flip of the reflected slots; reshaped to the
-    index's shape + (K,) the result has `gather_index`'s layout.
+    One take, then one sign flip of the reflected slots; each target's row
+    holds its flanking nodes' rows in `gather_index`'s order.
     """
     out = rows.take(plan.index, axis=0)
     if plan.negate is not None:

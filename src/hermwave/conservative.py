@@ -10,7 +10,7 @@ scheme needs. It is linear in the gathered pair, so `fold` turns it into
 one matrix B, which from (u, h u_t) is the same at every h (see
 `grid.State`): one per (m, lam, aspect), built at unit spacing. A
 bootstrap is then one take of u | h u_t packed per node and one product,
-for one level or for every level of a stack at once.
+for every level of a stack at once.
 
 The update is the same map. A solution of u_tt = Delta u has the time
 series u(t+tau) = sum_s tau**s/s! d_t^s u, whose even derivatives
@@ -45,7 +45,7 @@ import numpy as np
 
 from .boundary import level_gather, take
 from .dissipative import SchemeConfig, _packed_matrix, eval_series, expand_taylor, fold, packed
-from .grid import State, flip, link
+from .grid import State, check_blocks, flip, link
 from .interp import apply_interp
 
 
@@ -79,42 +79,45 @@ def _update_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
 def bootstrap_first_half(state: State, cfg: SchemeConfig) -> State:
     """Produce the two starting levels from initial data at t = 0.
 
-    One take of the state's rows, through the level's or the stack's
-    gather, and one product with the bootstrap matrix of its aspect.
+    One take of the state's rows through its stack's gather and one
+    product with the bootstrap matrix of its aspect.
 
     Args:
-        state: the initial data as a `State` on a `Grid` or a `Stack`, its
-            rows u | h*u_t per node, both of order m (the extra order of
-            u_t sharpens the single Taylor step).
+        state: the initial data as a `State`, its rows u | h*u_t per node,
+            both of order m (the extra order of u_t sharpens the single
+            Taylor step); other orders raise `grid.check_blocks`'s error.
 
     Returns:
         The two-level `State` with u at t = dt/2 on the opposite parity and
         the state's u rows, uncopied, as its previous level.
     """
-    grid, parity, (cu, _) = state.grid, state.parity, state.blocks
-    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), grid.aspect)
-    new = take(state.rows, level_gather(grid, parity, state.blocks)).dot(a)
-    return State(grid, flip(parity), state.time + 0.5 * cfg.dt(grid.h), new, (cu,),
-                 state.rows[:, : math.prod(cu)])
+    stack, parity = state.grid, state.parity
+    cu = (cfg.m + 1,) * stack.ndim
+    check_blocks(state, (cu, cu), cfg.m)
+    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), stack.aspect)
+    new = take(state.rows, level_gather(stack, parity, state.blocks)).dot(a)
+    return State(stack, flip(parity), state.time + 0.5 * cfg.dt(stack.levels[0].h), new,
+                 (cu,), state.rows[:, : math.prod(cu)])
 
 
-def _plan(grid, parity, cfg: SchemeConfig, scheme: str) -> tuple:
-    """Build the half-step plan of grid's `parity` level, or of a `Stack`,
-    for "dissipative" or "conservative" states.
+def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
+    """Build the half-step plan of a `Stack`'s `parity` nodes for
+    "dissipative" or "conservative" states.
 
     It holds the gather of the packed rows, the matrix (`_packed_matrix`
-    or `_update_matrix`) of the grid's aspect, shared by every grid of that
-    aspect (see `grid.State`), dt/2 (one per level on a stack), the target
-    parity and the blocks the rows pack.
+    or `_update_matrix`) of the stack's aspect, shared by every stack of
+    that aspect (see `grid.State`), its first level's dt/2 (the states'
+    time step), the target parity and the blocks the rows pack.
     """
-    m, hs, dt = cfg.m, grid.aspect, cfg.dt(1.0)
+    m, hs, dt = cfg.m, stack.aspect, cfg.dt(1.0)
     ndim = len(hs)
     cu = (m + 1,) * ndim
     if scheme == "conservative":
         blocks, a = (cu,), _update_matrix(m, dt, hs)
     else:
         blocks, a = (cu, (m,) * ndim), _packed_matrix(m, dt, hs, cfg.stages(ndim))
-    return level_gather(grid, parity, blocks), a, 0.5 * cfg.dt(grid.h), flip(parity), blocks
+    return (level_gather(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
+            flip(parity), blocks)
 
 
 def step(state: State, cfg: SchemeConfig) -> State:

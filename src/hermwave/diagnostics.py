@@ -17,8 +17,9 @@ the shifts reach. Hence E = sum_i y_i^T G y_i with one Gram matrix G per
 (m, r, h). `energy_factor` builds it as G = L^T L from binomial shifts
 and, on each of the four sub-pieces, the derivative at Gauss points
 exact for its square, so no quadrature error enters the drift
-measurement. `energy_of_rows` reads E from a periodic 1D two-level
-state's node rows, through the level's gathers, and its `energy_window`.
+measurement. `energy_of_rows` reads E from the node rows of a two-level
+state on one periodic 1D level, through its stack's gathers, and its
+`energy_window`.
 
 Two choices keep the rounding relative to E for smooth data, where the
 top coefficients and P_± are small against the nodal data: the window
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import level_gather, take
-from .grid import DUAL, Axis, Stack, flip
+from .grid import DUAL, Axis, flip
 from .interp import interp_matrix
 
 
@@ -63,8 +64,8 @@ def default_npts(m: int) -> int:
 # ---------------------------------------------------------------------------
 # L2 errors
 #
-# One function measures every state: a level's (`Grid`) or every level of a
-# `Stack` at once. Its errors integrate over the cells of its gather, one
+# One function measures every state, all the levels of its `Stack` at once
+# and one error per level. They integrate over the cells of its gather, one
 # centred on each target node, and evaluate each cell's interpolant at its
 # Gauss points with one product of its gathered row and a matrix that folds
 # the interpolation into the evaluation, built at unit spacing: u_x is then
@@ -214,7 +215,7 @@ def _dot(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
-    """(values, levels) L2 errors of a `State` on a Grid or Stack.
+    """(values, levels) L2 errors of a `State`.
 
     The values are u, then, if `pair`, u_x (along axis 0) and v, and
     exact(*xs) gives them at the Gauss points xs of every target row, one
@@ -222,19 +223,18 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
     one `error_matrix` product per mix of cell kinds (the whole cells, then
     each mix with an edge again), and one Gauss sum per level.
     """
-    grid, parity, d, blocks = state.grid, state.parity, state.grid.ndim, state.blocks
+    stack, parity, d, blocks = state.grid, state.parity, state.grid.ndim, state.blocks
     if pair and len(blocks) != 2:
         raise ValueError("u_x and v errors need a dissipative state")
     npts = npts or default_npts(max(blocks[0]) - 1)
-    levels = grid.levels if isinstance(grid, Stack) else (grid,)
-    xs, weight, counts, first, edges = _cells(levels, parity, npts)
-    gathered = take(state.rows, level_gather(grid, parity, blocks))
+    xs, weight, counts, first, edges = _cells(stack.levels, parity, npts)
+    gathered = take(state.rows, level_gather(stack, parity, blocks))
     vals = _dot(gathered, error_matrix(blocks, npts, (0,) * d, pair))
     for kinds, at in edges.items():
         vals[at] = _dot(gathered[at], error_matrix(blocks, npts, kinds, pair))
     vals = vals.reshape((len(vals), -1) + (npts,) * d)
     if pair:  # per row, u_x over its level's axis-0 spacing, h*v over its h
-        h = np.repeat([(level.spacings[0], level.h) for level in levels], counts, axis=0)
+        h = np.repeat([(level.spacings[0], level.h) for level in stack.levels], counts, axis=0)
         vals[:, 1] /= h[:, 0].reshape((-1,) + (1,) * d)
         vals[:, 2] /= h[:, 1].reshape((-1,) + (1,) * d)
     want = exact(*xs) if pair else (exact(*xs),)
@@ -246,26 +246,23 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
     return np.sqrt(out)
 
 
-def l2_error_field(state, exact, npts: int | None = None):
-    """L2 error of the global tensor interpolant of u against exact(*xs).
+def l2_error_field(state, exact, npts: int | None = None) -> np.ndarray:
+    """L2 errors of the global tensor interpolant of u against exact(*xs),
+    one per level of the state's `Stack`.
 
     state is a `State`, whose u is measured through the gather of its own
-    rows: a dissipative state's packed u | h*v, which its step built. On a
-    `Grid` the error is a float; on a `Stack` it is one per level, and each
+    rows: a dissipative state's packed u | h*v, which its step built. Each
     xs[q] holds the Gauss points of every target row, one level after the
     other (see `_cells`), so exact can take each row's own time. On wall
-    grids the cells are clipped to the domain.
+    levels the cells are clipped to the domain.
     """
-    errs = _l2_errors(state, exact, npts, False)[0]
-    return errs if isinstance(state.grid, Stack) else float(errs[0])
+    return _l2_errors(state, exact, npts, False)[0]
 
 
-def l2_errors_pair(pair, exact, npts: int | None = None) -> tuple:
+def l2_errors_pair(state, exact, npts: int | None = None) -> tuple:
     """(u, u_x, v) errors of a dissipative state, u_x along axis 0, against
-    exact(*xs) -> (u, u_x, v): floats on a `Grid`, one per level on a
-    `Stack`, as `l2_error_field`."""
-    errs = _l2_errors(pair, exact, npts, True)
-    return tuple(errs) if isinstance(pair.grid, Stack) else tuple(float(e[0]) for e in errs)
+    exact(*xs) -> (u, u_x, v), each one per level as `l2_error_field`'s."""
+    return tuple(_l2_errors(state, exact, npts, True))
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +327,17 @@ def energy_window(axis: Axis, m: int, dt: float) -> np.ndarray:
 
 
 def energy_of_rows(state, factor: np.ndarray) -> float:
-    """E(t_n) of a two-level `State` on a periodic 1D `Grid`.
+    """E(t_n) of a two-level `State` on a `Stack` of one periodic 1D level.
 
-    Its rows and its previous level's are read through the level's gathers
+    Its rows and its previous level's are read through the stack's gathers
     of the state's blocks; factor is the levels' `energy_window`.
     """
-    grid, parity, blocks = state.grid, state.parity, state.blocks
+    stack, parity, blocks = state.grid, state.parity, state.blocks
     m = blocks[0][0] - 1
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
-    own = level_gather(grid, parity, blocks)
+    own = level_gather(stack, parity, blocks)
     cur = take(state.rows, own) @ top
-    prev = take(state.prev_rows, level_gather(grid, flip(parity), blocks)) @ top
+    prev = take(state.prev_rows, level_gather(stack, flip(parity), blocks)) @ top
     flanks = take(prev, own)  # the previous cells centred on the current nodes
     y = np.concatenate([cur, flanks], axis=1) @ factor.T
     return float(np.vdot(y, y))

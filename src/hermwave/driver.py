@@ -18,16 +18,16 @@ Initial nodal data is produced from closed-form derivative recurrences
 rather than projection so the refinement studies see only the scheme's
 error. Runs are deterministic for a fixed seed.
 
-A refinement study (`_study`) is one `grid.Stack` from its start to its
-errors, finest level first. Its levels start as one stacked state: each
-start field is one call of the experiment's data function on the stack's
-rows, and one bootstrap serves them all. Each half step is one call of the
-step, one take through the levels' concatenated gathers and one product
-with the matrix they share. A level leaves the
-stack at its own last half step with its rows, and the levels that end on
-one parity are measured with one error call on their stack, against the
-exact solution evaluated once at every row's own end time. `conserve1d`
-steps its plain state.
+Every run steps a `grid.Stack`. A refinement study (`_study`) is one
+stack from its start to its errors, finest level first. Its levels start
+as one stacked state: each start field is one call of the experiment's
+data function on the stack's rows, and one bootstrap serves them all. Each
+half step is one call of the step, one take through the levels'
+concatenated gathers and one product with the matrix they share. A level
+leaves the stack at its own last half step with its rows, and the levels
+that end on one parity are measured with one error call on their stack,
+against the exact solution evaluated once at every row's own end time.
+`conserve1d` steps a stack of its one level.
 """
 
 from __future__ import annotations
@@ -297,11 +297,11 @@ def gaussian_box_u(x, t: float, kmax: int) -> np.ndarray:
     return 0.5 * (gaussian_derivs(x + t, kmax) + gaussian_derivs(x - t, kmax))
 
 
-def sine_derivs(x, kmax: int, t: float) -> np.ndarray:
-    """x-derivative columns of sin(x) cos(t)."""
+def sine_derivs(x, kmax: int, t) -> np.ndarray:
+    """x-derivative columns of sin(x) cos(t), t one time or one per x."""
     x = np.asarray(x, dtype=float)
     k = np.arange(kmax + 1)
-    return np.sin(x[..., None] + 0.5 * np.pi * k) * math.cos(t)
+    return np.sin(x[..., None] + 0.5 * np.pi * k) * np.cos(t)[..., None]
 
 
 def planewave_data(x, y, t, order: int, kappa: int, h, tder: int = 0) -> np.ndarray:
@@ -363,42 +363,38 @@ def _march(state, scfg: SchemeConfig, done: int, last: int, where):
     return state
 
 
-def _start(cfg: RunConfig, grid, data):
-    """First `State` of a level or a `Stack` and the half steps it has
-    taken: 1 after a bootstrap, else 0.
+def _start(cfg: RunConfig, stack: Stack, data):
+    """First `State` of a `Stack` and the half steps it has taken: 1 after
+    a bootstrap, else 0.
 
     data(xs, t, h, order, tder) gives the scaled nodal blocks of u (tder 0)
     or u_t (tder 1), orders 0..order per axis, at the nodes xs of one
-    parity (`nodes`) at times t with spacing h: one value each on a grid,
-    one per row on a stack (its levels', through `level_of`). It is called
-    once per start field, primal level first, and u_t is packed as h*u_t
-    (see `grid.State`): u | h*v for the dissipative scheme, u | h*u_t into
-    the conservative bootstrap, or u with the exact previous level. A
-    conservative state's primal level has its wall slots zeroed
-    (`boundary.zero_wall_slots`).
+    parity (`nodes`) with, per row, spacing h (its level's, through
+    `level_of`) and time t: 0 on the primal rows and -dt(h)/2 on the dual
+    ones. It is called once per start field, primal level first, and u_t
+    is packed as h*u_t (see `grid.State`): u | h*v for the dissipative
+    scheme, u | h*u_t into the conservative bootstrap, or u with the exact
+    previous level. A conservative state's primal level has its wall slots
+    zeroed (`boundary.zero_wall_slots`).
     """
-    scfg, stacked = cfg.scheme_config(), isinstance(grid, Stack)
-    t0 = np.zeros(len(grid.levels)) if stacked else 0.0
-    cols = {}  # per parity: the node coordinates and the rows' h, built once
+    scfg, cols = cfg.scheme_config(), {}  # per parity: the rows' x, h and t, built once
 
-    def rows(parity, t, order, tder=0):
+    def rows(parity, order, tder=0):
         if parity not in cols:
-            cols[parity] = (grid.nodes(parity),
-                            grid.h[grid.level_of[parity]] if stacked else grid.h)
-        xs, h = cols[parity]
-        vals = data(xs, t[grid.level_of[parity]] if stacked else t, h, order, tder)
-        vals = vals.reshape(len(xs[0]), -1)
-        return vals * np.reshape(h, (-1, 1)) if tder else vals
+            h = stack.h[stack.level_of[parity]]
+            cols[parity] = stack.nodes(parity), h, -0.5 * scfg.dt(h) if parity == DUAL else 0.0
+        xs, h, t = cols[parity]
+        vals = data(xs, t, h, order, tder).reshape(len(h), -1)
+        return vals * h[:, None] if tder else vals
 
-    u0, cu = rows(PRIMAL, t0, cfg.m), (cfg.m + 1,) * grid.ndim
+    u0, cu = rows(PRIMAL, cfg.m), (cfg.m + 1,) * stack.ndim
     if cfg.scheme == "conservative":
-        zero_wall_slots(u0.reshape(grid.shapes[PRIMAL] + cu), grid)  # a view of u0
+        zero_wall_slots(u0.reshape(stack.shapes[PRIMAL] + cu), stack)  # a view of u0
         if cfg.init == "exact":
-            prev = rows(DUAL, -0.5 * scfg.dt(grid.h), cfg.m)
-            return State(grid, PRIMAL, t0, u0, (cu,), prev), 0
-    cv = cu if cfg.scheme == "conservative" else (cfg.m,) * grid.ndim  # u_t's or v's orders
-    u_t = rows(PRIMAL, t0, cv[0] - 1, tder=1)
-    state = State(grid, PRIMAL, t0, np.concatenate((u0, u_t), axis=1), (cu, cv))
+            return State(stack, PRIMAL, 0.0, u0, (cu,), rows(DUAL, cfg.m)), 0
+    cv = cu if cfg.scheme == "conservative" else (cfg.m,) * stack.ndim  # u_t's or v's orders
+    u_t = rows(PRIMAL, cv[0] - 1, tder=1)
+    state = State(stack, PRIMAL, 0.0, np.concatenate((u0, u_t), axis=1), (cu, cv))
     return (state, 0) if cfg.scheme == "dissipative" else (bootstrap_first_half(state, scfg), 1)
 
 
@@ -425,9 +421,10 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     state, done = _start(cfg, stack, data)
     blocks = state.blocks
 
-    def where(state, done):  # the first non-finite level
-        i = state.grid.level_of[state.parity][np.argmin(np.isfinite(state.rows).all(axis=1))]
-        return _at(done, state.time[i], ns[order[i]])
+    def where(state, done):  # the first non-finite level, at its own time
+        row = np.argmin(np.isfinite(state.rows).all(axis=1))
+        i = order[state.grid.level_of[state.parity][row]]
+        return _at(done, done * 0.5 * dts[i], ns[i])
 
     ended = {PRIMAL: [], DUAL: []}  # per end parity, (level, rows) in stack order
     for i in reversed(order):
@@ -445,7 +442,7 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
             sub = stack if idx == order else Stack([grids[i] for i in idx])
             t = ends[idx][sub.level_of[flip(parity)]].reshape((-1,) + (1,) * stack.ndim)
             parts = [rows for _, rows in group]  # copied only to join levels
-            state = State(sub, parity, ends[idx],
+            state = State(sub, parity, ends[idx[0]],
                           parts[0] if len(parts) == 1 else np.concatenate(parts), blocks)
             if len(blocks) == 2 and stack.ndim == 1:
                 errs = l2_errors_pair(state, lambda x: exact(t, x))
@@ -503,7 +500,7 @@ def run_conservation_1d(cfg: RunConfig):
 
         def data(xs, t, h, order, tder):
             return rng.random((len(xs[0]), order + 1))
-    state, _ = _start(cfg, Grid((axis,)), data)
+    state, _ = _start(cfg, Stack([Grid((axis,))]), data)
     factor = energy_window(axis, cfg.m, dt)
     e0 = energy_of_rows(state, factor)
     steps, times, deltas = [0], [0.0], [0.0]

@@ -7,8 +7,8 @@ homogeneous reflecting wall (`KINDS`): `dirichlet0` pins the value and
 `neumann0` the normal derivative. On a periodic axis both sets carry n
 nodes for n cells; with walls the primal set includes both boundary points
 (n+1 nodes) while the dual set stays interior (n nodes). A `Grid` is one
-`Axis` per dimension, all periodic or all walled, and every axis of a
-level shares its parity.
+level's geometry: one `Axis` per dimension, all periodic or all walled,
+and every axis of a level shares its parity.
 
 A field stores, per node, the scaled derivative coefficients
 (h**l/l!) d^l u/dx^l up to its order along each axis, as one dense array
@@ -17,17 +17,16 @@ one `State`, which keeps node rows instead, one per node in C order: u | h*v
 packed per node (dissipative), or u with the previous level's rows
 (conservative). Its one view, `u`, builds a `Field` on access.
 
-Every grid carries a `plans` dict where the gathers and the step cache what
-they build once per level, so no cache outlives the grid its key names. The
-step links a state to its plans (`link`): the state then carries the config
-it was stepped with, the plan of its own parity and the plan of the
-opposite one, and each state the step returns carries the same two plans
-swapped, so a march looks up a level's plans once.
-
-A `Stack` puts the levels of a refinement study one after the other in one
-set of node rows, so that one take and one product step them all (see
-`Stack`). Its states are `State`s like a grid's, in the same units, with
-one time per level.
+Every state lives on a `Stack`, which puts one or more levels one after
+the other in one set of node rows, so that one take and one product step
+them all; a single level is `Stack([grid])`. A stack carries a `plans`
+dict where the gathers and the step cache what they build once, so no
+cache outlives the stack its key names. The step links a state to its
+plans (`link`): the state then carries the config it was stepped with,
+the plan of its own parity and the plan of the opposite one, and each
+state the step returns carries the same two plans swapped, so a march
+looks up its plans once. Every level takes the same half steps, so a
+state has one time, a float: that of the stack's first level.
 """
 
 from __future__ import annotations
@@ -103,8 +102,8 @@ class Grid:
     Built once, as plain attributes like `Axis`'s nodes: `ndim`, the number
     of axes; `periodic`, shared by every axis; `spacings`, h per axis; `h`,
     the smallest of them, which sets the time step; `aspect`, the spacings
-    over h, at which the step's matrices are built (see `State`); `shapes`,
-    each parity's node count per axis; and `plans`, the level's cached plans.
+    over h, at which the step's matrices are built (see `State`); and
+    `shapes`, each parity's node count per axis.
     """
 
     axes: tuple
@@ -123,7 +122,6 @@ class Grid:
         object.__setattr__(self, "aspect", tuple(s / self.h for s in self.spacings))
         object.__setattr__(self, "shapes", {
             parity: tuple(axis.n_nodes(parity) for axis in axes) for parity in (PRIMAL, DUAL)})
-        object.__setattr__(self, "plans", {})
 
     def nodes(self, parity: str) -> np.ndarray:
         """One parity's node coordinates, a new (axes, nodes) array: row q is
@@ -137,7 +135,7 @@ class Grid:
 @dataclass
 class Field:
     """values[i..., l...] = c_l at node i: the grid's node axes (d on a
-    `Grid`, one on a `Stack`), then d order axes."""
+    `Grid`, one on a `Stack`, as `State.u` builds it), then d order axes."""
 
     grid: Grid
     parity: str
@@ -160,26 +158,30 @@ def rows(block: np.ndarray, ndim: int = 1) -> np.ndarray:
 
 
 class State:
-    """One level of either scheme, or every level of a `Stack`, as node rows.
+    """Every level of a `Stack` in either scheme, as node rows.
 
-    `rows` packs, per node of the grid's `parity` in C order, the
+    `rows` packs, per node of the stack's `parity`, level after level, the
     coefficients of each field of `blocks`, the coefficient shape of each:
     u | h*v, ((m+1,)*d, (m,)*d), for the dissipative scheme and u alone,
     ((m+1,)*d,), for the conservative one, whose previous level sits in
     `prev_rows` on the other parity (None for the dissipative scheme). It
-    carries the step's `link` (None until a step sets it; see `link`).
+    carries the step's `link` (None until a step sets it; see `link`) and
+    one `time`, a float: the time of the stack's first level.
 
     Every state carries v, and a bootstrap's u_t, as h*v, h the smallest
     spacing of the node's level, and steps u_tt = Delta u. Then a half step
     depends on h only through the aspect: with dt = lam h, the map A(h)
     from a node's flanking u | v data is D^-1 Â D, D = diag(I_u, h I_v),
     with Â built at unit spacing. So one matrix per (scheme, m, lam,
-    aspect) steps every level, a `Grid`'s as a `Stack`'s.
+    aspect) steps every level of every stack.
     """
 
     __slots__ = ("grid", "parity", "time", "rows", "blocks", "prev_rows", "link")
 
-    def __init__(self, grid, parity: str, time, rows, blocks: tuple, prev_rows=None):
+    def __init__(self, grid, parity: str, time: float, rows, blocks: tuple, prev_rows=None):
+        if not isinstance(grid, Stack):
+            raise TypeError(f"a State lives on a Stack, got {type(grid).__name__}; "
+                            "wrap one level as Stack([grid])")
         if parity not in grid.shapes:
             raise ValueError(f"unknown parity {parity!r}, expected {PRIMAL!r} or {DUAL!r}")
         cols = sum(math.prod(block) for block in blocks)
@@ -188,7 +190,7 @@ class State:
             if r is not None and np.shape(r) != want:
                 raise ValueError(f"{p} rows of blocks {blocks} need shape {want}, "
                                  f"got {np.shape(r)}")
-        self.grid, self.parity, self.time, self.blocks = grid, parity, time, blocks
+        self.grid, self.parity, self.time, self.blocks = grid, parity, float(time), blocks
         self.rows, self.prev_rows, self.link = rows, prev_rows, None
 
     @property
@@ -203,24 +205,30 @@ def link(state, cfg, build) -> tuple:
     """The `link` of a state stepped under cfg: (cfg, plan, next plan).
 
     The plans are those of the state's parity and the opposite one, each
-    looked up in the grid's `plans` by (scheme, parity, cfg), the scheme
+    looked up in the stack's `plans` by (scheme, parity, cfg), the scheme
     "conservative" for a state with a previous level and "dissipative"
-    otherwise, or built there by build(grid, parity, cfg, scheme). A plan's
-    last entry is the blocks of the states it steps; they must be the
-    state's own, else the state's orders do not match cfg.m.
+    otherwise, or built there by build(stack, parity, cfg, scheme). A
+    plan's last entry is the blocks of the states it steps; they must be
+    the state's own (`check_blocks`).
     """
-    grid, plans = state.grid, []
+    stack, plans = state.grid, []
     scheme = "dissipative" if state.prev_rows is None else "conservative"
     for parity in (state.parity, flip(state.parity)):
         key = (scheme, parity, cfg)
-        plan = grid.plans.get(key)
+        plan = stack.plans.get(key)
         if plan is None:
-            plan = grid.plans[key] = build(grid, parity, cfg, scheme)
+            plan = stack.plans[key] = build(stack, parity, cfg, scheme)
         plans.append(plan)
-    if state.blocks != plans[0][-1]:
-        orders = tuple(k - 1 for k in state.blocks[0])
-        raise ValueError(f"state carries orders {orders}, config wants m = {cfg.m}")
+    check_blocks(state, plans[0][-1], cfg.m)
     return cfg, plans[0], plans[1]
+
+
+def check_blocks(state, blocks: tuple, m: int) -> None:
+    """Raise a ValueError naming the state's orders and m unless the state
+    packs `blocks`, the ones a config of order m steps."""
+    if state.blocks != blocks:
+        orders = tuple(k - 1 for k in state.blocks[0])
+        raise ValueError(f"state carries orders {orders}, config wants m = {m}")
 
 
 class Stack:
@@ -228,18 +236,17 @@ class Stack:
 
     `levels` are `Grid`s of d axes with one aspect, spacings over the
     smallest spacing h; each parity's rows are the levels' node rows one
-    level after the other. The step plans a stack as it plans a grid, and
-    every level of a stack shares one map per half step:
+    level after the other. Every level of a stack shares one map per half
+    step:
     - the gather is the levels' own gathers, each offset by the rows before
       its level (`boundary.gather_plan`);
-    - the matrix is the one of their `aspect` (see `State`);
-    - each level's half dt goes into one array, as 0.5 * cfg.dt(`h`).
+    - the matrix is the one of their `aspect` (see `State`).
 
     A state of the stack holds every level's rows, one after the other, and
-    one time per level; a study starts one from data evaluated on its rows
-    (`nodes`, `level_of`). A level leaves from the end (`pop`) with its
-    rows alone, so a study stacks the level that marches longest first: its
-    finest. The stack of the other levels holds the leading rows, its
+    the time of its first level; a study starts one from data evaluated on
+    its rows (`nodes`, `level_of`). A level leaves from the end (`pop`)
+    with its rows alone, so a study stacks the level that marches longest
+    first: its finest. The stack of the other levels holds the leading rows, its
     gathers are the leading targets of this stack's, and it names this
     stack as its `whole`.
 
@@ -263,7 +270,7 @@ class Stack:
         self.h.setflags(write=False)
         counts = {parity: [math.prod(g.shapes[parity]) for g in levels]
                   for parity in (PRIMAL, DUAL)}
-        self.offsets = {parity: np.cumsum([0] + c) for parity, c in counts.items()}
+        self.offsets = {parity: np.add.accumulate([0] + c) for parity, c in counts.items()}
         self.level_of = {parity: np.arange(len(levels)).repeat(c) for parity, c in counts.items()}
         self.shapes = {parity: (int(off[-1]),) for parity, off in self.offsets.items()}
         self.plans, self.whole, self._head = {}, None, None
@@ -298,7 +305,7 @@ class Stack:
         if not i:
             return state.rows, None
         rest = copy.copy(state)
-        rest.grid, rest.link, rest.time = self._lead(i), None, state.time[:i]
+        rest.grid, rest.link = self._lead(i), None
         rest.rows = state.rows[:start]
         if state.prev_rows is not None:
             rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]

@@ -34,7 +34,7 @@ from hermwave.grid import Axis, Field, State, flip
 from hermwave.interp import interp_matrix
 from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, field_interpolant, seminorm_sq
-from states import orders, two_level, v_of
+from states import orders, two_level, u_of, v_of
 
 
 @lru_cache(maxsize=64)
@@ -82,9 +82,9 @@ def dissipative_energy(state: State, speed: float) -> float:
     A dual level's ghost-backed edge cells reach h/2 past each wall and are
     not clipped.
     """
-    h = _line(state.u).h
-    (m,) = orders(state.u)
-    return (speed * speed * _interp_seminorm(state.u, m + 1, h)
+    h = _line(u_of(state)).h
+    (m,) = orders(u_of(state))
+    return (speed * speed * _interp_seminorm(u_of(state), m + 1, h)
             + _interp_seminorm(v_of(state), m, h))
 
 

@@ -12,7 +12,7 @@ level: gather each field's flanking data, interpolate, run the recursion
 at the level's own spacing and sum the series at dt/2.
 
 `errors` is the per-level L2 error arithmetic the driver ran on each
-popped plain state: one take of the level's rows, one product of each mix
+popped level: one take of the level's rows, one product of each mix
 of cell kinds with a matrix built at the level's own h (u_x scaled inside
 the matrix, and h*v read as v), the exact callables evaluated on that
 level's Gauss points alone, and nested Gauss sums.
@@ -32,11 +32,13 @@ from hermwave.dissipative import eval_series, expand_taylor
 from hermwave.grid import DUAL, Field, flip
 from hermwave.interp import apply_interp
 
+from states import one
+
 
 def pair_sources(field):
     """Flanking data for every target node of the opposite parity.
 
-    Gathers through the field's `level_gather`.
+    Gathers through the `level_gather` of the field's one-level stack.
 
     Returns:
         (data, *centers): data shaped (targets per axis..., 2 per axis...,
@@ -45,8 +47,9 @@ def pair_sources(field):
     """
     grid, parity, values = field.grid, field.parity, field.values
     coeffs = values.shape[grid.ndim :]
-    plan = level_gather(grid, parity, (coeffs,))
-    data = take(values.reshape(plan.nodes, -1), plan).reshape(plan.index.shape + coeffs)
+    plan = level_gather(one(grid), parity, (coeffs,))
+    targets = grid.shapes[flip(parity)] + (2,) * grid.ndim
+    data = take(values.reshape(plan.nodes, -1), plan).reshape(targets + coeffs)
     return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))
 
 
@@ -75,7 +78,7 @@ def update(data, m, dt, hs):
 
 def bootstrap(g0, g1, cfg) -> np.ndarray:
     """Target values of the first half step from Fields g0 (u) and g1 (u_t)
-    on a plain grid, shaped (targets per axis..., m+1 per axis...)."""
+    on one level's `Grid`, shaped (targets per axis..., m+1 per axis...)."""
     hs = g0.grid.spacings
     ndim = len(hs)
     ctab, _ = expand_taylor(apply_interp(pair_sources(g0)[0], ndim),
@@ -116,17 +119,18 @@ def _values(gathered, targets, clipped, matrix):
 
 
 def errors(state, exacts, npts=None) -> list:
-    """L2 errors of a plain-grid Field (u) or `State` against exacts: one
-    callable of (x, y, ...) for u alone, or three for a 1D dissipative
-    state's (u, u_x, v)."""
-    grid, parity, d = state.grid, state.parity, state.grid.ndim
+    """L2 errors of a Field (u) on a level's `Grid` or a `State` on a one-level
+    stack against exacts: one callable of (x, y, ...) for u alone, or three
+    for a 1D dissipative state's (u, u_x, v)."""
     if isinstance(state, Field):
+        grid, parity, d = state.grid, state.parity, state.grid.ndim
         blocks = (state.values.shape[d:],)
         rows = state.values.reshape(math.prod(grid.shapes[parity]), -1)
     else:
-        rows, blocks = state.rows, state.blocks
+        (grid,), parity, rows, blocks = state.grid.levels, state.parity, state.rows, state.blocks
+        d = grid.ndim
     npts = npts or default_npts(max(blocks[0]) - 1)
-    gathered = take(rows, level_gather(grid, parity, blocks))
+    gathered = take(rows, level_gather(one(grid), parity, blocks))
     if len(exacts) == 3:
         mu = blocks[0][0] - 1
 

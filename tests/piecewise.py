@@ -26,7 +26,7 @@ from hermwave.grid import Field, State
 from hermwave.interp import apply_interp
 
 from level_oracle import pair_sources
-from states import orders, v_of
+from states import orders, u_of, v_of
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def seminorm_sq(pp: PiecewisePolynomial, order: int) -> float:
 
 def oracle_dissipative_energy(state: State, speed: float) -> float:
     """c^2 |I_m u|_{m+1}^2 + |I_{m-1} v|_m^2, integrated piece by piece."""
-    (m,) = orders(state.u)
-    ppu = field_interpolant(state.u)
+    (m,) = orders(u_of(state))
+    ppu = field_interpolant(u_of(state))
     ppv = field_interpolant(v_of(state))
     return speed * speed * seminorm_sq(ppu, m + 1) + seminorm_sq(ppv, m)

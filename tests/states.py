@@ -1,15 +1,19 @@
 """`grid.State`s built from Fields, and the Field views of their rows.
 
-The library keeps a state of either scheme as node rows and reads only its
-u (`State.u`). The tests build and read states through Fields, whose v is
-in its own units, while a state's rows carry it as h*v, h the smallest
-spacing of each row's level (`grid.State`):
+The library keeps a state of either scheme as node rows on a `Stack` and
+reads only its u (`State.u`). The tests build and read states through
+Fields, whose v is in its own units, while a state's rows carry it as h*v,
+h the smallest spacing of each row's level (`grid.State`). A Field on a
+level's `Grid` goes onto that level's one-level stack (`one`), and a state
+on a one-level stack reads back as Fields on its level, in the level's
+node shape; a Field on a larger stack stays on it:
 - `uv_state(u, v)`: a dissipative state, u | h*v packed per node, and the
   bootstrap's input, u | h*u_t;
 - `two_level(current, previous)`: a conservative state, its previous level
   on the other parity;
 - `u_state(field)`: u alone, the state the errors read of a conservative level;
-- `v_of`, `previous_of` and `fields_of` read a state's rows back as Fields;
+- `u_of`, `v_of`, `previous_of` and `fields_of` read a state's rows back as
+  Fields;
 - `orders` gives a Field's order per axis.
 """
 
@@ -22,8 +26,25 @@ import numpy as np
 from hermwave.grid import Field, Stack, State, flip, rows
 
 
+_ONE = {}  # id(grid) -> (grid, its stack); the grid is kept so its id stays its own
+
+
+def one(grid) -> Stack:
+    """The one-level `Stack` of a `Grid` object, built once per object (not
+    per equal grid), so that the states of one grid share its plans and
+    each test's grid has plans of its own."""
+    hit = _ONE.get(id(grid))
+    if hit is None:
+        hit = _ONE[id(grid)] = (grid, Stack([grid]))
+    return hit[1]
+
+
 def orders(field: Field) -> tuple:
     return tuple(k - 1 for k in field.values.shape[-field.grid.ndim :])
+
+
+def _stack(field: Field) -> Stack:
+    return field.grid if isinstance(field.grid, Stack) else one(field.grid)
 
 
 def _rows(field: Field) -> np.ndarray:
@@ -34,49 +55,59 @@ def _block(field: Field) -> tuple:
     return field.values.shape[-field.grid.ndim :]
 
 
-def row_h(grid, parity: str) -> np.ndarray:
-    """The h of each node row of `parity` as a column: the grid's, or on a
-    `Stack` the h of the row's level."""
-    h = grid.h[grid.level_of[parity]] if isinstance(grid, Stack) else grid.h
-    return np.reshape(h, (-1, 1))
+def _h(stack: Stack, parity: str) -> np.ndarray:
+    """The h of each node row of `parity` as a column: its level's."""
+    return stack.h[stack.level_of[parity]][:, None]
+
+
+def _field(stack: Stack, parity: str, time, values: np.ndarray, block: tuple) -> Field:
+    """Rows of one field as a Field: on the level of a one-level stack, in
+    its node shape, else on the stack."""
+    grid = stack.levels[0] if len(stack.levels) == 1 else stack
+    return Field(grid, parity, time, values.reshape(grid.shapes[parity] + block))
 
 
 def uv_state(u: Field, v: Field) -> State:
     """The dissipative state of u and v (u's grid, parity and time)."""
-    h = row_h(u.grid, u.parity)
-    return State(u.grid, u.parity, u.time, np.concatenate((_rows(u), _rows(v) * h), axis=1),
+    stack = _stack(u)
+    return State(stack, u.parity, u.time,
+                 np.concatenate((_rows(u), _rows(v) * _h(stack, u.parity)), axis=1),
                  (_block(u), _block(v)))
 
 
 def two_level(current: Field, previous: Field) -> State:
     """The conservative state of two levels; the previous level's rows are
     its values' own, uncopied, and its time is not kept."""
-    return State(current.grid, current.parity, current.time, _rows(current), (_block(current),),
-                 _rows(previous))
+    return State(_stack(current), current.parity, current.time, _rows(current),
+                 (_block(current),), _rows(previous))
 
 
 def u_state(field: Field) -> State:
     """The state of u alone, with no previous level."""
-    return State(field.grid, field.parity, field.time, _rows(field), (_block(field),))
+    return State(_stack(field), field.parity, field.time, _rows(field), (_block(field),))
+
+
+def u_of(state: State) -> Field:
+    """u, the current level of a two-level state, as `_field` reads it."""
+    u = state.blocks[0]
+    return _field(state.grid, state.parity, state.time, state.rows[:, : math.prod(u)], u)
 
 
 def v_of(state: State) -> Field:
     """v of a dissipative state, in its own units."""
     u, v = state.blocks
-    values = state.rows[:, math.prod(u) :] / row_h(state.grid, state.parity)
-    return Field(state.grid, state.parity, state.time,
-                 values.reshape(state.grid.shapes[state.parity] + v))
+    values = state.rows[:, math.prod(u) :] / _h(state.grid, state.parity)
+    return _field(state.grid, state.parity, state.time, values, v)
 
 
 def previous_of(state: State, cfg=None) -> Field:
     """The previous level of a conservative state, at the time half a step
     of cfg before the state's (None without cfg)."""
     parity = flip(state.parity)
-    time = None if cfg is None else state.time - 0.5 * cfg.dt(state.grid.h)
-    return Field(state.grid, parity, time,
-                 state.prev_rows.reshape(state.grid.shapes[parity] + state.blocks[0]))
+    time = None if cfg is None else state.time - 0.5 * cfg.dt(state.grid.levels[0].h)
+    return _field(state.grid, parity, time, state.prev_rows, state.blocks[0])
 
 
 def fields_of(state: State) -> tuple:
     """(u, v) of a dissipative state, (current, previous) of a conservative one."""
-    return (state.u, v_of(state) if state.prev_rows is None else previous_of(state))
+    return (u_of(state), v_of(state) if state.prev_rows is None else previous_of(state))

@@ -53,7 +53,7 @@ from hermwave.interp import apply_interp
 
 from level_oracle import pair_sources
 from piecewise import CellPolynomial, PiecewisePolynomial, interpolate_1d, seminorm_sq
-from states import previous_of, two_level, u_state, uv_state, v_of
+from states import previous_of, two_level, u_of, u_state, uv_state, v_of
 
 
 def _rate_check(tag, rate, target, tol, ladder=None, stock=None):
@@ -261,7 +261,7 @@ def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, parity
     )
     out = step(pair, cfg)
     # the flank data the stepper reads
-    udata, _ = pair_sources(pair.u)
+    udata, _ = pair_sources(u_of(pair))
     vdata, _ = pair_sources(v_of(pair))
     scale = np.abs(udata).max()
     worst = 0.0
@@ -269,7 +269,7 @@ def test_criterion5_dissipative_polynomial_exactness(m, lam, back, kinds, parity
         uref, vref = _dissipative_center_oracle(udata[i], vdata[i], lam, 1.0, grid.spacings[0])
         worst = max(
             worst,
-            abs(out.u.values[i, 0] - uref) / scale,
+            abs(u_of(out).values[i, 0] - uref) / scale,
             abs(v_of(out).values[i, 0] - vref) / scale,
         )
     _bound_check(f"one-step exactness dissipative m={m} lam={lam:.4g} "
@@ -292,7 +292,7 @@ def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, parit
         Field(grid, other, -0.1, rng.standard_normal(grid.shapes[other] + (m + 1,))),
     )
     out = step(state, cfg)
-    data, centers = pair_sources(state.u)
+    data, centers = pair_sources(u_of(state))
     coeffs = apply_interp(data)
     scale = np.abs(coeffs).max()
     rho = 0.5 * lam
@@ -302,7 +302,7 @@ def test_criterion5_conservative_polynomial_exactness(m, lam, back, kinds, parit
         p = CellPolynomial(centers[i], h, coeffs[i])
         avg = 0.5 * (p(centers[i] + rho * h) + p(centers[i] - rho * h))
         ref = 2.0 * avg - previous_of(state).values[i, 0]
-        worst = max(worst, abs(out.u.values[i, 0] - ref) / scale)
+        worst = max(worst, abs(u_of(out).values[i, 0] - ref) / scale)
     _bound_check(f"one-step exactness conservative m={m} lam={lam:.4g} "
                  f"{kinds or 'periodic'} {parity}", worst, 1e-12)
 
@@ -353,7 +353,7 @@ def test_criterion6_interpolation_error_slope(m):
         axis = Axis(0.0, 2 * math.pi, n)
         xs = axis.nodes(PRIMAL)
         f = Field(Grid((axis,)), PRIMAL, 0.0, _scale_cols(sine_derivs(xs, m, 0.0), axis.h))
-        errs.append(l2_error_field(u_state(f), np.sin, npts=2 * m + 8))
+        errs.extend(l2_error_field(u_state(f), np.sin, npts=2 * m + 8))
         hs.append(axis.h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     _rate_check(f"interpolation L2 slope m={m}", slope, 2 * m + 2, 0.3)
@@ -380,15 +380,15 @@ def test_criterion7_dissipative_long_run(m):
         axis=-1,
     )
     pair = uv_state(Field(grid, PRIMAL, 0.0, uvals), Field(grid, PRIMAL, 0.0, vvals))
-    sup0 = np.abs(pair.u.values[:, 0]).max()
+    sup0 = np.abs(u_of(pair).values[:, 0]).max()
     sup = sup0
     for k in range(10_000):
         pair = step(pair, cfg)
         if (k + 1) % 100 == 0:
-            assert np.all(np.isfinite(pair.u.values))
-            sup = max(sup, np.abs(pair.u.values[:, 0]).max())
-    assert np.all(np.isfinite(pair.u.values))
-    sup = max(sup, np.abs(pair.u.values[:, 0]).max())
+            assert np.all(np.isfinite(u_of(pair).values))
+            sup = max(sup, np.abs(u_of(pair).values[:, 0]).max())
+    assert np.all(np.isfinite(u_of(pair).values))
+    sup = max(sup, np.abs(u_of(pair).values[:, 0]).max())
     _bound_check(f"long-run sup dissipative m={m} lam=1", sup, 2.0 * sup0)
 
 

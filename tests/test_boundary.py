@@ -12,7 +12,7 @@ from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 from hermwave.interp import apply_interp
 
 from level_oracle import pair_sources
-from states import fields_of, two_level, uv_state
+from states import fields_of, one, two_level, uv_state
 
 
 def test_dirichlet_reflection_first_order():
@@ -210,9 +210,9 @@ def test_2d_dual_gathers_build_ghosts_with_wall_values(m, nx, ny, kinds, seed):
 
     data, _, _ = pair_sources(Field(grid, DUAL, 0.0, u))
     assert_gathered(data, u)
-    plan = gather_plan(grid, DUAL, ((m + 1, m + 1), (m, m)))
+    plan = gather_plan(one(grid), DUAL, ((m + 1, m + 1), (m, m)))
     rows = np.concatenate((u.reshape(nx * ny, -1), v.reshape(nx * ny, -1)), axis=1)
-    data = take(rows, plan).reshape(plan.index.shape + (-1,))
+    data = take(rows, plan).reshape((nx + 1, ny + 1, 2, 2, -1))
     k = (m + 1) ** 2
     assert_gathered(data[..., :k].reshape(data.shape[:4] + (m + 1, m + 1)), u)
     assert_gathered(data[..., k:].reshape(data.shape[:4] + (m, m)), v)
@@ -318,7 +318,7 @@ def test_walled_level_marches_as_its_image_level(scheme, d, kinds):
     def fields(parity, order, time=0.0):
         values = rng.standard_normal(walled.shapes[parity] + (order + 1,) * d)
         if parity == PRIMAL:
-            zero_wall_slots(values, walled)
+            zero_wall_slots(values.reshape((-1,) + values.shape[d:]), one(walled))
         return (Field(walled, parity, time, values),
                 Field(periodic, parity, time, _images(values, walled)))
 

@@ -17,7 +17,7 @@ from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
 from lifting import lift, lifted_grids
-from states import previous_of, two_level, uv_state
+from states import one, previous_of, two_level, u_of, uv_state
 
 
 def test_zero_update_is_zero():
@@ -139,11 +139,25 @@ def test_full_step_bookkeeping():
     state = _random_state(grid, 2, rng)
     out = step(state, cfg)
     # the old current level becomes the previous one uncopied
-    assert np.shares_memory(previous_of(out).values, state.u.values)
-    assert previous_of(out, cfg).time == state.u.time
-    assert previous_of(out).parity == state.u.parity
-    assert out.u.parity == DUAL
-    assert out.u.time == pytest.approx(state.u.time + 0.5 * cfg.dt(axis.h))
+    assert np.shares_memory(previous_of(out).values, u_of(state).values)
+    assert previous_of(out, cfg).time == u_of(state).time
+    assert previous_of(out).parity == u_of(state).parity
+    assert u_of(out).parity == DUAL
+    assert u_of(out).time == pytest.approx(u_of(state).time + 0.5 * cfg.dt(axis.h))
+
+
+@pytest.mark.parametrize("orders, m", [((2, 2), 3), ((1, 3), 2)])
+def test_bootstrap_order_mismatch(orders, m):
+    """A bootstrap's input whose u and u_t orders are not both cfg.m fails
+    with the step's order error, naming u's orders and m, before it gathers
+    or multiplies anything."""
+    grid, _ = _line(0.0, 1.0, 6)
+    rng = np.random.default_rng(m)
+    state = uv_state(*(Field(grid, PRIMAL, 0.0, rng.standard_normal((6, k + 1))) for k in orders))
+    with pytest.raises(ValueError, match=rf"state carries orders \({orders[0]},\), "
+                                         rf"config wants m = {m}"):
+        bootstrap_first_half(state, SchemeConfig(m=m))
+    assert not state.grid.plans
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -167,14 +181,14 @@ def test_full_step_closed_form_every_target():
     cfg = SchemeConfig(m=m, lam=lam)
     state = _random_state(grid, m, rng)
     out = step(state, cfg)
-    data, _ = pair_sources(state.u)
+    data, _ = pair_sources(u_of(state))
     coeffs = apply_interp(data)
     rho = 0.5 * lam
     for i in range(coeffs.shape[0]):
         p = P(coeffs[i])
         avg = 0.5 * (p(P([rho, 1.0])) + p(P([-rho, 1.0])))
         want = 2.0 * avg.coef[: m + 1] - previous_of(state).values[i]
-        np.testing.assert_allclose(out.u.values[i], want, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(u_of(out).values[i], want, rtol=1e-12, atol=1e-13)
 
 
 def test_update_is_time_reversible():
@@ -184,16 +198,16 @@ def test_update_is_time_reversible():
     m = 2
     cfg = SchemeConfig(m=m, lam=1.0)
     state = _random_state(grid, m, rng)
-    c0, p0 = state.u.values.copy(), previous_of(state).values.copy()
+    c0, p0 = u_of(state).values.copy(), previous_of(state).values.copy()
     n = 50
     for _ in range(n):
         state = step(state, cfg)
-    back = two_level(previous_of(state, cfg), state.u)
+    back = two_level(previous_of(state, cfg), u_of(state))
     for _ in range(n):
         back = step(back, cfg)
     scale = np.abs(c0).max()
     # back.u retraces previous(t=-dt/2), previous_of(back) retraces current
-    np.testing.assert_allclose(back.u.values, p0, atol=1e-10 * scale)
+    np.testing.assert_allclose(u_of(back).values, p0, atol=1e-10 * scale)
     np.testing.assert_allclose(previous_of(back).values, c0, atol=1e-10 * scale)
 
 
@@ -203,12 +217,12 @@ def test_bootstrap_zero_data():
     z = Field(grid, PRIMAL, 0.0, np.zeros((5, 3)))
     start = uv_state(z, z)
     state = bootstrap_first_half(start, cfg)
-    assert np.all(state.u.values == 0.0)
+    assert np.all(u_of(state).values == 0.0)
     assert np.shares_memory(state.prev_rows, start.rows)
     np.testing.assert_array_equal(previous_of(state).values, z.values)
     assert previous_of(state, cfg).time == z.time and previous_of(state).parity == z.parity
-    assert state.u.parity == DUAL
-    assert state.u.time == pytest.approx(0.5 * cfg.dt(axis.h))
+    assert u_of(state).parity == DUAL
+    assert u_of(state).time == pytest.approx(0.5 * cfg.dt(axis.h))
 
 
 def test_bootstrap_linear_stationary():
@@ -221,7 +235,7 @@ def test_bootstrap_linear_stationary():
     state = bootstrap_first_half(uv_state(g0, g1), cfg)
     xd = axis.nodes(DUAL)
     want = np.stack([2 * xd + 1, np.full_like(xd, 2 * axis.h)], axis=-1)
-    np.testing.assert_allclose(state.u.values, want, atol=1e-13)
+    np.testing.assert_allclose(u_of(state).values, want, atol=1e-13)
 
 
 def test_bootstrap_constant_velocity():
@@ -238,7 +252,7 @@ def test_bootstrap_constant_velocity():
     dt = cfg.dt(axis.h)
     want = np.zeros((5, 3))
     want[:, 0] = V * dt / 2
-    np.testing.assert_allclose(state.u.values, want, atol=1e-14)
+    np.testing.assert_allclose(u_of(state).values, want, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -252,9 +266,9 @@ def test_bootstrap_standing_wave_accuracy(m):
         g0 = _sine_field(grid, m, PRIMAL)
         g1 = Field(grid, PRIMAL, 0.0, np.zeros((n, m + 1)))
         state = bootstrap_first_half(uv_state(g0, g1), cfg)
-        t = state.u.time
+        t = u_of(state).time
         want = _sine_field(grid, m, DUAL, t=t).values[:, 0]
-        errs.append(np.abs(state.u.values[:, 0] - want).max())
+        errs.append(np.abs(u_of(state).values[:, 0] - want).max())
     slope = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert slope >= 2 * m + 1 - 0.4
 
@@ -285,13 +299,14 @@ def test_2d_bootstrap_reduces_to_1d_on_y_independent_data(m, lam, periodic, pari
     cfg = SchemeConfig(m=m, lam=lam)
     n = grid1.shapes[parity]
     g0, g1 = (Field(grid1, parity, 0.0, rng.standard_normal(n + (m + 1,))) for _ in range(2))
-    want = bootstrap_first_half(uv_state(g0, g1), cfg).u
+    want = u_of(bootstrap_first_half(uv_state(g0, g1), cfg))
     for ndim, grid in lifted_grids(x_axis).items():
         if ndim == 3 and m > 2:
             continue
         counts = grid.shapes[parity][1:]
-        got = bootstrap_first_half(uv_state(*(Field(grid, parity, 0.0, lift(g.values, counts))
-                                              for g in (g0, g1))), cfg).u
+        got = u_of(bootstrap_first_half(uv_state(*(Field(grid, parity, 0.0,
+                                                        lift(g.values, counts))
+                                                  for g in (g0, g1))), cfg))
         assert got.parity == want.parity
         assert got.time == want.time
         bound = 1e-11 * np.abs(want.values).max()
@@ -320,7 +335,7 @@ def test_2d_reduces_to_1d_on_y_independent_data():
                 Field(grid, DUAL, -0.1, lift(prev1, grid.shapes[DUAL][1:])))
             o = step(s, cfg)
             np.testing.assert_allclose(
-                o.u.values, lift(o1.u.values, grid.shapes[DUAL][1:]),
+                u_of(o).values, lift(u_of(o1).values, grid.shapes[DUAL][1:]),
                 atol=1e-13 * scale, err_msg=f"{ndim}D, {kinds}")
 
 
@@ -347,7 +362,7 @@ def _companion_symbols(d, n, m, lam, theta):
     mode = np.exp(1j * (np.indices((n,) * d).reshape(d, -1).T @ probe))[:, None]
     out = np.eye(2 * (m + 1) ** d)
     for parity, shift in ((PRIMAL, 0), (DUAL, 1)):
-        gather, a = _plan(grid, parity, cfg, "conservative")[:2]
+        gather, a = _plan(one(grid), parity, cfg, "conservative")[:2]
         k = len(a) // len(corners)
 
         def block(th):
@@ -480,7 +495,7 @@ def _walled_full_step(n, m, lam):
     stepped = step(step(state, cfg), cfg)
     full = np.eye(len(state.rows) * k + len(state.prev_rows) * k)
     for parity in (PRIMAL, DUAL):
-        gather, a = grid.plans[("conservative", parity, cfg)][:2]
+        gather, a = one(grid).plans[("conservative", parity, cfg)][:2]
         ns, nt = grid.shapes[parity][0] * k, grid.shapes[flip(parity)][0] * k
         g = np.stack([take(e.reshape(-1, k), gather).dot(a).ravel() for e in np.eye(ns)], axis=1)
         full = np.block([[g, -np.eye(nt)], [np.eye(ns), np.zeros((ns, nt))]]) @ full
@@ -530,7 +545,7 @@ def test_dirichlet0_walls_stay_bounded_from_symmetric_start_data(m, lam, bound):
     """
     n = 20
     keep = np.ones((n + 1, m + 1))
-    zero_wall_slots(keep, _line(0.0, 1.0, n, "dirichlet0", "dirichlet0")[0])
+    zero_wall_slots(keep, one(_line(0.0, 1.0, n, "dirichlet0", "dirichlet0")[0]))
     norms = _power_norms(_walled_full_step(n, m, lam),
                          np.concatenate((keep.ravel(), np.ones(n * (m + 1)))))
     assert norms.max() < bound and norms[-1] < 2.0 * norms[0]

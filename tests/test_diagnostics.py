@@ -38,7 +38,7 @@ from piecewise import (
     oracle_dissipative_energy,
     seminorm_sq,
 )
-from states import previous_of, two_level, u_state, uv_state, v_of
+from states import previous_of, two_level, u_of, u_state, uv_state, v_of
 
 
 def _line(x_left, x_right, n, left="periodic", right="periodic"):
@@ -109,7 +109,7 @@ def test_l2_error_field_against_riemann_sum():
     xs = axis.nodes(PRIMAL)
     f = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     # npts beyond the polynomial-exact default: the integrand mixes in sin
-    got = l2_error_field(u_state(f), np.sin, npts=12)
+    (got,) = l2_error_field(u_state(f), np.sin, npts=12)
     pp = field_interpolant(f)
     xq = np.linspace(0.0, 2 * math.pi, 400_000, endpoint=False) + 1.1e-7
     d = pp(xq) - np.sin(xq)
@@ -124,10 +124,10 @@ def test_pair_errors_match_single_field_calls():
     u = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m + 1))
     v = Field(grid, PRIMAL, 0.0, _sine_data(xs, axis.h, m, fn=np.cos))
     pair = uv_state(u, v)
-    eu, edux, ev = l2_errors_pair(pair, lambda x: (np.sin(x), np.cos(x), np.cos(x)))
-    assert eu == pytest.approx(l2_error_field(u_state(u), np.sin), rel=1e-13)
+    (eu,), (edux,), (ev,) = l2_errors_pair(pair, lambda x: (np.sin(x), np.cos(x), np.cos(x)))
+    assert eu == pytest.approx(l2_error_field(u_state(u), np.sin)[0], rel=1e-13)
     assert ev == pytest.approx(
-        l2_error_field(u_state(v), np.cos, npts=default_npts(m)), rel=1e-13
+        l2_error_field(u_state(v), np.cos, npts=default_npts(m))[0], rel=1e-13
     )
     ppdu = field_interpolant(u).derivative(1)
     assert edux == pytest.approx(
@@ -161,7 +161,8 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     npts = default_npts(m) + extra
     clip = None if axis.periodic else (axis.x_left, axis.x_right)
     ppu = field_interpolant(u)
-    got = l2_errors_pair(uv_state(u, v), lambda x: (np.sin(x), np.cos(x), np.exp(x)), npts)
+    got = np.concatenate(l2_errors_pair(uv_state(u, v),
+                                        lambda x: (np.sin(x), np.cos(x), np.exp(x)), npts))
     want = (
         l2_error(ppu, np.sin, npts, clip),
         l2_error(ppu.derivative(1), np.cos, npts, clip),
@@ -169,7 +170,7 @@ def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     )
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
-    assert l2_error_field(u_state(u), np.sin, npts) == got[0]
+    assert l2_error_field(u_state(u), np.sin, npts)[0] == got[0]
 
 
 def _two_level_fields(n, m, rng, span=3.0):
@@ -339,7 +340,7 @@ def test_wall_diagnostics_reflect_velocity_about_zero():
     # rounding in u's top interpolant coefficients leaves about 1e-24
     assert dissipative_energy(pair, 1.0) <= 1e-20
     zero = np.zeros_like
-    assert l2_errors_pair(pair, lambda x: (value + zero(x), zero(x), zero(x)))[2] <= 1e-13
+    assert l2_errors_pair(pair, lambda x: (value + zero(x), zero(x), zero(x)))[2][0] <= 1e-13
 
 
 def test_conservative_energy_invariant_under_step():
@@ -355,10 +356,10 @@ def test_conservative_energy_invariant_under_step():
         pvals[:, l] = np.sin(xd + dt / 2 + l * math.pi / 2) * axis.h**l / math.factorial(l)
     prev = Field(grid, DUAL, -dt / 2, pvals)
     state = two_level(cur, prev)
-    e0 = conservative_energy(state.u, previous_of(state), dt)
+    e0 = conservative_energy(u_of(state), previous_of(state), dt)
     for _ in range(5):
         state = step(state, cfg)
-    e5 = conservative_energy(state.u, previous_of(state), dt)
+    e5 = conservative_energy(u_of(state), previous_of(state), dt)
     assert e5 == pytest.approx(e0, rel=1e-12)
     assert e0 > 0.0
 
@@ -474,8 +475,8 @@ def test_l2_error_2d_clips_wall_cells(parity):
     vals[..., 0, 0] = 1.0
     field = Field(grid, parity, 0.0, vals)
     zero = lambda x, y: 0.0 * x * y
-    assert abs(l2_error_field(u_state(field), zero) - 1.0) <= 1e-14
-    assert l2_error_field(u_state(field), lambda x, y: 1.0 + zero(x, y)) < 1e-14
+    assert abs(l2_error_field(u_state(field), zero)[0] - 1.0) <= 1e-14
+    assert l2_error_field(u_state(field), lambda x, y: 1.0 + zero(x, y))[0] < 1e-14
 
 
 def _tensor_oracle(field, exact, npts, der=0):
@@ -529,7 +530,7 @@ def test_pair_errors_in_2d_match_the_tensor_oracle(kinds, parity):
     npts = default_npts(m)
     want = [_tensor_oracle(f, lambda x, y, j=j: exact(x, y)[j], npts, der)
             for f, j, der in ((u, 0, 0), (u, 1, 1), (v, 2, 0))]
-    for got, w in zip(l2_errors_pair(uv_state(u, v), exact), want):
+    for (got,), w in zip(l2_errors_pair(uv_state(u, v), exact), want):
         assert abs(got - w) <= 1e-12 * w
 
 
@@ -570,7 +571,8 @@ def test_l2_error_field_matches_tensor_oracle(axes, m, parity):
 
     npts = default_npts(m)
     want = _tensor_oracle(field, exact, npts)
-    assert abs(l2_error_field(u_state(field), exact) - want) <= 1e-12 * want
+    (got,) = l2_error_field(u_state(field), exact)
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("axes", [
@@ -580,11 +582,11 @@ def test_l2_error_field_matches_tensor_oracle(axes, m, parity):
     (Axis(0.0, 1.0, 5, "neumann0", "dirichlet0"), Axis(0.0, 1.0, 4, "dirichlet0", "dirichlet0")),
 ], ids=["1d-walls", "1d-periodic", "2d-periodic", "2d-walls"])
 def test_stepped_level_errors_reuse_its_gather(axes):
-    """A stepped level's errors take the step's gather from the grid.
+    """A stepped level's errors take the step's gather from its stack.
 
     After a march, `l2_errors_pair` (1D dissipative) and `l2_error_field`
-    of a conservative state's current level add no entry to grid.plans,
-    on either parity.
+    of a conservative state's current level add no entry to the stack's
+    plans, on either parity.
     """
     grid, m, rng = Grid(axes), 2, np.random.default_rng(len(axes))
     d, cfg = len(axes), SchemeConfig(m=m)
@@ -605,7 +607,7 @@ def test_stepped_level_errors_reuse_its_gather(axes):
         for steps in (3, 1):  # end on the dual level, then on the primal one
             for _ in range(steps):
                 state = step(state, cfg)
-            before = set(grid.plans)
-            assert all(e > 0 for e in np.atleast_1d(errors(state)))
-            assert set(grid.plans) == before
+            before = set(state.grid.plans)
+            assert np.all(np.array(errors(state)) > 0)
+            assert set(state.grid.plans) == before
 

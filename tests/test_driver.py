@@ -34,7 +34,7 @@ from hermwave.driver import (
     sine_derivs,
 )
 
-from states import previous_of, u_state
+from states import one, previous_of, u_of, u_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402  (the benchmark's node counter, used as is)
@@ -201,6 +201,10 @@ def test_sine_columns():
     for k in range(5):
         want = np.sin(pts + k * np.pi / 2) * math.cos(0.6)
         np.testing.assert_allclose(out[:, k], want, rtol=1e-13)
+    # one time per point, as a start's dual rows take -dt/2 of their own level
+    rows = sine_derivs(pts, 4, t=np.array([0.6, -0.3]))
+    np.testing.assert_array_equal(rows[0], out[0])
+    np.testing.assert_array_equal(rows[1], sine_derivs(pts, 4, t=-0.3)[1])
 
 
 def test_planewave_blocks_against_sympy():
@@ -906,19 +910,19 @@ def test_finite_check_builds_no_message_while_finite(monkeypatch):
 
 def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     """A 2D dissipative level measures u through its packed u | v gather:
-    no u-only gather is left in its grid's plans, and the error equals the
+    no u-only gather is left in its stack's plans, and the error equals the
     u-only gather's to 1e-12 relative."""
     cfg = make_config("planewave2d", flag_overrides={"levels": 1, "n0": 6})
     starts, real = [], driver._start
     monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real(*args))
     report = driver.run_planewave_2d(cfg)
     ((_, stack, data),) = starts
-    (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level, with the plans it built
-    keys = {key for key in grid.plans if key[0] == "gather"}
+    (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level
+    keys = {key for key in stack.plans if key[0] == "gather"}
     assert keys and all(key[2] != (cu,) for key in keys)
     # the level marched alone with the driver's step, from the study's data
     # function, its u measured through both gathers
-    (state, _), scfg = real(cfg, grid, data), cfg.scheme_config()
+    (state, _), scfg = real(cfg, stack, data), cfg.scheme_config()
     ((_, nhalf),) = _study_levels(cfg)
     for _ in range(nhalf):
         state = driver.half_step_1d(state, scfg)
@@ -928,10 +932,10 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     def exact(x, y):
         return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
 
-    new = driver.l2_error_field(state, exact)
-    assert ("gather", state.parity, (cu,)) not in grid.plans
-    old = driver.l2_error_field(u_state(state.u), exact)
-    assert ("gather", state.parity, (cu,)) in grid.plans
+    (new,) = driver.l2_error_field(state, exact)
+    assert ("gather", state.parity, (cu,)) not in stack.plans
+    (old,) = driver.l2_error_field(u_state(state.u), exact)
+    assert ("gather", state.parity, (cu,)) in stack.plans
     assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
 
 
@@ -985,7 +989,7 @@ def test_study_evaluates_each_start_field_once_on_the_stack_rows(monkeypatch, ex
     monkeypatch.setattr(driver, "_march", lambda state, *args: states.append(state) or _stop())
 
     def start(grid):
-        state, _ = real_start(cfg, grid, data)
+        state, _ = real_start(cfg, one(grid), data)
         return states.pop() if init == "bootstrap" else state
 
     with pytest.raises(_Stop):
@@ -1036,8 +1040,8 @@ def test_2d_walled_conservative_start_zeroes_reflected_slots():
         drawn.append(rng.standard_normal((len(xs[0]),) + (order + 1,) * 2))
         return drawn[-1].copy()
 
-    state, _ = driver._start(cfg, grid, data)
-    got, want = state.u.values, drawn[0].reshape(grid.shapes[PRIMAL] + (m + 1,) * 2)
+    state, _ = driver._start(cfg, one(grid), data)
+    got, want = u_of(state).values, drawn[0].reshape(grid.shapes[PRIMAL] + (m + 1,) * 2)
     odd, even = slice(1, None, 2), slice(0, None, 2)  # neumann0 and dirichlet0 slots
     want[0, :, even, :] = want[-1, :, odd, :] = 0.0
     want[:, 0, :, odd] = want[:, -1, :, even] = 0.0

@@ -5,6 +5,8 @@ built from the pipeline; here the pipeline itself runs on the same
 gathered data and the two must agree to rounding.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, flip
 from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
-from states import previous_of, two_level, uv_state, v_of
+from states import one, previous_of, two_level, u_of, uv_state, v_of
 
 WALLS = ("dirichlet0", "neumann0")
 PERIODIC = ("periodic", "periodic")
@@ -76,10 +78,10 @@ def test_folded_steps_match_pipeline(m, lam, periodic, parity, seed, data):
     dv, _ = pair_sources(v)
     got = step(uv_state(u, v), cfg)
     want = taylor_half_step(du, dv, cfg.dt(h), (h,), cfg.stages(1))
-    _assert_close(got.u.values, want[0])
+    _assert_close(u_of(got).values, want[0])
     _assert_close(v_of(got).values, want[1])
     got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
-    _assert_close(got.u.values,
+    _assert_close(u_of(got).values,
                   conservative_update(apply_interp(du), prev, m, cfg.dt(h), (h,)))
 
     grid = _drawn_grid(2, periodic, data)
@@ -92,10 +94,10 @@ def test_folded_steps_match_pipeline(m, lam, periodic, parity, seed, data):
     dt = cfg.dt(min(hx, hy))
     got = step(uv_state(u, v), cfg)
     want = taylor_half_step(du, dv, dt, (hx, hy), cfg.stages(2))
-    _assert_close(got.u.values, want[0])
+    _assert_close(u_of(got).values, want[0])
     _assert_close(v_of(got).values, want[1])
     got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
-    _assert_close(got.u.values,
+    _assert_close(u_of(got).values,
                   conservative_update(apply_interp(du, 2), prev, m, dt, (hx, hy)))
 
 
@@ -135,8 +137,8 @@ def test_steps_keep_inputs_and_conservative_step_reverses(m, lam, two_d, periodi
     for field, before in zip((u, v, prev), kept):
         assert np.array_equal(field.values, before)
 
-    back = step(two_level(previous_of(s1, cfg), s1.u), cfg)
-    assert np.abs(back.u.values - prev.values).max() <= 1e-12 * np.abs(prev.values).max()
+    back = step(two_level(previous_of(s1, cfg), u_of(s1)), cfg)
+    assert np.abs(u_of(back).values - prev.values).max() <= 1e-12 * np.abs(prev.values).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -177,18 +179,19 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
             new = step(uv_state(u, v), cfg).rows
             assert np.abs(new - want).max() <= 1e-14 * np.abs(want).max()
             got_c = step(two_level(u, prev), cfg)
-            _assert_close(got_c.u.values, want_c)
+            _assert_close(u_of(got_c).values, want_c)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("parity", [PRIMAL, DUAL])
 def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
-    """Each step's and the bootstrap's result reads as fields on the target nodes.
+    """Each step's and the bootstrap's result reads as a field on the target nodes.
 
     A benchmark counts half-step target nodes from `.u.values` of a result
-    of either scheme: a dissipative state's u, a conservative one's current
-    level.
+    of either scheme, a dissipative state's u or a conservative one's
+    current level, as the product of its leading half of axes: on a
+    one-level stack, one axis of the level's target nodes.
     """
     rng = np.random.default_rng(ndim)
     m = 2
@@ -205,7 +208,7 @@ def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
                   bootstrap_first_half(uv_state(g0, g1), cfg)):
         field = state.u
         assert field.parity == target
-        assert field.values.shape[:ndim] == grid.shapes[target]
+        assert field.values.shape[: field.values.ndim // 2] == (math.prod(grid.shapes[target]),)
 
 
 def _oracle_half_step(u, v, cfg):
@@ -271,7 +274,7 @@ def test_200_packed_steps_match_field_oracle(ndim):
     for _ in range(200):
         state = step(state, cfg)
         cur, prev = _oracle_full_step(cur, prev, cfg)
-    for got, want in zip((state.u, previous_of(state, cfg)), (cur, prev)):
+    for got, want in zip((u_of(state), previous_of(state, cfg)), (cur, prev)):
         assert (got.parity, got.time) == (want.parity, want.time)
         assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
 
@@ -281,8 +284,8 @@ def test_conservative_plan_is_the_folded_update(d, ms):
     """The conservative plan's matrix, twice the u rows of the folded
     bootstrap, is bit for bit the `fold` of the update oracle
     (`level_oracle.conservative_update`) at the unit spacing of the aspect:
-    on a `Grid` of unequal real spacings and on a `Stack` of two such
-    levels.
+    on a stack of one level of unequal real spacings and on a `Stack` of
+    two such levels.
 
     With u_t = 0 every bootstrap stage past the update's 2dm is exactly
     zero, so the two series sum the same terms in the same order.
@@ -293,8 +296,8 @@ def test_conservative_plan_is_the_folded_update(d, ms):
     for m in ms:
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
-            for level in (grid, stack):
+            for levels in (one(grid), stack):
                 (want,) = fold(level_oracle.update, ((2,) * d + (m + 1,) * d,), m,
-                               cfg.dt(1.0), level.aspect)
-                got = _plan(level, PRIMAL, cfg, "conservative")[1]
-                assert np.array_equal(got, want), (m, lam, level)
+                               cfg.dt(1.0), levels.aspect)
+                got = _plan(levels, PRIMAL, cfg, "conservative")[1]
+                assert np.array_equal(got, want), (m, lam, levels)

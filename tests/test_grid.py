@@ -9,7 +9,7 @@ from hermwave.conservative import step
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, KINDS, PRIMAL, Axis, Field, Grid, State
 
-from states import fields_of, orders, previous_of, two_level, uv_state
+from states import fields_of, one, orders, previous_of, two_level, u_of, uv_state
 
 PERIODIC = ("periodic", "periodic")
 WALLS = ("dirichlet0", "dirichlet0")
@@ -115,21 +115,25 @@ def test_packed_states_give_back_their_fields(ndim):
     for got, want in ((got_u, u), (got_v, v)):
         assert (got.grid, got.parity, got.time) == (want.grid, want.parity, want.time)
     state = two_level(u, prev)
-    for got, want in zip((state.u, previous_of(state, CFG)), (u, prev)):
+    for got, want in zip((u_of(state), previous_of(state, CFG)), (u, prev)):
         np.testing.assert_array_equal(got.values, want.values)
         assert (got.grid, got.parity, got.time) == (want.grid, want.parity, want.time)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_packed_state_constructors_check_their_fields(ndim):
-    """A state's rows and previous rows must have their grid's node count of
-    their parity and the column count of its blocks; a config of another m
-    than the blocks' fails at the link, naming the orders."""
+    """A state lives on a `Stack`, and its rows and previous rows must have
+    its node count of their parity and the column count of its blocks; a
+    config of another m than the blocks' fails at the link, naming the
+    orders."""
     u, _, prev = _random_levels(ndim, np.random.default_rng(10 + ndim))
-    grid, cu = u.grid, ((3,) * ndim,)
-    rows = u.values.reshape(math.prod(grid.shapes[PRIMAL]), -1)
-    prow = prev.values.reshape(math.prod(grid.shapes[DUAL]), -1)
+    level, cu = u.grid, ((3,) * ndim,)
+    grid = one(level)
+    rows = u.values.reshape(math.prod(level.shapes[PRIMAL]), -1)
+    prow = prev.values.reshape(math.prod(level.shapes[DUAL]), -1)
     State(grid, PRIMAL, 0.25, rows, cu, prow)
+    with pytest.raises(TypeError, match=r"Stack\(\[grid\]\)"):
+        State(level, PRIMAL, 0.25, rows, cu, prow)
     with pytest.raises(ValueError, match="unknown parity 'bogus'"):
         State(grid, "bogus", 0.25, rows, cu)
     with pytest.raises(ValueError, match="primal rows"):

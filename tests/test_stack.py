@@ -12,7 +12,7 @@ from hermwave.diagnostics import l2_error_field, l2_errors_pair
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, State, flip
 
-from states import orders, two_level, u_state, uv_state, v_of
+from states import one, orders, two_level, u_of, u_state, uv_state, v_of
 
 WALLS = {"dirichlet0": ("dirichlet0", "dirichlet0"), "neumann0": ("neumann0", "neumann0"),
          "mixed": ("dirichlet0", "neumann0"), "periodic": ("periodic", "periodic")}
@@ -37,11 +37,11 @@ def _levels(kinds, d, m, scheme, rng):
 
 
 def _pack(stack, states):
-    """One state of the stack from one plain state per level, in stack order:
-    the rows, in the same units on both, one level after the other, and one
-    time per level."""
+    """One state of the stack from one one-level state per level, in stack
+    order: the rows, in the same units on both, one level after the other,
+    and the first level's time."""
     prev = [s.prev_rows for s in states]
-    return State(stack, states[0].parity, np.array([s.time for s in states]),
+    return State(stack, states[0].parity, states[0].time,
                  np.concatenate([s.rows for s in states]), states[0].blocks,
                  None if prev[0] is None else np.concatenate(prev))
 
@@ -64,7 +64,7 @@ def _assert_gathers_equal(head, fresh):
 @pytest.mark.parametrize("kinds, d, m", CASES, ids=[c[0] + f"-{c[1]}d" for c in CASES])
 def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
     """A stack of 3 levels, popped at each level's end, gives each level's
-    rows and time as its own march does, to 1e-12 relative.
+    rows and parity as its own march does, to 1e-12 relative.
 
     The levels leave from the end, each with a view of its rows; the
     others stay views of the leading rows, on a stack whose gathers are
@@ -87,7 +87,7 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
         if state.grid.whole is not None:
             _assert_gathers_equal(state.grid, Stack(state.grid.levels))
         rows, grid = state.rows, state.grid
-        got[i] = (state.parity, state.time[i])
+        got[i] = (state.parity,)
         if state.prev_rows is not None:  # a study reads the current level alone
             got[i] += (state.prev_rows[grid.offsets[flip(state.parity)][i] :],)
         last, state = grid.pop(state)
@@ -97,8 +97,8 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
             assert np.shares_memory(state.rows, rows) and state.grid.levels == stack.levels[:i]
     assert state is None
     for i, want in enumerate(alone):
-        last, parity, time, *prev = got[i]
-        assert (parity, time) == (want.parity, want.time)
+        last, parity, *prev = got[i]
+        assert parity == want.parity
         if want.prev_rows is None:
             split = math.prod(want.blocks[0])
             parts = [(last[:, :split], want.rows[:, :split]),
@@ -109,9 +109,39 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
             assert np.abs(have - rows).max() <= 1e-12 * np.abs(rows).max()
 
 
+def test_a_stack_has_one_float_time_its_first_level_s():
+    """Bootstrapped, stepped and popped, a 3-level stack's state keeps one
+    time, a Python float (the marches digest hashes its repr, which an
+    np.float64 would change), bit for bit the time of its first level's own
+    one-level march."""
+    m, cfg = 3, SchemeConfig(m=3, lam=0.8)
+    grids = [Grid((Axis(-1.0, 1.0, n, *WALLS["mixed"]),)) for n in (11, 8, 6)]
+    rng = np.random.default_rng(7)
+    fields = [[Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (m + 1,)))
+               for _ in range(2)] for g in grids]
+    starts = [uv_state(*f) for f in fields]
+    state = bootstrap_first_half(_pack(Stack(grids), starts), cfg)
+    alone = bootstrap_first_half(starts[0], cfg)
+    assert alone.grid is one(grids[0])
+    assert type(state.time) is float and state.time == alone.time == 0.5 * cfg.dt(grids[0].h)
+    done = 1
+    for end in (19, 25, 35):  # the last half step of each level, coarsest first
+        for _ in range(done, end):
+            state, alone = step(state, cfg), step(alone, cfg)
+            assert type(state.time) is float and state.time == alone.time
+        done = end
+        _, rest = state.grid.pop(state)
+        if rest is not None:
+            assert type(rest.time) is float and rest.time == state.time
+            state = rest
+    assert len(state.grid.levels) == 1
+    assert state.time == pytest.approx(35 * 0.5 * cfg.dt(grids[0].h), rel=1e-14)
+
+
 def test_stacked_state_counts_its_target_nodes():
     """A stepped stack answers .u.values with one node axis over every
-    level's targets, and carries v as h*v per level, as its levels do."""
+    level's targets, and carries v as h*v per level, as its one-level
+    stacks do."""
     grids = [Grid((Axis(0.0, 1.0, n), Axis(0.0, 1.0, n))) for n in (5, 4)]
     rng = np.random.default_rng(3)
     states = [uv_state(*(Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (k, k)))
@@ -119,7 +149,6 @@ def test_stacked_state_counts_its_target_nodes():
     stack = Stack(grids)
     out = step(_pack(stack, states), SchemeConfig(m=2))
     assert out.u.values.shape == (25 + 16, 3, 3) and orders(out.u) == (2, 2)
-    np.testing.assert_array_equal(out.time, 0.5 * 0.8 * stack.h)
     packed = _pack(stack, states)
     np.testing.assert_array_equal(packed.rows[:25, 9:], states[0].rows[:, 9:])
     np.testing.assert_array_equal(packed.rows[25:, 9:], states[1].rows[:, 9:])
@@ -130,41 +159,15 @@ def test_stacked_state_counts_its_target_nodes():
 @pytest.mark.parametrize("scheme", ["dissipative", "conservative"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_grids_of_one_aspect_share_one_matrix(scheme, d):
-    """Periodic grids of two sizes and a `Stack` of them, all of one aspect,
-    hold the one matrix of (scheme, m, lam, aspect) in their plans."""
+    """The stacks of periodic grids of two sizes, one each and both, all of
+    one aspect, hold the one matrix of (scheme, m, lam, aspect) in their
+    plans."""
     cfg = SchemeConfig(m=2, lam=0.8)
     grids = [Grid((Axis(0.0, 1.0, n), Axis(0.0, 2.0, n))[:d]) for n in (4, 8)]
-    got = [_plan(level, parity, cfg, scheme)[1] for level in grids + [Stack(grids)]
+    got = [_plan(stack, parity, cfg, scheme)[1]
+           for stack in [Stack([g]) for g in grids] + [Stack(grids)]
            for parity in (PRIMAL, DUAL)]
     assert all(a is got[0] for a in got)
-
-
-@pytest.mark.parametrize("scheme", ["dissipative", "conservative", "bootstrap"])
-@pytest.mark.parametrize("kinds", ["mixed", "periodic"])
-def test_grid_and_one_level_stack_step_alike(scheme, kinds):
-    """A level stepped 20 half steps as a plain `Grid` state and as a
-    one-level `Stack` state gives bit-identical rows and times: both carry
-    v (and a bootstrap's u_t) as h*v and step with one matrix."""
-    m, rng = 3, np.random.default_rng(len(kinds))
-    grid = Grid((Axis(-1.0, 1.0, 9, *WALLS[kinds]),))
-    cfg = SchemeConfig(m=m, lam=0.8)
-
-    def field(parity, order):
-        return Field(grid, parity, 0.0, rng.standard_normal(grid.shapes[parity] + (order + 1,)))
-
-    if scheme == "conservative":
-        plain = two_level(field(PRIMAL, m), field(DUAL, m))
-    else:
-        plain = uv_state(field(PRIMAL, m), field(PRIMAL, m if scheme == "bootstrap" else m - 1))
-    stacked = _pack(Stack([grid]), [plain])
-    if scheme == "bootstrap":
-        plain, stacked = (bootstrap_first_half(s, cfg) for s in (plain, stacked))
-    for _ in range(20):
-        plain, stacked = step(plain, cfg), step(stacked, cfg)
-    assert stacked.time[0] == plain.time
-    np.testing.assert_array_equal(stacked.rows, plain.rows, strict=True)
-    if plain.prev_rows is not None:
-        np.testing.assert_array_equal(stacked.prev_rows, plain.prev_rows, strict=True)
 
 
 def test_stack_needs_one_aspect():
@@ -184,26 +187,24 @@ BOOT_CASES = [("dirichlet0", 1), ("neumann0", 1), ("periodic", 2)]
 def test_stacked_bootstrap_matches_the_taylor_pipeline(kinds, d, parity):
     """One bootstrap of a 3-level stack gives each level's first half step
     as the per-level Taylor pipeline does, to 1e-12 relative; so does the
-    bootstrap of each plain level."""
+    bootstrap of each level's one-level stack."""
     m, rng = 3 if d == 1 else 2, np.random.default_rng(d + len(kinds))
     cfg = SchemeConfig(m=m, lam=0.8)
     grids = [Grid((Axis(-1.0, 1.0, n, *WALLS[kinds]),) * d) for n in (11, 8, 6)]
     fields = [[Field(g, parity, 0.0, rng.standard_normal(g.shapes[parity] + (m + 1,) * d))
                for _ in range(2)] for g in grids]
     stack = Stack(grids)
-    start = uv_state(*(Field(stack, parity, np.zeros(3), np.concatenate(
+    start = uv_state(*(Field(stack, parity, 0.0, np.concatenate(
         [f[k].values.reshape((-1,) + (m + 1,) * d) for f in fields])) for k in (0, 1)))
     state = bootstrap_first_half(start, cfg)
     assert np.shares_memory(state.prev_rows, start.rows)
     assert state.parity == flip(parity)
-    np.testing.assert_array_equal(state.time, 0.5 * cfg.dt(stack.h))
     offsets = stack.offsets[flip(parity)]
     for i, ((u, u_t), grid) in enumerate(zip(fields, grids)):
         want = level_oracle.bootstrap(u, u_t, cfg)
         got = state.rows[offsets[i] : offsets[i + 1]].reshape(want.shape)
         alone = bootstrap_first_half(uv_state(u, u_t), cfg)
-        assert alone.time == state.time[i]
-        for have in (got, alone.u.values):
+        for have in (got, u_of(alone).values):
             assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -216,7 +217,7 @@ ERROR_CASES = [("dirichlet0", 1), ("neumann0", 1), ("mixed", 1), ("periodic", 2)
 @pytest.mark.parametrize("scheme", ["dissipative", "conservative"])
 def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
     """One error call on a 3-level stack gives each level's errors as the
-    per-level arithmetic does on its plain state, to 1e-12 relative.
+    per-level arithmetic does on its one-level state, to 1e-12 relative.
 
     The levels carry random data, and the exact solution takes each
     level's own time through its
@@ -243,9 +244,8 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
     stack = Stack(grids)
     if scheme == "dissipative":
         stacked = _pack(stack, states)
-        stacked.time = times
     else:
-        stacked = u_state(Field(stack, parity, times, np.concatenate(
+        stacked = u_state(Field(stack, parity, 0.0, np.concatenate(
             [s.values.reshape((-1,) + (m + 1,) * d) for s in states])))
     t = np.repeat(times, np.diff(stack.offsets[flip(parity)])).reshape((-1,) + (1,) * d)
     got = [l2_error_field(stacked, lambda *xs: exact(t, *xs)[0])]
