@@ -13,8 +13,8 @@ tangential column. Each axis carries the kinds of its two ends
 A gather assembles, for every target node of the opposite parity, the
 flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
 including any ghosts, which is all the step, the bootstrap and the
-error norms need. It has one path, `take` through a `GatherPlan` cached on
-the `Stack`, one per gathered blocks (`level_gather`): one take through a
+error norms need. It has one path, `take` through a `GatherPlan`, cached
+per stack geometry and gathered blocks (`gather_plan`): one take through a
 flat index into the node rows (u | v packed per node for the dissipative
 scheme). On each level the index wraps on a periodic axis and is clipped
 at walls. A dual level at walls then turns the clipped edge slots into
@@ -136,24 +136,19 @@ def _negate(counts: tuple, kinds: tuple, blocks: tuple) -> np.ndarray:
     return negate
 
 
+@lru_cache(maxsize=256)
 def gather_plan(stack, parity: str, blocks: tuple) -> GatherPlan:
-    """Build the `GatherPlan` of a `Stack`'s `parity` nodes for `blocks`.
+    """The `GatherPlan` of a `Stack`'s `parity` nodes for `blocks`, built
+    once per (stack's levels, parity, blocks).
 
     `blocks` holds the coefficient shape of each field packed along the
     node rows; with homogeneous walls every field reflects the same way.
     Each level's `gather_index` is offset by the rows before the level,
     and on a dual level at walls its `_negate` by the slots before its
-    first target, and they are concatenated. A stack that leads a larger
-    one takes the leading targets of that one's gather.
+    first target, and they are concatenated. A step's plan and the error
+    norms that gather the same blocks from equal stacks share one.
     """
     slots = 2**stack.ndim * sum(math.prod(coeffs) for coeffs in blocks)  # per target
-    targets = stack.shapes[flip(parity)][0]
-    if stack.whole is not None:
-        plan = level_gather(stack.whole, parity, blocks)
-        negate = plan.negate
-        if negate is not None:
-            negate = negate[: np.searchsorted(negate, targets * slots)]
-        return GatherPlan(stack.shapes[parity][0], targets, plan.index[:targets], negate)
     index, negate = [], []
     for level, first, start in zip(stack.levels, stack.offsets[parity],
                                    stack.offsets[flip(parity)]):
@@ -165,22 +160,10 @@ def gather_plan(stack, parity: str, blocks: tuple) -> GatherPlan:
             negate.append(_negate(counts, kinds, blocks) + start * slots)
     index = np.concatenate(index)
     index.setflags(write=False)
-    return GatherPlan(stack.shapes[parity][0], targets, index,
-                      np.concatenate(negate) if negate else None)
-
-
-def level_gather(stack, parity: str, blocks: tuple) -> GatherPlan:
-    """The `gather_plan` of a stack's `parity` nodes for `blocks`, built once.
-
-    It is kept in the stack's `plans` under ("gather", parity, blocks), so
-    a step's plan and the error norms that gather the same blocks from the
-    same levels share one.
-    """
-    key = ("gather", parity, blocks)
-    plan = stack.plans.get(key)
-    if plan is None:
-        plan = stack.plans[key] = gather_plan(stack, parity, blocks)
-    return plan
+    negate = np.concatenate(negate) if negate else None
+    if negate is not None:  # shared by every caller of the cache
+        negate.setflags(write=False)
+    return GatherPlan(stack.shapes[parity][0], stack.shapes[flip(parity)][0], index, negate)
 
 
 def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:

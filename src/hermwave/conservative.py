@@ -33,7 +33,12 @@ So a half step of either scheme is a take and one matrix, and this module,
 which imports both matrix builders, holds the one plan builder (`_plan`)
 and the one `step` of a `grid.State`: the dissipative state's u | h*v rows
 go through `dissipative._packed_matrix`, the two-level state's u rows
-through 2 B_u before its previous level is subtracted.
+through 2 B_u before its previous level is subtracted. A plan is built
+once per (stack's levels, parity, config, scheme), like its gather and
+matrix. The step links a state to its plans (`link`): the state then
+carries the config it was stepped with, the plan of its own parity and the
+plan of the opposite one, and each state the step returns carries the same
+two plans swapped, so a march looks its plans up once.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import level_gather, take
+from .boundary import gather_plan, take
 from .dissipative import SchemeConfig, _packed_matrix, eval_series, expand_taylor, fold, packed
-from .grid import State, check_blocks, flip, link
+from .grid import State, flip
 from .interp import apply_interp
 
 
@@ -85,7 +90,7 @@ def bootstrap_first_half(state: State, cfg: SchemeConfig) -> State:
     Args:
         state: the initial data as a `State`, its rows u | h*u_t per node,
             both of order m (the extra order of u_t sharpens the single
-            Taylor step); other orders raise `grid.check_blocks`'s error.
+            Taylor step); other orders raise `check_blocks`'s error.
 
     Returns:
         The two-level `State` with u at t = dt/2 on the opposite parity and
@@ -95,14 +100,16 @@ def bootstrap_first_half(state: State, cfg: SchemeConfig) -> State:
     cu = (cfg.m + 1,) * stack.ndim
     check_blocks(state, (cu, cu), cfg.m)
     a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), stack.aspect)
-    new = take(state.rows, level_gather(stack, parity, state.blocks)).dot(a)
+    new = take(state.rows, gather_plan(stack, parity, state.blocks)).dot(a)
     return State(stack, flip(parity), state.time + 0.5 * cfg.dt(stack.levels[0].h), new,
                  (cu,), state.rows[:, : math.prod(cu)])
 
 
+@lru_cache(maxsize=256)  # a benchmark refine pass needs 100 plans
 def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
-    """Build the half-step plan of a `Stack`'s `parity` nodes for
-    "dissipative" or "conservative" states.
+    """The half-step plan of a `Stack`'s `parity` nodes for "dissipative"
+    or "conservative" states, built once per (stack's levels, parity, cfg,
+    scheme).
 
     It holds the gather of the packed rows, the matrix (`_packed_matrix`
     or `_update_matrix`) of the stack's aspect, shared by every stack of
@@ -116,8 +123,30 @@ def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
         blocks, a = (cu,), _update_matrix(m, dt, hs)
     else:
         blocks, a = (cu, (m,) * ndim), _packed_matrix(m, dt, hs, cfg.stages(ndim))
-    return (level_gather(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
+    return (gather_plan(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
             flip(parity), blocks)
+
+
+def link(state: State, cfg: SchemeConfig) -> tuple:
+    """The `link` of a state stepped under cfg: (cfg, plan, next plan).
+
+    The plans are the `_plan`s of the state's parity and the opposite one,
+    for "conservative" on a state with a previous level and "dissipative"
+    otherwise. A plan's last entry is the blocks of the states it steps;
+    they must be the state's own (`check_blocks`).
+    """
+    scheme = "dissipative" if state.prev_rows is None else "conservative"
+    plan = _plan(state.grid, state.parity, cfg, scheme)
+    check_blocks(state, plan[-1], cfg.m)
+    return cfg, plan, _plan(state.grid, flip(state.parity), cfg, scheme)
+
+
+def check_blocks(state: State, blocks: tuple, m: int) -> None:
+    """Raise a ValueError naming the state's orders and m unless the state
+    packs `blocks`, the ones a config of order m steps."""
+    if state.blocks != blocks:
+        orders = tuple(k - 1 for k in state.blocks[0])
+        raise ValueError(f"state carries orders {orders}, config wants m = {m}")
 
 
 def step(state: State, cfg: SchemeConfig) -> State:
@@ -130,7 +159,7 @@ def step(state: State, cfg: SchemeConfig) -> State:
     """
     lnk = state.link
     if lnk is None or lnk[0] is not cfg:
-        lnk = link(state, cfg, _plan)
+        lnk = link(state, cfg)
     gather, a, half_dt, parity, blocks = lnk[1]
     out = State.__new__(State)
     out.grid, out.parity, out.time, out.blocks = state.grid, parity, state.time + half_dt, blocks

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import level_gather, take
+from .boundary import gather_plan, take
 from .grid import DUAL, Axis, flip
 from .interp import interp_matrix
 
@@ -228,7 +228,7 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
         raise ValueError("u_x and v errors need a dissipative state")
     npts = npts or default_npts(max(blocks[0]) - 1)
     xs, weight, counts, first, edges = _cells(stack.levels, parity, npts)
-    gathered = take(state.rows, level_gather(stack, parity, blocks))
+    gathered = take(state.rows, gather_plan(stack, parity, blocks))
     vals = _dot(gathered, error_matrix(blocks, npts, (0,) * d, pair))
     for kinds, at in edges.items():
         vals[at] = _dot(gathered[at], error_matrix(blocks, npts, kinds, pair))
@@ -335,9 +335,9 @@ def energy_of_rows(state, factor: np.ndarray) -> float:
     stack, parity, blocks = state.grid, state.parity, state.blocks
     m = blocks[0][0] - 1
     top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
-    own = level_gather(stack, parity, blocks)
+    own = gather_plan(stack, parity, blocks)
     cur = take(state.rows, own) @ top
-    prev = take(state.prev_rows, level_gather(stack, flip(parity), blocks)) @ top
+    prev = take(state.prev_rows, gather_plan(stack, flip(parity), blocks)) @ top
     flanks = take(prev, own)  # the previous cells centred on the current nodes
     y = np.concatenate([cur, flanks], axis=1) @ factor.T
     return float(np.vdot(y, y))

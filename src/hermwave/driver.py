@@ -348,9 +348,9 @@ def _march(state, scfg: SchemeConfig, done: int, last: int, where):
     tracer and tests count them, checking the node rows at every multiple
     of FINITE_STRIDE and after the last.
 
-    Each state a step returns carries its level's two plans, linked under
-    scfg (`grid.link`), so only the first call can look a plan up. A failed
-    check names where(state, half step).
+    Each state a step returns carries its stack's two plans, linked under
+    scfg (`conservative.link`), so only the first call can look a plan up.
+    A failed check names where(state, half step).
     """
     step = half_step_1d
     while done < last:

@@ -19,14 +19,12 @@ packed per node (dissipative), or u with the previous level's rows
 
 Every state lives on a `Stack`, which puts one or more levels one after
 the other in one set of node rows, so that one take and one product step
-them all; a single level is `Stack([grid])`. A stack carries a `plans`
-dict where the gathers and the step cache what they build once, so no
-cache outlives the stack its key names. The step links a state to its
-plans (`link`): the state then carries the config it was stepped with,
-the plan of its own parity and the plan of the opposite one, and each
-state the step returns carries the same two plans swapped, so a march
-looks up its plans once. Every level takes the same half steps, so a
-state has one time, a float: that of the stack's first level.
+them all; a single level is `Stack([grid])`. A stack compares and hashes
+by its levels, which are all its plans depend on, so the gathers and the
+step plans are cached by value (`boundary.gather_plan`,
+`conservative._plan`) and equal stacks share them. Every level takes the
+same half steps, so a state has one time, a float: that of the stack's
+first level.
 """
 
 from __future__ import annotations
@@ -165,8 +163,9 @@ class State:
     u | h*v, ((m+1,)*d, (m,)*d), for the dissipative scheme and u alone,
     ((m+1,)*d,), for the conservative one, whose previous level sits in
     `prev_rows` on the other parity (None for the dissipative scheme). It
-    carries the step's `link` (None until a step sets it; see `link`) and
-    one `time`, a float: the time of the stack's first level.
+    carries the step's `link` (None until a step sets it; see
+    `conservative.link`) and one `time`, a float: the time of the stack's
+    first level.
 
     Every state carries v, and a bootstrap's u_t, as h*v, h the smallest
     spacing of the node's level, and steps u_tt = Delta u. Then a half step
@@ -201,36 +200,6 @@ class State:
                      self.rows[:, : math.prod(u)].reshape(self.grid.shapes[self.parity] + u))
 
 
-def link(state, cfg, build) -> tuple:
-    """The `link` of a state stepped under cfg: (cfg, plan, next plan).
-
-    The plans are those of the state's parity and the opposite one, each
-    looked up in the stack's `plans` by (scheme, parity, cfg), the scheme
-    "conservative" for a state with a previous level and "dissipative"
-    otherwise, or built there by build(stack, parity, cfg, scheme). A
-    plan's last entry is the blocks of the states it steps; they must be
-    the state's own (`check_blocks`).
-    """
-    stack, plans = state.grid, []
-    scheme = "dissipative" if state.prev_rows is None else "conservative"
-    for parity in (state.parity, flip(state.parity)):
-        key = (scheme, parity, cfg)
-        plan = stack.plans.get(key)
-        if plan is None:
-            plan = stack.plans[key] = build(stack, parity, cfg, scheme)
-        plans.append(plan)
-    check_blocks(state, plans[0][-1], cfg.m)
-    return cfg, plans[0], plans[1]
-
-
-def check_blocks(state, blocks: tuple, m: int) -> None:
-    """Raise a ValueError naming the state's orders and m unless the state
-    packs `blocks`, the ones a config of order m steps."""
-    if state.blocks != blocks:
-        orders = tuple(k - 1 for k in state.blocks[0])
-        raise ValueError(f"state carries orders {orders}, config wants m = {m}")
-
-
 class Stack:
     """The levels of a refinement study as one set of node rows.
 
@@ -246,15 +215,13 @@ class Stack:
     the time of its first level; a study starts one from data evaluated on
     its rows (`nodes`, `level_of`). A level leaves from the end (`pop`)
     with its rows alone, so a study stacks the level that marches longest
-    first: its finest. The stack of the other levels holds the leading rows, its
-    gathers are the leading targets of this stack's, and it names this
-    stack as its `whole`.
+    first: its finest. Stacks of equal levels are equal, and hash alike.
 
     Built once, as plain attributes: `levels`, `ndim`, `aspect`, `h`
     (each level's smallest spacing, read-only), `offsets` (each
     parity's first row of every level, then the total), `level_of` (each
     parity's level of every row), `shapes` (each parity's total rows, as
-    one node axis), `plans` and `whole` (the stack this one leads, or None).
+    one node axis).
     """
 
     def __init__(self, levels):
@@ -273,31 +240,25 @@ class Stack:
         self.offsets = {parity: np.add.accumulate([0] + c) for parity, c in counts.items()}
         self.level_of = {parity: np.arange(len(levels)).repeat(c) for parity, c in counts.items()}
         self.shapes = {parity: (int(off[-1]),) for parity, off in self.offsets.items()}
-        self.plans, self.whole, self._head = {}, None, None
+        # hashed once: 10 levels take about 6 us to hash (2-vCPU Xeon VM)
+        self._hash = hash(levels)
+
+    def __eq__(self, other):
+        return isinstance(other, Stack) and self.levels == other.levels
+
+    def __hash__(self):
+        return self._hash
 
     def nodes(self, parity: str) -> np.ndarray:
         """`Grid.nodes` of every row, the levels' one level after the other."""
         return np.concatenate([g.nodes(parity) for g in self.levels], axis=1)
-
-    def _lead(self, count: int) -> Stack:
-        """The stack of the first `count` levels, built once from this one's
-        attributes, their leading entries."""
-        if self._head is None:
-            head = self._head = copy.copy(self)
-            head.levels, head.h = self.levels[:count], self.h[:count]
-            head.offsets = {parity: off[: count + 1] for parity, off in self.offsets.items()}
-            head.level_of = {parity: lv[: head.offsets[parity][-1]]
-                             for parity, lv in self.level_of.items()}
-            head.shapes = {parity: (int(off[-1]),) for parity, off in head.offsets.items()}
-            head.plans, head.whole, head._head = {}, self, None
-        return self._head
 
     def pop(self, state):
         """(the last level's rows, the state of the stack of the others).
 
         The rows are the last level's `rows`, a view: a step writes new
         rows and never into the ones it reads. The others stay views of the state's
-        leading rows, on the stack of the leading levels (None when no
+        leading rows, on a new stack of the leading levels (None when no
         level is left).
         """
         i = len(self.levels) - 1
@@ -305,7 +266,7 @@ class Stack:
         if not i:
             return state.rows, None
         rest = copy.copy(state)
-        rest.grid, rest.link = self._lead(i), None
+        rest.grid, rest.link = Stack(self.levels[:i]), None
         rest.rows = state.rows[:start]
         if state.prev_rows is not None:
             rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from hermwave.boundary import level_gather, take
+from hermwave.boundary import gather_plan, take
 from hermwave.diagnostics import (_AT, _axis_cells, default_npts, eval_matrix, field_matrix,
                                   gauss_rule)
 from hermwave.dissipative import eval_series, expand_taylor
@@ -38,7 +38,7 @@ from states import one
 def pair_sources(field):
     """Flanking data for every target node of the opposite parity.
 
-    Gathers through the `level_gather` of the field's one-level stack.
+    Gathers through the `gather_plan` of the field's one-level stack.
 
     Returns:
         (data, *centers): data shaped (targets per axis..., 2 per axis...,
@@ -47,7 +47,7 @@ def pair_sources(field):
     """
     grid, parity, values = field.grid, field.parity, field.values
     coeffs = values.shape[grid.ndim :]
-    plan = level_gather(one(grid), parity, (coeffs,))
+    plan = gather_plan(one(grid), parity, (coeffs,))
     targets = grid.shapes[flip(parity)] + (2,) * grid.ndim
     data = take(values.reshape(plan.nodes, -1), plan).reshape(targets + coeffs)
     return (data, *(axis.nodes(flip(parity)) for axis in grid.axes))
@@ -130,7 +130,7 @@ def errors(state, exacts, npts=None) -> list:
         (grid,), parity, rows, blocks = state.grid.levels, state.parity, state.rows, state.blocks
         d = grid.ndim
     npts = npts or default_npts(max(blocks[0]) - 1)
-    gathered = take(rows, level_gather(one(grid), parity, blocks))
+    gathered = take(rows, gather_plan(one(grid), parity, blocks))
     if len(exacts) == 3:
         mu = blocks[0][0] - 1
 

@@ -26,17 +26,10 @@ import numpy as np
 from hermwave.grid import Field, Stack, State, flip, rows
 
 
-_ONE = {}  # id(grid) -> (grid, its stack); the grid is kept so its id stays its own
-
-
 def one(grid) -> Stack:
-    """The one-level `Stack` of a `Grid` object, built once per object (not
-    per equal grid), so that the states of one grid share its plans and
-    each test's grid has plans of its own."""
-    hit = _ONE.get(id(grid))
-    if hit is None:
-        hit = _ONE[id(grid)] = (grid, Stack([grid]))
-    return hit[1]
+    """The one-level `Stack` of a `Grid`; equal grids give equal stacks,
+    which share their plans."""
+    return Stack([grid])
 
 
 def orders(field: Field) -> tuple:

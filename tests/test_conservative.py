@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
-from hermwave.boundary import take, zero_wall_slots
-from hermwave.conservative import _plan, bootstrap_first_half, step
+from hermwave.boundary import gather_plan, take, zero_wall_slots
+from hermwave.conservative import _bootstrap_matrix, _plan, bootstrap_first_half, step
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, flip
 from hermwave.interp import apply_interp
@@ -154,10 +154,11 @@ def test_bootstrap_order_mismatch(orders, m):
     grid, _ = _line(0.0, 1.0, 6)
     rng = np.random.default_rng(m)
     state = uv_state(*(Field(grid, PRIMAL, 0.0, rng.standard_normal((6, k + 1))) for k in orders))
+    before = [f.cache_info() for f in (gather_plan, _bootstrap_matrix)]
     with pytest.raises(ValueError, match=rf"state carries orders \({orders[0]},\), "
                                          rf"config wants m = {m}"):
         bootstrap_first_half(state, SchemeConfig(m=m))
-    assert not state.grid.plans
+    assert [f.cache_info() for f in (gather_plan, _bootstrap_matrix)] == before
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -373,11 +374,19 @@ def _companion_symbols(d, n, m, lam, theta):
         got = take(mode * r, gather) @ a
         want = mode * (r @ block(probe))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (d, m, lam)
-        comp = np.zeros(theta.shape[:-1] + (2 * k, 2 * k), complex)
-        comp[..., :k, :k] = block(theta)
-        comp[..., :k, k:] = np.eye(k)
-        comp[..., k:, :k] = -np.eye(k)
-        out = out @ comp
+        out = out @ companion(block(theta))
+    return out
+
+
+def companion(block):
+    """[[B, I], [-I, 0]] of each K x K update symbol B in `block` (..., K, K):
+    the half-step symbol of a two-level state's (current, previous) rows,
+    which it maps to (current B - previous, current)."""
+    k = block.shape[-1]
+    out = np.zeros(block.shape[:-2] + (2 * k, 2 * k), complex)
+    out[..., :k, :k] = block
+    out[..., :k, k:] = np.eye(k)
+    out[..., k:, :k] = -np.eye(k)
     return out
 
 
@@ -495,7 +504,7 @@ def _walled_full_step(n, m, lam):
     stepped = step(step(state, cfg), cfg)
     full = np.eye(len(state.rows) * k + len(state.prev_rows) * k)
     for parity in (PRIMAL, DUAL):
-        gather, a = one(grid).plans[("conservative", parity, cfg)][:2]
+        gather, a = _plan(one(grid), parity, cfg, "conservative")[:2]
         ns, nt = grid.shapes[parity][0] * k, grid.shapes[flip(parity)][0] * k
         g = np.stack([take(e.reshape(-1, k), gather).dot(a).ravel() for e in np.eye(ns)], axis=1)
         full = np.block([[g, -np.eye(nt)], [np.eye(ns), np.zeros((ns, nt))]]) @ full

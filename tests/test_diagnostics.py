@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hermwave.boundary import gather_plan
 from hermwave.conservative import step
 from hermwave.diagnostics import (
     ErrorReport,
@@ -582,11 +583,11 @@ def test_l2_error_field_matches_tensor_oracle(axes, m, parity):
     (Axis(0.0, 1.0, 5, "neumann0", "dirichlet0"), Axis(0.0, 1.0, 4, "dirichlet0", "dirichlet0")),
 ], ids=["1d-walls", "1d-periodic", "2d-periodic", "2d-walls"])
 def test_stepped_level_errors_reuse_its_gather(axes):
-    """A stepped level's errors take the step's gather from its stack.
+    """A stepped level's errors take the step's gather.
 
     After a march, `l2_errors_pair` (1D dissipative) and `l2_error_field`
-    of a conservative state's current level add no entry to the stack's
-    plans, on either parity.
+    of a conservative state's current level build no gather, on either
+    parity: they find the one of the state's next step.
     """
     grid, m, rng = Grid(axes), 2, np.random.default_rng(len(axes))
     d, cfg = len(axes), SchemeConfig(m=m)
@@ -607,7 +608,9 @@ def test_stepped_level_errors_reuse_its_gather(axes):
         for steps in (3, 1):  # end on the dual level, then on the primal one
             for _ in range(steps):
                 state = step(state, cfg)
-            before = set(state.grid.plans)
+            before = gather_plan.cache_info()
             assert np.all(np.array(errors(state)) > 0)
-            assert set(state.grid.plans) == before
+            after = gather_plan.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+            assert gather_plan(state.grid, state.parity, state.blocks) is state.link[1][0]
 

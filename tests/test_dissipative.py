@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial as P
 
 from hermwave import conservative
-from hermwave.boundary import take
+from hermwave.boundary import gather_plan, take
 from hermwave.conservative import _plan, step
 from hermwave.dissipative import (SchemeConfig, eval_series, expand_taylor, fold, packed,
                                   taylor_half_step)
@@ -61,27 +61,20 @@ def test_config_hash_contract():
 
 
 def test_equal_configs_share_one_plan_per_level():
-    """Equal but distinct configs find the same cached plan on the stack."""
+    """Equal but distinct configs find the same cached plans: stepping under
+    the second builds no plan, and its states carry the first's plans, one
+    per scheme and parity."""
     grid, _ = _line(0.0, 1.0, 6)
     rng = np.random.default_rng(21)
     pair = _random_pair(grid, 2, rng)
     state = two_level(u_of(pair), u_of(_random_pair(grid, 2, rng, DUAL)))
-    for cfg in (SchemeConfig(m=2, lam=0.9), SchemeConfig(m=2, lam=0.9)):
-        step(step(pair, cfg), cfg)
-        step(step(state, cfg), cfg)
-    steppers = sorted(key[:2] for key in one(grid).plans if key[0] != "gather")
-    assert steppers == [("conservative", DUAL), ("conservative", PRIMAL),
-                        ("dissipative", DUAL), ("dissipative", PRIMAL)]
-
-
-class _CountedPlans(dict):
-    """A stack's plan cache that counts its lookups."""
-
-    gets = 0
-
-    def get(self, *args):
-        self.gets += 1
-        return super().get(*args)
+    first, second = SchemeConfig(m=2, lam=0.9), SchemeConfig(m=2, lam=0.9)
+    want = [step(step(s, first), first).link[1:] for s in (pair, state)]
+    misses = _plan.cache_info().misses
+    got = [step(step(s, second), second).link[1:] for s in (pair, state)]
+    assert _plan.cache_info().misses == misses
+    assert all(a is b for mine, theirs in zip(got, want) for a, b in zip(mine, theirs))
+    assert len({id(plan) for plans in got for plan in plans}) == 4
 
 
 def _level_states(grid, m, rng):
@@ -102,13 +95,11 @@ def test_linked_states_step_as_fresh_ones(axes):
 
     After five steps under cfg, stepping on with an equal but distinct
     config, or with another lam, gives rows bit-identical to a fresh state
-    built from the same rows. Relinking costs one lookup per parity, not
-    one per step, plus one gather lookup per plan it builds; the stack holds
-    one plan per (scheme, parity, config value) and one gather per (parity,
-    gathered blocks), which every config's plans share.
+    built from the same rows. Relinking costs one `_plan` lookup per
+    parity, not one per step. An equal config finds cfg's plans, and the
+    plans of another lam share cfg's gathers, so neither builds a gather.
     """
     grid = Grid(axes)
-    plans = one(grid).plans = _CountedPlans()
     cfg = SchemeConfig(m=2, lam=0.8)
     for start in _level_states(grid, 2, np.random.default_rng(len(axes))):
         for _ in range(5):
@@ -117,21 +108,22 @@ def test_linked_states_step_as_fresh_ones(axes):
             linked = start
             fresh = State(start.grid, start.parity, start.time, start.rows.copy(),
                           start.blocks, start.prev_rows)
-            plans.gets = 0
+            plans, gathers = _plan.cache_info(), gather_plan.cache_info()
             for _ in range(3):
                 linked, fresh = step(linked, other), step(fresh, other)
                 assert np.array_equal(linked.rows, fresh.rows)
             assert linked.time == fresh.time and linked.link[0] is other
-            # two parities, once for each of the two states; a new lam builds
-            # the linked state's two plans, each of which looks up its gather
-            assert plans.gets == 4 + 2 * (other.lam != cfg.lam)
-    keys = sorted((scheme, parity, c.lam) for scheme, parity, c in plans if scheme != "gather")
-    assert keys == sorted((scheme, parity, lam) for scheme in ("dissipative", "conservative")
-                          for parity in (PRIMAL, DUAL) for lam in (0.5, 0.8))
-    d = len(axes)
-    gathers = sorted((parity, blocks) for scheme, parity, blocks in plans if scheme == "gather")
-    assert gathers == sorted((parity, blocks) for parity in (PRIMAL, DUAL)
-                             for blocks in (((3,) * d, (2,) * d), ((3,) * d,)))
+            # two parities, once for each of the two states
+            now = _plan.cache_info()
+            assert now.hits + now.misses == plans.hits + plans.misses + 4
+            assert gather_plan.cache_info().misses == gathers.misses
+            # three steps on, the linked state's parity is the other one
+            mine, theirs = linked.link[1:], start.link[:0:-1]
+            if other == cfg:
+                assert now.misses == plans.misses
+                assert all(a is b for a, b in zip(mine, theirs))
+            else:
+                assert all(a[0] is b[0] and a[1] is not b[1] for a, b in zip(mine, theirs))
 
 
 def test_constant_state_is_steady():
@@ -442,16 +434,19 @@ def test_steps_are_the_cached_plan_product_bit_for_bit(axes, parity):
     nodes = grid.shapes[parity]
     pair = uv_state(Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
                     Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,) * d)))
-    got = step(pair, cfg).rows
-    gather, a = one(grid).plans[("dissipative", parity, cfg)][:2]
-    assert np.array_equal(got, take(pair.rows, gather) @ a)
+    got = step(pair, cfg)
+    plan = _plan(one(grid), parity, cfg, "dissipative")
+    gather, a = plan[:2]
+    assert got.link[2] is plan and np.array_equal(got.rows, take(pair.rows, gather) @ a)
     state = two_level(
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
         Field(grid, flip(parity), -0.1, rng.standard_normal(grid.shapes[flip(parity)]
                                                             + (m + 1,) * d)))
-    got = step(state, cfg).rows
-    gather, a = one(grid).plans[("conservative", parity, cfg)][:2]
-    assert np.array_equal(got, take(state.rows, gather) @ a - state.prev_rows)
+    got = step(state, cfg)
+    plan = _plan(one(grid), parity, cfg, "conservative")
+    gather, a = plan[:2]
+    assert got.link[2] is plan
+    assert np.array_equal(got.rows, take(state.rows, gather) @ a - state.prev_rows)
 
 
 def _half_symbols_1d(a, b, theta):

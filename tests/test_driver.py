@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hermwave import cli, driver
+from hermwave import cli, diagnostics, driver
+from hermwave.boundary import gather_plan
+from hermwave.conservative import _plan
 from hermwave.diagnostics import ErrorReport
 from hermwave.grid import PRIMAL, Axis, Grid
 from hermwave.driver import (
@@ -765,10 +767,12 @@ def _dataclass_eq_calls(monkeypatch, argv) -> int:
 ], ids=["gaussian1d", "conserve1d"])
 def test_warm_run_dataclass_comparisons_do_not_grow_with_steps(monkeypatch, capsys, argv,
                                                                knob, small, large):
-    """Per-level plans live on the grid, so no cache lookup compares a stale key.
+    """A march looks its plans up once, when a state is linked, so the
+    dataclass comparisons of a warm run's cache hits do not grow with steps.
 
     Caches keyed on a grid or spec that outlives its run compare each new,
-    equal one with the dataclass __eq__ on every hit, once per half step.
+    equal one with the dataclass __eq__ on every hit; a lookup per half
+    step would make one comparison per half step.
     """
     few = _dataclass_eq_calls(monkeypatch, argv + [knob, small])
     many = _dataclass_eq_calls(monkeypatch, argv + [knob, large])
@@ -909,20 +913,24 @@ def test_finite_check_builds_no_message_while_finite(monkeypatch):
 
 
 def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
-    """A 2D dissipative level measures u through its packed u | v gather:
-    no u-only gather is left in its stack's plans, and the error equals the
+    """A 2D dissipative level measures u through its packed u | v gather,
+    the one its step uses, and gathers no u alone; the error equals the
     u-only gather's to 1e-12 relative."""
     cfg = make_config("planewave2d", flag_overrides={"levels": 1, "n0": 6})
     starts, real = [], driver._start
     monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real(*args))
+    gathers, real_gather = [], diagnostics.gather_plan
+    monkeypatch.setattr(diagnostics, "gather_plan",
+                        lambda *args: gathers.append(args) or real_gather(*args))
     report = driver.run_planewave_2d(cfg)
     ((_, stack, data),) = starts
     (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level
-    keys = {key for key in stack.plans if key[0] == "gather"}
-    assert keys and all(key[2] != (cu,) for key in keys)
+    ((at, parity, blocks),), scfg = gathers, cfg.scheme_config()
+    assert at is stack and blocks != (cu,)
+    assert real_gather(*gathers[0]) is _plan(stack, parity, scfg, "dissipative")[0]
     # the level marched alone with the driver's step, from the study's data
     # function, its u measured through both gathers
-    (state, _), scfg = real(cfg, stack, data), cfg.scheme_config()
+    (state, _) = real(cfg, stack, data)
     ((_, nhalf),) = _study_levels(cfg)
     for _ in range(nhalf):
         state = driver.half_step_1d(state, scfg)
@@ -933,10 +941,27 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
         return np.sin(w * (x + y + math.sqrt(2.0) * t_end))
 
     (new,) = driver.l2_error_field(state, exact)
-    assert ("gather", state.parity, (cu,)) not in stack.plans
     (old,) = driver.l2_error_field(u_state(state.u), exact)
-    assert ("gather", state.parity, (cu,)) in stack.plans
+    assert [args[2] for args in gathers[1:]] == [state.blocks, (cu,)]
     assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
+
+
+_WALLS_STUDY = ["gaussian1d", "--m", "3", "--levels", "10", "--boundary", "dirichlet0"]
+
+
+@pytest.mark.parametrize("argv", [
+    _WALLS_STUDY,
+    _WALLS_STUDY + ["--scheme", "conservative", "--init", "bootstrap"],
+    ["custom", "--experiment", "conserve1d", "--steps", "20"],
+], ids=["gaussian1d-dissipative", "gaussian1d-bootstrap", "conserve1d"])
+def test_a_warm_rerun_builds_no_plan(capsys, argv):
+    """A CLI call run again in one process builds no gather and no step
+    plan: its new stacks equal the first run's, whose plans are cached."""
+    assert cli.main(argv) == 0
+    before = [f.cache_info().misses for f in (gather_plan, _plan)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [f.cache_info().misses for f in (gather_plan, _plan)] == before
 
 
 @pytest.mark.parametrize("scheme", ["dissipative", "conservative"])
