@@ -24,8 +24,8 @@ u_t = 0: twice B's u rows, B_u, applied to the gathered current level. The
 interpolant has degree 2m+1 along each of d axes, so Delta^p of it vanishes
 past p = dm, every stage of B past 2dm is exactly zero on u_t = 0 data and
 resolved polynomial data is evolved exactly. An update is one take of the
-current level, one product with 2 B_u (`_update_matrix`, the u block of
-B's `fold`) and the subtraction of the previous level:
+current level, one product with 2 B_u (`_update_matrix`, the u-source
+rows of B) and the subtraction of the previous level:
 
     new = 2 B_u (gathered u) - prev.
 
@@ -73,10 +73,10 @@ def _bootstrap_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _update_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
-    """2 B_u, twice the u block of the bootstrap's `fold`: the update's map
-    from the gathered current level, built once per (m, dt, hs)."""
-    sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
-    a = 2.0 * fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs)[0]
+    """2 B_u, twice the u-source rows of the bootstrap matrix: the update's
+    map from the gathered current level, built once per (m, dt, hs)."""
+    b = _bootstrap_matrix(m, dt, hs)  # per side: the rows of u, then of u_t
+    a = 2.0 * b.reshape(2 ** len(hs), 2, -1, b.shape[1])[:, 0].reshape(-1, b.shape[1])
     a.setflags(write=False)
     return a
 

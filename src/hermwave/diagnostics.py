@@ -69,15 +69,17 @@ def default_npts(m: int) -> int:
 # centred on each target node, and evaluate each cell's interpolant at its
 # Gauss points with one product of its gathered row and a matrix that folds
 # the interpolation into the evaluation, built at unit spacing: u_x is then
-# scaled by 1/h per row, and so is v, carried as h*v. A dual
-# level's edge cells at walls are ghost-backed and reach h/2 past the wall;
-# they are clipped to the half inside. So a cell has one of three kinds
-# along each axis, its interval in xi: the whole cell, the low edge's and
-# the high edge's. The exact solution is evaluated once, at every row's
-# Gauss points, and the Gauss sums are summed per level.
+# divided by h per row, and so is v, carried as h*v. A dual level's edge
+# cells at walls are ghost-backed and reach h/2 past the wall; they are
+# clipped to the half inside. So a cell has one of three kinds along each
+# axis, its interval in xi: the whole cell, the low edge's and the high
+# edge's. Like a step, a measurement is a gather and fixed matrices, so its
+# whole geometry is one plan per (stack's levels, parity, blocks, Gauss
+# points, pair), built once (`_error_plan`); a call is one take, the
+# products, one evaluation of the exact solution at every row's Gauss
+# points and one Gauss sum per level.
 
 KINDS = ((-0.5, 0.5), (0.0, 0.5), (-0.5, 0.0))
-_AT = (slice(1, -1), slice(0, 1), slice(-1, None))  # each kind's cells on a clipped axis
 
 
 def _points(npts: int, kind: int) -> np.ndarray:
@@ -85,23 +87,19 @@ def _points(npts: int, kind: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * gauss_rule(npts)[0]
 
 
-@lru_cache(maxsize=None)
 def eval_matrix(mu: int, npts: int, kind: int, der: int = 0) -> np.ndarray:
-    """Read-only (2mu+2, npts) map from stacked (left, right) order-mu node
-    data to the interpolant's der-th xi-derivative (der <= 1) at the Gauss
-    points of a cell kind."""
+    """(2mu+2, npts) map from stacked (left, right) order-mu node data to
+    the interpolant's der-th xi-derivative (der <= 1) at the Gauss points
+    of a cell kind."""
     v = np.vander(_points(npts, kind), 2 * mu + 2, increasing=True)
     if der:  # d/dxi takes xi^j to j xi^(j-1)
         v = np.concatenate((np.zeros((npts, 1)), v[:, :-1] * np.arange(1, 2 * mu + 2)), axis=1)
-    out = np.ascontiguousarray((v @ interp_matrix(mu)).T)
-    out.setflags(write=False)
-    return out
+    return np.ascontiguousarray((v @ interp_matrix(mu)).T)
 
 
-@lru_cache(maxsize=256)
 def field_matrix(coeffs: tuple, npts: int, kinds: tuple, der: int = 0) -> np.ndarray:
-    """Read-only tensor product of `eval_matrix` over the axes, axis q of
-    kind kinds[q] and the der-th xi-derivative along axis 0: (2**d
+    """Tensor product of `eval_matrix` over the axes, axis q of kind
+    kinds[q] and the der-th xi-derivative along axis 0: (2**d
     prod(coeffs), npts**d), its rows laid out as `take` gathers a field of
     coefficient shape `coeffs` (sides per axis, then coefficients per axis)
     and its Gauss points in C order."""
@@ -109,9 +107,7 @@ def field_matrix(coeffs: tuple, npts: int, kinds: tuple, der: int = 0) -> np.nda
     for q, (k, kind) in enumerate(zip(coeffs, kinds)):
         e = eval_matrix(k - 1, npts, kind, der if q == 0 else 0).reshape(2, k, npts)
         out = np.einsum("abc,def->adbecf", out, e).reshape(2 * len(out), -1, out.shape[2] * npts)
-    out = out.reshape(-1, out.shape[2])
-    out.setflags(write=False)
-    return out
+    return out.reshape(-1, out.shape[2])
 
 
 @lru_cache(maxsize=256)
@@ -120,7 +116,8 @@ def error_matrix(blocks: tuple, npts: int, kinds: tuple, pair: bool) -> np.ndarr
     shapes `blocks` per node (u, or u | v) to their values at the Gauss
     points of a cell of `kinds`: u, then, if `pair`, u's xi-derivative along
     axis 0 and v. Each value is one block of npts**d columns, and the rows
-    of the fields it does not read are zero."""
+    of the fields it does not read are zero. Built once per key and shared
+    by every stack, like a step's matrix."""
     sizes = [math.prod(block) for block in blocks]
     reads = [(0, field_matrix(blocks[0], npts, kinds))]
     if pair:
@@ -135,77 +132,60 @@ def error_matrix(blocks: tuple, npts: int, kinds: tuple, pair: bool) -> np.ndarr
     return out
 
 
-@lru_cache(maxsize=256)
-def _axis_cells(count: int, npts: int, clipped: bool) -> tuple:
-    """Read-only Gauss points in xi (count, npts) and half-lengths in units
-    of h (count,) of an axis's cells, the edge cells clipped if `clipped`."""
-    xi, half = np.tile(_points(npts, 0), (count, 1)), np.full(count, 0.5)
-    if clipped:
-        xi[0], xi[-1], half[[0, -1]] = _points(npts, 1), _points(npts, 2), 0.25
-    xi.setflags(write=False)
-    half.setflags(write=False)
-    return xi, half
+@lru_cache(maxsize=256)  # as many as the step's plans, one per end parity of a study
+def _error_plan(stack, parity: str, blocks: tuple, npts: int, pair: bool) -> tuple:
+    """The error plan of a `Stack`'s `parity` rows that pack `blocks`, built
+    once per (stack's levels, parity, blocks, npts, pair) from the stack's
+    geometry; read-only.
 
-
-@lru_cache(maxsize=256)
-def _level_cells(axes: tuple, parity: str, npts: int) -> tuple:
-    """Read-only cells of one level's `parity` gather, built once per (axes,
-    parity, npts): each axis's Gauss points in x per target row, axis q
-    shaped (rows, 1 per axis before q, npts, 1 per axis after q); the
-    cells' measures; and the rows of each mix of cell kinds with an edge in
-    it, on a clipped level."""
-    d = len(axes)
-    targets = tuple(axis.n_nodes(flip(parity)) for axis in axes)
-    clipped = parity == DUAL and not axes[0].periodic
-    count, weight, xs, edges = math.prod(targets), np.ones(()), [], {}
-    for q, axis in enumerate(axes):
-        xi, half = _axis_cells(targets[q], npts, clipped)
-        points = (1,) * q + (npts,) + (1,) * (d - 1 - q)
-        x = (axis.nodes(flip(parity))[:, None] + axis.h * xi).reshape(
-            tuple(n if p == q else 1 for p, n in enumerate(targets)) + points)
-        xs.append(np.broadcast_to(x, targets + points).reshape((count,) + points))
-        weight = np.multiply.outer(weight, axis.h * half)
-    weight = weight.ravel()
-    if clipped:
-        rows = np.arange(count).reshape(targets)
-        for kinds in itertools.product(range(3), repeat=d):
-            if any(kinds):
-                edges[kinds] = rows[tuple(_AT[kind] for kind in kinds)].ravel()
-    for a in xs + [weight] + list(edges.values()):
-        a.setflags(write=False)
-    return tuple(xs), weight, edges, count
-
-
-def _cells(levels, parity: str, npts: int) -> tuple:
-    """`_level_cells` of the levels' gathers, one level after the other: the
-    Gauss points and cell measures per target row, each level's row count
-    and first row, and the edge rows of each mix of kinds. Read-only on a
-    single level."""
-    cells = [_level_cells(level.axes, parity, npts) for level in levels]
-    counts = [cell[3] for cell in cells]
-    first = list(itertools.accumulate(counts[:-1], initial=0))
-    edges = {}
-    for (_, _, local, _), start in zip(cells, first):
-        for kinds, rows in local.items():
-            edges.setdefault(kinds, []).append(rows + start)
-    return ([_cat([cell[0][q] for cell in cells]) for q in range(levels[0].ndim)],
-            _cat([cell[1] for cell in cells]), counts, first,
-            {kinds: _cat(rows) for kinds, rows in edges.items()})
-
-
-def _cat(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-@lru_cache(maxsize=64)
-def _gauss_weights(npts: int, d: int) -> np.ndarray:
-    """Read-only Gauss weights of the tensor rule on [-1, 1]^d, points in C order."""
-    out = np.ones(())
+    It holds, per target row, level after level:
+    - the gather (`gather_plan`) and the whole-cell `error_matrix`;
+    - (rows, `error_matrix`) of each mix of cell kinds with an edge in it,
+      on clipped levels;
+    - each axis's Gauss points in x, axis q shaped (rows, 1 per axis before
+      q, npts, 1 per axis after q);
+    - the cells' measures, and each level's first row;
+    - if `pair`, the divisors of u_x and h*v, the level's axis-0 spacing
+      and h, shaped (rows, 2, 1 per axis);
+    - the Gauss weights of the tensor rule on [-1, 1]^d, points in C order.
+    """
+    d, targets = stack.ndim, flip(parity)
+    level, offsets = stack.level_of[targets], stack.offsets[targets]
+    count = len(level)
+    # per row: the level's spacings, node counts and clipping, and its node per axis
+    spacings = np.array([g.spacings for g in stack.levels])[level]
+    counts = np.array([g.shapes[targets] for g in stack.levels])[level]
+    clipped = np.array([parity == DUAL and not g.periodic for g in stack.levels])[level]
+    local = np.arange(count) - offsets[level]
+    kinds = np.zeros((count, d), dtype=int)
+    for q in reversed(range(d)):
+        local, node = np.divmod(local, counts[:, q])
+        kinds[clipped & (node == 0), q] = 1
+        kinds[clipped & (node == counts[:, q] - 1), q] = 2
+    nodes, points = stack.nodes(targets), np.array([_points(npts, k) for k in range(3)])
+    halves = np.array([0.5 * (hi - lo) for lo, hi in KINDS])
+    xs, weight = [], np.ones(count)
+    for q in range(d):
+        x = nodes[q][:, None] + spacings[:, q : q + 1] * points[kinds[:, q]]
+        xs.append(x.reshape((count,) + (1,) * q + (npts,) + (1,) * (d - 1 - q)))
+        weight = weight * (spacings[:, q] * halves[kinds[:, q]])
+    edges = []
+    for mix in itertools.product(range(3), repeat=d):
+        rows = np.flatnonzero((kinds == mix).all(axis=1))
+        if any(mix) and len(rows):
+            edges.append((rows, error_matrix(blocks, npts, mix, pair)))
+    h = None
+    if pair:
+        h = np.stack((spacings[:, 0], stack.h[level]), axis=1).reshape((count, 2) + (1,) * d)
+    wg, first = np.ones(()), offsets[:-1]
     for _ in range(d):
-        out = np.multiply.outer(out, gauss_rule(npts)[1])
-    out = out.ravel()
-    out.setflags(write=False)
-    return out
+        wg = np.multiply.outer(wg, gauss_rule(npts)[1])
+    wg = wg.ravel()
+    for a in (*xs, weight, first, h, wg, *(rows for rows, _ in edges)):
+        if a is not None:
+            a.setflags(write=False)
+    return (gather_plan(stack, parity, blocks), error_matrix(blocks, npts, (0,) * d, pair),
+            tuple(edges), tuple(xs), weight, first, h, wg)
 
 
 def _dot(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -219,26 +199,25 @@ def _l2_errors(state, exact, npts, pair: bool) -> np.ndarray:
 
     The values are u, then, if `pair`, u_x (along axis 0) and v, and
     exact(*xs) gives them at the Gauss points xs of every target row, one
-    array for u alone or a tuple. One take through the state's own gather,
-    one `error_matrix` product per mix of cell kinds (the whole cells, then
-    each mix with an edge again), and one Gauss sum per level.
+    array for u alone or a tuple. One lookup of the state's `_error_plan`,
+    one take, one product per mix of cell kinds (the whole cells, then each
+    mix with an edge again), and one Gauss sum per level.
     """
-    stack, parity, d, blocks = state.grid, state.parity, state.grid.ndim, state.blocks
+    blocks, d = state.blocks, state.grid.ndim
     if pair and len(blocks) != 2:
         raise ValueError("u_x and v errors need a dissipative state")
     npts = npts or default_npts(max(blocks[0]) - 1)
-    xs, weight, counts, first, edges = _cells(stack.levels, parity, npts)
-    gathered = take(state.rows, gather_plan(stack, parity, blocks))
-    vals = _dot(gathered, error_matrix(blocks, npts, (0,) * d, pair))
-    for kinds, at in edges.items():
-        vals[at] = _dot(gathered[at], error_matrix(blocks, npts, kinds, pair))
+    gather, whole, edges, xs, weight, first, h, wg = _error_plan(
+        state.grid, state.parity, blocks, npts, pair)
+    gathered = take(state.rows, gather)
+    vals = _dot(gathered, whole)
+    for at, a in edges:
+        vals[at] = _dot(gathered[at], a)
     vals = vals.reshape((len(vals), -1) + (npts,) * d)
     if pair:  # per row, u_x over its level's axis-0 spacing, h*v over its h
-        h = np.repeat([(level.spacings[0], level.h) for level in stack.levels], counts, axis=0)
-        vals[:, 1] /= h[:, 0].reshape((-1,) + (1,) * d)
-        vals[:, 2] /= h[:, 1].reshape((-1,) + (1,) * d)
+        vals[:, 1:] /= h
     want = exact(*xs) if pair else (exact(*xs),)
-    wg, out = _gauss_weights(npts, d), []
+    out = []
     for j, w in enumerate(want):
         total = vals[:, j] - w
         total *= total
@@ -253,7 +232,7 @@ def l2_error_field(state, exact, npts: int | None = None) -> np.ndarray:
     state is a `State`, whose u is measured through the gather of its own
     rows: a dissipative state's packed u | h*v, which its step built. Each
     xs[q] holds the Gauss points of every target row, one level after the
-    other (see `_cells`), so exact can take each row's own time. On wall
+    other (see `_error_plan`), so exact can take each row's own time. On wall
     levels the cells are clipped to the domain.
     """
     return _l2_errors(state, exact, npts, False)[0]

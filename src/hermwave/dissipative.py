@@ -148,14 +148,14 @@ def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
 def fold(fn, shapes, *args) -> tuple:
-    """Row blocks of the linear per-target map blocks -> fn(*blocks, *args), cached.
+    """Row blocks of the linear per-target map blocks -> fn(*blocks, *args).
 
     fn takes one batched block (k, *shape) per entry of `shapes`, then
     `args`, and returns a tuple of batched blocks. The result holds one
-    read-only A_i per input block: sum_i rows(block_i) @ A_i is fn's outputs
-    as rows, concatenated. It is found by applying fn to the identity.
+    A_i per input block: sum_i rows(block_i) @ A_i is fn's outputs as rows,
+    concatenated. It is found by applying fn to the identity; the callers
+    cache the matrices they build from it.
     """
     sizes = [math.prod(s) for s in shapes]
     eye = np.eye(sum(sizes))
@@ -163,7 +163,6 @@ def fold(fn, shapes, *args) -> tuple:
     cols = np.split(eye, splits, axis=1)
     outs = fn(*(c.reshape((-1,) + s) for c, s in zip(cols, shapes)), *args)
     a = np.concatenate([rows(o) for o in outs], axis=1)
-    a.setflags(write=False)
     return tuple(np.split(a, splits))
 
 

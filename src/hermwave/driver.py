@@ -330,19 +330,7 @@ def planewave_data(x, y, t, order: int, kappa: int, h, tder: int = 0) -> np.ndar
 FINITE_STRIDE = 64
 
 
-def _require_finite(*arrays, where=lambda: ""):
-    """Raise NumericalError if an array holds a NaN or an inf; where()
-    names the place, and is called only then."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NumericalError(f"non-finite field data detected{where()}")
-
-
-def _at(step: int, time: float, n: int) -> str:
-    return f" at half step {step} (t={time:.6g}, n={n})"
-
-
-def _march(state, scfg: SchemeConfig, done: int, last: int, where):
+def _march(state, scfg: SchemeConfig, done: int, last: int):
     """Step state under scfg from half step `done` to half step `last`, one
     call of `half_step_1d`, read from this module, per half step as the
     tracer and tests count them, checking the node rows at every multiple
@@ -350,7 +338,9 @@ def _march(state, scfg: SchemeConfig, done: int, last: int, where):
 
     Each state a step returns carries its stack's two plans, linked under
     scfg (`conservative.link`), so only the first call can look a plan up.
-    A failed check names where(state, half step).
+    A failed check raises a NumericalError that names the level of the
+    first non-finite row (`level_of`), its n and its own time at this half
+    step.
     """
     step = half_step_1d
     while done < last:
@@ -359,7 +349,12 @@ def _march(state, scfg: SchemeConfig, done: int, last: int, where):
             state = step(state, scfg)
         done = stop
         # a non-finite previous level was current a step ago and reached its targets
-        _require_finite(state.rows, where=lambda: where(state, done))
+        if not np.isfinite(state.rows).all():
+            stack, row = state.grid, np.argmin(np.isfinite(state.rows).all(axis=1))
+            level = stack.levels[stack.level_of[state.parity][row]]
+            raise NumericalError(f"non-finite field data detected at half step {done} "
+                                 f"(t={done * 0.5 * scfg.dt(level.h):.6g}, "
+                                 f"n={level.axes[0].n})")
     return state
 
 
@@ -420,16 +415,10 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     stack = Stack([grids[i] for i in order])
     state, done = _start(cfg, stack, data)
     blocks = state.blocks
-
-    def where(state, done):  # the first non-finite level, at its own time
-        row = np.argmin(np.isfinite(state.rows).all(axis=1))
-        i = order[state.grid.level_of[state.parity][row]]
-        return _at(done, done * 0.5 * dts[i], ns[i])
-
     ended = {PRIMAL: [], DUAL: []}  # per end parity, (level, rows) in stack order
     for i in reversed(order):
         last = max(done, nhalf[i])
-        state = _march(state, scfg, done, last, where)
+        state = _march(state, scfg, done, last)
         done = last
         parity = state.parity
         rows, state = state.grid.pop(state)
@@ -506,7 +495,7 @@ def run_conservation_1d(cfg: RunConfig):
     steps, times, deltas = [0], [0.0], [0.0]
     for done in range(0, cfg.steps, cfg.sample_every):
         last = min(done + cfg.sample_every, cfg.steps)
-        state = _march(state, scfg, done, last, lambda s, d: _at(d, s.time, cfg.n0))
+        state = _march(state, scfg, done, last)
         e = energy_of_rows(state, factor)
         steps.append(last)
         times.append(state.time)

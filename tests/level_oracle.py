@@ -11,10 +11,10 @@ and v = 0, summed at dt/2, doubled, minus the previous level.
 level: gather each field's flanking data, interpolate, run the recursion
 at the level's own spacing and sum the series at dt/2.
 
-`errors` is the per-level L2 error arithmetic the driver ran on each
-popped level: one take of the level's rows, one product of each mix
-of cell kinds with a matrix built at the level's own h (u_x scaled inside
-the matrix, and h*v read as v), the exact callables evaluated on that
+`errors` is a per-level L2 error built apart from the library's error
+plans and matrices: one take of the level's rows, each field's interpolant
+coefficients (`apply_interp`) evaluated by `np.vander` at the Gauss
+points of its own cell kinds, the exact callables evaluated on that
 level's Gauss points alone, and nested Gauss sums.
 """
 
@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from hermwave.boundary import gather_plan, take
-from hermwave.diagnostics import (_AT, _axis_cells, default_npts, eval_matrix, field_matrix,
-                                  gauss_rule)
+from hermwave.diagnostics import default_npts, gauss_rule
 from hermwave.dissipative import eval_series, expand_taylor
 from hermwave.grid import DUAL, Field, flip
 from hermwave.interp import apply_interp
@@ -87,34 +86,28 @@ def bootstrap(g0, g1, cfg) -> np.ndarray:
     return eval_series(ctab, 0.5)[(Ellipsis,) + (slice(cfg.m + 1),) * ndim]
 
 
-def _pair_matrix(mu, npts, kind, h):
-    """(2(2mu+1), 3 npts): a gathered 1D u | h*v row to [u | u_x | v]."""
-    out = np.zeros((2, 2 * mu + 1, 3, npts))
-    out[:, : mu + 1, 0] = eval_matrix(mu, npts, kind).reshape(2, mu + 1, npts)
-    out[:, : mu + 1, 1] = eval_matrix(mu, npts, kind, 1).reshape(2, mu + 1, npts) / h
-    out[:, mu + 1 :, 2] = eval_matrix(mu - 1, npts, kind).reshape(2, mu, npts) / h
-    return out.reshape(4 * mu + 2, 3 * npts)
+# each cell kind's interval in xi: the whole cell, then a wall-clipped
+# low and high edge, and its cells on a clipped axis
+_CELLS = ((-0.5, 0.5), (0.0, 0.5), (-0.5, 0.0))
+_AT = (slice(1, -1), slice(0, 1), slice(-1, None))
 
 
-def _padded_matrix(coeffs, pad, npts, kinds):
-    """`field_matrix` with `pad` zero rows after each side's block."""
-    a = field_matrix(coeffs, npts, kinds)
-    sides = a.reshape(2 ** len(coeffs), -1, a.shape[1])
-    out = np.concatenate((sides, np.zeros((len(sides), pad, a.shape[1]))), axis=1)
-    return out.reshape(-1, a.shape[1])
+def _points(npts, kind):
+    lo, hi = _CELLS[kind]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * gauss_rule(npts)[0]
 
 
-def _values(gathered, targets, clipped, matrix):
-    d = len(targets)
-    out = gathered.dot(matrix((0,) * d)).reshape(targets + (-1,))
-    if clipped:
-        gathered = gathered.reshape(targets + (-1,))
-        for kinds in itertools.product(range(3), repeat=d):
-            if any(kinds):
-                at = tuple(_AT[kind] for kind in kinds)
-                block = gathered[at]
-                out[at] = block.reshape(-1, block.shape[-1]).dot(
-                    matrix(kinds)).reshape(out[at].shape)
+def _evaluate(coeffs, points, der):
+    """Tensor polynomials in xi, coeffs (..., k per axis), or their
+    xi-derivative along axis 0 if der, at each axis's points: (..., npts
+    per axis)."""
+    d, out = len(points), coeffs
+    for q, x in enumerate(points):
+        k = out.shape[out.ndim - d]  # axis q's coefficients; the ones before are points now
+        v = np.vander(x, k, increasing=True)
+        if der and q == 0:  # d/dxi xi^j = j xi^(j-1)
+            v = np.concatenate((np.zeros((len(x), 1)), v[:, :-1] * np.arange(1, k)), axis=1)
+        out = np.tensordot(out, v, axes=([out.ndim - d], [1]))
     return out
 
 
@@ -130,34 +123,32 @@ def errors(state, exacts, npts=None) -> list:
         (grid,), parity, rows, blocks = state.grid.levels, state.parity, state.rows, state.blocks
         d = grid.ndim
     npts = npts or default_npts(max(blocks[0]) - 1)
-    gathered = take(rows, gather_plan(one(grid), parity, blocks))
-    if len(exacts) == 3:
-        mu = blocks[0][0] - 1
-
-        def matrix(kinds):
-            return _pair_matrix(mu, npts, kinds[0], grid.h)
-    else:
-        def matrix(kinds):
-            return _padded_matrix(blocks[0], sum(math.prod(b) for b in blocks[1:]), npts, kinds)
-
     targets = grid.shapes[flip(parity)]
+    gathered = take(rows, gather_plan(one(grid), parity, blocks))
+    gathered = gathered.reshape(targets + (2,) * d + (-1,))
+    first = np.cumsum([0] + [math.prod(b) for b in blocks])
+    coeffs = [apply_interp(gathered[..., first[i] : first[i + 1]].reshape(
+        targets + (2,) * d + b), d) for i, b in enumerate(blocks)]
+    reads = [(coeffs[0], 0, 1.0)]  # (coefficients, derivative along axis 0, divisor)
+    if len(exacts) == 3:  # u_x and v, carried as h*v
+        reads += [(coeffs[0], 1, grid.spacings[0]), (coeffs[1], 0, grid.h)]
     clipped = parity == DUAL and not grid.periodic
-    xs, halves = [], []
-    for q, axis in enumerate(grid.axes):
-        xi, half = _axis_cells(targets[q], npts, clipped)
-        shape = [1] * (2 * d)
-        shape[q], shape[d + q] = xi.shape
-        xs.append((axis.nodes(flip(parity))[:, None] + axis.h * xi).reshape(shape))
-        halves.append(axis.h * half)
-    vals = _values(gathered, targets, clipped, matrix).reshape(-1, len(exacts), npts**d)
-    wg = gauss_rule(npts)[1]
-    out = []
-    for i, exact in enumerate(exacts):
-        total = vals[:, i].reshape(targets + (npts,) * d) - exact(*xs)
-        total *= total
-        for _ in range(d):
-            total = total.dot(wg)
-        for half in reversed(halves):
-            total = total.dot(half)
-        out.append(math.sqrt(total))
-    return out
+    wg, total = gauss_rule(npts)[1], np.zeros(len(exacts))
+    for kinds in itertools.product(range(3) if clipped else (0,), repeat=d):
+        at = tuple(_AT[kind] if clipped else slice(None) for kind in kinds)
+        points = [_points(npts, kind) for kind in kinds]
+        xs, measure = [], 1.0  # the cells' Gauss points in x and their measure
+        for q, (axis, kind) in enumerate(zip(grid.axes, kinds)):
+            x = axis.nodes(flip(parity))[at[q]][:, None] + axis.h * points[q]
+            shape = [1] * (2 * d)
+            shape[q], shape[d + q] = x.shape
+            xs.append(x.reshape(shape))
+            lo, hi = _CELLS[kind]
+            measure *= 0.5 * (hi - lo) * axis.h
+        for i, ((c, der, divisor), exact) in enumerate(zip(reads, exacts)):
+            err = _evaluate(c[at], points, der) / divisor - exact(*xs)
+            err = err * err
+            for _ in range(d):
+                err = err.dot(wg)
+            total[i] += measure * err.sum()
+    return list(np.sqrt(total))

@@ -14,14 +14,14 @@ import sympy as sp
 from hermwave import cli, diagnostics, driver
 from hermwave.boundary import gather_plan
 from hermwave.conservative import _plan
-from hermwave.diagnostics import ErrorReport
+from hermwave.diagnostics import ErrorReport, _error_plan
+from hermwave.dissipative import SchemeConfig
 from hermwave.grid import PRIMAL, Axis, Grid
 from hermwave.driver import (
     FINITE_STRIDE,
     ConfigError,
     NumericalError,
     RunConfig,
-    _require_finite,
     default_config,
     energy_csv,
     gaussian_box_u,
@@ -229,12 +229,25 @@ def test_planewave_blocks_against_sympy():
                 np.testing.assert_allclose(got[..., k, l], want, rtol=1e-10, atol=1e-10)
 
 
-def test_require_finite():
-    _require_finite(np.zeros(3), np.ones((2, 2)))
-    with pytest.raises(NumericalError):
-        _require_finite(np.array([1.0, np.inf]))
-    with pytest.raises(NumericalError):
-        _require_finite(np.array([np.nan]))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # a step of inf data
+def test_require_finite(monkeypatch, capsys):
+    """A run whose rows hold an inf or a NaN stops at its next check, for
+    each: `_march` raises a NumericalError naming the half step, and the
+    CLI exits 3."""
+    real = driver.half_step_1d
+    for bad in (np.inf, np.nan):
+        def poisoned(state, *args, bad=bad):
+            out = real(state, *args)
+            out.rows[-1, 0] = bad
+            return out
+
+        monkeypatch.setattr(driver, "half_step_1d", poisoned)
+        state, _ = driver._start(default_config("gaussian1d"), one(Grid((Axis(-1.5, 1.5, 6,
+                                 "dirichlet0", "dirichlet0"),))), driver._gaussian_data)
+        with pytest.raises(NumericalError, match="at half step 3 "):
+            driver._march(state, SchemeConfig(m=2), 0, 3)
+        assert cli.main(["gaussian1d", "--levels", "1", "--n0", "6"]) == 3
+        assert "non-finite field data detected at half step" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -901,33 +914,48 @@ def test_nan_in_one_stacked_level_names_that_level(monkeypatch, capsys):
     assert f"at half step {first_check} (t={t:.6g}, n=15)" in err
 
 
-def test_finite_check_builds_no_message_while_finite(monkeypatch):
-    """`_march` formats its failure message only when a check fails."""
-    built = []
-    monkeypatch.setattr(driver, "_at", lambda *args: built.append(args) or "")
-    report = run_gaussian_1d(make_config("gaussian1d", flag_overrides={"levels": 2}))
-    assert len(report.ns) == 2 and built == []
-    with pytest.raises(NumericalError):
-        _require_finite(np.ones(2), np.array([np.nan]), where=lambda: built.append(1) or "")
-    assert built == [1]
+def test_finite_check_builds_no_message_while_finite():
+    """`_march` looks up the failing level, and builds its message, only
+    when a check fails: a finite march never reads its stack's `level_of`,
+    and a march that turns non-finite reads it once."""
+
+    class Reads(dict):
+        def __init__(self, table):
+            super().__init__(table)
+            self.reads = 0
+
+        def __getitem__(self, key):
+            self.reads += 1
+            return super().__getitem__(key)
+
+    cfg, scfg = default_config("gaussian1d"), SchemeConfig(m=2)
+    grid = Grid((Axis(-1.5, 1.5, 8, "dirichlet0", "dirichlet0"),))
+    state, _ = driver._start(cfg, one(grid), driver._gaussian_data)
+    state.grid.level_of = reads = Reads(state.grid.level_of)  # read by no plan
+    state = driver._march(state, scfg, 0, 2 * FINITE_STRIDE + 5)
+    assert reads.reads == 0 and np.isfinite(state.rows).all()
+    state.rows[3] = np.nan
+    with pytest.raises(NumericalError, match=r"at half step 136 \(t=.*, n=8\)"):
+        driver._march(state, scfg, 2 * FINITE_STRIDE + 6, 2 * FINITE_STRIDE + 8)
+    assert reads.reads == 1
 
 
 def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
-    """A 2D dissipative level measures u through its packed u | v gather,
-    the one its step uses, and gathers no u alone; the error equals the
-    u-only gather's to 1e-12 relative."""
+    """A 2D dissipative level measures u through its packed u | v gather:
+    the study's error plan holds the very gather of its step `_plan`. The
+    error equals the u-only gather's to 1e-12 relative."""
     cfg = make_config("planewave2d", flag_overrides={"levels": 1, "n0": 6})
     starts, real = [], driver._start
     monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real(*args))
-    gathers, real_gather = [], diagnostics.gather_plan
-    monkeypatch.setattr(diagnostics, "gather_plan",
-                        lambda *args: gathers.append(args) or real_gather(*args))
+    plans, real_plan = [], diagnostics._error_plan
+    monkeypatch.setattr(diagnostics, "_error_plan",
+                        lambda *args: plans.append(args) or real_plan(*args))
     report = driver.run_planewave_2d(cfg)
     ((_, stack, data),) = starts
     (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level
-    ((at, parity, blocks),), scfg = gathers, cfg.scheme_config()
-    assert at is stack and blocks != (cu,)
-    assert real_gather(*gathers[0]) is _plan(stack, parity, scfg, "dissipative")[0]
+    ((at, parity, blocks, npts, pair),), scfg = plans, cfg.scheme_config()
+    assert at is stack and blocks != (cu,) and not pair
+    assert real_plan(*plans[0])[0] is _plan(stack, parity, scfg, "dissipative")[0]
     # the level marched alone with the driver's step, from the study's data
     # function, its u measured through both gathers
     (state, _) = real(cfg, stack, data)
@@ -942,7 +970,8 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
 
     (new,) = driver.l2_error_field(state, exact)
     (old,) = driver.l2_error_field(u_state(state.u), exact)
-    assert [args[2] for args in gathers[1:]] == [state.blocks, (cu,)]
+    assert [args[2] for args in plans[1:]] == [state.blocks, (cu,)]
+    assert real_plan(*plans[1])[0] is state.link[1][0]
     assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
 
 
@@ -955,13 +984,14 @@ _WALLS_STUDY = ["gaussian1d", "--m", "3", "--levels", "10", "--boundary", "diric
     ["custom", "--experiment", "conserve1d", "--steps", "20"],
 ], ids=["gaussian1d-dissipative", "gaussian1d-bootstrap", "conserve1d"])
 def test_a_warm_rerun_builds_no_plan(capsys, argv):
-    """A CLI call run again in one process builds no gather and no step
-    plan: its new stacks equal the first run's, whose plans are cached."""
+    """A CLI call run again in one process builds no gather, no step plan
+    and no error plan: its new stacks equal the first run's, whose plans
+    are cached."""
     assert cli.main(argv) == 0
-    before = [f.cache_info().misses for f in (gather_plan, _plan)]
+    before = [f.cache_info().misses for f in (gather_plan, _plan, _error_plan)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert [f.cache_info().misses for f in (gather_plan, _plan)] == before
+    assert [f.cache_info().misses for f in (gather_plan, _plan, _error_plan)] == before
 
 
 @pytest.mark.parametrize("scheme", ["dissipative", "conservative"])

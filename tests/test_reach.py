@@ -3,11 +3,12 @@
 A short CLI set runs in a fresh interpreter, so that no cache warmed by
 another test hides a call, under `sys.setprofile`. It covers every
 experiment, both schemes, both inits, every boundary kind, `--config`,
-`--out` and one configuration error (exit 2). The functions and methods
-defined in `src/hermwave/*.py` that the set never calls must be exactly
-`UNREACHED`: a function that drops off the CLI paths shows up here, to be
-moved to the tests that use it or deleted, and one that a run starts to
-call must leave the list.
+`--out`, one configuration error (exit 2) and one run whose first step is
+poisoned with a NaN (exit 3). The functions and methods defined in
+`src/hermwave/*.py` that the set never calls must be exactly `UNREACHED`:
+a function that drops off the CLI paths shows up here, to be moved to the
+tests that use it or deleted, and one that a run starts to call must leave
+the list.
 """
 
 import json
@@ -24,7 +25,6 @@ UNREACHED = {
                     "state; the benchmark's tracer counts node updates from it",
     "grid.Field.__post_init__": "checks the Field that `State.u` builds, the tracer's "
                                 "view of a state",
-    "driver._at": "formats the exit-3 message of a non-finite run only",
 }
 
 _TRACE = r"""
@@ -40,12 +40,23 @@ def profile(frame, event, arg):
 
 sys.setprofile(profile)
 import hermwave
-from hermwave import cli
+from hermwave import cli, driver
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
+    step, poisoned_steps = driver.half_step_1d, []
+
+    def poisoned(state, cfg):  # one NaN into the rows of the first step
+        out = step(state, cfg)
+        if not poisoned_steps:
+            out.rows[0] = float("nan")
+            poisoned_steps.append(out)
+        return out
+
+    driver.half_step_1d = poisoned
+    codes.append(cli.main(json.loads(sys.argv[2])))
 sys.setprofile(None)
 
 src = os.path.dirname(hermwave.__file__)
@@ -75,6 +86,10 @@ print(json.dumps({"codes": codes, "unreached": sorted(set(unreached))}))
 """
 
 
+# run last, with a NaN put into the rows of its first step: exit 3
+_POISONED = ["gaussian1d", "--levels", "2", "--n0", "6"]
+
+
 def _cli_set(tmp: Path) -> list:
     config = tmp / "run.cfg"
     config.write_text("experiment = gaussian1d\nm = 2\nlevels = 3\n")
@@ -96,9 +111,9 @@ def _cli_set(tmp: Path) -> list:
 
 def test_cli_runs_reach_every_library_function_but_the_named_ones(tmp_path):
     argv = _cli_set(tmp_path)
-    out = subprocess.run([sys.executable, "-c", _TRACE, json.dumps(argv)],
+    out = subprocess.run([sys.executable, "-c", _TRACE, json.dumps(argv), json.dumps(_POISONED)],
                          capture_output=True, text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     got = json.loads(out.stdout)
-    assert got["codes"] == [0] * (len(argv) - 1) + [2]
+    assert got["codes"] == [0] * (len(argv) - 1) + [2, 3]
     assert got["unreached"] == sorted(UNREACHED)

@@ -8,7 +8,7 @@ import pytest
 import level_oracle
 from hermwave.boundary import gather_plan
 from hermwave.conservative import _plan, bootstrap_first_half, step
-from hermwave.diagnostics import l2_error_field, l2_errors_pair
+from hermwave.diagnostics import _error_plan, l2_error_field, l2_errors_pair
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, State, flip
 
@@ -252,10 +252,11 @@ def test_stacked_errors_match_per_level_errors(scheme, kinds, d, parity):
 
 
 def test_plans_follow_geometry_not_objects():
-    """Stacks of distinct but equal grids get the same cached gathers and
-    step plans. The same cells and walls on a longer domain get a step plan
-    of their own, whose dt/2 differs (the matrix is shared), and another
-    wall kind a gather of its own, whose reflected slots differ."""
+    """Stacks of distinct but equal grids get the same cached gathers, step
+    plans and error plans, which hold those gathers. The same cells and
+    walls on a longer domain get a step plan of their own, whose dt/2
+    differs (the matrix is shared), and another wall kind a gather of its
+    own, whose reflected slots differ."""
     cfg = SchemeConfig(m=2, lam=0.8)
 
     def stack(x_right=1.0, right="dirichlet0"):
@@ -267,6 +268,10 @@ def test_plans_follow_geometry_not_objects():
         for scheme, blocks in (("dissipative", ((3,), (2,))), ("conservative", ((3,),))):
             assert gather_plan(first, parity, blocks) is gather_plan(second, parity, blocks)
             assert _plan(first, parity, cfg, scheme) is _plan(second, parity, cfg, scheme)
+            pair = scheme == "dissipative"
+            errors = _error_plan(first, parity, blocks, 6, pair)
+            assert _error_plan(second, parity, blocks, 6, pair) is errors
+            assert errors[0] is gather_plan(second, parity, blocks)
     plan = _plan(first, PRIMAL, cfg, "conservative")
     longer = _plan(stack(x_right=2.0), PRIMAL, cfg, "conservative")
     assert longer is not plan and longer[1] is plan[1]
