@@ -99,7 +99,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = run_experiment(cfg)
+        # a run stopped by non-finite data prints only its one failure line
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = run_experiment(cfg)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

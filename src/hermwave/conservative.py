@@ -1,16 +1,17 @@
 """Two-time-level conservative update of u-only data, its bootstrap, and the
 one half step of both schemes.
 
-The first half step is bootstrapped by the dissipative module's Taylor
-recursion (`expand_taylor`), seeded with the full-order Hermite
-interpolants of the initial displacement and velocity that are centered at
-the target node, and summed at dt/2. One such step is accurate to the
-interpolation error and comfortably exceeds the O(h^(2m+1)) the two-level
-scheme needs. It is linear in the gathered pair, so `fold` turns it into
-one matrix B, which from (u, h u_t) is the same at every h (see
-`grid.State`): one per (m, lam, aspect), built at unit spacing. A
-bootstrap is then one take of u | h u_t packed per node and one product,
-for every level of a stack at once.
+The first half step is bootstrapped by the dissipative half step's own
+map (`dissipative._packed_matrix`), fed the initial displacement and
+velocity both of order m: then every series is seeded by the full-order
+Hermite interpolants centered at the target node, and d(2m+2) stages, past
+which every stage is exactly zero, are summed at dt/2. One such step is
+accurate to the interpolation error and comfortably exceeds the
+O(h^(2m+1)) the two-level scheme needs. B is that matrix's u columns,
+which from (u, h u_t) are the same at every h (see `grid.State`): one per
+(m, lam, aspect), built at unit spacing. A bootstrap is then one take of
+u | h u_t packed per node and one product, for every level of a stack at
+once.
 
 The update is the same map. A solution of u_tt = Delta u has the time
 series u(t+tau) = sum_s tau**s/s! d_t^s u, whose even derivatives
@@ -49,26 +50,15 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gather_plan, take
-from .dissipative import SchemeConfig, _packed_matrix, eval_series, expand_taylor, fold, packed
+from .dissipative import SchemeConfig, _packed_matrix
 from .grid import State, flip
-from .interp import apply_interp
 
 
-def _bootstrap(du, dv, m, dt, hs):
-    """u at dt/2 from gathered u and u_t data, the map `_bootstrap_matrix` folds."""
-    ndim = len(hs)
-    # with full-order v seeds every stage past d(2m+2) is exactly zero
-    ctab, _ = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs,
-                            ndim * (2 * m + 2))
-    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],)
-
-
-@lru_cache(maxsize=64)
 def _bootstrap_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
-    """The `packed` `fold` blocks of the bootstrap, u | u_t per node, built
-    once per (m, dt, hs)."""
-    sides, cu = (2,) * len(hs), (m + 1,) * len(hs)
-    return packed(fold(_bootstrap, (sides + cu, sides + cu), m, dt, hs), sides)
+    """B: the u columns of the half step's matrix from u | u_t per node,
+    both of order m, at d(2m+2) stages; read-only."""
+    cu = (m + 1,) * len(hs)
+    return _packed_matrix((cu, cu), dt, hs, len(hs) * (2 * m + 2))[:, : math.prod(cu)]
 
 
 @lru_cache(maxsize=64)
@@ -122,7 +112,8 @@ def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
     if scheme == "conservative":
         blocks, a = (cu,), _update_matrix(m, dt, hs)
     else:
-        blocks, a = (cu, (m,) * ndim), _packed_matrix(m, dt, hs, cfg.stages(ndim))
+        blocks = (cu, (m,) * ndim)
+        a = _packed_matrix(blocks, dt, hs, cfg.stages(ndim))
     return (gather_plan(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
             flip(parity), blocks)
 

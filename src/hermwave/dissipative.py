@@ -18,18 +18,19 @@ node at the cell center and hands the data to the opposite grid.
 
 In d axes the same recursion runs on tensor coefficients, one axis per
 spacing h_q, with the d second-derivative terms summed; one builder
-(`expand_taylor`, `taylor_half_step`) serves every d. The first stage of
-the v-recursion sums, over the axes q, the second q-derivative of the
-interpolant of order m along q and m-1 along the others (I_{m,m-1} u for
-x and I_{m-1,m} u for y in 2D), after which the plain recursion takes
-over. In 1D that sum is the plain stage 1. The price is that 2D evolution
-is no longer exact on polynomial data. Past d(2m+2)-2 stages every
-coefficient is exactly zero (2m in 1D, 4m+2 in 2D), so a half step runs
-that many (`SchemeConfig.stages`). The 2D periodic symbol puts stability
-in that stage count: seeding every series from the full-order
-interpolant of u alone is stable at 4m+2 stages (max |g| - 1 at most
-6.5e-15 for m = 1..4, lam <= 1), while at the 1D count of 2m stages and
-lam = 1 its max |g| - 1 reads 0.75, 2.6 and 8.4 for m = 1, 2, 3, and the
+(`expand_taylor`, `taylor_half_step`) serves every d. One rule seeds the
+first v stage: it sums, over the axes q, the second q-derivative of the u
+interpolant of order m along q and of v's order along the others. That is
+the plain stage 1 in 1D and for the conservative bootstrap, whose u_t has
+u's order. The step's v has order m-1, so in 2D the sum is of I_{m,m-1} u
+along x and I_{m-1,m} u along y, and 2D evolution is no longer exact on
+polynomial data. Past d(2m+2)-2 stages every coefficient is exactly zero
+(2m in 1D, 4m+2 in 2D), so a half step runs that many
+(`SchemeConfig.stages`). The 2D periodic symbol puts stability in that
+stage count: seeding every series from the full-order interpolant of u
+alone is stable at 4m+2 stages (max |g| - 1 at most 6.5e-15 for
+m = 1..4, lam <= 1), while at the 1D count of 2m stages and lam = 1 its
+max |g| - 1 reads 0.75, 2.6 and 8.4 for m = 1, 2, 3, and the
 mixed first stage's 0, 0.49 and 4.2.
 
 Interpolation, recursion and evaluation are all linear in the gathered
@@ -37,10 +38,13 @@ flanking data, so for fixed (m, dt, h per axis, stages) a half step is
 one matrix. `fold` builds it once, one row block per gathered field, by
 pushing the identity through the pipeline (`taylor_half_step`), and
 `_packed_matrix` stacks the blocks in the rows of u | v packed per node.
-A half step is then one take, at most one sign flip of the wall slots and
-one product: `conservative.step`, the one step of both schemes. With v
-carried as h*v the matrix depends on (m, lam, aspect) alone (see
-`grid.State`), so it is built once at unit spacing for every level.
+It builds every matrix of both schemes: fed u_t of u's order at d(2m+2)
+stages, its u columns are the conservative bootstrap B (see
+`conservative`). A half step is then one take, at most one sign flip of
+the wall slots and one product: `conservative.step`, the one step of both
+schemes. With v carried as h*v the matrix depends on (m, lam, aspect)
+alone (see `grid.State`), so it is built once at unit spacing for every
+level.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def expand_taylor(c0, d0, dt, hs, smax, d1=None):
         c0: (..., K per axis) scaled u coefficients at s=0.
         d0: (..., Lv per axis) scaled v coefficients at s=0, Lv <= K.
         hs: cell spacing per axis.
-        d1: optional (..., K-2 per axis) first v stage; if absent the plain
+        d1: optional (..., K per axis) first v stage; if absent the plain
             recursion supplies stage 1 as well.
 
     Returns:
@@ -128,7 +132,7 @@ def expand_taylor(c0, d0, dt, hs, smax, d1=None):
     for s in range(1, smax + 1):
         ctab[s] = (dt / s) * dtab[s - 1]
         if s == 1 and d1 is not None:
-            dtab[1][(Ellipsis,) + (slice(k - 2),) * ndim] = d1
+            dtab[1] = d1
             continue
         prev, cur = ctab[s - 1], dtab[s]
         for q, (r, w, src, dst) in enumerate(terms):
@@ -169,23 +173,23 @@ def fold(fn, shapes, *args) -> tuple:
 def taylor_half_step(du, dv, dt, hs, stages):
     """Interpolate, expand in time and evaluate at dt/2, per target node.
 
-    du (..., 2 per axis, m+1 per axis) and dv (..., 2 per axis, m per axis)
-    are flanking u and v data, one axis per entry of `hs`; returns the
-    target (u, v) data of the same orders. The first v stage sums, over the
-    axes q, the second q-derivative of the u interpolant of order m along q
-    and m-1 along the others; in 1D that is the plain recursion's stage 1.
+    du (..., 2 per axis, m+1 per axis) and dv (..., 2 per axis, m or m+1
+    per axis) are flanking u and v data, one axis per entry of `hs`; returns
+    the target (u, v) data of the same orders. The first v stage follows
+    the module docstring's one rule.
     """
     ndim = len(hs)
-    m = dv.shape[-1]
-    terms = []
-    for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, 2 * m + 2)):
-        keep = tuple(slice(None) if p == q else slice(m) for p in range(ndim))
-        terms.append(r * w * apply_interp(du[(Ellipsis,) + keep], ndim)[src])
-    d1 = sum(terms[1:], terms[0])
+    m, lv = du.shape[-1] - 1, dv.shape[-1]
+    k = 2 * m + 2
+    d1 = np.zeros(du.shape[: -2 * ndim] + (k,) * ndim)
+    for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, k)):
+        keep = tuple(slice(None) if p == q else slice(lv) for p in range(ndim))
+        at = (Ellipsis,) + tuple(slice(k - 2) if p == q else slice(2 * lv) for p in range(ndim))
+        d1[at] += r * w * apply_interp(du[(Ellipsis,) + keep], ndim)[src]
     ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, stages,
                                d1=d1)
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
-            eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
+            eval_series(dtab, 0.5)[(Ellipsis,) + (slice(lv),) * ndim])
 
 
 def packed(blocks: tuple, sides: tuple) -> np.ndarray:
@@ -201,9 +205,8 @@ def packed(blocks: tuple, sides: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _packed_matrix(m: int, dt: float, hs: tuple, stages: int) -> np.ndarray:
-    """The `packed` `fold` blocks of a half step, u | v per node, built once
-    per (m, dt, hs, stages)."""
-    ndim = len(hs)
-    sides, cu, cv = (2,) * ndim, (m + 1,) * ndim, (m,) * ndim
-    return packed(fold(taylor_half_step, (sides + cu, sides + cv), dt, hs, stages), sides)
+def _packed_matrix(blocks: tuple, dt: float, hs: tuple, stages: int) -> np.ndarray:
+    """The `packed` `fold` blocks of a half step from u | v per node of the
+    coefficient `blocks`, built once per (blocks, dt, hs, stages)."""
+    sides = (2,) * len(hs)
+    return packed(fold(taylor_half_step, tuple(sides + b for b in blocks), dt, hs, stages), sides)

@@ -462,12 +462,13 @@ def gaussian_box(t, x) -> tuple:
     Each pulse returns to its start every 6 time units, two reflections off
     walls of either kind later, so there it is the free pair (G(x+tau) +
     G(x-tau))/2 at tau = t - 12, G = exp(-20 x^2), whose t-derivative is
-    (G'(x+tau) - G'(x-tau))/2: one G and G' evaluation per side.
+    (G'(x+tau) - G'(x-tau))/2: per side one G and G' = -40 y G.
     """
     tau = t - 12.0
-    plus, minus = gaussian_derivs(x + tau, 1), gaussian_derivs(x - tau, 1)
-    return (0.5 * (plus[..., 0] + minus[..., 0]), 0.5 * (plus[..., 1] + minus[..., 1]),
-            0.5 * (plus[..., 1] - minus[..., 1]))
+    yp, ym = x + tau, x - tau
+    gp, gm = np.exp(-20.0 * yp * yp), np.exp(-20.0 * ym * ym)
+    dp, dm = -40.0 * yp * gp, -40.0 * ym * gm
+    return 0.5 * (gp + gm), 0.5 * (dp + dm), 0.5 * (dp - dm)
 
 
 def run_gaussian_1d(cfg: RunConfig) -> ErrorReport:

@@ -10,8 +10,8 @@ from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
 from hermwave.boundary import gather_plan, take, zero_wall_slots
-from hermwave.conservative import _bootstrap_matrix, _plan, bootstrap_first_half, step
-from hermwave.dissipative import SchemeConfig
+from hermwave.conservative import _plan, bootstrap_first_half, step
+from hermwave.dissipative import SchemeConfig, _packed_matrix
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, flip
 from hermwave.interp import apply_interp
 
@@ -154,11 +154,11 @@ def test_bootstrap_order_mismatch(orders, m):
     grid, _ = _line(0.0, 1.0, 6)
     rng = np.random.default_rng(m)
     state = uv_state(*(Field(grid, PRIMAL, 0.0, rng.standard_normal((6, k + 1))) for k in orders))
-    before = [f.cache_info() for f in (gather_plan, _bootstrap_matrix)]
+    before = [f.cache_info() for f in (gather_plan, _packed_matrix)]
     with pytest.raises(ValueError, match=rf"state carries orders \({orders[0]},\), "
                                          rf"config wants m = {m}"):
         bootstrap_first_half(state, SchemeConfig(m=m))
-    assert [f.cache_info() for f in (gather_plan, _bootstrap_matrix)] == before
+    assert [f.cache_info() for f in (gather_plan, _packed_matrix)] == before
 
 
 @pytest.mark.parametrize("ndim", [1, 2])

@@ -188,31 +188,70 @@ def _conservative_u(du, dt, hs, stages):
     return (2.0 * eval_series(ctab, 0.5)[(Ellipsis,) + (slice(du.shape[-1]),) * ndim],)
 
 
+def _mixed_half_step(du, dv, dt, hs, stages):
+    """The dissipative half step as its first v stage was first built: the
+    leading block of 2m coefficients per axis sums, over the axes q, the
+    second q-derivative of the u interpolant of order m along q and m-1
+    along the others; the plain recursion supplies every later stage."""
+    ndim, m = len(hs), dv.shape[-1]
+    k = 2 * m + 2
+    terms = []
+    for q, h in enumerate(hs):
+        keep = tuple(slice(None) if p == q else slice(m) for p in range(ndim))
+        src = tuple(slice(2, None) if p == q else slice(None) for p in range(ndim))
+        w = (np.arange(2, k) * np.arange(1, k - 1)).reshape((-1,) + (1,) * (ndim - 1 - q))
+        terms.append(dt / (h * h) * w
+                     * apply_interp(du[(Ellipsis,) + keep], ndim)[(Ellipsis,) + src])
+    d1 = np.zeros(du.shape[: -2 * ndim] + (k,) * ndim)
+    d1[(Ellipsis,) + (slice(k - 2),) * ndim] = sum(terms[1:], terms[0])
+    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, stages,
+                               d1=d1)
+    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
+            eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal arrays, signs of zero included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_stage_count_is_sufficient():
     """Stages past stages(ndim) (half step), d(2m+2) (bootstrap) and 2dm
-    (conservative update) are exact zeros.
+    (conservative update) are exact zeros, and one map builds all three
+    matrices bit for bit, signs of zero included.
 
     So six more stages leave every folded matrix unchanged to the bit. The
-    conservative map at 2dm stages is the library's update matrix, twice the
-    u rows of the folded bootstrap, bit for bit.
+    half step from v of order m-1 is the mixed-stage map (`_mixed_half_step`).
+    The half step from u_t of u's order, at d(2m+2) stages, is the bootstrap
+    (`_bootstrap_u`) in its u columns, and the library's B is those columns
+    packed. The conservative map at 2dm stages is the library's update
+    matrix, twice the u rows of B.
     """
-    for ndim in (1, 2):
-        for m in range(1, 7):
+    for ndim, m_max in ((1, 6), (2, 6), (3, 2)):
+        for m in range(1, m_max + 1):
             cfg = SchemeConfig(m=m, lam=1.0)
-            hs = (0.2, 0.3)[:ndim]
+            hs = (0.2, 0.3, 0.25)[:ndim]
             dt = cfg.dt(min(hs))
             side = (2,) * ndim
             u_shape, v_shape = side + (m + 1,) * ndim, side + (m,) * ndim
+            folds = []
             for fn, shapes, depth in (
                 (taylor_half_step, (u_shape, v_shape), cfg.stages(ndim)),
+                (taylor_half_step, (u_shape, u_shape), ndim * (2 * m + 2)),
                 (_bootstrap_u, (u_shape, u_shape), ndim * (2 * m + 2)),
                 (_conservative_u, (u_shape,), 2 * ndim * m),
             ):
                 short = fold(fn, shapes, dt, hs, depth)
                 deep = fold(fn, shapes, dt, hs, depth + 6)
                 assert all(np.array_equal(a, b) for a, b in zip(short, deep)), (ndim, m, fn)
-            a = conservative._update_matrix(m, dt, hs)
-            assert np.array_equal(a, short[0]), (ndim, m)
+                folds.append(short)
+            step_map, boot_map, boot_u, update = folds
+            mixed = fold(_mixed_half_step, (u_shape, v_shape), dt, hs, cfg.stages(ndim))
+            assert all(map(_same_bits, step_map, mixed)), (ndim, m)
+            nu = math.prod(u_shape[ndim:])
+            assert all(_same_bits(a[:, :nu], b) for a, b in zip(boot_map, boot_u)), (ndim, m)
+            assert _same_bits(conservative._bootstrap_matrix(m, dt, hs), packed(boot_u, side))
+            assert _same_bits(conservative._update_matrix(m, dt, hs), update[0]), (ndim, m)
 
 
 def _line(x_left, x_right, n, left="periodic", right="periodic"):

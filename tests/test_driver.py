@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,7 +234,7 @@ def test_planewave_blocks_against_sympy():
 def test_require_finite(monkeypatch, capsys):
     """A run whose rows hold an inf or a NaN stops at its next check, for
     each: `_march` raises a NumericalError naming the half step, and the
-    CLI exits 3."""
+    CLI exits 3 with that one line on stderr and no warning."""
     real = driver.half_step_1d
     for bad in (np.inf, np.nan):
         def poisoned(state, *args, bad=bad):
@@ -246,8 +247,13 @@ def test_require_finite(monkeypatch, capsys):
                                  "dirichlet0", "dirichlet0"),))), driver._gaussian_data)
         with pytest.raises(NumericalError, match="at half step 3 "):
             driver._march(state, SchemeConfig(m=2), 0, 3)
-        assert cli.main(["gaussian1d", "--levels", "1", "--n0", "6"]) == 3
-        assert "non-finite field data detected at half step" in capsys.readouterr().err
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["gaussian1d", "--levels", "1", "--n0", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite field data detected at half step")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------
