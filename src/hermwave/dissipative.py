@@ -181,13 +181,14 @@ def taylor_half_step(du, dv, dt, hs, stages):
     ndim = len(hs)
     m, lv = du.shape[-1] - 1, dv.shape[-1]
     k = 2 * m + 2
+    cu = apply_interp(du, ndim)
     d1 = np.zeros(du.shape[: -2 * ndim] + (k,) * ndim)
     for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, k)):
-        keep = tuple(slice(None) if p == q else slice(lv) for p in range(ndim))
+        keep = du[(Ellipsis,) + tuple(slice(None) if p == q else slice(lv) for p in range(ndim))]
         at = (Ellipsis,) + tuple(slice(k - 2) if p == q else slice(2 * lv) for p in range(ndim))
-        d1[at] += r * w * apply_interp(du[(Ellipsis,) + keep], ndim)[src]
-    ctab, dtab = expand_taylor(apply_interp(du, ndim), apply_interp(dv, ndim), dt, hs, stages,
-                               d1=d1)
+        # in 1D and when v has u's order, keep is all of du
+        d1[at] += r * w * (cu if keep.shape == du.shape else apply_interp(keep, ndim))[src]
+    ctab, dtab = expand_taylor(cu, apply_interp(dv, ndim), dt, hs, stages, d1=d1)
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(lv),) * ndim])
 

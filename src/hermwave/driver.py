@@ -288,7 +288,10 @@ def gaussian_derivs(x, kmax: int, a: float = -20.0) -> np.ndarray:
     f = np.exp(a * x * x)
     out = np.empty(x.shape + (kmax + 1,))
     for k, p in enumerate(_gaussian_polys(kmax, a)):
-        out[..., k] = np.polynomial.polynomial.polyval(x, p) * f
+        val = p[-1] + x * 0  # numpy's polyval, written out: the same operations
+        for c in p[-2::-1]:
+            val = c + val * x
+        out[..., k] = val * f
     return out
 
 

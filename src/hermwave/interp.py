@@ -8,9 +8,16 @@ stacked (left block, right block) data. The matrix inverts the conditions
     sum_j C(j, l) xi_s**(j-l) a_j = c_l,   xi_s = -1/2 (left), +1/2 (right),
 
 written in the scaled basis of the cell centered at the midpoint, so it is
-independent of h. It is assembled and inverted in exact rational
-arithmetic and rounded to float once; interpolation afterwards is a single
-matmul per cell.
+independent of h. Its columns are the two-point Hermite basis in closed
+form: with t = xi + 1/2, the left node's functions are
+
+    (1 - t)**(mu+1) t**l sum_{k <= mu-l} C(mu+k, k) t**k,
+
+(the sum is (1 - t)**-(mu+1) truncated to degree mu - l) and the right
+node's their mirror images under t -> 1 - t, times (-1)**l. Expanded in
+s = 2 xi they are integer polynomials over 2**(2mu+1), so every entry is
+an integer over 2**(2mu+1) and is rounded to float once, by integer true
+division; interpolation afterwards is a single matmul per cell.
 
 The cell coefficients are h-scaled too: the interpolant is
 sum_j a_j ((x - x_c)/h)**j, so a_j = (h**j/j!) d^j p/dx^j at the center.
@@ -27,30 +34,11 @@ matrix in turn (`apply_interp(data, ndim)`).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 MAX_ORDER = 12
-
-
-def _invert_exact(a):
-    """Gauss-Jordan inverse over Fractions; unisolvency keeps pivots nonzero."""
-    n = len(a)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[piv][col] == 0:
-            raise ArithmeticError("interpolation system is singular (cannot happen)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)
@@ -66,16 +54,21 @@ def interp_matrix(mu: int) -> np.ndarray:
     """
     if not 0 <= mu <= MAX_ORDER:
         raise ValueError(f"interpolation order must be in [0, {MAX_ORDER}], got {mu}")
-    n = 2 * mu + 2
-    rows = []
-    for xi in (Fraction(-1, 2), Fraction(1, 2)):
-        for l in range(mu + 1):
-            rows.append(
-                [Fraction(math.comb(j, l)) * xi ** (j - l) if j >= l else Fraction(0)
-                 for j in range(n)]
-            )
-    inv = _invert_exact(rows)
-    m = np.array([[float(v) for v in row] for row in inv])
+    n, den = 2 * mu + 2, 2 ** (2 * mu + 1)
+    one_minus = [(-1) ** i * math.comb(mu + 1, i) for i in range(mu + 2)]  # (1 - s)**(mu+1)
+    m = np.empty((n, n))
+    for l in range(mu + 1):
+        # den times left function l, in s:
+        # (1 - s)**(mu+1) sum_k C(mu+k, k) 2**(mu-l-k) (1 + s)**(l+k)
+        g = [sum(math.comb(mu + k, k) * 2 ** (mu - l - k) * math.comb(l + k, i)
+                 for k in range(mu - l + 1)) for i in range(mu + 1)]
+        num = [0] * n
+        for i, a in enumerate(one_minus):
+            for j, b in enumerate(g):
+                num[i + j] += a * b
+        for j, c in enumerate(num):  # s**j = 2**j xi**j; the right function is (-1)**l left(-s)
+            m[j, l] = c * 2 ** j / den
+            m[j, mu + 1 + l] = (-1) ** (j + l) * c * 2 ** j / den
     m.setflags(write=False)
     return m
 

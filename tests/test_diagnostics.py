@@ -21,7 +21,7 @@ from hermwave.diagnostics import (
 )
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
-from hermwave.interp import apply_interp
+from hermwave.interp import MAX_ORDER, apply_interp
 
 from energy_oracle import (
     conservative_energy,
@@ -82,6 +82,21 @@ def test_gauss_rule_integrates_polynomials():
     x, w = gauss_rule(3)
     assert np.dot(w, x**4) == pytest.approx(2.0 / 5.0, rel=1e-14)
     assert default_npts(3) == 8
+
+
+@pytest.mark.parametrize("npts", range(1, 2 * MAX_ORDER + 3))
+def test_gauss_rule_from_the_recurrence(npts):
+    """Newton's nodes and weights: leggauss's, symmetric, exact to degree 2n-1."""
+    x, w = gauss_rule(npts)
+    x0, w0 = np.polynomial.legendre.leggauss(npts)
+    np.testing.assert_allclose(x, x0, rtol=0, atol=2.5e-16)
+    np.testing.assert_allclose(w, w0, rtol=0, atol=2e-15)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-15
+    for k in range(2 * npts):
+        assert abs(np.dot(w, x**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-14
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_l2_error_exact_polynomial_is_zero():

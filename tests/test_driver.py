@@ -1,6 +1,7 @@
 """Config plumbing, closed-form data, experiment runs, CSV, CLI."""
 
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -542,6 +543,37 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "0"
+
+
+_COLD_CALLS = [
+    ["gaussian1d", "--levels", "1", "--n0", "6"],
+    ["gaussian1d", "--levels", "1", "--n0", "6", "--boundary", "periodic"],
+    ["gaussian1d", "--levels", "1", "--n0", "6", "--scheme", "conservative"],
+    ["gaussian1d", "--levels", "1", "--n0", "6", "--scheme", "conservative",
+     "--boundary", "periodic", "--init", "bootstrap"],
+    ["planewave2d", "--levels", "1", "--n0", "4"],
+    ["planewave2d", "--levels", "1", "--n0", "4", "--scheme", "conservative"],
+    ["conserve1d", "--n0", "6", "--steps", "2"],
+    ["conserve1d", "--n0", "6", "--steps", "2", "--mode", "random"],
+]
+
+
+def test_cold_start_imports_no_exact_or_polynomial_modules():
+    """A fresh process that runs every experiment builds its matrices and Gauss
+    rules without `fractions` or `numpy.polynomial`."""
+    probe = ("import json, sys, contextlib, io\n"
+             "from hermwave import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in ('fractions', 'numpy.polynomial')\n"
+             "                                 if m in sys.modules)]))\n")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(_COLD_CALLS)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    codes, loaded = json.loads(out)
+    assert codes == [0] * len(_COLD_CALLS)
+    assert loaded == []
 
 
 def test_cli_shared_parser_keeps_no_state(tmp_path, capsys):
