@@ -35,10 +35,10 @@ mixed first stage's 0, 0.49 and 4.2.
 
 Interpolation, recursion and evaluation are all linear in the gathered
 flanking data, so for fixed (m, dt, h per axis, stages) a half step is
-one matrix. `fold` builds it once, one row block per gathered field, by
-pushing the identity through the pipeline (`taylor_half_step`), and
-`_packed_matrix` stacks the blocks in the rows of u | v packed per node.
-It builds every matrix of both schemes: fed u_t of u's order at d(2m+2)
+one matrix. `fold` builds it once, by pushing the identity through the
+pipeline (`taylor_half_step`), laid out as `take` gathers a row: per
+side, u | v packed. `_packed_matrix` is that one fold per key, and it
+builds every matrix of both schemes: fed u_t of u's order at d(2m+2)
 stages, its u columns are the conservative bootstrap B (see
 `conservative`). A half step is then one take, at most one sign flip of
 the wall slots and one product: `conservative.step`, the one step of both
@@ -152,22 +152,25 @@ def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def fold(fn, shapes, *args) -> tuple:
-    """Row blocks of the linear per-target map blocks -> fn(*blocks, *args).
+def fold(fn, blocks: tuple, sides: tuple, *args) -> np.ndarray:
+    """The read-only matrix A of the linear per-target map fn: a gathered
+    row times A is fn's outputs as one row, concatenated.
 
-    fn takes one batched block (k, *shape) per entry of `shapes`, then
-    `args`, and returns a tuple of batched blocks. The result holds one
-    A_i per input block: sum_i rows(block_i) @ A_i is fn's outputs as rows,
-    concatenated. It is found by applying fn to the identity; the callers
-    cache the matrices they build from it.
+    A row holds, per side in C order over `sides`, the coefficients of each
+    field of coefficient shape `blocks` packed, as `take` gathers it. fn
+    takes one batched block (k, *sides, *block) per field, then `args`, and
+    returns a tuple of batched blocks. A is found by applying fn to the
+    identity laid out as those rows; the callers cache what they build.
     """
-    sizes = [math.prod(s) for s in shapes]
-    eye = np.eye(sum(sizes))
-    splits = np.cumsum(sizes)[:-1]
-    cols = np.split(eye, splits, axis=1)
-    outs = fn(*(c.reshape((-1,) + s) for c, s in zip(cols, shapes)), *args)
-    a = np.concatenate([rows(o) for o in outs], axis=1)
-    return tuple(np.split(a, splits))
+    width = sum(math.prod(b) for b in blocks)
+    eye = np.eye(math.prod(sides) * width).reshape((-1,) + sides + (width,))
+    fields, start = [], 0
+    for b in blocks:
+        fields.append(eye[..., start : start + math.prod(b)].reshape(eye.shape[:-1] + b))
+        start += math.prod(b)
+    a = np.concatenate([rows(o) for o in fn(*fields, *args)], axis=1)
+    a.setflags(write=False)
+    return a
 
 
 def taylor_half_step(du, dv, dt, hs, stages):
@@ -193,21 +196,8 @@ def taylor_half_step(du, dv, dt, hs, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(lv),) * ndim])
 
 
-def packed(blocks: tuple, sides: tuple) -> np.ndarray:
-    """`fold`'s row blocks, stacked and permuted into the rows of their fields
-    packed per node, as `take` gathers them; read-only."""
-    # row r of block i reads entry r of field i's flattened (sides, coefficients) block
-    first = np.cumsum([0] + [len(block) for block in blocks])
-    index = np.concatenate([start + np.arange(len(block)).reshape(sides + (-1,))
-                            for start, block in zip(first, blocks)], axis=-1)
-    a = np.concatenate(blocks)[index.ravel()]
-    a.setflags(write=False)
-    return a
-
-
 @lru_cache(maxsize=64)
 def _packed_matrix(blocks: tuple, dt: float, hs: tuple, stages: int) -> np.ndarray:
-    """The `packed` `fold` blocks of a half step from u | v per node of the
-    coefficient `blocks`, built once per (blocks, dt, hs, stages)."""
-    sides = (2,) * len(hs)
-    return packed(fold(taylor_half_step, tuple(sides + b for b in blocks), dt, hs, stages), sides)
+    """The `fold` of a half step from u | v per node of the coefficient
+    `blocks`, built once per (blocks, dt, hs, stages)."""
+    return fold(taylor_half_step, blocks, (2,) * len(hs), dt, hs, stages)

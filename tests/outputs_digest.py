@@ -16,8 +16,13 @@ A second line hashes the node rows and times of short library-level
 marches from random data, one per number of axes (1, 2), edge kind
 (periodic, walls) and scheme. They reach what no CLI call does (2D
 walls), and each steps on with an equal but distinct config and then
-another lam, as a caller of the steppers may. Copy the script into the
-other checkout to compare.
+another lam, as a caller of the steppers may.
+
+A third line hashes, bit for bit, every step, update and L2-error matrix
+that the CLI calls build (`MATRICES`, the keys of `_packed_matrix`,
+`_update_matrix` and `error_matrix` they reach), so a change to how the
+matrices are built shows bit identity in one line. Copy the script into
+the other checkout to compare.
 
 A change that moves output bits on purpose is compared to a tolerance
 instead, in two steps run from each checkout and then from either:
@@ -56,6 +61,9 @@ import numpy as np  # noqa: E402
 
 from hermwave import DUAL, PRIMAL, Axis, Field, Grid, SchemeConfig, step  # noqa: E402
 from hermwave import cli  # noqa: E402
+from hermwave.conservative import _update_matrix  # noqa: E402
+from hermwave.diagnostics import error_matrix  # noqa: E402
+from hermwave.dissipative import _packed_matrix  # noqa: E402
 from states import fields_of, two_level, uv_state  # noqa: E402
 
 SEEDS = (0, 1)
@@ -211,6 +219,46 @@ def march_digest() -> tuple[str, int]:
     return sha.hexdigest(), count
 
 
+# per builder, the keys of every matrix the calls build, in sorted order
+MATRICES = (
+    (_packed_matrix, [
+        (((3, 3), (2, 2)), 0.8, (1.0, 1.0), 10),
+        (((3, 3), (3, 3)), 0.8, (1.0, 1.0), 12),
+        (((3,), (2,)), 0.8, (1.0,), 4),
+        (((3,), (3,)), 0.5, (1.0,), 6),
+        (((3,), (3,)), 0.8, (1.0,), 6),
+        (((4,), (3,)), 0.8, (1.0,), 6),
+        (((4,), (4,)), 0.8, (1.0,), 8),
+    ]),
+    (_update_matrix, [
+        (2, 0.5, (1.0,)),
+        (2, 0.8, (1.0, 1.0)),
+        (2, 0.8, (1.0,)),
+        (3, 0.8, (1.0,)),
+    ]),
+    (error_matrix, [
+        (((3, 3), (2, 2)), 6, (0, 0), False),
+        (((3, 3),), 6, (0, 0), False),
+        *((((3,), (2,)), 6, (kind,), True) for kind in range(3)),
+        *((((3,),), 6, (kind,), False) for kind in range(3)),
+        *((((4,), (3,)), 8, (kind,), True) for kind in range(3)),
+        *((((4,),), 8, (kind,), False) for kind in range(3)),
+    ]),
+)
+
+
+def matrix_digest() -> tuple[str, int]:
+    """One sha256 over each listed matrix's builder, key, shape and bytes."""
+    sha, count = hashlib.sha256(), 0
+    for build, keys in MATRICES:
+        for key in keys:
+            a = build(*key)
+            sha.update(repr((build.__name__, key, a.shape)).encode() + b"\0")
+            sha.update(np.ascontiguousarray(a).tobytes())
+            count += 1
+    return sha.hexdigest(), count
+
+
 def main(args: list) -> int | str:
     """The command line: the exit code, or the usage text for a bad one."""
     if args[:1] == ["--values"] and len(args) == 2:
@@ -227,6 +275,8 @@ def main(args: list) -> int | str:
     print(f"{hexdigest}  {count} CLI calls")
     hexdigest, count = march_digest()
     print(f"{hexdigest}  {count} library marches")
+    hexdigest, count = matrix_digest()
+    print(f"{hexdigest}  {count} cached matrices")
     return 0
 
 

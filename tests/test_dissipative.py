@@ -14,14 +14,14 @@ from numpy.polynomial import Polynomial as P
 from hermwave import conservative
 from hermwave.boundary import gather_plan, take
 from hermwave.conservative import _plan, step
-from hermwave.dissipative import (SchemeConfig, eval_series, expand_taylor, fold, packed,
-                                  taylor_half_step)
+from hermwave.dissipative import SchemeConfig, eval_series, expand_taylor, fold, taylor_half_step
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, State, flip
 from hermwave.interp import apply_interp
 
 from energy_oracle import dissipative_energy
 from level_oracle import pair_sources
 from lifting import lift, lifted_grids
+from matrix_oracle import same_bits
 from states import one, two_level, u_of, uv_state, v_of
 from test_conservative import ORDER_LAM, ORDER_THETA, eigen_orders
 
@@ -210,11 +210,6 @@ def _mixed_half_step(du, dv, dt, hs, stages):
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(m),) * ndim])
 
 
-def _same_bits(a, b) -> bool:
-    """Equal arrays, signs of zero included."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def test_stage_count_is_sufficient():
     """Stages past stages(ndim) (half step), d(2m+2) (bootstrap) and 2dm
     (conservative update) are exact zeros, and one map builds all three
@@ -223,9 +218,9 @@ def test_stage_count_is_sufficient():
     So six more stages leave every folded matrix unchanged to the bit. The
     half step from v of order m-1 is the mixed-stage map (`_mixed_half_step`).
     The half step from u_t of u's order, at d(2m+2) stages, is the bootstrap
-    (`_bootstrap_u`) in its u columns, and the library's B is those columns
-    packed. The conservative map at 2dm stages is the library's update
-    matrix, twice the u rows of B.
+    (`_bootstrap_u`) in its u columns, and the library's B is those columns.
+    The conservative map at 2dm stages is the library's update matrix,
+    twice the u rows of B.
     """
     for ndim, m_max in ((1, 6), (2, 6), (3, 2)):
         for m in range(1, m_max + 1):
@@ -233,25 +228,24 @@ def test_stage_count_is_sufficient():
             hs = (0.2, 0.3, 0.25)[:ndim]
             dt = cfg.dt(min(hs))
             side = (2,) * ndim
-            u_shape, v_shape = side + (m + 1,) * ndim, side + (m,) * ndim
+            cu, cv = (m + 1,) * ndim, (m,) * ndim
             folds = []
-            for fn, shapes, depth in (
-                (taylor_half_step, (u_shape, v_shape), cfg.stages(ndim)),
-                (taylor_half_step, (u_shape, u_shape), ndim * (2 * m + 2)),
-                (_bootstrap_u, (u_shape, u_shape), ndim * (2 * m + 2)),
-                (_conservative_u, (u_shape,), 2 * ndim * m),
+            for fn, blocks, depth in (
+                (taylor_half_step, (cu, cv), cfg.stages(ndim)),
+                (taylor_half_step, (cu, cu), ndim * (2 * m + 2)),
+                (_bootstrap_u, (cu, cu), ndim * (2 * m + 2)),
+                (_conservative_u, (cu,), 2 * ndim * m),
             ):
-                short = fold(fn, shapes, dt, hs, depth)
-                deep = fold(fn, shapes, dt, hs, depth + 6)
-                assert all(np.array_equal(a, b) for a, b in zip(short, deep)), (ndim, m, fn)
+                short = fold(fn, blocks, side, dt, hs, depth)
+                deep = fold(fn, blocks, side, dt, hs, depth + 6)
+                assert np.array_equal(short, deep), (ndim, m, fn)
                 folds.append(short)
             step_map, boot_map, boot_u, update = folds
-            mixed = fold(_mixed_half_step, (u_shape, v_shape), dt, hs, cfg.stages(ndim))
-            assert all(map(_same_bits, step_map, mixed)), (ndim, m)
-            nu = math.prod(u_shape[ndim:])
-            assert all(_same_bits(a[:, :nu], b) for a, b in zip(boot_map, boot_u)), (ndim, m)
-            assert _same_bits(conservative._bootstrap_matrix(m, dt, hs), packed(boot_u, side))
-            assert _same_bits(conservative._update_matrix(m, dt, hs), update[0]), (ndim, m)
+            mixed = fold(_mixed_half_step, (cu, cv), side, dt, hs, cfg.stages(ndim))
+            assert same_bits(step_map, mixed), (ndim, m)
+            assert same_bits(boot_map[:, : math.prod(cu)], boot_u), (ndim, m)
+            assert same_bits(conservative._bootstrap_matrix(m, dt, hs), boot_u), (ndim, m)
+            assert same_bits(conservative._update_matrix(m, dt, hs), update), (ndim, m)
 
 
 def _line(x_left, x_right, n, left="periodic", right="periodic"):
@@ -666,8 +660,7 @@ def test_full_order_seeding_in_2d_is_stable_at_4m_plus_2_stages():
 
     def growth(fn, m, lam, stages):
         cfg = SchemeConfig(m=m, lam=lam)
-        a = packed(fold(fn, (sides + (m + 1,) * 2, sides + (m,) * 2), cfg.dt(1.0), (1.0, 1.0),
-                        stages), sides)
+        a = fold(fn, ((m + 1,) * 2, (m,) * 2), sides, cfg.dt(1.0), (1.0, 1.0), stages)
         return _growth_2d(a, theta)
 
     for m in (1, 2, 3, 4):

@@ -5,6 +5,7 @@ built from the pipeline; here the pipeline itself runs on the same
 gathered data and the two must agree to rounding.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import level_oracle
-from hermwave.conservative import _plan, bootstrap_first_half, step
-from hermwave.dissipative import SchemeConfig, fold, rows, taylor_half_step
+import matrix_oracle
+from hermwave.conservative import (_bootstrap_matrix, _plan, _update_matrix, bootstrap_first_half,
+                                  step)
+from hermwave.diagnostics import default_npts, error_matrix
+from hermwave.dissipative import SchemeConfig, _packed_matrix, fold, rows, taylor_half_step
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, flip
 from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
+from matrix_oracle import block_fold, packed, same_bits
 from states import one, previous_of, two_level, u_of, uv_state, v_of
 
 WALLS = ("dirichlet0", "neumann0")
@@ -154,9 +159,9 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
     """A half step through a level's packed u | v plan equals the per-field blocks.
 
     The plan gathers u and h*v with one take and multiplies by the `fold`
-    blocks of the aspect stacked in packed row order; only the summation
-    order differs from rows(du) @ a_u + rows(h dv) @ a_v. A conservative
-    plan on the same
+    of the aspect, in packed row order; the per-field blocks are the
+    oracle's `block_fold`, and only the summation order differs from
+    rows(du) @ a_u + rows(h dv) @ a_v. A conservative plan on the same
     grid, parity and config must not be handed to the dissipative stepper
     or back.
     """
@@ -171,8 +176,8 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
         dv = pair_sources(v)[0]
         hs = grid.spacings
         dt = cfg.dt(min(hs))
-        a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), cfg.dt(1.0),
-                        grid.aspect, cfg.stages(ndim))
+        a_u, a_v = block_fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]),
+                              cfg.dt(1.0), grid.aspect, cfg.stages(ndim))
         want = rows(du, ndim) @ a_u + rows(dv * grid.h, ndim) @ a_v
         want_c = conservative_update(apply_interp(du, ndim), prev.values, m, dt, hs)
         for _ in range(2):
@@ -212,14 +217,14 @@ def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
 
 
 def _oracle_half_step(u, v, cfg):
-    """One dissipative half step on fields: per-field gathers and `fold` blocks
-    of the aspect, v carried as h*v, as a state's rows carry it."""
+    """One dissipative half step on fields: per-field gathers and `block_fold`
+    blocks of the aspect, v carried as h*v, as a state's rows carry it."""
     grid = u.grid
     ndim = len(grid.axes)
     du = pair_sources(u)[0]
     dv = pair_sources(v)[0]
-    a_u, a_v = fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), cfg.dt(1.0),
-                    grid.aspect, cfg.stages(ndim))
+    a_u, a_v = block_fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), cfg.dt(1.0),
+                          grid.aspect, cfg.stages(ndim))
     new = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
     k = new.shape[1] - v.values[(0,) * ndim].size
     target, t = flip(u.parity), u.time + 0.5 * cfg.dt(grid.h)
@@ -229,12 +234,13 @@ def _oracle_half_step(u, v, cfg):
 
 
 def _oracle_full_step(cur, prev, cfg):
-    """One conservative step on fields: a gather, the `fold` block of the
-    aspect, minus prev."""
+    """One conservative step on fields: a gather, the `fold` of the aspect,
+    minus prev."""
     grid = cur.grid
     ndim = len(grid.axes)
     dc = pair_sources(cur)[0]
-    (a,) = fold(level_oracle.update, (dc.shape[ndim:],), cfg.m, cfg.dt(1.0), grid.aspect)
+    a = fold(level_oracle.update, ((cfg.m + 1,) * ndim,), (2,) * ndim, cfg.m, cfg.dt(1.0),
+             grid.aspect)
     new = (rows(dc, ndim) @ a).reshape(prev.values.shape) - prev.values
     return Field(grid, prev.parity, cur.time + 0.5 * cfg.dt(grid.h), new), cur
 
@@ -297,7 +303,70 @@ def test_conservative_plan_is_the_folded_update(d, ms):
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             for levels in (one(grid), stack):
-                (want,) = fold(level_oracle.update, ((2,) * d + (m + 1,) * d,), m,
-                               cfg.dt(1.0), levels.aspect)
+                want = fold(level_oracle.update, ((m + 1,) * d,), (2,) * d, m, cfg.dt(1.0),
+                            levels.aspect)
                 got = _plan(levels, PRIMAL, cfg, "conservative")[1]
                 assert np.array_equal(got, want), (m, lam, levels)
+
+
+def test_fold_is_one_read_only_matrix_in_the_gathered_layout():
+    """`fold` returns one read-only matrix whose rows are laid out as `take`
+    gathers a row: per side, the fields packed. Its row r is the map of the
+    unit row r, and it is the oracle's per-field blocks, stacked and
+    permuted (`matrix_oracle.packed`), bit for bit."""
+    cfg = SchemeConfig(m=2, lam=0.8)
+    blocks, sides, args = ((3, 3), (2, 2)), (2, 2), (cfg.dt(1.0), (1.0, 1.5), cfg.stages(2))
+    a = fold(taylor_half_step, blocks, sides, *args)
+    assert isinstance(a, np.ndarray) and not a.flags.writeable
+    assert a.shape == (4 * 13, 13)
+    row = np.zeros(4 * 13)
+    row[13 + 9 + 2] = 1.0  # side (0, 1), v coefficient (1, 0)
+    dv = np.zeros((1, 2, 2, 2, 2))
+    dv[0, 0, 1, 1, 0] = 1.0
+    out = taylor_half_step(np.zeros((1, 2, 2, 3, 3)), dv, *args)
+    np.testing.assert_allclose(row @ a, np.concatenate([o.ravel() for o in out]),
+                               rtol=0, atol=1e-15)
+    shapes = tuple(sides + b for b in blocks)
+    assert same_bits(a, packed(block_fold(taylor_half_step, shapes, *args), sides))
+
+
+STEP_CASES = [(d, m) for d, top in ((1, 6), (2, 6), (3, 2)) for m in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("d, m", STEP_CASES)
+def test_every_step_matrix_keeps_the_per_block_bits(d, m):
+    """Every step (u | v) and bootstrap (u | u_t) `_packed_matrix`, every B
+    (`_bootstrap_matrix`) and every 2 B_u (`_update_matrix`) equals, bit for
+    bit and signs of zero included, the oracle's per-field blocks stacked
+    and permuted into the gathered layout, and B and 2 B_u its slices; at
+    lam 0.5, 0.8 and 1, at a unit aspect and at (1, 1.5, 1.25) cut to d."""
+    cu, cv, sides = (m + 1,) * d, (m,) * d, (2,) * d
+    nu = math.prod(cu)
+    for hs in {(1.0,) * d, (1.0, 1.5, 1.25)[:d]}:
+        for lam in (0.5, 0.8, 1.0):
+            cfg = SchemeConfig(m=m, lam=lam)
+            for blocks, stages in (((cu, cv), cfg.stages(d)), ((cu, cu), d * (2 * m + 2))):
+                want = packed(block_fold(taylor_half_step, tuple(sides + b for b in blocks),
+                                         lam, hs, stages), sides)
+                assert same_bits(_packed_matrix(blocks, lam, hs, stages), want), (hs, lam)
+            b = want[:, :nu]
+            assert same_bits(_bootstrap_matrix(m, lam, hs), b), (hs, lam)
+            u_rows = b.reshape(2**d, 2, nu, nu)[:, 0].reshape(-1, nu)
+            assert same_bits(_update_matrix(m, lam, hs), 2.0 * u_rows), (hs, lam)
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2) for m in range(1, 5)])
+def test_error_matrices_match_the_einsum_oracle(d, m):
+    """Every `error_matrix`, for each mix of cell kinds, u | v rows with
+    `pair` both ways and u rows alone, is the oracle's tensor product of
+    per-axis evaluation matrices placed in its fields' rows
+    (`matrix_oracle.error_matrix`) to 1e-15 of its largest entry; the
+    largest difference read 8.4e-16. Both are read through the rounding of
+    different sums: the fold interpolates, then evaluates axis by axis."""
+    cu, cv, npts = (m + 1,) * d, (m,) * d, default_npts(m)
+    for kinds in itertools.product(range(3), repeat=d):
+        for blocks, pair in (((cu, cv), True), ((cu, cv), False), ((cu,), False)):
+            got = error_matrix(blocks, npts, kinds, pair)
+            want = matrix_oracle.error_matrix(blocks, npts, kinds, pair)
+            assert not got.flags.writeable and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (kinds, blocks, pair)

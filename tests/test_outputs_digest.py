@@ -1,8 +1,13 @@
-"""The tolerance gate of `outputs_digest.py --compare` and the names it compares by."""
+"""The tolerance gate of `outputs_digest.py --compare`, the names it
+compares by and the matrices its third line hashes."""
 
 import json
 
-from outputs_digest import MARCH_GRIDS, main, marches
+import numpy as np
+
+import outputs_digest
+from hermwave import conservative, diagnostics
+from outputs_digest import MARCH_GRIDS, MATRICES, main, marches, matrix_digest, runs
 
 COLUMNS = {"call one": {"exit": 0, "columns": {"error_u": [1.0, 2.0], "n": [10.0, 12.0]}},
            "march 0": {"exit": None, "columns": {"config 0 time": [0.5]}}}
@@ -42,3 +47,46 @@ def test_every_library_march_has_its_own_name():
     scheme, 8 in all."""
     names = [name for name, _ in marches()]
     assert len(set(names)) == len(names) == 2 * len(MARCH_GRIDS) == 8
+
+
+def test_matrix_list_is_every_key_the_calls_build(monkeypatch):
+    """`MATRICES` lists, per builder, exactly the keys that the digest's CLI
+    calls build. The plan caches are cleared so that every plan is built
+    again, each builder runs uncached so that its nested calls are seen
+    too, and the plans built from those copies are dropped afterwards."""
+    seen = {}
+    for module, build in ((conservative, conservative._packed_matrix),
+                          (conservative, conservative._update_matrix),
+                          (diagnostics, diagnostics.error_matrix)):
+        def record(*key, build=build):
+            seen.setdefault(build.__name__, set()).add(key)
+            return build.__wrapped__(*key)
+
+        monkeypatch.setattr(module, build.__name__, record)
+    plans = (conservative._plan, diagnostics._error_plan)
+    for plan in plans:
+        plan.cache_clear()
+    try:
+        for _ in runs():
+            pass
+    finally:
+        for plan in plans:
+            plan.cache_clear()
+    assert seen == {build.__name__: set(keys) for build, keys in MATRICES}
+    assert sum(len(keys) for _, keys in MATRICES) == matrix_digest()[1] == 25
+
+
+def test_matrix_digest_sees_a_sign_of_zero(monkeypatch):
+    """Flipping the sign of the zeros of one builder's matrices moves the line."""
+    (build, keys), *rest = MATRICES
+    before = matrix_digest()
+
+    def flipped(*key):
+        a = build(*key).copy()
+        a[a == 0] *= -1.0
+        return a
+
+    flipped.__name__ = build.__name__
+    assert (build(*keys[0]) == 0).any()
+    monkeypatch.setattr(outputs_digest, "MATRICES", ((flipped, keys), *rest))
+    assert matrix_digest() != before
