@@ -1,7 +1,7 @@
 """Hermite solvers for the scalar wave equation on staggered grids."""
 
 from .boundary import ghost_data
-from .conservative import bootstrap_first_half, step
+from .conservative import step
 from .diagnostics import ErrorReport, fit_rate, l2_error_field, l2_errors_pair
 from .dissipative import SchemeConfig, eval_series, expand_taylor
 from .driver import (
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ghost_data",
-    "bootstrap_first_half", "step",
+    "step",
     "ErrorReport", "fit_rate", "l2_error_field", "l2_errors_pair",
     "SchemeConfig", "eval_series", "expand_taylor",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",

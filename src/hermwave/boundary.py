@@ -12,7 +12,7 @@ tangential column. Each axis carries the kinds of its two ends
 
 A gather assembles, for every target node of the opposite parity, the
 flanking source-node data (2 per axis: 2 in 1D, 2x2 corners in 2D)
-including any ghosts, which is all the step, the bootstrap and the
+including any ghosts, which is all the step, the conservative start and the
 error norms need. It has one path, `take` through a `GatherPlan`, cached
 per stack geometry and gathered blocks (`gather_plan`): one take through a
 flat index into the node rows (u | v packed per node for the dissipative

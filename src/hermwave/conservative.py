@@ -1,17 +1,19 @@
-"""Two-time-level conservative update of u-only data, its bootstrap, and the
+"""Two-time-level conservative update of u-only data, its start, and the
 one half step of both schemes.
 
-The first half step is bootstrapped by the dissipative half step's own
-map (`dissipative._packed_matrix`), fed the initial displacement and
-velocity both of order m: then every series is seeded by the full-order
-Hermite interpolants centered at the target node, and d(2m+2) stages, past
-which every stage is exactly zero, are summed at dt/2. One such step is
-accurate to the interpolation error and comfortably exceeds the
+Every conservative run starts as one two-level state: u at t = 0 on the
+primal rows and its previous level, u at t = -dt/2, on the dual rows.
+From initial displacement and velocity both of order m that level is
+found by the dissipative half step's own map (`dissipative._packed_matrix`)
+run backwards in time: every series is seeded by the full-order Hermite
+interpolants centered at the target node, and d(2m+2) stages, past which
+every stage is exactly zero, are summed at dt/2 from u | -u_t. One such
+step is accurate to the interpolation error and comfortably exceeds the
 O(h^(2m+1)) the two-level scheme needs. B is that matrix's u columns,
 which from (u, h u_t) are the same at every h (see `grid.State`): one per
-(m, lam, aspect), built at unit spacing. A bootstrap is then one take of
-u | h u_t packed per node and one product, for every level of a stack at
-once.
+(m, lam, aspect), built at unit spacing. The previous level is then one
+take of u | -h u_t packed per node and one product (`previous_level`),
+for every level of a stack at once.
 
 The update is the same map. A solution of u_tt = Delta u has the time
 series u(t+tau) = sum_s tau**s/s! d_t^s u, whose even derivatives
@@ -30,7 +32,10 @@ rows of B) and the subtraction of the previous level:
 
     new = 2 B_u (gathered u) - prev.
 
-So a half step of either scheme is a take and one matrix, and this module,
+So the first update from the start gives 2 B_u u - B (u | -h u_t) =
+B (u | h u_t), one Taylor half step forwards, to rounding.
+
+A half step of either scheme is a take and one matrix, and this module,
 which imports both matrix builders, holds the one plan builder (`_plan`)
 and the one `step` of a `grid.State`: the dissipative state's u | h*v rows
 go through `dissipative._packed_matrix`, the two-level state's u rows
@@ -51,14 +56,14 @@ import numpy as np
 
 from .boundary import gather_plan, take
 from .dissipative import SchemeConfig, _packed_matrix
-from .grid import State, flip
+from .grid import PRIMAL, State, flip
 
 
 def _bootstrap_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
     """B: the u columns of the half step's matrix from u | u_t per node,
-    both of order m, at d(2m+2) stages; read-only."""
+    both of order m; read-only."""
     cu = (m + 1,) * len(hs)
-    return _packed_matrix((cu, cu), dt, hs, len(hs) * (2 * m + 2))[:, : math.prod(cu)]
+    return _packed_matrix((cu, cu), dt, hs)[:, : math.prod(cu)]
 
 
 @lru_cache(maxsize=64)
@@ -71,28 +76,14 @@ def _update_matrix(m: int, dt: float, hs: tuple) -> np.ndarray:
     return a
 
 
-def bootstrap_first_half(state: State, cfg: SchemeConfig) -> State:
-    """Produce the two starting levels from initial data at t = 0.
-
-    One take of the state's rows through its stack's gather and one
-    product with the bootstrap matrix of its aspect.
-
-    Args:
-        state: the initial data as a `State`, its rows u | h*u_t per node,
-            both of order m (the extra order of u_t sharpens the single
-            Taylor step); other orders raise `check_blocks`'s error.
-
-    Returns:
-        The two-level `State` with u at t = dt/2 on the opposite parity and
-        the state's u rows, uncopied, as its previous level.
-    """
-    stack, parity = state.grid, state.parity
+def previous_level(stack, u: np.ndarray, h_ut: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    """u at t = -dt/2 on a `Stack`'s dual rows, from its primal rows of u
+    and h*u_t at t = 0, both of order m: one take of u | -h*u_t and one
+    product with B, a Taylor half step backwards in time."""
     cu = (cfg.m + 1,) * stack.ndim
-    check_blocks(state, (cu, cu), cfg.m)
-    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), stack.aspect)
-    new = take(state.rows, gather_plan(stack, parity, state.blocks)).dot(a)
-    return State(stack, flip(parity), state.time + 0.5 * cfg.dt(stack.levels[0].h), new,
-                 (cu,), state.rows[:, : math.prod(cu)])
+    back = np.concatenate((u, -h_ut), axis=1)
+    return take(back, gather_plan(stack, PRIMAL, (cu, cu))).dot(
+        _bootstrap_matrix(cfg.m, cfg.dt(1.0), stack.aspect))
 
 
 @lru_cache(maxsize=256)  # a benchmark refine pass needs 100 plans
@@ -113,7 +104,7 @@ def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
         blocks, a = (cu,), _update_matrix(m, dt, hs)
     else:
         blocks = (cu, (m,) * ndim)
-        a = _packed_matrix(blocks, dt, hs, cfg.stages(ndim))
+        a = _packed_matrix(blocks, dt, hs)
     return (gather_plan(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
             flip(parity), blocks)
 

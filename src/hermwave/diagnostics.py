@@ -206,8 +206,10 @@ def _error_plan(stack, parity: str, blocks: tuple, npts: int, pair: bool) -> tup
 
 
 def _dot(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # numpy sends one row through gemv, whose sums depend on a's shape;
-    # gemm's do not, so a u error has the same bits from either matrix
+    # numpy sends one row through gemv, whose sums depend on a's shape, and
+    # more rows through gemm. Through gemm the 1D u error of a dissipative
+    # state at m = 2, 3 (the CLI's pairs) reads the same bits from the pair's
+    # matrix as from u's alone, at 1-3000 rows; in 2D they differ by rounding
     return np.concatenate((rows, rows)).dot(a)[:1] if len(rows) == 1 else rows.dot(a)
 
 

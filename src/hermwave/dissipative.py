@@ -21,30 +21,29 @@ spacing h_q, with the d second-derivative terms summed; one builder
 (`expand_taylor`, `taylor_half_step`) serves every d. One rule seeds the
 first v stage: it sums, over the axes q, the second q-derivative of the u
 interpolant of order m along q and of v's order along the others. That is
-the plain stage 1 in 1D and for the conservative bootstrap, whose u_t has
+the plain stage 1 in 1D and for the conservative start, whose u_t has
 u's order. The step's v has order m-1, so in 2D the sum is of I_{m,m-1} u
 along x and I_{m-1,m} u along y, and 2D evolution is no longer exact on
-polynomial data. Past d(2m+2)-2 stages every coefficient is exactly zero
-(2m in 1D, 4m+2 in 2D), so a half step runs that many
-(`SchemeConfig.stages`). The 2D periodic symbol puts stability in that
-stage count: seeding every series from the full-order interpolant of u
-alone is stable at 4m+2 stages (max |g| - 1 at most 6.5e-15 for
-m = 1..4, lam <= 1), while at the 1D count of 2m stages and lam = 1 its
-max |g| - 1 reads 0.75, 2.6 and 8.4 for m = 1, 2, 3, and the
-mixed first stage's 0, 0.49 and 4.2.
+polynomial data. Past d(2m+2) stages every coefficient is exactly zero
+whatever v's order, so every half step runs that many; with v of order
+m-1 the last two are already zero (past 2m in 1D, 4m+2 in 2D). The 2D
+periodic symbol puts stability in that stage count: seeding every series
+from the full-order interpolant of u alone is stable at 4m+2 stages
+(max |g| - 1 at most 6.5e-15 for m = 1..4, lam <= 1), while at the 1D
+count of 2m stages and lam = 1 its max |g| - 1 reads 0.75, 2.6 and 8.4
+for m = 1, 2, 3, and the mixed first stage's 0, 0.49 and 4.2.
 
 Interpolation, recursion and evaluation are all linear in the gathered
-flanking data, so for fixed (m, dt, h per axis, stages) a half step is
-one matrix. `fold` builds it once, by pushing the identity through the
+flanking data, so for fixed (m, dt, h per axis) a half step is one
+matrix. `fold` builds it once, by pushing the identity through the
 pipeline (`taylor_half_step`), laid out as `take` gathers a row: per
 side, u | v packed. `_packed_matrix` is that one fold per key, and it
-builds every matrix of both schemes: fed u_t of u's order at d(2m+2)
-stages, its u columns are the conservative bootstrap B (see
-`conservative`). A half step is then one take, at most one sign flip of
-the wall slots and one product: `conservative.step`, the one step of both
-schemes. With v carried as h*v the matrix depends on (m, lam, aspect)
-alone (see `grid.State`), so it is built once at unit spacing for every
-level.
+builds every matrix of both schemes: fed u_t of u's order, its u columns
+are the conservative scheme's B (see `conservative`). A half step is
+then one take, at most one sign flip of the wall slots and one product:
+`conservative.step`, the one step of both schemes. With v carried as h*v
+the matrix depends on (m, lam, aspect) alone (see `grid.State`), so it is
+built once at unit spacing for every level.
 """
 
 from __future__ import annotations
@@ -81,11 +80,6 @@ class SchemeConfig:
 
     def dt(self, h: float) -> float:
         return self.lam * h
-
-    def stages(self, ndim: int) -> int:
-        """Taylor stages of a half step in `ndim` axes: d(2m+2)-2 (2m in 1D,
-        4m+2 in 2D), past which every stage is exactly zero."""
-        return ndim * (2 * self.m + 2) - 2
 
 
 def _axis_slice(ndim: int, q: int, sl: slice) -> tuple:
@@ -173,8 +167,9 @@ def fold(fn, blocks: tuple, sides: tuple, *args) -> np.ndarray:
     return a
 
 
-def taylor_half_step(du, dv, dt, hs, stages):
-    """Interpolate, expand in time and evaluate at dt/2, per target node.
+def taylor_half_step(du, dv, dt, hs):
+    """Interpolate, expand in time over d(2m+2) stages and evaluate at
+    dt/2, per target node.
 
     du (..., 2 per axis, m+1 per axis) and dv (..., 2 per axis, m or m+1
     per axis) are flanking u and v data, one axis per entry of `hs`; returns
@@ -191,13 +186,13 @@ def taylor_half_step(du, dv, dt, hs, stages):
         at = (Ellipsis,) + tuple(slice(k - 2) if p == q else slice(2 * lv) for p in range(ndim))
         # in 1D and when v has u's order, keep is all of du
         d1[at] += r * w * (cu if keep.shape == du.shape else apply_interp(keep, ndim))[src]
-    ctab, dtab = expand_taylor(cu, apply_interp(dv, ndim), dt, hs, stages, d1=d1)
+    ctab, dtab = expand_taylor(cu, apply_interp(dv, ndim), dt, hs, ndim * k, d1=d1)
     return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
             eval_series(dtab, 0.5)[(Ellipsis,) + (slice(lv),) * ndim])
 
 
 @lru_cache(maxsize=64)
-def _packed_matrix(blocks: tuple, dt: float, hs: tuple, stages: int) -> np.ndarray:
+def _packed_matrix(blocks: tuple, dt: float, hs: tuple) -> np.ndarray:
     """The `fold` of a half step from u | v per node of the coefficient
-    `blocks`, built once per (blocks, dt, hs, stages)."""
-    return fold(taylor_half_step, blocks, (2,) * len(hs), dt, hs, stages)
+    `blocks`, built once per (blocks, dt, hs)."""
+    return fold(taylor_half_step, blocks, (2,) * len(hs), dt, hs)

@@ -18,15 +18,18 @@ Initial nodal data is produced from closed-form derivative recurrences
 rather than projection so the refinement studies see only the scheme's
 error. Runs are deterministic for a fixed seed.
 
-Every run steps a `grid.Stack`. A refinement study (`_study`) is one
-stack from its start to its errors, finest level first. Its levels start
-as one stacked state: each start field is one call of the experiment's
-data function on the stack's rows, and one bootstrap serves them all. Each
-half step is one call of the step, one take through the levels'
-concatenated gathers and one product with the matrix they share. A level
-leaves the stack at its own last half step with its rows, and the levels
-that end on one parity are measured with one error call on their stack,
-against the exact solution evaluated once at every row's own end time.
+Every run steps a `grid.Stack` from t = 0. A refinement study (`_study`)
+is one stack from its start to its errors, finest level first. Its levels
+start as one stacked state: each start field is one call of the
+experiment's data function on the stack's rows, and a conservative
+state's previous level, at t = -dt/2, is either exact data or one
+backward Taylor product for every level (`init = bootstrap`). Each half
+step, the first included, is one call of the step, one take through the
+levels' concatenated gathers and one product with the matrix they share.
+A level leaves the stack at its own last half step with its rows, and the
+levels that end on one parity are measured with one error call on their
+stack, against the exact solution evaluated once at every row's own end
+time.
 `conserve1d` steps a stack of its one level.
 """
 
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import zero_wall_slots
-from .conservative import bootstrap_first_half
+from .conservative import previous_level
 # the one step of both schemes, under a name that perfbench's tracer wraps to
 # count node updates; each `_march` call reads it from this module
 from .conservative import step as half_step_1d
@@ -361,19 +364,19 @@ def _march(state, scfg: SchemeConfig, done: int, last: int):
     return state
 
 
-def _start(cfg: RunConfig, stack: Stack, data):
-    """First `State` of a `Stack` and the half steps it has taken: 1 after
-    a bootstrap, else 0.
+def _start(cfg: RunConfig, stack: Stack, data) -> State:
+    """First `State` of a `Stack`, at t = 0 on its primal rows.
 
     data(xs, t, h, order, tder) gives the scaled nodal blocks of u (tder 0)
     or u_t (tder 1), orders 0..order per axis, at the nodes xs of one
     parity (`nodes`) with, per row, spacing h (its level's, through
     `level_of`) and time t: 0 on the primal rows and -dt(h)/2 on the dual
     ones. It is called once per start field, primal level first, and u_t
-    is packed as h*u_t (see `grid.State`): u | h*v for the dissipative
-    scheme, u | h*u_t into the conservative bootstrap, or u with the exact
-    previous level. A conservative state's primal level has its wall slots
-    zeroed (`boundary.zero_wall_slots`).
+    is packed as h*u_t (see `grid.State`). A dissipative state is u | h*v.
+    A conservative state is u with its previous level at t = -dt/2: the
+    exact one, or, for `init = bootstrap`, the one a Taylor half step
+    backwards finds from u | h*u_t (`conservative.previous_level`). Its
+    primal level has its wall slots zeroed (`boundary.zero_wall_slots`).
     """
     scfg, cols = cfg.scheme_config(), {}  # per parity: the rows' x, h and t, built once
 
@@ -386,21 +389,22 @@ def _start(cfg: RunConfig, stack: Stack, data):
         return vals * h[:, None] if tder else vals
 
     u0, cu = rows(PRIMAL, cfg.m), (cfg.m + 1,) * stack.ndim
-    if cfg.scheme == "conservative":
-        zero_wall_slots(u0.reshape(stack.shapes[PRIMAL] + cu), stack)  # a view of u0
-        if cfg.init == "exact":
-            return State(stack, PRIMAL, 0.0, u0, (cu,), rows(DUAL, cfg.m)), 0
-    cv = cu if cfg.scheme == "conservative" else (cfg.m,) * stack.ndim  # u_t's or v's orders
-    u_t = rows(PRIMAL, cv[0] - 1, tder=1)
-    state = State(stack, PRIMAL, 0.0, np.concatenate((u0, u_t), axis=1), (cu, cv))
-    return (state, 0) if cfg.scheme == "dissipative" else (bootstrap_first_half(state, scfg), 1)
+    if cfg.scheme == "dissipative":
+        uv = np.concatenate((u0, rows(PRIMAL, cfg.m - 1, tder=1)), axis=1)
+        return State(stack, PRIMAL, 0.0, uv, (cu, (cfg.m,) * stack.ndim))
+    zero_wall_slots(u0.reshape(stack.shapes[PRIMAL] + cu), stack)  # a view of u0
+    if cfg.init == "exact":
+        prev = rows(DUAL, cfg.m)
+    else:
+        prev = previous_level(stack, u0, rows(PRIMAL, cfg.m, tder=1), scfg)
+    return State(stack, PRIMAL, 0.0, u0, (cu,), prev)
 
 
 def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     """Refinement study over cfg's levels, one `Stack` from start to errors.
 
-    grid_of(n) is the n-cell `Grid`, run at its own h and dt to the half
-    step nearest t_end from `_start`'s data; exact(t, *xs) is the solution
+    grid_of(n) is the n-cell `Grid`, run at its own h and dt from `_start`'s
+    data to the half step nearest t_end; exact(t, *xs) is the solution
     at times t: (u, u_x, u_t) in 1D, where a dissipative study measures all
     three, and (u,) in 2D. The levels are stacked finest (latest-ending)
     first and started as one state. One step call advances every level
@@ -416,13 +420,12 @@ def _study(cfg: RunConfig, grid_of, t_end: float, data, exact) -> ErrorReport:
     nhalf = [round(2 * t_end / dt) for dt in dts]
     order = sorted(range(len(ns)), key=lambda i: -nhalf[i])
     stack = Stack([grids[i] for i in order])
-    state, done = _start(cfg, stack, data)
+    state, done = _start(cfg, stack, data), 0
     blocks = state.blocks
     ended = {PRIMAL: [], DUAL: []}  # per end parity, (level, rows) in stack order
-    for i in reversed(order):
-        last = max(done, nhalf[i])
-        state = _march(state, scfg, done, last)
-        done = last
+    for i in reversed(order):  # coarsest, and so shortest, first
+        state = _march(state, scfg, done, nhalf[i])
+        done = nhalf[i]
         parity = state.parity
         rows, state = state.grid.pop(state)
         ended[parity].insert(0, (i, rows))
@@ -493,7 +496,7 @@ def run_conservation_1d(cfg: RunConfig):
 
         def data(xs, t, h, order, tder):
             return rng.random((len(xs[0]), order + 1))
-    state, _ = _start(cfg, Stack([Grid((axis,))]), data)
+    state = _start(cfg, Stack([Grid((axis,))]), data)
     factor = energy_window(axis, cfg.m, dt)
     e0 = energy_of_rows(state, factor)
     steps, times, deltas = [0], [0.0], [0.0]
@@ -507,9 +510,10 @@ def run_conservation_1d(cfg: RunConfig):
     return np.array(steps), np.array(times), np.array(deltas), e0
 
 
-def _planewave_study(cfg: RunConfig, kappa: int, t_end: float) -> ErrorReport:
-    """Refinement study of sin(2 pi kappa (x + y + sqrt(2) t)) on the
-    periodic unit square, run to the half step nearest t_end."""
+def run_planewave_2d(cfg: RunConfig) -> ErrorReport:
+    """Refinement study of sin(2 pi kappa (x + y + sqrt(2) t)), kappa = m+1,
+    on the periodic unit square, to the half step nearest t = 4.18."""
+    kappa = cfg.m + 1
     w = 2.0 * np.pi * kappa
 
     def data(xs, t, h, order, tder):
@@ -518,12 +522,7 @@ def _planewave_study(cfg: RunConfig, kappa: int, t_end: float) -> ErrorReport:
     def exact(t, x, y):
         return (np.sin(w * (x + y + math.sqrt(2.0) * t)),)
 
-    return _study(cfg, lambda n: Grid((Axis(0.0, 1.0, n),) * 2), t_end, data, exact)
-
-
-def run_planewave_2d(cfg: RunConfig) -> ErrorReport:
-    """Refinement study for the periodic plane wave on the unit square."""
-    return _planewave_study(cfg, cfg.m + 1, 4.18)
+    return _study(cfg, lambda n: Grid((Axis(0.0, 1.0, n),) * 2), 4.18, data, exact)
 
 
 def run_experiment(cfg: RunConfig):

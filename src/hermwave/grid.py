@@ -167,7 +167,7 @@ class State:
     `conservative.link`) and one `time`, a float: the time of the stack's
     first level.
 
-    Every state carries v, and a bootstrap's u_t, as h*v, h the smallest
+    Every state carries v, and a start's u_t, as h*v, h the smallest
     spacing of the node's level, and steps u_tt = Delta u. Then a half step
     depends on h only through the aspect: with dt = lam h, the map A(h)
     from a node's flanking u | v data is D^-1 Â D, D = diag(I_u, h I_v),

@@ -222,13 +222,13 @@ def march_digest() -> tuple[str, int]:
 # per builder, the keys of every matrix the calls build, in sorted order
 MATRICES = (
     (_packed_matrix, [
-        (((3, 3), (2, 2)), 0.8, (1.0, 1.0), 10),
-        (((3, 3), (3, 3)), 0.8, (1.0, 1.0), 12),
-        (((3,), (2,)), 0.8, (1.0,), 4),
-        (((3,), (3,)), 0.5, (1.0,), 6),
-        (((3,), (3,)), 0.8, (1.0,), 6),
-        (((4,), (3,)), 0.8, (1.0,), 6),
-        (((4,), (4,)), 0.8, (1.0,), 8),
+        (((3, 3), (2, 2)), 0.8, (1.0, 1.0)),
+        (((3, 3), (3, 3)), 0.8, (1.0, 1.0)),
+        (((3,), (2,)), 0.8, (1.0,)),
+        (((3,), (3,)), 0.5, (1.0,)),
+        (((3,), (3,)), 0.8, (1.0,)),
+        (((4,), (3,)), 0.8, (1.0,)),
+        (((4,), (4,)), 0.8, (1.0,)),
     ]),
     (_update_matrix, [
         (2, 0.5, (1.0,)),

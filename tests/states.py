@@ -12,6 +12,8 @@ node shape; a Field on a larger stack stays on it:
 - `two_level(current, previous)`: a conservative state, its previous level
   on the other parity;
 - `u_state(field)`: u alone, the state the errors read of a conservative level;
+- `bootstrap_first_half(state, cfg)`: the two-level state one Taylor half
+  step after the bootstrap's input, as the library once started a run;
 - `u_of`, `v_of`, `previous_of` and `fields_of` read a state's rows back as
   Fields;
 - `orders` gives a Field's order per axis.
@@ -23,6 +25,8 @@ import math
 
 import numpy as np
 
+from hermwave.boundary import gather_plan, take
+from hermwave.conservative import _bootstrap_matrix, check_blocks
 from hermwave.grid import Field, Stack, State, flip, rows
 
 
@@ -78,6 +82,22 @@ def two_level(current: Field, previous: Field) -> State:
 def u_state(field: Field) -> State:
     """The state of u alone, with no previous level."""
     return State(_stack(field), field.parity, field.time, _rows(field), (_block(field),))
+
+
+def bootstrap_first_half(state: State, cfg) -> State:
+    """The two starting levels from the bootstrap's input u | h*u_t at t = 0,
+    both of order m (other orders raise `check_blocks`'s error): one take
+    and one product with B, giving u at t = dt/2 on the opposite parity, with
+    the state's u rows, uncopied, as its previous level. The library starts
+    at t = 0 instead, with u at -dt/2 from B on u | -h*u_t, so that its
+    first step gives this state to rounding."""
+    stack, parity = state.grid, state.parity
+    cu = (cfg.m + 1,) * stack.ndim
+    check_blocks(state, (cu, cu), cfg.m)
+    a = _bootstrap_matrix(cfg.m, cfg.dt(1.0), stack.aspect)
+    new = take(state.rows, gather_plan(stack, parity, state.blocks)).dot(a)
+    return State(stack, flip(parity), state.time + 0.5 * cfg.dt(stack.levels[0].h), new,
+                 (cu,), state.rows[:, : math.prod(cu)])
 
 
 def u_of(state: State) -> Field:

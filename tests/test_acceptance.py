@@ -41,12 +41,13 @@ from hermwave.diagnostics import l2_error_field
 from hermwave.dissipative import SchemeConfig
 from hermwave.driver import (
     default_config,
+    planewave_data,
     run_conservation_1d,
     run_gaussian_1d,
     run_planewave_2d,
     sine_derivs,
-    _planewave_study,
     _scale_cols,
+    _study,
 )
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
 from hermwave.interp import apply_interp
@@ -149,8 +150,16 @@ _RESOLVED_2D = {
 
 
 def _resolved_planewave_2d(cfg):
-    """Refinement study of sin(2 pi (x + y + sqrt(2) t)) to t ~ 1, n = 15..33."""
-    return _planewave_study(replace(cfg, n0=15, levels=5), 1, 1.0)
+    """Refinement study of sin(2 pi (x + y + sqrt(2) t)) to t ~ 1, n = 15..33,
+    as `run_planewave_2d` runs its kappa = m+1 wave."""
+    def data(xs, t, h, order, tder):
+        return planewave_data(*xs, t, order, 1, h, tder)
+
+    def exact(t, x, y):
+        return (np.sin(2.0 * np.pi * (x + y + math.sqrt(2.0) * t)),)
+
+    return _study(replace(cfg, n0=15, levels=5), lambda n: Grid((Axis(0.0, 1.0, n),) * 2),
+                  1.0, data, exact)
 
 
 def _check_planewave_2d(scheme, m, lam, target):

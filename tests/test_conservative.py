@@ -10,14 +10,14 @@ from numpy.polynomial import Polynomial as P
 from numpy.polynomial import polynomial as npoly
 
 from hermwave.boundary import gather_plan, take, zero_wall_slots
-from hermwave.conservative import _plan, bootstrap_first_half, step
+from hermwave.conservative import _plan, step
 from hermwave.dissipative import SchemeConfig, _packed_matrix
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, flip
 from hermwave.interp import apply_interp
 
 from level_oracle import conservative_update, pair_sources
 from lifting import lift, lifted_grids
-from states import one, previous_of, two_level, u_of, uv_state
+from states import bootstrap_first_half, one, previous_of, two_level, u_of, uv_state
 
 
 def test_zero_update_is_zero():

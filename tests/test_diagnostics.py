@@ -168,6 +168,10 @@ def test_pair_errors_match_single_field_calls():
 @example(m=2, n=1, parity=PRIMAL, kinds=("dirichlet0", "neumann0"), extra=1, seed=0)
 @example(m=3, n=1, parity=DUAL, kinds=("dirichlet0", "neumann0"), extra=1, seed=1)
 @example(m=4, n=1, parity=DUAL, kinds=("dirichlet0", "neumann0"), extra=1, seed=0)
+# the pairs the CLI measures: gaussian1d's finest stock level (m = 2) and the
+# finest of a 10-level m = 3 study, at the default Gauss points
+@example(m=2, n=27, parity=DUAL, kinds=("dirichlet0", "dirichlet0"), extra=0, seed=0)
+@example(m=3, n=52, parity=PRIMAL, kinds=("neumann0", "neumann0"), extra=0, seed=0)
 def test_l2_errors_pair_matches_oracle(m, n, parity, kinds, extra, seed):
     """The batched 1D errors against the per-piece quadrature of the interpolant."""
     rng = np.random.default_rng(seed)

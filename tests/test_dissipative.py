@@ -38,8 +38,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(m=2, lam=1.2)
     cfg = SchemeConfig(m=3, lam=1.0)
-    assert cfg.stages(1) == 6
-    assert cfg.stages(2) == 14
     assert cfg.dt(0.25) == pytest.approx(0.25)
 
 
@@ -211,16 +209,17 @@ def _mixed_half_step(du, dv, dt, hs, stages):
 
 
 def test_stage_count_is_sufficient():
-    """Stages past stages(ndim) (half step), d(2m+2) (bootstrap) and 2dm
-    (conservative update) are exact zeros, and one map builds all three
-    matrices bit for bit, signs of zero included.
+    """Stages past d(2m+2)-2 (half step from v of order m-1), d(2m+2)
+    (from u_t of u's order) and 2dm (conservative update) are exact zeros,
+    and the library's one map, at d(2m+2) stages, builds all three matrices
+    bit for bit, signs of zero included.
 
-    So six more stages leave every folded matrix unchanged to the bit. The
-    half step from v of order m-1 is the mixed-stage map (`_mixed_half_step`).
-    The half step from u_t of u's order, at d(2m+2) stages, is the bootstrap
-    (`_bootstrap_u`) in its u columns, and the library's B is those columns.
-    The conservative map at 2dm stages is the library's update matrix,
-    twice the u rows of B.
+    So six more stages leave every folded oracle map unchanged to the bit.
+    The half step from v of order m-1 is the mixed-stage map
+    (`_mixed_half_step`) at d(2m+2)-2 stages. The half step from u_t of u's
+    order is `_bootstrap_u` in its u columns, and the library's B is those
+    columns. The conservative map at 2dm stages is the library's update
+    matrix, twice the u rows of B.
     """
     for ndim, m_max in ((1, 6), (2, 6), (3, 2)):
         for m in range(1, m_max + 1):
@@ -231,8 +230,7 @@ def test_stage_count_is_sufficient():
             cu, cv = (m + 1,) * ndim, (m,) * ndim
             folds = []
             for fn, blocks, depth in (
-                (taylor_half_step, (cu, cv), cfg.stages(ndim)),
-                (taylor_half_step, (cu, cu), ndim * (2 * m + 2)),
+                (_mixed_half_step, (cu, cv), ndim * (2 * m + 2) - 2),
                 (_bootstrap_u, (cu, cu), ndim * (2 * m + 2)),
                 (_conservative_u, (cu,), 2 * ndim * m),
             ):
@@ -240,8 +238,9 @@ def test_stage_count_is_sufficient():
                 deep = fold(fn, blocks, side, dt, hs, depth + 6)
                 assert np.array_equal(short, deep), (ndim, m, fn)
                 folds.append(short)
-            step_map, boot_map, boot_u, update = folds
-            mixed = fold(_mixed_half_step, (cu, cv), side, dt, hs, cfg.stages(ndim))
+            mixed, boot_u, update = folds
+            step_map = fold(taylor_half_step, (cu, cv), side, dt, hs)
+            boot_map = fold(taylor_half_step, (cu, cu), side, dt, hs)
             assert same_bits(step_map, mixed), (ndim, m)
             assert same_bits(boot_map[:, : math.prod(cu)], boot_u), (ndim, m)
             assert same_bits(conservative._bootstrap_matrix(m, dt, hs), boot_u), (ndim, m)
@@ -445,7 +444,7 @@ def test_stage_cap_truncates_expansion():
     pair = _random_pair(grid, m, rng)
     cfg = SchemeConfig(m=m, lam=0.8)
     full = step(pair, cfg)
-    capped, _ = taylor_half_step(pair_sources(u_of(pair))[0], pair_sources(v_of(pair))[0],
+    capped, _ = _mixed_half_step(pair_sources(u_of(pair))[0], pair_sources(v_of(pair))[0],
                                  cfg.dt(axis.h), (axis.h,), 2)
     # a 2-stage cap is first-order-in-time only; results must differ
     assert np.abs(u_of(full).values - capped).max() > 1e-8
@@ -645,16 +644,17 @@ def _plain_half_step(du, dv, dt, hs, stages):
 
 def test_full_order_seeding_in_2d_is_stable_at_4m_plus_2_stages():
     """Seeding the 2D half step from the full-order u interpolant alone is
-    stable at the shipped 4m+2 stages; cut to the 1D count of 2m it is not.
+    stable at 4m+2 stages, past which the step's own stages are exact
+    zeros; cut to the 1D count of 2m it is not.
 
     The periodic symbol of the plain-seeded map (`_plain_half_step`),
     folded as the library folds its own, reads max |eig(H1 H2)| - 1 of at
     most 6.5e-15 for m = 1..4 and lam in {0.5, 0.8, 0.9, 1} over a 49 x 49
     theta grid on [-pi, pi]^2, and 0.75, 2.60 and 8.37 for m = 1, 2, 3 at
     2m stages and lam = 1, where the library's mixed first stage
-    (`taylor_half_step`) reads 0, 0.49 and 4.23. Here the theta grid is
-    5 x 5 on [0, pi]^2, a subset of that grid on which the 2m-stage maxima
-    are reached.
+    (`_mixed_half_step`, the library's map at full depth) reads 0, 0.49 and
+    4.23. Here the theta grid is 5 x 5 on [0, pi]^2, a subset of that grid
+    on which the 2m-stage maxima are reached.
     """
     theta, sides = _theta_grid(5), (2, 2)
 
@@ -665,10 +665,10 @@ def test_full_order_seeding_in_2d_is_stable_at_4m_plus_2_stages():
 
     for m in (1, 2, 3, 4):
         for lam in (0.5, 0.8, 0.9, 1.0):
-            assert growth(_plain_half_step, m, lam, SchemeConfig(m=m).stages(2)) <= 1e-14, (m, lam)
+            assert growth(_plain_half_step, m, lam, 4 * m + 2) <= 1e-14, (m, lam)
     for m, plain, mixed in ((1, 0.75, 0.0), (2, 2.6016, 0.4922), (3, 8.3725, 4.2297)):
         assert abs(growth(_plain_half_step, m, 1.0, 2 * m) - plain) <= 1e-4 * plain, m
-        assert abs(growth(taylor_half_step, m, 1.0, 2 * m) - mixed) <= 1e-4 * mixed + 1e-14, m
+        assert abs(growth(_mixed_half_step, m, 1.0, 2 * m) - mixed) <= 1e-4 * mixed + 1e-14, m
 
 
 def test_m1_damps_the_kappa_2_plane_wave_away_in_2d():

@@ -15,10 +15,10 @@ import sympy as sp
 
 from hermwave import cli, diagnostics, driver
 from hermwave.boundary import gather_plan
-from hermwave.conservative import _plan
+from hermwave.conservative import _plan, step
 from hermwave.diagnostics import ErrorReport, _error_plan
 from hermwave.dissipative import SchemeConfig
-from hermwave.grid import PRIMAL, Axis, Grid
+from hermwave.grid import PRIMAL, Axis, Grid, Stack, State
 from hermwave.driver import (
     FINITE_STRIDE,
     ConfigError,
@@ -38,7 +38,7 @@ from hermwave.driver import (
     sine_derivs,
 )
 
-from states import one, previous_of, u_of, u_state
+from states import bootstrap_first_half, one, u_of, u_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402  (the benchmark's node counter, used as is)
@@ -244,8 +244,8 @@ def test_require_finite(monkeypatch, capsys):
             return out
 
         monkeypatch.setattr(driver, "half_step_1d", poisoned)
-        state, _ = driver._start(default_config("gaussian1d"), one(Grid((Axis(-1.5, 1.5, 6,
-                                 "dirichlet0", "dirichlet0"),))), driver._gaussian_data)
+        state = driver._start(default_config("gaussian1d"), one(Grid((Axis(-1.5, 1.5, 6,
+                              "dirichlet0", "dirichlet0"),))), driver._gaussian_data)
         with pytest.raises(NumericalError, match="at half step 3 "):
             driver._march(state, SchemeConfig(m=2), 0, 3)
         capsys.readouterr()
@@ -831,9 +831,6 @@ def test_warm_run_dataclass_comparisons_do_not_grow_with_steps(monkeypatch, caps
     assert many <= few
 
 
-STEPPERS = ("half_step_1d", "bootstrap_first_half")
-
-
 @pytest.mark.parametrize("argv, nhalf", [
     # gaussian1d runs to the half step nearest t = 12.25: h = 3/n, dt = lam*h
     (["gaussian1d", "--n0", "6"], round(24.5 / (0.8 * 3 / 6))),
@@ -851,29 +848,22 @@ STEPPERS = ("half_step_1d", "bootstrap_first_half")
         "planewave2d-bootstrap"])
 def test_one_stepper_call_per_half_step(monkeypatch, capsys, argv, nhalf):
     """The driver calls the step, as `hermwave.driver.half_step_1d`, once per
-    half step in either scheme and any number of axes.
+    half step in either scheme, from either conservative start and in any
+    number of axes, the first half step included.
 
-    The benchmark counts node updates by wrapping that name and the
-    bootstrap's there, so a march that bypasses them, or steps twice per
-    call, would miscount.
+    The benchmark counts node updates by wrapping that name (and
+    `bootstrap_first_half`, which the driver no longer has), so a march
+    that bypasses the step, or steps twice per call, would miscount.
     A study marches its levels as one stack, one call per half step of its
     longest level; this one-level study is a stack of one (see
     `test_stacked_study_counts_every_level_s_target_nodes`).
     """
-    calls = dict.fromkeys(STEPPERS, 0)
-    for name in STEPPERS:
-        def counted(*args, _real=getattr(driver, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(driver, name, counted)
+    calls, real = [], driver.half_step_1d
+    monkeypatch.setattr(driver, "half_step_1d", lambda *args: calls.append(1) or real(*args))
     rc = cli.main(["custom", "--experiment", argv[0], "--levels", "1"] + argv[1:])
     capsys.readouterr()
     assert rc == 0
-    boot = int("bootstrap" in argv)
-    want = dict.fromkeys(STEPPERS, 0)
-    want.update({"half_step_1d": nhalf - boot, "bootstrap_first_half": boot})
-    assert calls == want
+    assert len(calls) == nhalf and not hasattr(driver, "bootstrap_first_half")
 
 
 def _study_levels(cfg) -> list:
@@ -902,11 +892,12 @@ _WALL_KINDS = ("dirichlet0", "neumann0")
 def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     """The benchmark's node counter sums each level's own half-step targets.
 
-    It wraps the step and the bootstrap as `perfbench/tracing.py` does and
+    It wraps the half-step functions as `perfbench/tracing.py` does and
     reads each returned state's `.u.values`. A stack's state answers with
     one node axis over all its levels, so the sum must be each level's
     targets summed over its own half steps, and the step is called once
-    per half step of the longest level.
+    per half step of the longest level, from either conservative start;
+    the bootstrap span wraps nothing.
     """
     cfg = cli._assemble(cli._build_parser().parse_args(argv))
     levels = _study_levels(cfg)
@@ -919,10 +910,9 @@ def test_stacked_study_counts_every_level_s_target_nodes(capsys, argv):
     with tracing.installed(counter, layers):
         assert cli.main(argv) == 0
     capsys.readouterr()
-    boot = int("bootstrap" in argv)
     calls = [span[3] for span in counter.spans]
-    assert calls.count("step") == max(nhalf for _, nhalf in levels) - boot
-    assert calls.count("conservative.bootstrap") == boot
+    assert calls.count("step") == max(nhalf for _, nhalf in levels)
+    assert calls.count("conservative.bootstrap") == 0
     assert counter.nodes == want
 
 
@@ -968,7 +958,7 @@ def test_finite_check_builds_no_message_while_finite():
 
     cfg, scfg = default_config("gaussian1d"), SchemeConfig(m=2)
     grid = Grid((Axis(-1.5, 1.5, 8, "dirichlet0", "dirichlet0"),))
-    state, _ = driver._start(cfg, one(grid), driver._gaussian_data)
+    state = driver._start(cfg, one(grid), driver._gaussian_data)
     state.grid.level_of = reads = Reads(state.grid.level_of)  # read by no plan
     state = driver._march(state, scfg, 0, 2 * FINITE_STRIDE + 5)
     assert reads.reads == 0 and np.isfinite(state.rows).all()
@@ -996,7 +986,7 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     assert real_plan(*plans[0])[0] is _plan(stack, parity, scfg, "dissipative")[0]
     # the level marched alone with the driver's step, from the study's data
     # function, its u measured through both gathers
-    (state, _) = real(cfg, stack, data)
+    state = real(cfg, stack, data)
     ((_, nhalf),) = _study_levels(cfg)
     for _ in range(nhalf):
         state = driver.half_step_1d(state, scfg)
@@ -1067,36 +1057,35 @@ def _stop(*args):
 def test_study_evaluates_each_start_field_once_on_the_stack_rows(monkeypatch, experiment, name,
                                                                  scheme, init):
     """A 10-level study calls its experiment's data function once per start
-    field, on all of the stack's rows. The start state (a bootstrap's input)
-    holds the levels' own start rows concatenated in stack order, bit for
-    bit: a level and the stack carry v and u_t in the same units."""
+    field, on all of the stack's rows. The start state holds the levels' own
+    start rows concatenated in stack order, bit for bit: a level and the
+    stack carry v and u_t in the same units. So does a conservative one's
+    exact previous level. A bootstrap's is one product with the matrix they
+    share, whose sums can round with the row count (in 2D), so it matches to
+    1e-13 of its largest value."""
     cfg = make_config(experiment, flag_overrides={"levels": 10, "scheme": scheme, "init": init})
     calls, starts, states = [], [], []
     real_data, real_start = getattr(driver, name), driver._start
-    real_boot = driver.bootstrap_first_half
     monkeypatch.setattr(driver, name, lambda *args: calls.append(args) or real_data(*args))
     monkeypatch.setattr(driver, "_start", lambda *args: starts.append(args) or real_start(*args))
-    monkeypatch.setattr(driver, "bootstrap_first_half",
-                        lambda state, scfg: states.append(state) or real_boot(state, scfg))
-    # the start is all this test reads: the first state marched, or the bootstrap's input
+    # the start is all this test reads: the first state marched
     monkeypatch.setattr(driver, "_march", lambda state, *args: states.append(state) or _stop())
-
-    def start(grid):
-        state, _ = real_start(cfg, one(grid), data)
-        return states.pop() if init == "bootstrap" else state
-
     with pytest.raises(_Stop):
         driver.run_experiment(cfg)
     ((_, stack, data),) = starts
     assert len(stack.levels) == 10 and len(calls) == 2
-    study = states[0]
-    levels = [start(grid) for grid in stack.levels]  # each level's own start data
-    assert study.grid is stack and study.blocks == levels[0].blocks
+    (study,) = states
+    levels = [real_start(cfg, one(grid), data) for grid in stack.levels]  # each level's own
+    assert study.grid is stack and study.blocks == levels[0].blocks and study.time == 0.0
     np.testing.assert_array_equal(study.rows, np.concatenate([s.rows for s in levels]),
                                   strict=True)
+    assert (study.prev_rows is None) == (scheme == "dissipative")
     if study.prev_rows is not None:
-        np.testing.assert_array_equal(study.prev_rows,
-                                      np.concatenate([s.prev_rows for s in levels]), strict=True)
+        want = np.concatenate([s.prev_rows for s in levels])
+        if init == "exact":
+            np.testing.assert_array_equal(study.prev_rows, want, strict=True)
+        else:
+            assert np.abs(study.prev_rows - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("init", ["exact", "bootstrap"])
@@ -1110,9 +1099,9 @@ def test_walled_conservative_start_zeroes_reflected_slots(monkeypatch, capsys, k
     assert cli.main(["gaussian1d", "--m", "3", "--levels", "3", "--boundary", kind,
                      "--scheme", "conservative", "--init", init]) == 0
     capsys.readouterr()
-    ((state, _),) = starts
-    primal = state.u if init == "exact" else previous_of(state)
-    assert primal.parity == PRIMAL
+    (state,) = starts
+    primal = state.u
+    assert primal.parity == PRIMAL and state.prev_rows is not None
     flipped = slice(0, None, 2) if kind == "dirichlet0" else slice(1, None, 2)
     offsets = state.grid.offsets[PRIMAL]
     for first, stop in zip(offsets[:-1], offsets[1:]):
@@ -1133,9 +1122,44 @@ def test_2d_walled_conservative_start_zeroes_reflected_slots():
         drawn.append(rng.standard_normal((len(xs[0]),) + (order + 1,) * 2))
         return drawn[-1].copy()
 
-    state, _ = driver._start(cfg, one(grid), data)
+    state = driver._start(cfg, one(grid), data)
     got, want = u_of(state).values, drawn[0].reshape(grid.shapes[PRIMAL] + (m + 1,) * 2)
     odd, even = slice(1, None, 2), slice(0, None, 2)  # neumann0 and dirichlet0 slots
     want[0, :, even, :] = want[-1, :, odd, :] = 0.0
     want[:, 0, :, odd] = want[:, -1, :, even] = 0.0
     np.testing.assert_array_equal(got, want)
+
+
+START_CASES = [(kind, d) for d in (1, 2) for kind in ("periodic", "dirichlet0", "neumann0")]
+
+
+@pytest.mark.parametrize("kind, d", START_CASES, ids=[f"{k}-{d}d" for k, d in START_CASES])
+def test_bootstrap_start_steps_into_the_bootstrap(kind, d):
+    """With init = bootstrap, `_start` returns a two-level `State` at t = 0,
+    u on the primal rows with its previous level on the dual ones. One
+    `step` of it gives the bootstrap oracle's first half step from u | h*u_t
+    (`states.bootstrap_first_half`, u with its wall slots zeroed as the
+    start zeroes them) to 1e-13 of its largest value, on a 2-level stack
+    with walls of one kind or none on every axis."""
+    m = 3 if d == 1 else 2
+    cfg = make_config("gaussian1d" if d == 1 else "planewave2d", flag_overrides={
+        "scheme": "conservative", "m": m, "init": "bootstrap"})
+    scfg, cu = cfg.scheme_config(), (m + 1,) * d
+    stack = Stack([Grid((Axis(0.0, 1.0, n, kind, kind), Axis(0.0, 1.5, n, kind, kind))[:d])
+                   for n in (7, 5)])
+    rng, drawn = np.random.default_rng(d), []  # in call order: u, then u_t
+
+    def data(xs, t, h, order, tder):
+        drawn.append(rng.standard_normal((len(xs[0]),) + (order + 1,) * d))
+        return drawn[-1].copy()
+
+    state = driver._start(cfg, stack, data)
+    assert (state.parity, state.time, state.blocks) == (PRIMAL, 0.0, (cu,))
+    assert state.prev_rows is not None and len(drawn) == 2
+    h_ut = drawn[1].reshape(len(state.rows), -1) * stack.h[stack.level_of[PRIMAL]][:, None]
+    want = bootstrap_first_half(State(stack, PRIMAL, 0.0, np.concatenate((state.rows, h_ut),
+                                                                        axis=1), (cu, cu)), scfg)
+    got = step(state, scfg)
+    assert (got.parity, got.time, got.blocks) == (want.parity, want.time, want.blocks)
+    assert np.abs(got.rows - want.rows).max() <= 1e-13 * np.abs(want.rows).max()
+    np.testing.assert_array_equal(got.prev_rows, want.prev_rows)

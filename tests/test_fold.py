@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import level_oracle
 import matrix_oracle
-from hermwave.conservative import (_bootstrap_matrix, _plan, _update_matrix, bootstrap_first_half,
-                                  step)
+from hermwave.conservative import _bootstrap_matrix, _plan, _update_matrix, step
 from hermwave.diagnostics import default_npts, error_matrix
 from hermwave.dissipative import SchemeConfig, _packed_matrix, fold, rows, taylor_half_step
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, flip
@@ -82,7 +81,7 @@ def test_folded_steps_match_pipeline(m, lam, periodic, parity, seed, data):
     du, _ = pair_sources(u)
     dv, _ = pair_sources(v)
     got = step(uv_state(u, v), cfg)
-    want = taylor_half_step(du, dv, cfg.dt(h), (h,), cfg.stages(1))
+    want = taylor_half_step(du, dv, cfg.dt(h), (h,))
     _assert_close(u_of(got).values, want[0])
     _assert_close(v_of(got).values, want[1])
     got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
@@ -98,7 +97,7 @@ def test_folded_steps_match_pipeline(m, lam, periodic, parity, seed, data):
     hx, hy = grid.spacings
     dt = cfg.dt(min(hx, hy))
     got = step(uv_state(u, v), cfg)
-    want = taylor_half_step(du, dv, dt, (hx, hy), cfg.stages(2))
+    want = taylor_half_step(du, dv, dt, (hx, hy))
     _assert_close(u_of(got).values, want[0])
     _assert_close(v_of(got).values, want[1])
     got = step(two_level(u, Field(grid, target, 0.0, prev)), cfg)
@@ -177,7 +176,7 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
         hs = grid.spacings
         dt = cfg.dt(min(hs))
         a_u, a_v = block_fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]),
-                              cfg.dt(1.0), grid.aspect, cfg.stages(ndim))
+                              cfg.dt(1.0), grid.aspect)
         want = rows(du, ndim) @ a_u + rows(dv * grid.h, ndim) @ a_v
         want_c = conservative_update(apply_interp(du, ndim), prev.values, m, dt, hs)
         for _ in range(2):
@@ -191,7 +190,7 @@ def test_packed_plan_matches_two_block_form(m, lam, periodic, parity, seed, data
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("parity", [PRIMAL, DUAL])
 def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
-    """Each step's and the bootstrap's result reads as a field on the target nodes.
+    """Each step's result reads as a field on the target nodes.
 
     A benchmark counts half-step target nodes from `.u.values` of a result
     of either scheme, a dissipative state's u or a conservative one's
@@ -207,10 +206,7 @@ def test_stepper_outputs_expose_target_node_values(ndim, periodic, parity):
     u = _random_field(grid, parity, m + 1, rng)
     v = _random_field(grid, parity, m, rng)
     prev = _random_field(grid, target, m + 1, rng)
-    g0, g1 = (_random_field(grid, parity, m + 1, rng) for _ in range(2))
-    for state in (step(uv_state(u, v), cfg),
-                  step(two_level(u, prev), cfg),
-                  bootstrap_first_half(uv_state(g0, g1), cfg)):
+    for state in (step(uv_state(u, v), cfg), step(two_level(u, prev), cfg)):
         field = state.u
         assert field.parity == target
         assert field.values.shape[: field.values.ndim // 2] == (math.prod(grid.shapes[target]),)
@@ -224,7 +220,7 @@ def _oracle_half_step(u, v, cfg):
     du = pair_sources(u)[0]
     dv = pair_sources(v)[0]
     a_u, a_v = block_fold(taylor_half_step, (du.shape[ndim:], dv.shape[ndim:]), cfg.dt(1.0),
-                          grid.aspect, cfg.stages(ndim))
+                          grid.aspect)
     new = rows(du, ndim) @ a_u + rows(dv, ndim) @ a_v
     k = new.shape[1] - v.values[(0,) * ndim].size
     target, t = flip(u.parity), u.time + 0.5 * cfg.dt(grid.h)
@@ -315,7 +311,7 @@ def test_fold_is_one_read_only_matrix_in_the_gathered_layout():
     unit row r, and it is the oracle's per-field blocks, stacked and
     permuted (`matrix_oracle.packed`), bit for bit."""
     cfg = SchemeConfig(m=2, lam=0.8)
-    blocks, sides, args = ((3, 3), (2, 2)), (2, 2), (cfg.dt(1.0), (1.0, 1.5), cfg.stages(2))
+    blocks, sides, args = ((3, 3), (2, 2)), (2, 2), (cfg.dt(1.0), (1.0, 1.5))
     a = fold(taylor_half_step, blocks, sides, *args)
     assert isinstance(a, np.ndarray) and not a.flags.writeable
     assert a.shape == (4 * 13, 13)
@@ -344,11 +340,10 @@ def test_every_step_matrix_keeps_the_per_block_bits(d, m):
     nu = math.prod(cu)
     for hs in {(1.0,) * d, (1.0, 1.5, 1.25)[:d]}:
         for lam in (0.5, 0.8, 1.0):
-            cfg = SchemeConfig(m=m, lam=lam)
-            for blocks, stages in (((cu, cv), cfg.stages(d)), ((cu, cu), d * (2 * m + 2))):
+            for blocks in ((cu, cv), (cu, cu)):
                 want = packed(block_fold(taylor_half_step, tuple(sides + b for b in blocks),
-                                         lam, hs, stages), sides)
-                assert same_bits(_packed_matrix(blocks, lam, hs, stages), want), (hs, lam)
+                                         lam, hs), sides)
+                assert same_bits(_packed_matrix(blocks, lam, hs), want), (hs, lam)
             b = want[:, :nu]
             assert same_bits(_bootstrap_matrix(m, lam, hs), b), (hs, lam)
             u_rows = b.reshape(2**d, 2, nu, nu)[:, 0].reshape(-1, nu)

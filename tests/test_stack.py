@@ -7,12 +7,12 @@ import pytest
 
 import level_oracle
 from hermwave.boundary import gather_plan
-from hermwave.conservative import _plan, bootstrap_first_half, step
+from hermwave.conservative import _plan, previous_level, step
 from hermwave.diagnostics import _error_plan, l2_error_field, l2_errors_pair
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, Stack, State, flip
 
-from states import one, orders, two_level, u_of, u_state, uv_state, v_of
+from states import bootstrap_first_half, one, orders, two_level, u_of, u_state, uv_state, v_of
 from test_conservative import companion
 from test_dissipative import _half_symbols_1d
 
@@ -100,21 +100,26 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
 
 
 def test_a_stack_has_one_float_time_its_first_level_s():
-    """Bootstrapped, stepped and popped, a 3-level stack's state keeps one
-    time, a Python float (the marches digest hashes its repr, which an
-    np.float64 would change), bit for bit the time of its first level's own
-    one-level march."""
+    """Started from u and u_t, stepped and popped, a 3-level stack's state
+    keeps one time, a Python float (the marches digest hashes its repr,
+    which an np.float64 would change), bit for bit the time of its first
+    level's own one-level march."""
     m, cfg = 3, SchemeConfig(m=3, lam=0.8)
     grids = [Grid((Axis(-1.0, 1.0, n, *WALLS["mixed"]),)) for n in (11, 8, 6)]
     rng = np.random.default_rng(7)
     fields = [[Field(g, PRIMAL, 0.0, rng.standard_normal(g.shapes[PRIMAL] + (m + 1,)))
                for _ in range(2)] for g in grids]
     starts = [uv_state(*f) for f in fields]
-    state = bootstrap_first_half(_pack(Stack(grids), starts), cfg)
-    alone = bootstrap_first_half(starts[0], cfg)
+
+    def start(pair):  # the library's two-level start at t = 0
+        u, h_ut = np.split(pair.rows, 2, axis=1)
+        return State(pair.grid, PRIMAL, 0.0, u, pair.blocks[:1],
+                     previous_level(pair.grid, u, h_ut, cfg))
+
+    state, alone = start(_pack(Stack(grids), starts)), start(starts[0])
     assert alone.grid == one(grids[0])
-    assert type(state.time) is float and state.time == alone.time == 0.5 * cfg.dt(grids[0].h)
-    done = 1
+    assert type(state.time) is float and state.time == alone.time == 0.0
+    done = 0
     for end in (19, 25, 35):  # the last half step of each level, coarsest first
         for _ in range(done, end):
             state, alone = step(state, cfg), step(alone, cfg)
@@ -175,9 +180,10 @@ BOOT_CASES = [("dirichlet0", 1), ("neumann0", 1), ("periodic", 2)]
 @pytest.mark.parametrize("kinds, d", BOOT_CASES, ids=[f"{k}-{d}d" for k, d in BOOT_CASES])
 @pytest.mark.parametrize("parity", [PRIMAL, DUAL])
 def test_stacked_bootstrap_matches_the_taylor_pipeline(kinds, d, parity):
-    """One bootstrap of a 3-level stack gives each level's first half step
-    as the per-level Taylor pipeline does, to 1e-12 relative; so does the
-    bootstrap of each level's one-level stack."""
+    """The bootstrap oracle (`states.bootstrap_first_half`), on a 3-level
+    stack, gives each level's first half step as the per-level Taylor
+    pipeline does, to 1e-12 relative; so does it on each level's one-level
+    stack."""
     m, rng = 3 if d == 1 else 2, np.random.default_rng(d + len(kinds))
     cfg = SchemeConfig(m=m, lam=0.8)
     grids = [Grid((Axis(-1.0, 1.0, n, *WALLS[kinds]),) * d) for n in (11, 8, 6)]
