@@ -16,13 +16,15 @@ including any ghosts, which is all the step, the conservative start and the
 error norms need. It has one path, `take` through a `GatherPlan`, cached
 per stack geometry and gathered blocks (`gather_plan`): one take through a
 flat index into the node rows (u | v packed per node for the dissipative
-scheme). On each level the index wraps on a periodic axis and is clipped
-at walls. A dual level at walls then turns the clipped edge slots into
+scheme), built in one pass over the stack's target rows from each row's
+node index on its level. The index wraps on a periodic axis and is clipped
+at walls. A dual gather at walls then turns the clipped edge slots into
 ghosts: every reflection is a sign flip, so one flat index `negate` lists
 the slots whose product of wall signs is -1 (corners included), and the
-result equals the explicit [ghost, interior..., ghost] construction. A
-stack's gather is its levels' gathers one after the other, each offset by
-the rows and slots before its level.
+result equals the explicit [ghost, interior..., ghost] construction. Which
+primal rows sit on which wall is decided in one place, `wall_rows`; the
+dual gather's signs, `zero_wall_slots` and the error norms' clipped cells
+all read it.
 """
 
 from __future__ import annotations
@@ -59,49 +61,53 @@ def ghost_data(interior: np.ndarray, kind: str, axis: int = 0, ndim: int = 1) ->
     return interior * _signs(kind, k).reshape((k,) + (1,) * (ndim - 1 - axis))
 
 
+def _node_index(stack, parity: str) -> tuple:
+    """(node, counts): each `parity` row's node index along every axis of
+    its level, and that level's node counts, both (rows, d)."""
+    level = stack.level_of[parity]
+    counts = np.array([g.shapes[parity] for g in stack.levels])[level]
+    local, node = np.arange(len(level)) - stack.offsets[parity][level], np.empty_like(counts)
+    for q in reversed(range(stack.ndim)):
+        local, node[:, q] = np.divmod(local, counts[:, q])
+    return node, counts
+
+
+def wall_rows(stack, primal=None):
+    """Yield (axis, side, kind, rows) for every wall end of a `Stack`'s levels.
+
+    rows are the primal rows, level after level, on the side (0 low, 1 high)
+    of `axis` whose end is a wall of `kind`, so one yield covers the levels
+    that share that end's kind. This is the one place that decides which
+    rows sit on a wall. primal is `_node_index(stack, PRIMAL)`, when the
+    caller has it.
+    """
+    if all(g.periodic for g in stack.levels):  # every periodic conservative start asks
+        return
+    node, counts = primal or _node_index(stack, PRIMAL)
+    level = stack.level_of[PRIMAL]
+    for q in range(stack.ndim):
+        for side, end in enumerate(("left", "right")):
+            on = np.flatnonzero(node[:, q] == (counts[:, q] - 1 if side else 0))
+            ends = np.array([getattr(g.axes[q], end) for g in stack.levels])[level[on]]
+            for kind in ("dirichlet0", "neumann0"):
+                rows = on[ends == kind]
+                if len(rows):
+                    yield q, side, kind, rows
+
+
 def zero_wall_slots(values: np.ndarray, stack) -> None:
     """Zero, in place, the slots each wall flips to -1 on its primal nodes.
 
     values holds a `Stack`'s primal node data: its rows, then order axes.
-    On the nodes that sit on a wall normal to axis q, the slots of axis-q
-    order l with `ghost_data` sign -1 are set to 0: c_0, c_2, ... at
-    `dirichlet0` and c_1, c_3, ... at `neumann0`, so the data there equal
-    their own reflection.
+    On the nodes that sit on a wall normal to axis q (`wall_rows`), the
+    slots of axis-q order l with `ghost_data` sign -1 are set to 0: c_0,
+    c_2, ... at `dirichlet0` and c_1, c_3, ... at `neumann0`, so the data
+    there equal their own reflection.
     """
-    d, offsets = stack.ndim, stack.offsets[PRIMAL]
-    for i, level in enumerate(stack.levels):
-        block = values[offsets[i] : offsets[i + 1]].view()
-        block.shape = level.shapes[PRIMAL] + values.shape[-d:]  # raises rather than copy
-        for q, axis in enumerate(level.axes):
-            for node, kind in ((0, axis.left), (-1, axis.right)):
-                if kind != "periodic":
-                    at = [slice(None)] * (2 * d)
-                    at[q] = node
-                    at[d + q] = np.flatnonzero(_signs(kind, block.shape[d + q]) < 0)
-                    block[tuple(at)] = 0.0
-
-
-@lru_cache(maxsize=256)
-def gather_index(counts: tuple, parity: str, periodic: bool) -> np.ndarray:
-    """Read-only index of every target's flanking nodes in a level's nodes.
-
-    Per axis of `counts` node counts, a dual target j sits between primal
-    nodes j and j+1 and a primal target j between dual nodes j-1 and j.
-    The index is into the nodes flattened in C order, shaped (targets per
-    axis..., 2 per axis...): (targets, 2) in 1D, (ntx, nty, 2, 2) in 2D.
-    """
-    ndim = len(counts)
-    offsets = np.array((0, 1) if parity == PRIMAL else (-1, 0))
-    index = 0
-    for q, n in enumerate(counts):
-        flank = np.arange(n if periodic else n - 1 if parity == PRIMAL else n + 1)
-        flank = flank[:, None] + offsets
-        flank = flank % n if periodic else np.clip(flank, 0, n - 1)
-        shape = [1] * (2 * ndim)
-        shape[q], shape[ndim + q] = flank.shape
-        index = index + flank.reshape(shape) * math.prod(counts[q + 1 :])
-    index.setflags(write=False)
-    return index
+    for q, _, kind, rows in wall_rows(stack):
+        at = [rows[:, None]] + [slice(None)] * stack.ndim
+        at[1 + q] = np.flatnonzero(_signs(kind, values.shape[1 + q]) < 0)
+        values[tuple(at)] = 0.0
 
 
 class GatherPlan:
@@ -118,59 +124,54 @@ class GatherPlan:
 
 
 @lru_cache(maxsize=256)
-def _negate(counts: tuple, kinds: tuple, blocks: tuple) -> np.ndarray:
-    """Read-only `GatherPlan.negate` of a dual level of `counts` nodes per
-    axis between walls of `kinds` (left, right) per axis, for `blocks`."""
-    ndim = len(counts)
-    index = gather_index(counts, DUAL, False)
-    # the clipped slots next to the walls hold the first interior node
-    sign = np.ones(index.shape + (sum(math.prod(coeffs) for coeffs in blocks),))
-    for q, ends in enumerate(kinds):
-        for side, kind in enumerate(ends):
-            edge = [slice(None)] * (2 * ndim)
-            edge[q], edge[ndim + q] = -side, side
-            sign[tuple(edge)] *= np.concatenate(
-                [ghost_data(np.ones(c), kind, q, ndim).ravel() for c in blocks])
-    negate = np.flatnonzero(sign < 0)
-    negate.setflags(write=False)
-    return negate
-
-
-@lru_cache(maxsize=256)
 def gather_plan(stack, parity: str, blocks: tuple) -> GatherPlan:
     """The `GatherPlan` of a `Stack`'s `parity` nodes for `blocks`, built
-    once per (stack's levels, parity, blocks).
+    once per (stack's levels, parity, blocks) in one pass over its target
+    rows.
 
     `blocks` holds the coefficient shape of each field packed along the
     node rows; with homogeneous walls every field reflects the same way.
-    Each level's `gather_index` is offset by the rows before the level,
-    and on a dual level at walls its `_negate` by the slots before its
-    first target, and they are concatenated. A step's plan and the error
-    norms that gather the same blocks from equal stacks share one.
+    Per axis a dual target j sits between primal nodes j and j+1 and a
+    primal target j between dual nodes j-1 and j, wrapped on a periodic
+    level and clipped at walls; `index` holds each target's flanking rows,
+    2 per axis in C order, and `negate` the slots of the dual gather's
+    ghosts that `wall_rows`' signs multiply to -1. A step's plan and the
+    error norms that gather the same blocks from equal stacks share one.
     """
-    slots = 2**stack.ndim * sum(math.prod(coeffs) for coeffs in blocks)  # per target
-    index, negate = [], []
-    for level, first, start in zip(stack.levels, stack.offsets[parity],
-                                   stack.offsets[flip(parity)]):
-        counts = level.shapes[parity]
-        index.append(gather_index(counts, parity, level.periodic).reshape(-1, 2**stack.ndim)
-                     + first)
-        if parity == DUAL and not level.periodic:
-            kinds = tuple((axis.left, axis.right) for axis in level.axes)
-            negate.append(_negate(counts, kinds, blocks) + start * slots)
-    index = np.concatenate(index)
+    d, targets = stack.ndim, flip(parity)
+    node, counts = _node_index(stack, targets)
+    level = stack.level_of[targets]
+    n = np.array([g.shapes[parity] for g in stack.levels])[level]  # source nodes per axis
+    periodic = np.array([g.periodic for g in stack.levels])[level, None]
+    column = (-1,) + (1,) * d
+    index = stack.offsets[parity][level].reshape(column)
+    for q in range(d):
+        flank = node[:, q, None] + ((0, 1) if parity == PRIMAL else (-1, 0))
+        flank = np.where(periodic, flank % n[:, q, None], np.clip(flank, 0, n[:, q, None] - 1))
+        shape = [-1] + [1] * d
+        shape[1 + q] = 2
+        index = index + flank.reshape(shape) * n[:, q + 1 :].prod(axis=1).reshape(column)
+    index = index.reshape(-1, 2**d)
     index.setflags(write=False)
-    negate = np.concatenate(negate) if negate else None
-    if negate is not None:  # shared by every caller of the cache
-        negate.setflags(write=False)
-    return GatherPlan(stack.shapes[parity][0], stack.shapes[flip(parity)][0], index, negate)
+    negate = None
+    walls = list(wall_rows(stack, (node, counts))) if parity == DUAL else ()
+    if walls:  # the clipped slots next to the walls hold the first interior node
+        sign = np.ones((len(index),) + (2,) * d + (sum(math.prod(c) for c in blocks),))
+        for q, side, kind, rows in walls:
+            edge = [rows] + [slice(None)] * d
+            edge[1 + q] = side
+            sign[tuple(edge)] *= np.concatenate(
+                [ghost_data(np.ones(c), kind, q, d).ravel() for c in blocks])
+        negate = np.flatnonzero(sign < 0)
+        negate.setflags(write=False)  # shared by every caller of the cache
+    return GatherPlan(stack.shapes[parity][0], len(index), index, negate)
 
 
 def take(rows: np.ndarray, plan: GatherPlan) -> np.ndarray:
     """Gather (nodes, K) node rows into (targets, 2**d * K) flanking-data rows.
 
     One take, then one sign flip of the reflected slots; each target's row
-    holds its flanking nodes' rows in `gather_index`'s order.
+    holds its flanking nodes' rows, 2 per axis in C order (low side first).
     """
     out = rows.take(plan.index, axis=0)
     if plan.negate is not None:

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import gather_plan, take
+from .boundary import gather_plan, take, wall_rows
 from .dissipative import fold
 from .grid import DUAL, Axis, flip
 from .interp import apply_interp, interp_matrix
@@ -157,8 +157,9 @@ def _error_plan(stack, parity: str, blocks: tuple, npts: int, pair: bool) -> tup
 
     It holds, per target row, level after level:
     - the gather (`gather_plan`) and the whole-cell `error_matrix`;
-    - (rows, `error_matrix`) of each mix of cell kinds with an edge in it,
-      on clipped levels;
+    - (rows, `error_matrix`) of each mix of cell kinds with an edge in it:
+      a dual gather's target on a wall (`boundary.wall_rows`) has the low
+      (kind 1) or high (kind 2) edge's cell along that wall's axis;
     - each axis's Gauss points in x, axis q shaped (rows, 1 per axis before
       q, npts, 1 per axis after q);
     - the cells' measures, and each level's first row;
@@ -169,16 +170,11 @@ def _error_plan(stack, parity: str, blocks: tuple, npts: int, pair: bool) -> tup
     d, targets = stack.ndim, flip(parity)
     level, offsets = stack.level_of[targets], stack.offsets[targets]
     count = len(level)
-    # per row: the level's spacings, node counts and clipping, and its node per axis
-    spacings = np.array([g.spacings for g in stack.levels])[level]
-    counts = np.array([g.shapes[targets] for g in stack.levels])[level]
-    clipped = np.array([parity == DUAL and not g.periodic for g in stack.levels])[level]
-    local = np.arange(count) - offsets[level]
+    spacings = np.array([g.spacings for g in stack.levels])[level]  # per row, its level's
     kinds = np.zeros((count, d), dtype=int)
-    for q in reversed(range(d)):
-        local, node = np.divmod(local, counts[:, q])
-        kinds[clipped & (node == 0), q] = 1
-        kinds[clipped & (node == counts[:, q] - 1), q] = 2
+    if parity == DUAL:  # the primal targets on a wall have a clipped cell
+        for q, side, _, rows in wall_rows(stack):
+            kinds[rows, q] = 1 + side
     nodes, points = stack.nodes(targets), np.array([_points(npts, k) for k in range(3)])
     halves = np.array([0.5 * (hi - lo) for lo, hi in KINDS])
     xs, weight = [], np.ones(count)

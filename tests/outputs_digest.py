@@ -21,8 +21,13 @@ another lam, as a caller of the steppers may.
 A third line hashes, bit for bit, every step, update and L2-error matrix
 that the CLI calls build (`MATRICES`, the keys of `_packed_matrix`,
 `_update_matrix` and `error_matrix` they reach), so a change to how the
-matrices are built shows bit identity in one line. Copy the script into
-the other checkout to compare.
+matrices are built shows bit identity in one line.
+
+A fourth line hashes the `index` and `negate` bytes of every gather plan
+(`boundary.gather_plan`) that the CLI calls and the library marches
+build, keyed by the levels' geometry, the parity and the blocks, so a
+change to how the gathers are built shows bit identity in one line too.
+Copy the script into the other checkout to compare.
 
 A change that moves output bits on purpose is compared to a tolerance
 instead, in two steps run from each checkout and then from either:
@@ -60,7 +65,7 @@ from workloads import WORKLOADS  # noqa: E402
 import numpy as np  # noqa: E402
 
 from hermwave import DUAL, PRIMAL, Axis, Field, Grid, SchemeConfig, step  # noqa: E402
-from hermwave import cli  # noqa: E402
+from hermwave import cli, conservative, diagnostics  # noqa: E402
 from hermwave.conservative import _update_matrix  # noqa: E402
 from hermwave.diagnostics import error_matrix  # noqa: E402
 from hermwave.dissipative import _packed_matrix  # noqa: E402
@@ -259,6 +264,47 @@ def matrix_digest() -> tuple[str, int]:
     return sha.hexdigest(), count
 
 
+def gather_plans() -> dict:
+    """Every gather plan that the CLI calls and the library marches build,
+    keyed by (levels, parity, blocks). `gather_plan` is wrapped wherever a
+    `hermwave` module reads it, and the plan caches that hold gathers are
+    cleared before and after, so that every plan is asked for again."""
+    plans, caches = {}, (conservative._plan, diagnostics._error_plan)
+    modules = [mod for name, mod in sys.modules.items()
+               if name.startswith("hermwave.") and hasattr(mod, "gather_plan")]
+    real = [mod.gather_plan for mod in modules]
+    for mod, build in zip(modules, real):
+        def record(stack, parity, blocks, build=build):
+            plans[stack.levels, parity, blocks] = plan = build(stack, parity, blocks)
+            return plan
+
+        mod.gather_plan = record
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for _ in runs():
+            pass
+        for _ in marches():
+            pass
+    finally:
+        for mod, build in zip(modules, real):
+            mod.gather_plan = build
+        for cache in caches:
+            cache.cache_clear()
+    return plans
+
+
+def gather_digest() -> tuple[str, int]:
+    """One sha256 over each gather plan's key, shapes, index and negate bytes."""
+    sha, plans = hashlib.sha256(), gather_plans()
+    for key in sorted(plans, key=repr):
+        index, negate = plans[key].index, plans[key].negate
+        sha.update(repr((key, index.shape, None if negate is None else negate.shape)).encode())
+        for a in (index, negate):
+            sha.update(b"\0" + (b"" if a is None else np.ascontiguousarray(a).tobytes()))
+    return sha.hexdigest(), len(plans)
+
+
 def main(args: list) -> int | str:
     """The command line: the exit code, or the usage text for a bad one."""
     if args[:1] == ["--values"] and len(args) == 2:
@@ -277,6 +323,8 @@ def main(args: list) -> int | str:
     print(f"{hexdigest}  {count} library marches")
     hexdigest, count = matrix_digest()
     print(f"{hexdigest}  {count} cached matrices")
+    hexdigest, count = gather_digest()
+    print(f"{hexdigest}  {count} gather plans")
     return 0
 
 

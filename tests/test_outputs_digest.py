@@ -1,5 +1,6 @@
 """The tolerance gate of `outputs_digest.py --compare`, the names it
-compares by and the matrices its third line hashes."""
+compares by, the matrices its third line hashes and the gathers its
+fourth line hashes."""
 
 import json
 
@@ -7,7 +8,9 @@ import numpy as np
 
 import outputs_digest
 from hermwave import conservative, diagnostics
-from outputs_digest import MARCH_GRIDS, MATRICES, main, marches, matrix_digest, runs
+from hermwave.boundary import GatherPlan
+from outputs_digest import (MARCH_GRIDS, MATRICES, gather_digest, main, marches, matrix_digest,
+                            runs)
 
 COLUMNS = {"call one": {"exit": 0, "columns": {"error_u": [1.0, 2.0], "n": [10.0, 12.0]}},
            "march 0": {"exit": None, "columns": {"config 0 time": [0.5]}}}
@@ -90,3 +93,14 @@ def test_matrix_digest_sees_a_sign_of_zero(monkeypatch):
     assert (build(*keys[0]) == 0).any()
     monkeypatch.setattr(outputs_digest, "MATRICES", ((flipped, keys), *rest))
     assert matrix_digest() != before
+
+
+def test_gather_digest_sees_one_dropped_negate(monkeypatch):
+    """Dropping one entry of one plan's `negate` moves the line."""
+    before = gather_digest()
+    plans = outputs_digest.gather_plans()
+    key = next(key for key, plan in plans.items() if plan.negate is not None)
+    plan = plans[key]
+    plans[key] = GatherPlan(plan.nodes, plan.targets, plan.index, plan.negate[1:])
+    monkeypatch.setattr(outputs_digest, "gather_plans", lambda: plans)
+    assert gather_digest() != before
