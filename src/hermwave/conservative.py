@@ -39,12 +39,13 @@ A half step of either scheme is a take and one matrix, and this module,
 which imports both matrix builders, holds the one plan builder (`_plan`)
 and the one `step` of a `grid.State`: the dissipative state's u | h*v rows
 go through `dissipative._packed_matrix`, the two-level state's u rows
-through 2 B_u before its previous level is subtracted. A plan is built
+through 2 B_u before its previous level is subtracted. A `Plan` is built
 once per (stack's levels, parity, config, scheme), like its gather and
-matrix. The step links a state to its plans (`link`): the state then
-carries the config it was stepped with, the plan of its own parity and the
-plan of the opposite one, and each state the step returns carries the same
-two plans swapped, so a march looks its plans up once.
+matrix, and holds what a half step reads. `link` ties the plans of a
+stack's two parities to each other (`Plan.next`) and hands a state the
+plan of its parity; the state carries it as `link`, with the config object
+it was linked under as `link_cfg`. Each state the step returns carries the
+next plan and the same config, so a march looks its plans up once.
 """
 
 from __future__ import annotations
@@ -86,16 +87,34 @@ def previous_level(stack, u: np.ndarray, h_ut: np.ndarray, cfg: SchemeConfig) ->
         _bootstrap_matrix(cfg.m, cfg.dt(1.0), stack.aspect))
 
 
-@lru_cache(maxsize=256)  # a benchmark refine pass needs 100 plans
-def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
-    """The half-step plan of a `Stack`'s `parity` nodes for "dissipative"
-    or "conservative" states, built once per (stack's levels, parity, cfg,
-    scheme).
+class Plan:
+    """The half step from one parity of a `Stack`'s nodes: what `step` reads.
 
-    It holds the gather of the packed rows, the matrix (`_packed_matrix`
-    or `_update_matrix`) of the stack's aspect, shared by every stack of
-    that aspect (see `grid.State`), its first level's dt/2 (the states'
-    time step), the target parity and the blocks the rows pack.
+    `gather` is the `GatherPlan` of the packed rows, `index` and `negate`
+    its flat index and reflected slots, `shape` the gathered rows' shape,
+    (targets, 2**d * columns); `matrix` the half step's map, `half_dt` the
+    first level's dt/2 (the states' time step), `parity` the targets'
+    parity, `blocks` the coefficient shapes the rows pack, and `next` the
+    plan of the opposite parity (None until `link` sets it).
+    """
+
+    __slots__ = ("gather", "index", "negate", "shape", "matrix", "half_dt", "parity",
+                 "blocks", "next")
+
+    def __init__(self, gather, matrix: np.ndarray, half_dt: float, parity: str, blocks: tuple):
+        self.gather, self.index, self.negate = gather, gather.index, gather.negate
+        self.shape = (gather.targets, gather.index.shape[1] * sum(math.prod(b) for b in blocks))
+        self.matrix, self.half_dt, self.parity, self.blocks = matrix, half_dt, parity, blocks
+        self.next = None
+
+
+@lru_cache(maxsize=256)  # a benchmark refine pass needs 100 plans
+def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> Plan:
+    """The `Plan` of a `Stack`'s `parity` nodes for "dissipative" or
+    "conservative" states, built once per (stack's levels, parity, cfg,
+    scheme). Its matrix (`_packed_matrix` or `_update_matrix`) is the one
+    of the stack's aspect, shared by every stack of that aspect (see
+    `grid.State`).
     """
     m, hs, dt = cfg.m, stack.aspect, cfg.dt(1.0)
     ndim = len(hs)
@@ -105,22 +124,24 @@ def _plan(stack, parity, cfg: SchemeConfig, scheme: str) -> tuple:
     else:
         blocks = (cu, (m,) * ndim)
         a = _packed_matrix(blocks, dt, hs)
-    return (gather_plan(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
-            flip(parity), blocks)
+    return Plan(gather_plan(stack, parity, blocks), a, 0.5 * cfg.dt(stack.levels[0].h),
+                flip(parity), blocks)
 
 
-def link(state: State, cfg: SchemeConfig) -> tuple:
-    """The `link` of a state stepped under cfg: (cfg, plan, next plan).
+def link(state: State, cfg: SchemeConfig) -> Plan:
+    """The plan a state steps with under cfg, linked to the opposite one.
 
     The plans are the `_plan`s of the state's parity and the opposite one,
     for "conservative" on a state with a previous level and "dissipative"
-    otherwise. A plan's last entry is the blocks of the states it steps;
-    they must be the state's own (`check_blocks`).
+    otherwise; each becomes the other's `next`. A plan's blocks must be
+    the state's own (`check_blocks`).
     """
     scheme = "dissipative" if state.prev_rows is None else "conservative"
     plan = _plan(state.grid, state.parity, cfg, scheme)
-    check_blocks(state, plan[-1], cfg.m)
-    return cfg, plan, _plan(state.grid, flip(state.parity), cfg, scheme)
+    check_blocks(state, plan.blocks, cfg.m)
+    plan.next = _plan(state.grid, flip(state.parity), cfg, scheme)
+    plan.next.next = plan
+    return plan
 
 
 def check_blocks(state: State, blocks: tuple, m: int) -> None:
@@ -134,24 +155,36 @@ def check_blocks(state: State, blocks: tuple, m: int) -> None:
 def step(state: State, cfg: SchemeConfig) -> State:
     """Advance a state of either scheme by dt/2 onto the opposite parity.
 
-    One take of its rows and one product; a two-level state then subtracts
-    its previous level, and its old rows become the new previous level,
-    uncopied. A state linked under this very config object steps with the
-    plan it carries; any other is linked first, which checks its orders.
+    One take of its rows, one sign flip of the reflected slots at walls and
+    one product; a two-level state then subtracts its previous level, and
+    its old rows become the new previous level, uncopied. A state linked
+    under this very config object steps with the plan it carries; any
+    other is linked first, which checks its orders. The new state carries
+    the next plan, linked under cfg.
     """
-    lnk = state.link
-    if lnk is None or lnk[0] is not cfg:
-        lnk = link(state, cfg)
-    gather, a, half_dt, parity, blocks = lnk[1]
-    out = State.__new__(State)
-    out.grid, out.parity, out.time, out.blocks = state.grid, parity, state.time + half_dt, blocks
+    plan = state.link
+    if state.link_cfg is not cfg:
+        plan = link(state, cfg)
+    gathered = state.rows.take(plan.index, 0)  # `boundary.take`, inlined
+    if plan.negate is not None:
+        gathered.reshape(-1)[plan.negate] *= -1.0
     # ndarray.dot calls BLAS directly, with the same bits; `@` sets up the
     # matmul ufunc on every call, which nearly doubles a 1D level's product:
     # (41, 14) by (14, 7) takes 1.4-2.8 us with `@` and 0.9-1.5 us with dot
     # (timeit, 2-vCPU Xeon VM, one BLAS thread)
-    out.rows, out.prev_rows = take(state.rows, gather).dot(a), state.prev_rows
-    if out.prev_rows is not None:
-        out.rows -= out.prev_rows
-        out.prev_rows = state.rows
-    out.link = (cfg, lnk[2], lnk[1])
+    rows = gathered.reshape(plan.shape).dot(plan.matrix)
+    prev = state.prev_rows
+    if prev is not None:
+        rows -= prev
+        prev = state.rows
+    # one store per slot: a tuple assignment of four or more builds a tuple
+    out = State.__new__(State)
+    out.grid = state.grid
+    out.parity = plan.parity
+    out.time = state.time + plan.half_dt
+    out.blocks = plan.blocks
+    out.rows = rows
+    out.prev_rows = prev
+    out.link = plan.next
+    out.link_cfg = cfg
     return out

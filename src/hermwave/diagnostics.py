@@ -323,20 +323,28 @@ def energy_window(axis: Axis, m: int, dt: float) -> np.ndarray:
     return energy_factor(m, min(r, 0.5), axis.h)  # lam = 1 can round to just above 1/2
 
 
+@lru_cache(maxsize=64)
+def _energy_plan(stack, parity: str, blocks: tuple) -> tuple:
+    """(own, other, top) of a two-level state's energy: the gathers of a
+    `Stack`'s `parity` and opposite rows for `blocks`, and the read-only
+    map from a nodal pair to its coefficients of degree above m."""
+    m = blocks[0][0] - 1
+    return (gather_plan(stack, parity, blocks), gather_plan(stack, flip(parity), blocks),
+            interp_matrix(m)[m + 1 :].T)
+
+
 def energy_of_rows(state, factor: np.ndarray) -> float:
     """E(t_n) of a two-level `State` on a `Stack` of one periodic 1D level.
 
     Its rows and its previous level's are read through the stack's gathers
-    of the state's blocks; factor is the levels' `energy_window`.
+    of the state's blocks (`_energy_plan`); factor is the levels'
+    `energy_window`.
     """
-    stack, parity, blocks = state.grid, state.parity, state.blocks
-    m = blocks[0][0] - 1
-    top = interp_matrix(m)[m + 1 :].T  # nodal pair -> coefficients of degree > m
-    own = gather_plan(stack, parity, blocks)
-    cur = take(state.rows, own) @ top
-    prev = take(state.prev_rows, gather_plan(stack, flip(parity), blocks)) @ top
+    own, other, top = _energy_plan(state.grid, state.parity, state.blocks)
+    cur = take(state.rows, own).dot(top)
+    prev = take(state.prev_rows, other).dot(top)
     flanks = take(prev, own)  # the previous cells centred on the current nodes
-    y = np.concatenate([cur, flanks], axis=1) @ factor.T
+    y = np.concatenate([cur, flanks], axis=1).dot(factor.T)
     return float(np.vdot(y, y))
 
 

@@ -342,8 +342,9 @@ def _march(state, scfg: SchemeConfig, done: int, last: int):
     tracer and tests count them, checking the node rows at every multiple
     of FINITE_STRIDE and after the last.
 
-    Each state a step returns carries its stack's two plans, linked under
-    scfg (`conservative.link`), so only the first call can look a plan up.
+    Each state a step returns carries the plan of its next half step,
+    linked under scfg (`conservative.link`), so only the first call can
+    look a plan up.
     A failed check raises a NumericalError that names the level of the
     first non-finite row (`level_of`), its n and its own time at this half
     step.

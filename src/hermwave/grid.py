@@ -163,9 +163,10 @@ class State:
     u | h*v, ((m+1,)*d, (m,)*d), for the dissipative scheme and u alone,
     ((m+1,)*d,), for the conservative one, whose previous level sits in
     `prev_rows` on the other parity (None for the dissipative scheme). It
-    carries the step's `link` (None until a step sets it; see
-    `conservative.link`) and one `time`, a float: the time of the stack's
-    first level.
+    carries the step's `link`, the `conservative.Plan` of its next half
+    step, with `link_cfg`, the config object it was linked under (both
+    None until a step sets them; see `conservative.link`), and one `time`,
+    a float: the time of the stack's first level.
 
     Every state carries v, and a start's u_t, as h*v, h the smallest
     spacing of the node's level, and steps u_tt = Delta u. Then a half step
@@ -175,7 +176,7 @@ class State:
     aspect) steps every level of every stack.
     """
 
-    __slots__ = ("grid", "parity", "time", "rows", "blocks", "prev_rows", "link")
+    __slots__ = ("grid", "parity", "time", "rows", "blocks", "prev_rows", "link", "link_cfg")
 
     def __init__(self, grid, parity: str, time: float, rows, blocks: tuple, prev_rows=None):
         if not isinstance(grid, Stack):
@@ -190,7 +191,7 @@ class State:
                 raise ValueError(f"{p} rows of blocks {blocks} need shape {want}, "
                                  f"got {np.shape(r)}")
         self.grid, self.parity, self.time, self.blocks = grid, parity, float(time), blocks
-        self.rows, self.prev_rows, self.link = rows, prev_rows, None
+        self.rows, self.prev_rows, self.link, self.link_cfg = rows, prev_rows, None, None
 
     @property
     def u(self) -> Field:
@@ -266,7 +267,7 @@ class Stack:
         if not i:
             return state.rows, None
         rest = copy.copy(state)
-        rest.grid, rest.link = Stack(self.levels[:i]), None
+        rest.grid, rest.link, rest.link_cfg = Stack(self.levels[:i]), None, None
         rest.rows = state.rows[:start]
         if state.prev_rows is not None:
             rest.prev_rows = state.prev_rows[: self.offsets[flip(state.parity)][i]]

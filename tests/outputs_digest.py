@@ -269,7 +269,7 @@ def gather_plans() -> dict:
     keyed by (levels, parity, blocks). `gather_plan` is wrapped wherever a
     `hermwave` module reads it, and the plan caches that hold gathers are
     cleared before and after, so that every plan is asked for again."""
-    plans, caches = {}, (conservative._plan, diagnostics._error_plan)
+    plans, caches = {}, (conservative._plan, diagnostics._error_plan, diagnostics._energy_plan)
     modules = [mod for name, mod in sys.modules.items()
                if name.startswith("hermwave.") and hasattr(mod, "gather_plan")]
     real = [mod.gather_plan for mod in modules]

@@ -363,7 +363,8 @@ def _companion_symbols(d, n, m, lam, theta):
     mode = np.exp(1j * (np.indices((n,) * d).reshape(d, -1).T @ probe))[:, None]
     out = np.eye(2 * (m + 1) ** d)
     for parity, shift in ((PRIMAL, 0), (DUAL, 1)):
-        gather, a = _plan(one(grid), parity, cfg, "conservative")[:2]
+        plan = _plan(one(grid), parity, cfg, "conservative")
+        gather, a = plan.gather, plan.matrix
         k = len(a) // len(corners)
 
         def block(th):
@@ -504,7 +505,8 @@ def _walled_full_step(n, m, lam):
     stepped = step(step(state, cfg), cfg)
     full = np.eye(len(state.rows) * k + len(state.prev_rows) * k)
     for parity in (PRIMAL, DUAL):
-        gather, a = _plan(one(grid), parity, cfg, "conservative")[:2]
+        plan = _plan(one(grid), parity, cfg, "conservative")
+        gather, a = plan.gather, plan.matrix
         ns, nt = grid.shapes[parity][0] * k, grid.shapes[flip(parity)][0] * k
         g = np.stack([take(e.reshape(-1, k), gather).dot(a).ravel() for e in np.eye(ns)], axis=1)
         full = np.block([[g, -np.eye(nt)], [np.eye(ns), np.zeros((ns, nt))]]) @ full

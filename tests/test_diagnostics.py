@@ -14,6 +14,8 @@ from hermwave.diagnostics import (
     ErrorReport,
     _error_plan,
     default_npts,
+    energy_of_rows,
+    energy_window,
     fit_rate,
     gauss_rule,
     l2_error_field,
@@ -21,7 +23,7 @@ from hermwave.diagnostics import (
 )
 from hermwave.dissipative import SchemeConfig
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid
-from hermwave.interp import MAX_ORDER, apply_interp
+from hermwave.interp import MAX_ORDER, apply_interp, interp_matrix
 
 from energy_oracle import (
     conservative_energy,
@@ -385,6 +387,30 @@ def test_conservative_energy_invariant_under_step():
     assert e0 > 0.0
 
 
+def test_energy_samples_look_up_one_cached_plan():
+    """After a stack's first energy sample, more samples of that stack, on
+    either parity, look up no gather and no interpolation matrix: each
+    reads its gathers and its top-coefficient map from one cached plan, and
+    gives the first sample's E."""
+    n, m = 30, 2
+    grid, axis = _line(-math.pi, math.pi, n)
+    cfg = SchemeConfig(m=m, lam=0.5)
+    rng = np.random.default_rng(36)
+    state = two_level(Field(grid, PRIMAL, 0.0, rng.standard_normal((n, m + 1))),
+                      Field(grid, DUAL, -0.1, rng.standard_normal((n, m + 1))))
+    factor = energy_window(axis, m, cfg.dt(axis.h))
+    states = [state, step(state, cfg)]
+    first = [energy_of_rows(s, factor) for s in states]
+
+    def lookups():
+        return [c.hits + c.misses for c in (gather_plan.cache_info(), interp_matrix.cache_info())]
+
+    before = lookups()
+    for _ in range(5):
+        assert [energy_of_rows(s, factor) for s in states] == first
+    assert lookups() == before
+
+
 def test_conservative_energy_matches_manual_assembly():
     rng = np.random.default_rng(46)
     grid, cur, prev = _two_level_fields(8, 1, rng, span=2.0)
@@ -633,5 +659,5 @@ def test_stepped_level_errors_reuse_its_gather(axes):
             assert gather_plan.cache_info().misses == before
             pair = len(state.blocks) == 2
             plan = _error_plan(state.grid, state.parity, state.blocks, default_npts(m), pair)
-            assert plan[0] is state.link[1][0]
+            assert plan[0] is state.link.gather
 

@@ -58,6 +58,11 @@ def test_config_hash_contract():
         assert copied == cfg and hash(copied) == hash(cfg)
 
 
+def _plans(plan) -> tuple:
+    """(plan, plan.next): the plans of a linked state's parity and the opposite one."""
+    return plan, plan.next
+
+
 def test_equal_configs_share_one_plan_per_level():
     """Equal but distinct configs find the same cached plans: stepping under
     the second builds no plan, and its states carry the first's plans, one
@@ -67,9 +72,9 @@ def test_equal_configs_share_one_plan_per_level():
     pair = _random_pair(grid, 2, rng)
     state = two_level(u_of(pair), u_of(_random_pair(grid, 2, rng, DUAL)))
     first, second = SchemeConfig(m=2, lam=0.9), SchemeConfig(m=2, lam=0.9)
-    want = [step(step(s, first), first).link[1:] for s in (pair, state)]
+    want = [_plans(step(step(s, first), first).link) for s in (pair, state)]
     misses = _plan.cache_info().misses
-    got = [step(step(s, second), second).link[1:] for s in (pair, state)]
+    got = [_plans(step(step(s, second), second).link) for s in (pair, state)]
     assert _plan.cache_info().misses == misses
     assert all(a is b for mine, theirs in zip(got, want) for a, b in zip(mine, theirs))
     assert len({id(plan) for plans in got for plan in plans}) == 4
@@ -110,18 +115,19 @@ def test_linked_states_step_as_fresh_ones(axes):
             for _ in range(3):
                 linked, fresh = step(linked, other), step(fresh, other)
                 assert np.array_equal(linked.rows, fresh.rows)
-            assert linked.time == fresh.time and linked.link[0] is other
+            assert linked.time == fresh.time and linked.link_cfg is other
             # two parities, once for each of the two states
             now = _plan.cache_info()
             assert now.hits + now.misses == plans.hits + plans.misses + 4
             assert gather_plan.cache_info().misses == gathers.misses
             # three steps on, the linked state's parity is the other one
-            mine, theirs = linked.link[1:], start.link[:0:-1]
+            mine, theirs = _plans(linked.link), _plans(start.link)[::-1]
             if other == cfg:
                 assert now.misses == plans.misses
                 assert all(a is b for a, b in zip(mine, theirs))
             else:
-                assert all(a[0] is b[0] and a[1] is not b[1] for a, b in zip(mine, theirs))
+                assert all(a.gather is b.gather and a.matrix is not b.matrix
+                           for a, b in zip(mine, theirs))
 
 
 def test_constant_state_is_steady():
@@ -468,16 +474,16 @@ def test_steps_are_the_cached_plan_product_bit_for_bit(axes, parity):
                     Field(grid, parity, 0.0, rng.standard_normal(nodes + (m,) * d)))
     got = step(pair, cfg)
     plan = _plan(one(grid), parity, cfg, "dissipative")
-    gather, a = plan[:2]
-    assert got.link[2] is plan and np.array_equal(got.rows, take(pair.rows, gather) @ a)
+    gather, a = plan.gather, plan.matrix
+    assert got.link.next is plan and np.array_equal(got.rows, take(pair.rows, gather) @ a)
     state = two_level(
         Field(grid, parity, 0.0, rng.standard_normal(nodes + (m + 1,) * d)),
         Field(grid, flip(parity), -0.1, rng.standard_normal(grid.shapes[flip(parity)]
                                                             + (m + 1,) * d)))
     got = step(state, cfg)
     plan = _plan(one(grid), parity, cfg, "conservative")
-    gather, a = plan[:2]
-    assert got.link[2] is plan
+    gather, a = plan.gather, plan.matrix
+    assert got.link.next is plan
     assert np.array_equal(got.rows, take(state.rows, gather) @ a - state.prev_rows)
 
 
@@ -509,8 +515,9 @@ def test_periodic_1d_symbol_is_stable():
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid, _ = _line(0.0, 1.0, n)
-            (gather, a), (gather2, b) = (_plan(one(grid), p, cfg, "dissipative")[:2]
-                                         for p in (PRIMAL, DUAL))
+            (gather, a), (gather2, b) = ((p.gather, p.matrix) for p in
+                                         (_plan(one(grid), q, cfg, "dissipative")
+                                          for q in (PRIMAL, DUAL)))
             # the blocks and phases are the plans' own: step one grid mode through each
             r = np.random.default_rng(m).standard_normal(len(a) // 2)
             mode = np.exp(1j * probe * nodes)
@@ -536,7 +543,7 @@ def test_dissipative_design_order_from_the_symbol(m):
     """
     cfg = SchemeConfig(m=m, lam=ORDER_LAM)
     grid, _ = _line(0.0, 1.0, 16)
-    a, b = (_plan(one(grid), p, cfg, "dissipative")[1] for p in (PRIMAL, DUAL))
+    a, b = (_plan(one(grid), p, cfg, "dissipative").matrix for p in (PRIMAL, DUAL))
     h1, h2 = _half_symbols_1d(a, b, ORDER_THETA[:, None, None])
     phase, whole = eigen_orders(h1 @ h2)
     assert abs(whole - (2 * m - 1)) <= 0.1 and abs(phase - 2 * m) <= 0.1, (whole, phase)
@@ -588,8 +595,9 @@ def test_periodic_2d_symbol_is_stable():
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid = Grid((Axis(0.0, 1.0, n),) * 2)
-            (gather, a), (gather2, b) = (_plan(one(grid), p, cfg, "dissipative")[:2]
-                                         for p in (PRIMAL, DUAL))
+            (gather, a), (gather2, b) = ((p.gather, p.matrix) for p in
+                                         (_plan(one(grid), q, cfg, "dissipative")
+                                          for q in (PRIMAL, DUAL)))
             # the blocks and phases are the plans' own: step one grid mode through each
             r = np.random.default_rng(m).standard_normal(len(a) // 4)
             for plan, mat, shift in ((gather, a, 0), (gather2, b, 1)):
@@ -620,8 +628,9 @@ def test_periodic_3d_symbol_is_stable():
         for lam in (0.5, 0.8, 1.0):
             cfg = SchemeConfig(m=m, lam=lam)
             grid = Grid((Axis(0.0, 1.0, n),) * 3)
-            (gather, a), (gather2, b) = (_plan(one(grid), p, cfg, "dissipative")[:2]
-                                         for p in (PRIMAL, DUAL))
+            (gather, a), (gather2, b) = ((p.gather, p.matrix) for p in
+                                         (_plan(one(grid), q, cfg, "dissipative")
+                                          for q in (PRIMAL, DUAL)))
             # the blocks and phases are the plans' own: step one grid mode through each
             r = np.random.default_rng(m).standard_normal(len(a) // 8)
             for plan, mat, shift in ((gather, a, 0), (gather2, b, 1)):
@@ -686,7 +695,7 @@ def test_m1_damps_the_kappa_2_plane_wave_away_in_2d():
     cfg = SchemeConfig(m=m, lam=0.8)
     for n, rho_want, bound in ((10, 0.760, 6.5e-7), (22, 0.963, 1.3e-2)):
         grid = Grid((Axis(0.0, 1.0, n),) * 2)
-        a, b = (_plan(one(grid), p, cfg, "dissipative")[1] for p in (PRIMAL, DUAL))
+        a, b = (_plan(one(grid), p, cfg, "dissipative").matrix for p in (PRIMAL, DUAL))
         theta = np.full((1, 2), 2 * np.pi * kappa * grid.h)
         g = (_symbol(a, 0, theta) @ _symbol(b, 1, theta))[0]
         rho = np.abs(np.linalg.eigvals(g)).max()

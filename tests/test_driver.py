@@ -983,7 +983,7 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     (grid,), cu = stack.levels, (cfg.m + 1,) * 2  # the study's level
     ((at, parity, blocks, npts, pair),), scfg = plans, cfg.scheme_config()
     assert at is stack and blocks != (cu,) and not pair
-    assert real_plan(*plans[0])[0] is _plan(stack, parity, scfg, "dissipative")[0]
+    assert real_plan(*plans[0])[0] is _plan(stack, parity, scfg, "dissipative").gather
     # the level marched alone with the driver's step, from the study's data
     # function, its u measured through both gathers
     state = real(cfg, stack, data)
@@ -999,7 +999,7 @@ def test_planewave_dissipative_error_reads_the_stepper_gather(monkeypatch):
     (new,) = driver.l2_error_field(state, exact)
     (old,) = driver.l2_error_field(u_state(state.u), exact)
     assert [args[2] for args in plans[1:]] == [state.blocks, (cu,)]
-    assert real_plan(*plans[1])[0] is state.link[1][0]
+    assert real_plan(*plans[1])[0] is state.link.gather
     assert abs(new - old) <= 1e-12 * old and abs(report.err_u[0] - old) <= 1e-12 * old
 
 

@@ -301,7 +301,7 @@ def test_conservative_plan_is_the_folded_update(d, ms):
             for levels in (one(grid), stack):
                 want = fold(level_oracle.update, ((m + 1,) * d,), (2,) * d, m, cfg.dt(1.0),
                             levels.aspect)
-                got = _plan(levels, PRIMAL, cfg, "conservative")[1]
+                got = _plan(levels, PRIMAL, cfg, "conservative").matrix
                 assert np.array_equal(got, want), (m, lam, levels)
 
 

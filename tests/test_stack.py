@@ -76,7 +76,7 @@ def test_stack_marches_each_level_as_alone(scheme, kinds, d, m):
         if grid is not stack:  # popped: its step took the fresh stack's plan
             fresh = Stack(grid.levels)
             assert grid == fresh and hash(grid) == hash(fresh)
-            assert state.link[2] is _plan(fresh, flip(state.parity), cfg, scheme)
+            assert state.link.next is _plan(fresh, flip(state.parity), cfg, scheme)
         got[i] = (state.parity,)
         if state.prev_rows is not None:  # a study reads the current level alone
             got[i] += (state.prev_rows[grid.offsets[flip(state.parity)][i] :],)
@@ -159,7 +159,7 @@ def test_grids_of_one_aspect_share_one_matrix(scheme, d):
     plans."""
     cfg = SchemeConfig(m=2, lam=0.8)
     grids = [Grid((Axis(0.0, 1.0, n), Axis(0.0, 2.0, n))[:d]) for n in (4, 8)]
-    got = [_plan(stack, parity, cfg, scheme)[1]
+    got = [_plan(stack, parity, cfg, scheme).matrix
            for stack in [Stack([g]) for g in grids] + [Stack(grids)]
            for parity in (PRIMAL, DUAL)]
     assert all(a is got[0] for a in got)
@@ -280,8 +280,8 @@ def test_plans_follow_geometry_not_objects():
             assert errors[0] is gather_plan(second, parity, blocks)
     plan = _plan(first, PRIMAL, cfg, "conservative")
     longer = _plan(stack(x_right=2.0), PRIMAL, cfg, "conservative")
-    assert longer is not plan and longer[1] is plan[1]
-    assert longer[2] == pytest.approx(2 * plan[2], rel=1e-15)
+    assert longer is not plan and longer.matrix is plan.matrix
+    assert longer.half_dt == pytest.approx(2 * plan.half_dt, rel=1e-15)
     walls = gather_plan(first, DUAL, ((3,),))
     mixed = gather_plan(stack(right="neumann0"), DUAL, ((3,),))
     assert mixed is not walls and np.array_equal(mixed.index, walls.index)
@@ -330,7 +330,7 @@ def test_popped_levels_match_the_symbol_march(scheme, bound):
                 (got[i], state.prev_rows[grid.offsets[flip(state.parity)][i] :]), axis=1)
         _, state = grid.pop(state)
 
-    a, b = (_plan(stack, parity, cfg, scheme)[1] for parity in (PRIMAL, DUAL))
+    a, b = (_plan(stack, parity, cfg, scheme).matrix for parity in (PRIMAL, DUAL))
     worst = 0.0
     for i, n in enumerate(ORACLE_LEVELS):
         h1, h2 = _half_symbols_1d(a, b, 2 * np.pi * np.arange(n)[:, None, None] / n)
