@@ -3,7 +3,7 @@
 from .boundary import ghost_data
 from .conservative import step
 from .diagnostics import ErrorReport, fit_rate, l2_error_field, l2_errors_pair
-from .dissipative import SchemeConfig, eval_series, expand_taylor
+from .dissipative import SchemeConfig
 from .driver import (
     ConfigError,
     NumericalError,
@@ -24,7 +24,7 @@ __all__ = [
     "ghost_data",
     "step",
     "ErrorReport", "fit_rate", "l2_error_field", "l2_errors_pair",
-    "SchemeConfig", "eval_series", "expand_taylor",
+    "SchemeConfig",
     "ConfigError", "NumericalError", "RunConfig", "make_config", "parse_config",
     "run_experiment", "run_gaussian_1d", "run_conservation_1d", "run_planewave_2d",
     "DUAL", "PRIMAL", "Axis", "Field", "Grid", "Stack", "State",

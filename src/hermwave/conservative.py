@@ -5,11 +5,11 @@ Every conservative run starts as one two-level state: u at t = 0 on the
 primal rows and its previous level, u at t = -dt/2, on the dual rows.
 From initial displacement and velocity both of order m that level is
 found by the dissipative half step's own map (`dissipative._packed_matrix`)
-run backwards in time: every series is seeded by the full-order Hermite
-interpolants centered at the target node, and d(2m+2) stages, past which
-every stage is exactly zero, are summed at dt/2 from u | -u_t. One such
-step is accurate to the interpolation error and comfortably exceeds the
-O(h^(2m+1)) the two-level scheme needs. B is that matrix's u columns,
+run backwards in time: the full-order Hermite interpolants of u and -u_t
+centered at the target node, whose seed is then the plain flow's, are
+evolved by the exact wave flow for dt/2. One such step is accurate to the
+interpolation error and comfortably exceeds the O(h^(2m+1)) the
+two-level scheme needs. B is that matrix's u columns,
 which from (u, h u_t) are the same at every h (see `grid.State`): one per
 (m, lam, aspect), built at unit spacing. The previous level is then one
 take of u | -h u_t packed per node and one product (`previous_level`),
@@ -25,7 +25,7 @@ v = u_t. Adding the series at tau = +-dt/2 cancels the odd part:
 The right-hand side is twice the series of u at t+dt/2 evolved from
 u_t = 0: twice B's u rows, B_u, applied to the gathered current level. The
 interpolant has degree 2m+1 along each of d axes, so Delta^p of it vanishes
-past p = dm, every stage of B past 2dm is exactly zero on u_t = 0 data and
+past p = dm: on u_t = 0 data the flow's series ends at its stage 2dm, and
 resolved polynomial data is evolved exactly. An update is one take of the
 current level, one product with 2 B_u (`_update_matrix`, the u-source
 rows of B) and the subtraction of the previous level:

@@ -1,43 +1,39 @@
-"""Half-step evolution of (u, v) data by cell-local Taylor recursion.
+"""Half-step evolution of (u, v) data by the wave flow of its interpolant.
 
-Writing u and its velocity v = u_t on a cell as space-time series
+On a cell, with xi = (x - x_c)/h_q along each axis q, the flanking data
+of a target node have Hermite interpolants c (u, degree 2m+1 per axis)
+and d (v = u_t) in scaled coefficients. The system u_t = v, v_t = Delta u
+moves them by the flow exp(tau A), A = [[0, I], [L, 0]], where L sums
+over the axes 1/h_q^2 times D2 along q, the second xi-derivative
+((j+2)(j+1) c_{j+2} at j). L lowers the degree along an axis by 2, so
+the series of the flow terminates. Its stages, with tau = theta dt,
 
-    u = sum_{l,s} c_{l,s} xi**l theta**s,   xi = (x - x_c)/h, theta = (t - t_n)/dt,
+    c_s = (dt/s) d_{s-1},   d_s = dt L(c_{s-1}) / s,
 
-the first-order system u_t = v, v_t = u_xx turns into the recursion
+are exactly zero past d(2m+2), and summing that many at theta = 1/2
+evolves the interpolant exactly for dt/2. A half step reads the result at
+the target node, the cell center, where the leading coefficients are its
+scaled data, and hands them to the opposite grid. `taylor_half_step` is
+that one loop in any number of axes, with no matrix of L.
 
-    c_{l,s} = (dt/s) d_{l,s-1},
-    d_{l,s} = (l+2)(l+1) (dt/h^2) / s * c_{l+2,s-1},
+One rule seeds the first acceleration d_1: it sums, over the axes q,
+dt/h_q^2 times the second q-derivative of the u interpolant of order m
+along q and of v's order along the others. That is dt L(c_0) in 1D and for
+the conservative start, whose u_t has u's order. The step's v has order
+m-1, so in 2D the seed is of I_{m,m-1} u along x and I_{m-1,m} u along y,
+and 2D evolution is not exact on polynomial data. With v of order m-1
+the last two stages are already zero (past 2m in 1D, 4m+2 in 2D). The 2D
+periodic symbol puts stability in that stage count: seeding from the
+full-order interpolant of u alone is stable at 4m+2 stages (max |g| - 1
+at most 6.5e-15 for m = 1..4, lam <= 1), while at the 1D count of 2m
+stages and lam = 1 its max |g| - 1 reads 0.75, 2.6 and 8.4 for
+m = 1, 2, 3, and the mixed seed's 0, 0.49 and 4.2.
 
-seeded at s = 0 by the Hermite interpolants of degree 2m+1 (u) and 2m-1
-(v). The series terminate: every coefficient beyond
-kappa_v(l) = 2m-1-2*floor(l/2) (v) and kappa_u = kappa_v+1 (u) vanishes,
-so running 2m stages evolves polynomial data exactly for dt <= h. One
-half step evaluates the truncated series at theta = 1/2 on the staggered
-node at the cell center and hands the data to the opposite grid.
-
-In d axes the same recursion runs on tensor coefficients, one axis per
-spacing h_q, with the d second-derivative terms summed; one builder
-(`expand_taylor`, `taylor_half_step`) serves every d. One rule seeds the
-first v stage: it sums, over the axes q, the second q-derivative of the u
-interpolant of order m along q and of v's order along the others. That is
-the plain stage 1 in 1D and for the conservative start, whose u_t has
-u's order. The step's v has order m-1, so in 2D the sum is of I_{m,m-1} u
-along x and I_{m-1,m} u along y, and 2D evolution is no longer exact on
-polynomial data. Past d(2m+2) stages every coefficient is exactly zero
-whatever v's order, so every half step runs that many; with v of order
-m-1 the last two are already zero (past 2m in 1D, 4m+2 in 2D). The 2D
-periodic symbol puts stability in that stage count: seeding every series
-from the full-order interpolant of u alone is stable at 4m+2 stages
-(max |g| - 1 at most 6.5e-15 for m = 1..4, lam <= 1), while at the 1D
-count of 2m stages and lam = 1 its max |g| - 1 reads 0.75, 2.6 and 8.4
-for m = 1, 2, 3, and the mixed first stage's 0, 0.49 and 4.2.
-
-Interpolation, recursion and evaluation are all linear in the gathered
-flanking data, so for fixed (m, dt, h per axis) a half step is one
-matrix. `fold` builds it once, by pushing the identity through the
-pipeline (`taylor_half_step`), laid out as `take` gathers a row: per
-side, u | v packed. `_packed_matrix` is that one fold per key, and it
+Interpolation, flow and reading are all linear in the gathered flanking
+data, so for fixed (m, dt, h per axis) a half step is one matrix. `fold`
+builds it once, by pushing the identity through the pipeline
+(`taylor_half_step`), laid out as `take` gathers a row: per side, u | v
+packed. `_packed_matrix` is that one fold per key, and it
 builds every matrix of both schemes: fed u_t of u's order, its u columns
 are the conservative scheme's B (see `conservative`). A half step is
 then one take, at most one sign flip of the wall slots and one product:
@@ -82,70 +78,6 @@ class SchemeConfig:
         return self.lam * h
 
 
-def _axis_slice(ndim: int, q: int, sl: slice) -> tuple:
-    """Index that applies `sl` to coefficient axis q of ndim trailing axes."""
-    return (Ellipsis,) + (slice(None),) * q + (sl,) + (slice(None),) * (ndim - 1 - q)
-
-
-def _d2_terms(dt, hs, k: int) -> list:
-    """The v recursion's second-derivative term per axis q, on k coefficients per axis.
-
-    Each is (r_q, w_q, src_q, dst_q) with r_q = dt/h_q^2 and w_q =
-    (j+2)(j+1), j < k-2, shaped along axis q: stage s adds
-    r_q/s * w_q * c[src_q] at [dst_q].
-    """
-    ndim = len(hs)
-    w = np.arange(2, k) * np.arange(1, k - 1)
-    return [(dt / (h * h), w.reshape((-1,) + (1,) * (ndim - 1 - q)),
-             _axis_slice(ndim, q, slice(2, None)), _axis_slice(ndim, q, slice(k - 2)))
-            for q, h in enumerate(hs)]
-
-
-def expand_taylor(c0, d0, dt, hs, smax, d1=None):
-    """Run the recursion on batched cell coefficients, one axis per spacing.
-
-    Args:
-        c0: (..., K per axis) scaled u coefficients at s=0.
-        d0: (..., Lv per axis) scaled v coefficients at s=0, Lv <= K.
-        hs: cell spacing per axis.
-        d1: optional (..., K per axis) first v stage; if absent the plain
-            recursion supplies stage 1 as well.
-
-    Returns:
-        (C, D), both padded to c0's footprint, with a leading stage axis of
-        length smax+1: stage s is the contiguous slab C[s].
-    """
-    ndim = len(hs)
-    c0 = np.asarray(c0, dtype=float)
-    k, lv = c0.shape[-1], np.shape(d0)[-1]
-    ctab = np.zeros((smax + 1,) + c0.shape)
-    dtab = np.zeros_like(ctab)
-    ctab[0] = c0
-    dtab[0][(Ellipsis,) + (slice(lv),) * ndim] = d0
-    terms = _d2_terms(dt, hs, k)
-    for s in range(1, smax + 1):
-        ctab[s] = (dt / s) * dtab[s - 1]
-        if s == 1 and d1 is not None:
-            dtab[1] = d1
-            continue
-        prev, cur = ctab[s - 1], dtab[s]
-        for q, (r, w, src, dst) in enumerate(terms):
-            term = (r / s) * w * prev[src]
-            if q == 0:
-                cur[dst] = term
-            else:
-                cur[dst] += term
-    return ctab, dtab
-
-
-def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
-    """Sum the time series (stages first) at theta = tau/dt by Horner's rule."""
-    out = table[-1].copy()
-    for s in range(len(table) - 2, -1, -1):
-        out = out * theta + table[s]
-    return out
-
-
 def fold(fn, blocks: tuple, sides: tuple, *args) -> np.ndarray:
     """The read-only matrix A of the linear per-target map fn: a gathered
     row times A is fn's outputs as one row, concatenated.
@@ -168,27 +100,39 @@ def fold(fn, blocks: tuple, sides: tuple, *args) -> np.ndarray:
 
 
 def taylor_half_step(du, dv, dt, hs):
-    """Interpolate, expand in time over d(2m+2) stages and evaluate at
-    dt/2, per target node.
+    """Interpolate, evolve by the wave flow for dt/2 and read the target
+    node's data.
 
     du (..., 2 per axis, m+1 per axis) and dv (..., 2 per axis, m or m+1
     per axis) are flanking u and v data, one axis per entry of `hs`; returns
-    the target (u, v) data of the same orders. The first v stage follows
-    the module docstring's one rule.
+    the target (u, v) data of the same orders. The first acceleration is
+    the module docstring's seed.
     """
     ndim = len(hs)
     m, lv = du.shape[-1] - 1, dv.shape[-1]
     k = 2 * m + 2
-    cu = apply_interp(du, ndim)
-    d1 = np.zeros(du.shape[: -2 * ndim] + (k,) * ndim)
-    for q, (r, w, src, _) in enumerate(_d2_terms(dt, hs, k)):
+    d2t = np.diag(np.arange(2, k) * np.arange(1, k - 1), 2).T  # x @ d2t: d^2/dxi^2 of x
+
+    def lap(x, q):
+        """dt/h_q^2 times the second xi-derivative of x along axis q."""
+        return dt / hs[q] ** 2 * np.swapaxes(np.swapaxes(x, q - ndim, -1) @ d2t, q - ndim, -1)
+
+    def pad(x):
+        return np.pad(x, [(0, 0)] * (x.ndim - ndim) + [(0, k - n) for n in x.shape[-ndim:]])
+
+    c = apply_interp(du, ndim)
+    seed = 0.0
+    for q in range(ndim):
         keep = du[(Ellipsis,) + tuple(slice(None) if p == q else slice(lv) for p in range(ndim))]
-        at = (Ellipsis,) + tuple(slice(k - 2) if p == q else slice(2 * lv) for p in range(ndim))
         # in 1D and when v has u's order, keep is all of du
-        d1[at] += r * w * (cu if keep.shape == du.shape else apply_interp(keep, ndim))[src]
-    ctab, dtab = expand_taylor(cu, apply_interp(dv, ndim), dt, hs, ndim * k, d1=d1)
-    return (eval_series(ctab, 0.5)[(Ellipsis,) + (slice(m + 1),) * ndim],
-            eval_series(dtab, 0.5)[(Ellipsis,) + (slice(lv),) * ndim])
+        seed = seed + lap(c if keep.shape == du.shape else pad(apply_interp(keep, ndim)), q)
+    u, v = c, pad(apply_interp(dv, ndim))
+    d = v  # the stage of v that the next stage of u integrates
+    for s in range(1, ndim * k + 1):
+        c, d = (dt / s) * d, seed if s == 1 else sum(lap(c, q) for q in range(ndim)) / s
+        u = u + 0.5**s * c
+        v = v + 0.5**s * d
+    return u[(Ellipsis,) + (slice(m + 1),) * ndim], v[(Ellipsis,) + (slice(lv),) * ndim]
 
 
 @lru_cache(maxsize=64)

@@ -1,5 +1,11 @@
 """Per-level arithmetic that the stacked and folded paths replaced, kept as oracles.
 
+`expand_taylor` and `eval_series` are the stage tables the library's half
+step was built from: the Taylor recursion of u_t = v, v_t = Delta u run on
+cell coefficients into one padded table per field, stages first, and a
+Horner pass over a table at theta = tau/dt. `dissipative.taylor_half_step`
+sums the same stages in one loop.
+
 `pair_sources` is a level's gather in the explicit layout: the flanking
 data of every target node, shaped per axis, and the target coordinates.
 
@@ -27,11 +33,65 @@ import numpy as np
 
 from hermwave.boundary import gather_plan, take
 from hermwave.diagnostics import default_npts, gauss_rule
-from hermwave.dissipative import eval_series, expand_taylor
 from hermwave.grid import DUAL, Field, flip
 from hermwave.interp import apply_interp
 
 from states import one
+
+
+def expand_taylor(c0, d0, dt, hs, smax, d1=None):
+    """Run the recursion on batched cell coefficients, one axis per spacing:
+
+        c_s = (dt/s) d_{s-1},   d_s = sum_q (dt/h_q^2)/s D2_q c_{s-1},
+
+    with D2_q the second xi-derivative along axis q ((j+2)(j+1) c_{j+2}).
+
+    Args:
+        c0: (..., K per axis) scaled u coefficients at s=0.
+        d0: (..., Lv per axis) scaled v coefficients at s=0, Lv <= K.
+        hs: cell spacing per axis.
+        d1: optional (..., K per axis) first v stage; if absent the plain
+            recursion supplies stage 1 as well.
+
+    Returns:
+        (C, D), both padded to c0's footprint, with a leading stage axis of
+        length smax+1: stage s is the contiguous slab C[s].
+    """
+    ndim = len(hs)
+    c0 = np.asarray(c0, dtype=float)
+    k, lv = c0.shape[-1], np.shape(d0)[-1]
+    ctab = np.zeros((smax + 1,) + c0.shape)
+    dtab = np.zeros_like(ctab)
+    ctab[0] = c0
+    dtab[0][(Ellipsis,) + (slice(lv),) * ndim] = d0
+    w = np.arange(2, k) * np.arange(1, k - 1)
+    terms = []  # per axis q: dt/h_q^2, w shaped along q, the source and target slices
+    for q, h in enumerate(hs):
+        src, dst = [slice(None)] * ndim, [slice(None)] * ndim
+        src[q], dst[q] = slice(2, None), slice(k - 2)
+        terms.append((dt / (h * h), w.reshape((-1,) + (1,) * (ndim - 1 - q)),
+                      (Ellipsis, *src), (Ellipsis, *dst)))
+    for s in range(1, smax + 1):
+        ctab[s] = (dt / s) * dtab[s - 1]
+        if s == 1 and d1 is not None:
+            dtab[1] = d1
+            continue
+        prev, cur = ctab[s - 1], dtab[s]
+        for q, (r, wq, src, dst) in enumerate(terms):
+            term = (r / s) * wq * prev[src]
+            if q == 0:
+                cur[dst] = term
+            else:
+                cur[dst] += term
+    return ctab, dtab
+
+
+def eval_series(table: np.ndarray, theta: float) -> np.ndarray:
+    """Sum the time series (stages first) at theta = tau/dt by Horner's rule."""
+    out = table[-1].copy()
+    for s in range(len(table) - 2, -1, -1):
+        out = out * theta + table[s]
+    return out
 
 
 def pair_sources(field):

@@ -11,12 +11,18 @@ Gauss points (`eval_matrix`), their tensor product over the axes by einsum
 (`field_matrix`), and each value's product placed in the rows of the field
 it reads.
 
+`exact_half_step` is the 1D half step's matrix in exact rational
+arithmetic: the Hermite conditions inverted over Fractions
+(`exact_interp`), the Taylor recursion run exactly from the float dt and
+summed at dt/2, then each entry rounded to float once.
+
 `same_bits` compares two matrices bit for bit, signs of zero included.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +61,67 @@ def packed(blocks: tuple, sides: tuple) -> np.ndarray:
     index = np.concatenate([start + np.arange(len(block)).reshape(sides + (-1,))
                             for start, block in zip(first, blocks)], axis=-1)
     return np.concatenate(blocks)[index.ravel()]
+
+
+def invert_exact(a):
+    """Gauss-Jordan inverse over Fractions; unisolvency keeps pivots nonzero."""
+    n = len(a)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        assert aug[piv][col] != 0, "interpolation system is singular"
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def exact_interp(mu: int) -> list:
+    """The Hermite conditions sum_j C(j, l) xi_s**(j-l) a_j = c_l at
+    xi_s = -1/2, +1/2, assembled and inverted over Fractions: rows of the
+    (2mu+2) x (2mu+2) map from stacked (left, right) data to a_j."""
+    rows = []
+    for xi in (Fraction(-1, 2), Fraction(1, 2)):
+        for l in range(mu + 1):
+            rows.append([Fraction(math.comb(j, l)) * xi ** (j - l) if j >= l else Fraction(0)
+                         for j in range(2 * mu + 2)])
+    return invert_exact(rows)
+
+
+def exact_half_step(blocks: tuple, dt: float, h: float = 1.0) -> np.ndarray:
+    """The 1D half step's matrix from u | v per side (u of order m, v of
+    order lv - 1 <= m) at spacing h, in the gathered layout, computed over
+    Fractions from the float dt and h and rounded to float once.
+
+    Both fields are interpolated exactly, v padded to u's 2m+2
+    coefficients; the recursion c_s = (dt/s) d_{s-1},
+    d_s[j] = (r/s) (j+2)(j+1) c_{s-1}[j+2] runs until it vanishes, and its
+    stages are summed at theta = 1/2, with r = dt/h^2."""
+    ((nu,), (lv,)) = blocks
+    k, tau, r = 2 * nu, Fraction(dt), Fraction(dt) / Fraction(h) ** 2
+    maps = [exact_interp(nu - 1), exact_interp(lv - 1)]
+    out = []
+    for side in range(2):
+        for field, n in enumerate((nu, lv)):
+            for l in range(n):
+                # the unit datum l of this field on this side, interpolated
+                cols = [row[side * n + l] for row in maps[field]]
+                c, d = (cols, [Fraction(0)] * k) if field == 0 else \
+                    ([Fraction(0)] * k, cols + [Fraction(0)] * (k - 2 * lv))
+                u, v, s = c[:], d[:], 0
+                while any(c) or any(d):
+                    s += 1
+                    c, d = ([tau / s * x for x in d],
+                            [r / s * (j + 2) * (j + 1) * c[j + 2] for j in range(k - 2)]
+                            + [Fraction(0)] * 2)
+                    u = [a + Fraction(1, 2 ** s) * x for a, x in zip(u, c)]
+                    v = [a + Fraction(1, 2 ** s) * x for a, x in zip(v, d)]
+                out.append([float(x) for x in u[:nu] + v[:lv]])
+    return np.array(out)
 
 
 def eval_matrix(mu: int, npts: int, kind: int, der: int = 0) -> np.ndarray:

@@ -41,9 +41,13 @@ column (an empty cell reads null) and every number on its stdout lines
 field and the time it reached under each config. `--compare` prints, per
 call or march and column, the largest relative difference
 |a - b| / max(|a|, |b|) between the two files, and the largest over all of
-them last. With `--rtol R` it is a gate: it then names every call or march
-and column whose difference exceeds R (calls or columns present in one file
-only included) and exits 1 if there is one.
+them last. A march column also gets max |a - b| over its max |a|, and the
+largest of those is printed before the last line: the element-wise figure
+reads about 2 on slots that hold rounding (a wall slot of +-4e-17 whose
+sign flips), which says nothing of the field. With `--rtol R` it is a gate
+on the element-wise figure: it then names every call or march and column
+whose difference exceeds R (calls or columns present in one file only
+included) and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -152,12 +156,25 @@ def relative(a, b) -> float:
     return worst
 
 
+def scaled(a, b) -> float:
+    """max |a - b| over max |a| of two equal-length lists of numbers; inf if
+    their lengths differ or a is all zero and b is not."""
+    if len(a) != len(b):
+        return float("inf")
+    top = max((abs(x) for x in a), default=0.0)
+    worst = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    return worst / top if top else (0.0 if worst == 0.0 else float("inf"))
+
+
 def compare(path_a: str, path_b: str, rtol: float | None = None) -> list:
-    """Print the largest relative difference per call and column, then the
-    largest over all; with rtol, name each one past it. Returns those, as
-    (call, column or None, difference)."""
+    """Print the largest relative difference per call and column, and for a
+    march column also max |a - b| over its max |a|; then the largest of
+    the latter and the largest relative difference over all. With rtol,
+    name each relative difference past it. Returns those, as (call, column
+    or None, difference)."""
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     diffs = [(call, None, float("inf")) for call in a.keys() ^ b.keys()]
+    fields = []  # max |a - b| / max |a| per march column
     for call in (c for c in a if c in b):
         ca, cb = a[call]["columns"], b[call]["columns"]
         if a[call]["exit"] != b[call]["exit"] or ca.keys() != cb.keys():
@@ -166,7 +183,14 @@ def compare(path_a: str, path_b: str, rtol: float | None = None) -> list:
             continue
         for name in ca:
             diffs.append((call, name, relative(ca[name], cb[name])))
-            print(f"{call}  {name}  {diffs[-1][2]:.3g}")
+            line = f"{call}  {name}  {diffs[-1][2]:.3g}"
+            if a[call]["exit"] is None:  # a library march
+                fields.append(scaled(ca[name], cb[name]))
+                line += f"  {fields[-1]:.3g} of max"
+            print(line)
+    if fields:
+        print(f"largest max |a - b| / max |a| over {len(fields)} march columns: "
+              f"{max(fields):.3g}")
     worst = max((rel for _, _, rel in diffs), default=0.0)
     print(f"largest relative difference over {len(a)} calls and marches: {worst:.3g}")
     over = [d for d in diffs if rtol is not None and not d[2] <= rtol]

@@ -14,14 +14,13 @@ from numpy.polynomial import Polynomial as P
 from hermwave import conservative
 from hermwave.boundary import gather_plan, take
 from hermwave.conservative import _plan, step
-from hermwave.dissipative import SchemeConfig, eval_series, expand_taylor, fold, taylor_half_step
+from hermwave.dissipative import SchemeConfig, fold, taylor_half_step
 from hermwave.grid import DUAL, PRIMAL, Axis, Field, Grid, State, flip
 from hermwave.interp import apply_interp
 
 from energy_oracle import dissipative_energy
-from level_oracle import pair_sources
+from level_oracle import eval_series, expand_taylor, pair_sources
 from lifting import lift, lifted_grids
-from matrix_oracle import same_bits
 from states import one, two_level, u_of, uv_state, v_of
 from test_conservative import ORDER_LAM, ORDER_THETA, eigen_orders
 
@@ -217,15 +216,21 @@ def _mixed_half_step(du, dv, dt, hs, stages):
 def test_stage_count_is_sufficient():
     """Stages past d(2m+2)-2 (half step from v of order m-1), d(2m+2)
     (from u_t of u's order) and 2dm (conservative update) are exact zeros,
-    and the library's one map, at d(2m+2) stages, builds all three matrices
-    bit for bit, signs of zero included.
+    and the library's one map, at d(2m+2) stages, builds all three matrices.
 
-    So six more stages leave every folded oracle map unchanged to the bit.
-    The half step from v of order m-1 is the mixed-stage map
+    So six more stages leave every folded stage-table map unchanged to the
+    bit. The half step from v of order m-1 is the mixed-stage map
     (`_mixed_half_step`) at d(2m+2)-2 stages. The half step from u_t of u's
     order is `_bootstrap_u` in its u columns, and the library's B is those
     columns. The conservative map at 2dm stages is the library's update
     matrix, twice the u rows of B.
+
+    The library sums the same stages in another order, so it matches the
+    stage tables to 1e-11 of the largest entry. The difference is the
+    tables' rounding: against the exact 1D fold
+    (`matrix_oracle.exact_half_step`) at h = 0.2, m = 6, the table's step
+    map errs by 7.3e-12 and the library's by 4.9e-13, and the largest
+    difference between the two, 7.3e-12, is that one.
     """
     for ndim, m_max in ((1, 6), (2, 6), (3, 2)):
         for m in range(1, m_max + 1):
@@ -247,10 +252,10 @@ def test_stage_count_is_sufficient():
             mixed, boot_u, update = folds
             step_map = fold(taylor_half_step, (cu, cv), side, dt, hs)
             boot_map = fold(taylor_half_step, (cu, cu), side, dt, hs)
-            assert same_bits(step_map, mixed), (ndim, m)
-            assert same_bits(boot_map[:, : math.prod(cu)], boot_u), (ndim, m)
-            assert same_bits(conservative._bootstrap_matrix(m, dt, hs), boot_u), (ndim, m)
-            assert same_bits(conservative._update_matrix(m, dt, hs), update), (ndim, m)
+            for got, want in ((step_map, mixed), (boot_map[:, : math.prod(cu)], boot_u),
+                              (conservative._bootstrap_matrix(m, dt, hs), boot_u),
+                              (conservative._update_matrix(m, dt, hs), update)):
+                assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), (ndim, m)
 
 
 def _line(x_left, x_right, n, left="periodic", right="periodic"):
@@ -609,6 +614,15 @@ def test_periodic_2d_symbol_is_stable():
     assert worst <= 1e-12
 
 
+def _grows_linearly(g, squarings=20) -> bool:
+    """Whether the powers of g grow at most linearly: ||g^(2k)|| <= 2 (1 +
+    1e-6) ||g^k|| at k = 2**squarings. An eigenvalue of modulus 1 + delta
+    would break that past delta of about 1e-12 at the default k ~ 1e6."""
+    for _ in range(squarings):
+        g = g @ g
+    return np.linalg.norm(g @ g, 2) <= 2 * (1 + 1e-6) * np.linalg.norm(g, 2)
+
+
 def test_periodic_3d_symbol_is_stable():
     """No Fourier mode of a periodic 3D dissipative full step grows.
 
@@ -616,11 +630,18 @@ def test_periodic_3d_symbol_is_stable():
     {0, 1}^3 (`_symbol`), checked first against the plans' own gathers on
     one grid mode of a 4 x 4 x 4 level. The worst max|eig(H1 H2)| - 1 over
     m = 1, 2, lam in {0.5, 0.8, 1} and a 5 x 5 x 5 theta grid on [0, pi]^3
-    reads 2.7e-15 (m = 2, lam = 1).
+    but theta = 0 reads 3.6e-15 (m = 2, lam = 1).
+
+    At theta = 0 the symbol holds the Jordan block of u = c + t v, whose
+    eigenvalue 1 is defective: its computed eigenvalues split by about
+    sqrt(eps), and read 1.2e-8 too large at m = 2, lam = 0.8. Its powers
+    grow linearly instead, ||H(0)^k|| / k reading 0.50 to 1.0 at k = 2**20
+    (`_grows_linearly`), and that is what is checked there.
     """
     n = 4
     theta = np.stack(np.meshgrid(*(np.linspace(0.0, np.pi, 5),) * 3, indexing="ij"),
                      axis=-1).reshape(-1, 3)
+    assert not theta[0].any()
     probe = 2 * np.pi * np.array([3, 1, 2]) / n
     mode = np.exp(1j * (np.indices((n,) * 3).reshape(3, -1).T @ probe))[:, None]
     worst = 0.0
@@ -637,8 +658,9 @@ def test_periodic_3d_symbol_is_stable():
                 got = take(mode * r, plan) @ mat
                 want = mode * (r @ _symbol(mat, shift, probe))
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (m, lam)
-            growth = np.abs(np.linalg.eigvals(_symbol(a, 0, theta) @ _symbol(b, 1, theta)))
-            worst = max(worst, growth.max() - 1.0)
+            g = _symbol(a, 0, theta) @ _symbol(b, 1, theta)
+            assert _grows_linearly(g[0]), (m, lam)
+            worst = max(worst, np.abs(np.linalg.eigvals(g[1:])).max() - 1.0)
     assert worst <= 1e-12
 
 

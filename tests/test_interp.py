@@ -1,7 +1,6 @@
 """Two-point Hermite interpolation: exactness, projection, tensor form."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,35 +12,14 @@ from hermwave.interp import (
     interp_matrix,
 )
 
+from matrix_oracle import exact_interp
 from piecewise import CellPolynomial, interpolate_1d
 
 
-def _invert_exact(a):
-    """Gauss-Jordan inverse over Fractions; unisolvency keeps pivots nonzero."""
-    n = len(a)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        assert aug[piv][col] != 0, "interpolation system is singular"
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _exact_matrix(mu):
-    """Oracle: the Hermite conditions assembled and inverted over Fractions,
-    each entry rounded to float once."""
-    rows = []
-    for xi in (Fraction(-1, 2), Fraction(1, 2)):
-        for l in range(mu + 1):
-            rows.append([Fraction(math.comb(j, l)) * xi ** (j - l) if j >= l else Fraction(0)
-                         for j in range(2 * mu + 2)])
-    return np.array([[float(v) for v in row] for row in _invert_exact(rows)])
+    """Oracle: the Hermite conditions assembled and inverted over Fractions
+    (`matrix_oracle.exact_interp`), each entry rounded to float once."""
+    return np.array([[float(v) for v in row] for row in exact_interp(mu)])
 
 
 @pytest.mark.parametrize("mu", range(MAX_ORDER + 1))

@@ -16,10 +16,10 @@ COLUMNS = {"call one": {"exit": 0, "columns": {"error_u": [1.0, 2.0], "n": [10.0
            "march 0": {"exit": None, "columns": {"config 0 time": [0.5]}}}
 
 
-def _compare(tmp_path, capsys, b, *rtol):
-    """Run --compare of COLUMNS against b; returns (exit code, stdout lines)."""
+def _compare(tmp_path, capsys, b, *rtol, a=COLUMNS):
+    """Run --compare of a against b; returns (exit code, stdout lines)."""
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
-    for path, values in zip(paths, (COLUMNS, b)):
+    for path, values in zip(paths, (a, b)):
         with open(path, "w") as fh:
             json.dump(values, fh)
     code = main(["--compare", *paths, *rtol])
@@ -42,6 +42,25 @@ def test_compare_rtol_names_every_column_past_it(tmp_path, capsys):
 def test_compare_rtol_names_a_call_missing_from_one_file(tmp_path, capsys):
     code, out = _compare(tmp_path, capsys, {"call one": COLUMNS["call one"]}, "--rtol", "1")
     assert code == 1 and "over rtol 1: march 0  the whole call  inf" in out
+
+
+def test_compare_scales_a_march_column_by_its_largest_value(tmp_path, capsys):
+    """A march column's wall slot of +-4e-17 flips sign: its element-wise
+    relative difference reads 2, max |a - b| over max |a| reads 2**-40 from
+    the other slot, and the rtol gate stays on the element-wise figure.
+    A call's columns get no scaled figure."""
+    a = json.loads(json.dumps(COLUMNS))
+    a["march 0"]["columns"]["config 0 field 0"] = [1.0, 4e-17]
+    b = json.loads(json.dumps(a))
+    b["march 0"]["columns"]["config 0 field 0"] = [1.0 + 2.0**-40, -4e-17]
+    code, out = _compare(tmp_path, capsys, b, "--rtol", "1e-8", a=a)
+    assert code == 1
+    assert "march 0  config 0 field 0  2  9.09e-13 of max" in out
+    assert "march 0  config 0 time  0  0 of max" in out
+    assert "call one  error_u  0" in out
+    assert "largest max |a - b| / max |a| over 2 march columns: 9.09e-13" in out
+    assert [line for line in out if line.startswith("over rtol")] == [
+        "over rtol 1e-08: march 0  config 0 field 0  2"]
 
 
 def test_every_library_march_has_its_own_name():
